@@ -22,7 +22,7 @@ if _SRC not in sys.path:
 
 import pytest
 
-from repro.experiments.runner import ExperimentRunner
+from repro.engine import ExecutionEngine
 from repro.experiments.setup import ExperimentProfile, profile_from_environment
 
 #: Default per-benchmark instruction budget of the harness.
@@ -41,9 +41,9 @@ def bench_profile() -> ExperimentProfile:
 
 
 @pytest.fixture(scope="session")
-def shared_runner() -> ExperimentRunner:
-    """One runner for the whole harness, so compiled binaries are reused."""
-    return ExperimentRunner(bench_profile())
+def shared_engine() -> ExecutionEngine:
+    """One engine for the whole harness, so compiled binaries are reused."""
+    return ExecutionEngine(bench_profile())
 
 
 #: Directory where every benchmark also archives its rendered result block.

@@ -13,9 +13,9 @@ from conftest import emit
 from repro.experiments.ablations import run_history_ablation
 
 
-def test_ablation_history_corruption(benchmark, shared_runner):
+def test_ablation_history_corruption(benchmark, shared_engine):
     result = benchmark.pedantic(
-        run_history_ablation, kwargs={"runner": shared_runner}, rounds=1, iterations=1
+        run_history_ablation, kwargs={"engine": shared_engine}, rounds=1, iterations=1
     )
     emit("Ablation - global-history corruption", result.render(), name="ablation_history")
 

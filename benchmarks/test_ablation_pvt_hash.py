@@ -12,9 +12,9 @@ from conftest import emit
 from repro.experiments.ablations import run_pvt_ablation
 
 
-def test_ablation_pvt_organisation(benchmark, shared_runner):
+def test_ablation_pvt_organisation(benchmark, shared_engine):
     result = benchmark.pedantic(
-        run_pvt_ablation, kwargs={"runner": shared_runner}, rounds=1, iterations=1
+        run_pvt_ablation, kwargs={"engine": shared_engine}, rounds=1, iterations=1
     )
     emit("Ablation - PVT organisation", result.render(), name="ablation_pvt")
 

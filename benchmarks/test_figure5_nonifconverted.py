@@ -15,15 +15,15 @@ from conftest import emit
 from repro.experiments.figure5 import run_figure5
 
 
-def test_figure5_branch_misprediction_rates(benchmark, shared_runner):
+def test_figure5_branch_misprediction_rates(benchmark, shared_engine):
     result = benchmark.pedantic(
-        run_figure5, kwargs={"runner": shared_runner}, rounds=1, iterations=1
+        run_figure5, kwargs={"engine": shared_engine}, rounds=1, iterations=1
     )
 
     emit("Figure 5 - misprediction rates (non-if-converted binaries)", result.render(), name="figure5")
 
     benchmarks = result.table.benchmarks()
-    assert len(benchmarks) == len(shared_runner.benchmarks())
+    assert len(benchmarks) == len(shared_engine.benchmarks())
 
     # Average accuracy increase is positive (paper: +1.86%).
     assert result.average_accuracy_increase > 0.0

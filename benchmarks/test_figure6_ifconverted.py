@@ -23,15 +23,15 @@ from repro.experiments.figure6 import run_figure6
 _CACHE = {}
 
 
-def _figure6(shared_runner):
+def _figure6(shared_engine):
     if "result" not in _CACHE:
-        _CACHE["result"] = run_figure6(runner=shared_runner)
+        _CACHE["result"] = run_figure6(engine=shared_engine)
     return _CACHE["result"]
 
 
-def test_figure6a_misprediction_rates(benchmark, shared_runner):
+def test_figure6a_misprediction_rates(benchmark, shared_engine):
     result = benchmark.pedantic(
-        _figure6, args=(shared_runner,), rounds=1, iterations=1
+        _figure6, args=(shared_engine,), rounds=1, iterations=1
     )
     emit("Figure 6a - misprediction rates (if-converted binaries)", result.render(), name="figure6")
 
@@ -52,8 +52,8 @@ def test_figure6a_misprediction_rates(benchmark, shared_runner):
     benchmark.extra_info["predicate_best_count"] = result.predicate_best_count
 
 
-def test_figure6b_accuracy_breakdown(benchmark, shared_runner):
-    result = _figure6(shared_runner)
+def test_figure6b_accuracy_breakdown(benchmark, shared_engine):
+    result = _figure6(shared_engine)
 
     def _breakdown_summary():
         early = result.average_early_resolved_improvement

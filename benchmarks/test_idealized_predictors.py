@@ -11,13 +11,13 @@ negative side effects of predicate prediction.
 from conftest import emit
 
 from repro.experiments.idealized import run_idealized_study
-from repro.experiments.runner import BASELINE, IF_CONVERTED
+from repro.engine import BASELINE, IF_CONVERTED
 
 
-def test_idealized_nonifconverted(benchmark, shared_runner):
+def test_idealized_nonifconverted(benchmark, shared_engine):
     result = benchmark.pedantic(
         run_idealized_study,
-        kwargs={"flavour": BASELINE, "runner": shared_runner},
+        kwargs={"flavour": BASELINE, "engine": shared_engine},
         rounds=1,
         iterations=1,
     )
@@ -34,10 +34,10 @@ def test_idealized_nonifconverted(benchmark, shared_runner):
     benchmark.extra_info["paper_avg_pct"] = 2.24
 
 
-def test_idealized_ifconverted(benchmark, shared_runner):
+def test_idealized_ifconverted(benchmark, shared_engine):
     result = benchmark.pedantic(
         run_idealized_study,
-        kwargs={"flavour": IF_CONVERTED, "runner": shared_runner},
+        kwargs={"flavour": IF_CONVERTED, "engine": shared_engine},
         rounds=1,
         iterations=1,
     )

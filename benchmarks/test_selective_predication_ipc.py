@@ -18,9 +18,9 @@ from conftest import emit
 from repro.experiments.selective_ipc import run_selective_ipc
 
 
-def test_selective_predication_ipc(benchmark, shared_runner):
+def test_selective_predication_ipc(benchmark, shared_engine):
     result = benchmark.pedantic(
-        run_selective_ipc, kwargs={"runner": shared_runner}, rounds=1, iterations=1
+        run_selective_ipc, kwargs={"engine": shared_engine}, rounds=1, iterations=1
     )
 
     lines = [result.render(), "", "cancelled-at-rename fraction per benchmark:"]

@@ -8,10 +8,8 @@ installs are unavailable; this shim lets ``pip install -e . --no-build-isolation
 from setuptools import setup
 
 setup(
-    # numpy backs the columnar TracePack trace representation (struct-of-
-    # arrays traces, vectorized statistics).  It is an *extra*, not a hard
-    # requirement: every consumer falls back to the object-based reference
-    # path without it (see repro.emulator.tracepack.pack_supported), which
-    # keeps plain installs working on the offline hosts this repo targets.
-    extras_require={"fast": ["numpy>=1.22"]},
+    # numpy backs the columnar TracePack, the only trace representation the
+    # simulator runs on (struct-of-arrays traces, vectorized statistics, the
+    # lane-batched predictor bank).
+    install_requires=["numpy>=1.22"],
 )

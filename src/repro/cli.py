@@ -224,17 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.25,
         help="tolerated throughput regression for --check (default: 0.25)",
     )
-    mode = bench.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--legacy",
-        action="store_true",
-        help="measure the reference (pre-optimization) implementations",
-    )
-    mode.add_argument(
-        "--compare-opt",
-        action="store_true",
-        help="measure legacy and optimized implementations and print the speedup",
-    )
 
     cache = subparsers.add_parser("cache", help="inspect or clear the artifact cache")
     cache.add_argument(
@@ -544,12 +533,8 @@ def _command_all(args: argparse.Namespace) -> str:
 def _command_bench(args: argparse.Namespace) -> str:
     from repro.perf import bench as bench_mod
     from repro.perf.compare import compare_reports
-    from repro.perf.report import render_speedup, render_table
+    from repro.perf.report import render_table
 
-    if args.check and args.legacy:
-        # The baseline is measured with the optimized implementations; gating
-        # a deliberately slower legacy run against it would always fail.
-        raise SystemExit("--check cannot be combined with --legacy")
     if args.check and args.filter:
         # The baseline aggregate covers the whole suite; comparing a cell
         # subset against it would spuriously fail (slow cells) or mask real
@@ -563,30 +548,8 @@ def _command_bench(args: argparse.Namespace) -> str:
             bench_mod.filter_cells(suite, args.filter)
         except ValueError as error:
             raise SystemExit(str(error)) from None
-    lines = []
-    if args.compare_opt:
-        legacy = bench_mod.run_bench(
-            quick=args.quick,
-            repeats=args.repeat,
-            optimized=False,
-            cell_filter=args.filter,
-        )
-        report = bench_mod.run_bench(
-            quick=args.quick,
-            repeats=args.repeat,
-            optimized=True,
-            cell_filter=args.filter,
-        )
-        lines.extend([render_table(report), "", "legacy vs optimized:"])
-        lines.append(render_speedup(legacy, report))
-    else:
-        report = bench_mod.run_bench(
-            quick=args.quick,
-            repeats=args.repeat,
-            optimized=False if args.legacy else None,
-            cell_filter=args.filter,
-        )
-        lines.append(render_table(report))
+    report = bench_mod.run_bench(quick=args.quick, repeats=args.repeat, cell_filter=args.filter)
+    lines = [render_table(report)]
     if not args.no_write:
         path = args.output or bench_mod.default_output_path(report)
         bench_mod.write_report(report, path)

@@ -11,7 +11,7 @@ Simulation Environment in the original paper (section 4.1).
 from repro.emulator.state import ArchState
 from repro.emulator.memory_image import MemoryImage
 from repro.emulator.executor import Emulator, DynInst, EmulationLimit
-from repro.emulator.tracepack import PackCursor, TracePack, TracePackBuilder, pack_supported
+from repro.emulator.tracepack import PackCursor, TracePack, TracePackBuilder
 from repro.emulator.trace import (
     TRACE_FORMAT_VERSION,
     TraceStatistics,
@@ -33,6 +33,5 @@ __all__ = [
     "TraceStatistics",
     "collect_trace",
     "collect_trace_pack",
-    "pack_supported",
     "trace_statistics",
 ]

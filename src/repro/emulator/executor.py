@@ -31,7 +31,6 @@ from repro.isa.instructions import (
 from repro.isa.opcodes import Opcode
 from repro.isa.operands import Immediate, Label
 from repro.isa.registers import Register, RegisterKind
-from repro.perf.flags import resolve_optimized
 from repro.program.program import Program
 from repro.program.routine import Routine
 
@@ -157,7 +156,7 @@ class Emulator:
     #: far lower.
     HARD_LIMIT = 50_000_000
 
-    def __init__(self, program: Program, optimized: Optional[bool] = None) -> None:
+    def __init__(self, program: Program, optimized: bool = True) -> None:
         if not program.laid_out:
             program.layout()
         self.program = program
@@ -171,9 +170,9 @@ class Emulator:
         #: Decode/dispatch cache of the optimized path: per-static-instruction
         #: compiled handlers, keyed by instruction uid.  The reference
         #: interpreter (:meth:`_execute_straightline`) stays reachable with
-        #: ``optimized=False`` / ``REPRO_OPT=0``; the parity tests assert both
-        #: produce identical traces.
-        self.optimized = resolve_optimized(optimized)
+        #: ``optimized=False`` as the parity oracle; the parity tests assert
+        #: both produce identical traces.
+        self.optimized = optimized
         self._handlers: Dict[int, Callable[[DynInst], None]] = {}
 
     # ------------------------------------------------------------------
@@ -246,8 +245,7 @@ class Emulator:
         parity tests assert ``run_pack(n).to_dyninsts()`` is bit-identical
         to ``list(run(n))``.
 
-        Returns a :class:`~repro.emulator.tracepack.TracePack`; requires
-        numpy (see :func:`~repro.emulator.tracepack.pack_supported`).
+        Returns a :class:`~repro.emulator.tracepack.TracePack`.
 
         With ``segment_rows`` set, the trace is cut into fixed-size row
         segments.  Each completed segment is finalized immediately and

@@ -1,25 +1,25 @@
 """Trace collection helpers and trace-level statistics.
 
-These helpers are used by the tests, the examples and the experiment runner
-to characterise workloads: branch counts, per-branch-site bias, the dynamic
+These helpers are used by the tests, the examples and the experiments to
+characterise workloads: branch counts, per-branch-site bias, the dynamic
 distance between a compare and its consuming branch, and the fraction of
 fetched instructions that were nullified (false qualifying predicate).
 
-Traces have two interchangeable representations:
-
-* the reference object form — a ``List[DynInst]`` — which every analysis
-  here supports with plain Python loops; and
-* the columnar :class:`~repro.emulator.tracepack.TracePack`, for which the
-  statistics below run as vectorized numpy array passes over the pack's
-  columns (bit-identical results; the equality is under test).
+The production trace is the columnar
+:class:`~repro.emulator.tracepack.TracePack`, for which the statistics below
+run as vectorized numpy array passes over the pack's columns.  The reference
+object form — a ``List[DynInst]`` from :func:`collect_trace` — is still
+accepted everywhere here, with plain Python loops; it is the parity oracle
+for the vectorized passes (bit-identical results; the equality is under
+test).
 
 The on-disk encoding is versioned.  Format 3 (current) adds the *chunked*
 pack encoding — a sequence of independently decodable format-2 segments
 (see :class:`~repro.emulator.tracepack.ChunkedTracePack`) for streaming-
 scale traces.  Format 2 monolithic packs and format 1 pickles of the
 ``DynInst`` list are both still read; format 2 is still written for
-single-segment packs and format 1 when a caller hands us an object trace
-(the ``REPRO_OPT=0`` reference path).
+single-segment packs.  Format 1 is no longer written: an object trace is
+packed before encoding.
 """
 
 from __future__ import annotations
@@ -147,16 +147,14 @@ def serialize_trace(trace: Trace) -> bytes:
 
     A :class:`TracePack` is written in the columnar format-2 encoding (raw
     compressed column buffers; only the deduplicated static instruction
-    table is pickled).  An object trace is written as the legacy versioned
-    pickle, keeping the ``REPRO_OPT=0`` reference path end-to-end
-    object-based.  Both encodings are self-contained: a trace can be
-    re-simulated without re-materialising the program it came from.
+    table is pickled), a :class:`ChunkedTracePack` in format 3.  An object
+    trace is packed first with :meth:`TracePack.from_dyninsts`.  The
+    encoding is self-contained: a trace can be re-simulated without
+    re-materialising the program it came from.
     """
-    if isinstance(trace, (TracePack, ChunkedTracePack)):
-        return trace.to_bytes()
-    return pickle.dumps(
-        (TRACE_FORMAT_VERSION, list(trace)), protocol=pickle.HIGHEST_PROTOCOL
-    )
+    if not isinstance(trace, (TracePack, ChunkedTracePack)):
+        trace = TracePack.from_dyninsts(trace)
+    return trace.to_bytes()
 
 
 def deserialize_trace(data: bytes) -> Trace:

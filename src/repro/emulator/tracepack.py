@@ -37,10 +37,9 @@ assert.  The on-disk form (:meth:`to_bytes` / :meth:`from_bytes`) is a small
 JSON header plus the zlib-compressed raw column buffers; only the static
 instruction table is pickled, never the per-instruction rows.
 
-numpy is the only dependency and is gated: when it is unavailable
-:func:`pack_supported` returns ``False`` and every caller (the engine, the
-emulator, the bench harness) falls back to the object-based reference
-representation.
+The pack is the only trace representation the production paths use; the
+object list survives as the emulator's reference output and the parity
+tests' oracle.
 """
 
 from __future__ import annotations
@@ -51,10 +50,7 @@ import struct
 import zlib
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every test
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
+import numpy as np
 
 from repro.emulator.executor import DynInst
 from repro.isa.branches import BranchInstruction
@@ -106,29 +102,6 @@ _COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("pred_index", "<i2"),
     ("pred_value", "u1"),
 )
-
-
-def pack_supported() -> bool:
-    """True when the columnar backend can be used (numpy importable)."""
-    return _np is not None
-
-
-class PackBackendUnavailable(RuntimeError):
-    """Raised when a columnar operation needs numpy and it is missing.
-
-    Distinct from decode errors on purpose: the artifact store treats this
-    as a plain cache miss and leaves the (valid) stored artifact in place,
-    whereas a corrupt artifact is deleted.
-    """
-
-
-def _require_numpy():
-    if _np is None:  # pragma: no cover - numpy is part of the toolchain
-        raise PackBackendUnavailable(
-            "TracePack requires numpy; use the object trace representation "
-            "(REPRO_OPT=0) when numpy is unavailable"
-        )
-    return _np
 
 
 class PackCursor:
@@ -258,7 +231,6 @@ class TracePackBuilder:
         them freezes the builder (a later ``append_row`` raises
         ``BufferError``), which is the intended single-use lifecycle.
         """
-        np = _require_numpy()
         if not self._seq:
             return TracePack._empty()
         inst_index = np.frombuffer(self._inst_index, dtype=np.int32)
@@ -294,7 +266,6 @@ class TracePack:
     )
 
     def __init__(self, insts: Sequence[Any], **columns) -> None:
-        _require_numpy()
         self.insts = list(insts)
         for name, _dtype in _COLUMNS:
             setattr(self, name, columns[name])
@@ -303,7 +274,6 @@ class TracePack:
     # ------------------------------------------------------------------
     @classmethod
     def _empty(cls) -> "TracePack":
-        np = _require_numpy()
         columns = {}
         for name, dtype in _COLUMNS:
             length = 1 if name == "pred_offsets" else 0
@@ -482,7 +452,6 @@ class TracePack:
         """
         flags = self._static_flags
         if flags is None:
-            np = _require_numpy()
             branch_f, compare_f, cond_f = self._cursor_static_flags()
             flags = {
                 "is_predicated": np.array(
@@ -511,7 +480,6 @@ class TracePack:
         involved for them; only the (small, deduplicated) static instruction
         table is pickled.
         """
-        np = _require_numpy()
         header_columns = []
         buffers = []
         for name, dtype in _COLUMNS:
@@ -530,7 +498,6 @@ class TracePack:
     @classmethod
     def from_bytes(cls, data: bytes) -> "TracePack":
         """Decode a pack written by :meth:`to_bytes`."""
-        np = _require_numpy()
         if data[:4] != PACK_MAGIC:
             raise ValueError("not a columnar trace pack (bad magic)")
         (header_len,) = struct.unpack_from("<I", data, 4)
@@ -631,7 +598,6 @@ class ChunkedTracePack:
     __slots__ = ("_packs", "_blobs", "_lengths", "_starts", "_decoded")
 
     def __init__(self, packs, blobs, lengths) -> None:
-        _require_numpy()
         self._packs: List[Optional[TracePack]] = list(packs)
         self._blobs: List[Optional[Any]] = list(blobs)
         self._lengths: List[int] = [int(length) for length in lengths]
@@ -655,7 +621,6 @@ class ChunkedTracePack:
     @classmethod
     def from_bytes(cls, data: bytes) -> "ChunkedTracePack":
         """Open an RTP3 payload; only segment headers are parsed eagerly."""
-        _require_numpy()
         if bytes(data[:4]) != CHUNK_MAGIC:
             raise ValueError("not a chunked trace pack (bad magic)")
         view = memoryview(data)
@@ -759,7 +724,6 @@ class ChunkedTracePack:
         layouts), not a streaming path.  Static instruction tables are
         re-deduplicated by ``uid`` and ``inst_index`` remapped accordingly.
         """
-        np = _require_numpy()
         if not self._lengths:
             return TracePack._empty()
         insts: List[Any] = []

@@ -50,12 +50,7 @@ from repro.log import get_logger
 
 from repro.compiler.binaries import BinaryFactory
 from repro.emulator.executor import Emulator
-from repro.emulator.tracepack import (
-    ChunkedPackWriter,
-    ChunkedTracePack,
-    TracePack,
-    pack_supported,
-)
+from repro.emulator.tracepack import ChunkedPackWriter, TracePack
 from repro.engine.jobs import (
     BASELINE,
     IF_CONVERTED,
@@ -73,7 +68,6 @@ from repro.engine.planner import (
     plan,
 )
 from repro.engine.store import BINARIES, CHECKPOINTS, RESULTS, TRACES, ArtifactStore
-from repro.perf.flags import optimizations_enabled
 from repro.pipeline.batched import LaneSpec, simulate_lanes
 from repro.pipeline.core import OutOfOrderCore, SimulationResult
 from repro.pipeline.machine import MachineSpec
@@ -273,8 +267,7 @@ class ExecutionEngine:
         #: Per-simulate-job wall-clock records, in execution order.
         self.job_timings: List[JobTiming] = []
         self._binaries: Dict[Cell, Program] = {}
-        #: In-memory trace cache: columnar packs on the optimized path,
-        #: ``List[DynInst]`` on the reference path (``REPRO_OPT=0``).
+        #: In-memory trace cache of columnar packs.
         self._traces: "OrderedDict[Cell, Any]" = OrderedDict()
         #: Per-cell static-oracle accuracy, filled opportunistically while a
         #: columnar trace is in hand (one cheap vectorized pass), so the
@@ -332,12 +325,11 @@ class ExecutionEngine:
     def collect_trace(self, benchmark: str, flavour: str):
         """Return the dynamic trace of one cell, collecting it if needed.
 
-        On the optimized path the trace is a columnar
-        :class:`~repro.emulator.tracepack.TracePack` (built directly by the
-        emulator's :meth:`~repro.emulator.executor.Emulator.run_pack` loop);
-        with ``REPRO_OPT=0`` — or without numpy — it is the reference
-        ``List[DynInst]``.  Traces loaded from a store are converted to the
-        active representation, so both paths stay end-to-end homogeneous.
+        The trace is a columnar :class:`~repro.emulator.tracepack.TracePack`
+        (built directly by the emulator's
+        :meth:`~repro.emulator.executor.Emulator.run_pack` loop), or a
+        :class:`~repro.emulator.tracepack.ChunkedTracePack` when streamed
+        through the store in segments.
         """
         cell = (benchmark, flavour)
         cached = self._traces.get(cell)
@@ -346,37 +338,25 @@ class ExecutionEngine:
             return cached
         build = make_build_job(benchmark, flavour, self.factory)
         job = make_trace_job(build, self.profile.instructions_per_benchmark)
-        optimized = optimizations_enabled() and pack_supported()
         trace = None
         trace_store = self.store if self.store is not None else self.trace_spill
         if trace_store is not None:
             trace = trace_store.get(TRACES, job.key)
         if trace is not None:
             self.stats.traces_loaded += 1
-            # Convert to the active representation in either direction, so
-            # both paths stay end-to-end homogeneous regardless of which
-            # mode populated the store.
-            if not optimized and isinstance(trace, (TracePack, ChunkedTracePack)):
-                trace = trace.to_dyninsts()
-            elif optimized and not isinstance(trace, (TracePack, ChunkedTracePack)):
-                trace = TracePack.from_dyninsts(trace)
         else:
             program = self.build_binary(benchmark, flavour)
             emulator = Emulator(program)
             streamed = (
-                optimized
-                and emulator.optimized
-                and self.store is not None
+                self.store is not None
                 and self.trace_segment_rows is not None
                 and job.instructions > self.trace_segment_rows
             )
             started = perf_counter()
             if streamed:
                 trace = self._collect_trace_streaming(emulator, job)
-            elif optimized and emulator.optimized:
-                trace = emulator.run_pack(job.instructions)
             else:
-                trace = list(emulator.run(job.instructions))
+                trace = emulator.run_pack(job.instructions)
             self.stats.trace_seconds += perf_counter() - started
             self.stats.traces_collected += 1
             # Write back to the persistent store only: the spill store is a
@@ -394,14 +374,8 @@ class ExecutionEngine:
                         "instructions": len(trace),
                     },
                 )
-        if (
-            self.oracle_stats
-            and cell not in self._oracle_accuracy_cache
-            and isinstance(trace, (TracePack, ChunkedTracePack))
-        ):
-            # Vectorized pass, ~ms: record the scalar while the trace is in
-            # hand.  (The object path skips this — its reference loop is
-            # slow, and oracle_accuracies computes lazily on demand.)
+        if self.oracle_stats and cell not in self._oracle_accuracy_cache:
+            # Vectorized pass, ~ms: record the scalar while the trace is in hand.
             from repro.emulator.trace import trace_statistics
 
             self._oracle_accuracy_cache[cell] = trace_statistics(
@@ -516,7 +490,7 @@ class ExecutionEngine:
         trace = self.collect_trace(job.benchmark, job.flavour)
         core = OutOfOrderCore(config=job.machine.build_config())
         started = perf_counter()
-        if (job.sampling is not None or self._checkpointing()) and core.optimized:
+        if job.sampling is not None or self._checkpointing():
             result = self._simulate_windowed(job, core, trace)
         else:
             scheme = job.scheme.build()
@@ -604,11 +578,11 @@ class ExecutionEngine:
         """Run one cell's simulate jobs, lane-batching where profitable.
 
         Cached jobs are served from the store first and never enter a
-        batch.  When at least two uncached jobs remain and the optimized
-        columnar path is active, they run as lanes of one batched kernel
-        launch (:func:`repro.pipeline.batched.simulate_lanes`); results
-        are stored under each lane's own key, so later runs — batched or
-        not — hit the identical artifacts.
+        batch.  When at least two uncached jobs remain, they run as lanes
+        of one batched kernel launch
+        (:func:`repro.pipeline.batched.simulate_lanes`); results are stored
+        under each lane's own key, so later runs — batched or not — hit the
+        identical artifacts.
         """
         results: Dict[str, SimulationResult] = {}
         pending: List[SimulateJob] = []
@@ -625,12 +599,7 @@ class ExecutionEngine:
         # path per job; chunked traces fall through too — the batched
         # kernel requires one monolithic pack.
         batchable = [job for job in pending if job.sampling is None]
-        if (
-            len(batchable) >= 2
-            and not self._checkpointing()
-            and optimizations_enabled()
-            and pack_supported()
-        ):
+        if len(batchable) >= 2 and not self._checkpointing():
             trace = self.collect_trace(batchable[0].benchmark, batchable[0].flavour)
             if isinstance(trace, TracePack):
                 batch = make_batched_simulate_job(batchable)
@@ -933,29 +902,9 @@ def _execute_cell(
     )
 
 
-def resolve_engine(engine=None, runner=None, profile=None) -> ExecutionEngine:
-    """The engine an experiment should use.
-
-    Accepts the historical calling conventions of the ``run_*`` experiment
-    functions: an explicit engine wins, then a legacy
-    :class:`~repro.experiments.runner.ExperimentRunner` (whose engine is
-    reused, preserving its caches), then a fresh engine for ``profile``.
-
-    The ``runner=`` convention is deprecated (one release): pass the
-    runner's ``.engine`` — or go through :func:`repro.engine.run.run_cells`,
-    the unified entrypoint every new caller should use.
-    """
+def resolve_engine(engine=None, profile=None) -> ExecutionEngine:
+    """The engine an experiment should use: ``engine`` when given, else a
+    fresh engine for ``profile``."""
     if engine is not None:
         return engine
-    if runner is not None:
-        import warnings
-
-        warnings.warn(
-            "resolve_engine(runner=...) is deprecated and will be removed "
-            "in the next release; pass engine=runner.engine, or use "
-            "repro.engine.run.run_cells",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return runner.engine
     return ExecutionEngine(profile=profile)

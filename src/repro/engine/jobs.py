@@ -27,7 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.pipeline.machine import MachineSpec
 from repro.pipeline.windowed import SamplingSpec
 
-#: Binary flavours used by the evaluation (re-exported by the runner shim).
+#: Binary flavours used by the evaluation.
 BASELINE = "baseline"
 IF_CONVERTED = "if-converted"
 

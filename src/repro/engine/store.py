@@ -48,7 +48,6 @@ from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
 
 from repro import faults
 from repro.emulator.trace import deserialize_trace, serialize_trace
-from repro.emulator.tracepack import PackBackendUnavailable
 from repro.log import get_logger
 
 _log = get_logger(__name__)
@@ -79,10 +78,9 @@ def _pickle_dumps(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-#: Per-kind (encode, decode) codecs.  Traces use the versioned encoding from
-#: the emulator layer — compressed columnar packs in format 2, with format-1
-#: object pickles still readable and still written by the ``REPRO_OPT=0``
-#: reference path; binaries and results are plain pickles.
+#: Per-kind (encode, decode) codecs.  Traces use the versioned columnar
+#: encoding from the emulator layer (see :mod:`repro.emulator.trace`);
+#: binaries and results are plain pickles.
 _CODECS: Dict[str, Tuple[Callable[[Any], bytes], Callable[[bytes], Any]]] = {
     BINARIES: (_pickle_dumps, pickle.loads),
     TRACES: (serialize_trace, deserialize_trace),
@@ -187,11 +185,6 @@ class ArtifactStore:
             return None
         try:
             obj = _CODECS[kind][1](data)
-        except PackBackendUnavailable:
-            # A columnar trace read in an environment without numpy: the
-            # artifact is valid, this process just cannot decode it.  Report
-            # a miss but leave it for numpy-enabled processes.
-            return None
         except Exception as error:
             self._quarantine(kind, key, f"decode failed: {type(error).__name__}")
             return None

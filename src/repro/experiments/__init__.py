@@ -3,9 +3,6 @@
 * :mod:`repro.experiments.setup` — the Table 1 machine configuration, the
   scheme factories used by every experiment, and the instruction budgets
   (``fast`` for the test-suite, ``paper`` for the benchmark harness);
-* :mod:`repro.experiments.runner` — a thin compatibility shim over the
-  :mod:`repro.engine` job-graph engine, which plans, deduplicates, caches
-  and parallelises the (benchmark × flavour × scheme) sweeps;
 * :mod:`repro.experiments.figure5` — Figure 5 (non-if-converted binaries);
 * :mod:`repro.experiments.figure6` — Figure 6a and the Figure 6b breakdown
   (if-converted binaries);
@@ -29,7 +26,6 @@ from repro.experiments.setup import (
     make_predicate_scheme,
     paper_table1,
 )
-from repro.experiments.runner import ExperimentRunner, BenchmarkRun
 from repro.experiments.figure5 import Figure5Result, figure5_definition, run_figure5
 from repro.experiments.figure6 import Figure6Result, figure6_definition, run_figure6
 from repro.experiments.idealized import (
@@ -59,8 +55,6 @@ __all__ = [
     "make_peppa_scheme",
     "make_predicate_scheme",
     "paper_table1",
-    "ExperimentRunner",
-    "BenchmarkRun",
     "Figure5Result",
     "figure5_definition",
     "run_figure5",

@@ -89,12 +89,11 @@ def collect_pvt_ablation(
 
 def run_pvt_ablation(
     profile=None,
-    runner=None,
     engine=None,
     jobs: Optional[int] = None,
 ) -> AblationResult:
     """Single dual-hashed PVT (paper) vs statically split PVT."""
-    engine = resolve_engine(engine=engine, runner=runner, profile=profile)
+    engine = resolve_engine(engine=engine, profile=profile)
     benchmarks = engine.benchmarks()
     definition = pvt_ablation_definition(benchmarks)
     outputs = engine.run([definition], jobs=jobs)[definition.name]
@@ -128,12 +127,11 @@ def collect_history_ablation(
 
 def run_history_ablation(
     profile=None,
-    runner=None,
     engine=None,
     jobs: Optional[int] = None,
 ) -> AblationResult:
     """Real speculative history (with its corruption window) vs oracle update."""
-    engine = resolve_engine(engine=engine, runner=runner, profile=profile)
+    engine = resolve_engine(engine=engine, profile=profile)
     benchmarks = engine.benchmarks()
     definition = history_ablation_definition(benchmarks)
     outputs = engine.run([definition], jobs=jobs)[definition.name]

@@ -99,12 +99,11 @@ def collect_figure5(
 
 def run_figure5(
     profile=None,
-    runner=None,
     engine=None,
     jobs: Optional[int] = None,
 ) -> Figure5Result:
     """Regenerate Figure 5 over the selected benchmarks."""
-    engine = resolve_engine(engine=engine, runner=runner, profile=profile)
+    engine = resolve_engine(engine=engine, profile=profile)
     benchmarks = engine.benchmarks()
     definition = figure5_definition(benchmarks)
     outputs = engine.run([definition], jobs=jobs)[definition.name]

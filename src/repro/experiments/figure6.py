@@ -133,12 +133,11 @@ def collect_figure6(
 
 def run_figure6(
     profile=None,
-    runner=None,
     engine=None,
     jobs: Optional[int] = None,
 ) -> Figure6Result:
     """Regenerate Figure 6a and 6b over the selected benchmarks."""
-    engine = resolve_engine(engine=engine, runner=runner, profile=profile)
+    engine = resolve_engine(engine=engine, profile=profile)
     benchmarks = engine.benchmarks()
     definition = figure6_definition(benchmarks)
     outputs = engine.run([definition], jobs=jobs)[definition.name]

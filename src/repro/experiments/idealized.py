@@ -109,11 +109,10 @@ def oracle_accuracies(
 ) -> Dict[str, float]:
     """Per-benchmark static-oracle accuracy from the dynamic traces.
 
-    On the optimized path each benchmark's trace is a columnar
-    :class:`~repro.emulator.tracepack.TracePack` and the per-site outcome
+    Each benchmark's trace is a columnar
+    :class:`~repro.emulator.tracepack.TracePack`, so the per-site outcome
     aggregation runs as a vectorized numpy pass
-    (:func:`repro.emulator.trace.trace_statistics`); with ``REPRO_OPT=0``
-    the reference per-instruction loop computes the identical numbers.
+    (:func:`repro.emulator.trace.trace_statistics`).
 
     The scalar results are memoised per engine (keyed by cell), so repeated
     studies over a shared engine — and the two flavours of ``repro all`` —
@@ -139,12 +138,11 @@ def oracle_accuracies(
 def run_idealized_study(
     flavour: str = BASELINE,
     profile=None,
-    runner=None,
     engine=None,
     jobs: Optional[int] = None,
 ) -> IdealizedResult:
     """Run the idealized comparison on one binary flavour."""
-    engine = resolve_engine(engine=engine, runner=runner, profile=profile)
+    engine = resolve_engine(engine=engine, profile=profile)
     benchmarks = engine.benchmarks()
     definition = idealized_definition(flavour, benchmarks)
     outputs = engine.run([definition], jobs=jobs)[definition.name]

@@ -107,12 +107,11 @@ def collect_selective_ipc(
 
 def run_selective_ipc(
     profile=None,
-    runner=None,
     engine=None,
     jobs: Optional[int] = None,
 ) -> SelectiveIPCResult:
     """Measure IPC of if-converted code under the three handling policies."""
-    engine = resolve_engine(engine=engine, runner=runner, profile=profile)
+    engine = resolve_engine(engine=engine, profile=profile)
     benchmarks = engine.benchmarks()
     definition = selective_ipc_definition(benchmarks)
     outputs = engine.run([definition], jobs=jobs)[definition.name]

@@ -69,12 +69,11 @@ class SuiteResult:
 
 def run_all(
     profile=None,
-    runner=None,
     engine=None,
     jobs: Optional[int] = None,
 ) -> SuiteResult:
     """Regenerate every table and figure in one deduplicated engine pass."""
-    engine = resolve_engine(engine=engine, runner=runner, profile=profile)
+    engine = resolve_engine(engine=engine, profile=profile)
     benchmarks = engine.benchmarks()
 
     figure5 = figure5_definition(benchmarks)

@@ -1,21 +1,3 @@
-"""Performance subsystem: optimization flags, the ``repro bench`` harness
-and the CI regression gate.
-
-Only the flag helpers are exported at package level: the bench harness
-(`repro.perf.bench`) imports the execution engine, which transitively
-imports the predictors, and the predictors consult
-:func:`optimizations_enabled` — importing the harness here would create an
-import cycle.
-"""
-
-from repro.perf.flags import (
-    OPT_ENV_VAR,
-    optimizations_enabled,
-    resolve_optimized,
-)
-
-__all__ = [
-    "OPT_ENV_VAR",
-    "optimizations_enabled",
-    "resolve_optimized",
-]
+"""Performance subsystem: the ``repro bench`` harness and the CI regression
+gate (:mod:`repro.perf.bench`, :mod:`repro.perf.compare`,
+:mod:`repro.perf.report`)."""

@@ -34,10 +34,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.emulator.executor import Emulator
 from repro.emulator.trace import serialize_trace
-from repro.emulator.tracepack import pack_supported
 from repro.engine import BASELINE, IF_CONVERTED, ExecutionEngine, SchemeSpec
 from repro.experiments.setup import ExperimentProfile
-from repro.perf import flags
 from repro.pipeline.machine import MachineSpec
 
 #: Schema identifier embedded in every report.  v2 added the per-cell trace
@@ -235,21 +233,14 @@ def git_revision() -> str:
 
 
 def _machine_metadata() -> Dict[str, Any]:
-    from repro.predictors.batched import lane_bank_supported
-
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "processor": platform.processor(),
         "cpu_count": os.cpu_count(),
-        # The lane-batching configuration in effect: whether the columnar
-        # trace path and the numpy lane bank are available on this host,
-        # and the shape of the suite's batch cells.  Reports from hosts
-        # where batching degraded to the scalar path stay diagnosable.
+        # The shape of the suite's lane-batched cells.
         "lane_batching": {
-            "pack_supported": pack_supported(),
-            "lane_bank_supported": lane_bank_supported(),
             "quick_batch_cells": [
                 {"label": cell.label(), "lanes": len(cell.lanes)}
                 for cell in QUICK_BATCH_CELLS
@@ -263,8 +254,7 @@ def _trace_peak_alloc_bytes(engine: ExecutionEngine, cell: BenchCell, instructio
 
     Measured in a dedicated :mod:`tracemalloc` pass over a fresh emulator
     (tracing slows collection, so the timed measurement never runs under
-    it).  Uses whatever trace representation the active ``REPRO_OPT`` mode
-    would use, so ``--compare-opt`` shows the object-vs-columnar footprint.
+    it).
     """
     if tracemalloc.is_tracing():  # pragma: no cover - foreign tracing active
         return 0
@@ -272,10 +262,7 @@ def _trace_peak_alloc_bytes(engine: ExecutionEngine, cell: BenchCell, instructio
     emulator = Emulator(program)
     tracemalloc.start()
     try:
-        if emulator.optimized and pack_supported():
-            emulator.run_pack(instructions)
-        else:
-            list(emulator.run(instructions))
+        emulator.run_pack(instructions)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -468,7 +455,6 @@ def run_bench(
     quick: bool = False,
     instructions: Optional[int] = None,
     repeats: int = 1,
-    optimized: Optional[bool] = None,
     cells: Optional[Sequence[BenchCell]] = None,
     cell_filter: Optional[str] = None,
 ) -> Dict[str, Any]:
@@ -483,16 +469,14 @@ def run_bench(
     cells = filter_cells(cells, cell_filter)
     if instructions is None:
         instructions = QUICK_INSTRUCTIONS if quick else FULL_INSTRUCTIONS
-    resolved = flags.resolve_optimized(optimized)
     measured: List[Dict[str, Any]] = []
-    with flags.forced(resolved):
-        for cell in cells:
-            if isinstance(cell, BatchBenchCell):
-                measured.append(_measure_batch_cell(cell, instructions, repeats))
-            elif isinstance(cell, IngestBenchCell):
-                measured.append(_measure_ingest_cell(cell, repeats))
-            else:
-                measured.append(_measure_cell(cell, instructions, repeats))
+    for cell in cells:
+        if isinstance(cell, BatchBenchCell):
+            measured.append(_measure_batch_cell(cell, instructions, repeats))
+        elif isinstance(cell, IngestBenchCell):
+            measured.append(_measure_ingest_cell(cell, repeats))
+        else:
+            measured.append(_measure_cell(cell, instructions, repeats))
     total_instructions = sum(c["instructions"] for c in measured)
     total_cycles = sum(c["cycles"] for c in measured)
     total_sim_seconds = sum(c["sim_seconds"] for c in measured)
@@ -507,7 +491,6 @@ def run_bench(
         "revision": git_revision(),
         "created_unix": time.time(),
         "suite": "quick" if quick else "full",
-        "optimized": resolved,
         "instructions_per_cell": instructions,
         "repeats": max(1, repeats),
         "filter": cell_filter,
@@ -569,7 +552,6 @@ def history_row(report: Dict[str, Any]) -> Dict[str, Any]:
         "revision": report.get("revision", "unknown"),
         "created_unix": report.get("created_unix", 0.0),
         "suite": report.get("suite", "?"),
-        "optimized": report.get("optimized"),
         # Filtered runs measure a cell subset; the filter and cell count keep
         # their rows distinguishable from full-suite rows in the trajectory.
         "filter": report.get("filter"),

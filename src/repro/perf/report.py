@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 
 def _fmt_rate(value: float) -> str:
@@ -30,8 +30,7 @@ def render_table(report: Dict[str, Any]) -> str:
     )
     lines = [
         f"repro bench — suite={report.get('suite', '?')} "
-        f"rev={report.get('revision', '?')} "
-        f"optimized={report.get('optimized', '?')}"
+        f"rev={report.get('revision', '?')}"
         + (f" filter={report['filter']}" if report.get("filter") else ""),
         header,
         "-" * len(header),
@@ -71,45 +70,3 @@ def render_table(report: Dict[str, Any]) -> str:
         )
     return "\n".join(lines)
 
-
-def render_speedup(legacy: Dict[str, Any], optimized: Dict[str, Any]) -> str:
-    """Render a legacy-vs-optimized comparison of two reports."""
-    lines: List[str] = [f"{'cell':40s} {'legacy inst/s':>13s} {'optimized':>10s} {'speedup':>8s}"]
-    legacy_cells = {
-        (c["benchmark"], c["flavour"], c["scheme"]): c for c in legacy.get("cells", [])
-    }
-    for cell in optimized.get("cells", []):
-        key = (cell["benchmark"], cell["flavour"], cell["scheme"])
-        before = legacy_cells.get(key)
-        if before is None:
-            continue
-        slow = before["sim_instructions_per_second"]
-        fast = cell["sim_instructions_per_second"]
-        speedup = fast / slow if slow else float("inf")
-        lines.append(
-            f"{'/'.join(key):40s} {_fmt_rate(slow):>13s} {_fmt_rate(fast):>10s} "
-            f"{speedup:7.2f}x"
-        )
-    slow = legacy.get("aggregate", {}).get("instructions_per_second", 0.0)
-    fast = optimized.get("aggregate", {}).get("instructions_per_second", 0.0)
-    if slow:
-        lines.append(
-            f"{'aggregate':40s} {_fmt_rate(slow):>13s} {_fmt_rate(fast):>10s} "
-            f"{fast / slow:7.2f}x"
-        )
-    slow_trace = legacy.get("aggregate", {}).get("trace_instructions_per_second", 0.0)
-    fast_trace = optimized.get("aggregate", {}).get("trace_instructions_per_second", 0.0)
-    if slow_trace and fast_trace:
-        lines.append(
-            f"{'trace build':40s} {_fmt_rate(slow_trace):>13s} "
-            f"{_fmt_rate(fast_trace):>10s} {fast_trace / slow_trace:7.2f}x"
-        )
-    slow_bytes = legacy.get("aggregate", {}).get("total_trace_disk_bytes", 0)
-    fast_bytes = optimized.get("aggregate", {}).get("total_trace_disk_bytes", 0)
-    if slow_bytes and fast_bytes:
-        lines.append(
-            f"{'trace size (smaller is better)':40s} "
-            f"{_fmt_bytes(slow_bytes) + 'B':>13s} {_fmt_bytes(fast_bytes) + 'B':>10s} "
-            f"{slow_bytes / fast_bytes:7.2f}x"
-        )
-    return "\n".join(lines)

@@ -64,7 +64,7 @@ from repro.pipeline.lsq import LoadStoreUnit
 from repro.pipeline.metrics import PipelineMetrics
 from repro.pipeline.resources import FunctionalUnitPool
 from repro.pipeline.scheme_api import BranchHandlingScheme
-from repro.predictors.batched import ConventionalLaneBank, lane_bank_supported
+from repro.predictors.batched import ConventionalLaneBank
 from repro.stats.accuracy import BranchAccuracy, BranchRecord
 
 #: Stable small-integer ids for functional-unit classes, shared by every
@@ -702,18 +702,17 @@ def simulate_lanes(
 
     # Distinct same-geometry specs step in lockstep through the lane bank.
     streams: Dict[object, _DecisionStream] = {}
-    if lane_bank_supported():
-        profile_groups: Dict[object, List[object]] = {}
-        for key, members in spec_groups.items():
-            profile = schemes[members[0]].lane_bank_profile()
-            if profile is not None:
-                profile_groups.setdefault(profile, []).append(key)
-        for profile, keys in profile_groups.items():
-            if len(keys) < 2:
-                continue
-            reps = [schemes[spec_groups[key][0]] for key in keys]
-            for key, stream in zip(keys, _drive_bank(profile, reps, shared)):
-                streams[key] = stream
+    profile_groups: Dict[object, List[object]] = {}
+    for key, members in spec_groups.items():
+        profile = schemes[members[0]].lane_bank_profile()
+        if profile is not None:
+            profile_groups.setdefault(profile, []).append(key)
+    for profile, keys in profile_groups.items():
+        if len(keys) < 2:
+            continue
+        reps = [schemes[spec_groups[key][0]] for key in keys]
+        for key, stream in zip(keys, _drive_bank(profile, reps, shared)):
+            streams[key] = stream
 
     for key, members in spec_groups.items():
         if key not in streams:

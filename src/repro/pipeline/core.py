@@ -31,7 +31,6 @@ from repro.isa.compare import CompareInstruction
 from repro.isa.opcodes import FunctionalUnitClass, OpClass
 from repro.isa.registers import Register, RegisterKind
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.perf.flags import resolve_optimized
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.fetch import FetchEngine
 from repro.pipeline.lsq import LoadStoreUnit
@@ -217,18 +216,18 @@ class OutOfOrderCore:
     inlines the resource models and keeps stage timestamps in locals
     instead of allocating a :class:`Uop` per dynamic instruction.  The
     parity tests assert bit-identical results on every tier-1 workload;
-    ``optimized=None`` defers to the ``REPRO_OPT`` environment flag.
+    ``optimized=False`` selects the reference loop, the parity oracle.
     """
 
     def __init__(
         self,
         config: Optional[PipelineConfig] = None,
         memory: Optional[MemoryHierarchy] = None,
-        optimized: Optional[bool] = None,
+        optimized: bool = True,
     ) -> None:
         self.config = config or PipelineConfig()
         self.memory = memory if memory is not None else MemoryHierarchy()
-        self.optimized = resolve_optimized(optimized)
+        self.optimized = optimized
 
     # ------------------------------------------------------------------
     def run(

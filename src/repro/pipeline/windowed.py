@@ -20,8 +20,8 @@ streaming-scale methodology needs:
   — a documented approximation.  Sampled results carry their
   :class:`SamplingSpec` so tables can flag them.
 
-Both modes require the optimized pack path (numpy, ``REPRO_OPT`` unset or
-true); anything else falls back to a plain straight-through run.
+Both modes require a columnar trace and the optimized core; anything else
+is rejected.
 """
 
 from __future__ import annotations
@@ -161,17 +161,21 @@ def simulate_windowed(
     ``sampling`` selects sampled mode (its ``window`` is used when
     ``window_rows`` is not given).  ``checkpoint`` — typically loaded from
     the artifact store — resumes mid-trace; an incompatible checkpoint is
-    ignored.  Requires the optimized pack path; otherwise (object traces,
-    ``REPRO_OPT=0``, no numpy) this falls back to a plain straight-through
-    ``core.run`` without checkpoints or sampling.
+    ignored.
+
+    Raises :class:`TypeError` when ``trace`` is not a
+    :class:`~repro.emulator.tracepack.TracePack` or
+    :class:`~repro.emulator.tracepack.ChunkedTracePack`, and
+    :class:`ValueError` when ``core`` is the reference core
+    (``optimized=False``), which has no windowed fold.
     """
-    if not core.optimized or not isinstance(trace, (TracePack, ChunkedTracePack)):
-        if sampling is not None or on_checkpoint is not None:
-            _log.warning(
-                "windowed simulation needs the optimized pack path; "
-                "running straight through (no sampling, no checkpoints)"
-            )
-        return core.run(trace, scheme, program_name=program_name)
+    if not isinstance(trace, (TracePack, ChunkedTracePack)):
+        raise TypeError(
+            "windowed simulation needs a TracePack or ChunkedTracePack, "
+            f"got {type(trace).__name__}"
+        )
+    if not core.optimized:
+        raise ValueError("windowed simulation needs a core built with optimized=True")
 
     total = len(trace)
     window = window_rows if window_rows is not None else (

@@ -30,28 +30,17 @@ arithmetic is exact integer arithmetic identical to
 :func:`~repro.predictors.perceptron.perceptron_train`; the hypothesis
 parity tests drive a bank and independent scalar schemes with common random
 branch streams and assert bit-identical predictions and records.
-
-numpy is gated exactly like the columnar trace backend: callers check
-:func:`lane_bank_supported` and fall back to per-spec scalar replay.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every test
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
+import numpy as _np
 
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import GlobalHistoryRegister, LocalHistoryTable
 from repro.predictors.perceptron import PerceptronConfig, entry_index
-
-
-def lane_bank_supported() -> bool:
-    """True when the lane-axis backend can be used (numpy importable)."""
-    return _np is not None
 
 
 class ConventionalLaneBank:
@@ -63,8 +52,6 @@ class ConventionalLaneBank:
     """
 
     def __init__(self, profile: Tuple[PerceptronConfig, int, int], lanes: int) -> None:
-        if _np is None:  # pragma: no cover - guarded by lane_bank_supported
-            raise RuntimeError("ConventionalLaneBank requires numpy")
         if lanes < 1:
             raise ValueError("a lane bank needs at least one lane")
         config, gshare_bits, gshare_counter_bits = profile

@@ -5,18 +5,16 @@ folded branch PC and the global history register.  The paper's first level
 is a 4 KB gshare with a 14-bit GHR: 16384 two-bit counters.
 
 The predictor has two access paths over one table state: the reference path
-goes through :class:`~repro.predictors.counters.CounterTable`, while the
-optimized path (the default, see :mod:`repro.perf.flags`) indexes the
-backing counter list directly with mask arithmetic.  Both paths share the
-same list, so they are bit-identical by construction; the property-based
-parity tests drive both with common random branch streams to prove it.
+(``optimized=False``, the parity oracle) goes through
+:class:`~repro.predictors.counters.CounterTable`, while the optimized path
+(the default) indexes the backing counter list directly with mask
+arithmetic.  Both paths share the same list, so they are bit-identical by
+construction; the property-based parity tests drive both with common
+random branch streams to prove it.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.perf.flags import resolve_optimized
 from repro.predictors.base import DirectionPredictor, PredictorSizeReport, fold_pc
 from repro.predictors.counters import CounterTable
 
@@ -28,13 +26,13 @@ class GsharePredictor(DirectionPredictor):
         self,
         history_bits: int = 14,
         counter_bits: int = 2,
-        optimized: Optional[bool] = None,
+        optimized: bool = True,
     ) -> None:
         self.history_bits = history_bits
         self.counter_bits = counter_bits
         self.entries = 1 << history_bits
         self.table = CounterTable(self.entries, bits=counter_bits, initial=1)
-        self.optimized = resolve_optimized(optimized)
+        self.optimized = optimized
         # Array fast path: direct access to the table's backing list.  The
         # entry count is a power of two, so ``% entries`` is ``& mask``, and
         # ``fold_pc`` already masks to ``history_bits`` bits, which makes

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.perf.flags import resolve_optimized
 from repro.predictors.base import DirectionPredictor, PredictorSizeReport, fold_pc
 from repro.predictors.history import LocalHistoryTable
 
@@ -168,9 +167,8 @@ class PerceptronPredictor(DirectionPredictor):
     """A global+local perceptron predictor.
 
     Weight storage has two backends sharing identical arithmetic: the
-    reference list-of-rows layout, and (by default — see
-    :mod:`repro.perf.flags`) one flat list indexed by
-    ``entry * num_weights``, which removes a list indirection and a function
+    reference list-of-rows layout (``optimized=False``), and by default one
+    flat list indexed by ``entry * num_weights``, which removes a list indirection and a function
     call from every prediction.  The hypothesis parity tests drive both
     backends with common random streams and assert identical predictions
     and weight state.
@@ -179,11 +177,11 @@ class PerceptronPredictor(DirectionPredictor):
     def __init__(
         self,
         config: Optional[PerceptronConfig] = None,
-        optimized: Optional[bool] = None,
+        optimized: bool = True,
     ) -> None:
         self.config = config or PerceptronConfig()
         cfg = self.config
-        self.optimized = resolve_optimized(optimized)
+        self.optimized = optimized
         self._num_weights = cfg.num_weights
         self._global_mask = (1 << cfg.global_bits) - 1
         self._local_mask = (1 << cfg.local_bits) - 1

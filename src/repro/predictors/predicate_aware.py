@@ -18,9 +18,9 @@ scheme's override organisation) whose combined input concatenates
 so the learning rule can weight each resolved predicate independently of
 the branch outcomes around it.  Like
 :class:`~repro.predictors.perceptron.PerceptronPredictor`, weight storage
-has a reference list-of-rows backend and an optimized flat backend with
-identical arithmetic (see :mod:`repro.perf.flags`), and both are driven by
-the hypothesis parity tests.
+has a reference list-of-rows backend (``optimized=False``) and an optimized
+flat backend with identical arithmetic, and both are driven by the
+hypothesis parity tests.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.perf.flags import resolve_optimized
 from repro.predictors.base import PredictorSizeReport
 from repro.predictors.history import LocalHistoryTable
 from repro.predictors.perceptron import (
@@ -86,11 +85,11 @@ class PredicateAwarePredictor:
     def __init__(
         self,
         config: Optional[PredicateAwareConfig] = None,
-        optimized: Optional[bool] = None,
+        optimized: bool = True,
     ) -> None:
         self.config = config or PredicateAwareConfig()
         cfg = self.config
-        self.optimized = resolve_optimized(optimized)
+        self.optimized = optimized
         self._num_weights = cfg.num_weights
         self._global_mask = (1 << cfg.global_bits) - 1
         self._predicate_mask = (1 << cfg.predicate_bits) - 1

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.perf.flags import resolve_optimized
 from repro.predictors.base import PredictorSizeReport, fold_pc
 from repro.predictors.history import LocalHistoryTable
 from repro.predictors.perceptron import (
@@ -89,11 +88,11 @@ class PredicatePerceptronPredictor:
     def __init__(
         self,
         config: Optional[PredicatePredictorConfig] = None,
-        optimized: Optional[bool] = None,
+        optimized: bool = True,
     ) -> None:
         self.config = config or PredicatePredictorConfig()
         cfg = self.config
-        self.optimized = resolve_optimized(optimized)
+        self.optimized = optimized
         self._num_weights = cfg.num_weights
         self._global_mask = (1 << cfg.global_bits) - 1
         self._local_mask = (1 << cfg.local_bits) - 1

@@ -23,9 +23,9 @@ code base's scheme contract:
   instead.  (The original flips a coin; a cache-keyed simulator cannot.)
 
 Like :mod:`repro.predictors.gshare`, the predictor has two access paths over
-one table state: a structured reference path and an optimized path (the
-default, see :mod:`repro.perf.flags`) that inlines the table walk over the
-backing lists.  Both paths share the same lists, so they are bit-identical
+one table state: a structured reference path (``optimized=False``) and an
+optimized path (the default) that inlines the table walk over the backing
+lists.  Both paths share the same lists, so they are bit-identical
 by construction; the hypothesis parity tests drive both with common random
 branch streams — allocation and usefulness-decay edge cases included.
 """
@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.perf.flags import resolve_optimized
 from repro.predictors.base import DirectionPredictor, PredictorSizeReport, fold_pc
 
 
@@ -94,7 +93,7 @@ class TAGEPredictor(DirectionPredictor):
     def __init__(
         self,
         config: Optional[TAGEConfig] = None,
-        optimized: Optional[bool] = None,
+        optimized: bool = True,
     ) -> None:
         self.config = config or TAGEConfig()
         cfg = self.config
@@ -105,7 +104,7 @@ class TAGEPredictor(DirectionPredictor):
                 "TAGE history lengths must be strictly increasing, got "
                 f"{cfg.history_lengths!r}"
             )
-        self.optimized = resolve_optimized(optimized)
+        self.optimized = optimized
         self.num_tables = len(cfg.history_lengths)
         self._base_entries = 1 << cfg.base_bits
         self._entries = 1 << cfg.table_bits
@@ -332,7 +331,7 @@ class TagePredicatePredictor:
     def __init__(
         self,
         config: Optional[TAGEConfig] = None,
-        optimized: Optional[bool] = None,
+        optimized: bool = True,
     ) -> None:
         self.tage = TAGEPredictor(config, optimized=optimized)
         self.config = self.tage.config

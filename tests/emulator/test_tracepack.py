@@ -36,14 +36,9 @@ from repro.emulator.tracepack import (
     ChunkedTracePack,
     PACK_MAGIC,
     TracePack,
-    pack_supported,
 )
 
 from tests.conftest import build_counting_loop, build_diamond_program
-
-pytestmark = pytest.mark.skipif(
-    not pack_supported(), reason="columnar packs require numpy"
-)
 
 BUDGET = 6_000
 
@@ -302,11 +297,14 @@ class TestBackwardCompatibility:
         with pytest.raises(ValueError, match="trace format version"):
             deserialize_trace(stale)
 
-    def test_object_traces_serialize_as_pickle(self, loop_trace):
-        # The REPRO_OPT=0 reference path stays end-to-end object based.
+    def test_object_traces_serialize_as_packs(self, loop_trace):
+        # Format 1 is read-only: an object trace is packed before encoding.
         data = serialize_trace(loop_trace)
-        assert data[:4] != PACK_MAGIC
-        assert isinstance(deserialize_trace(data), list)
+        assert data[:4] == PACK_MAGIC
+        loaded = deserialize_trace(data)
+        assert isinstance(loaded, TracePack)
+        for ref, got in zip(loop_trace, loaded.to_dyninsts()):
+            assert dyn_state(ref) == dyn_state(got)
 
     def test_packs_serialize_as_columnar(self, loop_trace):
         data = serialize_trace(TracePack.from_dyninsts(loop_trace))

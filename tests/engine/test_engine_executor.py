@@ -141,58 +141,10 @@ class TestPersistentCache:
         assert engine.stats.simulations_run == 2
 
 
-class TestTraceRepresentationConversion:
-    def test_store_loads_convert_to_the_active_representation(self, tmp_path):
-        from repro.emulator.tracepack import TracePack, pack_supported
-        from repro.perf import flags
-
-        if not pack_supported():
-            pytest.skip("columnar packs require numpy")
-        store = ArtifactStore(str(tmp_path / "cache"))
-        with flags.forced(False):
-            reference = ExecutionEngine(PROFILE, store=store)
-            assert isinstance(reference.collect_trace("gzip", BASELINE), list)
-        with flags.forced(True):
-            optimized = ExecutionEngine(PROFILE, store=store)
-            loaded = optimized.collect_trace("gzip", BASELINE)
-            assert optimized.stats.traces_loaded == 1
-            assert isinstance(loaded, TracePack)
-        with flags.forced(False):
-            back = ExecutionEngine(PROFILE, store=store)
-            assert isinstance(back.collect_trace("gzip", BASELINE), list)
-
-
-class TestPackBackendMiss:
-    def test_missing_numpy_reads_as_miss_without_deleting(self, tmp_path, monkeypatch):
-        import os
-
-        from repro.emulator import tracepack
-        from repro.engine.store import TRACES
-
-        if not tracepack.pack_supported():
-            pytest.skip("columnar packs require numpy")
-        store = ArtifactStore(str(tmp_path / "cache"))
-        engine = ExecutionEngine(PROFILE, store=store)
-        engine.collect_trace("gzip", BASELINE)
-        (key,) = [entry["key"] for entry in store.entries(TRACES)]
-        path = store.path(TRACES, key)
-        assert os.path.exists(path)
-        # Simulate a numpy-less environment sharing the cache: the columnar
-        # artifact must read as a miss but survive for capable processes.
-        monkeypatch.setattr(tracepack, "_np", None)
-        assert store.get(TRACES, key) is None
-        assert os.path.exists(path)
-        monkeypatch.undo()
-        assert store.get(TRACES, key) is not None
-
-
 class TestOracleCachePlumbing:
     def test_parallel_workers_return_oracle_scalars(self):
-        from repro.emulator.tracepack import pack_supported
         from repro.experiments.idealized import oracle_accuracies
 
-        if not pack_supported():
-            pytest.skip("columnar packs require numpy")
         engine = ExecutionEngine(PROFILE, jobs=2)
         fig5_outputs(engine)
         collected = engine.stats.traces_collected

@@ -3,8 +3,7 @@
 Every consumer — the CLI experiments, the sweep runner, the serve
 scheduler, the public :mod:`repro.api` facade — funnels cell requests
 through this one function, so its validation and outcome contract are
-pinned here, along with the deprecation shim on the old
-``resolve_engine(runner=...)`` signature.
+pinned here, along with the experiments' ``resolve_engine`` helper.
 """
 
 from __future__ import annotations
@@ -77,18 +76,7 @@ class TestRunCells:
             run_cells([_request()], engine=engine, instructions=1500)
 
 
-class TestDeprecationShim:
-    def test_runner_keyword_warns_but_works(self):
-        from repro.experiments.runner import ExperimentRunner
-
-        profile = ExperimentProfile(
-            name="shim", instructions_per_benchmark=1500, profile_budget=1500
-        )
-        runner = ExperimentRunner(profile, store=None)
-        with pytest.warns(DeprecationWarning, match="run_cells"):
-            engine = resolve_engine(runner=runner)
-        assert engine is runner.engine
-
+class TestResolveEngine:
     def test_engine_keyword_does_not_warn(self, recwarn):
         profile = ExperimentProfile(
             name="clean", instructions_per_benchmark=1500, profile_budget=1500

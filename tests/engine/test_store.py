@@ -6,7 +6,12 @@ import pytest
 
 from repro.compiler.binaries import BinaryFactory
 from repro.emulator.executor import Emulator
-from repro.emulator.trace import load_trace, save_trace, serialize_trace, deserialize_trace
+from repro.emulator.trace import (
+    TRACE_FORMAT_VERSION,
+    deserialize_trace,
+    load_trace,
+    save_trace,
+)
 from repro.engine.store import BINARIES, RESULTS, TRACES, ArtifactStore, default_cache_dir
 from repro.experiments.setup import make_predicate_scheme
 from repro.pipeline.core import OutOfOrderCore
@@ -70,8 +75,7 @@ class TestTraceRoundTrip:
         _, trace, _ = artifacts
         import pickle
 
-        version, payload = pickle.loads(serialize_trace(trace))
-        stale = pickle.dumps((version + 1, payload))
+        stale = pickle.dumps((TRACE_FORMAT_VERSION + 1, trace))
         with pytest.raises(ValueError):
             deserialize_trace(stale)
 

@@ -16,7 +16,7 @@ from repro.experiments import (
     run_pvt_ablation,
     run_selective_ipc,
 )
-from repro.experiments.runner import BASELINE, IF_CONVERTED, ExperimentRunner
+from repro.engine import BASELINE, IF_CONVERTED, ExecutionEngine
 from repro.experiments.setup import ExperimentProfile
 
 
@@ -31,13 +31,13 @@ def tiny_profile():
 
 
 @pytest.fixture(scope="module")
-def shared_runner(tiny_profile):
-    return ExperimentRunner(tiny_profile)
+def shared_engine(tiny_profile):
+    return ExecutionEngine(tiny_profile)
 
 
 class TestFigure5:
-    def test_structure(self, tiny_profile, shared_runner):
-        result = run_figure5(runner=shared_runner)
+    def test_structure(self, tiny_profile, shared_engine):
+        result = run_figure5(engine=shared_engine)
         assert set(result.table.benchmarks()) == {"gzip", "swim"}
         assert set(result.table.columns) == {"conventional", "predicate-predictor"}
         assert result.predicate_wins + result.conventional_wins <= 2
@@ -48,8 +48,8 @@ class TestFigure5:
 
 
 class TestFigure6:
-    def test_structure(self, tiny_profile, shared_runner):
-        result = run_figure6(runner=shared_runner)
+    def test_structure(self, tiny_profile, shared_engine):
+        result = run_figure6(engine=shared_engine)
         assert set(result.table.columns) == {
             "pep-pa", "conventional", "predicate-predictor",
         }
@@ -65,34 +65,34 @@ class TestFigure6:
 
 
 class TestIdealized:
-    def test_both_flavours(self, tiny_profile, shared_runner):
-        baseline = run_idealized_study(BASELINE, runner=shared_runner)
-        converted = run_idealized_study(IF_CONVERTED, runner=shared_runner)
+    def test_both_flavours(self, tiny_profile, shared_engine):
+        baseline = run_idealized_study(BASELINE, engine=shared_engine)
+        converted = run_idealized_study(IF_CONVERTED, engine=shared_engine)
         assert baseline.flavour == BASELINE
         assert converted.flavour == IF_CONVERTED
         assert baseline.table.benchmarks() == ["gzip", "swim"]
         assert "Idealized" in baseline.render() or "idealized" in baseline.render()
 
-    def test_unknown_flavour_rejected(self, shared_runner):
+    def test_unknown_flavour_rejected(self, shared_engine):
         with pytest.raises(ValueError):
-            run_idealized_study("debug", runner=shared_runner)
+            run_idealized_study("debug", engine=shared_engine)
 
 
 class TestAblations:
-    def test_pvt_ablation(self, shared_runner):
-        result = run_pvt_ablation(runner=shared_runner)
+    def test_pvt_ablation(self, shared_engine):
+        result = run_pvt_ablation(engine=shared_engine)
         assert "dual-hash single PVT" in result.table.columns
         assert "split PVT" in result.table.columns
         assert "design" in result.render()
 
-    def test_history_ablation(self, shared_runner):
-        result = run_history_ablation(runner=shared_runner)
+    def test_history_ablation(self, shared_engine):
+        result = run_history_ablation(engine=shared_engine)
         assert "oracle history" in result.table.columns
 
 
 class TestSelectiveIPC:
-    def test_structure(self, shared_runner):
-        result = run_selective_ipc(runner=shared_runner)
+    def test_structure(self, shared_engine):
+        result = run_selective_ipc(engine=shared_engine)
         assert result.speedup_over_conservative > 0.0
         assert result.speedup_over_non_selective > 0.0
         for benchmark, fraction in result.cancelled_fraction.items():

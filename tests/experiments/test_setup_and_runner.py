@@ -1,8 +1,8 @@
-"""Tests for experiment configuration and the runner."""
+"""Tests for experiment configuration and the engine it drives."""
 
 import pytest
 
-from repro.experiments.runner import BASELINE, IF_CONVERTED, ExperimentRunner
+from repro.engine import BASELINE, IF_CONVERTED, ExecutionEngine, SchemeSpec
 from repro.experiments.setup import (
     FAST_PROFILE,
     PAPER_PROFILE,
@@ -87,47 +87,33 @@ class TestSchemeFactories:
         assert scheme.predictor.config.split_pvt is True
 
 
-class TestExperimentRunner:
+class TestEngineOverProfile:
+    """The experiments' shared engine, driven by an experiment profile.
+
+    Binary/trace identity caching, unknown flavours and trace release are
+    pinned by the engine's own tests (``tests/engine/test_engine_executor.py``).
+    """
+
     @pytest.fixture(scope="class")
-    def runner(self):
+    def engine(self):
         profile = ExperimentProfile(
             name="tiny", instructions_per_benchmark=1_500,
             benchmarks=["gzip"], profile_budget=1_500,
         )
-        return ExperimentRunner(profile)
+        return ExecutionEngine(profile)
 
-    def test_benchmarks_come_from_profile(self, runner):
-        assert runner.benchmarks() == ["gzip"]
+    def test_benchmarks_come_from_profile(self, engine):
+        assert engine.benchmarks() == ["gzip"]
 
-    def test_binary_and_trace_caching(self, runner):
-        first = runner.binary("gzip", BASELINE)
-        second = runner.binary("gzip", BASELINE)
-        assert first is second
-        trace_a = runner.trace("gzip", BASELINE)
-        trace_b = runner.trace("gzip", BASELINE)
-        assert trace_a is trace_b
-        assert len(trace_a) == 1_500
-
-    def test_flavours_differ(self, runner):
-        baseline = runner.binary("gzip", BASELINE)
-        converted = runner.binary("gzip", IF_CONVERTED)
+    def test_flavours_differ(self, engine):
+        baseline = engine.build_binary("gzip", BASELINE)
+        converted = engine.build_binary("gzip", IF_CONVERTED)
         assert baseline.metadata["predication_enabled"] is False
         assert converted.metadata["predication_enabled"] is True
 
-    def test_unknown_flavour_rejected(self, runner):
-        with pytest.raises(ValueError):
-            runner.binary("gzip", "debug")
-
-    def test_run_schemes_share_trace(self, runner):
-        runs = runner.run_schemes(
-            "gzip",
-            BASELINE,
-            {"conv": make_conventional_scheme, "pred": make_predicate_scheme},
-        )
-        assert runs["conv"].result.accuracy.branches == runs["pred"].result.accuracy.branches
-        assert runs["conv"].benchmark == "gzip"
-
-    def test_drop_trace(self, runner):
-        runner.trace("gzip", BASELINE)
-        runner.drop_trace("gzip", BASELINE)
-        assert ("gzip", BASELINE) not in runner._traces
+    def test_schemes_share_trace(self, engine):
+        conv = engine.simulate("gzip", BASELINE, SchemeSpec.make("conventional"))
+        pred = engine.simulate("gzip", BASELINE, SchemeSpec.make("predicate"))
+        assert conv.accuracy.branches == pred.accuracy.branches
+        assert conv.program_name == "gzip"
+        assert engine.stats.traces_collected == 1

@@ -9,55 +9,42 @@ numbers are produced by the benchmark harness.
 import pytest
 
 from repro.core.early_resolution import accuracy_breakdown
-from repro.experiments.runner import BASELINE, IF_CONVERTED, ExperimentRunner
-from repro.experiments.setup import (
-    ExperimentProfile,
-    make_conventional_scheme,
-    make_peppa_scheme,
-    make_predicate_scheme,
-)
+from repro.engine import BASELINE, IF_CONVERTED, ExecutionEngine, SchemeSpec
+from repro.experiments.setup import ExperimentProfile
 
 BENCHMARKS = ["gzip", "crafty", "vpr"]
 
 
 @pytest.fixture(scope="module")
-def runner():
+def engine():
     profile = ExperimentProfile(
         name="shape",
         instructions_per_benchmark=12_000,
         benchmarks=BENCHMARKS,
         profile_budget=8_000,
     )
-    return ExperimentRunner(profile)
+    return ExecutionEngine(profile)
+
+
+def _run_schemes(engine, benchmark, flavour, kinds):
+    """Simulate one benchmark under several schemes over the same trace."""
+    return {kind: engine.simulate(benchmark, flavour, SchemeSpec.make(kind)) for kind in kinds}
 
 
 @pytest.fixture(scope="module")
-def if_converted_runs(runner):
+def if_converted_runs(engine):
     return {
-        benchmark: runner.run_schemes(
-            benchmark,
-            IF_CONVERTED,
-            {
-                "conventional": make_conventional_scheme,
-                "pep-pa": make_peppa_scheme,
-                "predicate": make_predicate_scheme,
-            },
+        benchmark: _run_schemes(
+            engine, benchmark, IF_CONVERTED, ["conventional", "pep-pa", "predicate"]
         )
         for benchmark in BENCHMARKS
     }
 
 
 @pytest.fixture(scope="module")
-def baseline_runs(runner):
+def baseline_runs(engine):
     return {
-        benchmark: runner.run_schemes(
-            benchmark,
-            BASELINE,
-            {
-                "conventional": make_conventional_scheme,
-                "predicate": make_predicate_scheme,
-            },
-        )
+        benchmark: _run_schemes(engine, benchmark, BASELINE, ["conventional", "predicate"])
         for benchmark in BENCHMARKS
     }
 
@@ -77,7 +64,7 @@ class TestFigure5Shape:
 
     def test_some_branches_early_resolved(self, baseline_runs):
         early = [
-            runs["predicate"].result.accuracy.early_resolved_fraction
+            runs["predicate"].accuracy.early_resolved_fraction
             for runs in baseline_runs.values()
         ]
         assert max(early) > 0.02
@@ -105,8 +92,8 @@ class TestFigure6Shape:
         for benchmark, runs in if_converted_runs.items():
             breakdown = accuracy_breakdown(
                 benchmark,
-                conventional=runs["conventional"].result.accuracy,
-                predicate=runs["predicate"].result.accuracy,
+                conventional=runs["conventional"].accuracy,
+                predicate=runs["predicate"].accuracy,
             )
             early_total += breakdown.early_resolved_improvement
             improvement_total += breakdown.total_improvement
@@ -128,5 +115,5 @@ class TestFigure6Shape:
 class TestSchemesSeeSameTrace:
     def test_branch_counts_identical_across_schemes(self, if_converted_runs):
         for runs in if_converted_runs.values():
-            counts = {run.result.accuracy.branches for run in runs.values()}
+            counts = {run.accuracy.branches for run in runs.values()}
             assert len(counts) == 1

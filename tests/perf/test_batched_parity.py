@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.emulator.tracepack import TracePack, pack_supported
+from repro.emulator.tracepack import TracePack
 from repro.engine import ArtifactStore, ExecutionEngine, IF_CONVERTED, SchemeSpec
 from repro.engine.planner import (
     CellRequest,
@@ -38,11 +38,6 @@ from repro.pipeline.batched import (
 )
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.machine import MachineSpec
-from repro.predictors.batched import lane_bank_supported
-
-pytestmark = pytest.mark.skipif(
-    not pack_supported(), reason="columnar trace path requires numpy"
-)
 
 INSTRUCTIONS = 2_000
 
@@ -157,8 +152,6 @@ class TestBatchedScalarParity:
 
 class TestLaneBank:
     def test_bank_streams_match_scalar_stream_drive(self, pack):
-        if not lane_bank_supported():
-            pytest.skip("lane bank requires numpy")
         shared = _SharedTrace(pack)
         spec = SchemeSpec.make("conventional")
         profile = spec.build().lane_bank_profile()

@@ -10,47 +10,24 @@ import pytest
 from repro.cli import main
 from repro.engine import IF_CONVERTED, ArtifactStore, ExecutionEngine, SchemeSpec
 from repro.experiments.setup import ExperimentProfile
-from repro.perf import bench, flags
+from repro.perf import bench
 from repro.perf.compare import compare_reports, throughput_score
-from repro.perf.report import render_speedup, render_table
+from repro.perf.report import render_table
 
 TINY_CELLS = (bench.BenchCell("gzip", IF_CONVERTED, "conventional"),)
 
 
 @pytest.fixture(scope="module")
 def tiny_report():
-    return bench.run_bench(
-        quick=True, instructions=3_000, cells=TINY_CELLS, optimized=True
-    )
-
-
-class TestFlags:
-    def test_default_is_optimized(self, monkeypatch):
-        monkeypatch.delenv(flags.OPT_ENV_VAR, raising=False)
-        assert flags.optimizations_enabled()
-        assert flags.resolve_optimized(None) is True
-
-    @pytest.mark.parametrize("value", ["0", "false", "OFF", "legacy", " no "])
-    def test_disabling_values(self, monkeypatch, value):
-        monkeypatch.setenv(flags.OPT_ENV_VAR, value)
-        assert not flags.optimizations_enabled()
-
-    def test_explicit_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(flags.OPT_ENV_VAR, "0")
-        assert flags.resolve_optimized(True) is True
-
-    def test_forced_restores_previous_value(self, monkeypatch):
-        monkeypatch.setenv(flags.OPT_ENV_VAR, "0")
-        with flags.forced(True):
-            assert flags.optimizations_enabled()
-        assert not flags.optimizations_enabled()
+    return bench.run_bench(quick=True, instructions=3_000, cells=TINY_CELLS)
 
 
 class TestRunBench:
     def test_report_shape(self, tiny_report):
         report = tiny_report
         assert report["schema"] == bench.SCHEMA
-        assert report["optimized"] is True
+        assert "optimized" not in report
+        assert set(report["machine"]["lane_batching"]) == {"quick_batch_cells"}
         assert report["calibration_mops"] > 0
         assert len(report["cells"]) == 1
         cell = report["cells"][0]
@@ -90,14 +67,6 @@ class TestRunBench:
         assert "aggregate:" in table
         assert "calibration" in table
 
-    def test_render_speedup_reports_ratio(self, tiny_report):
-        slower = json.loads(json.dumps(tiny_report))
-        for cell in slower["cells"]:
-            cell["sim_instructions_per_second"] /= 2
-        slower["aggregate"]["instructions_per_second"] /= 2
-        text = render_speedup(slower, tiny_report)
-        assert "2.00x" in text
-
 
 class TestCellFilter:
     def test_filter_selects_matching_cells(self):
@@ -130,7 +99,7 @@ class TestIngestCell:
     @pytest.fixture(scope="class")
     def ingest_report(self):
         cells = (bench.IngestBenchCell("synthetic", 5_000),)
-        return bench.run_bench(quick=True, cells=cells, optimized=True)
+        return bench.run_bench(quick=True, cells=cells)
 
     def test_ingest_cell_reports_through_trace_columns(self, ingest_report):
         (cell,) = ingest_report["cells"]
@@ -298,12 +267,6 @@ class TestBenchCli:
         )
         assert "PASSED" in capsys.readouterr().out
 
-    def test_bench_check_refuses_legacy(self, tmp_path):
-        baseline = str(tmp_path / "baseline.json")
-        assert main(["bench", "--quick", "--output", baseline]) == 0
-        with pytest.raises(SystemExit, match="--legacy"):
-            main(["bench", "--quick", "--no-write", "--legacy", "--check", baseline])
-
     def test_bench_check_fails_on_inflated_baseline(self, tmp_path, capsys):
         path = str(tmp_path / "inflated.json")
         report = bench.run_bench(quick=True)
@@ -313,11 +276,6 @@ class TestBenchCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--quick", "--no-write", "--check", path])
         assert "FAILED" in str(excinfo.value)
-
-    def test_bench_legacy_flag_records_reference_mode(self, tmp_path, capsys):
-        path = str(tmp_path / "legacy.json")
-        assert main(["bench", "--quick", "--legacy", "--output", path]) == 0
-        assert bench.load_report(path)["optimized"] is False
 
     def test_bench_filter_unmatched_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="no bench cells match"):

@@ -2,9 +2,9 @@
 
 Every optimized component (the core's fast loop, the emulator's dispatch
 cache, the array-backed predictor tables) keeps its original implementation
-reachable behind the ``REPRO_OPT`` flag / explicit ``optimized=`` argument.
-These tests run the tier-1 workloads through both and assert bit-identical
-traces, IPC and misprediction counters.
+reachable behind an explicit ``optimized=False`` argument, as a parity
+oracle.  These tests run the tier-1 workloads through both and assert
+bit-identical traces, IPC and misprediction counters.
 """
 
 from __future__ import annotations
@@ -13,18 +13,12 @@ import pytest
 
 from repro.emulator.executor import Emulator
 from repro.emulator.trace import as_trace_pack, deserialize_trace, serialize_trace
-from repro.emulator.tracepack import pack_supported
 from repro.engine import BASELINE, IF_CONVERTED, ExecutionEngine, SchemeSpec
 from repro.experiments.setup import FAST_PROFILE
 from repro.pipeline.core import OutOfOrderCore
 
 BENCHMARKS = list(FAST_PROFILE.benchmarks)
 SCHEMES = ["conventional", "pep-pa", "predicate", "predicate-aware", "wish"]
-
-requires_numpy = pytest.mark.skipif(
-    not pack_supported(), reason="columnar packs require numpy"
-)
-
 
 @pytest.fixture(scope="module")
 def engine():
@@ -113,7 +107,6 @@ class TestCoreParity:
         assert len(result.uops) == result.metrics.committed_instructions
 
 
-@requires_numpy
 class TestTracePackParity:
     """The columnar trace path is bit-identical to the object path."""
 

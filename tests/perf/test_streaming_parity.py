@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import faults
-from repro.emulator.tracepack import ChunkedTracePack, TracePack, pack_supported
+from repro.emulator.tracepack import ChunkedTracePack, TracePack
 from repro.engine import ArtifactStore, ExecutionEngine, IF_CONVERTED, SchemeSpec
 from repro.engine.planner import (
     CellRequest,
@@ -45,10 +45,6 @@ from repro.experiments.setup import ExperimentProfile
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.machine import MachineSpec
 from repro.pipeline.windowed import SamplingSpec, simulate_windowed
-
-pytestmark = pytest.mark.skipif(
-    not pack_supported(), reason="streaming trace path requires numpy"
-)
 
 INSTRUCTIONS = 2_000
 
@@ -287,6 +283,32 @@ class TestSampledApproximation:
         assert result.metrics.summary() == expected.metrics.summary()
         assert result.metrics.cycles == expected.metrics.cycles
         assert result.sampling is not None
+
+
+class TestWindowedInputs:
+    """The windowed driver rejects what it cannot window, never silently
+    running straight through without the requested sampling/checkpoints."""
+
+    def test_object_trace_rejected(self, pack):
+        with pytest.raises(TypeError, match="TracePack"):
+            simulate_windowed(
+                OutOfOrderCore(),
+                pack.to_dyninsts(),
+                SCHEME_SPECS[0].build(),
+                "gzip",
+                sampling=SamplingSpec(interval=2, window=256),
+            )
+
+    def test_reference_core_rejected(self, pack):
+        with pytest.raises(ValueError, match="optimized=True"):
+            simulate_windowed(
+                OutOfOrderCore(optimized=False),
+                pack,
+                SCHEME_SPECS[0].build(),
+                "gzip",
+                window_rows=256,
+                on_checkpoint=lambda checkpoint: None,
+            )
 
 
 # ----------------------------------------------------------------------

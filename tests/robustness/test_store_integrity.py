@@ -15,7 +15,6 @@ from repro.emulator.tracepack import (
     ChunkedPackWriter,
     ChunkedTracePack,
     TracePack,
-    pack_supported,
 )
 from repro.engine.store import BINARIES, CHECKPOINTS, RESULTS, TRACES, ArtifactStore
 from repro.experiments.setup import make_predicate_scheme
@@ -27,7 +26,7 @@ BUDGET = 1_200
 
 @pytest.fixture(scope="module")
 def artifacts():
-    """One compiled binary, its v1 (object) trace, and a simulation result."""
+    """One compiled binary, its object trace, and a simulation result."""
     factory = BinaryFactory(profile_budget=BUDGET)
     program = factory.build_baseline("gzip", lambda: build_workload("gzip"))
     trace = list(Emulator(program).run(BUDGET))
@@ -43,7 +42,8 @@ def store(tmp_path):
 
 
 def _payload_objects(artifacts):
-    """(kind, object) pairs covering all kinds and all three trace codecs."""
+    """(kind, object) pairs covering all kinds and every trace input shape
+    (an object list, which the codec packs, a pack and a chunked pack)."""
     program, trace, result = artifacts
     pairs = [
         (BINARIES, program),
@@ -52,21 +52,20 @@ def _payload_objects(artifacts):
         # Checkpoints are pickled state blobs; integrity is codec-agnostic.
         (CHECKPOINTS, {"version": 1, "rows_done": 400, "state": list(range(64))}),
     ]
-    if pack_supported():
-        pack = TracePack.from_dyninsts(trace)
-        pairs.append((TRACES, pack))
-        half = len(trace) // 2
-        pairs.append(
-            (
-                TRACES,
-                ChunkedTracePack.from_segments(
-                    [
-                        TracePack.from_dyninsts(trace[:half]),
-                        TracePack.from_dyninsts(trace[half:]),
-                    ]
-                ),
-            )
+    pack = TracePack.from_dyninsts(trace)
+    pairs.append((TRACES, pack))
+    half = len(trace) // 2
+    pairs.append(
+        (
+            TRACES,
+            ChunkedTracePack.from_segments(
+                [
+                    TracePack.from_dyninsts(trace[:half]),
+                    TracePack.from_dyninsts(trace[half:]),
+                ]
+            ),
         )
+    )
     return pairs
 
 
@@ -139,20 +138,6 @@ class TestQuarantine:
         store.get(RESULTS, "k")
         store.clear()
         assert store.quarantine_usage()["count"] == 1
-
-    def test_numpy_less_read_does_not_quarantine(self, store, artifacts, monkeypatch):
-        """A PackBackendUnavailable decode is a miss, never a quarantine."""
-        if not pack_supported():
-            pytest.skip("columnar packs require numpy")
-        _, trace, _ = artifacts
-        store.put(TRACES, "k", TracePack.from_dyninsts(trace))
-        import repro.emulator.tracepack as tracepack
-
-        monkeypatch.setattr(tracepack, "_np", None)
-        assert store.get(TRACES, "k") is None
-        monkeypatch.undo()
-        assert store.quarantine_usage()["count"] == 0
-        assert store.get(TRACES, "k") is not None
 
 
 class TestOrphanSidecars:
@@ -230,8 +215,6 @@ class TestStreamedAdoption:
         return path, rows
 
     def test_adopted_stream_round_trips(self, store, artifacts):
-        if not pack_supported():
-            pytest.skip("columnar packs require numpy")
         _, trace, _ = artifacts
         path, rows = self._write_chunked(store, trace)
         store.put_file(TRACES, "k", path, metadata={"instructions": rows})
@@ -242,8 +225,6 @@ class TestStreamedAdoption:
         assert loaded.segment_count >= 2
 
     def test_adopted_stream_digest_detects_corruption(self, store, artifacts):
-        if not pack_supported():
-            pytest.skip("columnar packs require numpy")
         _, trace, _ = artifacts
         path, _ = self._write_chunked(store, trace)
         target = store.put_file(TRACES, "k", path)
@@ -254,8 +235,6 @@ class TestStreamedAdoption:
         assert store.quarantine_usage()["count"] == 1
 
     def test_unfinished_stream_is_quarantined_not_misread(self, store, artifacts):
-        if not pack_supported():
-            pytest.skip("columnar packs require numpy")
         _, trace, _ = artifacts
         path, _ = self._write_chunked(store, trace)
         # The crashed-writer shape: adopt a stream missing its terminator.
