@@ -12,6 +12,8 @@ from repro.engine import (
     SchemeSpec,
     sweep,
 )
+from repro.emulator.trace import serialize_trace
+from repro.emulator.tracepack import TracePack
 from repro.experiments.figure5 import figure5_definition
 from repro.experiments.setup import ExperimentProfile
 
@@ -139,6 +141,28 @@ class TestPersistentCache:
         assert engine.stats.traces_collected == 0
         assert engine.stats.traces_loaded == 2
         assert engine.stats.simulations_run == 2
+
+
+class TestTraceRepresentation:
+    """Collected and store-loaded traces are both columnar packs."""
+
+    def test_collected_trace_is_a_pack(self):
+        engine = ExecutionEngine(PROFILE, store=None)
+        trace = engine.collect_trace("gzip", BASELINE)
+        assert isinstance(trace, TracePack)
+        assert len(trace) == PROFILE.instructions_per_benchmark
+
+    def test_store_loaded_trace_is_a_pack(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "cache"))
+        collected = ExecutionEngine(PROFILE, store=store).collect_trace(
+            "gzip", BASELINE
+        )
+        engine = ExecutionEngine(PROFILE, store=store)
+        loaded = engine.collect_trace("gzip", BASELINE)
+        assert engine.stats.traces_loaded == 1
+        assert engine.stats.traces_collected == 0
+        assert isinstance(loaded, TracePack)
+        assert serialize_trace(loaded) == serialize_trace(collected)
 
 
 class TestOracleCachePlumbing:

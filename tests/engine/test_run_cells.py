@@ -8,8 +8,11 @@ pinned here, along with the experiments' ``resolve_engine`` helper.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
+from repro import experiments
 from repro.engine import (
     ArtifactStore,
     BASELINE,
@@ -20,6 +23,16 @@ from repro.engine import (
 )
 from repro.engine.executor import resolve_engine
 from repro.experiments.setup import ExperimentProfile
+
+EXPERIMENTS = [
+    "run_figure5",
+    "run_figure6",
+    "run_history_ablation",
+    "run_pvt_ablation",
+    "run_idealized_study",
+    "run_selective_ipc",
+    "run_all",
+]
 
 
 def _request(benchmark="gzip", label="conv", scheme_kind="conventional"):
@@ -86,3 +99,16 @@ class TestResolveEngine:
         assert not [
             w for w in recwarn.list if issubclass(w.category, DeprecationWarning)
         ]
+
+    def test_runner_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="runner"):
+            resolve_engine(runner=object())
+
+    @pytest.mark.parametrize("name", EXPERIMENTS)
+    def test_experiments_take_engine_not_runner(self, name):
+        experiment = getattr(experiments, name)
+        parameters = inspect.signature(experiment).parameters
+        assert parameters["engine"].default is None
+        assert "runner" not in parameters
+        with pytest.raises(TypeError, match="runner"):
+            experiment(runner=object())

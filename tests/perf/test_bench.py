@@ -68,6 +68,11 @@ class TestRunBench:
         assert "calibration" in table
 
 
+    def test_run_bench_has_no_mode_switch(self):
+        with pytest.raises(TypeError, match="optimized"):
+            bench.run_bench(quick=True, cells=TINY_CELLS, optimized=False)
+
+
 class TestCellFilter:
     def test_filter_selects_matching_cells(self):
         selected = bench.filter_cells(bench.QUICK_CELLS, "predicate")
@@ -276,6 +281,12 @@ class TestBenchCli:
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--quick", "--no-write", "--check", path])
         assert "FAILED" in str(excinfo.value)
+
+    def test_bench_legacy_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick", "--no-write", "--legacy"])
+        assert excinfo.value.code == 2
+        assert "--legacy" in capsys.readouterr().err
 
     def test_bench_filter_unmatched_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="no bench cells match"):

@@ -16,6 +16,11 @@ from repro.emulator.trace import as_trace_pack, deserialize_trace, serialize_tra
 from repro.engine import BASELINE, IF_CONVERTED, ExecutionEngine, SchemeSpec
 from repro.experiments.setup import FAST_PROFILE
 from repro.pipeline.core import OutOfOrderCore
+from repro.predictors.gshare import GsharePredictor
+from repro.predictors.perceptron import PerceptronPredictor
+from repro.predictors.predicate_aware import PredicateAwarePredictor
+from repro.predictors.predicate_perceptron import PredicatePerceptronPredictor
+from repro.predictors.tage import TAGEPredictor, TagePredicatePredictor
 
 BENCHMARKS = list(FAST_PROFILE.benchmarks)
 SCHEMES = ["conventional", "pep-pa", "predicate", "predicate-aware", "wish"]
@@ -29,6 +34,38 @@ def _dyn_state(dyn):
     """Comparable per-dynamic-instruction state (identity-free)."""
     state = dyn.__getstate__()
     return (state[0],) + state[2:] + (dyn.inst.uid,)
+
+
+PREDICTORS = [
+    GsharePredictor,
+    PerceptronPredictor,
+    PredicatePerceptronPredictor,
+    PredicateAwarePredictor,
+    TAGEPredictor,
+]
+
+
+class TestReferenceIsOptIn:
+    """The fast path is every component's default; the reference oracle is
+    reached only through an explicit ``optimized=False``."""
+
+    @pytest.mark.parametrize("cls", PREDICTORS, ids=lambda cls: cls.__name__)
+    def test_predictor_tables(self, cls):
+        assert cls().optimized and cls(optimized=True).optimized
+        assert not cls(optimized=False).optimized
+
+    def test_tage_predicate_adapter(self):
+        assert TagePredicatePredictor().tage.optimized
+        assert not TagePredicatePredictor(optimized=False).tage.optimized
+
+    def test_core(self):
+        assert OutOfOrderCore().optimized
+        assert not OutOfOrderCore(optimized=False).optimized
+
+    def test_emulator(self, engine):
+        program = engine.build_binary("gzip", BASELINE)
+        assert Emulator(program).optimized
+        assert not Emulator(program, optimized=False).optimized
 
 
 class TestEmulatorParity:
