@@ -108,12 +108,13 @@ class PackCursor:
     """A reusable flyweight with the ``DynInst`` attribute interface.
 
     :meth:`TracePack.cursor` yields one instance of this class per pack
-    iteration, mutating it in place for every row — the pipeline's fast loop
-    and the scheme hooks read all fields synchronously and never retain the
-    object, so a single instance replaces one allocation per dynamic
-    instruction.  ``is_branch`` / ``is_compare`` / ``is_conditional_branch``
-    are plain attributes (precomputed per static instruction) instead of the
-    property chains of ``DynInst``.
+    iteration, mutating it in place for every row, and the pipeline's timing
+    loop hands one to scheme hooks, filled with the row being handled.  Its
+    readers use the fields synchronously and never retain the object, so a
+    single instance replaces one allocation per dynamic instruction.
+    ``is_branch`` / ``is_compare`` / ``is_conditional_branch`` are plain
+    attributes (precomputed per static instruction) instead of the property
+    chains of ``DynInst``.
     """
 
     __slots__ = (
@@ -383,37 +384,59 @@ class TracePack:
         return out
 
     # ------------------------------------------------------------------
+    def row_columns(self, start: int, stop: int) -> Tuple[List[Any], ...]:
+        """Rows ``[start, stop)`` as Python lists, one per ``DynInst`` field.
+
+        ``(inst_index, seq, pc, qp_value, executed, taken, target_pc,
+        next_pc, mem_address, pred_writes, guard_producer_seq)``, each
+        value as ``DynInst`` holds it (``None`` where a field is absent).
+        The lists are working state of the caller — deliberately *not*
+        cached on the pack, so a pack parked in the engine's trace LRU keeps
+        only its compact typed columns.
+        """
+        return (
+            self.inst_index[start:stop].tolist(),
+            self.seq[start:stop].tolist(),
+            self.pc[start:stop].tolist(),
+            (self.qp_value[start:stop] != 0).tolist(),
+            (self.executed[start:stop] != 0).tolist(),
+            [None if t < 0 else bool(t) for t in self.taken[start:stop].tolist()],
+            [None if t < 0 else t for t in self.target_pc[start:stop].tolist()],
+            [None if t < 0 else t for t in self.next_pc[start:stop].tolist()],
+            [
+                m if v else None
+                for m, v in zip(
+                    self.mem_address[start:stop].tolist(),
+                    self.mem_valid[start:stop].tolist(),
+                )
+            ],
+            self._materialise_pred_writes(start, stop),
+            self.guard_producer_seq[start:stop].tolist(),
+        )
+
     def cursor(self, start: int = 0, stop: Optional[int] = None) -> Iterator[PackCursor]:
         """Yield one reusable :class:`PackCursor` per row of ``[start, stop)``.
 
-        This is the pipeline fast loop's view of a pack: no per-row object
-        is allocated; the flyweight's fields are rewritten in place.  The
-        per-column Python lists below are working state of one iteration —
-        deliberately *not* cached on the pack, so a pack parked in the
-        engine's trace LRU keeps only its compact typed columns.  The range
-        form backs windowed simulation: only the requested rows are ever
-        materialised as Python objects.
+        No per-row object is allocated; the flyweight's fields are
+        rewritten in place.  The range form touches only the requested
+        rows.
         """
         stop = len(self) if stop is None else min(stop, len(self))
         start = max(0, start)
         branch_f, compare_f, cond_f = self._cursor_static_flags()
-        seqs = self.seq[start:stop].tolist()
-        inst_idx = self.inst_index[start:stop].tolist()
-        pcs = self.pc[start:stop].tolist()
-        qps = (self.qp_value[start:stop] != 0).tolist()
-        execs = (self.executed[start:stop] != 0).tolist()
-        takens = [None if t < 0 else bool(t) for t in self.taken[start:stop].tolist()]
-        targets = [None if t < 0 else t for t in self.target_pc[start:stop].tolist()]
-        nexts = [None if t < 0 else t for t in self.next_pc[start:stop].tolist()]
-        mems = [
-            m if v else None
-            for m, v in zip(
-                self.mem_address[start:stop].tolist(),
-                self.mem_valid[start:stop].tolist(),
-            )
-        ]
-        writes = self._materialise_pred_writes(start, stop)
-        producers = self.guard_producer_seq[start:stop].tolist()
+        (
+            inst_idx,
+            seqs,
+            pcs,
+            qps,
+            execs,
+            takens,
+            targets,
+            nexts,
+            mems,
+            writes,
+            producers,
+        ) = self.row_columns(start, stop)
         insts = self.insts
         cur = PackCursor()
         for i in range(len(seqs)):
@@ -433,6 +456,11 @@ class TracePack:
             cur.is_compare = compare_f[static]
             cur.is_conditional_branch = cond_f[static]
             yield cur
+
+    def spans(self, start: int, stop: int) -> Iterator[Tuple["TracePack", int, int]]:
+        """``(pack, low, high)`` pieces covering rows ``[start, stop)``: here
+        the one piece of this pack (see :meth:`ChunkedTracePack.spans`)."""
+        yield self, start, min(stop, len(self))
 
     def _cursor_static_flags(self) -> Tuple[List[bool], List[bool], List[bool]]:
         branch_f = [inst.is_branch for inst in self.insts]
@@ -689,14 +717,13 @@ class ChunkedTracePack:
             self._packs[self._decoded.pop(0)] = None
         return pack
 
-    def cursor(self, start: int = 0, stop: Optional[int] = None) -> Iterator[PackCursor]:
-        """One uninterrupted flyweight row stream across segment boundaries.
+    def spans(self, start: int, stop: int) -> Iterator[Tuple[TracePack, int, int]]:
+        """``(segment, low, high)`` pieces covering rows ``[start, stop)``.
 
-        Only the segments overlapping ``[start, stop)`` are decoded, in
-        order, so a windowed caller pays for exactly the rows it simulates.
+        Only the segments overlapping the range are decoded, in order, so a
+        windowed caller pays for exactly the rows it simulates.
         """
-        total = len(self)
-        stop = total if stop is None else min(stop, total)
+        stop = min(stop, len(self))
         start = max(0, start)
         for index in range(self.segment_count):
             seg_start = self._starts[index]
@@ -705,9 +732,12 @@ class ChunkedTracePack:
                 continue
             if seg_start >= stop:
                 break
-            pack = self.segment(index)
-            for row in pack.cursor(max(0, start - seg_start), min(stop, seg_stop) - seg_start):
-                yield row
+            yield self.segment(index), max(0, start - seg_start), min(stop, seg_stop) - seg_start
+
+    def cursor(self, start: int = 0, stop: Optional[int] = None) -> Iterator[PackCursor]:
+        """One uninterrupted flyweight row stream across segment boundaries."""
+        for pack, low, high in self.spans(start, len(self) if stop is None else stop):
+            yield from pack.cursor(low, high)
 
     def to_dyninsts(self) -> List[DynInst]:
         """Materialise the reference object representation, segment by segment."""

@@ -22,10 +22,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from heapq import heapreplace
+from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.emulator.executor import DynInst
-from repro.emulator.tracepack import ChunkedTracePack, TracePack
+from repro.emulator.tracepack import ChunkedTracePack, PackCursor, TracePack
 from repro.isa.branches import BranchInstruction
 from repro.isa.compare import CompareInstruction
 from repro.isa.opcodes import FunctionalUnitClass, OpClass
@@ -40,7 +43,11 @@ from repro.pipeline.resources import (
     RegisterTimingTable,
     SlidingWindowResource,
 )
-from repro.pipeline.scheme_api import BranchHandlingScheme
+from repro.pipeline.scheme_api import (
+    BranchHandling,
+    BranchHandlingScheme,
+    overridden_hooks,
+)
 from repro.pipeline.uop import RenameDecision, Uop
 from repro.stats.accuracy import BranchAccuracy
 
@@ -93,8 +100,8 @@ class _InOrderSlotter:
         return cycle
 
 
-#: Compact integer keys for architectural registers, used by the fast
-#: path's register-timing dict (hashing a small int is much cheaper than
+#: Compact integer keys for architectural registers, used by the timing
+#: loop's register-timing dict (hashing a small int is much cheaper than
 #: hashing a frozen ``Register`` dataclass).
 _KIND_CODE = {
     RegisterKind.GENERAL: 0,
@@ -108,83 +115,274 @@ def _reg_key(reg: Register) -> int:
     return (_KIND_CODE[reg.kind] << 8) | reg.index
 
 
-class _Decode:
-    """Per-static-instruction decode/dispatch record of the fast path.
 
-    Everything the timing loop derives from an :class:`Instruction` through
-    property chains (``info`` -> ``opclass`` -> ``is_*``, issue queue
-    selection, source/destination register sets) is computed once per
-    static instruction and reused for every dynamic instance.  Built per
-    run because it captures run-local resource objects (functional-unit
-    slot lists, issue-queue deques).
+#: Stable small-integer ids for functional-unit classes: the timing loop's
+#: per-run slot and issue tables are plain lists indexed by these.
+_UNITS: Tuple[FunctionalUnitClass, ...] = tuple(FunctionalUnitClass)
+_UNIT_INDEX: Dict[FunctionalUnitClass, int] = {u: i for i, u in enumerate(_UNITS)}
+
+
+def _window(entries: int) -> deque:
+    """A sliding window of ``entries`` release cycles, full of zeros.
+
+    The timing loop's form of :class:`SlidingWindowResource`: a slot frees
+    when its release cycle passes, so ``window[0] > cycle`` is the stall
+    test, and the zero entries of a window that has not filled yet never
+    stall (cycles are non-negative).  ``maxlen`` retires the oldest entry
+    on each append.
+    """
+    return deque([0] * entries, maxlen=entries)
+
+
+class _StaticDecode:
+    """Machine-independent decode record of one static instruction.
+
+    Everything the timing loop would otherwise derive from an
+    :class:`Instruction` through property chains (``info`` -> ``opclass``
+    -> ``is_*``, issue-queue selection, source/destination register sets),
+    computed once per static instruction and reused for every dynamic
+    instance.  It captures no run-local object, so one record serves every
+    run and every lane over the trace: a run maps ``unit_index`` and
+    ``queue_sel`` to its own slot lists and issue-queue deques.
     """
 
     __slots__ = (
         "kind",  # 0 = simple, 1 = branch, 2 = compare
         "latency",
         "unit",
-        "slots",  # functional-unit next-free list (fast acquire)
-        "count_cell",  # shared per-unit issue counter cell
-        "queue",  # issue-queue deque (None for memory operations)
-        "queue_cap",
+        "unit_index",
+        "queue_sel",  # -1 = memory (LSQ), 0 = int, 1 = fp, 2 = branch
         "is_memory",
         "is_load",
         "is_store",
         "is_predicated",
         "qp_key",
         "is_cond_branch",
-        "src_keys",  # non-hardwired source register keys
+        "src_keys",
         "cons_keys",  # conservative sources (srcs + qp + old dests)
         "cmp_src_keys",  # compare-path sources
-        "dest_keys",  # non-hardwired destination register keys
+        "dest_keys",
+        "default_keys",  # sources when no scheme hook decides otherwise
     )
 
 
-class _FastState:
-    """The complete mutable state of one fast-loop run between windows.
+def _build_static(inst) -> _StaticDecode:
+    """Decode one static instruction (reference: the stage helpers below)."""
+    info = inst.info
+    opclass = info.opclass
+    de = _StaticDecode()
+    de.latency = info.latency
+    de.is_load = opclass is OpClass.LOAD
+    de.is_store = opclass is OpClass.STORE
+    de.is_memory = de.is_load or de.is_store
+    de.is_predicated = inst.is_predicated
+    de.qp_key = _reg_key(inst.qp) if de.is_predicated else -1
 
-    Everything :meth:`OutOfOrderCore._run_fast_window` reads or writes lives
-    here — resource models, the register-timing dict, the decode cache, the
-    metric accumulators and the scheme (whose predictors carry the branch
-    history that makes resume correctness non-trivial).  Pickling one
-    ``_FastState`` pickles the whole object graph in a single blob, so the
-    shared-identity invariants the fast loop relies on (a ``_Decode``'s
-    ``slots`` list *is* the functional-unit pool's next-free list, its
-    ``queue`` *is* one of the issue-queue deques) survive a
-    checkpoint/restore round trip via the pickle memo.  ``rows_done`` is
-    the resume point; ``sampled_cycles`` accumulates measured-window cycle
-    deltas when sampling is active (``None`` for full runs).
+    if opclass is OpClass.BRANCH:
+        de.kind = 1
+        unit = FunctionalUnitClass.BRANCH_UNIT
+        de.is_cond_branch = isinstance(inst, BranchInstruction) and inst.is_conditional
+    else:
+        de.kind = 2 if opclass is OpClass.COMPARE else 0
+        unit = info.unit
+        de.is_cond_branch = False
+    de.unit = unit
+    de.unit_index = _UNIT_INDEX[unit]
+
+    # Issue-queue selection (reference: _queue_resource).
+    if de.is_memory:
+        de.queue_sel = -1
+    elif opclass is OpClass.BRANCH:
+        de.queue_sel = 2
+    elif info.unit is FunctionalUnitClass.FP_UNIT:
+        de.queue_sel = 1
+    else:
+        de.queue_sel = 0
+
+    # Register sets.  Hardwired registers always read as ready at cycle 0
+    # and readiness is lower-bounded by dispatch + 1 > 0, so they are
+    # dropped from the source sets; destination_registers() and
+    # predicate_destinations() already exclude hardwired targets.
+    src_regs = [s for s in inst.srcs if isinstance(s, Register)]
+    de.src_keys = tuple(_reg_key(r) for r in src_regs if not r.is_hardwired)
+    de.dest_keys = tuple(_reg_key(r) for r in inst.destination_registers())
+    cons = list(de.src_keys)
+    if de.is_predicated:
+        cons.append(de.qp_key)
+    cons.extend(de.dest_keys)
+    de.cons_keys = tuple(cons)
+    cmp_keys = list(de.src_keys)
+    if de.is_predicated:
+        cmp_keys.append(de.qp_key)
+    if isinstance(inst, CompareInstruction) and inst.ctype.depends_on_previous_values:
+        cmp_keys.extend(_reg_key(r) for r in inst.predicate_destinations())
+    de.cmp_src_keys = tuple(cmp_keys)
+    # The base scheme handles every predicated instruction conservatively.
+    de.default_keys = de.cons_keys if de.is_predicated else de.src_keys
+    return de
+
+
+class _Rows:
+    """Rows ``[start, stop)`` of one trace pack, decoded for the timing loop.
+
+    The pack's row columns (:meth:`TracePack.row_columns`) plus one
+    :class:`_StaticDecode` per static instruction (shared through the
+    ``decodes`` cache, keyed by ``uid``).  The loop itself reads only the
+    first block of columns; the rest exist to populate the
+    :class:`PackCursor` handed to scheme hooks (:meth:`fill`).  Per-row
+    counts that do not depend on timing are computed here once, so the loop
+    does not count them row by row.
     """
 
     __slots__ = (
-        "scheme",
-        "fetch",
-        "fus",
-        "lsu",
-        "memory",
-        "rob_q",
-        "int_q",
-        "fp_q",
-        "br_q",
-        "rn_state",
-        "cm_cycle",
-        "cm_used",
-        "regs",
-        "unit_cells",
-        "dcache",
-        "n_insts",
-        "n_executed",
-        "n_cond_branches",
-        "n_mispredictions",
-        "n_override_flushes",
-        "n_predicate_flushes",
-        "n_cancelled",
-        "n_conservative",
-        "n_assume_true",
-        "last_commit",
-        "rows_done",
-        "sampled_cycles",
+        # Timing-loop columns.
+        "decodes",
+        "pcs",
+        "blocks",
+        "ends_group",
+        "execs",
+        "mems",
+        "takens",
+        # Hook-facing columns.
+        "insts",
+        "inst_idx",
+        "seqs",
+        "qps",
+        "targets",
+        "nexts",
+        "writes",
+        "producers",
+        "branch_flags",
+        "compare_flags",
+        "cond_flags",
+        # Timing-independent counts.
+        "count",
+        "executed_count",
+        "cond_rows",
+        "predicated_simple_count",
+        "unit_counts",
     )
+
+    def __init__(
+        self, pack: TracePack, start: int, stop: int, decodes: Dict[int, _StaticDecode]
+    ) -> None:
+        statics = []
+        for inst in pack.insts:
+            de = decodes.get(inst.uid)
+            if de is None:
+                de = decodes[inst.uid] = _build_static(inst)
+            statics.append(de)
+        (
+            self.inst_idx,
+            self.seqs,
+            self.pcs,
+            self.qps,
+            self.execs,
+            self.takens,
+            self.targets,
+            self.nexts,
+            self.mems,
+            self.writes,
+            self.producers,
+        ) = pack.row_columns(start, stop)
+        self.insts = pack.insts
+        self.decodes = [statics[j] for j in self.inst_idx]
+        self.blocks = [pc >> 6 for pc in self.pcs]
+        branch_f, compare_f, cond_f = pack._cursor_static_flags()
+        self.branch_flags = branch_f
+        self.compare_flags = compare_f
+        self.cond_flags = cond_f
+
+        # Per-row static facts: functional unit, branch, conditional
+        # branch, predicated simple instruction.
+        static = np.array(
+            [
+                (de.unit_index, de.kind == 1, de.is_cond_branch, de.kind == 0 and de.is_predicated)
+                for de in statics
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 4)[pack.inst_index[start:stop]]
+        # A taken control transfer ends its fetch group.
+        self.ends_group = ((static[:, 1] != 0) & (pack.taken[start:stop] == 1)).tolist()
+        self.count = len(self.inst_idx)
+        self.executed_count = int(np.count_nonzero(pack.executed[start:stop]))
+        self.cond_rows = np.flatnonzero(static[:, 2]).tolist()
+        self.predicated_simple_count = int(static[:, 3].sum())
+        self.unit_counts = np.bincount(static[:, 0], minlength=len(_UNITS)).tolist()
+
+    def fill(self, cur: PackCursor, i: int) -> PackCursor:
+        """Point the hook cursor ``cur`` at row ``i``."""
+        static = self.inst_idx[i]
+        cur.seq = self.seqs[i]
+        cur.inst = self.insts[static]
+        cur.pc = self.pcs[i]
+        cur.qp_value = self.qps[i]
+        cur.executed = self.execs[i]
+        cur.taken = self.takens[i]
+        cur.target_pc = self.targets[i]
+        cur.next_pc = self.nexts[i]
+        cur.mem_address = self.mems[i]
+        cur.pred_writes = self.writes[i]
+        cur.guard_producer_seq = self.producers[i]
+        cur.is_branch = self.branch_flags[static]
+        cur.is_compare = self.compare_flags[static]
+        cur.is_conditional_branch = self.cond_flags[static]
+        return cur
+
+
+class DecisionReplay(BranchHandlingScheme):
+    """A recorded decision stream, replayed as a branch-handling scheme.
+
+    A timing-independent scheme's predictions are a pure function of the
+    branch rows, so the lane-batched kernel (:mod:`repro.pipeline.batched`)
+    runs its branch hooks once per scheme spec and records, per conditional
+    branch in fetch order, whether the final prediction overrode the fetch
+    prediction and whether it mispredicted.  Every machine lane of the spec
+    then runs this replay: the timing loop reads the two flags directly
+    instead of calling a hook, and :meth:`on_branch_rename` gives the same
+    answer to any other caller.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        accuracy: BranchAccuracy,
+        overrides: List[bool],
+        mispreds: List[bool],
+    ) -> None:
+        super().__init__()
+        self.name = name
+        self.accuracy = accuracy
+        self.overrides = overrides
+        self.mispreds = mispreds
+        #: Stream index of the next conditional branch.
+        self.position = 0
+
+    def on_branch_rename(self, dyn, fetch_cycle, rename_cycle, guard_ready_cycle):
+        position = self.position
+        self.position = position + 1
+        return BranchHandling(
+            final_prediction=bool(dyn.taken) != self.mispreds[position],
+            override_flush=self.overrides[position],
+        )
+
+
+class _LoopState:
+    """The complete mutable state of one timing-loop run between windows.
+
+    Everything :meth:`OutOfOrderCore._run_rows` reads or writes lives here:
+    resource models, the register-timing dict, the inlined fetch-engine and
+    slotter registers, the metric accumulators and the scheme (whose
+    predictors carry the branch history that makes resume correctness
+    non-trivial).  Pickling one ``_LoopState`` pickles the whole object graph
+    in a single blob, so the shared-identity invariant the loop relies on
+    (each ``slot_table`` entry *is* the functional-unit pool's next-free
+    list of that unit) survives a checkpoint/restore round trip via the
+    pickle memo.  ``rows_done`` is the resume point; ``sampled_cycles``
+    accumulates measured-window cycle deltas when sampling is active
+    (``None`` for full runs).  ``-1`` marks "no fetch block" and "no pending
+    redirect".
+    """
 
     #: The integer metric accumulators (snapshotted around sampling warmup).
     COUNTER_SLOTS = (
@@ -199,6 +397,31 @@ class _FastState:
         "n_assume_true",
     )
 
+    __slots__ = (
+        "scheme",
+        "memory",
+        "lsu",
+        "fus",
+        "slot_table",
+        "unit_issues",
+        "rob_q",
+        "queues",
+        "regs",
+        "group_cycle",
+        "group_slots",
+        "last_block",
+        "pending_redirect",
+        "icache_stalls",
+        "redirects",
+        "rn_cycle",
+        "rn_used",
+        "cm_cycle",
+        "cm_used",
+        "last_commit",
+        "rows_done",
+        "sampled_cycles",
+    ) + COUNTER_SLOTS
+
     def counter_snapshot(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.COUNTER_SLOTS}
 
@@ -211,10 +434,10 @@ class OutOfOrderCore:
     """Trace-driven out-of-order timing model.
 
     The model has two implementations of the same semantics: the reference
-    one-pass loop (:meth:`_run_reference`) and a profile-guided fast loop
-    (:meth:`_run_fast`) that caches per-static-instruction decode records,
-    inlines the resource models and keeps stage timestamps in locals
-    instead of allocating a :class:`Uop` per dynamic instruction.  The
+    one-pass loop (:meth:`_run_reference`) and the timing loop
+    (:meth:`_run_rows`), which runs over per-static-instruction decode
+    records, inlines the fetch engine, slotters and resource models as
+    locals and calls only the scheme hooks the scheme overrides.  The
     parity tests assert bit-identical results on every tier-1 workload;
     ``optimized=False`` selects the reference loop, the parity oracle.
     """
@@ -239,16 +462,18 @@ class OutOfOrderCore:
     ) -> SimulationResult:
         """Simulate ``trace`` under ``scheme`` and return the results.
 
-        ``trace`` is either an iterable of :class:`DynInst` or a columnar
-        :class:`~repro.emulator.tracepack.TracePack`.  The fast loop consumes
-        a pack through its reusable cursor (no per-instruction object is
-        materialised); the reference loop — and ``keep_uops``, which must
-        retain per-instruction records — materialises the object trace.
+        ``trace`` is a columnar :class:`~repro.emulator.tracepack.TracePack`
+        (or :class:`~repro.emulator.tracepack.ChunkedTracePack`) or an
+        iterable of :class:`DynInst`, which the timing loop packs first.  The
+        reference loop — and ``keep_uops``, which must retain
+        per-instruction records — materialises the object trace.
         """
         if self.optimized and not keep_uops:
-            if isinstance(trace, (TracePack, ChunkedTracePack)):
-                trace = trace.cursor()
-            return self._run_fast(trace, scheme, program_name)
+            if not isinstance(trace, (TracePack, ChunkedTracePack)):
+                trace = TracePack.from_dyninsts(trace)
+            state = self._loop_state(scheme)
+            self._run_span(state, trace, 0, len(trace), {})
+            return self._finalize(state, program_name)
         if isinstance(trace, (TracePack, ChunkedTracePack)):
             trace = trace.to_dyninsts()
         return self._run_reference(trace, scheme, program_name, keep_uops)
@@ -354,417 +579,393 @@ class OutOfOrderCore:
         )
 
     # ------------------------------------------------------------------
-    # Fast path
+    # The timing loop
     # ------------------------------------------------------------------
-    def _build_decode(
-        self,
-        inst,
-        fus: FunctionalUnitPool,
-        unit_cells: Dict[FunctionalUnitClass, List[int]],
-        int_q: deque,
-        int_cap: int,
-        fp_q: deque,
-        fp_cap: int,
-        br_q: deque,
-        br_cap: int,
-    ) -> _Decode:
-        """Build the decode/dispatch record of one static instruction."""
-        info = inst.info
-        opclass = info.opclass
-        de = _Decode()
-        de.latency = info.latency
-        de.is_load = opclass is OpClass.LOAD
-        de.is_store = opclass is OpClass.STORE
-        de.is_memory = de.is_load or de.is_store
-        de.is_predicated = inst.is_predicated
-        de.qp_key = _reg_key(inst.qp) if de.is_predicated else -1
-
-        if opclass is OpClass.BRANCH:
-            de.kind = 1
-            unit = FunctionalUnitClass.BRANCH_UNIT
-            de.is_cond_branch = isinstance(inst, BranchInstruction) and inst.is_conditional
-        elif opclass is OpClass.COMPARE:
-            de.kind = 2
-            unit = info.unit
-            de.is_cond_branch = False
-        else:
-            de.kind = 0
-            unit = info.unit
-            de.is_cond_branch = False
-        de.unit = unit
-        de.slots = fus._next_free[unit]
-        cell = unit_cells.get(unit)
-        if cell is None:
-            cell = [0]
-            unit_cells[unit] = cell
-        de.count_cell = cell
-
-        # Issue-queue selection (reference: _queue_resource).
-        if de.is_memory:
-            de.queue, de.queue_cap = None, 0
-        elif opclass is OpClass.BRANCH:
-            de.queue, de.queue_cap = br_q, br_cap
-        elif info.unit is FunctionalUnitClass.FP_UNIT:
-            de.queue, de.queue_cap = fp_q, fp_cap
-        else:
-            de.queue, de.queue_cap = int_q, int_cap
-
-        # Register sets.  Hardwired registers always read as ready at cycle
-        # 0 and readiness is lower-bounded by dispatch + 1 > 0, so they are
-        # dropped from the source sets; destination_registers() and
-        # predicate_destinations() already exclude hardwired targets.
-        src_regs = [s for s in inst.srcs if isinstance(s, Register)]
-        de.src_keys = [_reg_key(r) for r in src_regs if not r.is_hardwired]
-        dest_regs = inst.destination_registers()
-        de.dest_keys = [_reg_key(r) for r in dest_regs]
-        cons = list(de.src_keys)
-        if de.is_predicated:
-            cons.append(de.qp_key)
-        cons.extend(de.dest_keys)
-        de.cons_keys = cons
-        cmp_keys = list(de.src_keys)
-        if de.is_predicated:
-            cmp_keys.append(de.qp_key)
-        if isinstance(inst, CompareInstruction) and inst.ctype.depends_on_previous_values:
-            cmp_keys.extend(_reg_key(r) for r in inst.predicate_destinations())
-        de.cmp_src_keys = cmp_keys
-        return de
-
-    def _run_fast(
-        self,
-        trace: Iterable[DynInst],
-        scheme: BranchHandlingScheme,
-        program_name: str = "program",
-    ) -> SimulationResult:
-        """Optimized timing loop: same semantics as :meth:`_run_reference`.
-
-        One full-range window over a fresh :class:`_FastState` — exactly
-        what the windowed runner (:mod:`repro.pipeline.windowed`) does in
-        pieces, so windowed and straight-through execution are bit-identical
-        by construction.
-        """
-        state = self._fast_state(scheme)
-        self._run_fast_window(state, trace)
-        return self._finalize_fast(state, program_name)
-
-    def _fast_state(self, scheme: BranchHandlingScheme) -> _FastState:
-        """A fresh fast-loop state (row zero, all resources idle)."""
+    def _loop_state(self, scheme: BranchHandlingScheme) -> _LoopState:
+        """A fresh timing-loop state (row zero, all resources idle)."""
         cfg = self.config
-        state = _FastState()
+        state = _LoopState()
         state.scheme = scheme
         state.memory = self.memory
-        state.fetch = FetchEngine(cfg, self.memory)
-        state.fus = FunctionalUnitPool(cfg.fu_counts)
         state.lsu = LoadStoreUnit(cfg, self.memory)
-        state.rob_q = deque()
-        state.int_q = deque()
-        state.fp_q = deque()
-        state.br_q = deque()
-        state.rn_state = [-1, 0]  # rename slotter: (cycle, slots used)
+        state.fus = FunctionalUnitPool(cfg.fu_counts)
+        state.slot_table = [state.fus._next_free.get(unit) for unit in _UNITS]
+        state.unit_issues = [0] * len(_UNITS)
+        state.rob_q = _window(cfg.rob_entries)
+        state.queues = (  # int, fp, branch
+            _window(cfg.int_queue_entries),
+            _window(cfg.fp_queue_entries),
+            _window(cfg.branch_queue_entries),
+        )
+        state.regs = {}
+        state.group_cycle = 0
+        state.group_slots = 0
+        state.last_block = -1
+        state.pending_redirect = -1
+        state.icache_stalls = 0
+        state.redirects = 0
+        state.rn_cycle = -1
+        state.rn_used = 0
         state.cm_cycle = -1
         state.cm_used = 0
-        state.regs = {}
-        state.unit_cells = {}
-        state.dcache = {}
-        for name in _FastState.COUNTER_SLOTS:
-            setattr(state, name, 0)
         state.last_commit = 0
+        for name in _LoopState.COUNTER_SLOTS:
+            setattr(state, name, 0)
         state.rows_done = 0
         state.sampled_cycles = None
         return state
 
-    def _run_fast_window(self, state: _FastState, trace: Iterable[DynInst]) -> None:
-        """Drain ``trace`` through the fast timing loop, mutating ``state``.
+    def _run_span(
+        self,
+        state: _LoopState,
+        trace,
+        start: int,
+        stop: int,
+        decodes: Dict[int, _StaticDecode],
+    ) -> None:
+        """Run rows ``[start, stop)`` of a pack, one decoded segment at a time."""
+        for pack, low, high in trace.spans(start, stop):
+            self._run_rows(state, _Rows(pack, low, high, decodes))
 
-        The loop keeps every per-instruction timestamp in locals, consults a
-        per-static-instruction :class:`_Decode` record instead of walking
-        instruction property chains, and inlines the sliding-window, slotter
-        and functional-unit resource models.  Any behavioural change here
-        must keep the parity tests green (bit-identical IPC and
-        misprediction counters against the reference loop).  Callers bound
-        the window by bounding ``trace`` (a range cursor); the loop itself
-        has no notion of position beyond ``state.rows_done``.
+    def _run_rows(self, state: _LoopState, rows: _Rows) -> None:
+        """Drain ``rows`` through the timing loop, mutating ``state``.
+
+        The loop keeps every per-instruction timestamp in locals, consults
+        the shared :class:`_StaticDecode` records, and inlines the fetch
+        engine, the rename/commit slotters and the sliding-window and
+        functional-unit resource models.  Scheme hooks are called in the
+        reference loop's order, but only those the scheme overrides
+        (:func:`~repro.pipeline.scheme_api.overridden_hooks`): a row whose
+        kind the scheme does not hook costs no call and no cursor fill, and
+        a :class:`DecisionReplay` costs no call at all.  Any behavioural
+        change here must keep the parity tests green (bit-identical IPC and
+        misprediction counters against the reference loop).
         """
         cfg = self.config
         scheme = state.scheme
-        fetch = state.fetch
-        fus = state.fus
+        hooked = overridden_hooks(type(scheme))
+
+        def hook(name: str):
+            return getattr(scheme, name) if name in hooked else None
+
+        on_fetch = hook("on_fetch")
+        on_compare_rename = hook("on_compare_rename")
+        on_compare_complete = hook("on_compare_complete")
+        compare_hooked = on_compare_rename is not None or on_compare_complete is not None
+        on_branch_rename = scheme.on_branch_rename
+        on_branch_resolved = hook("on_branch_resolved")
+        on_predicated_rename = hook("on_predicated_rename")
+        replay = scheme if isinstance(scheme, DecisionReplay) else None
+        if replay is not None:
+            overrides = replay.overrides
+            mispreds = replay.mispreds
+            bi = replay.position
+        cur = PackCursor()
+        fill = rows.fill
+        takens = rows.takens
+
+        fetch_latency = state.memory.fetch_latency
         lsu = state.lsu
-
-        # Inline resource state (parity with SlidingWindowResource /
-        # _InOrderSlotter, held as locals and written back on exit).
-        rob_q = state.rob_q
-        rob_cap = cfg.rob_entries
-        int_q = state.int_q
-        fp_q = state.fp_q
-        br_q = state.br_q
-        int_cap = cfg.int_queue_entries
-        fp_cap = cfg.fp_queue_entries
-        br_cap = cfg.branch_queue_entries
-        rn_width = cfg.rename_width
-        rn_state = state.rn_state
-        cm_width = cfg.commit_width
-        cm_cycle, cm_used = state.cm_cycle, state.cm_used
-
-        # Register readiness: int register key -> value-ready cycle.
+        queue_constraint = lsu.queue_constraint
+        load_complete_cycle = lsu.load_complete_cycle
+        store_execute = lsu.store_execute
+        store_commit_penalty = lsu.store_commit_penalty
+        record_allocation = lsu.record_allocation
+        slot_table = state.slot_table
+        unit_issues = state.unit_issues
         regs = state.regs
         regs_get = regs.get
-
-        # Per-static-instruction decode records, keyed by instruction uid.
-        unit_cells = state.unit_cells
-        dcache = state.dcache
-        dcache_get = dcache.get
-        build_decode = self._build_decode
-
-        # Bound hot callables.  ``on_fetch`` runs once per dynamic
-        # instruction; when the scheme never overrode the base no-op hook
-        # (none of the paper's schemes do) the call is skipped entirely.
-        fetch_one = fetch.fetch
-        on_fetch = scheme.on_fetch
-        if type(scheme).on_fetch is BranchHandlingScheme.on_fetch:
-            on_fetch = None
-        on_branch_rename = scheme.on_branch_rename
-        on_branch_resolved = scheme.on_branch_resolved
-        on_compare_rename = scheme.on_compare_rename
-        on_compare_complete = scheme.on_compare_complete
-        on_predicated_rename = scheme.on_predicated_rename
+        rob_q = state.rob_q
+        queues = state.queues
+        br_q = queues[2]
+        fetch_width = cfg.fetch_width
+        rn_width = cfg.rename_width
+        cm_width = cfg.commit_width
         fetch_to_rename = cfg.fetch_to_rename
         override_flush_penalty = cfg.override_flush_penalty
         branch_mispredict_penalty = cfg.branch_mispredict_penalty
         predicate_mispredict_penalty = cfg.predicate_mispredict_penalty
-        CONSERVATIVE = RenameDecision.CONSERVATIVE
         ASSUME_TRUE = RenameDecision.ASSUME_TRUE
         CANCEL = RenameDecision.CANCEL
 
-        def place_rename(fetch_cycle: int, de: _Decode) -> int:
-            """Rename-stage placement (reference: _rename_cycle + slotter).
-
-            Shared by the main loop and the predicate-flush re-rename path
-            so the rename constraints cannot drift apart.
-            """
-            cycle = fetch_cycle + fetch_to_rename
-            if len(rob_q) >= rob_cap and rob_q[0] > cycle:
-                cycle = rob_q[0]
-            if de.is_memory:
-                cycle = lsu.queue_constraint(de.is_store, cycle)
-            else:
-                queue = de.queue
-                if queue is not None and len(queue) >= de.queue_cap and queue[0] > cycle:
-                    cycle = queue[0]
-            slot_cycle, slot_used = rn_state
-            if cycle < slot_cycle:
-                cycle = slot_cycle
-            if cycle == slot_cycle and slot_used >= rn_width:
-                cycle += 1
-            if cycle > slot_cycle:
-                rn_state[0] = cycle
-                rn_state[1] = 1
-            else:
-                rn_state[1] = slot_used + 1
-            return cycle
-
-        # Metric accumulators (carried across windows via the state).
-        n_insts = state.n_insts
-        n_executed = state.n_executed
-        n_cond_branches = state.n_cond_branches
+        # Inlined FetchEngine and slotter registers.
+        group_cycle = state.group_cycle
+        group_slots = state.group_slots
+        last_block = state.last_block
+        pending_redirect = state.pending_redirect
+        icache_stalls = state.icache_stalls
+        redirects = state.redirects
+        rn_cycle = state.rn_cycle
+        rn_used = state.rn_used
+        cm_cycle = state.cm_cycle
+        cm_used = state.cm_used
+        last_commit = state.last_commit
+        # Counters that depend on scheme decisions; the timing-independent
+        # ones are added from the decoded rows after the loop.
         n_mispredictions = state.n_mispredictions
         n_override_flushes = state.n_override_flushes
         n_predicate_flushes = state.n_predicate_flushes
         n_cancelled = state.n_cancelled
-        n_conservative = state.n_conservative
         n_assume_true = state.n_assume_true
-        last_commit = state.last_commit
 
-        for dyn in trace:
-            inst = dyn.inst
-            de = dcache_get(inst.uid)
-            if de is None:
-                de = build_decode(
-                    inst, fus, unit_cells, int_q, int_cap, fp_q, fp_cap, br_q, br_cap
-                )
-                dcache[inst.uid] = de
-
+        for i, de, pc, block, ends_group, execd, mem in zip(
+            range(rows.count),
+            rows.decodes,
+            rows.pcs,
+            rows.blocks,
+            rows.ends_group,
+            rows.execs,
+            rows.mems,
+        ):
             # ----------------------------------------------------- fetch
-            fetch_cycle = fetch_one(dyn)
+            cycle = group_cycle
+            if pending_redirect >= 0:
+                if pending_redirect > cycle:
+                    cycle = pending_redirect
+                    group_slots = 0
+                pending_redirect = -1
+            if group_slots >= fetch_width:
+                cycle += 1
+                group_slots = 0
+            if block != last_block:
+                last_block = block
+                latency = fetch_latency(pc, cycle)
+                if latency > 1:
+                    stall = latency - 1
+                    cycle += stall
+                    icache_stalls += stall
+                    group_slots = 0
+            fetch_cycle = cycle
+            group_slots += 1
+            group_cycle = cycle
+            if ends_group:  # a taken control transfer ends the fetch group
+                group_cycle = cycle + 1
+                group_slots = 0
+                last_block = -1
             if on_fetch is not None:
-                on_fetch(dyn, fetch_cycle)
+                on_fetch(fill(cur, i), fetch_cycle)
 
             # ---------------------------------------------------- rename
-            rename_cycle = place_rename(fetch_cycle, de)
-
-            is_predicated = de.is_predicated
-            guard_ready = regs_get(de.qp_key, 0) if is_predicated else 0
+            cycle = fetch_cycle + fetch_to_rename
+            if rob_q[0] > cycle:
+                cycle = rob_q[0]
+            qsel = de.queue_sel
+            if qsel < 0:
+                cycle = queue_constraint(de.is_store, cycle)
+            else:
+                queue = queues[qsel]
+                if queue[0] > cycle:
+                    cycle = queue[0]
+            if cycle < rn_cycle:
+                cycle = rn_cycle
+            if cycle == rn_cycle and rn_used >= rn_width:
+                cycle += 1
+            if cycle > rn_cycle:
+                rn_cycle = cycle
+                rn_used = 1
+            else:
+                rn_used += 1
+            rename_cycle = cycle
 
             cancelled = False
             kind = de.kind
             # ------------------------------------------- per-class handling
             if kind == 1:  # branch
                 ready = rename_cycle + 2
+                guard_ready = regs_get(de.qp_key, 0) if de.is_predicated else 0
                 if guard_ready > ready:
                     ready = guard_ready
-                slots = de.slots
-                best_i = 0
+                slots = slot_table[de.unit_index]
                 best = slots[0]
-                for i in range(1, len(slots)):
-                    if slots[i] < best:
-                        best = slots[i]
-                        best_i = i
                 issue = ready if ready > best else best
-                slots[best_i] = issue + 1
-                de.count_cell[0] += 1
-                if len(br_q) >= br_cap:
-                    br_q.popleft()
+                heapreplace(slots, issue + 1)
                 br_q.append(issue)
                 complete = issue + de.latency
 
                 if de.is_cond_branch:
-                    n_cond_branches += 1
-                    handling = on_branch_rename(dyn, fetch_cycle, rename_cycle, guard_ready)
-                    mispredicted = handling.final_prediction != bool(dyn.taken)
-                    redirect = None
-                    if handling.override_flush:
+                    if replay is not None:
+                        over = overrides[bi]
+                        mis = mispreds[bi]
+                        bi += 1
+                    else:
+                        handling = on_branch_rename(
+                            fill(cur, i), fetch_cycle, rename_cycle, guard_ready
+                        )
+                        mis = handling.final_prediction != takens[i]
+                        over = handling.override_flush
+                    if over:
                         n_override_flushes += 1
-                        redirect = rename_cycle + override_flush_penalty
-                    if mispredicted:
+                    if mis:
                         n_mispredictions += 1
+                        redirects += 1
                         redirect = complete + branch_mispredict_penalty
-                    if redirect is not None:
-                        fetch.redirect(redirect)
-                    on_branch_resolved(dyn, complete, mispredicted)
+                        if redirect > pending_redirect:
+                            pending_redirect = redirect
+                    elif over:
+                        redirects += 1
+                        redirect = rename_cycle + override_flush_penalty
+                        if redirect > pending_redirect:
+                            pending_redirect = redirect
+                    if on_branch_resolved is not None:
+                        on_branch_resolved(cur, complete, mis)
 
             elif kind == 2:  # compare
-                on_compare_rename(dyn, fetch_cycle, rename_cycle)
+                if compare_hooked:
+                    fill(cur, i)
+                    if on_compare_rename is not None:
+                        on_compare_rename(cur, fetch_cycle, rename_cycle)
                 ready = rename_cycle + 2
                 for key in de.cmp_src_keys:
                     t = regs_get(key, 0)
                     if t > ready:
                         ready = t
-                slots = de.slots
-                best_i = 0
+                slots = slot_table[de.unit_index]
                 best = slots[0]
-                for i in range(1, len(slots)):
-                    if slots[i] < best:
-                        best = slots[i]
-                        best_i = i
                 issue = ready if ready > best else best
-                slots[best_i] = issue + 1
-                de.count_cell[0] += 1
-                queue = de.queue
-                if len(queue) >= de.queue_cap:
-                    queue.popleft()
-                queue.append(issue)
+                heapreplace(slots, issue + 1)
+                queues[qsel].append(issue)
                 complete = issue + de.latency
                 for key in de.dest_keys:
                     regs[key] = complete
-                on_compare_complete(dyn, complete)
+                if on_compare_complete is not None:
+                    on_compare_complete(cur, complete)
 
             else:  # simple (ALU / FP / move / memory / nop)
-                decision = CONSERVATIVE
-                if is_predicated:
+                keys = de.default_keys
+                if on_predicated_rename is not None and de.is_predicated:
                     handling = on_predicated_rename(
-                        dyn, fetch_cycle, rename_cycle, guard_ready
+                        fill(cur, i), fetch_cycle, rename_cycle, regs_get(de.qp_key, 0)
                     )
                     decision = handling.decision
                     if handling.flush_discovery_cycle is not None:
-                        # Wrong speculation: flush, re-fetch, handle
-                        # conservatively (reference: _handle_simple).
+                        # Wrong speculation: flush, re-fetch this row at the
+                        # resume cycle (FetchEngine.refetch_current), rename
+                        # it again and handle it conservatively.
                         n_predicate_flushes += 1
-                        resume = (
-                            handling.flush_discovery_cycle + predicate_mispredict_penalty
-                        )
-                        fetch_cycle = fetch.refetch_current(dyn, resume)
-                        rename_cycle = place_rename(fetch_cycle, de)
-                        decision = CONSERVATIVE
+                        redirects += 1
+                        cycle = handling.flush_discovery_cycle + predicate_mispredict_penalty
+                        if group_cycle > cycle:
+                            cycle = group_cycle
+                        last_block = block
+                        latency = fetch_latency(pc, cycle)
+                        if latency > 1:
+                            stall = latency - 1
+                            cycle += stall
+                            icache_stalls += stall
+                        fetch_cycle = group_cycle = cycle
+                        group_slots = 1
+                        cycle += fetch_to_rename
+                        if rob_q[0] > cycle:
+                            cycle = rob_q[0]
+                        if qsel < 0:
+                            cycle = queue_constraint(de.is_store, cycle)
+                        else:
+                            queue = queues[qsel]
+                            if queue[0] > cycle:
+                                cycle = queue[0]
+                        if cycle < rn_cycle:
+                            cycle = rn_cycle
+                        if cycle == rn_cycle and rn_used >= rn_width:
+                            cycle += 1
+                        if cycle > rn_cycle:
+                            rn_cycle = cycle
+                            rn_used = 1
+                        else:
+                            rn_used += 1
+                        rename_cycle = cycle
+                    elif decision is CANCEL:
+                        cancelled = True
+                    elif decision is ASSUME_TRUE:
+                        n_assume_true += 1
+                        keys = de.src_keys
 
-                if decision is CANCEL:
-                    cancelled = True
+                if cancelled:
+                    # Never dispatched: no issue queue entry, no functional
+                    # unit, destinations keep their previous mapping.
                     n_cancelled += 1
+                    unit_issues[de.unit_index] -= 1
                     complete = rename_cycle
                 else:
-                    if is_predicated:
-                        if decision is ASSUME_TRUE:
-                            n_assume_true += 1
-                        else:
-                            n_conservative += 1
                     ready = rename_cycle + 2
-                    keys = de.src_keys if decision is ASSUME_TRUE else de.cons_keys
-                    if not is_predicated:
-                        keys = de.src_keys
                     for key in keys:
                         t = regs_get(key, 0)
                         if t > ready:
                             ready = t
-                    slots = de.slots
-                    best_i = 0
+                    slots = slot_table[de.unit_index]
                     best = slots[0]
-                    for i in range(1, len(slots)):
-                        if slots[i] < best:
-                            best = slots[i]
-                            best_i = i
                     issue = ready if ready > best else best
-                    slots[best_i] = issue + 1
-                    de.count_cell[0] += 1
-                    if de.is_memory:
-                        address = dyn.mem_address if dyn.executed else None
+                    heapreplace(slots, issue + 1)
+                    if qsel < 0:
+                        address = mem if execd else None
                         if de.is_load:
-                            complete = lsu.load_complete_cycle(address, issue)
+                            complete = load_complete_cycle(address, issue)
                         else:
                             complete = issue + de.latency
-                            lsu.store_execute(address, complete)
+                            store_execute(address, complete)
                     else:
-                        queue = de.queue
-                        if len(queue) >= de.queue_cap:
-                            queue.popleft()
-                        queue.append(issue)
+                        queues[qsel].append(issue)
                         complete = issue + de.latency
                     for key in de.dest_keys:
                         regs[key] = complete
 
             # ---------------------------------------------------- commit
             commit = complete + 1
-            if de.is_store and dyn.executed:
-                commit += lsu.store_commit_penalty(dyn.mem_address, complete)
+            if execd and de.is_store:
+                commit += store_commit_penalty(mem, complete)
             if commit < cm_cycle:
                 commit = cm_cycle
             if commit == cm_cycle and cm_used >= cm_width:
                 commit += 1
             if commit > cm_cycle:
-                cm_cycle, cm_used = commit, 0
+                cm_cycle = commit
+                cm_used = 0
             cm_used += 1
             if commit > last_commit:
                 last_commit = commit
 
-            if len(rob_q) >= rob_cap:
-                rob_q.popleft()
             rob_q.append(commit)
-            if de.is_memory and not cancelled:
-                lsu.record_allocation(de.is_store, commit)
+            if qsel < 0 and not cancelled:
+                record_allocation(de.is_store, commit)
 
-            # -------------------------------------------------- accounting
-            n_insts += 1
-            if dyn.executed:
-                n_executed += 1
-
-        # Write the scalar locals back; the mutable containers (deques,
-        # dicts, rn_state) were mutated in place.
-        state.cm_cycle, state.cm_used = cm_cycle, cm_used
-        state.n_insts = n_insts
-        state.n_executed = n_executed
-        state.n_cond_branches = n_cond_branches
+        # Timing-independent counts come from the decoded rows: every row
+        # issues once unless cancelled, and a predicated simple row is
+        # conservative unless it was cancelled or assumed true.
+        state.n_insts += rows.count
+        state.n_executed += rows.executed_count
+        state.n_cond_branches += len(rows.cond_rows)
+        state.n_conservative += (
+            rows.predicated_simple_count
+            - (n_cancelled - state.n_cancelled)
+            - (n_assume_true - state.n_assume_true)
+        )
+        for unit, count in enumerate(rows.unit_counts):
+            unit_issues[unit] += count
+        # Write the scalar locals back; the containers were mutated in place.
+        if replay is not None:
+            replay.position = bi
+        state.group_cycle = group_cycle
+        state.group_slots = group_slots
+        state.last_block = last_block
+        state.pending_redirect = pending_redirect
+        state.icache_stalls = icache_stalls
+        state.redirects = redirects
+        state.rn_cycle = rn_cycle
+        state.rn_used = rn_used
+        state.cm_cycle = cm_cycle
+        state.cm_used = cm_used
+        state.last_commit = last_commit
         state.n_mispredictions = n_mispredictions
         state.n_override_flushes = n_override_flushes
         state.n_predicate_flushes = n_predicate_flushes
         state.n_cancelled = n_cancelled
-        state.n_conservative = n_conservative
         state.n_assume_true = n_assume_true
-        state.last_commit = last_commit
 
-    def _finalize_fast(self, state: _FastState, program_name: str) -> SimulationResult:
-        """Fold a finished :class:`_FastState` into a :class:`SimulationResult`.
+    def _finalize(self, state: _LoopState, program_name: str) -> SimulationResult:
+        """Fold a finished :class:`_LoopState` into a :class:`SimulationResult`.
 
         Reads the memory hierarchy *from the state* — after a checkpoint
-        restore it is the unpickled hierarchy shared by the state's fetch
-        engine and load/store unit, not this core's own ``self.memory``.
+        restore it is the unpickled hierarchy shared by the state's
+        load/store unit, not this core's own ``self.memory``.
         """
         metrics = PipelineMetrics()
         metrics.fetched_instructions = state.n_insts
@@ -781,14 +982,15 @@ class OutOfOrderCore:
         metrics.cycles = (
             state.last_commit if state.sampled_cycles is None else state.sampled_cycles
         )
-        metrics.memory_stats = state.memory.statistics() if state.memory else {}
-        fus = state.fus
-        for unit, cell in state.unit_cells.items():
-            fus.issue_counts[unit] = fus.issue_counts.get(unit, 0) + cell[0]
-        metrics.fu_utilisation = fus.utilisation()
+        metrics.memory_stats = state.memory.statistics()
+        issue_counts = state.fus.issue_counts
+        for unit, count in zip(_UNITS, state.unit_issues):
+            if count:
+                issue_counts[unit] = issue_counts.get(unit, 0) + count
+        metrics.fu_utilisation = state.fus.utilisation()
         metrics.counters.set("lsq_forwarded_loads", state.lsu.forwarded_loads)
-        metrics.counters.set("fetch_redirects", state.fetch.redirects)
-        metrics.counters.set("icache_stall_cycles", state.fetch.icache_stall_cycles)
+        metrics.counters.set("fetch_redirects", state.redirects)
+        metrics.counters.set("icache_stall_cycles", state.icache_stalls)
 
         return SimulationResult(
             program_name=program_name,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional
+from typing import FrozenSet, Optional
 
 from repro.emulator.executor import DynInst
 from repro.stats.accuracy import BranchAccuracy
@@ -143,3 +143,28 @@ class BranchHandlingScheme(abc.ABC):
     def describe(self) -> str:
         """Human-readable description used by reports."""
         return self.name
+
+
+#: The hooks with a base-class default (``on_branch_rename`` is abstract).
+_OPTIONAL_HOOKS = (
+    "on_fetch",
+    "on_compare_rename",
+    "on_compare_complete",
+    "on_branch_resolved",
+    "on_predicated_rename",
+)
+
+
+def overridden_hooks(cls: type) -> FrozenSet[str]:
+    """The optional hooks ``cls`` overrides: its schemes' dispatch table.
+
+    The timing loop calls only these (a base-class default is a no-op, or
+    for ``on_predicated_rename`` the conservative decision the loop applies
+    itself), and the lane-batched kernel reads the same table to decide
+    which schemes can run as decision-stream replays.
+    """
+    return frozenset(
+        name
+        for name in _OPTIONAL_HOOKS
+        if getattr(cls, name) is not getattr(BranchHandlingScheme, name)
+    )

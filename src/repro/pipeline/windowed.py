@@ -1,9 +1,9 @@
 """Windowed simulation: checkpoint/resume and sampled execution.
 
-The fast timing loop (:meth:`~repro.pipeline.core.OutOfOrderCore._run_fast`)
+The timing loop (:meth:`~repro.pipeline.core.OutOfOrderCore._run_rows`)
 is a pure fold over trace rows: all of its mutable state lives in one
-:class:`~repro.pipeline.core._FastState`.  This module drives that fold in
-fixed-size **windows** over a pack's range cursor, which buys two things the
+:class:`~repro.pipeline.core._LoopState`.  This module drives that fold in
+fixed-size **windows** of a pack's rows, which buys two things the
 streaming-scale methodology needs:
 
 * **Checkpoint/resume** — after each window the state (predictor weight
@@ -31,14 +31,14 @@ from typing import Callable, Dict, Optional
 
 from repro.emulator.tracepack import ChunkedTracePack, TracePack
 from repro.log import get_logger
-from repro.pipeline.core import OutOfOrderCore, SimulationResult, _FastState
+from repro.pipeline.core import OutOfOrderCore, SimulationResult, _LoopState
 from repro.pipeline.scheme_api import BranchHandlingScheme
 
 _log = get_logger(__name__)
 
 #: Bump when the pickled checkpoint layout changes; a mismatched checkpoint
 #: is ignored (the run restarts from row zero) rather than mis-restored.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Default rows per simulation window when only sampling asks for windows.
 DEFAULT_WINDOW_ROWS = 4096
@@ -108,7 +108,7 @@ class SamplingSpec:
 class SimulationCheckpoint:
     """A resumable mid-trace snapshot of one windowed simulation.
 
-    ``state`` is the pickled-together fast-loop state graph; ``rows_done``
+    ``state`` is the pickled-together timing-loop state graph; ``rows_done``
     / ``total_rows`` locate it within the trace.  Checkpoints are only
     taken at window boundaries, so ``rows_done`` is always a boundary.
     """
@@ -116,7 +116,7 @@ class SimulationCheckpoint:
     version: int
     rows_done: int
     total_rows: int
-    state: _FastState
+    state: _LoopState
 
     def matches(self, total_rows: int) -> bool:
         """True when this checkpoint can resume a run over ``total_rows``."""
@@ -124,7 +124,7 @@ class SimulationCheckpoint:
             self.version == CHECKPOINT_VERSION
             and self.total_rows == total_rows
             and 0 < self.rows_done <= total_rows
-            and isinstance(self.state, _FastState)
+            and isinstance(self.state, _LoopState)
         )
 
 
@@ -195,9 +195,14 @@ def simulate_windowed(
                 checkpoint.rows_done,
                 checkpoint.total_rows,
             )
-        state = core._fast_state(scheme)
+        state = core._loop_state(scheme)
         if sampling is not None:
             state.sampled_cycles = 0
+
+    decodes: dict = {}
+
+    def run_rows(start: int, stop: int) -> None:
+        core._run_span(state, trace, start, stop, decodes)
 
     def emit_checkpoint() -> None:
         if on_checkpoint is not None and state.rows_done < total:
@@ -213,7 +218,7 @@ def simulate_windowed(
     if sampling is None:
         while state.rows_done < total:
             stop = min(state.rows_done + window, total)
-            core._run_fast_window(state, trace.cursor(state.rows_done, stop))
+            run_rows(state.rows_done, stop)
             state.rows_done = stop
             emit_checkpoint()
     else:
@@ -237,17 +242,15 @@ def simulate_windowed(
                     # never reach the counters or the accuracy records.
                     counters = state.counter_snapshot()
                     scheme_snapshot = _snapshot_scheme(state.scheme)
-                    core._run_fast_window(
-                        state, trace.cursor(warmup_start, start)
-                    )
+                    run_rows(warmup_start, start)
                     state.restore_counters(counters)
                     _restore_scheme(state.scheme, scheme_snapshot)
                 commit_before = state.last_commit
-                core._run_fast_window(state, trace.cursor(start, stop))
+                run_rows(start, stop)
                 state.sampled_cycles += state.last_commit - commit_before
             state.rows_done = stop
             emit_checkpoint()
 
-    result = core._finalize_fast(state, program_name)
+    result = core._finalize(state, program_name)
     result.sampling = sampling
     return result

@@ -55,10 +55,9 @@ class PEPPAPredictor:
     def __init__(self, config: PEPPAConfig = PEPPAConfig()) -> None:
         self.config = config
         # Two local histories per branch entry, selected by the previous
-        # value of the guarding predicate (False -> 0, True -> 1).
-        self._histories: List[List[int]] = [
-            [0, 0] for _ in range(config.branch_entries)
-        ]
+        # value of the guarding predicate (False -> 0, True -> 1): entry
+        # ``e``'s pair is ``_histories[2 * e : 2 * e + 2]``.
+        self._histories: List[int] = [0] * (2 * config.branch_entries)
         self.pht = CounterTable(config.pht_entries, bits=config.pht_counter_bits, initial=1)
         # Pure memos of the per-PC hashes (bounded by static branch count).
         self._entry_cache: dict = {}
@@ -84,19 +83,17 @@ class PEPPAPredictor:
         """Predict the branch at ``pc`` given the previous value of its
         guarding predicate register (as currently visible in the logical
         predicate register file)."""
-        entry = self._histories[self._entry_index(pc)]
-        history = entry[1 if predicate_value else 0]
+        history = self._histories[2 * self._entry_index(pc) + (1 if predicate_value else 0)]
         return self.pht.taken(self._pht_index(pc, history))
 
     def update(self, pc: int, predicate_value: bool, outcome: bool) -> None:
         """Train with the resolved outcome, using the same selector that was
         used for the prediction."""
-        index = self._entry_index(pc)
-        selector = 1 if predicate_value else 0
-        history = self._histories[index][selector]
+        slot = 2 * self._entry_index(pc) + (1 if predicate_value else 0)
+        history = self._histories[slot]
         self.pht.train(self._pht_index(pc, history), outcome)
         mask = (1 << self.config.local_bits) - 1
-        self._histories[index][selector] = ((history << 1) | (1 if outcome else 0)) & mask
+        self._histories[slot] = ((history << 1) | (1 if outcome else 0)) & mask
 
     # ------------------------------------------------------------------
     def size_report(self) -> PredictorSizeReport:

@@ -26,6 +26,7 @@ LHR).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import List, Optional, Tuple
 
 from repro.predictors.base import DirectionPredictor, PredictorSizeReport, fold_pc
@@ -123,24 +124,30 @@ def perceptron_train(
         history >>= 1
 
 
+#: ``_BITS8[b]`` is the eight low bits of ``b`` as booleans, least
+#: significant first: the selector :func:`flat_perceptron_output` feeds to
+#: :func:`itertools.compress` one history byte at a time.
+_BITS8 = tuple(tuple(bool((byte >> k) & 1) for k in range(8)) for byte in range(256))
+
+
 def flat_perceptron_output(
     weights: List[int], base: int, num_weights: int, combined_history: int
 ) -> int:
     """:func:`perceptron_output` over one row of a flat weight table.
 
     ``weights[base]`` is the bias weight of the row; history bit ``i`` maps
-    to ``weights[base + 1 + i]``.  Identical arithmetic to the row-based
-    reference, without the per-row list indirection.
+    to ``weights[base + 1 + i]``.  The dot product with bipolar bits is
+    ``bias + 2 * (sum of weights whose bit is set) - (sum of all weights)``,
+    which runs as three C-level passes instead of one Python step per bit;
+    the integer arithmetic is exact, so the result equals the reference.
     """
-    total = weights[base]
-    history = combined_history
-    for i in range(base + 1, base + num_weights):
-        if history & 1:
-            total += weights[i]
-        else:
-            total -= weights[i]
-        history >>= 1
-    return total
+    row = weights[base + 1 : base + num_weights]
+    bits = _BITS8[combined_history & 255]
+    history = combined_history >> 8
+    while history:
+        bits += _BITS8[history & 255]
+        history >>= 8
+    return weights[base] + 2 * sum(compress(row, bits)) - sum(row)
 
 
 def flat_perceptron_train(
@@ -152,26 +159,115 @@ def flat_perceptron_train(
     weight_min: int,
     weight_max: int,
 ) -> None:
-    """:func:`perceptron_train` over one row of a flat weight table."""
-    delta = 1 if outcome else -1
-    weights[base] = min(weight_max, max(weight_min, weights[base] + delta))
+    """:func:`perceptron_train` over one row of a flat weight table.
+
+    Weights never leave ``[weight_min, weight_max]``, so the reference's
+    clamp of ``w + 1`` is ``w < weight_max`` and that of ``w - 1`` is
+    ``w > weight_min``: one comparison per weight, no ``min``/``max`` call.
+    """
     history = combined_history
-    for i in range(base + 1, base + num_weights):
-        bit_agrees = bool(history & 1) == outcome
-        step = 1 if bit_agrees else -1
-        weights[i] = min(weight_max, max(weight_min, weights[i] + step))
-        history >>= 1
+    if outcome:
+        value = weights[base]
+        if value < weight_max:
+            weights[base] = value + 1
+        for i in range(base + 1, base + num_weights):
+            value = weights[i]
+            if history & 1:
+                if value < weight_max:
+                    weights[i] = value + 1
+            elif value > weight_min:
+                weights[i] = value - 1
+            history >>= 1
+    else:
+        value = weights[base]
+        if value > weight_min:
+            weights[base] = value - 1
+        for i in range(base + 1, base + num_weights):
+            value = weights[i]
+            if history & 1:
+                if value > weight_min:
+                    weights[i] = value - 1
+            elif value < weight_max:
+                weights[i] = value + 1
+            history >>= 1
+
+
+class FlatWeightTable:
+    """A flat perceptron weight table with a per-row output memo.
+
+    Row ``r`` occupies ``weights[r * num_weights : (r + 1) * num_weights]``.
+    A scheme predicts a row and later trains it with the same combined
+    history; the memo keeps the last ``(combined history, output)`` per row
+    so the training reuses the prediction's dot product.  Training a row
+    drops its entry, so the memo is a pure cache of the weights: at most one
+    entry per row, and never pickled (checkpoints carry only the weights).
+    """
+
+    __slots__ = ("weights", "num_weights", "theta", "weight_min", "weight_max", "_memo")
+
+    def __init__(
+        self, entries: int, num_weights: int, theta: int, weight_min: int, weight_max: int
+    ) -> None:
+        self.weights = [0] * (entries * num_weights)
+        self.num_weights = num_weights
+        self.theta = theta
+        self.weight_min = weight_min
+        self.weight_max = weight_max
+        self._memo: dict = {}
+
+    def __getstate__(self):
+        return (self.weights, self.num_weights, self.theta, self.weight_min, self.weight_max)
+
+    def __setstate__(self, state) -> None:
+        (
+            self.weights,
+            self.num_weights,
+            self.theta,
+            self.weight_min,
+            self.weight_max,
+        ) = state
+        self._memo = {}
+
+    def row(self, index: int) -> List[int]:
+        base = index * self.num_weights
+        return self.weights[base : base + self.num_weights]
+
+    def output(self, index: int, combined_history: int) -> int:
+        """The perceptron output of row ``index`` (memoised)."""
+        cached = self._memo.get(index)
+        if cached is not None and cached[0] == combined_history:
+            return cached[1]
+        value = flat_perceptron_output(
+            self.weights, index * self.num_weights, self.num_weights, combined_history
+        )
+        self._memo[index] = (combined_history, value)
+        return value
+
+    def train(self, index: int, combined_history: int, outcome: bool) -> None:
+        """Apply the threshold training rule to row ``index``."""
+        output = self.output(index, combined_history)
+        if (output >= 0) != outcome or abs(output) <= self.theta:
+            flat_perceptron_train(
+                self.weights,
+                index * self.num_weights,
+                self.num_weights,
+                combined_history,
+                outcome,
+                self.weight_min,
+                self.weight_max,
+            )
+            del self._memo[index]
 
 
 class PerceptronPredictor(DirectionPredictor):
     """A global+local perceptron predictor.
 
     Weight storage has two backends sharing identical arithmetic: the
-    reference list-of-rows layout (``optimized=False``), and by default one
-    flat list indexed by ``entry * num_weights``, which removes a list indirection and a function
-    call from every prediction.  The hypothesis parity tests drive both
-    backends with common random streams and assert identical predictions
-    and weight state.
+    reference list-of-rows layout (``optimized=False``), and by default a
+    :class:`FlatWeightTable` (one flat list indexed by
+    ``entry * num_weights``, plus the per-row output memo).  The hypothesis
+    parity tests drive both backends with common random streams and assert
+    identical predictions and weight state.
     """
 
     def __init__(
@@ -182,11 +278,12 @@ class PerceptronPredictor(DirectionPredictor):
         self.config = config or PerceptronConfig()
         cfg = self.config
         self.optimized = optimized
-        self._num_weights = cfg.num_weights
         self._global_mask = (1 << cfg.global_bits) - 1
         self._local_mask = (1 << cfg.local_bits) - 1
         if self.optimized:
-            self._flat: Optional[List[int]] = [0] * (cfg.entries * cfg.num_weights)
+            self._flat: Optional[FlatWeightTable] = FlatWeightTable(
+                cfg.entries, cfg.num_weights, cfg.theta, cfg.weight_min, cfg.weight_max
+            )
             self._rows: Optional[List[List[int]]] = None
         else:
             self._flat = None
@@ -200,16 +297,13 @@ class PerceptronPredictor(DirectionPredictor):
         """Row view of the weight table (both backends), for introspection."""
         if self._rows is not None:
             return self._rows
-        nw = self._num_weights
-        flat = self._flat
-        return [flat[base : base + nw] for base in range(0, len(flat), nw)]
+        return [self._flat.row(index) for index in range(self.config.entries)]
 
     def weight_row(self, index: int) -> List[int]:
         """A copy of the weights of entry ``index`` (parity tests)."""
         if self._rows is not None:
             return list(self._rows[index])
-        base = index * self._num_weights
-        return self._flat[base : base + self._num_weights]
+        return self._flat.row(index)
 
     # ------------------------------------------------------------------
     def _index(self, pc: int) -> int:
@@ -218,9 +312,6 @@ class PerceptronPredictor(DirectionPredictor):
             index = entry_index(pc, self.config.entries)
             self._pc_index[pc] = index
         return index
-
-    def _output(self, row: List[int], combined_history: int) -> int:
-        return perceptron_output(row, combined_history)
 
     def _combined_history(self, pc: int, global_history: int) -> int:
         global_part = global_history & self._global_mask
@@ -232,10 +323,9 @@ class PerceptronPredictor(DirectionPredictor):
         """Return (direction, raw perceptron output)."""
         combined = self._combined_history(pc, global_history)
         if self._flat is not None:
-            base = self._index(pc) * self._num_weights
-            output = flat_perceptron_output(self._flat, base, self._num_weights, combined)
+            output = self._flat.output(self._index(pc), combined)
         else:
-            output = self._output(self._rows[self._index(pc)], combined)
+            output = perceptron_output(self._rows[self._index(pc)], combined)
         return output >= 0, output
 
     def predict(self, pc: int, global_history: int) -> bool:
@@ -244,27 +334,16 @@ class PerceptronPredictor(DirectionPredictor):
 
     def update(self, pc: int, global_history: int, outcome: bool) -> None:
         """Train the entry for ``pc`` and update its local history."""
-        cfg = self.config
         combined = self._combined_history(pc, global_history)
         if self._flat is not None:
-            nw = self._num_weights
-            base = self._index(pc) * nw
-            output = flat_perceptron_output(self._flat, base, nw, combined)
-            if (output >= 0) != outcome or abs(output) <= cfg.theta:
-                flat_perceptron_train(
-                    self._flat, base, nw, combined, outcome, cfg.weight_min, cfg.weight_max
-                )
+            self._flat.train(self._index(pc), combined, outcome)
         else:
+            cfg = self.config
             row = self._rows[self._index(pc)]
-            output = self._output(row, combined)
-            prediction = output >= 0
-            if prediction != outcome or abs(output) <= cfg.theta:
-                self._train_row(row, combined, outcome)
+            output = perceptron_output(row, combined)
+            if (output >= 0) != outcome or abs(output) <= cfg.theta:
+                perceptron_train(row, combined, outcome, cfg.weight_min, cfg.weight_max)
         self.local_histories.update(pc, outcome)
-
-    def _train_row(self, row: List[int], combined_history: int, outcome: bool) -> None:
-        cfg = self.config
-        perceptron_train(row, combined_history, outcome, cfg.weight_min, cfg.weight_max)
 
     # ------------------------------------------------------------------
     def size_report(self) -> PredictorSizeReport:

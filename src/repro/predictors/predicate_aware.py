@@ -31,9 +31,8 @@ from typing import List, Optional, Tuple
 from repro.predictors.base import PredictorSizeReport
 from repro.predictors.history import LocalHistoryTable
 from repro.predictors.perceptron import (
+    FlatWeightTable,
     entry_index,
-    flat_perceptron_output,
-    flat_perceptron_train,
     perceptron_output,
     perceptron_train,
 )
@@ -90,12 +89,13 @@ class PredicateAwarePredictor:
         self.config = config or PredicateAwareConfig()
         cfg = self.config
         self.optimized = optimized
-        self._num_weights = cfg.num_weights
         self._global_mask = (1 << cfg.global_bits) - 1
         self._predicate_mask = (1 << cfg.predicate_bits) - 1
         self._local_mask = (1 << cfg.local_bits) - 1
         if self.optimized:
-            self._flat: Optional[List[int]] = [0] * (cfg.entries * cfg.num_weights)
+            self._flat: Optional[FlatWeightTable] = FlatWeightTable(
+                cfg.entries, cfg.num_weights, cfg.theta, cfg.weight_min, cfg.weight_max
+            )
             self._rows: Optional[List[List[int]]] = None
         else:
             self._flat = None
@@ -109,16 +109,13 @@ class PredicateAwarePredictor:
         """Row view of the weight table (both backends), for introspection."""
         if self._rows is not None:
             return self._rows
-        nw = self._num_weights
-        flat = self._flat
-        return [flat[base : base + nw] for base in range(0, len(flat), nw)]
+        return [self._flat.row(index) for index in range(self.config.entries)]
 
     def weight_row(self, index: int) -> List[int]:
         """A copy of the weights of entry ``index`` (parity tests)."""
         if self._rows is not None:
             return list(self._rows[index])
-        base = index * self._num_weights
-        return self._flat[base : base + self._num_weights]
+        return self._flat.row(index)
 
     # ------------------------------------------------------------------
     def _index(self, pc: int) -> int:
@@ -146,8 +143,7 @@ class PredicateAwarePredictor:
         """Return (direction, raw perceptron output)."""
         combined = self._combined(pc, global_history, predicate_bits)
         if self._flat is not None:
-            base = self._index(pc) * self._num_weights
-            output = flat_perceptron_output(self._flat, base, self._num_weights, combined)
+            output = self._flat.output(self._index(pc), combined)
         else:
             output = perceptron_output(self._rows[self._index(pc)], combined)
         return output >= 0, output
@@ -160,17 +156,11 @@ class PredicateAwarePredictor:
         self, pc: int, global_history: int, predicate_bits: int, outcome: bool
     ) -> None:
         """Train the entry for ``pc`` and update its local history."""
-        cfg = self.config
         combined = self._combined(pc, global_history, predicate_bits)
         if self._flat is not None:
-            nw = self._num_weights
-            base = self._index(pc) * nw
-            output = flat_perceptron_output(self._flat, base, nw, combined)
-            if (output >= 0) != outcome or abs(output) <= cfg.theta:
-                flat_perceptron_train(
-                    self._flat, base, nw, combined, outcome, cfg.weight_min, cfg.weight_max
-                )
+            self._flat.train(self._index(pc), combined, outcome)
         else:
+            cfg = self.config
             row = self._rows[self._index(pc)]
             output = perceptron_output(row, combined)
             if (output >= 0) != outcome or abs(output) <= cfg.theta:

@@ -25,9 +25,8 @@ from typing import List, Optional, Tuple
 from repro.predictors.base import PredictorSizeReport, fold_pc
 from repro.predictors.history import LocalHistoryTable
 from repro.predictors.perceptron import (
+    FlatWeightTable,
     PerceptronConfig,
-    flat_perceptron_output,
-    flat_perceptron_train,
     perceptron_output,
     perceptron_train,
 )
@@ -93,13 +92,14 @@ class PredicatePerceptronPredictor:
         self.config = config or PredicatePredictorConfig()
         cfg = self.config
         self.optimized = optimized
-        self._num_weights = cfg.num_weights
         self._global_mask = (1 << cfg.global_bits) - 1
         self._local_mask = (1 << cfg.local_bits) - 1
         if self.optimized:
-            # Flat PVT: one list indexed by ``entry * num_weights`` (see
-            # PerceptronPredictor — identical arithmetic, parity-tested).
-            self._flat: Optional[List[int]] = [0] * (cfg.entries * cfg.num_weights)
+            # Flat PVT with the per-row output memo (see PerceptronPredictor
+            # — identical arithmetic, parity-tested).
+            self._flat: Optional[FlatWeightTable] = FlatWeightTable(
+                cfg.entries, cfg.num_weights, cfg.theta, cfg.weight_min, cfg.weight_max
+            )
             self._pvt: Optional[List[List[int]]] = None
         else:
             self._flat = None
@@ -154,8 +154,7 @@ class PredicatePerceptronPredictor:
         """A copy of the weights of PVT entry ``index`` (parity tests)."""
         if self._pvt is not None:
             return list(self._pvt[index])
-        base = index * self._num_weights
-        return self._flat[base : base + self._num_weights]
+        return self._flat.row(index)
 
     # ------------------------------------------------------------------
     def predict_slot(self, pc: int, slot: int, global_history: int) -> Tuple[bool, int]:
@@ -165,8 +164,7 @@ class PredicatePerceptronPredictor:
         """
         combined = self._combined_history(pc, slot, global_history)
         if self._flat is not None:
-            base = self.index_for_slot(pc, slot) * self._num_weights
-            output = flat_perceptron_output(self._flat, base, self._num_weights, combined)
+            output = self._flat.output(self.index_for_slot(pc, slot), combined)
         else:
             output = perceptron_output(self._pvt[self.index_for_slot(pc, slot)], combined)
         return output >= 0, output
@@ -179,17 +177,11 @@ class PredicatePerceptronPredictor:
 
     def update_slot(self, pc: int, slot: int, global_history: int, outcome: bool) -> None:
         """Train the entry used for (``pc``, ``slot``) with the computed value."""
-        cfg = self.config
         combined = self._combined_history(pc, slot, global_history)
         if self._flat is not None:
-            nw = self._num_weights
-            base = self.index_for_slot(pc, slot) * nw
-            output = flat_perceptron_output(self._flat, base, nw, combined)
-            if (output >= 0) != outcome or abs(output) <= cfg.theta:
-                flat_perceptron_train(
-                    self._flat, base, nw, combined, outcome, cfg.weight_min, cfg.weight_max
-                )
+            self._flat.train(self.index_for_slot(pc, slot), combined, outcome)
         else:
+            cfg = self.config
             row = self._pvt[self.index_for_slot(pc, slot)]
             output = perceptron_output(row, combined)
             prediction = output >= 0

@@ -76,6 +76,12 @@ class TAGEConfig:
         return base + tagged + self.history_bits
 
 
+#: History values whose folds one predictor keeps memoised; the memo is
+#: emptied when it fills (lookups of a prediction and its training are
+#: adjacent, so that reuse survives any eviction policy).
+_FOLD_MEMO_LIMIT = 4096
+
+
 def _fold_history(history: int, length: int, bits: int) -> int:
     """Fold the ``length`` newest history bits into a ``bits``-wide hash."""
     value = history & ((1 << length) - 1)
@@ -123,6 +129,20 @@ class TAGEPredictor(DirectionPredictor):
         self._update_count = 0
         #: Rotating start offset of the deterministic allocation scan.
         self._alloc_rotation = 0
+        #: Optimized-path memos (pure, bounded, never pickled): the PC half
+        #: of the hashes per PC, and the history half per history value.
+        self._pc_hashes: dict = {}
+        self._fold_memo: dict = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_pc_hashes"], state["_fold_memo"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._pc_hashes = {}
+        self._fold_memo = {}
 
     # ------------------------------------------------------------------
     # Index and tag hashes (pure functions of (pc, history))
@@ -142,6 +162,43 @@ class TAGEPredictor(DirectionPredictor):
         twisted = _fold_history(history, length, cfg.tag_bits - 1) << 1
         return (fold_pc(pc, cfg.tag_bits) ^ folded ^ twisted ^ (table + 1)) & self._tag_mask
 
+    def _history_folds(self, history: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The history half of every table's index and tag hash.
+
+        ``(index folds, tag folds)``, each with the table number mixed in;
+        xor-ing a PC hash into them gives :meth:`_index` / :meth:`_tag`,
+        because masking distributes over xor.  A pure function of
+        ``history``, memoised by the optimized :meth:`_lookup`.
+        """
+        cfg = self.config
+        table_bits = cfg.table_bits
+        tag_bits = cfg.tag_bits
+        half_bits = tag_bits - 1
+        index_mask = self._index_mask
+        tag_mask = self._tag_mask
+        half_mask = (1 << half_bits) - 1
+        index_folds = []
+        tag_folds = []
+        for table, length in enumerate(cfg.history_lengths):
+            # _fold_history at the three widths, inlined.
+            value = history & ((1 << length) - 1)
+            folded_i = folded_t = folded_h = 0
+            rest = value
+            while rest:
+                folded_i ^= rest & index_mask
+                rest >>= table_bits
+            rest = value
+            while rest:
+                folded_t ^= rest & tag_mask
+                rest >>= tag_bits
+            rest = value
+            while rest:
+                folded_h ^= rest & half_mask
+                rest >>= half_bits
+            index_folds.append(folded_i ^ (table + 1))
+            tag_folds.append(folded_t ^ (folded_h << 1) ^ (table + 1))
+        return tuple(index_folds), tuple(tag_folds)
+
     # ------------------------------------------------------------------
     # Lookup: provider / altpred selection
     # ------------------------------------------------------------------
@@ -155,43 +212,32 @@ class TAGEPredictor(DirectionPredictor):
         training with the same captured history address the same entries.
         """
         if self.optimized:
-            # Optimized walk: local bindings, one pass, no helper calls.
-            cfg = self.config
-            table_bits = cfg.table_bits
-            tag_bits = cfg.tag_bits
-            pc_index = fold_pc(pc, table_bits)
-            pc_tag = fold_pc(pc, tag_bits)
+            hashes = self._pc_hashes.get(pc)
+            if hashes is None:
+                cfg = self.config
+                hashes = (
+                    fold_pc(pc, cfg.table_bits),
+                    fold_pc(pc, cfg.tag_bits),
+                    fold_pc(pc, cfg.base_bits),
+                )
+                self._pc_hashes[pc] = hashes
+            folds = self._fold_memo.get(history)
+            if folds is None:
+                folds = self._history_folds(history)
+                if len(self._fold_memo) >= _FOLD_MEMO_LIMIT:
+                    self._fold_memo.clear()
+                self._fold_memo[history] = folds
+            pc_index, pc_tag, base_index = hashes
             index_mask = self._index_mask
             tag_mask = self._tag_mask
-            lengths = cfg.history_lengths
-            indices = []
-            tags = []
-            for table in range(self.num_tables):
-                length = lengths[table]
-                value = history & ((1 << length) - 1)
-                folded_i = 0
-                imask = index_mask
-                while value:
-                    folded_i ^= value & imask
-                    value >>= table_bits
-                value = history & ((1 << length) - 1)
-                folded_t = 0
-                while value:
-                    folded_t ^= value & tag_mask
-                    value >>= tag_bits
-                value = history & ((1 << length) - 1)
-                folded_h = 0
-                half_mask = (1 << (tag_bits - 1)) - 1
-                while value:
-                    folded_h ^= value & half_mask
-                    value >>= tag_bits - 1
-                indices.append((pc_index ^ folded_i ^ (table + 1)) & index_mask)
-                tags.append((pc_tag ^ folded_t ^ (folded_h << 1) ^ (table + 1)) & tag_mask)
+            indices = [(pc_index ^ fold) & index_mask for fold in folds[0]]
+            tags = [(pc_tag ^ fold) & tag_mask for fold in folds[1]]
         else:
             indices = [self._index(pc, history, t) for t in range(self.num_tables)]
             tags = [self._tag(pc, history, t) for t in range(self.num_tables)]
+            base_index = self._base_index(pc)
 
-        base_pred = self._base[self._base_index(pc)] >= 2
+        base_pred = self._base[base_index] >= 2
         provider = None
         alt = None
         for table in range(self.num_tables - 1, -1, -1):

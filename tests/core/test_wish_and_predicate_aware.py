@@ -5,8 +5,12 @@ import pytest
 from repro.compiler.if_conversion import IfConversionOptions, IfConversionPass
 from repro.core import PredicateAwareScheme, WishBranchScheme
 from repro.emulator import Emulator
-from repro.pipeline import OutOfOrderCore
+from repro.engine import IF_CONVERTED, ExecutionEngine, SchemeSpec
+from repro.experiments.setup import ExperimentProfile
+from repro.pipeline import OutOfOrderCore, PipelineConfig
+from repro.pipeline.batched import LaneSpec, simulate_lanes
 from repro.program import validate_program
+from repro.workloads import workload_names
 
 from tests.conftest import build_diamond_program
 
@@ -110,3 +114,46 @@ class TestPredicateAwareScheme:
 
     def test_describe_names_the_mixed_history(self):
         assert "mixed GHR" in PredicateAwareScheme().describe()
+
+
+IDENTITY_INSTRUCTIONS = 3_000
+
+
+class TestWishConventionalBranchIdentity:
+    """Wish branches predict branches exactly as the conventional scheme.
+
+    Wish mode only changes how *predicated* instructions rename (branch
+    mode vs predicate mode); branches go through the same two-level
+    override organisation with the same speculative-push/same-branch-repair
+    history.  So on every if-converted built-in the branch predictions
+    agree one for one, while IPC still differs.
+    """
+
+    @pytest.fixture(scope="class")
+    def engine(self):
+        profile = ExperimentProfile(
+            name="wish-identity",
+            instructions_per_benchmark=IDENTITY_INSTRUCTIONS,
+            benchmarks=workload_names(),
+            profile_budget=IDENTITY_INSTRUCTIONS,
+        )
+        return ExecutionEngine(profile, store=None, oracle_stats=False)
+
+    @pytest.mark.parametrize("workload", workload_names())
+    def test_branch_predictions_match_conventional(self, engine, workload):
+        trace = engine.collect_trace(workload, IF_CONVERTED)
+        for second_level in ("perceptron", "tage"):
+            lanes = [
+                LaneSpec(SchemeSpec.make(kind, second_level=second_level).build, PipelineConfig())
+                for kind in ("conventional", "wish")
+            ]
+            conventional, wish = simulate_lanes(trace, lanes, program_name=workload)
+            context = (workload, second_level)
+            assert conventional.metrics.conditional_branches > 0, context
+            assert (
+                wish.metrics.branch_mispredictions
+                == conventional.metrics.branch_mispredictions
+            ), context
+            assert [(r.pc, r.predicted) for r in wish.accuracy.records] == [
+                (r.pc, r.predicted) for r in conventional.accuracy.records
+            ], context

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core import ConventionalScheme
 from repro.emulator.tracepack import TracePack
 from repro.engine import ArtifactStore, ExecutionEngine, IF_CONVERTED, SchemeSpec
 from repro.engine.planner import (
@@ -32,12 +33,13 @@ from repro.pipeline.batched import (
     LaneSpec,
     _drive_bank,
     _drive_scheme_stream,
-    _SharedTrace,
     simulate_lanes,
     stream_eligible,
 )
-from repro.pipeline.core import OutOfOrderCore
+from repro.pipeline.core import DecisionReplay, OutOfOrderCore, _Rows
 from repro.pipeline.machine import MachineSpec
+from repro.pipeline.windowed import simulate_windowed
+from repro.stats.accuracy import BranchAccuracy
 
 INSTRUCTIONS = 2_000
 
@@ -51,6 +53,8 @@ SCHEME_SPECS = (
     SchemeSpec.make("wish"),
     SchemeSpec.make("predicate-aware"),
     SchemeSpec.make("conventional", second_level="tage"),
+    SchemeSpec.make("predicate", second_level="tage"),
+    SchemeSpec.make("wish", second_level="tage"),
 )
 MACHINES = (
     MachineSpec.make(),
@@ -146,13 +150,81 @@ class TestBatchedScalarParity:
         # through an overridden compare hook: hook lane, not stream lane.
         assert not stream_eligible(SCHEME_SPECS[5].build())
         # A TAGE second level changes only the backend, not the hook shape:
-        # the conventional scheme stays a stream lane.
+        # the conventional scheme stays a stream lane, and predicate and wish
+        # stay hook lanes.
         assert stream_eligible(SCHEME_SPECS[6].build())
+        assert not stream_eligible(SCHEME_SPECS[7].build())
+        assert not stream_eligible(SCHEME_SPECS[8].build())
+
+
+class _FetchRecorder(ConventionalScheme):
+    """The conventional scheme plus an ``on_fetch`` that only observes."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fetches = []
+
+    def on_fetch(self, dyn, fetch_cycle):
+        self.fetches.append((dyn.seq, fetch_cycle))
+
+
+class TestHookDispatch:
+    """The timing loop calls exactly the hooks a scheme overrides."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, pack):
+        scheme = _FetchRecorder()
+        result = OutOfOrderCore(optimized=False).run(pack, scheme, keep_uops=True)
+        return result, scheme.fetches
+
+    def _check(self, pack, reference, scheme, result):
+        expected, fetches = reference
+        # Once per row, in program order, with the reference fetch cycles.
+        assert [seq for seq, _ in scheme.fetches] == pack.seq.tolist()
+        assert scheme.fetches == fetches
+        assert fetches == [(uop.dyn.seq, uop.fetch_cycle) for uop in expected.uops]
+        _assert_result_parity(expected, result, "on_fetch")
+
+    def test_on_fetch_is_called_once_per_row_in_program_order(self, pack, reference):
+        assert not stream_eligible(_FetchRecorder())
+        scheme = _FetchRecorder()
+        self._check(pack, reference, scheme, OutOfOrderCore().run(pack, scheme))
+
+    def test_on_fetch_in_a_batch_and_in_windows(self, pack, reference):
+        config = MACHINES[0].build_config()
+        schemes = []
+
+        def factory():
+            schemes.append(_FetchRecorder())
+            return schemes[-1]
+
+        lanes = [
+            LaneSpec(SCHEME_SPECS[0].build, config, SCHEME_SPECS[0]),
+            LaneSpec(factory, config, "recorder"),
+        ]
+        batched = simulate_lanes(pack, lanes)[1]
+        self._check(pack, reference, schemes[0], batched)
+
+        scheme = _FetchRecorder()
+        windowed = simulate_windowed(OutOfOrderCore(), pack, scheme, window_rows=300)
+        self._check(pack, reference, scheme, windowed)
+
+    def test_decision_replay_on_the_reference_loop(self, pack, scalar_reference):
+        rows = _Rows(pack, 0, len(pack), {})
+        stream = _drive_scheme_stream(SCHEME_SPECS[0].build(), rows)
+        replay = DecisionReplay(
+            "conventional",
+            BranchAccuracy(records=list(stream.records)),
+            stream.overrides,
+            stream.mispreds,
+        )
+        result = OutOfOrderCore(optimized=False).run(pack, replay)
+        _assert_result_parity(scalar_reference(0, 0), result, "replay")
 
 
 class TestLaneBank:
     def test_bank_streams_match_scalar_stream_drive(self, pack):
-        shared = _SharedTrace(pack)
+        shared = _Rows(pack, 0, len(pack), {})
         spec = SchemeSpec.make("conventional")
         profile = spec.build().lane_bank_profile()
         assert profile is not None

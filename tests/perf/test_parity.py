@@ -14,7 +14,7 @@ import pytest
 from repro.emulator.executor import Emulator
 from repro.emulator.trace import as_trace_pack, deserialize_trace, serialize_trace
 from repro.engine import BASELINE, IF_CONVERTED, ExecutionEngine, SchemeSpec
-from repro.experiments.setup import FAST_PROFILE
+from repro.experiments.setup import FAST_PROFILE, scheme_kinds
 from repro.pipeline.core import OutOfOrderCore
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
@@ -23,7 +23,7 @@ from repro.predictors.predicate_perceptron import PredicatePerceptronPredictor
 from repro.predictors.tage import TAGEPredictor, TagePredicatePredictor
 
 BENCHMARKS = list(FAST_PROFILE.benchmarks)
-SCHEMES = ["conventional", "pep-pa", "predicate", "predicate-aware", "wish"]
+SCHEMES = list(scheme_kinds())
 
 @pytest.fixture(scope="module")
 def engine():

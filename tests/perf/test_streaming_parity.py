@@ -44,7 +44,7 @@ from repro.engine.store import CHECKPOINTS, RESULTS
 from repro.experiments.setup import ExperimentProfile
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.machine import MachineSpec
-from repro.pipeline.windowed import SamplingSpec, simulate_windowed
+from repro.pipeline.windowed import CHECKPOINT_VERSION, SamplingSpec, simulate_windowed
 
 INSTRUCTIONS = 2_000
 
@@ -235,6 +235,58 @@ class TestWindowedParity:
             resumed,
             (scheme_idx, window, chunk_rows, checkpoint.rows_done),
         )
+
+
+class TestCheckpointVersion:
+    """A checkpoint of another layout version is ignored, never mis-restored."""
+
+    def _stale_checkpoint(self, pack, scheme_idx, window):
+        blobs = []
+        simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[scheme_idx].build(),
+            "gzip",
+            window_rows=window,
+            on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
+        )
+        checkpoint = pickle.loads(blobs[len(blobs) // 2])
+        assert checkpoint.version == CHECKPOINT_VERSION == 2
+        checkpoint.version = 1
+        return checkpoint
+
+    def test_version_one_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
+        stale = self._stale_checkpoint(pack, 1, 400)
+        assert stale.rows_done > 0 and not stale.matches(len(pack))
+        resumed_at = []
+        result = simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[1].build(),
+            "gzip",
+            window_rows=400,
+            checkpoint=stale,
+            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+        )
+        assert resumed_at[0] == 400  # the first window was simulated again
+        _assert_result_parity(scalar_reference(1, 0), result, "stale checkpoint")
+
+    def test_engine_does_not_resume_a_version_one_checkpoint(self, pack, tmp_path):
+        profile = _profile()
+        expected = ExecutionEngine(profile, store=None).simulate(
+            "gzip", IF_CONVERTED, SCHEME_SPECS[1]
+        )
+        store = ArtifactStore(str(tmp_path / "cache"))
+        engine = ExecutionEngine(profile, store=store, checkpoint_every=400)
+        build = make_build_job("gzip", IF_CONVERTED, engine.factory)
+        job = make_simulate_job(make_trace_job(build, INSTRUCTIONS), SCHEME_SPECS[1])
+        store.put(CHECKPOINTS, job.key, self._stale_checkpoint(pack, 1, 400))
+
+        actual = engine.simulate("gzip", IF_CONVERTED, SCHEME_SPECS[1])
+        assert engine.stats.checkpoints_resumed == 0
+        _assert_result_parity(expected, actual, "engine with a stale checkpoint")
+        # The run replaced and then discarded the stale checkpoint.
+        assert store.entries(CHECKPOINTS) == []
 
 
 class TestSampledApproximation:

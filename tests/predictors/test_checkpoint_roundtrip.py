@@ -15,6 +15,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import LocalHistoryTable
@@ -195,3 +197,100 @@ class TestPEPPA:
             return prediction
 
         _roundtrip_parity(PEPPAPredictor, step)
+
+
+# ----------------------------------------------------------------------
+# Memos across a pickle
+# ----------------------------------------------------------------------
+#: Small pools make pcs and histories repeat, so the optimized paths'
+#: memos are populated (and hit) when the snapshot is taken.
+POOL_PCS = PCS[:4]
+POOL_HISTORIES = [0, 0b101, 0xFF, 0x1234]
+pooled_events = st.lists(
+    st.tuples(
+        st.sampled_from(POOL_PCS),
+        st.sampled_from(POOL_HISTORIES),
+        st.booleans(),
+        st.booleans(),
+    ),
+    min_size=2,
+    max_size=80,
+)
+
+
+def _memos(predictor):
+    if isinstance(predictor, TAGEPredictor):
+        return [predictor._fold_memo, predictor._pc_hashes]
+    return [predictor._flat._memo]
+
+
+def _perceptron_step(predictor, event):
+    pc, history, outcome, _ = event
+    observed = predictor.predict_with_output(pc, history)
+    predictor.update(pc, history, outcome)
+    return observed
+
+
+def _predicate_step(predictor, event):
+    pc, history, outcome, slot_bit = event
+    slot = 1 if slot_bit else 0
+    observed = predictor.predict_slot(pc, slot, history)
+    predictor.update_slot(pc, slot, history, outcome)
+    return observed
+
+
+def _tage_step(predictor, event):
+    pc, history, outcome, _ = event
+    prediction = predictor.predict(pc, history)
+    predictor.update(pc, history, outcome)
+    return prediction, predictor.table_state()
+
+
+POOLED_CASES = {
+    "perceptron": (
+        lambda: PerceptronPredictor(
+            PerceptronConfig(global_bits=12, local_bits=6, entries=64, local_history_entries=32)
+        ),
+        _perceptron_step,
+    ),
+    "predicate-perceptron": (
+        lambda: PredicatePerceptronPredictor(
+            PredicatePredictorConfig(
+                global_bits=12, local_bits=6, entries=64, local_history_entries=32
+            )
+        ),
+        _predicate_step,
+    ),
+    "tage": (lambda: TAGEPredictor(SMALL_TAGE), _tage_step),
+}
+
+
+class TestMemosStayOutOfPickles:
+    @pytest.mark.parametrize("case", sorted(POOLED_CASES))
+    @settings(max_examples=15, deadline=None)
+    @given(events=pooled_events, split=st.floats(0.0, 1.0))
+    def test_mid_stream_pickle_resumes_bit_identically(self, case, events, split):
+        make, step = POOLED_CASES[case]
+        cut = max(1, int(split * len(events)))
+        straight = make()
+        reference = [step(straight, event) for event in events]
+
+        resumed = make()
+        for event in events[:cut]:
+            step(resumed, event)
+        blob = pickle.dumps(resumed, protocol=pickle.HIGHEST_PROTOCOL)
+        # Predicting a pc seen before the snapshot touches nothing but the
+        # memos, so it must not change the pickle.
+        pc, _, _, slot_bit = events[cut - 1]
+        history = events[cut % len(events)][1]
+        if case == "predicate-perceptron":
+            resumed.predict_slot(pc, 1 if slot_bit else 0, history)
+        else:
+            resumed.predict(pc, history)
+        assert any(_memos(resumed))
+        assert pickle.dumps(resumed, protocol=pickle.HIGHEST_PROTOCOL) == blob
+
+        restored = pickle.loads(blob)
+        assert not any(_memos(restored))
+        tail = [step(restored, event) for event in events[cut:]]
+        assert tail == reference[cut:]

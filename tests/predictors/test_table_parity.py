@@ -8,12 +8,18 @@ state after every step.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.predictors import perceptron, tage
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import GlobalHistoryRegister, LocalHistoryTable
-from repro.predictors.perceptron import PerceptronConfig, PerceptronPredictor
+from repro.predictors.perceptron import (
+    PerceptronConfig,
+    PerceptronPredictor,
+    flat_perceptron_output,
+)
 from repro.predictors.predicate_aware import (
     PredicateAwareConfig,
     PredicateAwarePredictor,
@@ -33,6 +39,21 @@ steps = st.lists(
     ),
     min_size=1,
     max_size=120,
+)
+
+#: Accesses drawn from small pools: pcs and histories repeat, so the
+#: optimized paths' memos hit (a prediction and its training share a
+#: ``(row, history)``; a row is revisited after training invalidated it).
+PC_POOL = [0x4000 + 4 * i for i in range(5)]
+HISTORY_POOL = [0, 1, 0b1011, (1 << 30) - 1, 0x2AAAAAAA, 0x15555555]
+pooled_steps = st.lists(
+    st.tuples(
+        st.sampled_from(PC_POOL),
+        st.sampled_from(HISTORY_POOL),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=150,
 )
 
 
@@ -125,6 +146,145 @@ class TestTAGEParity:
             reference.update(pc, history, outcome)
             optimized.update(pc, history, outcome)
             assert optimized.table_state() == reference.table_state()
+
+
+def _assert_output_memo_fresh(table):
+    """Every memoised perceptron output equals a fresh dot product."""
+    for index, (combined, output) in table._memo.items():
+        base = index * table.num_weights
+        assert output == flat_perceptron_output(
+            table.weights, base, table.num_weights, combined
+        )
+
+
+SMALL_PERCEPTRON = PerceptronConfig(
+    global_bits=12, local_bits=6, entries=8, local_history_entries=8
+)
+SMALL_PREDICATE = PredicatePredictorConfig(
+    global_bits=12, local_bits=6, entries=8, local_history_entries=8
+)
+SMALL_TAGE = TAGEConfig(
+    base_bits=5, table_bits=4, tag_bits=6, history_lengths=(3, 6, 11, 16), decay_period=16
+)
+
+
+class TestPooledMemoParity:
+    """Optimized-path memos over repeating accesses: same answers, and the
+    memo never holds a value the current tables would not produce."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(stream=pooled_steps)
+    def test_perceptron(self, stream):
+        reference = PerceptronPredictor(SMALL_PERCEPTRON, optimized=False)
+        optimized = PerceptronPredictor(SMALL_PERCEPTRON, optimized=True)
+        for pc, history, outcome in stream:
+            assert optimized.predict_with_output(
+                pc, history
+            ) == reference.predict_with_output(pc, history)
+            _assert_output_memo_fresh(optimized._flat)
+            reference.update(pc, history, outcome)
+            optimized.update(pc, history, outcome)
+            _assert_output_memo_fresh(optimized._flat)
+        assert optimized._weights == reference._weights
+
+    @settings(max_examples=40, deadline=None)
+    @given(stream=pooled_steps)
+    def test_predicate_perceptron(self, stream):
+        reference = PredicatePerceptronPredictor(SMALL_PREDICATE, optimized=False)
+        optimized = PredicatePerceptronPredictor(SMALL_PREDICATE, optimized=True)
+        for step, (pc, history, outcome) in enumerate(stream):
+            slot = step % 2
+            assert optimized.predict_slot(pc, slot, history) == reference.predict_slot(
+                pc, slot, history
+            )
+            reference.update_slot(pc, slot, history, outcome)
+            optimized.update_slot(pc, slot, history, outcome)
+            _assert_output_memo_fresh(optimized._flat)
+        for index in range(SMALL_PREDICATE.entries):
+            assert optimized.weight_row(index) == reference.weight_row(index)
+
+    @settings(max_examples=40, deadline=None)
+    @given(stream=pooled_steps)
+    def test_tage(self, stream):
+        reference = TAGEPredictor(SMALL_TAGE, optimized=False)
+        optimized = TAGEPredictor(SMALL_TAGE, optimized=True)
+        for pc, history, outcome in stream:
+            assert optimized.predict(pc, history) == reference.predict(pc, history)
+            reference.update(pc, history, outcome)
+            optimized.update(pc, history, outcome)
+            assert optimized.table_state() == reference.table_state()
+            for memo_history, folds in optimized._fold_memo.items():
+                assert folds == optimized._history_folds(memo_history)
+
+    @settings(max_examples=20, deadline=None)
+    @given(stream=pooled_steps)
+    def test_tage_fold_memo_stays_bounded(self, stream):
+        limit = 2
+        reference = TAGEPredictor(SMALL_TAGE, optimized=False)
+        optimized = TAGEPredictor(SMALL_TAGE, optimized=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tage, "_FOLD_MEMO_LIMIT", limit)
+            for pc, history, outcome in stream:
+                assert optimized.predict(pc, history) == reference.predict(pc, history)
+                reference.update(pc, history, outcome)
+                optimized.update(pc, history, outcome)
+                assert len(optimized._fold_memo) <= limit
+        assert optimized.table_state() == reference.table_state()
+
+
+class _Counting:
+    """Wrap a function and count its calls."""
+
+    def __init__(self, function):
+        self.function = function
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.function(*args)
+
+
+class TestMemoHitsAndInvalidation:
+    def test_update_reuses_the_prediction_output_until_training(self, monkeypatch):
+        dot = _Counting(perceptron.flat_perceptron_output)
+        monkeypatch.setattr(perceptron, "flat_perceptron_output", dot)
+        predictor = PerceptronPredictor(SMALL_PERCEPTRON)
+        pc, history = PC_POOL[0], 0b1011
+        predictor.predict(pc, history)
+        assert dot.calls == 1
+        # The output is zero, within the threshold: the update trains the
+        # row from the memoised output and drops the entry.
+        predictor.update(pc, history, True)
+        assert dot.calls == 1
+        assert predictor._flat._memo == {}
+        predictor.predict(pc, history)
+        assert dot.calls == 2
+        # A repeated prediction with the same inputs is a memo hit.
+        predictor.predict(pc, history)
+        assert dot.calls == 2
+
+    def test_predicate_perceptron_slots_share_the_row_memo(self, monkeypatch):
+        dot = _Counting(perceptron.flat_perceptron_output)
+        monkeypatch.setattr(perceptron, "flat_perceptron_output", dot)
+        predictor = PredicatePerceptronPredictor(SMALL_PREDICATE)
+        pc = PC_POOL[1]
+        predictor.predict_slot(pc, 0, 7)
+        predictor.update_slot(pc, 0, 7, False)
+        assert dot.calls == 1
+        # Training changed the row: the next prediction recomputes it.
+        predictor.predict_slot(pc, 0, 7)
+        assert dot.calls == 2
+
+    def test_tage_update_reuses_the_prediction_folds(self, monkeypatch):
+        predictor = TAGEPredictor(SMALL_TAGE)
+        folds = _Counting(predictor._history_folds)
+        monkeypatch.setattr(predictor, "_history_folds", folds)
+        predictor.predict(PC_POOL[0], 0b1011)
+        predictor.update(PC_POOL[0], 0b1011, True)
+        predictor.predict(PC_POOL[2], 0b1011)
+        assert folds.calls == 1
+        predictor.predict(PC_POOL[0], 0b111)
+        assert folds.calls == 2
 
 
 class TestPredicateAwareParity:
