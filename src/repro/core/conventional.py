@@ -23,7 +23,6 @@ from repro.predictors.ideal import NoAliasPerceptron
 from repro.predictors.multilevel import TwoLevelOverridePredictor
 from repro.predictors.perceptron import PerceptronConfig, PerceptronPredictor
 from repro.predictors.tage import TAGEConfig, TAGEPredictor
-from repro.stats.accuracy import BranchRecord
 
 
 class ConventionalScheme(BranchHandlingScheme):
@@ -99,16 +98,9 @@ class ConventionalScheme(BranchHandlingScheme):
         prediction = self.predictor.predict_both(dyn.pc, history)
         actual = bool(dyn.taken)
 
-        record = BranchRecord(
-            pc=dyn.pc,
-            actual=actual,
-            predicted=prediction.final,
-            fetch_prediction=prediction.fast,
-            early_resolved=False,
-        )
-        self.accuracy.record(record)
+        self.accuracy.add(dyn.pc, actual, prediction.final, prediction.fast)
         self.counters.bump("branches")
-        if record.mispredicted:
+        if prediction.final != actual:
             self.counters.bump("mispredictions")
 
         # Speculative history update with the final prediction; the same

@@ -22,7 +22,6 @@ from repro.emulator.executor import DynInst
 from repro.isa.registers import NUM_PREDICATE_REGISTERS
 from repro.pipeline.scheme_api import BranchHandling, BranchHandlingScheme
 from repro.predictors.peppa import PEPPAConfig, PEPPAPredictor
-from repro.stats.accuracy import BranchRecord
 
 
 class _LogicalPredicateFile:
@@ -90,16 +89,9 @@ class PEPPAScheme(BranchHandlingScheme):
         prediction = self.predictor.predict(dyn.pc, selector)
         actual = bool(dyn.taken)
 
-        record = BranchRecord(
-            pc=dyn.pc,
-            actual=actual,
-            predicted=prediction,
-            fetch_prediction=prediction,
-            early_resolved=False,
-        )
-        self.accuracy.record(record)
+        self.accuracy.add(dyn.pc, actual, prediction, prediction)
         self.counters.bump("branches")
-        if record.mispredicted:
+        if prediction != actual:
             self.counters.bump("mispredictions")
         if selector == actual:
             self.counters.bump("selector_matched_outcome")

@@ -29,7 +29,6 @@ from repro.predictors.predicate_aware import (
     PredicateAwareConfig,
     PredicateAwarePredictor,
 )
-from repro.stats.accuracy import BranchRecord
 
 
 class PredicateAwareScheme(BranchHandlingScheme):
@@ -78,16 +77,9 @@ class PredicateAwareScheme(BranchHandlingScheme):
         final, _output = self.predictor.predict_with_output(dyn.pc, history, snapshot)
         actual = bool(dyn.taken)
 
-        record = BranchRecord(
-            pc=dyn.pc,
-            actual=actual,
-            predicted=final,
-            fetch_prediction=fast,
-            early_resolved=False,
-        )
-        self.accuracy.record(record)
+        self.accuracy.add(dyn.pc, actual, final, fast)
         self.counters.bump("branches")
-        if record.mispredicted:
+        if final != actual:
             self.counters.bump("mispredictions")
 
         # Speculative push + same-branch repair (net-equivalent to pushing

@@ -57,7 +57,6 @@ from repro.predictors.predicate_perceptron import (
     PredicatePredictorConfig,
 )
 from repro.predictors.tage import TAGEConfig, TagePredicatePredictor
-from repro.stats.accuracy import BranchRecord
 
 
 @dataclass
@@ -259,16 +258,9 @@ class PredicatePredictionScheme(BranchHandlingScheme):
                 self.ghr.repair(entry.history_token, bool(dyn.qp_value))
                 self.counters.bump("history_repairs")
 
-        record = BranchRecord(
-            pc=dyn.pc,
-            actual=actual,
-            predicted=final,
-            fetch_prediction=fetch_prediction,
-            early_resolved=early_resolved,
-        )
-        self.accuracy.record(record)
+        self.accuracy.add(dyn.pc, actual, final, fetch_prediction, early_resolved)
         self.counters.bump("branches")
-        if record.mispredicted:
+        if final != actual:
             self.counters.bump("mispredictions")
 
         override_flush = fetch_prediction is not None and fetch_prediction != final

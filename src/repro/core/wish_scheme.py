@@ -52,7 +52,6 @@ from repro.predictors.predicate_perceptron import (
     PredicatePredictorConfig,
 )
 from repro.predictors.tage import TAGEConfig, TAGEPredictor
-from repro.stats.accuracy import BranchRecord
 
 
 @dataclass
@@ -241,16 +240,9 @@ class WishBranchScheme(BranchHandlingScheme):
         prediction = self.predictor.predict_both(dyn.pc, history)
         actual = bool(dyn.taken)
 
-        record = BranchRecord(
-            pc=dyn.pc,
-            actual=actual,
-            predicted=prediction.final,
-            fetch_prediction=prediction.fast,
-            early_resolved=False,
-        )
-        self.accuracy.record(record)
+        self.accuracy.add(dyn.pc, actual, prediction.final, prediction.fast)
         self.counters.bump("branches")
-        if record.mispredicted:
+        if prediction.final != actual:
             self.counters.bump("mispredictions")
 
         # Speculative push + same-branch repair, as in the conventional

@@ -272,17 +272,28 @@ def plan(
     instructions: int,
     factory: BinaryFactory,
 ) -> JobGraph:
-    """Expand ``definitions`` into one deduplicated :class:`JobGraph`."""
+    """Expand ``definitions`` into one deduplicated :class:`JobGraph`.
+
+    The build and trace jobs of a (benchmark, flavour) cell are made once
+    per call and shared by all of its requests: hashing the workload's
+    content fingerprint and the two artifact keys is the planner's main
+    cost.  The memo never outlives the call, so a file-backed workload
+    edited between two plans gets a new key.
+    """
     graph = JobGraph()
+    traces: Dict[Tuple[str, str], TraceJob] = {}
     for definition in definitions:
         table: Dict[Tuple[str, str], str] = graph.outputs.setdefault(
             definition.name, {}
         )
         for request in definition.requests:
-            build = make_build_job(request.benchmark, request.flavour, factory)
-            graph.builds.setdefault(build.key, build)
-            trace = make_trace_job(build, instructions)
-            graph.traces.setdefault(trace.key, trace)
+            cell = (request.benchmark, request.flavour)
+            trace = traces.get(cell)
+            if trace is None:
+                build = make_build_job(request.benchmark, request.flavour, factory)
+                graph.builds.setdefault(build.key, build)
+                trace = traces[cell] = make_trace_job(build, instructions)
+                graph.traces.setdefault(trace.key, trace)
             simulate = make_simulate_job(
                 trace, request.scheme, request.machine, request.sampling
             )

@@ -52,7 +52,7 @@ from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import DecisionReplay, OutOfOrderCore, SimulationResult, _Rows
 from repro.pipeline.scheme_api import BranchHandlingScheme, overridden_hooks
 from repro.predictors.batched import ConventionalLaneBank
-from repro.stats.accuracy import BranchAccuracy, BranchRecord
+from repro.stats.accuracy import BranchAccuracy
 
 
 class LaneSpec:
@@ -75,17 +75,17 @@ class LaneSpec:
 class _DecisionStream:
     """One scheme spec's prediction evolution over the batch's trace."""
 
-    __slots__ = ("overrides", "mispreds", "records")
+    __slots__ = ("overrides", "mispreds", "accuracy")
 
     def __init__(
         self,
         overrides: List[bool],
         mispreds: List[bool],
-        records: List[BranchRecord],
+        accuracy: BranchAccuracy,
     ) -> None:
         self.overrides = overrides
         self.mispreds = mispreds
-        self.records = records
+        self.accuracy = accuracy
 
 
 def stream_eligible(scheme: BranchHandlingScheme) -> bool:
@@ -107,7 +107,7 @@ def _drive_scheme_stream(scheme: BranchHandlingScheme, rows: _Rows) -> _Decision
     Cycle arguments are zero: a ``timing_independent`` scheme ignores them
     by contract.  The hook call sequence per branch (rename immediately
     followed by resolved) is exactly the timing loop's, so the scheme's
-    accuracy records and counters come out bit-identical.
+    accuracy and counters come out bit-identical.
     """
     cur = PackCursor()
     on_rename = scheme.on_branch_rename
@@ -122,7 +122,7 @@ def _drive_scheme_stream(scheme: BranchHandlingScheme, rows: _Rows) -> _Decision
         on_resolved(cur, 0, mispredicted)
         overrides.append(handling.override_flush)
         mispreds.append(mispredicted)
-    return _DecisionStream(overrides, mispreds, scheme.accuracy.records)
+    return _DecisionStream(overrides, mispreds, scheme.accuracy)
 
 
 def _drive_bank(
@@ -131,14 +131,14 @@ def _drive_bank(
     """Replay the branch rows through a lane-axis predictor bank.
 
     ``schemes`` are the representatives of distinct same-geometry specs;
-    their accuracy records are filled exactly as their own hooks would
-    have, while the perceptron state steps as one ``(lanes, entries,
+    their accuracies are filled exactly as their own hooks would have,
+    while the perceptron state steps as one ``(lanes, entries,
     num_weights)`` array (:class:`ConventionalLaneBank`).
     """
     lanes = len(schemes)
     bank = ConventionalLaneBank(profile, lanes)
     step = bank.step
-    record_lists = [scheme.accuracy.records for scheme in schemes]
+    adds = [scheme.accuracy.add for scheme in schemes]
     override_lists: List[List[bool]] = [[] for _ in range(lanes)]
     mispred_lists: List[List[bool]] = [[] for _ in range(lanes)]
     pcs = rows.pcs
@@ -149,19 +149,11 @@ def _drive_bank(
         fast, finals, overrides = step(pc, actual)
         for k in range(lanes):
             final = finals[k]
-            record_lists[k].append(
-                BranchRecord(
-                    pc=pc,
-                    actual=actual,
-                    predicted=final,
-                    fetch_prediction=fast,
-                    early_resolved=False,
-                )
-            )
+            adds[k](pc, actual, final, fast)
             override_lists[k].append(overrides[k])
             mispred_lists[k].append(final != actual)
     return [
-        _DecisionStream(override_lists[k], mispred_lists[k], record_lists[k])
+        _DecisionStream(override_lists[k], mispred_lists[k], schemes[k].accuracy)
         for k in range(lanes)
     ]
 
@@ -212,10 +204,10 @@ def simulate_lanes(
         for position, i in enumerate(members):
             if position == 0:
                 # The spec representative's scheme already holds the
-                # stream's records (its hooks — or the bank — built them).
-                accuracy = schemes[i].accuracy
+                # stream's accuracy (its hooks — or the bank — built it).
+                accuracy = stream.accuracy
             else:
-                accuracy = BranchAccuracy(records=list(stream.records))
+                accuracy = stream.accuracy.copy()
             schemes[i] = DecisionReplay(
                 schemes[i].name, accuracy, stream.overrides, stream.mispreds
             )

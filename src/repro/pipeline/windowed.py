@@ -38,7 +38,7 @@ _log = get_logger(__name__)
 
 #: Bump when the pickled checkpoint layout changes; a mismatched checkpoint
 #: is ignored (the run restarts from row zero) rather than mis-restored.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Default rows per simulation window when only sampling asks for windows.
 DEFAULT_WINDOW_ROWS = 4096
@@ -130,17 +130,14 @@ class SimulationCheckpoint:
 
 def _snapshot_scheme(scheme: BranchHandlingScheme):
     """Measurement state of a scheme before a warmup region."""
-    records_length = len(scheme.accuracy.records)
-    counters = dict(scheme.counters._counters)
-    return records_length, counters
+    return scheme.accuracy.branches, scheme.counters.snapshot()
 
 
 def _restore_scheme(scheme: BranchHandlingScheme, snapshot) -> None:
     """Roll the scheme's *measurement* state (not predictor state) back."""
-    records_length, counters = snapshot
-    del scheme.accuracy.records[records_length:]
-    scheme.counters._counters.clear()
-    scheme.counters._counters.update(counters)
+    branches, counters = snapshot
+    scheme.accuracy.truncate(branches)
+    scheme.counters.restore(counters)
 
 
 def simulate_windowed(

@@ -125,20 +125,26 @@ class SweepSpec:
         return SchemeSpec.make(scheme, **options)
 
     def definition(self) -> ExperimentDefinition:
-        """All (benchmark × point × scheme) cell requests, labelled."""
-        points = self._points
+        """All (benchmark × point × scheme) cell requests, labelled.
+
+        The label and scheme spec of each (scheme, point) are made once and
+        shared by every benchmark."""
+        cells = [
+            (_point_label(scheme, point), self.scheme_spec(scheme, point), point.machine)
+            for point in self._points
+            for scheme in self.scenario.schemes
+        ]
         requests = [
             CellRequest(
                 benchmark=benchmark,
                 flavour=self.scenario.flavour,
-                label=_point_label(scheme, point),
-                scheme=self.scheme_spec(scheme, point),
-                machine=point.machine,
+                label=label,
+                scheme=spec,
+                machine=machine,
                 sampling=self.scenario.sampling,
             )
             for benchmark in self._benchmarks
-            for point in points
-            for scheme in self.scenario.schemes
+            for label, spec, machine in cells
         ]
         return ExperimentDefinition(name=f"sweep:{self.scenario.name}", requests=requests)
 

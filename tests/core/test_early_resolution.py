@@ -3,15 +3,13 @@
 import pytest
 
 from repro.core.early_resolution import accuracy_breakdown
-from repro.stats.accuracy import BranchAccuracy, BranchRecord
+from repro.stats.accuracy import BranchAccuracy
 
 
 def _accuracy(records):
     accuracy = BranchAccuracy()
     for actual, predicted, early in records:
-        accuracy.record(
-            BranchRecord(pc=0x4000, actual=actual, predicted=predicted, early_resolved=early)
-        )
+        accuracy.add(0x4000, actual, predicted, early_resolved=early)
     return accuracy
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.compiler.binaries import BinaryFactory
 from repro.engine import BASELINE, IF_CONVERTED, SchemeSpec, plan, sweep
+from repro.engine.planner import make_build_job, make_simulate_job, make_trace_job
 from repro.experiments.ablations import (
     history_ablation_definition,
     pvt_ablation_definition,
@@ -139,3 +140,86 @@ class TestKeys:
         graph_tuned = plan_graph([tuned], factory)
         assert set(graph_plain.simulations).isdisjoint(graph_tuned.simulations)
         assert set(graph_plain.traces) == set(graph_tuned.traces)
+
+
+class TestPlanMemo:
+    """Build and trace jobs are made once per (benchmark, flavour) per plan."""
+
+    def _shootout(self):
+        from repro.sweep.scenario import load_scenario
+        from repro.sweep.spec import SweepSpec
+
+        return SweepSpec(load_scenario("scheme-shootout")).definition()
+
+    def test_shootout_fingerprints_each_benchmark_once(self, monkeypatch, factory):
+        from repro.workloads import registry
+
+        definition = self._shootout()
+        calls = []
+        original = registry.workload_fingerprint
+
+        def counting(name):
+            calls.append(name)
+            return original(name)
+
+        monkeypatch.setattr(registry, "workload_fingerprint", counting)
+        plan_graph([definition], factory)
+        assert len(definition.requests) == 220
+        assert sorted(calls) == sorted(definition.benchmarks())
+        assert len(calls) == 22
+
+    def test_every_key_equals_the_standalone_job_key(self, factory):
+        definition = self._shootout()
+        graph = plan_graph([definition], factory)
+        builds, traces, simulations = set(), set(), set()
+        for request in definition.requests:
+            build = make_build_job(request.benchmark, request.flavour, factory)
+            trace = make_trace_job(build, 1_000)
+            simulate = make_simulate_job(
+                trace, request.scheme, request.machine, request.sampling
+            )
+            assert graph.builds[build.key] == build
+            assert graph.traces[trace.key] == trace
+            assert graph.simulations[simulate.key] == simulate
+            assert graph.outputs[definition.name][(request.benchmark, request.label)] == (
+                simulate.key
+            )
+            builds.add(build.key)
+            traces.add(trace.key)
+            simulations.add(simulate.key)
+        assert (set(graph.builds), set(graph.traces), set(graph.simulations)) == (
+            builds,
+            traces,
+            simulations,
+        )
+
+    def test_a_spec_file_edited_between_plans_gets_a_new_build_key(
+        self, tmp_path, factory
+    ):
+        import json
+
+        path = tmp_path / "custom.json"
+
+        def write(seed):
+            path.write_text(
+                json.dumps(
+                    {
+                        "workload": {"name": "custom", "category": "int", "seed": seed},
+                        "hard_regions": [{"bias": 0.62, "body_size": 4}],
+                    }
+                )
+            )
+
+        def build_keys():
+            definition = sweep(
+                "x", ["gzip", str(path)], IF_CONVERTED, {"a": SchemeSpec.make("predicate")}
+            )
+            graph = plan_graph([definition], factory)
+            return {job.benchmark: key for key, job in graph.builds.items()}
+
+        write(5)
+        before = build_keys()
+        write(6)
+        after = build_keys()
+        assert after["gzip"] == before["gzip"]
+        assert after[str(path)] != before[str(path)]

@@ -12,8 +12,9 @@ from repro.emulator.trace import (
     load_trace,
     save_trace,
 )
+from repro.engine import IF_CONVERTED, ExecutionEngine, SchemeSpec, sweep
 from repro.engine.store import BINARIES, RESULTS, TRACES, ArtifactStore, default_cache_dir
-from repro.experiments.setup import make_predicate_scheme
+from repro.experiments.setup import ExperimentProfile, make_predicate_scheme
 from repro.pipeline.core import OutOfOrderCore
 from repro.workloads.spec_suite import build_workload
 
@@ -88,6 +89,43 @@ class TestResultRoundTrip:
         assert reloaded.metrics.summary() == result.metrics.summary()
         assert reloaded.accuracy.branches == result.accuracy.branches
         assert reloaded.misprediction_rate == result.misprediction_rate
+
+
+    def test_accuracy_columns_and_counts_survive_the_store(self, store, artifacts):
+        _, _, result = artifacts
+        store.put(RESULTS, "k1", result)
+        reloaded = store.get(RESULTS, "k1").accuracy
+        assert reloaded == result.accuracy
+        assert reloaded.records == result.accuracy.records
+        assert reloaded.mispredictions == result.accuracy.mispredictions
+        assert reloaded.early_resolved_count == result.accuracy.early_resolved_count
+        assert reloaded.override_count == result.accuracy.override_count
+
+    def test_shootout_results_hold_at_most_12_bytes_per_branch(self, store):
+        # Nine bytes per branch for the columns plus about 1 KB of metrics.
+        profile = ExperimentProfile(
+            name="result-size",
+            instructions_per_benchmark=8_000,
+            benchmarks=["gzip"],
+            profile_budget=8_000,
+        )
+        configs = {
+            f"{kind}-{level}": SchemeSpec.make(kind, second_level=level)
+            for kind in ("conventional", "predicate", "wish")
+            for level in ("perceptron", "tage")
+        }
+        configs.update(
+            {kind: SchemeSpec.make(kind) for kind in ("pep-pa", "predicate-aware")}
+        )
+        definition = sweep("result-size", ["gzip"], IF_CONVERTED, configs)
+        ExecutionEngine(profile, store=store).run([definition])
+        entries = store.entries(RESULTS)
+        assert len(entries) == len(configs)
+        for entry in entries:
+            result = store.get(RESULTS, entry["key"])
+            size = os.path.getsize(store.path(RESULTS, entry["key"]))
+            assert result.accuracy.branches > 500
+            assert size <= 12 * result.accuracy.branches, (entry["key"], size)
 
 
 class TestStoreBehaviour:

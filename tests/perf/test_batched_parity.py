@@ -39,7 +39,6 @@ from repro.pipeline.batched import (
 from repro.pipeline.core import DecisionReplay, OutOfOrderCore, _Rows
 from repro.pipeline.machine import MachineSpec
 from repro.pipeline.windowed import simulate_windowed
-from repro.stats.accuracy import BranchAccuracy
 
 INSTRUCTIONS = 2_000
 
@@ -214,7 +213,7 @@ class TestHookDispatch:
         stream = _drive_scheme_stream(SCHEME_SPECS[0].build(), rows)
         replay = DecisionReplay(
             "conventional",
-            BranchAccuracy(records=list(stream.records)),
+            stream.accuracy.copy(),
             stream.overrides,
             stream.mispreds,
         )
@@ -237,7 +236,7 @@ class TestLaneBank:
             # as the scalar scheme's own hooks did.
             assert stream.overrides == reference.overrides
             assert stream.mispreds == reference.mispreds
-            assert stream.records == reference.records
+            assert stream.accuracy.records == reference.accuracy.records
 
 
 def _rob_sweep_definition(points=(32, 64, 128, 256)):

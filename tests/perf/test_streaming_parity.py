@@ -240,7 +240,7 @@ class TestWindowedParity:
 class TestCheckpointVersion:
     """A checkpoint of another layout version is ignored, never mis-restored."""
 
-    def _stale_checkpoint(self, pack, scheme_idx, window):
+    def _stale_checkpoint(self, pack, scheme_idx, window, version=1):
         blobs = []
         simulate_windowed(
             OutOfOrderCore(),
@@ -251,8 +251,8 @@ class TestCheckpointVersion:
             on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
         )
         checkpoint = pickle.loads(blobs[len(blobs) // 2])
-        assert checkpoint.version == CHECKPOINT_VERSION == 2
-        checkpoint.version = 1
+        assert checkpoint.version == CHECKPOINT_VERSION == 3
+        checkpoint.version = version
         return checkpoint
 
     def test_version_one_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
@@ -270,6 +270,24 @@ class TestCheckpointVersion:
         )
         assert resumed_at[0] == 400  # the first window was simulated again
         _assert_result_parity(scalar_reference(1, 0), result, "stale checkpoint")
+
+    def test_version_two_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
+        # Version 2 pickled the per-branch accuracy as one object per
+        # branch; version 3 pickles its columns.
+        stale = self._stale_checkpoint(pack, 0, 300, version=2)
+        assert stale.rows_done > 0 and not stale.matches(len(pack))
+        resumed_at = []
+        result = simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[0].build(),
+            "gzip",
+            window_rows=300,
+            checkpoint=stale,
+            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+        )
+        assert resumed_at[0] == 300  # the first window was simulated again
+        _assert_result_parity(scalar_reference(0, 0), result, "version-2 checkpoint")
 
     def test_engine_does_not_resume_a_version_one_checkpoint(self, pack, tmp_path):
         profile = _profile()

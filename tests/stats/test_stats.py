@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.stats.accuracy import BranchAccuracy, BranchRecord
+from repro.stats.accuracy import BranchAccuracy
 from repro.stats.counters import CounterSet
 from repro.stats.reporting import format_percent, format_table
 from repro.stats.tables import ResultTable
@@ -48,15 +48,12 @@ class TestCounterSet:
 
 class TestBranchAccuracy:
     def _record(self, actual, predicted, early=False, fetch=None):
-        return BranchRecord(
-            pc=0x4000, actual=actual, predicted=predicted,
-            fetch_prediction=fetch, early_resolved=early,
-        )
+        return (0x4000, actual, predicted, fetch, early)
 
     def test_rates(self):
         accuracy = BranchAccuracy()
-        accuracy.record(self._record(True, True))
-        accuracy.record(self._record(True, False))
+        accuracy.add(*self._record(True, True))
+        accuracy.add(*self._record(True, False))
         assert accuracy.branches == 2
         assert accuracy.mispredictions == 1
         assert accuracy.misprediction_rate == 0.5
@@ -64,21 +61,21 @@ class TestBranchAccuracy:
 
     def test_early_resolved_accounting(self):
         accuracy = BranchAccuracy()
-        accuracy.record(self._record(True, True, early=True))
-        accuracy.record(self._record(False, False))
+        accuracy.add(*self._record(True, True, early=True))
+        accuracy.add(*self._record(False, False))
         assert accuracy.early_resolved_count == 1
         assert accuracy.early_resolved_fraction == 0.5
 
     def test_override_accounting(self):
         accuracy = BranchAccuracy()
-        accuracy.record(self._record(True, True, fetch=False))
-        accuracy.record(self._record(True, True, fetch=True))
+        accuracy.add(*self._record(True, True, fetch=False))
+        accuracy.add(*self._record(True, True, fetch=True))
         assert accuracy.override_count == 1
 
     def test_vectors(self):
         accuracy = BranchAccuracy()
-        accuracy.record(self._record(True, False, early=True))
-        accuracy.record(self._record(True, True))
+        accuracy.add(*self._record(True, False, early=True))
+        accuracy.add(*self._record(True, True))
         assert accuracy.mispredicted_vector() == [True, False]
         assert accuracy.early_resolved_vector() == [True, False]
 
