@@ -11,12 +11,6 @@ Commands:
     write the rendered reports under ``results/`` (see ``--output-dir``).
 ``simulate BENCHMARK``
     Run one benchmark under one scheme and print the headline metrics.
-``bench``
-    Measure simulator and trace-layer throughput over the standardized cell
-    suite, write a machine-readable ``BENCH_<rev>.json`` and (with
-    ``--check``) gate against a committed baseline.  ``--filter SUBSTRING``
-    runs a subset of cells; ``--history DIR`` appends the run to the
-    performance trajectory under ``benchmarks/history/``.
 ``sweep SCENARIO``
     Design-space exploration: run a scenario file's machine-configuration
     grid (built-in: ``rob-scaling``, ``fetch-width``, ``mispredict-penalty``,
@@ -168,61 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=str,
         default="results",
         help="directory the rendered reports are written to (default: results)",
-    )
-
-    bench = subparsers.add_parser(
-        "bench", help="measure simulator throughput and gate regressions"
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="run the quick cell suite at a reduced instruction budget (CI)",
-    )
-    bench.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="simulate each cell N times and keep the fastest (default: 1)",
-    )
-    bench.add_argument(
-        "--filter",
-        type=str,
-        default=None,
-        metavar="SUBSTRING",
-        help="run only cells whose benchmark/flavour/scheme label contains "
-        "SUBSTRING (e.g. 'predicate' or 'gzip/if-converted')",
-    )
-    bench.add_argument(
-        "--history",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help="append a one-line summary of this run to DIR/<suite>.jsonl "
-        "(the perf trajectory, e.g. benchmarks/history)",
-    )
-    bench.add_argument(
-        "--output",
-        type=str,
-        default=None,
-        help="report path (default: BENCH_<rev>.json in the working directory)",
-    )
-    bench.add_argument(
-        "--no-write",
-        action="store_true",
-        help="print the table without writing the JSON report",
-    )
-    bench.add_argument(
-        "--check",
-        type=str,
-        default=None,
-        metavar="BASELINE",
-        help="compare against a baseline report and exit non-zero on regression",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=0.25,
-        help="tolerated throughput regression for --check (default: 0.25)",
     )
 
     cache = subparsers.add_parser("cache", help="inspect or clear the artifact cache")
@@ -527,44 +466,6 @@ def _command_all(args: argparse.Namespace) -> str:
     written = write_reports(suite, args.output_dir)
     lines = [suite.render(), "", f"wrote {len(written)} reports:"]
     lines.extend(f"  {path}" for path in written)
-    return "\n".join(lines)
-
-
-def _command_bench(args: argparse.Namespace) -> str:
-    from repro.perf import bench as bench_mod
-    from repro.perf.compare import compare_reports
-    from repro.perf.report import render_table
-
-    if args.check and args.filter:
-        # The baseline aggregate covers the whole suite; comparing a cell
-        # subset against it would spuriously fail (slow cells) or mask real
-        # regressions (fast cells).
-        raise SystemExit("--check cannot be combined with --filter")
-    if args.filter:
-        # Validate eagerly so an unmatched filter exits cleanly; internal
-        # errors during measurement keep their tracebacks.
-        suite = bench_mod.QUICK_CELLS if args.quick else bench_mod.FULL_CELLS
-        try:
-            bench_mod.filter_cells(suite, args.filter)
-        except ValueError as error:
-            raise SystemExit(str(error)) from None
-    report = bench_mod.run_bench(quick=args.quick, repeats=args.repeat, cell_filter=args.filter)
-    lines = [render_table(report)]
-    if not args.no_write:
-        path = args.output or bench_mod.default_output_path(report)
-        bench_mod.write_report(report, path)
-        lines.append(f"wrote {path}")
-    if args.history:
-        lines.append(f"appended history to {bench_mod.append_history(report, args.history)}")
-    if args.check:
-        baseline = bench_mod.load_report(args.check)
-        ok, verdict = compare_reports(
-            report, baseline, max_regression=args.max_regression
-        )
-        lines.append("")
-        lines.extend(verdict)
-        if not ok:
-            raise SystemExit("\n".join(lines))
     return "\n".join(lines)
 
 
@@ -939,7 +840,6 @@ _COMMANDS = {
     "ablations": _command_ablations,
     "ipc": _command_ipc,
     "all": _command_all,
-    "bench": _command_bench,
     "sweep": _command_sweep,
     "workloads": _command_workloads,
     "cache": _command_cache,

@@ -171,8 +171,7 @@ class JobTiming:
     """Wall-clock timing of one simulate job (the engine's result records).
 
     ``cached`` jobs were served from the artifact store; their ``seconds``
-    measure the load, not a simulation, and are excluded from throughput
-    aggregation by the bench harness.
+    measure the load, not a simulation.
 
     ``lanes`` is the size of the batched kernel launch the job rode in
     (1 for a per-cell run).  Batched jobs are attributed an equal share of
@@ -206,7 +205,6 @@ class ExecutionEngine:
         jobs: int = 1,
         max_cached_traces: int = 2,
         trace_spill: Optional[ArtifactStore] = None,
-        oracle_stats: bool = True,
         max_retries: int = 2,
         job_timeout: Optional[float] = None,
         checkpoint_every: Optional[int] = None,
@@ -233,10 +231,6 @@ class ExecutionEngine:
         #: columnar files and workers read them back, so traces cross the
         #: process boundary by file instead of by queue pickle.
         self.trace_spill = trace_spill
-        #: When False the engine skips the opportunistic oracle-accuracy
-        #: pass over collected traces (the bench harness's engines never
-        #: read it).
-        self.oracle_stats = bool(oracle_stats)
         #: Windowed-simulation cadence (rows per window): with a store, a
         #: resume checkpoint is persisted after each window, so a killed
         #: worker's retry continues mid-trace bit-identically.  ``None``
@@ -374,7 +368,7 @@ class ExecutionEngine:
                         "instructions": len(trace),
                     },
                 )
-        if self.oracle_stats and cell not in self._oracle_accuracy_cache:
+        if cell not in self._oracle_accuracy_cache:
             # Vectorized pass, ~ms: record the scalar while the trace is in hand.
             from repro.emulator.trace import trace_statistics
 

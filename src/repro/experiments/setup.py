@@ -309,7 +309,7 @@ def make_predicate_aware_scheme(
 #: Scheme kind -> factory.  This is *the* scheme registry: SchemeSpec.build,
 #: the sweep scenario parser and the serve submission validator all resolve
 #: kinds through it, so registering a factory here is all it takes for a new
-#: scheme to compose with sweeps, bench cells and serve submissions.
+#: scheme to compose with sweeps and serve submissions.
 SCHEME_FACTORIES = {
     "conventional": make_conventional_scheme,
     "pep-pa": make_peppa_scheme,

@@ -466,16 +466,23 @@ class OutOfOrderCore:
         (or :class:`~repro.emulator.tracepack.ChunkedTracePack`) or an
         iterable of :class:`DynInst`, which the timing loop packs first.  The
         reference loop — and ``keep_uops``, which must retain
-        per-instruction records — materialises the object trace.
+        per-instruction records — materialises the object trace.  An empty
+        trace (for instance an exhausted generator) raises ``ValueError``.
         """
         if self.optimized and not keep_uops:
             if not isinstance(trace, (TracePack, ChunkedTracePack)):
                 trace = TracePack.from_dyninsts(trace)
+            if len(trace) == 0:
+                raise ValueError("empty trace: nothing to simulate")
             state = self._loop_state(scheme)
             self._run_span(state, trace, 0, len(trace), {})
             return self._finalize(state, program_name)
         if isinstance(trace, (TracePack, ChunkedTracePack)):
             trace = trace.to_dyninsts()
+        else:
+            trace = list(trace)
+        if not trace:
+            raise ValueError("empty trace: nothing to simulate")
         return self._run_reference(trace, scheme, program_name, keep_uops)
 
     # ------------------------------------------------------------------

@@ -85,10 +85,9 @@ _SCENARIO_KEYS = {
     "sampling",
 }
 
-#: Default fetched-instruction budget of a sweep point.  Deliberately the
-#: bench harness's quick budget: large enough for stable misprediction
-#: rates on the synthetic suite, small enough that a 4-axis-value x
-#: 2-scheme x 3-benchmark grid runs in seconds.
+#: Default fetched-instruction budget of a sweep point: large enough for
+#: stable misprediction rates on the synthetic suite, small enough that a
+#: 4-axis-value x 2-scheme x 3-benchmark grid runs in seconds.
 DEFAULT_INSTRUCTIONS = 12_000
 
 

@@ -1,7 +1,7 @@
 """The workload registry: one lookup for built-ins, spec files and traces.
 
 Everything downstream of workload selection — the engine's compile step,
-``--benchmarks`` parsing, sweep-scenario validation, the bench suite —
+``--benchmarks`` parsing, sweep-scenario validation, serve submissions —
 resolves benchmarks through :func:`resolve_workload`, which accepts:
 
 * a **built-in** name (``gzip``, ``twolf``, … — the 22-program synthetic

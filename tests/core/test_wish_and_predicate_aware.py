@@ -137,7 +137,7 @@ class TestWishConventionalBranchIdentity:
             benchmarks=workload_names(),
             profile_budget=IDENTITY_INSTRUCTIONS,
         )
-        return ExecutionEngine(profile, store=None, oracle_stats=False)
+        return ExecutionEngine(profile, store=None)
 
     @pytest.mark.parametrize("workload", workload_names())
     def test_branch_predictions_match_conventional(self, engine, workload):

@@ -177,7 +177,7 @@ class TestExamplesInCI:
 
 @pytest.mark.parametrize(
     "module_name",
-    ["repro.engine", "repro.perf", "repro.serve", "repro.sweep", "repro.workloads"],
+    ["repro.engine", "repro.serve", "repro.sweep", "repro.workloads"],
 )
 def test_public_packages_have_module_docstrings(module_name):
     import importlib

@@ -8,7 +8,9 @@ Three guarantees are under test here:
 * the trace deserializer still loads format-1 pickle archives and rejects
   unknown versions;
 * the vectorized statistics passes over a pack equal the reference
-  per-instruction loops, field for field.
+  per-instruction loops, field for field;
+* the serialized size of real benchmark traces stays within a quarter of
+  the bytes measured when the codec settled.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ from repro.emulator.tracepack import (
     PACK_MAGIC,
     TracePack,
 )
+from repro.engine import BASELINE, IF_CONVERTED, ExecutionEngine
+from repro.experiments.setup import ExperimentProfile
 
 from tests.conftest import build_counting_loop, build_diamond_program
 
@@ -337,3 +341,22 @@ class TestVectorizedStatistics:
         assert stats.branch_sites == {}
         assert branch_outcome_stream(TracePack.from_dyninsts([])) == []
         assert per_site_outcomes(TracePack.from_dyninsts([])) == {}
+
+
+class TestSerializedSize:
+    """The on-disk cost of a 12k-instruction trace, exact and host-independent:
+    at most 25% above the bytes measured when this test was written."""
+
+    @pytest.mark.parametrize(
+        "program, flavour, measured",
+        [
+            ("gzip", IF_CONVERTED, 40_031),
+            ("twolf", BASELINE, 43_786),
+            ("swim", IF_CONVERTED, 36_569),
+        ],
+    )
+    def test_serialized_trace_stays_within_a_quarter_of_measured(self, program, flavour, measured):
+        profile = ExperimentProfile("trace-size", 12_000, [program], profile_budget=12_000)
+        trace = ExecutionEngine(profile, store=None).collect_trace(program, flavour)
+        assert len(trace) == 12_000
+        assert len(serialize_trace(trace)) <= 1.25 * measured

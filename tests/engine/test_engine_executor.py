@@ -229,3 +229,35 @@ class TestParallelExecution:
         fig5_outputs(follow_up)
         assert follow_up.stats.simulations_run == 0
         assert follow_up.stats.results_loaded == 4
+
+
+class TestEngineTimings:
+    def test_simulate_records_job_timing(self):
+        profile = ExperimentProfile(
+            name="t", instructions_per_benchmark=2_000,
+            benchmarks=["gzip"], profile_budget=2_000,
+        )
+        engine = ExecutionEngine(profile, store=None)
+        result = engine.simulate("gzip", IF_CONVERTED, SchemeSpec.make("conventional"))
+        assert len(engine.job_timings) == 1
+        timing = engine.job_timings[0]
+        assert timing.benchmark == "gzip"
+        assert not timing.cached
+        assert timing.seconds > 0
+        assert timing.instructions == result.metrics.committed_instructions
+        assert timing.instructions_per_second() > 0
+        assert engine.stats.simulate_seconds >= timing.seconds
+        assert engine.stats.trace_seconds > 0
+
+    def test_cached_results_are_flagged(self, tmp_path):
+        profile = ExperimentProfile(
+            name="t", instructions_per_benchmark=2_000,
+            benchmarks=["gzip"], profile_budget=2_000,
+        )
+        store = ArtifactStore(str(tmp_path / "store"))
+        spec = SchemeSpec.make("conventional")
+        first = ExecutionEngine(profile, store=store)
+        first.simulate("gzip", IF_CONVERTED, spec)
+        second = ExecutionEngine(profile, store=store)
+        second.simulate("gzip", IF_CONVERTED, spec)
+        assert [t.cached for t in second.job_timings] == [True]

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.cli import main
 from repro.compiler.binaries import BinaryFactory
 from repro.emulator.executor import Emulator
 from repro.emulator.trace import (
@@ -188,3 +189,28 @@ class TestStoreBehaviour:
         store = ArtifactStore(str(tmp_path / "deep" / "nested" / "cache"))
         path = store.put(RESULTS, "k", result)
         assert os.path.exists(path)
+
+
+class TestCacheStatsLazyRoot:
+    def test_stats_on_missing_root_reports_zero_and_creates_it(self, tmp_path):
+        root = tmp_path / "not-there-yet"
+        store = ArtifactStore(str(root))
+        assert not root.exists()
+        report = store.stats()
+        assert all(entry == {"count": 0, "bytes": 0} for entry in report.values())
+        assert root.exists()
+
+    def test_cli_cache_stats_on_missing_root(self, tmp_path, capsys, monkeypatch):
+        root = tmp_path / "fresh-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        assert main(["cache", "stats"]) == 0
+        out = capsys.readouterr().out
+        assert "0 artifacts" in out
+        assert root.exists()
+
+    def test_cli_cache_path_creates_root(self, tmp_path, capsys, monkeypatch):
+        root = tmp_path / "fresh-cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        assert main(["cache", "path"]) == 0
+        assert str(root) in capsys.readouterr().out
+        assert root.exists()

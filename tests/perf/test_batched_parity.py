@@ -12,10 +12,9 @@ equal-share wall-clock attribution.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cli import main
 from repro.core import ConventionalScheme
 from repro.emulator.tracepack import TracePack
 from repro.engine import ArtifactStore, ExecutionEngine, IF_CONVERTED, SchemeSpec
@@ -28,7 +27,6 @@ from repro.engine.planner import (
     make_trace_job,
 )
 from repro.experiments.setup import ExperimentProfile
-from repro.perf import bench
 from repro.pipeline.batched import (
     LaneSpec,
     _drive_bank,
@@ -55,11 +53,10 @@ SCHEME_SPECS = (
     SchemeSpec.make("predicate", second_level="tage"),
     SchemeSpec.make("wish", second_level="tage"),
 )
-MACHINES = (
-    MachineSpec.make(),
-    MachineSpec.make(rob_entries=32),
-    MachineSpec.make(rob_entries=64),
-    MachineSpec.make(rob_entries=128),
+#: The default machine has 256 ROB entries, so the eight together are a
+#: ROB sweep.
+MACHINES = (MachineSpec.make(),) + tuple(
+    MachineSpec.make(rob_entries=size) for size in (32, 64, 128, 48, 96, 160, 192)
 )
 
 
@@ -74,7 +71,7 @@ def _profile() -> ExperimentProfile:
 
 @pytest.fixture(scope="module")
 def pack() -> TracePack:
-    engine = ExecutionEngine(_profile(), store=None, oracle_stats=False)
+    engine = ExecutionEngine(_profile(), store=None)
     trace = engine.collect_trace("gzip", IF_CONVERTED)
     assert isinstance(trace, TracePack)
     return trace
@@ -118,6 +115,10 @@ class TestBatchedScalarParity:
             max_size=8,
         )
     )
+    # The sweep shapes: an 8-point conventional ROB sweep, and conventional
+    # (stream) beside predicate (hook) lanes at ROB 32, 64, 128 and 256.
+    @example(lane_picks=[(0, m) for m in range(8)])
+    @example(lane_picks=[(s, m) for s in (0, 1) for m in (1, 2, 3, 0)])
     @settings(max_examples=12, deadline=None)
     def test_random_lane_sets_are_bit_identical(
         self, pack, scalar_reference, lane_picks
@@ -355,21 +356,3 @@ class TestTimingAttribution:
         engine = ExecutionEngine(_profile(), store=None)
         engine.simulate("gzip", IF_CONVERTED, SchemeSpec.make("conventional"))
         assert [timing.lanes for timing in engine.job_timings] == [1]
-
-
-class TestBenchFilterListsBatchCells:
-    def test_zero_match_filter_exits_nonzero_listing_cells(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--quick", "--no-write", "--filter", "no-such-cell"])
-        message = str(excinfo.value)
-        assert excinfo.value.code != 0
-        assert "no bench cells match" in message
-        # The listing names every quick cell, batch cells included.
-        for cell in bench.QUICK_BATCH_CELLS:
-            assert cell.label() in message
-
-    def test_filter_selects_batch_cells(self):
-        selected = bench.filter_cells(bench.QUICK_CELLS, "batch:")
-        assert [cell.label() for cell in selected] == [
-            cell.label() for cell in bench.QUICK_BATCH_CELLS
-        ]

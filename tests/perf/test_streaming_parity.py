@@ -81,7 +81,7 @@ def _profile(instructions=INSTRUCTIONS, benchmarks=("gzip",)):
 
 @pytest.fixture(scope="module")
 def pack() -> TracePack:
-    engine = ExecutionEngine(_profile(), store=None, oracle_stats=False)
+    engine = ExecutionEngine(_profile(), store=None)
     trace = engine.collect_trace("gzip", IF_CONVERTED)
     assert isinstance(trace, TracePack)
     return trace

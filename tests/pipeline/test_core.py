@@ -1,5 +1,7 @@
 """Tests for the out-of-order core timing model."""
 
+import pytest
+
 from repro.core import ConventionalScheme, PredicatePredictionScheme
 from repro.core.predicate_scheme import PredicateSchemeOptions
 from repro.emulator import Emulator
@@ -121,3 +123,16 @@ class TestResultObject:
         assert result.program_name == program.name
         assert result.scheme_name == "conventional"
         assert 0.0 <= result.misprediction_rate <= 1.0
+
+
+class TestEmptyTrace:
+    def test_timing_loop_rejects_an_exhausted_generator(self, counting_loop):
+        program, _ = counting_loop
+        trace = Emulator(program).run(200)
+        OutOfOrderCore().run(trace, ConventionalScheme())
+        with pytest.raises(ValueError, match="empty trace"):
+            OutOfOrderCore().run(trace, ConventionalScheme())
+
+    def test_reference_loop_rejects_an_empty_trace(self):
+        with pytest.raises(ValueError, match="empty trace"):
+            OutOfOrderCore(optimized=False).run(iter([]), ConventionalScheme())
