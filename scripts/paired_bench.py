@@ -59,8 +59,7 @@ def run_once(checkout: str, workload: str, seed: int) -> Result:
     """One perfbench run in ``checkout``: its JSON result, or a failed stand-in."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     command += ["--seconds", str(SECONDS), "--trace", "0"]
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True)
+    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     try:
         if done.returncode != 0:
             raise ValueError(f"exit status {done.returncode}")
