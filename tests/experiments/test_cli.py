@@ -24,6 +24,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_bench_command_is_retired(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_prints_suite(self, capsys):

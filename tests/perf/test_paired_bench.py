@@ -8,7 +8,9 @@ without running the benchmark.
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
+import subprocess
 
 import pytest
 
@@ -106,3 +108,189 @@ def test_lower_is_better_metrics_are_oriented(metric):
 def test_gate_takes_exactly_one_revision(capsys):
     assert paired_bench.main([]) == paired_bench.main(["a", "b"]) == 2
     assert "paired_bench.py BASE" in capsys.readouterr().err
+
+
+# -- ratios, floors and the table ------------------------------------------
+
+
+def _with(name, value):
+    return {"metrics": {name: {"value": value}}}
+
+
+@pytest.mark.parametrize(
+    "better, base, head, expected",
+    [
+        ("higher", 100.0, 90.0, 0.9),
+        ("lower", 2.0, 2.5, 0.8),
+        ("higher", 0.0, 0.0, 1.0),
+        ("higher", 0.0, 5.0, None),
+    ],
+)
+def test_ratio_is_oriented_and_undefined_on_a_zero_base(better, base, head, expected):
+    ratio = paired_bench._ratio("m", better, _with("m", base), _with("m", head))
+    assert ratio == (None if expected is None else pytest.approx(expected))
+
+
+def test_metric_missing_from_one_pair_is_left_out_not_failed():
+    pairs = [(_result(speed), _result(speed)) for speed in SPEEDS]
+    del pairs[5][1]["metrics"]["jobs_per_s"]
+    verdict = paired_bench.verdict("shootout-cold", pairs, METRICS)
+    assert "jobs_per_s" not in verdict["ratios"]
+    assert set(verdict["ratios"]) == set(VALUES) - {"jobs_per_s"}
+    assert verdict["failures"] == []
+
+
+@pytest.mark.parametrize("workload", list(paired_bench.GATED))
+def test_floor_is_the_threshold_only_for_the_workloads_gated_throughput(workload):
+    by_name = {metric["name"]: metric for metric in METRICS}
+    for name, metric in by_name.items():
+        bound = metric["bound"]
+        low = 1 / (1 + bound) if metric["better"] == "lower" else 1 - bound
+        expected = max(low, paired_bench.THRESHOLD) if name == paired_bench.GATED[workload] else low
+        assert paired_bench.floor(workload, metric) == pytest.approx(expected)
+    gated = by_name[paired_bench.GATED[workload]]
+    assert paired_bench.floor(workload, gated) == paired_bench.THRESHOLD
+
+
+def test_table_shows_median_min_max_and_floor_of_each_reported_metric():
+    scales = (0.9, 1.0, 1.2)
+    pairs = [(_result(speed), _result(speed, sim_inst_per_s=s)) for speed, s in zip(SPEEDS, scales)]
+    for _, head in pairs:
+        del head["metrics"]["jobs_per_s"]
+    rows = paired_bench.table("shootout-cold", pairs, METRICS).splitlines()
+    assert rows[0].startswith("shootout-cold, 3 pairs")
+    by_name = {row.split()[0]: row.split()[1:] for row in rows[2:]}
+    assert set(by_name) == set(VALUES) - {"jobs_per_s"}
+    assert by_name["sim_inst_per_s"] == ["1.000", "0.900", "1.200", "0.950"]
+    assert by_name["peak_rss_mb"] == ["1.000", "1.000", "1.000", f"{1 / 1.15:.3f}"]
+
+
+# -- running perfbench -----------------------------------------------------
+
+
+def _fake_perfbench(root, body):
+    """A checkout whose ``perfbench/run.py`` is ``body``."""
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("import json, sys\n" + body)
+    return str(root)
+
+
+def test_run_once_reads_the_last_json_line_and_passes_the_gate_arguments(tmp_path):
+    checkout = _fake_perfbench(
+        tmp_path,
+        "print('warming up')\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'argv': sys.argv[1:]}))\n",
+    )
+    result = paired_bench.run_once(checkout, "sweep-warm", 3)
+    assert result == {
+        "correct": True,
+        "failed": 0,
+        "argv": ["--workload", "sweep-warm", "--seed", "3", "--seconds",
+                 str(paired_bench.SECONDS), "--trace", "0"],
+    }
+
+
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        ("sys.stderr.write('boom\\n')\nsys.exit(3)\n", "exit status 3: boom"),
+        ("pass\n", "no output"),
+        ("print('not json')\n", "no output"),
+    ],
+    ids=["exit-status", "no-output", "not-json"],
+)
+def test_run_once_turns_a_broken_run_into_a_failed_one(tmp_path, body, reason):
+    result = paired_bench.run_once(_fake_perfbench(tmp_path, body), "shootout-cold", 1)
+    assert (result["correct"], result["failed"], result["metrics"]) == (False, 1, {})
+    assert result["error"].endswith(reason)
+
+
+def test_measure_alternates_the_first_side_and_shares_each_pairs_seed(monkeypatch, capsys):
+    calls = []
+
+    def fake_run(checkout, workload, seed):
+        calls.append((checkout, seed))
+        result = _result(1.1 if checkout == "head" else 1.0)
+        if seed == 2:
+            del result["metrics"]["sim_inst_per_s"]
+        return result
+
+    monkeypatch.setattr(paired_bench, "run_once", fake_run)
+    pairs = paired_bench.measure("shootout-cold", "base", "head", pairs=3)
+    assert calls == [("base", 1), ("head", 1), ("head", 2), ("base", 2),
+                     ("base", 3), ("head", 3)]
+    assert [paired_bench._ratio("cells_per_s", "higher", *pair) for pair in pairs] == [
+        pytest.approx(1.1)
+    ] * 3
+    assert capsys.readouterr().out.splitlines() == [
+        "shootout-cold seed 1, base first: sim_inst_per_s 1.100",
+        "shootout-cold seed 2, head first: sim_inst_per_s n/a",
+        "shootout-cold seed 3, base first: sim_inst_per_s 1.100",
+    ]
+
+
+# -- the whole gate, on a throwaway repository -----------------------------
+
+
+def _git(repo, *args):
+    command = ["git", "-c", "user.name=gate", "-c", "user.email=gate@example.com",
+               "-c", "commit.gpgsign=false", *args]
+    return subprocess.run(command, cwd=repo, check=True, capture_output=True, text=True)
+
+
+@pytest.fixture
+def gate_repo(tmp_path, monkeypatch):
+    """A repository whose first commit (returned) runs at host speed 1.0.
+
+    The fake perfbench reads each checkout's ``speed`` file, so the base
+    side must come from the archived revision, not from the working tree."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "speed").write_text("1.0")
+    _git(repo, "add", "speed")
+    _git(repo, "commit", "-q", "-m", "base")
+    base = _git(repo, "rev-parse", "HEAD").stdout.strip()
+
+    def fake_run(checkout, workload, seed):
+        with open(os.path.join(checkout, "speed"), encoding="utf-8") as handle:
+            return _result(float(handle.read()))
+
+    monkeypatch.setattr(paired_bench, "ROOT", str(repo))
+    monkeypatch.setattr(paired_bench, "run_once", fake_run)
+    return repo, base
+
+
+def _head_speed(repo, speed):
+    (repo / "speed").write_text(speed)
+    _git(repo, "commit", "-q", "--allow-empty", "-am", "head")
+
+
+def test_gate_passes_an_unchanged_head_and_ends_with_its_json_verdict(gate_repo, capsys):
+    repo, base = gate_repo
+    _head_speed(repo, "1.00")
+    assert paired_bench.main([base[:8]]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    head = _git(repo, "rev-parse", "HEAD").stdout.strip()
+    assert (summary["base"], summary["head"], summary["passed"]) == (base, head, True)
+    assert list(summary["workloads"]) == list(paired_bench.GATED)
+    assert all(entry["failures"] == [] for entry in summary["workloads"].values())
+    assert (summary["pairs"], summary["threshold"]) == (paired_bench.PAIRS, 0.95)
+
+
+def test_gate_fails_a_slower_working_tree_against_the_archived_base(gate_repo, capsys):
+    repo, base = gate_repo
+    _head_speed(repo, "1.0")
+    (repo / "speed").write_text("0.8")  # uncommitted: only the checkout is slow
+    assert paired_bench.main([base]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    summary = json.loads(lines[-1])
+    assert summary["passed"] is False
+    assert summary["workloads"]["shootout-cold"]["ratios"]["sim_inst_per_s"] == 0.8
+    assert summary["workloads"]["sweep-warm"]["ratios"]["cells_per_s"] == 0.8
+    assert [line for line in lines if line.startswith("FAIL shootout-cold sim_inst_per_s")]
+
+
+def test_gate_refuses_an_unknown_revision(gate_repo):
+    with pytest.raises(SystemExit, match="unknown revision 'no-such-rev'"):
+        paired_bench.main(["no-such-rev"])

@@ -5,6 +5,7 @@ import pytest
 from repro.core import ConventionalScheme, PredicatePredictionScheme
 from repro.core.predicate_scheme import PredicateSchemeOptions
 from repro.emulator import Emulator
+from repro.emulator.tracepack import TracePack
 from repro.pipeline import OutOfOrderCore, PipelineConfig
 from repro.pipeline.uop import RenameDecision
 
@@ -136,3 +137,10 @@ class TestEmptyTrace:
     def test_reference_loop_rejects_an_empty_trace(self):
         with pytest.raises(ValueError, match="empty trace"):
             OutOfOrderCore(optimized=False).run(iter([]), ConventionalScheme())
+
+    @pytest.mark.parametrize("optimized", [True, False], ids=["timing", "reference"])
+    @pytest.mark.parametrize("keep_uops", [False, True])
+    def test_empty_pack_is_rejected_on_either_loop(self, optimized, keep_uops):
+        core = OutOfOrderCore(optimized=optimized)
+        with pytest.raises(ValueError, match="empty trace"):
+            core.run(TracePack.from_dyninsts([]), ConventionalScheme(), keep_uops=keep_uops)
