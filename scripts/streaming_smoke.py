@@ -113,9 +113,9 @@ def main() -> int:
         name="streaming-smoke",
         instructions_per_benchmark=budget,
         benchmarks=[trace_path],
-        # Clamped like the bench harness: a long profiling pass marks so
-        # many branches convertible that if-conversion exhausts the
-        # predicate register file on this synthetic workload.
+        # Clamped because a long profiling pass marks so many branches
+        # convertible that if-conversion exhausts the predicate register
+        # file on this synthetic workload.
         profile_budget=min(budget, 20_000),
     )
     # Two (flavour) cells so --jobs 2 really fans out to worker processes;

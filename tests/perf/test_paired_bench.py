@@ -20,7 +20,7 @@ _SPEC = importlib.util.spec_from_file_location(
 )
 paired_bench = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(paired_bench)
-METRICS = paired_bench.end_to_end_metrics(REPO_ROOT)
+METRICS = paired_bench.end_to_end_metrics()
 
 #: One plausible run's end-to-end metrics.
 VALUES = {
@@ -86,7 +86,10 @@ def test_noise_around_no_change_and_ungated_throughput_loss_pass():
 @pytest.mark.parametrize("side", [0, 1])
 def test_one_failed_run_fails(run, reason, side):
     verdict = _verdict("sweep-warm", broken=(3, side, run))
-    assert verdict["failures"] == [f"sweep-warm seed 4 {('base', 'head')[side]}: {reason}"]
+    expected = [f"sweep-warm seed 4 {('base', 'head')[side]}: {reason}"]
+    if not run["metrics"]:
+        expected.append("sweep-warm cells_per_s: no ratio for the gated throughput")
+    assert verdict["failures"] == expected
 
 
 def test_peak_rss_rise_past_its_fifteen_percent_bound_fails():
@@ -138,6 +141,16 @@ def test_metric_missing_from_one_pair_is_left_out_not_failed():
     assert "jobs_per_s" not in verdict["ratios"]
     assert set(verdict["ratios"]) == set(VALUES) - {"jobs_per_s"}
     assert verdict["failures"] == []
+
+
+@pytest.mark.parametrize("workload", list(paired_bench.GATED))
+def test_gated_throughput_missing_from_one_pair_fails(workload):
+    gated = paired_bench.GATED[workload]
+    pairs = [(_result(speed), _result(speed)) for speed in SPEEDS]
+    del pairs[5][0]["metrics"][gated]
+    verdict = paired_bench.verdict(workload, pairs, METRICS)
+    assert gated not in verdict["ratios"]
+    assert verdict["failures"] == [f"{workload} {gated}: no ratio for the gated throughput"]
 
 
 @pytest.mark.parametrize("workload", list(paired_bench.GATED))
@@ -216,13 +229,14 @@ def test_measure_alternates_the_first_side_and_shares_each_pairs_seed(monkeypatc
         return result
 
     monkeypatch.setattr(paired_bench, "run_once", fake_run)
-    pairs = paired_bench.measure("shootout-cold", "base", "head", pairs=3)
-    assert calls == [("base", 1), ("head", 1), ("head", 2), ("base", 2),
-                     ("base", 3), ("head", 3)]
+    pairs = paired_bench.measure("shootout-cold", "base", "head")
+    assert len(pairs) == paired_bench.PAIRS
+    assert calls[:6] == [("base", 1), ("head", 1), ("head", 2), ("base", 2),
+                         ("base", 3), ("head", 3)]
     assert [paired_bench._ratio("cells_per_s", "higher", *pair) for pair in pairs] == [
         pytest.approx(1.1)
-    ] * 3
-    assert capsys.readouterr().out.splitlines() == [
+    ] * paired_bench.PAIRS
+    assert capsys.readouterr().out.splitlines()[:3] == [
         "shootout-cold seed 1, base first: sim_inst_per_s 1.100",
         "shootout-cold seed 2, head first: sim_inst_per_s n/a",
         "shootout-cold seed 3, base first: sim_inst_per_s 1.100",
@@ -243,12 +257,16 @@ def gate_repo(tmp_path, monkeypatch):
     """A repository whose first commit (returned) runs at host speed 1.0.
 
     The fake perfbench reads each checkout's ``speed`` file, so the base
-    side must come from the archived revision, not from the working tree."""
+    side must come from the archived revision, not from the working tree.
+    The gate reads its metric declarations from the checkout's own
+    ``BENCHMARK.json``, a copy of this repository's."""
     repo = tmp_path / "repo"
     repo.mkdir()
     _git(repo, "init", "-q")
     (repo / "speed").write_text("1.0")
-    _git(repo, "add", "speed")
+    with open(os.path.join(REPO_ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        (repo / "BENCHMARK.json").write_text(handle.read())
+    _git(repo, "add", "speed", "BENCHMARK.json")
     _git(repo, "commit", "-q", "-m", "base")
     base = _git(repo, "rev-parse", "HEAD").stdout.strip()
 
