@@ -127,6 +127,21 @@ class ConventionalScheme(BranchHandlingScheme):
         self.predictor.update(pc, history, actual)
 
     # ------------------------------------------------------------------
+    def stream_key(self):
+        """The constructor arguments, which fix the decision stream.
+
+        Subclasses may override hooks, so they opt out.
+        """
+        if type(self) is not ConventionalScheme:
+            return None
+        return (
+            "conventional",
+            self.perceptron_config,
+            self.ideal_no_alias,
+            self.perfect_history,
+            self.second_level,
+        )
+
     def lane_bank_profile(self):
         """Geometry token for :class:`repro.predictors.batched.ConventionalLaneBank`.
 

@@ -35,13 +35,14 @@ consumer-triggered repair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.emulator.executor import DynInst
 from repro.isa.compare import CompareInstruction
 from repro.isa.registers import NUM_PREDICATE_REGISTERS
 from repro.pipeline.pprf import PPRFEntry, PredicatePhysicalRegisterFile
 from repro.pipeline.scheme_api import (
+    PREDICATED_HANDLING,
     BranchHandling,
     BranchHandlingScheme,
     PredicatedHandling,
@@ -85,13 +86,46 @@ class PredicateSchemeOptions:
     second_level: str = "perceptron"
 
 
-@dataclass
-class _PendingPrediction:
-    """Book-keeping attached to each predicted compare target."""
+#: One predicted target of a static compare: ``(slot, logical predicate
+#: register, predictor key, local-history slot, confidence slot)``.  The
+#: predictor key and local-history slot are what the predictor's
+#: ``plan_slot`` returns; the hooks pass them back to its
+#: ``output_planned``/``train_planned`` kernels.
+CompareTarget = Tuple[int, int, object, int, int]
 
-    entry: PPRFEntry
-    slot: int
-    history_at_prediction: int
+
+def plan_compare(
+    inst, pc: int, predictor, confidence: ConfidenceEstimator
+) -> Tuple[CompareTarget, ...]:
+    """The per-target plan of the static compare ``inst`` at ``pc`` (empty
+    for a non-compare).
+
+    Every field is a pure function of the static instruction and the
+    predictor geometry, so a scheme builds it once per compare PC and its
+    hooks do one lookup per target instead of re-hashing the PC for every
+    table they touch.
+    """
+    if not isinstance(inst, CompareInstruction):
+        return ()
+    plan = []
+    for slot, target in enumerate((inst.pt, inst.pf)):
+        if target.is_hardwired:
+            continue
+        key, local_slot, confidence_index = predictor.plan_slot(pc, slot)
+        plan.append((slot, target.index, key, local_slot, confidence.slot(confidence_index)))
+    return tuple(plan)
+
+
+def computed_value(dyn: DynInst, logical_index: int, committed: List[bool]) -> bool:
+    """The value the compare ``dyn`` computes for ``p<logical_index>``.
+
+    A compare that does not write the register (its qualifying predicate
+    was false) leaves the committed value in place.
+    """
+    for index, value in dyn.pred_writes:
+        if index == logical_index:
+            return value
+    return committed[logical_index]
 
 
 class PredicatePredictionScheme(BranchHandlingScheme):
@@ -141,68 +175,94 @@ class PredicatePredictionScheme(BranchHandlingScheme):
         #: Architectural (committed) values of logical predicate registers.
         self._logical_values: List[bool] = [False] * NUM_PREDICATE_REGISTERS
         self._logical_values[0] = True
-        #: Predictions awaiting their compare's execution, keyed by the
+        #: PPRF entries awaiting their compare's execution, keyed by the
         #: compare's dynamic sequence number.
-        self._pending: Dict[int, List[_PendingPrediction]] = {}
+        self._pending: Dict[int, List[PPRFEntry]] = {}
+        #: Pure memo of :func:`plan_compare` per compare PC (never pickled).
+        self._plans: Dict[int, Tuple[CompareTarget, ...]] = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_plans"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._plans = {}
+
+    def compare_plan(self, dyn: DynInst) -> Tuple[CompareTarget, ...]:
+        """The (memoised) plan of the compare ``dyn`` is an instance of."""
+        plan = self._plans.get(dyn.pc)
+        if plan is None:
+            plan = self._plans[dyn.pc] = plan_compare(
+                dyn.inst, dyn.pc, self.predictor, self.confidence
+            )
+        return plan
 
     # ------------------------------------------------------------------
     # Compare handling: produce predictions
     # ------------------------------------------------------------------
     def on_compare_rename(self, dyn: DynInst, fetch_cycle: int, rename_cycle: int) -> None:
-        inst = dyn.inst
-        if not isinstance(inst, CompareInstruction):
+        plan = self._plans.get(dyn.pc)
+        if plan is None:
+            plan = self.compare_plan(dyn)
+        if not plan:
             return
-        pending: List[_PendingPrediction] = []
-        for slot, target in enumerate((inst.pt, inst.pf)):
-            if target.is_hardwired:
-                continue
-            history = self.ghr.value
-            predicted, _output = self.predictor.predict_slot(dyn.pc, slot, history)
-            entry = self.pprf.allocate(target.index, dyn.pc, slot, dyn.seq)
-            entry.predicted_value = predicted
-            entry.predicted_cycle = rename_cycle
-            entry.predictor_index = self.predictor.index_for_slot(dyn.pc, slot)
-            entry.confident = self.confidence.is_confident(entry.predictor_index)
-            entry.speculative = True
+        ghr = self.ghr
+        output = self.predictor.output_planned
+        confidence = self.confidence.counters
+        saturated = self.confidence.saturated
+        allocate = self.pprf.allocate
+        perfect_history = self.options.perfect_history
+        pc = dyn.pc
+        seq = dyn.seq
+        entries = []
+        for target in plan:
+            slot, logical_index, key, local_slot, confidence_slot = target
+            history = ghr.value
+            predicted = output(key, local_slot, history) >= 0
+            entry = allocate(
+                logical_index,
+                pc,
+                slot,
+                seq,
+                predicted,
+                rename_cycle,
+                confidence[confidence_slot] == saturated,
+            )
+            entry.target = target
+            entry.history = history
             # Speculative history update: one bit per predicted target.  With
             # the perfect-history idealization the architecturally-correct
             # value is pushed instead, eliminating the corruption window.
-            if self.options.perfect_history:
-                pushed = self._computed_value_for(dyn, target.index)
+            if perfect_history:
+                pushed = computed_value(dyn, logical_index, self._logical_values)
             else:
                 pushed = predicted
-            entry.history_token = self.ghr.push(pushed)
-            pending.append(_PendingPrediction(entry, slot, history))
-            self.counters.bump("predicate_predictions")
-        if pending:
-            self._pending[dyn.seq] = pending
-
-    def _computed_value_for(self, dyn: DynInst, logical_index: int) -> bool:
-        for index, value in dyn.pred_writes:
-            if index == logical_index:
-                return value
-        return self._logical_values[logical_index]
+            entry.history_token = ghr.push(pushed)
+            entries.append(entry)
+        self._pending[seq] = entries
+        self.counters.bump("predicate_predictions", len(entries))
 
     def on_compare_complete(self, dyn: DynInst, complete_cycle: int) -> None:
-        pending = self._pending.pop(dyn.seq, None)
-        if pending is None:
+        entries = self._pending.pop(dyn.seq, None)
+        if entries is None:
             return
-        for item in pending:
-            entry = item.entry
-            computed = self._computed_value_for(dyn, entry.logical_index)
+        train = self.predictor.train_planned
+        record = self.confidence.record_slot
+        committed = self._logical_values
+        wrong = 0
+        for entry in entries:
+            _slot, logical_index, key, local_slot, confidence_slot = entry.target
+            computed = computed_value(dyn, logical_index, committed)
             entry.computed_value = computed
             entry.computed_cycle = complete_cycle
             entry.speculative = False
             correct = entry.predicted_value == computed
-            if entry.predictor_index is not None:
-                self.confidence.record(entry.predictor_index, correct)
-            self.predictor.update_slot(
-                entry.producer_pc, item.slot, item.history_at_prediction, computed
-            )
-            if correct:
-                self.counters.bump("predicate_predictions_correct")
-            else:
-                self.counters.bump("predicate_predictions_wrong")
+            record(confidence_slot, correct)
+            train(key, local_slot, entry.history, computed)
+            if not correct:
+                wrong += 1
                 # The computed value corrects the speculatively-pushed history
                 # bit (if it is still within the register).  Compares fetched
                 # between the wrong prediction and this point have already
@@ -211,10 +271,15 @@ class PredicatePredictionScheme(BranchHandlingScheme):
                 if not self.options.perfect_history and entry.history_token is not None:
                     if self.ghr.repair(entry.history_token, computed):
                         self.counters.bump("history_repairs_at_writeback")
+        counters = self.counters
+        if wrong < len(entries):
+            counters.bump("predicate_predictions_correct", len(entries) - wrong)
+        if wrong:
+            counters.bump("predicate_predictions_wrong", wrong)
         # Track committed logical values (trace is the correct path, so every
         # architectural write eventually commits).
         for index, value in dyn.pred_writes:
-            self._logical_values[index] = value
+            committed[index] = value
 
     # ------------------------------------------------------------------
     # Branch handling: consume predictions
@@ -288,7 +353,8 @@ class PredicatePredictionScheme(BranchHandlingScheme):
         guard_ready_cycle: int,
     ) -> PredicatedHandling:
         entry = self.pprf.current(dyn.inst.qp.index)
-        decision = self.selective.decide(entry, rename_cycle, bool(dyn.qp_value))
+        actual = bool(dyn.qp_value)
+        decision = self.selective.decide(entry, rename_cycle, actual)
 
         if decision.decision is RenameDecision.CANCEL:
             self.counters.bump("predicated_cancelled")
@@ -298,13 +364,13 @@ class PredicatePredictionScheme(BranchHandlingScheme):
             self.counters.bump("predicated_conservative")
 
         if not decision.speculative:
-            return PredicatedHandling(decision.decision)
+            return PREDICATED_HANDLING[decision.decision]
 
         assert entry is not None  # speculative decisions require an entry
         if entry.rob_pointer is None:
             entry.rob_pointer = dyn.seq
-        if decision.assumed_value == bool(dyn.qp_value):
-            return PredicatedHandling(decision.decision)
+        if decision.assumed_value == actual:
+            return PREDICATED_HANDLING[decision.decision]
 
         # Wrong speculation: the flush is discovered when the producing
         # compare executes (its completion is the guard-ready cycle the
@@ -312,7 +378,7 @@ class PredicatePredictionScheme(BranchHandlingScheme):
         # part of the recovery.
         self.counters.bump("predicate_flushes")
         if entry.history_token is not None:
-            self.ghr.repair(entry.history_token, bool(dyn.qp_value))
+            self.ghr.repair(entry.history_token, actual)
         discovery = max(guard_ready_cycle, rename_cycle + 1)
         return PredicatedHandling(decision.decision, flush_discovery_cycle=discovery)
 

@@ -24,12 +24,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.pipeline.pprf import PPRFEntry
+from repro.pipeline.scheme_api import PREDICATED_HANDLING, PredicatedHandling
 from repro.pipeline.uop import RenameDecision
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectiveDecision:
-    """Outcome of the selective-predication decision for one instruction."""
+    """Outcome of the selective-predication decision for one instruction.
+
+    There are only five distinct outcomes, so :meth:`SelectivePredicationPolicy.decide`
+    returns one of the shared instances below instead of allocating.
+    """
 
     decision: RenameDecision
     #: True when the decision relied on a (confident) prediction.
@@ -37,6 +42,20 @@ class SelectiveDecision:
     #: The predicted guard value the decision relied on (None when the
     #: decision was not based on a prediction).
     assumed_value: Optional[bool] = None
+
+    @property
+    def handling(self) -> PredicatedHandling:
+        """The pipeline handling of this decision when it needs no flush."""
+        return PREDICATED_HANDLING[self.decision]
+
+
+CONSERVATIVE = SelectiveDecision(RenameDecision.CONSERVATIVE, speculative=False)
+#: The guard's computed value is available at rename.
+RESOLVED_TRUE = SelectiveDecision(RenameDecision.ASSUME_TRUE, False, True)
+RESOLVED_FALSE = SelectiveDecision(RenameDecision.CANCEL, False, False)
+#: A confident prediction of the guard.
+PREDICTED_TRUE = SelectiveDecision(RenameDecision.ASSUME_TRUE, True, True)
+PREDICTED_FALSE = SelectiveDecision(RenameDecision.CANCEL, True, False)
 
 
 class SelectivePredicationPolicy:
@@ -60,34 +79,13 @@ class SelectivePredicationPolicy:
         speculation.
         """
         if not self.enabled:
-            return SelectiveDecision(RenameDecision.CONSERVATIVE, speculative=False)
+            return CONSERVATIVE
 
         if entry is None or entry.is_resolved_at(rename_cycle):
             # The computed value is available in the PPRF: act on it
             # non-speculatively.
-            if architectural_value:
-                return SelectiveDecision(
-                    RenameDecision.ASSUME_TRUE,
-                    speculative=False,
-                    assumed_value=True,
-                )
-            return SelectiveDecision(
-                RenameDecision.CANCEL,
-                speculative=False,
-                assumed_value=False,
-            )
+            return RESOLVED_TRUE if architectural_value else RESOLVED_FALSE
 
         if not entry.confident or entry.predicted_value is None:
-            return SelectiveDecision(RenameDecision.CONSERVATIVE, speculative=False)
-
-        if entry.predicted_value:
-            return SelectiveDecision(
-                RenameDecision.ASSUME_TRUE,
-                speculative=True,
-                assumed_value=True,
-            )
-        return SelectiveDecision(
-            RenameDecision.CANCEL,
-            speculative=True,
-            assumed_value=False,
-        )
+            return CONSERVATIVE
+        return PREDICTED_TRUE if entry.predicted_value else PREDICTED_FALSE

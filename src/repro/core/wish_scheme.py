@@ -14,8 +14,11 @@ conservatively predicated, exactly like the baseline.
 
 The scheme composes existing machinery rather than inventing new structures:
 
-* branches use the conventional two-level override organisation (fast gshare
-  + a perceptron or TAGE second level, selected by ``second_level``);
+* branches are the conventional scheme's: wish composes a
+  :class:`~repro.core.conventional.ConventionalScheme` (fast gshare + a
+  perceptron or TAGE second level, selected by ``second_level``) and
+  delegates both branch hooks to it, so its branch predictions are the
+  conventional scheme's one for one;
 * guards are predicted per compare target by the dual-hash predicate
   perceptron (:mod:`repro.predictors.predicate_perceptron`), trained with
   computed values at compare completion;
@@ -26,52 +29,36 @@ The scheme composes existing machinery rather than inventing new structures:
 The scheme is *timing-dependent* (``timing_independent = False``): the
 branch-vs-predicate decision compares the guard-ready cycle against the
 rename cycle, so the lane-batched kernel runs wish lanes as hook lanes.
+Their branch half is timing-independent, though, so the kernel replays the
+conventional decision stream on a wish lane's branch rows
+(:meth:`WishBranchScheme.branch_scheme`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.conventional import ConventionalScheme
+from repro.core.predicate_scheme import CompareTarget, computed_value, plan_compare
 from repro.emulator.executor import DynInst
-from repro.isa.compare import CompareInstruction
 from repro.isa.registers import NUM_PREDICATE_REGISTERS
 from repro.pipeline.scheme_api import (
+    PREDICATED_HANDLING,
     BranchHandling,
     BranchHandlingScheme,
     PredicatedHandling,
 )
 from repro.pipeline.uop import RenameDecision
 from repro.predictors.confidence import ConfidenceEstimator
-from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import GlobalHistoryRegister
-from repro.predictors.multilevel import TwoLevelOverridePredictor
-from repro.predictors.perceptron import PerceptronConfig, PerceptronPredictor
+from repro.predictors.perceptron import PerceptronConfig
 from repro.predictors.predicate_perceptron import (
     PredicatePerceptronPredictor,
     PredicatePredictorConfig,
 )
-from repro.predictors.tage import TAGEConfig, TAGEPredictor
 
-
-@dataclass
-class _GuardState:
-    """The in-flight guard prediction of one logical predicate register."""
-
-    producer_seq: int
-    predicted: bool
-    confident: bool
-
-
-@dataclass
-class _PendingGuard:
-    """Training book-keeping for one predicted compare target."""
-
-    logical_index: int
-    slot: int
-    history_at_prediction: int
-    predicted: bool
-    confidence_index: int
+_ASSUME_TRUE = RenameDecision.ASSUME_TRUE
+_CANCEL = RenameDecision.CANCEL
 
 
 class WishBranchScheme(BranchHandlingScheme):
@@ -93,23 +80,13 @@ class WishBranchScheme(BranchHandlingScheme):
     ) -> None:
         super().__init__()
         self.second_level = second_level
-        self.perceptron_config = perceptron_config or PerceptronConfig()
-        if second_level == "tage":
-            slow = TAGEPredictor(TAGEConfig())
-            branch_history_bits = slow.config.history_bits
-        elif second_level == "perceptron":
-            slow = PerceptronPredictor(self.perceptron_config)
-            branch_history_bits = self.perceptron_config.global_bits
-        else:
-            raise ValueError(
-                f"unknown second_level {second_level!r}; "
-                "expected 'perceptron' or 'tage'"
-            )
-        self.predictor = TwoLevelOverridePredictor(
-            fast=GsharePredictor(history_bits=14),
-            slow=slow,  # type: ignore[arg-type]
+        #: The branch half: the conventional two-level override scheme,
+        #: recording into this scheme's accuracy and counters.
+        self.branches = ConventionalScheme(
+            perceptron_config=perceptron_config, second_level=second_level
         )
-        self.ghr = GlobalHistoryRegister(branch_history_bits)
+        self.branches.accuracy = self.accuracy
+        self.branches.counters = self.counters
 
         self.guard_config = guard_config or PredicatePredictorConfig()
         self.guard_predictor = PredicatePerceptronPredictor(self.guard_config)
@@ -123,68 +100,79 @@ class WishBranchScheme(BranchHandlingScheme):
         #: Committed values of the logical predicate registers.
         self._logical_values: List[bool] = [False] * NUM_PREDICATE_REGISTERS
         self._logical_values[0] = True
-        #: Latest in-flight guard prediction per logical predicate register.
-        self._inflight: Dict[int, _GuardState] = {}
-        #: Guard training state keyed by the compare's sequence number.
-        self._pending_guards: Dict[int, List[_PendingGuard]] = {}
-        #: Branch training state keyed by the branch's sequence number.
-        self._pending_branches: Dict[int, Tuple[int, int, bool]] = {}
+        #: Latest in-flight guard prediction per logical predicate register:
+        #: ``(predicted, confident)``.
+        self._inflight: Dict[int, Tuple[bool, bool]] = {}
+        #: Guard training state keyed by the compare's sequence number:
+        #: ``(target plan, history at prediction, predicted)`` per target.
+        self._pending_guards: Dict[int, List[Tuple[CompareTarget, int, bool]]] = {}
+        #: Pure memo of the guard plan per compare PC (never pickled).
+        self._plans: Dict[int, Tuple[CompareTarget, ...]] = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_plans"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._plans = {}
+
+    def compare_plan(self, dyn: DynInst) -> Tuple[CompareTarget, ...]:
+        """The (memoised) guard plan of the compare ``dyn`` is an instance of."""
+        plan = self._plans.get(dyn.pc)
+        if plan is None:
+            plan = self._plans[dyn.pc] = plan_compare(
+                dyn.inst, dyn.pc, self.guard_predictor, self.confidence
+            )
+        return plan
 
     # ------------------------------------------------------------------
     # Compare handling: predict guards, gate on confidence
     # ------------------------------------------------------------------
     def on_compare_rename(self, dyn: DynInst, fetch_cycle: int, rename_cycle: int) -> None:
-        inst = dyn.inst
-        if not isinstance(inst, CompareInstruction):
+        plan = self._plans.get(dyn.pc)
+        if plan is None:
+            plan = self.compare_plan(dyn)
+        if not plan:
             return
-        pending: List[_PendingGuard] = []
-        for slot, target in enumerate((inst.pt, inst.pf)):
-            if target.is_hardwired:
-                continue
-            history = self.guard_ghr.value
-            predicted, _output = self.guard_predictor.predict_slot(dyn.pc, slot, history)
-            confidence_index = self.guard_predictor.index_for_slot(dyn.pc, slot)
-            self._inflight[target.index] = _GuardState(
-                producer_seq=dyn.seq,
-                predicted=predicted,
-                confident=self.confidence.is_confident(confidence_index),
-            )
-            pending.append(
-                _PendingGuard(
-                    logical_index=target.index,
-                    slot=slot,
-                    history_at_prediction=history,
-                    predicted=predicted,
-                    confidence_index=confidence_index,
-                )
-            )
-            self.counters.bump("wish_guard_predictions")
-        if pending:
-            self._pending_guards[dyn.seq] = pending
-
-    def _computed_value_for(self, dyn: DynInst, logical_index: int) -> bool:
-        for index, value in dyn.pred_writes:
-            if index == logical_index:
-                return value
-        return self._logical_values[logical_index]
+        history = self.guard_ghr.value
+        output = self.guard_predictor.output_planned
+        confidence = self.confidence.counters
+        saturated = self.confidence.saturated
+        inflight = self._inflight
+        pending = []
+        for target in plan:
+            _slot, logical_index, key, local_slot, confidence_slot = target
+            predicted = output(key, local_slot, history) >= 0
+            inflight[logical_index] = (predicted, confidence[confidence_slot] == saturated)
+            pending.append((target, history, predicted))
+        self._pending_guards[dyn.seq] = pending
+        self.counters.bump("wish_guard_predictions", len(pending))
 
     def on_compare_complete(self, dyn: DynInst, complete_cycle: int) -> None:
+        committed = self._logical_values
         pending = self._pending_guards.pop(dyn.seq, None)
         if pending is not None:
-            for item in pending:
-                computed = self._computed_value_for(dyn, item.logical_index)
-                correct = item.predicted == computed
-                self.confidence.record(item.confidence_index, correct)
-                self.guard_predictor.update_slot(
-                    dyn.pc, item.slot, item.history_at_prediction, computed
-                )
-                self.guard_ghr.push_resolved(computed)
-                if correct:
-                    self.counters.bump("wish_guard_predictions_correct")
-                else:
-                    self.counters.bump("wish_guard_predictions_wrong")
+            train = self.guard_predictor.train_planned
+            record = self.confidence.record_slot
+            push = self.guard_ghr.push_resolved
+            wrong = 0
+            for target, history, predicted in pending:
+                _slot, logical_index, key, local_slot, confidence_slot = target
+                computed = computed_value(dyn, logical_index, committed)
+                correct = predicted == computed
+                record(confidence_slot, correct)
+                train(key, local_slot, history, computed)
+                push(computed)
+                if not correct:
+                    wrong += 1
+            if wrong < len(pending):
+                self.counters.bump("wish_guard_predictions_correct", len(pending) - wrong)
+            if wrong:
+                self.counters.bump("wish_guard_predictions_wrong", wrong)
         for index, value in dyn.pred_writes:
-            self._logical_values[index] = value
+            committed[index] = value
 
     # ------------------------------------------------------------------
     # Predicated instructions: the wish gate
@@ -204,17 +192,15 @@ class WishBranchScheme(BranchHandlingScheme):
             # (no speculation, no flush risk) — in wish-branch terms the
             # hammock resolved before the mode choice mattered.
             self.counters.bump("wish_resolved_at_rename")
-            decision = RenameDecision.ASSUME_TRUE if actual else RenameDecision.CANCEL
-            return PredicatedHandling(decision)
+            return PREDICATED_HANDLING[_ASSUME_TRUE if actual else _CANCEL]
 
-        if guard.confident:
+        predicted, confident = guard
+        if confident:
             # Branch mode: speculate on the predicted guard like a branch.
             self.counters.bump("wish_branch_mode")
-            decision = (
-                RenameDecision.ASSUME_TRUE if guard.predicted else RenameDecision.CANCEL
-            )
-            if guard.predicted == actual:
-                return PredicatedHandling(decision)
+            decision = _ASSUME_TRUE if predicted else _CANCEL
+            if predicted == actual:
+                return PREDICATED_HANDLING[decision]
             # Wrong guess: the flush is discovered when the producing
             # compare computes the true guard value.
             self.counters.bump("wish_flushes")
@@ -224,10 +210,10 @@ class WishBranchScheme(BranchHandlingScheme):
         # Predicate mode: not confident enough to branch — execute
         # conservatively predicated, like the baseline.
         self.counters.bump("wish_predicate_mode")
-        return PredicatedHandling(RenameDecision.CONSERVATIVE)
+        return PREDICATED_HANDLING[RenameDecision.CONSERVATIVE]
 
     # ------------------------------------------------------------------
-    # Branch handling: conventional two-level override prediction
+    # Branch handling: the conventional scheme's
     # ------------------------------------------------------------------
     def on_branch_rename(
         self,
@@ -236,39 +222,17 @@ class WishBranchScheme(BranchHandlingScheme):
         rename_cycle: int,
         guard_ready_cycle: int,
     ) -> BranchHandling:
-        history = self.ghr.value
-        prediction = self.predictor.predict_both(dyn.pc, history)
-        actual = bool(dyn.taken)
-
-        self.accuracy.add(dyn.pc, actual, prediction.final, prediction.fast)
-        self.counters.bump("branches")
-        if prediction.final != actual:
-            self.counters.bump("mispredictions")
-
-        # Speculative push + same-branch repair, as in the conventional
-        # scheme: no younger correct-path branch observes a stale bit.
-        token = self.ghr.push(prediction.final)
-        if prediction.final != actual:
-            self.ghr.repair(token, actual)
-
-        self._pending_branches[dyn.seq] = (dyn.pc, history, actual)
-        return BranchHandling(
-            final_prediction=prediction.final,
-            fetch_prediction=prediction.fast,
-            early_resolved=False,
-            override_flush=prediction.overridden,
-        )
+        return self.branches.on_branch_rename(dyn, fetch_cycle, rename_cycle, guard_ready_cycle)
 
     def on_branch_resolved(self, dyn: DynInst, resolve_cycle: int, mispredicted: bool) -> None:
-        pending = self._pending_branches.pop(dyn.seq, None)
-        if pending is None:
-            return
-        pc, history, actual = pending
-        self.predictor.update(pc, history, actual)
+        self.branches.on_branch_resolved(dyn, resolve_cycle, mispredicted)
+
+    def branch_scheme(self) -> BranchHandlingScheme:
+        return self.branches
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
-        branch_kib = self.predictor.size_report().total_kib
+        branch_kib = self.branches.predictor.size_report().total_kib
         guard_kib = self.guard_predictor.size_report().total_kib
         return (
             f"wish branches (guard-confidence gate, {self.second_level} second "

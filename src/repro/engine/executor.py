@@ -610,11 +610,7 @@ class ExecutionEngine:
         faults.on_simulate_launch()
         jobs = batch.lanes
         lanes = [
-            LaneSpec(
-                scheme_factory=job.scheme.build,
-                config=job.machine.build_config(),
-                group_key=job.scheme,
-            )
+            LaneSpec(scheme_factory=job.scheme.build, config=job.machine.build_config())
             for job in jobs
         ]
         started = perf_counter()

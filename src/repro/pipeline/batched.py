@@ -17,24 +17,34 @@ as *lanes* of a single batched job:
 
 Every lane runs the core's one timing loop
 (:meth:`~repro.pipeline.core.OutOfOrderCore._run_rows`) over the shared
-rows.  What differs is the scheme the loop sees:
+rows.  What differs is what the loop calls:
 
 * **Stream lanes** — schemes that declare
   :attr:`~repro.pipeline.scheme_api.BranchHandlingScheme.timing_independent`
   and override no hook beyond the branch pair.  Their prediction evolution
-  is a pure function of the branch rows, so it is replayed *once per scheme
-  spec* in a prepass (the **decision stream**: per-conditional-branch
-  override and mispredict flags) and every machine lane of that spec runs a
-  :class:`~repro.pipeline.core.DecisionReplay` of it, which the loop reads
+  is a pure function of the branch rows, so it is replayed *once per
+  stream* in a prepass (the **decision stream**: per-conditional-branch
+  override and mispredict flags) and every machine lane carries a
+  :class:`~repro.pipeline.core.DecisionStream` of it, which the loop reads
   without any hook call.
 * **Hook lanes** — every other scheme (predicate prediction, PEP-PA and
   wish read cycles; predicate-aware folds compare results) runs as itself,
-  one instance per lane; the loop calls only the hooks it overrides.
+  one instance per lane; the loop calls only the hooks it overrides.  A
+  hook lane whose branch half is a stream-eligible scheme
+  (:meth:`~repro.pipeline.scheme_api.BranchHandlingScheme.branch_scheme`:
+  wish composes the conventional scheme) carries that scheme's stream too,
+  so only its compare and predicated hooks run.
 
-When a batch carries several *distinct* stream specs with the same
-predictor geometry (``lane_bank_profile``), the prepass steps them in
-lockstep through a :class:`~repro.predictors.batched.ConventionalLaneBank`,
-which keeps the divergent perceptron weights as one lane-axis numpy array.
+Lanes share a stream when their branch schemes return equal
+:meth:`~repro.pipeline.scheme_api.BranchHandlingScheme.stream_key` tokens:
+a wish lane replays the stream of the batch's conventional lane of the same
+second level, or, in a batch without one, a prepass over its own branch
+half that every such wish lane shares.
+
+When a batch carries several *distinct* streams with the same predictor
+geometry (``lane_bank_profile``), the prepass steps them in lockstep
+through a :class:`~repro.predictors.batched.ConventionalLaneBank`, which
+keeps the divergent perceptron weights as one lane-axis numpy array.
 
 Bit-exactness contract: every lane's :class:`SimulationResult` — metrics,
 counters, per-branch accuracy records — is identical to what the scalar
@@ -45,47 +55,23 @@ sets; any change here must keep it green.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.emulator.tracepack import PackCursor, TracePack
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.core import DecisionReplay, OutOfOrderCore, SimulationResult, _Rows
+from repro.pipeline.core import DecisionStream, OutOfOrderCore, SimulationResult, _Rows
 from repro.pipeline.scheme_api import BranchHandlingScheme, overridden_hooks
 from repro.predictors.batched import ConventionalLaneBank
-from repro.stats.accuracy import BranchAccuracy
 
 
 class LaneSpec:
-    """One cell of a batch: how to build its scheme, and its machine config.
+    """One cell of a batch: how to build its scheme, and its machine config."""
 
-    ``group_key`` identifies the scheme *spec* (any hashable; the engine
-    passes the :class:`~repro.engine.jobs.SchemeSpec`).  Lanes with equal
-    keys share one decision stream in the prepass; ``None`` opts a lane out
-    of sharing.
-    """
+    __slots__ = ("scheme_factory", "config")
 
-    __slots__ = ("scheme_factory", "config", "group_key")
-
-    def __init__(self, scheme_factory, config: PipelineConfig, group_key=None) -> None:
+    def __init__(self, scheme_factory, config: PipelineConfig) -> None:
         self.scheme_factory = scheme_factory
         self.config = config
-        self.group_key = group_key
-
-
-class _DecisionStream:
-    """One scheme spec's prediction evolution over the batch's trace."""
-
-    __slots__ = ("overrides", "mispreds", "accuracy")
-
-    def __init__(
-        self,
-        overrides: List[bool],
-        mispreds: List[bool],
-        accuracy: BranchAccuracy,
-    ) -> None:
-        self.overrides = overrides
-        self.mispreds = mispreds
-        self.accuracy = accuracy
 
 
 def stream_eligible(scheme: BranchHandlingScheme) -> bool:
@@ -101,8 +87,15 @@ def stream_eligible(scheme: BranchHandlingScheme) -> bool:
     }
 
 
-def _drive_scheme_stream(scheme: BranchHandlingScheme, rows: _Rows) -> _DecisionStream:
-    """Replay the branch rows through a scheme's own hooks (one spec).
+def stream_source(scheme: BranchHandlingScheme) -> Optional[BranchHandlingScheme]:
+    """The scheme whose decision stream can stand in for ``scheme``'s
+    branch hooks, or ``None`` when its branches must run as hooks."""
+    source = scheme.branch_scheme()
+    return source if stream_eligible(source) else None
+
+
+def _drive_scheme_stream(scheme: BranchHandlingScheme, rows: _Rows) -> DecisionStream:
+    """Replay the branch rows through a scheme's own hooks (one stream).
 
     Cycle arguments are zero: a ``timing_independent`` scheme ignores them
     by contract.  The hook call sequence per branch (rename immediately
@@ -122,18 +115,18 @@ def _drive_scheme_stream(scheme: BranchHandlingScheme, rows: _Rows) -> _Decision
         on_resolved(cur, 0, mispredicted)
         overrides.append(handling.override_flush)
         mispreds.append(mispredicted)
-    return _DecisionStream(overrides, mispreds, scheme.accuracy)
+    return DecisionStream(overrides, mispreds, scheme.accuracy)
 
 
 def _drive_bank(
     profile, schemes: Sequence[BranchHandlingScheme], rows: _Rows
-) -> List[_DecisionStream]:
+) -> List[DecisionStream]:
     """Replay the branch rows through a lane-axis predictor bank.
 
-    ``schemes`` are the representatives of distinct same-geometry specs;
-    their accuracies are filled exactly as their own hooks would have,
-    while the perceptron state steps as one ``(lanes, entries,
-    num_weights)`` array (:class:`ConventionalLaneBank`).
+    ``schemes`` are the sources of distinct same-geometry streams; their
+    accuracies are filled exactly as their own hooks would have, while the
+    perceptron state steps as one ``(lanes, entries, num_weights)`` array
+    (:class:`ConventionalLaneBank`).
     """
     lanes = len(schemes)
     bank = ConventionalLaneBank(profile, lanes)
@@ -153,7 +146,7 @@ def _drive_bank(
             override_lists[k].append(overrides[k])
             mispred_lists[k].append(final != actual)
     return [
-        _DecisionStream(override_lists[k], mispred_lists[k], schemes[k].accuracy)
+        DecisionStream(override_lists[k], mispred_lists[k], schemes[k].accuracy)
         for k in range(lanes)
     ]
 
@@ -166,56 +159,57 @@ def simulate_lanes(
     """Simulate every lane over one trace pack; results in lane order.
 
     Each result is bit-identical to running that lane's (scheme, machine)
-    cell through the scalar engine.  Stream-eligible lanes share one
-    decision-stream prepass per scheme spec (lane-axis banked across
-    same-geometry specs) and replay it; the rest run their own scheme.
+    cell through the scalar engine.  Lanes whose branches are a
+    stream-eligible scheme's share one decision-stream prepass per
+    :meth:`~repro.pipeline.scheme_api.BranchHandlingScheme.stream_key`
+    (lane-axis banked across same-geometry streams) and carry it into the
+    timing loop; their other hooks, if any, still run.
     """
     rows = _Rows(pack, 0, len(pack), {})
     schemes = [lane.scheme_factory() for lane in lanes]
 
-    # One decision stream per scheme spec (lanes without a group key get a
-    # private stream).
-    spec_groups: Dict[object, List[int]] = {}
+    # Lanes grouped by stream; a source without a key gets a private one.
+    sources: Dict[object, BranchHandlingScheme] = {}
+    members: Dict[object, List[int]] = {}
     for i, scheme in enumerate(schemes):
-        if stream_eligible(scheme):
-            key = lanes[i].group_key
-            if key is None:
-                key = ("__lane__", i)
-            spec_groups.setdefault(key, []).append(i)
+        source = stream_source(scheme)
+        if source is None:
+            continue
+        key = source.stream_key()
+        if key is None:
+            key = ("__lane__", i)
+        sources.setdefault(key, source)
+        members.setdefault(key, []).append(i)
 
-    # Distinct same-geometry specs step in lockstep through the lane bank.
-    streams: Dict[object, _DecisionStream] = {}
+    # Distinct same-geometry streams step in lockstep through the lane bank.
+    streams: Dict[object, DecisionStream] = {}
     profile_groups: Dict[object, List[object]] = {}
-    for key, members in spec_groups.items():
-        profile = schemes[members[0]].lane_bank_profile()
+    for key, source in sources.items():
+        profile = source.lane_bank_profile()
         if profile is not None:
             profile_groups.setdefault(profile, []).append(key)
     for profile, keys in profile_groups.items():
         if len(keys) < 2:
             continue
-        reps = [schemes[spec_groups[key][0]] for key in keys]
-        for key, stream in zip(keys, _drive_bank(profile, reps, rows)):
-            streams[key] = stream
+        driven = _drive_bank(profile, [sources[key] for key in keys], rows)
+        streams.update(zip(keys, driven))
 
-    for key, members in spec_groups.items():
+    lane_streams: List[Optional[DecisionStream]] = [None] * len(lanes)
+    for key, source in sources.items():
         if key not in streams:
-            streams[key] = _drive_scheme_stream(schemes[members[0]], rows)
+            streams[key] = _drive_scheme_stream(source, rows)
         stream = streams[key]
-        for position, i in enumerate(members):
-            if position == 0:
-                # The spec representative's scheme already holds the
-                # stream's accuracy (its hooks — or the bank — built it).
-                accuracy = stream.accuracy
-            else:
-                accuracy = stream.accuracy.copy()
-            schemes[i] = DecisionReplay(
-                schemes[i].name, accuracy, stream.overrides, stream.mispreds
+        for position, i in enumerate(members[key]):
+            # The first lane takes the prepass's own accuracy record.
+            schemes[i].accuracy = (
+                stream.accuracy if position == 0 else stream.accuracy.copy()
             )
+            lane_streams[i] = stream
 
     results: List[SimulationResult] = []
-    for lane, scheme in zip(lanes, schemes):
+    for lane, scheme, stream in zip(lanes, schemes, lane_streams):
         core = OutOfOrderCore(config=lane.config)
         state = core._loop_state(scheme)
-        core._run_rows(state, rows)
+        core._run_rows(state, rows, stream)
         results.append(core._finalize(state, program_name))
     return results

@@ -43,11 +43,7 @@ from repro.pipeline.resources import (
     RegisterTimingTable,
     SlidingWindowResource,
 )
-from repro.pipeline.scheme_api import (
-    BranchHandling,
-    BranchHandlingScheme,
-    overridden_hooks,
-)
+from repro.pipeline.scheme_api import BranchHandlingScheme, overridden_hooks
 from repro.pipeline.uop import RenameDecision, Uop
 from repro.stats.accuracy import BranchAccuracy
 
@@ -330,41 +326,31 @@ class _Rows:
         return cur
 
 
-class DecisionReplay(BranchHandlingScheme):
-    """A recorded decision stream, replayed as a branch-handling scheme.
+class DecisionStream:
+    """A timing-independent branch scheme's decisions over a run of rows.
 
-    A timing-independent scheme's predictions are a pure function of the
-    branch rows, so the lane-batched kernel (:mod:`repro.pipeline.batched`)
-    runs its branch hooks once per scheme spec and records, per conditional
-    branch in fetch order, whether the final prediction overrode the fetch
-    prediction and whether it mispredicted.  Every machine lane of the spec
-    then runs this replay: the timing loop reads the two flags directly
-    instead of calling a hook, and :meth:`on_branch_rename` gives the same
-    answer to any other caller.
+    Such a scheme's predictions are a pure function of the branch rows, so
+    the lane-batched kernel (:mod:`repro.pipeline.batched`) runs its branch
+    hooks once per stream (a *prepass*) and records, per conditional branch
+    in fetch order, whether the final prediction overrode the fetch
+    prediction and whether it mispredicted.  Any lane may then carry the
+    stream into :meth:`OutOfOrderCore._run_rows`: the loop reads the two
+    flags instead of calling the lane scheme's branch hooks, and still
+    calls its other hooks.  ``accuracy`` is the prepass scheme's record of
+    the same branches.
     """
+
+    __slots__ = ("overrides", "mispreds", "accuracy")
 
     def __init__(
         self,
-        name: str,
-        accuracy: BranchAccuracy,
         overrides: List[bool],
         mispreds: List[bool],
+        accuracy: BranchAccuracy,
     ) -> None:
-        super().__init__()
-        self.name = name
-        self.accuracy = accuracy
         self.overrides = overrides
         self.mispreds = mispreds
-        #: Stream index of the next conditional branch.
-        self.position = 0
-
-    def on_branch_rename(self, dyn, fetch_cycle, rename_cycle, guard_ready_cycle):
-        position = self.position
-        self.position = position + 1
-        return BranchHandling(
-            final_prediction=bool(dyn.taken) != self.mispreds[position],
-            override_flush=self.overrides[position],
-        )
+        self.accuracy = accuracy
 
 
 class _LoopState:
@@ -634,7 +620,9 @@ class OutOfOrderCore:
         for pack, low, high in trace.spans(start, stop):
             self._run_rows(state, _Rows(pack, low, high, decodes))
 
-    def _run_rows(self, state: _LoopState, rows: _Rows) -> None:
+    def _run_rows(
+        self, state: _LoopState, rows: _Rows, stream: Optional[DecisionStream] = None
+    ) -> None:
         """Drain ``rows`` through the timing loop, mutating ``state``.
 
         The loop keeps every per-instruction timestamp in locals, consults
@@ -643,8 +631,10 @@ class OutOfOrderCore:
         functional-unit resource models.  Scheme hooks are called in the
         reference loop's order, but only those the scheme overrides
         (:func:`~repro.pipeline.scheme_api.overridden_hooks`): a row whose
-        kind the scheme does not hook costs no call and no cursor fill, and
-        a :class:`DecisionReplay` costs no call at all.  Any behavioural
+        kind the scheme does not hook costs no call and no cursor fill.
+        With a :class:`DecisionStream` of the conditional branches of
+        ``rows``, branch rows cost no call at all: the loop reads the
+        stream's flags and calls neither branch hook.  Any behavioural
         change here must keep the parity tests green (bit-identical IPC and
         misprediction counters against the reference loop).
         """
@@ -662,11 +652,11 @@ class OutOfOrderCore:
         on_branch_rename = scheme.on_branch_rename
         on_branch_resolved = hook("on_branch_resolved")
         on_predicated_rename = hook("on_predicated_rename")
-        replay = scheme if isinstance(scheme, DecisionReplay) else None
-        if replay is not None:
-            overrides = replay.overrides
-            mispreds = replay.mispreds
-            bi = replay.position
+        if stream is not None:
+            overrides = stream.overrides
+            mispreds = stream.mispreds
+            bi = 0
+            on_branch_resolved = None
         cur = PackCursor()
         fill = rows.fill
         takens = rows.takens
@@ -790,7 +780,7 @@ class OutOfOrderCore:
                 complete = issue + de.latency
 
                 if de.is_cond_branch:
-                    if replay is not None:
+                    if stream is not None:
                         over = overrides[bi]
                         mis = mispreds[bi]
                         bi += 1
@@ -948,8 +938,6 @@ class OutOfOrderCore:
         for unit, count in enumerate(rows.unit_counts):
             unit_issues[unit] += count
         # Write the scalar locals back; the containers were mutated in place.
-        if replay is not None:
-            replay.position = bi
         state.group_cycle = group_cycle
         state.group_slots = group_slots
         state.last_block = last_block

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class PPRFEntry:
     """One physical predicate register."""
 
@@ -50,8 +50,11 @@ class PPRFEntry:
     confident: bool = False
     #: ROB pointer: sequence number of the first speculative consumer.
     rob_pointer: Optional[int] = None
-    #: Predictor table index used for this prediction (for confidence update).
-    predictor_index: Optional[int] = None
+    #: The producer's per-target plan (predictor and confidence positions),
+    #: for training at completion.
+    target: Optional[tuple] = None
+    #: Global history the prediction read (training uses the same value).
+    history: int = 0
     #: Token identifying the global-history bit pushed for this prediction.
     history_token: Optional[int] = None
 
@@ -88,14 +91,24 @@ class PredicatePhysicalRegisterFile:
         producer_pc: int,
         producer_slot: int,
         producer_seq: int,
+        predicted_value: Optional[bool] = None,
+        predicted_cycle: Optional[int] = None,
+        confident: bool = False,
     ) -> PPRFEntry:
-        """Allocate a fresh physical register for a compare target."""
+        """Allocate a fresh physical register for a compare target, holding
+        its prediction (if any) with the speculative bit set."""
         entry = PPRFEntry(
-            physical_id=self._next_id,
-            logical_index=logical_index,
-            producer_pc=producer_pc,
-            producer_slot=producer_slot,
-            producer_seq=producer_seq,
+            self._next_id,
+            logical_index,
+            producer_pc,
+            producer_slot,
+            producer_seq,
+            predicted_value,
+            None,
+            predicted_cycle,
+            None,
+            True,
+            confident,
         )
         self._next_id += 1
         self.allocations += 1

@@ -58,9 +58,13 @@ class BranchHandling:
     override_flush: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredicatedHandling:
-    """What the scheme decided for one predicated non-branch instruction."""
+    """What the scheme decided for one predicated non-branch instruction.
+
+    Immutable: a handling without a flush is one of the shared
+    :data:`PREDICATED_HANDLING` instances.
+    """
 
     decision: RenameDecision = RenameDecision.CONSERVATIVE
     #: When the decision speculates (cancel / assume-true) and the
@@ -71,6 +75,10 @@ class PredicatedHandling:
     @property
     def mispredicted(self) -> bool:
         return self.flush_discovery_cycle is not None
+
+
+#: The shared flush-free handling of each rename decision.
+PREDICATED_HANDLING = {decision: PredicatedHandling(decision) for decision in RenameDecision}
 
 
 class BranchHandlingScheme(abc.ABC):
@@ -125,9 +133,30 @@ class BranchHandlingScheme(abc.ABC):
         guard_ready_cycle: int,
     ) -> PredicatedHandling:
         """Called when a predicated non-branch instruction renames."""
-        return PredicatedHandling(RenameDecision.CONSERVATIVE)
+        return PREDICATED_HANDLING[RenameDecision.CONSERVATIVE]
 
     # ------------------------------------------------------------------
+    def branch_scheme(self) -> "BranchHandlingScheme":
+        """The scheme whose hooks decide this scheme's conditional branches.
+
+        A scheme that composes another for its branch half and whose
+        ``on_branch_rename``/``on_branch_resolved`` only delegate to it
+        returns that scheme; the base returns the scheme itself.  When the
+        branch scheme is stream-eligible, the lane-batched kernel replays
+        its decision stream on the branch rows instead of calling the
+        branch hooks.
+        """
+        return self
+
+    def stream_key(self):
+        """Hashable token of this scheme's branch decision stream, or ``None``.
+
+        Two schemes returning equal tokens promise identical decision
+        streams over any trace, so the lane-batched kernel computes the
+        stream once for all of them.  ``None`` (the base) shares nothing.
+        """
+        return None
+
     def lane_bank_profile(self):
         """Hashable predictor-geometry token for lane-axis batching, or
         ``None``.

@@ -38,7 +38,7 @@ _log = get_logger(__name__)
 
 #: Bump when the pickled checkpoint layout changes; a mismatched checkpoint
 #: is ignored (the run restarts from row zero) rather than mis-restored.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 #: Default rows per simulation window when only sampling asks for windows.
 DEFAULT_WINDOW_ROWS = 4096

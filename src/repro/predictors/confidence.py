@@ -26,33 +26,42 @@ class ConfidenceEstimator:
             raise ValueError("confidence estimator needs at least one entry")
         self.entries = entries
         self.bits = bits
-        self._max = (1 << bits) - 1
-        self._counters: List[int] = [0] * entries
+        #: The saturated counter value: a prediction is confident at it.
+        self.saturated = (1 << bits) - 1
+        #: One counter per entry; :meth:`slot` maps a predictor index to
+        #: its counter, so a caller that planned the slot reads it directly.
+        self.counters: List[int] = [0] * entries
 
-    def _index(self, index: int) -> int:
+    def slot(self, index: int) -> int:
+        """The counter paired with predictor index ``index``."""
         return index % self.entries
 
     # ------------------------------------------------------------------
     def is_confident(self, index: int) -> bool:
         """True when the counter for ``index`` is saturated."""
-        return self._counters[self._index(index)] == self._max
+        return self.counters[self.slot(index)] == self.saturated
 
     def value(self, index: int) -> int:
-        return self._counters[self._index(index)]
+        return self.counters[self.slot(index)]
 
     def record_correct(self, index: int) -> None:
-        i = self._index(index)
-        if self._counters[i] < self._max:
-            self._counters[i] += 1
+        i = self.slot(index)
+        if self.counters[i] < self.saturated:
+            self.counters[i] += 1
 
     def record_incorrect(self, index: int) -> None:
-        self._counters[self._index(index)] = 0
+        self.counters[self.slot(index)] = 0
 
     def record(self, index: int, correct: bool) -> None:
-        if correct:
-            self.record_correct(index)
-        else:
-            self.record_incorrect(index)
+        self.record_slot(self.slot(index), correct)
+
+    def record_slot(self, slot: int, correct: bool) -> None:
+        """Train counter ``slot``: count a correct prediction up, zero a wrong one."""
+        counters = self.counters
+        if not correct:
+            counters[slot] = 0
+        elif counters[slot] < self.saturated:
+            counters[slot] += 1
 
     # ------------------------------------------------------------------
     def size_report(self) -> PredictorSizeReport:

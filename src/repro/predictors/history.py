@@ -116,19 +116,30 @@ class LocalHistoryTable:
     the actual outcome at prediction time.
     """
 
-    __slots__ = ("entries", "bits", "_histories", "_mask", "_pc_index")
+    __slots__ = ("entries", "bits", "histories", "_mask", "_pc_index")
 
     def __init__(self, entries: int, bits: int) -> None:
         self.entries = entries
         self.bits = bits
-        self._histories: List[int] = [0] * entries
+        #: One history register per entry; :meth:`index` maps a PC to its
+        #: entry, so a caller that planned the index reads it directly.
+        self.histories: List[int] = [0] * entries
         self._mask = (1 << bits) - 1
         # Pure memo of the pc -> index hash: the set of keys is bounded by
         # the static instructions of a program, and the hash is hot (every
-        # perceptron access folds a PC through here).
+        # perceptron access folds a PC through here).  Never pickled.
         self._pc_index: Dict[int, int] = {}
 
-    def _index(self, pc: int) -> int:
+    def __getstate__(self):
+        return self.entries, self.bits, self.histories
+
+    def __setstate__(self, state) -> None:
+        self.entries, self.bits, self.histories = state
+        self._mask = (1 << self.bits) - 1
+        self._pc_index = {}
+
+    def index(self, pc: int) -> int:
+        """The entry holding the local history of ``pc``."""
         index = self._pc_index.get(pc)
         if index is None:
             index = fold_pc(pc, 16) % self.entries
@@ -136,11 +147,15 @@ class LocalHistoryTable:
         return index
 
     def read(self, pc: int) -> int:
-        return self._histories[self._index(pc)]
+        return self.histories[self.index(pc)]
 
     def update(self, pc: int, outcome: bool) -> None:
-        i = self._index(pc)
-        self._histories[i] = ((self._histories[i] << 1) | (1 if outcome else 0)) & self._mask
+        self.shift(self.index(pc), outcome)
+
+    def shift(self, index: int, outcome: bool) -> None:
+        """Shift ``outcome`` into the history of entry ``index``."""
+        histories = self.histories
+        histories[index] = ((histories[index] << 1) | (1 if outcome else 0)) & self._mask
 
     def read_then_update(self, pc: int, outcome: bool) -> int:
         """Return the current history of ``pc``, then shift ``outcome`` in.
@@ -150,9 +165,9 @@ class LocalHistoryTable:
         perceptron reads the local history to form its input, trains, and
         immediately records the resolved outcome).
         """
-        i = self._index(pc)
-        history = self._histories[i]
-        self._histories[i] = ((history << 1) | (1 if outcome else 0)) & self._mask
+        i = self.index(pc)
+        history = self.histories[i]
+        self.histories[i] = ((history << 1) | (1 if outcome else 0)) & self._mask
         return history
 
     def storage_bits(self) -> int:

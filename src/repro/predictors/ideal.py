@@ -117,16 +117,40 @@ class NoAliasPredicatePerceptron:
     def _local_key(self, pc: int, slot: int) -> int:
         return pc + (slot << 1)
 
-    def _combined_history(self, pc: int, slot: int, global_history: int) -> int:
+    # ------------------------------------------------------------------
+    # Planned access (the predicate perceptron's contract): the private
+    # weight row itself stands in for the PVT index.
+    # ------------------------------------------------------------------
+    def plan_slot(self, pc: int, slot: int) -> Tuple[List[int], int, int]:
+        """``(weight_row, local_slot, confidence_index)`` of one compare target."""
+        return (
+            self._row(pc, slot),
+            self.local_histories.index(self._local_key(pc, slot)),
+            self.index_for_slot(pc, slot),
+        )
+
+    def _combined(self, local_slot: int, global_history: int) -> int:
         cfg = self.config
         global_part = global_history & ((1 << cfg.global_bits) - 1)
-        local_part = self.local_histories.read(self._local_key(pc, slot))
-        local_part &= (1 << cfg.local_bits) - 1
-        return (local_part << cfg.global_bits) | global_part
+        return (self.local_histories.histories[local_slot] << cfg.global_bits) | global_part
 
+    def output_planned(self, row: List[int], local_slot: int, global_history: int) -> int:
+        return perceptron_output(row, self._combined(local_slot, global_history))
+
+    def train_planned(
+        self, row: List[int], local_slot: int, global_history: int, outcome: bool
+    ) -> None:
+        cfg = self.config
+        combined = self._combined(local_slot, global_history)
+        output = perceptron_output(row, combined)
+        if (output >= 0) != outcome or abs(output) <= cfg.theta:
+            perceptron_train(row, combined, outcome, cfg.weight_min, cfg.weight_max)
+        self.local_histories.shift(local_slot, outcome)
+
+    # ------------------------------------------------------------------
     def predict_slot(self, pc: int, slot: int, global_history: int) -> Tuple[bool, int]:
-        row = self._row(pc, slot)
-        output = perceptron_output(row, self._combined_history(pc, slot, global_history))
+        row, local_slot, _ = self.plan_slot(pc, slot)
+        output = self.output_planned(row, local_slot, global_history)
         return output >= 0, output
 
     def predict_compare(self, pc: int, global_history: int) -> Tuple[bool, bool]:
@@ -136,13 +160,8 @@ class NoAliasPredicatePerceptron:
         )
 
     def update_slot(self, pc: int, slot: int, global_history: int, outcome: bool) -> None:
-        cfg = self.config
-        row = self._row(pc, slot)
-        combined = self._combined_history(pc, slot, global_history)
-        output = perceptron_output(row, combined)
-        if (output >= 0) != outcome or abs(output) <= cfg.theta:
-            perceptron_train(row, combined, outcome, cfg.weight_min, cfg.weight_max)
-        self.local_histories.update(self._local_key(pc, slot), outcome)
+        row, local_slot, _ = self.plan_slot(pc, slot)
+        self.train_planned(row, local_slot, global_history, outcome)
 
     def size_report(self) -> PredictorSizeReport:
         report = PredictorSizeReport()

@@ -289,7 +289,17 @@ class PerceptronPredictor(DirectionPredictor):
             self._flat = None
             self._rows = [[0] * cfg.num_weights for _ in range(cfg.entries)]
         self.local_histories = LocalHistoryTable(cfg.local_history_entries, cfg.local_bits)
+        # Pure memo of the pc -> entry hash (never pickled).
         self._pc_index: dict = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_pc_index"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._pc_index = {}
 
     # ------------------------------------------------------------------
     @property

@@ -92,8 +92,8 @@ class PredicatePerceptronPredictor:
         self.config = config or PredicatePredictorConfig()
         cfg = self.config
         self.optimized = optimized
+        self._global_bits = cfg.global_bits
         self._global_mask = (1 << cfg.global_bits) - 1
-        self._local_mask = (1 << cfg.local_bits) - 1
         if self.optimized:
             # Flat PVT with the per-row output memo (see PerceptronPredictor
             # — identical arithmetic, parity-tested).
@@ -105,8 +105,18 @@ class PredicatePerceptronPredictor:
             self._flat = None
             self._pvt = [[0] * cfg.num_weights for _ in range(cfg.entries)]
         self.local_histories = LocalHistoryTable(cfg.local_history_entries, cfg.local_bits)
-        # Pure memo of the two per-slot PVT indices of each compare PC.
+        # Pure memo of the two per-slot PVT indices of each compare PC
+        # (never pickled).
         self._slot_index: dict = {}
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_slot_index"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._slot_index = {}
 
     # ------------------------------------------------------------------
     # Hashing: f1 folds the PC; f2 inverts the MSB of f1's index.
@@ -143,12 +153,6 @@ class PredicatePerceptronPredictor:
         # Distinguish the two targets' local histories without a second table.
         return pc + (slot << 1)
 
-    def _combined_history(self, pc: int, slot: int, global_history: int) -> int:
-        global_part = global_history & self._global_mask
-        local_part = self.local_histories.read(self._local_key(pc, slot))
-        local_part &= self._local_mask
-        return (local_part << self.config.global_bits) | global_part
-
     # ------------------------------------------------------------------
     def weight_row(self, index: int) -> List[int]:
         """A copy of the weights of PVT entry ``index`` (parity tests)."""
@@ -157,16 +161,61 @@ class PredicatePerceptronPredictor:
         return self._flat.row(index)
 
     # ------------------------------------------------------------------
+    # Planned access: a target's table positions are resolved once, then
+    # the kernels run over them.
+    # ------------------------------------------------------------------
+    def plan_slot(self, pc: int, slot: int) -> Tuple[int, int, int]:
+        """``(row, local_slot, confidence_index)`` of one compare target.
+
+        ``row`` is the PVT entry, ``local_slot`` the local-history entry and
+        ``confidence_index`` the index the paired confidence counter is
+        keyed by (the PVT entry: one counter per perceptron row).  All three
+        are pure functions of ``(pc, slot)``, so a scheme computes them once
+        per static compare and hands them to :meth:`output_planned` and
+        :meth:`train_planned`.
+        """
+        row = self.index_for_slot(pc, slot)
+        return row, self.local_histories.index(self._local_key(pc, slot)), row
+
+    def output_planned(self, row: int, local_slot: int, global_history: int) -> int:
+        """The raw perceptron output of a planned target."""
+        combined = (self.local_histories.histories[local_slot] << self._global_bits) | (
+            global_history & self._global_mask
+        )
+        if self._flat is not None:
+            return self._flat.output(row, combined)
+        return perceptron_output(self._pvt[row], combined)
+
+    def train_planned(
+        self, row: int, local_slot: int, global_history: int, outcome: bool
+    ) -> None:
+        """Train a planned target with its computed value.
+
+        The local history is read again here: another target may have
+        shifted it since the prediction.
+        """
+        local_histories = self.local_histories
+        combined = (local_histories.histories[local_slot] << self._global_bits) | (
+            global_history & self._global_mask
+        )
+        if self._flat is not None:
+            self._flat.train(row, combined, outcome)
+        else:
+            cfg = self.config
+            weights = self._pvt[row]
+            output = perceptron_output(weights, combined)
+            if (output >= 0) != outcome or abs(output) <= cfg.theta:
+                perceptron_train(weights, combined, outcome, cfg.weight_min, cfg.weight_max)
+        local_histories.shift(local_slot, outcome)
+
+    # ------------------------------------------------------------------
     def predict_slot(self, pc: int, slot: int, global_history: int) -> Tuple[bool, int]:
         """Predict one predicate target of the compare at ``pc``.
 
         Returns ``(predicted_value, raw_output)``.
         """
-        combined = self._combined_history(pc, slot, global_history)
-        if self._flat is not None:
-            output = self._flat.output(self.index_for_slot(pc, slot), combined)
-        else:
-            output = perceptron_output(self._pvt[self.index_for_slot(pc, slot)], combined)
+        row, local_slot, _ = self.plan_slot(pc, slot)
+        output = self.output_planned(row, local_slot, global_history)
         return output >= 0, output
 
     def predict_compare(self, pc: int, global_history: int) -> Tuple[bool, bool]:
@@ -177,17 +226,8 @@ class PredicatePerceptronPredictor:
 
     def update_slot(self, pc: int, slot: int, global_history: int, outcome: bool) -> None:
         """Train the entry used for (``pc``, ``slot``) with the computed value."""
-        combined = self._combined_history(pc, slot, global_history)
-        if self._flat is not None:
-            self._flat.train(self.index_for_slot(pc, slot), combined, outcome)
-        else:
-            cfg = self.config
-            row = self._pvt[self.index_for_slot(pc, slot)]
-            output = perceptron_output(row, combined)
-            prediction = output >= 0
-            if prediction != outcome or abs(output) <= cfg.theta:
-                perceptron_train(row, combined, outcome, cfg.weight_min, cfg.weight_max)
-        self.local_histories.update(self._local_key(pc, slot), outcome)
+        row, local_slot, _ = self.plan_slot(pc, slot)
+        self.train_planned(row, local_slot, global_history, outcome)
 
     # ------------------------------------------------------------------
     def size_report(self) -> PredictorSizeReport:

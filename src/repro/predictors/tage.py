@@ -390,6 +390,23 @@ class TagePredicatePredictor:
         return pc + (slot << 2)
 
     # ------------------------------------------------------------------
+    # Planned access (the predicate perceptron's contract): the salted PC
+    # stands in for the PVT row; TAGE keeps no local history.
+    # ------------------------------------------------------------------
+    def plan_slot(self, pc: int, slot: int) -> Tuple[int, int, int]:
+        """``(salted_pc, 0, confidence_index)`` of one compare target."""
+        salted = self._salted(pc, slot)
+        return salted, 0, (fold_pc(salted, self.config.base_bits) << 1) | slot
+
+    def output_planned(self, salted_pc: int, _local_slot: int, history: int) -> int:
+        return 1 if self.tage.predict(salted_pc, history) else -1
+
+    def train_planned(
+        self, salted_pc: int, _local_slot: int, history: int, outcome: bool
+    ) -> None:
+        self.tage.update(salted_pc, history, outcome)
+
+    # ------------------------------------------------------------------
     def predict_slot(self, pc: int, slot: int, history: int) -> Tuple[bool, int]:
         prediction = self.tage.predict(self._salted(pc, slot), history)
         return prediction, 1 if prediction else -1
@@ -398,7 +415,7 @@ class TagePredicatePredictor:
         self.tage.update(self._salted(pc, slot), history, outcome)
 
     def index_for_slot(self, pc: int, slot: int) -> int:
-        return (fold_pc(self._salted(pc, slot), self.config.base_bits) << 1) | slot
+        return self.plan_slot(pc, slot)[2]
 
     # ------------------------------------------------------------------
     def size_report(self) -> PredictorSizeReport:

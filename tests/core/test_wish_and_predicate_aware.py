@@ -3,12 +3,11 @@
 import pytest
 
 from repro.compiler.if_conversion import IfConversionOptions, IfConversionPass
-from repro.core import PredicateAwareScheme, WishBranchScheme
+from repro.core import ConventionalScheme, PredicateAwareScheme, WishBranchScheme
 from repro.emulator import Emulator
 from repro.engine import IF_CONVERTED, ExecutionEngine, SchemeSpec
 from repro.experiments.setup import ExperimentProfile
-from repro.pipeline import OutOfOrderCore, PipelineConfig
-from repro.pipeline.batched import LaneSpec, simulate_lanes
+from repro.pipeline import OutOfOrderCore
 from repro.program import validate_program
 from repro.workloads import workload_names
 
@@ -88,6 +87,14 @@ class TestWishBranchScheme:
         assert not WishBranchScheme.timing_independent
         assert not stream_eligible(WishBranchScheme())
 
+    def test_branches_delegate_to_the_conventional_scheme(self):
+        scheme = WishBranchScheme(second_level="tage")
+        assert type(scheme.branch_scheme()) is ConventionalScheme
+        assert scheme.branches.second_level == "tage"
+        # The branch half records into the wish scheme's own counters.
+        assert scheme.branches.accuracy is scheme.accuracy
+        assert scheme.branches.counters is scheme.counters
+
 
 class TestPredicateAwareScheme:
     def test_predicate_bits_folded_into_history(self):
@@ -141,19 +148,22 @@ class TestWishConventionalBranchIdentity:
 
     @pytest.mark.parametrize("workload", workload_names())
     def test_branch_predictions_match_conventional(self, engine, workload):
+        # Scalar runs: the lane-batched kernel replays one stream for both
+        # by construction, so only the scalar hooks can show a difference.
         trace = engine.collect_trace(workload, IF_CONVERTED)
         for second_level in ("perceptron", "tage"):
-            lanes = [
-                LaneSpec(SchemeSpec.make(kind, second_level=second_level).build, PipelineConfig())
+            conventional, wish = (
+                OutOfOrderCore().run(
+                    trace,
+                    SchemeSpec.make(kind, second_level=second_level).build(),
+                    program_name=workload,
+                )
                 for kind in ("conventional", "wish")
-            ]
-            conventional, wish = simulate_lanes(trace, lanes, program_name=workload)
+            )
             context = (workload, second_level)
             assert conventional.metrics.conditional_branches > 0, context
             assert (
                 wish.metrics.branch_mispredictions
                 == conventional.metrics.branch_mispredictions
             ), context
-            assert [(r.pc, r.predicted) for r in wish.accuracy.records] == [
-                (r.pc, r.predicted) for r in conventional.accuracy.records
-            ], context
+            assert wish.accuracy == conventional.accuracy, context

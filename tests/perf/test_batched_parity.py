@@ -27,14 +27,16 @@ from repro.engine.planner import (
     make_trace_job,
 )
 from repro.experiments.setup import ExperimentProfile
+from repro.pipeline import batched
 from repro.pipeline.batched import (
     LaneSpec,
     _drive_bank,
     _drive_scheme_stream,
     simulate_lanes,
     stream_eligible,
+    stream_source,
 )
-from repro.pipeline.core import DecisionReplay, OutOfOrderCore, _Rows
+from repro.pipeline.core import OutOfOrderCore, _Rows
 from repro.pipeline.machine import MachineSpec
 from repro.pipeline.windowed import simulate_windowed
 
@@ -119,6 +121,12 @@ class TestBatchedScalarParity:
     # (stream) beside predicate (hook) lanes at ROB 32, 64, 128 and 256.
     @example(lane_picks=[(0, m) for m in range(8)])
     @example(lane_picks=[(s, m) for s in (0, 1) for m in (1, 2, 3, 0)])
+    # Shared branch streams: wish replays the conventional lane's stream of
+    # its second level, and a wish-only ROB sweep shares one prepass over
+    # its own branch half across machines.
+    @example(lane_picks=[(0, 0), (4, 0)])
+    @example(lane_picks=[(6, 1), (8, 1)])
+    @example(lane_picks=[(4, m) for m in (0, 1, 2, 3)])
     @settings(max_examples=12, deadline=None)
     def test_random_lane_sets_are_bit_identical(
         self, pack, scalar_reference, lane_picks
@@ -127,7 +135,6 @@ class TestBatchedScalarParity:
             LaneSpec(
                 scheme_factory=SCHEME_SPECS[s].build,
                 config=MACHINES[m].build_config(),
-                group_key=SCHEME_SPECS[s],
             )
             for s, m in lane_picks
         ]
@@ -155,6 +162,50 @@ class TestBatchedScalarParity:
         assert stream_eligible(SCHEME_SPECS[6].build())
         assert not stream_eligible(SCHEME_SPECS[7].build())
         assert not stream_eligible(SCHEME_SPECS[8].build())
+
+    def test_which_lanes_replay_a_branch_stream(self):
+        """Stream lanes replay their own stream, wish lanes their branch
+        half's, and every other hook lane none."""
+        for index in (0, 3, 6):  # conventional, perfect history, TAGE
+            scheme = SCHEME_SPECS[index].build()
+            assert stream_source(scheme) is scheme
+        for index in (1, 2, 5, 7):  # predicate, pep-pa, predicate-aware
+            assert stream_source(SCHEME_SPECS[index].build()) is None
+        for wish, conventional in ((4, 0), (8, 6)):
+            scheme = SCHEME_SPECS[wish].build()
+            source = stream_source(scheme)
+            assert source is scheme.branches
+            # Same stream key as the conventional lane of its second level.
+            assert source.stream_key() == SCHEME_SPECS[conventional].build().stream_key()
+        # A subclass may override hooks: it replays a private stream.
+        assert stream_source(_Subclass()).stream_key() is None
+
+    @pytest.mark.parametrize(
+        "picks, prepasses",
+        [
+            ([(0, 0), (4, 0), (4, 1)], 1),  # wish replays conventional's
+            ([(4, m) for m in (0, 1, 2, 3)], 1),  # one prepass per sweep
+            ([(0, 0), (4, 0), (6, 0), (8, 0)], 2),  # one per second level
+        ],
+    )
+    def test_wish_lanes_share_one_prepass(self, pack, monkeypatch, picks, prepasses):
+        calls = []
+        drive = batched._drive_scheme_stream
+
+        def counting(scheme, rows):
+            calls.append(scheme)
+            return drive(scheme, rows)
+
+        monkeypatch.setattr(batched, "_drive_scheme_stream", counting)
+        lanes = [
+            LaneSpec(SCHEME_SPECS[s].build, MACHINES[m].build_config()) for s, m in picks
+        ]
+        simulate_lanes(pack, lanes)
+        assert len(calls) == prepasses
+
+
+class _Subclass(ConventionalScheme):
+    """A conventional subclass that changes nothing."""
 
 
 class _FetchRecorder(ConventionalScheme):
@@ -199,8 +250,8 @@ class TestHookDispatch:
             return schemes[-1]
 
         lanes = [
-            LaneSpec(SCHEME_SPECS[0].build, config, SCHEME_SPECS[0]),
-            LaneSpec(factory, config, "recorder"),
+            LaneSpec(SCHEME_SPECS[0].build, config),
+            LaneSpec(factory, config),
         ]
         batched = simulate_lanes(pack, lanes)[1]
         self._check(pack, reference, schemes[0], batched)
@@ -209,17 +260,19 @@ class TestHookDispatch:
         windowed = simulate_windowed(OutOfOrderCore(), pack, scheme, window_rows=300)
         self._check(pack, reference, scheme, windowed)
 
-    def test_decision_replay_on_the_reference_loop(self, pack, scalar_reference):
+    def test_a_wish_lane_carrying_the_conventional_stream(self, pack, scalar_reference):
+        # Outside simulate_lanes: the loop reads the stream on branch rows
+        # and still calls every other hook of the lane's own scheme.
         rows = _Rows(pack, 0, len(pack), {})
         stream = _drive_scheme_stream(SCHEME_SPECS[0].build(), rows)
-        replay = DecisionReplay(
-            "conventional",
-            stream.accuracy.copy(),
-            stream.overrides,
-            stream.mispreds,
-        )
-        result = OutOfOrderCore(optimized=False).run(pack, replay)
-        _assert_result_parity(scalar_reference(0, 0), result, "replay")
+        core = OutOfOrderCore(config=MACHINES[0].build_config())
+        wish = SCHEME_SPECS[4].build()
+        wish.accuracy = stream.accuracy.copy()
+        state = core._loop_state(wish)
+        core._run_rows(state, rows, stream)
+        result = core._finalize(state, "gzip")
+        _assert_result_parity(scalar_reference(4, 0), result, "wish + stream")
+        assert wish.counters.get("wish_guard_predictions") > 0
 
 
 class TestLaneBank:

@@ -251,7 +251,7 @@ class TestCheckpointVersion:
             on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
         )
         checkpoint = pickle.loads(blobs[len(blobs) // 2])
-        assert checkpoint.version == CHECKPOINT_VERSION == 3
+        assert checkpoint.version == CHECKPOINT_VERSION == 4
         checkpoint.version = version
         return checkpoint
 
@@ -288,6 +288,24 @@ class TestCheckpointVersion:
         )
         assert resumed_at[0] == 300  # the first window was simulated again
         _assert_result_parity(scalar_reference(0, 0), result, "version-2 checkpoint")
+
+    def test_version_three_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
+        # Version 3 pickled wish with its own copy of the branch predictor
+        # and predicate PPRF entries without their prediction plan.
+        stale = self._stale_checkpoint(pack, 3, 300, version=3)
+        assert stale.rows_done > 0 and not stale.matches(len(pack))
+        resumed_at = []
+        result = simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[3].build(),
+            "gzip",
+            window_rows=300,
+            checkpoint=stale,
+            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+        )
+        assert resumed_at[0] == 300  # the first window was simulated again
+        _assert_result_parity(scalar_reference(3, 0), result, "version-3 checkpoint")
 
     def test_engine_does_not_resume_a_version_one_checkpoint(self, pack, tmp_path):
         profile = _profile()

@@ -13,11 +13,15 @@ from __future__ import annotations
 
 import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import PredicatePredictionScheme, PredicateSchemeOptions, WishBranchScheme
+from repro.emulator import Emulator
+from repro.pipeline import OutOfOrderCore
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import LocalHistoryTable
 from repro.predictors.peppa import PEPPAPredictor
@@ -31,6 +35,8 @@ from repro.predictors.predicate_perceptron import (
     PredicatePerceptronPredictor,
 )
 from repro.predictors.tage import TAGEConfig, TAGEPredictor, TagePredicatePredictor
+
+from tests.conftest import build_counting_loop
 
 #: A deliberately tiny TAGE so 400 steps exercise allocation pressure and
 #: cross the usefulness-decay period on both sides of the snapshot.
@@ -265,6 +271,44 @@ POOLED_CASES = {
 }
 
 
+#: A compare or branch PC outside every stream's alphabet.
+NEW_PC = 0x9F00
+
+
+def _predict_slot(predictor, pc, history):
+    predictor.predict_slot(pc, 1, history)
+
+
+NEW_PC_CASES = {
+    "local-history": (
+        lambda: LocalHistoryTable(entries=64, bits=10),
+        lambda table, pc, history: table.read(pc),
+    ),
+    "perceptron": (
+        POOLED_CASES["perceptron"][0],
+        lambda predictor, pc, history: predictor.predict(pc, history),
+    ),
+    "predicate-perceptron": (POOLED_CASES["predicate-perceptron"][0], _predict_slot),
+    "tage": (
+        POOLED_CASES["tage"][0],
+        lambda predictor, pc, history: predictor.predict(pc, history),
+    ),
+    "tage-predicate": (lambda: TagePredicatePredictor(SMALL_TAGE), _predict_slot),
+    "predicate-aware": (
+        lambda: PredicateAwarePredictor(PredicateAwareConfig()),
+        lambda predictor, pc, history: predictor.predict_with_output(pc, history, 0b11),
+    ),
+}
+
+SCHEMES = {
+    "predicate": PredicatePredictionScheme,
+    "predicate-tage": lambda: PredicatePredictionScheme(
+        PredicateSchemeOptions(second_level="tage")
+    ),
+    "wish": WishBranchScheme,
+}
+
+
 class TestMemosStayOutOfPickles:
     @pytest.mark.parametrize("case", sorted(POOLED_CASES))
     @settings(max_examples=15, deadline=None)
@@ -294,3 +338,29 @@ class TestMemosStayOutOfPickles:
         assert not any(_memos(restored))
         tail = [step(restored, event) for event in events[cut:]]
         assert tail == reference[cut:]
+
+    @pytest.mark.parametrize("case", sorted(NEW_PC_CASES))
+    def test_a_new_pc_prediction_leaves_the_pickle_alone(self, case):
+        # A pc never seen before grows only the pc-index memos; the pickle
+        # must not carry them.
+        make, predict = NEW_PC_CASES[case]
+        predictor = make()
+        for pc, history, _, _ in _stream(seed=11)[:60]:
+            predict(predictor, pc, history)
+        blob = pickle.dumps(predictor, protocol=pickle.HIGHEST_PROTOCOL)
+        predict(predictor, NEW_PC, 0b101)
+        assert pickle.dumps(predictor, protocol=pickle.HIGHEST_PROTOCOL) == blob
+
+    @pytest.mark.parametrize("case", sorted(SCHEMES))
+    def test_scheme_compare_plans_stay_out_of_pickles(self, case):
+        scheme = SCHEMES[case]()
+        program, _ = build_counting_loop()
+        OutOfOrderCore().run(Emulator(program).run(600), scheme, program.name)
+        assert scheme._plans  # the run planned its compares
+        blob = pickle.dumps(scheme, protocol=pickle.HIGHEST_PROTOCOL)
+        compare = next(inst for inst in program.instructions() if inst.is_compare)
+        scheme.compare_plan(SimpleNamespace(pc=NEW_PC, inst=compare))
+        assert NEW_PC in scheme._plans
+        assert pickle.dumps(scheme, protocol=pickle.HIGHEST_PROTOCOL) == blob
+        assert pickle.loads(blob)._plans == {}
+

@@ -340,8 +340,8 @@ class TestHistoryStructures:
         table = LocalHistoryTable(entries=32, bits=8)
         shadow = {}
         for pc, _, outcome in stream:
-            index = table._index(pc)
-            assert table._index(pc) == index  # memo returns the same index
+            index = table.index(pc)
+            assert table.index(pc) == index  # memo returns the same index
             expected = ((shadow.get(index, 0) << 1) | (1 if outcome else 0)) & 0xFF
             table.update(pc, outcome)
             shadow[index] = expected
