@@ -116,6 +116,37 @@ def plan_compare(
     return tuple(plan)
 
 
+class ComparePlans:
+    """The :func:`plan_compare` memo of one scheme, per compare PC.
+
+    A pure cache of the predictor geometry: pickling keeps only the
+    predictor and confidence estimator it plans for, never the memo.
+    """
+
+    __slots__ = ("predictor", "confidence", "memo")
+
+    def __init__(self, predictor, confidence: ConfidenceEstimator) -> None:
+        self.predictor = predictor
+        self.confidence = confidence
+        self.memo: Dict[int, Tuple[CompareTarget, ...]] = {}
+
+    def __getstate__(self):
+        return self.predictor, self.confidence
+
+    def __setstate__(self, state) -> None:
+        self.predictor, self.confidence = state
+        self.memo = {}
+
+    def of(self, dyn: DynInst) -> Tuple[CompareTarget, ...]:
+        """The plan of the compare ``dyn`` is an instance of."""
+        plan = self.memo.get(dyn.pc)
+        if plan is None:
+            plan = self.memo[dyn.pc] = plan_compare(
+                dyn.inst, dyn.pc, self.predictor, self.confidence
+            )
+        return plan
+
+
 def computed_value(dyn: DynInst, logical_index: int, committed: List[bool]) -> bool:
     """The value the compare ``dyn`` computes for ``p<logical_index>``.
 
@@ -178,34 +209,14 @@ class PredicatePredictionScheme(BranchHandlingScheme):
         #: PPRF entries awaiting their compare's execution, keyed by the
         #: compare's dynamic sequence number.
         self._pending: Dict[int, List[PPRFEntry]] = {}
-        #: Pure memo of :func:`plan_compare` per compare PC (never pickled).
-        self._plans: Dict[int, Tuple[CompareTarget, ...]] = {}
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_plans"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._plans = {}
-
-    def compare_plan(self, dyn: DynInst) -> Tuple[CompareTarget, ...]:
-        """The (memoised) plan of the compare ``dyn`` is an instance of."""
-        plan = self._plans.get(dyn.pc)
-        if plan is None:
-            plan = self._plans[dyn.pc] = plan_compare(
-                dyn.inst, dyn.pc, self.predictor, self.confidence
-            )
-        return plan
+        #: Per-compare-PC prediction plans.
+        self.plans = ComparePlans(self.predictor, self.confidence)
 
     # ------------------------------------------------------------------
     # Compare handling: produce predictions
     # ------------------------------------------------------------------
     def on_compare_rename(self, dyn: DynInst, fetch_cycle: int, rename_cycle: int) -> None:
-        plan = self._plans.get(dyn.pc)
-        if plan is None:
-            plan = self.compare_plan(dyn)
+        plan = self.plans.of(dyn)
         if not plan:
             return
         ghr = self.ghr

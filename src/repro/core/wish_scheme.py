@@ -39,7 +39,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.conventional import ConventionalScheme
-from repro.core.predicate_scheme import CompareTarget, computed_value, plan_compare
+from repro.core.predicate_scheme import ComparePlans, CompareTarget, computed_value
 from repro.emulator.executor import DynInst
 from repro.isa.registers import NUM_PREDICATE_REGISTERS
 from repro.pipeline.scheme_api import (
@@ -106,34 +106,14 @@ class WishBranchScheme(BranchHandlingScheme):
         #: Guard training state keyed by the compare's sequence number:
         #: ``(target plan, history at prediction, predicted)`` per target.
         self._pending_guards: Dict[int, List[Tuple[CompareTarget, int, bool]]] = {}
-        #: Pure memo of the guard plan per compare PC (never pickled).
-        self._plans: Dict[int, Tuple[CompareTarget, ...]] = {}
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_plans"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._plans = {}
-
-    def compare_plan(self, dyn: DynInst) -> Tuple[CompareTarget, ...]:
-        """The (memoised) guard plan of the compare ``dyn`` is an instance of."""
-        plan = self._plans.get(dyn.pc)
-        if plan is None:
-            plan = self._plans[dyn.pc] = plan_compare(
-                dyn.inst, dyn.pc, self.guard_predictor, self.confidence
-            )
-        return plan
+        #: Per-compare-PC guard prediction plans.
+        self.plans = ComparePlans(self.guard_predictor, self.confidence)
 
     # ------------------------------------------------------------------
     # Compare handling: predict guards, gate on confidence
     # ------------------------------------------------------------------
     def on_compare_rename(self, dyn: DynInst, fetch_cycle: int, rename_cycle: int) -> None:
-        plan = self._plans.get(dyn.pc)
-        if plan is None:
-            plan = self.compare_plan(dyn)
+        plan = self.plans.of(dyn)
         if not plan:
             return
         history = self.guard_ghr.value

@@ -356,11 +356,14 @@ class TestMemosStayOutOfPickles:
         scheme = SCHEMES[case]()
         program, _ = build_counting_loop()
         OutOfOrderCore().run(Emulator(program).run(600), scheme, program.name)
-        assert scheme._plans  # the run planned its compares
+        assert scheme.plans.memo  # the run planned its compares
         blob = pickle.dumps(scheme, protocol=pickle.HIGHEST_PROTOCOL)
         compare = next(inst for inst in program.instructions() if inst.is_compare)
-        scheme.compare_plan(SimpleNamespace(pc=NEW_PC, inst=compare))
-        assert NEW_PC in scheme._plans
+        assert scheme.plans.of(SimpleNamespace(pc=NEW_PC, inst=compare))
+        assert NEW_PC in scheme.plans.memo
         assert pickle.dumps(scheme, protocol=pickle.HIGHEST_PROTOCOL) == blob
-        assert pickle.loads(blob)._plans == {}
+        restored = pickle.loads(blob)
+        assert restored.plans.memo == {}
+        # The restored memo plans for the restored tables.
+        assert restored.plans.confidence is restored.confidence
 
