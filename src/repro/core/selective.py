@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.pipeline.pprf import PPRFEntry
-from repro.pipeline.scheme_api import PREDICATED_HANDLING, PredicatedHandling
 from repro.pipeline.uop import RenameDecision
 
 
@@ -42,11 +41,6 @@ class SelectiveDecision:
     #: The predicted guard value the decision relied on (None when the
     #: decision was not based on a prediction).
     assumed_value: Optional[bool] = None
-
-    @property
-    def handling(self) -> PredicatedHandling:
-        """The pipeline handling of this decision when it needs no flush."""
-        return PREDICATED_HANDLING[self.decision]
 
 
 CONSERVATIVE = SelectiveDecision(RenameDecision.CONSERVATIVE, speculative=False)

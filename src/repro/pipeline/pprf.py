@@ -103,12 +103,9 @@ class PredicatePhysicalRegisterFile:
             producer_pc,
             producer_slot,
             producer_seq,
-            predicted_value,
-            None,
-            predicted_cycle,
-            None,
-            True,
-            confident,
+            predicted_value=predicted_value,
+            predicted_cycle=predicted_cycle,
+            confident=confident,
         )
         self._next_id += 1
         self.allocations += 1

@@ -1,5 +1,9 @@
 """Tests for the selective predication policy."""
 
+from dataclasses import FrozenInstanceError
+
+import pytest
+
 from repro.core.selective import SelectivePredicationPolicy
 from repro.pipeline.pprf import PPRFEntry
 from repro.pipeline.uop import RenameDecision
@@ -78,3 +82,12 @@ class TestSpeculativeGuards:
         policy = SelectivePredicationPolicy()
         entry = _entry(predicted=None, confident=True)
         assert policy.decide(entry, 5, True).decision is RenameDecision.CONSERVATIVE
+
+
+class TestSharedDecisions:
+    def test_equal_outcomes_share_one_immutable_decision(self):
+        policy = SelectivePredicationPolicy()
+        first = policy.decide(_entry(predicted=True, confident=True), 5, True)
+        assert policy.decide(_entry(predicted=True, confident=True), 9, False) is first
+        with pytest.raises(FrozenInstanceError):
+            first.speculative = False
