@@ -237,9 +237,9 @@ class PredicatePredictionScheme(BranchHandlingScheme):
                 pc,
                 slot,
                 seq,
-                predicted,
-                rename_cycle,
-                confidence[confidence_slot] == saturated,
+                predicted_value=predicted,
+                predicted_cycle=rename_cycle,
+                confident=confidence[confidence_slot] == saturated,
             )
             entry.target = target
             entry.history = history
