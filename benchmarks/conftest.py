@@ -47,7 +47,11 @@ def shared_engine() -> ExecutionEngine:
 
 
 #: Directory where every benchmark also archives its rendered result block.
-RESULTS_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "results")
+#: Not ``results/``: the harness runs its own profile, and the committed
+#: reports there are what ``repro all`` writes.
+RESULTS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ".bench-results"
+)
 
 
 def emit(title: str, body: str, name: str = "") -> None:
@@ -56,12 +60,11 @@ def emit(title: str, body: str, name: str = "") -> None:
     The print is visible with ``pytest -s`` (or on failures); the archived
     copy makes the regenerated tables available even when pytest captures
     stdout, so a plain ``pytest benchmarks/ --benchmark-only`` run leaves the
-    per-figure tables in ``results/*.txt``.
+    per-figure tables in ``.bench-results/*.txt``.
 
     ``name`` is the canonical file name of the report (matching the names
-    ``repro all`` writes, see :data:`repro.experiments.suite.REPORT_TITLES`)
-    so the harness and the CLI update the *same* files; it defaults to a
-    slug of the title.
+    ``repro all`` writes, see :data:`repro.experiments.suite.REPORT_TITLES`);
+    it defaults to a slug of the title.
     """
     from repro.stats.reporting import report_block, report_slug
 

@@ -142,23 +142,6 @@ class ConventionalScheme(BranchHandlingScheme):
             self.second_level,
         )
 
-    def lane_bank_profile(self):
-        """Geometry token for :class:`repro.predictors.batched.ConventionalLaneBank`.
-
-        Only the plain scheme (table-indexed perceptron + gshare) can be
-        stepped as lane-axis arrays; the idealized no-alias variant indexes
-        differently, a TAGE second level has no bank implementation, and
-        subclasses may override hooks, so all three opt out.
-        """
-        if (
-            type(self) is not ConventionalScheme
-            or self.ideal_no_alias
-            or self.second_level != "perceptron"
-        ):
-            return None
-        fast = self.predictor.fast
-        return (self.perceptron_config, fast.history_bits, fast.counter_bits)
-
     # ------------------------------------------------------------------
     def describe(self) -> str:
         size = self.predictor.size_report().total_kib

@@ -39,12 +39,8 @@ Lanes share a stream when their branch schemes return equal
 :meth:`~repro.pipeline.scheme_api.BranchHandlingScheme.stream_key` tokens:
 a wish lane replays the stream of the batch's conventional lane of the same
 second level, or, in a batch without one, a prepass over its own branch
-half that every such wish lane shares.
-
-When a batch carries several *distinct* streams with the same predictor
-geometry (``lane_bank_profile``), the prepass steps them in lockstep
-through a :class:`~repro.predictors.batched.ConventionalLaneBank`, which
-keeps the divergent perceptron weights as one lane-axis numpy array.
+half that every such wish lane shares.  Each distinct stream is computed
+one way, by its scheme's own hooks, once per batch.
 
 Bit-exactness contract: every lane's :class:`SimulationResult` — metrics,
 counters, per-branch accuracy records — is identical to what the scalar
@@ -61,7 +57,6 @@ from repro.emulator.tracepack import PackCursor, TracePack
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import DecisionStream, OutOfOrderCore, SimulationResult, _Rows
 from repro.pipeline.scheme_api import BranchHandlingScheme, overridden_hooks
-from repro.predictors.batched import ConventionalLaneBank
 
 
 class LaneSpec:
@@ -118,39 +113,6 @@ def _drive_scheme_stream(scheme: BranchHandlingScheme, rows: _Rows) -> DecisionS
     return DecisionStream(overrides, mispreds, scheme.accuracy)
 
 
-def _drive_bank(
-    profile, schemes: Sequence[BranchHandlingScheme], rows: _Rows
-) -> List[DecisionStream]:
-    """Replay the branch rows through a lane-axis predictor bank.
-
-    ``schemes`` are the sources of distinct same-geometry streams; their
-    accuracies are filled exactly as their own hooks would have, while the
-    perceptron state steps as one ``(lanes, entries, num_weights)`` array
-    (:class:`ConventionalLaneBank`).
-    """
-    lanes = len(schemes)
-    bank = ConventionalLaneBank(profile, lanes)
-    step = bank.step
-    adds = [scheme.accuracy.add for scheme in schemes]
-    override_lists: List[List[bool]] = [[] for _ in range(lanes)]
-    mispred_lists: List[List[bool]] = [[] for _ in range(lanes)]
-    pcs = rows.pcs
-    takens = rows.takens
-    for i in rows.cond_rows:
-        pc = pcs[i]
-        actual = takens[i] is True
-        fast, finals, overrides = step(pc, actual)
-        for k in range(lanes):
-            final = finals[k]
-            adds[k](pc, actual, final, fast)
-            override_lists[k].append(overrides[k])
-            mispred_lists[k].append(final != actual)
-    return [
-        DecisionStream(override_lists[k], mispred_lists[k], schemes[k].accuracy)
-        for k in range(lanes)
-    ]
-
-
 def simulate_lanes(
     pack: TracePack,
     lanes: Sequence[LaneSpec],
@@ -162,15 +124,18 @@ def simulate_lanes(
     cell through the scalar engine.  Lanes whose branches are a
     stream-eligible scheme's share one decision-stream prepass per
     :meth:`~repro.pipeline.scheme_api.BranchHandlingScheme.stream_key`
-    (lane-axis banked across same-geometry streams) and carry it into the
-    timing loop; their other hooks, if any, still run.
+    and carry it into the timing loop; their other hooks, if any, still
+    run.  An empty pack raises ``ValueError``, as in the scalar engine.
     """
+    if len(pack) == 0:
+        raise ValueError("empty trace: nothing to simulate")
     rows = _Rows(pack, 0, len(pack), {})
     schemes = [lane.scheme_factory() for lane in lanes]
 
-    # Lanes grouped by stream; a source without a key gets a private one.
-    sources: Dict[object, BranchHandlingScheme] = {}
-    members: Dict[object, List[int]] = {}
+    # One prepass per stream key, driven on its first lane's branch scheme;
+    # a source without a key gets a private stream.
+    streams: Dict[object, DecisionStream] = {}
+    lane_streams: List[Optional[DecisionStream]] = [None] * len(lanes)
     for i, scheme in enumerate(schemes):
         source = stream_source(scheme)
         if source is None:
@@ -178,33 +143,14 @@ def simulate_lanes(
         key = source.stream_key()
         if key is None:
             key = ("__lane__", i)
-        sources.setdefault(key, source)
-        members.setdefault(key, []).append(i)
-
-    # Distinct same-geometry streams step in lockstep through the lane bank.
-    streams: Dict[object, DecisionStream] = {}
-    profile_groups: Dict[object, List[object]] = {}
-    for key, source in sources.items():
-        profile = source.lane_bank_profile()
-        if profile is not None:
-            profile_groups.setdefault(profile, []).append(key)
-    for profile, keys in profile_groups.items():
-        if len(keys) < 2:
-            continue
-        driven = _drive_bank(profile, [sources[key] for key in keys], rows)
-        streams.update(zip(keys, driven))
-
-    lane_streams: List[Optional[DecisionStream]] = [None] * len(lanes)
-    for key, source in sources.items():
-        if key not in streams:
-            streams[key] = _drive_scheme_stream(source, rows)
-        stream = streams[key]
-        for position, i in enumerate(members[key]):
+        stream = streams.get(key)
+        if stream is None:
             # The first lane takes the prepass's own accuracy record.
-            schemes[i].accuracy = (
-                stream.accuracy if position == 0 else stream.accuracy.copy()
-            )
-            lane_streams[i] = stream
+            stream = streams[key] = _drive_scheme_stream(source, rows)
+            scheme.accuracy = stream.accuracy
+        else:
+            scheme.accuracy = stream.accuracy.copy()
+        lane_streams[i] = stream
 
     results: List[SimulationResult] = []
     for lane, scheme, stream in zip(lanes, schemes, lane_streams):

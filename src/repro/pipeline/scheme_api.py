@@ -157,17 +157,6 @@ class BranchHandlingScheme(abc.ABC):
         """
         return None
 
-    def lane_bank_profile(self):
-        """Hashable predictor-geometry token for lane-axis batching, or
-        ``None``.
-
-        Timing-independent schemes whose predictor state can be stepped as
-        lane-axis arrays (see :mod:`repro.predictors.batched`) return a
-        token; two schemes returning equal tokens can share one bank, each
-        occupying one lane.  The base implementation opts out.
-        """
-        return None
-
     # ------------------------------------------------------------------
     def describe(self) -> str:
         """Human-readable description used by reports."""

@@ -164,7 +164,8 @@ def simulate_windowed(
     :class:`~repro.emulator.tracepack.TracePack` or
     :class:`~repro.emulator.tracepack.ChunkedTracePack`, and
     :class:`ValueError` when ``core`` is the reference core
-    (``optimized=False``), which has no windowed fold.
+    (``optimized=False``), which has no windowed fold, or when the trace
+    is empty.
     """
     if not isinstance(trace, (TracePack, ChunkedTracePack)):
         raise TypeError(
@@ -175,8 +176,10 @@ def simulate_windowed(
         raise ValueError("windowed simulation needs a core built with optimized=True")
 
     total = len(trace)
+    if total == 0:
+        raise ValueError("empty trace: nothing to simulate")
     window = window_rows if window_rows is not None else (
-        sampling.window if sampling is not None else max(total, 1)
+        sampling.window if sampling is not None else total
     )
     if window < 1:
         raise ValueError(f"window_rows must be positive, got {window}")

@@ -9,7 +9,7 @@ Structures provided:
 * :class:`~repro.predictors.counters.SaturatingCounter` and counter tables;
 * :class:`~repro.predictors.history.GlobalHistoryRegister` and
   :class:`~repro.predictors.history.LocalHistoryTable` with speculative
-  update, bit repair and checkpointing;
+  update and bit repair;
 * :class:`~repro.predictors.gshare.GsharePredictor` — the fast first-level
   predictor of the two-level scheme (Table 1);
 * :class:`~repro.predictors.perceptron.PerceptronPredictor` — the slow,

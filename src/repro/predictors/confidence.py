@@ -37,24 +37,6 @@ class ConfidenceEstimator:
         return index % self.entries
 
     # ------------------------------------------------------------------
-    def is_confident(self, index: int) -> bool:
-        """True when the counter for ``index`` is saturated."""
-        return self.counters[self.slot(index)] == self.saturated
-
-    def value(self, index: int) -> int:
-        return self.counters[self.slot(index)]
-
-    def record_correct(self, index: int) -> None:
-        i = self.slot(index)
-        if self.counters[i] < self.saturated:
-            self.counters[i] += 1
-
-    def record_incorrect(self, index: int) -> None:
-        self.counters[self.slot(index)] = 0
-
-    def record(self, index: int, correct: bool) -> None:
-        self.record_slot(self.slot(index), correct)
-
     def record_slot(self, slot: int, correct: bool) -> None:
         """Train counter ``slot``: count a correct prediction up, zero a wrong one."""
         counters = self.counters

@@ -66,25 +66,6 @@ class GsharePredictor(DirectionPredictor):
             return
         self.table.train(self._index(pc, global_history), outcome)
 
-    def step(self, pc: int, global_history: int, outcome: bool) -> bool:
-        """Predict and immediately train one branch (one index computation).
-
-        Equivalent to ``predict`` followed by ``update`` with the same
-        arguments.  Used by the lane-batched prediction prepass
-        (:mod:`repro.predictors.batched`), where a branch's prediction and
-        its training are adjacent in the replayed stream, so the folded
-        index only needs computing once.
-        """
-        values = self._values
-        index = (fold_pc(pc, self.history_bits) ^ global_history) & self._mask
-        value = values[index]
-        if outcome:
-            if value < self._cmax:
-                values[index] = value + 1
-        elif value > 0:
-            values[index] = value - 1
-        return value >= self._threshold
-
     def size_report(self) -> PredictorSizeReport:
         report = PredictorSizeReport()
         report.add("gshare-pht", self.entries * self.counter_bits)

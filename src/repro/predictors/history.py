@@ -20,7 +20,7 @@ register) when the computed value disagrees with the prediction.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Tuple
+from typing import Deque, Dict, List
 
 from repro.predictors.base import fold_pc
 
@@ -47,15 +47,6 @@ class GlobalHistoryRegister:
         """Current contents as an integer (bit 0 = most recent outcome)."""
         return self._value
 
-    def snapshot(self) -> Tuple[int, Tuple[int, ...]]:
-        """Checkpoint the register (contents + bit tokens)."""
-        return self._value, tuple(self._tokens)
-
-    def restore(self, snapshot: Tuple[int, Tuple[int, ...]]) -> None:
-        """Restore a previously captured checkpoint."""
-        self._value, tokens = snapshot
-        self._tokens = deque(tokens, maxlen=self.bits)
-
     # ------------------------------------------------------------------
     def push(self, outcome: bool) -> int:
         """Shift ``outcome`` in and return the token identifying this bit."""
@@ -68,12 +59,10 @@ class GlobalHistoryRegister:
     def push_resolved(self, outcome: bool) -> None:
         """Shift in an already-resolved outcome (no token bookkeeping).
 
-        A conventional predictor's speculative push of its prediction,
-        repaired by the *same branch* before any younger instruction reads
-        the register, is net-equivalent to pushing the architectural
-        outcome.  The lane-batched prediction prepass replays branches in
-        program order with resolved outcomes in hand, so it uses this
-        collapsed form instead of push-then-repair.
+        Equivalent to a :meth:`push` that the same instruction repairs to
+        ``outcome``.  For bits no one repairs: the computed predicate values
+        that the wish scheme's guard history and the predicate-aware
+        scheme's mixed history fold in at compare completion.
         """
         self._value = (
             (self._value << 1) | (1 if outcome else 0)
@@ -157,55 +146,9 @@ class LocalHistoryTable:
         histories = self.histories
         histories[index] = ((histories[index] << 1) | (1 if outcome else 0)) & self._mask
 
-    def read_then_update(self, pc: int, outcome: bool) -> int:
-        """Return the current history of ``pc``, then shift ``outcome`` in.
-
-        One index lookup instead of two for the predict-train-adjacent
-        access pattern of the lane-batched prediction prepass (the
-        perceptron reads the local history to form its input, trains, and
-        immediately records the resolved outcome).
-        """
-        i = self.index(pc)
-        history = self.histories[i]
-        self.histories[i] = ((history << 1) | (1 if outcome else 0)) & self._mask
-        return history
-
     def storage_bits(self) -> int:
         return self.entries * self.bits
 
     def __len__(self) -> int:
         return self.entries
 
-
-class HistorySnapshotManager:
-    """Bookkeeping of per-instruction history checkpoints.
-
-    Schemes create a checkpoint when a prediction is made and either discard
-    it (correct prediction) or use it during recovery.  Checkpoints are keyed
-    by an opaque id chosen by the scheme (the dynamic sequence number).
-    """
-
-    def __init__(self) -> None:
-        self._snapshots: Dict[int, Tuple[int, Tuple[int, ...]]] = {}
-
-    def save(self, key: int, ghr: GlobalHistoryRegister) -> None:
-        self._snapshots[key] = ghr.snapshot()
-
-    def restore(self, key: int, ghr: GlobalHistoryRegister) -> bool:
-        snapshot = self._snapshots.pop(key, None)
-        if snapshot is None:
-            return False
-        ghr.restore(snapshot)
-        return True
-
-    def discard(self, key: int) -> None:
-        self._snapshots.pop(key, None)
-
-    def discard_before(self, key: int) -> None:
-        """Drop all snapshots older than ``key`` (retired instructions)."""
-        stale = [k for k in self._snapshots if k < key]
-        for k in stale:
-            del self._snapshots[k]
-
-    def __len__(self) -> int:
-        return len(self._snapshots)

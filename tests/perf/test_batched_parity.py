@@ -30,7 +30,6 @@ from repro.experiments.setup import ExperimentProfile
 from repro.pipeline import batched
 from repro.pipeline.batched import (
     LaneSpec,
-    _drive_bank,
     _drive_scheme_stream,
     simulate_lanes,
     stream_eligible,
@@ -127,6 +126,9 @@ class TestBatchedScalarParity:
     @example(lane_picks=[(0, 0), (4, 0)])
     @example(lane_picks=[(6, 1), (8, 1)])
     @example(lane_picks=[(4, m) for m in (0, 1, 2, 3)])
+    # Conventional beside conventional with perfect history: two streams
+    # of one predictor geometry, each replayed by its own hooks.
+    @example(lane_picks=[(0, 0), (3, 1), (3, 0), (0, 2)])
     @settings(max_examples=12, deadline=None)
     def test_random_lane_sets_are_bit_identical(
         self, pack, scalar_reference, lane_picks
@@ -186,6 +188,7 @@ class TestBatchedScalarParity:
             ([(0, 0), (4, 0), (4, 1)], 1),  # wish replays conventional's
             ([(4, m) for m in (0, 1, 2, 3)], 1),  # one prepass per sweep
             ([(0, 0), (4, 0), (6, 0), (8, 0)], 2),  # one per second level
+            ([(0, 0), (3, 1)], 2),  # one per stream key, same geometry
         ],
     )
     def test_wish_lanes_share_one_prepass(self, pack, monkeypatch, picks, prepasses):
@@ -273,24 +276,6 @@ class TestHookDispatch:
         result = core._finalize(state, "gzip")
         _assert_result_parity(scalar_reference(4, 0), result, "wish + stream")
         assert wish.counters.get("wish_guard_predictions") > 0
-
-
-class TestLaneBank:
-    def test_bank_streams_match_scalar_stream_drive(self, pack):
-        shared = _Rows(pack, 0, len(pack), {})
-        spec = SchemeSpec.make("conventional")
-        profile = spec.build().lane_bank_profile()
-        assert profile is not None
-        reference = _drive_scheme_stream(spec.build(), shared)
-        bank_schemes = [spec.build() for _ in range(4)]
-        streams = _drive_bank(profile, bank_schemes, shared)
-        assert len(streams) == 4
-        for stream in streams:
-            # Same spec in every bank lane -> every lane must evolve exactly
-            # as the scalar scheme's own hooks did.
-            assert stream.overrides == reference.overrides
-            assert stream.mispreds == reference.mispreds
-            assert stream.accuracy.records == reference.accuracy.records
 
 
 def _rob_sweep_definition(points=(32, 64, 128, 256)):

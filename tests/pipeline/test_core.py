@@ -7,7 +7,9 @@ from repro.core.predicate_scheme import PredicateSchemeOptions
 from repro.emulator import Emulator
 from repro.emulator.tracepack import TracePack
 from repro.pipeline import OutOfOrderCore, PipelineConfig
+from repro.pipeline.batched import LaneSpec, simulate_lanes
 from repro.pipeline.uop import RenameDecision
+from repro.pipeline.windowed import SamplingSpec, simulate_windowed
 
 
 def _run(program, scheme=None, budget=2_000, config=None, keep_uops=True):
@@ -144,3 +146,23 @@ class TestEmptyTrace:
         core = OutOfOrderCore(optimized=optimized)
         with pytest.raises(ValueError, match="empty trace"):
             core.run(TracePack.from_dyninsts([]), ConventionalScheme(), keep_uops=keep_uops)
+
+    @pytest.mark.parametrize(
+        "scheme_factory",
+        [ConventionalScheme, PredicatePredictionScheme],
+        ids=["stream-lane", "hook-lane"],
+    )
+    def test_lane_batched_kernel_rejects_an_empty_pack(self, scheme_factory):
+        lanes = [LaneSpec(scheme_factory, PipelineConfig())]
+        with pytest.raises(ValueError, match="empty trace"):
+            simulate_lanes(TracePack.from_dyninsts([]), lanes)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"window_rows": 1}, {"sampling": SamplingSpec(interval=2, window=100)}],
+        ids=["one-window", "windowed", "sampled"],
+    )
+    def test_windowed_kernel_rejects_an_empty_pack(self, options):
+        core = OutOfOrderCore()
+        with pytest.raises(ValueError, match="empty trace"):
+            simulate_windowed(core, TracePack.from_dyninsts([]), ConventionalScheme(), **options)

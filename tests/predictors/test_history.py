@@ -1,10 +1,6 @@
 """Tests for global/local history structures."""
 
-from repro.predictors.history import (
-    GlobalHistoryRegister,
-    HistorySnapshotManager,
-    LocalHistoryTable,
-)
+from repro.predictors.history import GlobalHistoryRegister, LocalHistoryTable
 
 
 class TestGlobalHistoryRegister:
@@ -20,15 +16,6 @@ class TestGlobalHistoryRegister:
         for _ in range(10):
             ghr.push(True)
         assert ghr.value == 0b111
-
-    def test_snapshot_restore(self):
-        ghr = GlobalHistoryRegister(8)
-        ghr.push(True)
-        snapshot = ghr.snapshot()
-        ghr.push(False)
-        ghr.push(False)
-        ghr.restore(snapshot)
-        assert ghr.value == 0b1
 
     def test_repair_recent_bit(self):
         ghr = GlobalHistoryRegister(8)
@@ -82,24 +69,3 @@ class TestLocalHistoryTable:
         table.update(0x4000, True)
         assert table.read(0x9999) == table.read(0x4000)
 
-
-class TestHistorySnapshotManager:
-    def test_save_and_restore(self):
-        ghr = GlobalHistoryRegister(8)
-        manager = HistorySnapshotManager()
-        ghr.push(True)
-        manager.save(1, ghr)
-        ghr.push(False)
-        assert manager.restore(1, ghr)
-        assert ghr.value == 0b1
-
-    def test_restore_missing_key(self):
-        assert not HistorySnapshotManager().restore(99, GlobalHistoryRegister(4))
-
-    def test_discard_before(self):
-        ghr = GlobalHistoryRegister(4)
-        manager = HistorySnapshotManager()
-        for key in range(5):
-            manager.save(key, ghr)
-        manager.discard_before(3)
-        assert len(manager) == 2

@@ -22,19 +22,23 @@ class TestGlobalHistoryProperties:
 
     @given(
         bits=st.integers(2, 16),
-        prefix=st.lists(st.booleans(), max_size=40),
-        suffix=st.lists(st.booleans(), max_size=40),
+        steps=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=60),
     )
     @settings(max_examples=100, deadline=None)
-    def test_snapshot_restore_roundtrip(self, bits, prefix, suffix):
-        ghr = GlobalHistoryRegister(bits)
-        for outcome in prefix:
-            ghr.push(outcome)
-        snapshot = ghr.snapshot()
-        for outcome in suffix:
-            ghr.push(outcome)
-        ghr.restore(snapshot)
-        assert ghr.snapshot() == snapshot
+    def test_push_resolved_equals_a_push_repaired_by_the_same_branch(self, bits, steps):
+        speculative = GlobalHistoryRegister(bits)
+        resolved = GlobalHistoryRegister(bits)
+        for predicted, actual in steps:
+            token = speculative.push(predicted)
+            if predicted != actual:
+                speculative.repair(token, actual)
+            resolved.push_resolved(actual)
+            assert resolved.value == speculative.value
+        # Both keep one token per bit, so a later repair finds the same bit.
+        token = speculative.push(True)
+        resolved.push_resolved(True)
+        assert speculative.repair(token, False) == resolved.repair(token, False)
+        assert resolved.value == speculative.value
 
     @given(bits=st.integers(2, 16), outcomes=st.lists(st.booleans(), min_size=1, max_size=30))
     @settings(max_examples=100, deadline=None)
