@@ -16,7 +16,10 @@ The streaming-scale pipeline end-to-end (see docs/internals/traces.md):
    enabled and ``kill-worker-on-nth-checkpoint`` armed — the worker dies
    right after persisting a checkpoint, the engine re-plans the job, and
    the retry must resume from the checkpoint and land bit-identical
-   counters, leaving no checkpoint behind.
+   counters, leaving no checkpoint behind.  Each cell's conventional,
+   predicate and wish jobs run as one lane batch, so the resumed
+   checkpoint holds a wish lane that replays the conventional lane's
+   branch stream.
 
 Usage::
 
@@ -126,7 +129,7 @@ def main() -> int:
         requests=[
             CellRequest(trace_path, flavour, f"{flavour}/{kind}", SchemeSpec.make(kind))
             for flavour in (BASELINE, IF_CONVERTED)
-            for kind in ("conventional", "predicate")
+            for kind in ("conventional", "predicate", "wish")
         ],
     )
     segment_rows = max(1_000, budget // 8)
@@ -142,7 +145,7 @@ def main() -> int:
         }
 
     reference = outputs_of(ExecutionEngine(profile, trace_segment_rows=segment_rows))
-    print(f"reference run complete ({budget} instructions, 4 simulations)")
+    print(f"reference run complete ({budget} instructions, {len(reference)} simulations)")
 
     # Arm the kill: the worker dies immediately after writing its second
     # checkpoint, so the retried job has something to resume from.
@@ -165,7 +168,8 @@ def main() -> int:
         f"chaos run: workers_lost={stats.workers_lost} "
         f"jobs_retried={stats.jobs_retried} "
         f"checkpoints_written={stats.checkpoints_written} "
-        f"checkpoints_resumed={stats.checkpoints_resumed}"
+        f"checkpoints_resumed={stats.checkpoints_resumed} "
+        f"batches_run={stats.batches_run}"
     )
     if chaos_outputs != reference:
         print(
@@ -185,6 +189,12 @@ def main() -> int:
             "FAIL: the retried job restarted instead of resuming "
             f"(written={stats.checkpoints_written}, "
             f"resumed={stats.checkpoints_resumed})",
+            file=sys.stderr,
+        )
+        return 1
+    if stats.batches_run < 1:
+        print(
+            "FAIL: the checkpointed cells never ran as a lane batch",
             file=sys.stderr,
         )
         return 1

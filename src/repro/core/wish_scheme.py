@@ -210,6 +210,9 @@ class WishBranchScheme(BranchHandlingScheme):
     def branch_scheme(self) -> BranchHandlingScheme:
         return self.branches
 
+    def share_branch_scheme(self, scheme: BranchHandlingScheme) -> None:
+        self.branches = scheme
+
     # ------------------------------------------------------------------
     def describe(self) -> str:
         branch_kib = self.branches.predictor.size_report().total_kib

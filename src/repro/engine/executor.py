@@ -50,7 +50,7 @@ from repro.log import get_logger
 
 from repro.compiler.binaries import BinaryFactory
 from repro.emulator.executor import Emulator
-from repro.emulator.tracepack import ChunkedPackWriter, TracePack
+from repro.emulator.tracepack import ChunkedPackWriter
 from repro.engine.jobs import (
     BASELINE,
     IF_CONVERTED,
@@ -121,9 +121,10 @@ class EngineStats:
     workers_lost: int = 0
     jobs_timed_out: int = 0
     #: Windowed-simulation accounting: mid-run checkpoints persisted to the
-    #: store, and simulate jobs that resumed from one (a retry after a kill
-    #: picks up mid-trace instead of restarting).  Zero unless
-    #: ``checkpoint_every`` is configured.
+    #: store (one per window of a batch, all lanes in it), and simulate jobs
+    #: that resumed from one (a retry after a kill picks up mid-trace
+    #: instead of restarting).  Zero unless ``checkpoint_every`` is
+    #: configured.
     checkpoints_written: int = 0
     checkpoints_resumed: int = 0
 
@@ -234,8 +235,8 @@ class ExecutionEngine:
         #: Windowed-simulation cadence (rows per window): with a store, a
         #: resume checkpoint is persisted after each window, so a killed
         #: worker's retry continues mid-trace bit-identically.  ``None``
-        #: keeps the straight-through scalar path.  Checkpointed jobs skip
-        #: lane batching (the batched kernel has no window machinery).
+        #: runs straight through.  Checkpointed jobs still batch: one
+        #: checkpoint holds every lane of a batch.
         if checkpoint_every is not None and int(checkpoint_every) < 1:
             raise ValueError(
                 f"checkpoint_every must be a positive row count, got {checkpoint_every}"
@@ -246,7 +247,8 @@ class ExecutionEngine:
         #: Trace-collection segmentation (rows per RTP3 segment): budgets
         #: above this stream completed segments to the store instead of
         #: materialising the whole pack, bounding peak memory.  ``None``
-        #: keeps monolithic collection (which is what lane batching needs).
+        #: keeps monolithic collection.  Batches run chunked traces one
+        #: decoded segment at a time.
         if trace_segment_rows is not None and int(trace_segment_rows) < 1:
             raise ValueError(
                 f"trace_segment_rows must be a positive row count, got {trace_segment_rows}"
@@ -472,23 +474,24 @@ class ExecutionEngine:
         return self.checkpoint_every is not None and self.store is not None
 
     def _simulate_uncached(self, job: SimulateJob) -> SimulationResult:
-        """Run one simulate job through the scalar core (store miss path).
+        """Run one simulate job (store miss path).
 
-        Jobs with a sampling spec, and all jobs when ``checkpoint_every``
-        is configured, run through the windowed driver
-        (:func:`~repro.pipeline.windowed.simulate_windowed`) — checkpoints
-        are loaded from / written through the store under the job's own
-        key, so a retried worker resumes mid-trace bit-identically.
+        Sampled jobs run through the windowed driver
+        (:func:`~repro.pipeline.windowed.simulate_windowed`).  With
+        ``checkpoint_every`` configured, every other job runs as a one-lane
+        batch (:meth:`_run_batch`), so all full-run checkpoints have the
+        batch layout; without it, the scalar core runs straight through.
         """
+        if job.sampling is None and self._checkpointing():
+            return self._run_batch(make_batched_simulate_job([job]))[job.key]
         faults.on_simulate_launch()
         trace = self.collect_trace(job.benchmark, job.flavour)
         core = OutOfOrderCore(config=job.machine.build_config())
         started = perf_counter()
-        if job.sampling is not None or self._checkpointing():
+        if job.sampling is not None:
             result = self._simulate_windowed(job, core, trace)
         else:
-            scheme = job.scheme.build()
-            result = core.run(trace, scheme, program_name=job.benchmark)
+            result = core.run(trace, job.scheme.build(), program_name=job.benchmark)
         elapsed = perf_counter() - started
         self.stats.simulations_run += 1
         self.stats.simulate_seconds += elapsed
@@ -499,56 +502,76 @@ class ExecutionEngine:
     def _simulate_windowed(
         self, job: SimulateJob, core: OutOfOrderCore, trace
     ) -> SimulationResult:
-        """One simulate job via the windowed driver (checkpoints/sampling)."""
-        checkpoint: Optional[SimulationCheckpoint] = None
-        on_checkpoint = None
-        window_rows = None
-        if self._checkpointing():
-            window_rows = self.checkpoint_every
-            loaded = self.store.get(CHECKPOINTS, job.key)
-            if isinstance(loaded, SimulationCheckpoint) and loaded.matches(len(trace)):
-                checkpoint = loaded
-                self.stats.checkpoints_resumed += 1
-                _log.info(
-                    "resuming %s/%s (%s) from checkpoint at %d/%d rows",
-                    job.benchmark,
-                    job.flavour,
-                    job.scheme.describe(),
-                    loaded.rows_done,
-                    loaded.total_rows,
-                )
-
-            def on_checkpoint(ckpt: SimulationCheckpoint) -> None:
-                self.store.put(
-                    CHECKPOINTS,
-                    job.key,
-                    ckpt,
-                    metadata={
-                        "benchmark": job.benchmark,
-                        "flavour": job.flavour,
-                        "scheme": job.scheme.describe(),
-                        "rows_done": ckpt.rows_done,
-                        "total_rows": ckpt.total_rows,
-                    },
-                )
-                self.stats.checkpoints_written += 1
-                faults.on_checkpoint_write()
-
+        """One sampled simulate job, checkpointed under its own key."""
+        options = self._checkpoint_options(job.key, [job], len(trace), job.sampling)
         result = simulate_windowed(
             core,
             trace,
             job.scheme.build(),
             program_name=job.benchmark,
-            window_rows=window_rows,
             sampling=job.sampling,
-            checkpoint=checkpoint,
-            on_checkpoint=on_checkpoint,
+            **options,
         )
-        if self._checkpointing():
-            # The result is about to be stored; a surviving checkpoint
-            # would only waste eviction budget.
-            self.store.discard(CHECKPOINTS, job.key)
+        self._discard_checkpoint(job.key)
         return result
+
+    def _checkpoint_options(
+        self, key: str, jobs: Sequence[SimulateJob], total_rows: int, sampling=None
+    ) -> Dict[str, Any]:
+        """Windowing keywords for a checkpointed run stored under ``key``.
+
+        Empty unless checkpointing is configured.  Otherwise the run pauses
+        every ``checkpoint_every`` rows and persists a checkpoint under
+        ``key``, and resumes from the one already there when it matches the
+        run's row count, lane count and sampling mode.
+        """
+        if not self._checkpointing():
+            return {}
+        first = jobs[0]
+        schemes = ", ".join(job.scheme.describe() for job in jobs)
+        checkpoint: Optional[SimulationCheckpoint] = None
+        loaded = self.store.get(CHECKPOINTS, key)
+        if isinstance(loaded, SimulationCheckpoint) and loaded.matches(
+            total_rows, sampling, len(jobs)
+        ):
+            checkpoint = loaded
+            self.stats.checkpoints_resumed += len(jobs)
+            _log.info(
+                "resuming %s/%s (%s) from checkpoint at %d/%d rows",
+                first.benchmark,
+                first.flavour,
+                schemes,
+                loaded.rows_done,
+                loaded.total_rows,
+            )
+
+        def on_checkpoint(ckpt: SimulationCheckpoint) -> None:
+            self.store.put(
+                CHECKPOINTS,
+                key,
+                ckpt,
+                metadata={
+                    "benchmark": first.benchmark,
+                    "flavour": first.flavour,
+                    "scheme": schemes,
+                    "rows_done": ckpt.rows_done,
+                    "total_rows": ckpt.total_rows,
+                },
+            )
+            self.stats.checkpoints_written += 1
+            faults.on_checkpoint_write()
+
+        return {
+            "window_rows": self.checkpoint_every,
+            "checkpoint": checkpoint,
+            "on_checkpoint": on_checkpoint,
+        }
+
+    def _discard_checkpoint(self, key: str) -> None:
+        # The results are about to be stored; a surviving checkpoint would
+        # only waste eviction budget.
+        if self._checkpointing():
+            self.store.discard(CHECKPOINTS, key)
 
     def _store_result(self, job: SimulateJob, result: SimulationResult) -> None:
         if self.store is not None:
@@ -572,11 +595,12 @@ class ExecutionEngine:
         """Run one cell's simulate jobs, lane-batching where profitable.
 
         Cached jobs are served from the store first and never enter a
-        batch.  When at least two uncached jobs remain, they run as lanes
-        of one batched kernel launch
-        (:func:`repro.pipeline.batched.simulate_lanes`); results are stored
-        under each lane's own key, so later runs — batched or not — hit the
-        identical artifacts.
+        batch.  When at least two uncached full-run jobs remain, they run
+        as lanes of one batched launch
+        (:func:`repro.pipeline.batched.simulate_lanes`) over the cell's
+        trace, monolithic or chunked, checkpointed or not; results are
+        stored under each lane's own key, so later runs — batched or not —
+        hit the identical artifacts.
         """
         results: Dict[str, SimulationResult] = {}
         pending: List[SimulateJob] = []
@@ -586,36 +610,34 @@ class ExecutionEngine:
                 results[job.key] = cached
             else:
                 pending.append(job)
-        if not pending:
-            return results
-        # Sampled jobs never batch (the lockstep kernel has no window or
-        # warmup machinery), and checkpointed runs take the windowed scalar
-        # path per job; chunked traces fall through too — the batched
-        # kernel requires one monolithic pack.
+        # Sampled jobs never batch: the lane driver has no warmup machinery.
         batchable = [job for job in pending if job.sampling is None]
-        if len(batchable) >= 2 and not self._checkpointing():
-            trace = self.collect_trace(batchable[0].benchmark, batchable[0].flavour)
-            if isinstance(trace, TracePack):
-                batch = make_batched_simulate_job(batchable)
-                results.update(self._run_batch(batch, trace))
-                pending = [job for job in pending if job.sampling is not None]
+        if len(batchable) >= 2:
+            results.update(self._run_batch(make_batched_simulate_job(batchable)))
+            pending = [job for job in pending if job.sampling is not None]
         for job in pending:
             results[job.key] = self._simulate_uncached(job)
         return results
 
-    def _run_batch(
-        self, batch: BatchedSimulateJob, trace: TracePack
-    ) -> Dict[str, SimulationResult]:
-        """Execute a batched simulate job; fan results out to lane keys."""
+    def _run_batch(self, batch: BatchedSimulateJob) -> Dict[str, SimulationResult]:
+        """Execute a batched simulate job; fan results out to lane keys.
+
+        With checkpointing configured, the batch's checkpoints — every lane
+        in one — live under the batch key, which hashes the lane keys, so a
+        checkpoint never resumes a different lane set.
+        """
+        trace = self.collect_trace(batch.benchmark, batch.flavour)
         faults.on_simulate_launch()
         jobs = batch.lanes
         lanes = [
             LaneSpec(scheme_factory=job.scheme.build, config=job.machine.build_config())
             for job in jobs
         ]
+        options = self._checkpoint_options(batch.key, jobs, len(trace))
         started = perf_counter()
-        lane_results = simulate_lanes(trace, lanes, program_name=batch.benchmark)
+        lane_results = simulate_lanes(trace, lanes, program_name=batch.benchmark, **options)
         elapsed = perf_counter() - started
+        self._discard_checkpoint(batch.key)
         n = len(jobs)
         self.stats.simulations_run += n
         self.stats.simulate_seconds += elapsed

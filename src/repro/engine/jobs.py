@@ -128,9 +128,10 @@ class SimulateJob(JobSpec):
     machine: MachineSpec = field(default_factory=MachineSpec)
     #: Sampled-simulation parameters (``None`` = full simulation).  A
     #: sampled job's key folds the spec in, so approximate results can
-    #: never shadow exact ones in the artifact store; sampled jobs are
-    #: also excluded from lane batching (the batched kernel has no
-    #: window/warmup machinery).
+    #: never shadow exact ones in the artifact store.  Sampled jobs run
+    #: one at a time through :func:`~repro.pipeline.windowed.simulate_windowed`
+    #: (the lane driver has no warmup rollback); every full-run job may
+    #: ride in a lane batch, checkpointed or not.
     sampling: Optional[SamplingSpec] = None
 
 
@@ -142,7 +143,9 @@ class BatchedSimulateJob(JobSpec):
     keeps its own content-addressed :class:`SimulateJob` key, the executor
     stores one result per lane under that key, and a lane served from the
     store never enters a batch at all.  Cached artifacts are therefore
-    bit-for-bit interchangeable between batched and per-cell runs.
+    bit-for-bit interchangeable between batched and per-cell runs.  The
+    batch's own ``key`` hashes the lane keys and addresses its mid-trace
+    checkpoints, which hold every lane.
     """
 
     lanes: Tuple[SimulateJob, ...] = ()

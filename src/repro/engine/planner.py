@@ -219,8 +219,9 @@ def make_batched_simulate_job(lanes: Sequence[SimulateJob]) -> BatchedSimulateJo
 
     Every lane must replay the same trace (same benchmark, flavour and
     trace key); lanes differ in scheme and/or machine.  The batch key is
-    derived from the lane keys purely for bookkeeping — it is **not** an
-    artifact key: results are stored under each lane's own
+    derived from the lane keys and addresses only the batch's transient
+    checkpoints, so a checkpoint never resumes a different lane set.  It
+    is **not** a result key: results are stored under each lane's own
     :class:`SimulateJob` key, so the store cannot tell a batched run from a
     per-cell one (and cached lanes are dropped from batches before launch).
     """

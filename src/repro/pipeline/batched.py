@@ -1,15 +1,19 @@
-"""Lane-batched multi-cell simulation: N (scheme, machine) cells, one trace.
+"""The lane driver: N (scheme, machine) cells over one trace, in windows.
 
 Sweep-shaped workloads (the ROB-scaling scenario, predictor-geometry
 studies, Table 4 idealization ladders, the scheme shootout) simulate the
 *same benchmark trace* under many (scheme, machine) configurations.  This
-module runs all cells of one :class:`~repro.emulator.tracepack.TracePack`
-as *lanes* of a single batched job:
+module runs all cells of one trace — a
+:class:`~repro.emulator.tracepack.TracePack` or a segmented
+:class:`~repro.emulator.tracepack.ChunkedTracePack` — as *lanes* of a single
+batched job, and it is the one driver of full-trace windowed runs
+(checkpoint/resume); a lone cell is a one-lane batch.
 
-* **Shared, once per batch** — the pack's column decode (one ``tolist`` per
-  column), the per-static-instruction decode records, fetch-block ids,
-  fetch-group-ending flags and the timing-independent row counts: one
-  :class:`~repro.pipeline.core._Rows`.
+* **Shared, once per segment span** — the span's column decode (one
+  ``tolist`` per column), the per-static-instruction decode records,
+  fetch-block ids, fetch-group-ending flags and the timing-independent row
+  counts: one :class:`~repro.pipeline.core._Rows`, freed before the next
+  span is decoded.
 * **Per lane** — everything cycle-dependent: the memory hierarchy (the
   shared L2 makes fetch stalls a function of the lane's own data-side
   traffic), load/store unit, issue queues, ROB window, register timing and
@@ -36,27 +40,115 @@ rows.  What differs is what the loop calls:
   so only its compare and predicated hooks run.
 
 Lanes share a stream when their branch schemes return equal
-:meth:`~repro.pipeline.scheme_api.BranchHandlingScheme.stream_key` tokens:
-a wish lane replays the stream of the batch's conventional lane of the same
-second level, or, in a batch without one, a prepass over its own branch
-half that every such wish lane shares.  Each distinct stream is computed
-one way, by its scheme's own hooks, once per batch.
+:meth:`~repro.pipeline.scheme_api.BranchHandlingScheme.stream_key` tokens.
+The stream's **source** is a lane that is its own branch scheme when there
+is one (a wish lane replays the conventional lane of the same second
+level), else the first lane's branch half (a wish-only sweep shares one
+prepass over it).  A lane that replays another lane's source keeps no
+private branch half
+(:meth:`~repro.pipeline.scheme_api.BranchHandlingScheme.share_branch_scheme`).
+Each distinct stream is computed one way, by its source's own hooks, once
+per span.
+
+**Windows and checkpoints.**  With ``window_rows`` the lanes pause every
+that many rows; ``on_checkpoint`` then receives one
+:class:`SimulationCheckpoint` of the whole batch — every lane's
+:class:`~repro.pipeline.core._LoopState` and the stream sources, pickled as
+one object graph so shared objects stay shared — and resuming from it is
+bit-identical to the straight-through run, because the prepass and the loop
+are folds over rows with pauses.
 
 Bit-exactness contract: every lane's :class:`SimulationResult` — metrics,
 counters, per-branch accuracy records — is identical to what the scalar
-engine produces for that (scheme, machine) cell.  The parity suite
-(``tests/perf/test_batched_parity.py``) enforces this over randomized lane
-sets; any change here must keep it green.
+engine produces for that (scheme, machine) cell.  The parity suites
+(``tests/perf/test_batched_parity.py``,
+``tests/perf/test_streaming_parity.py``) enforce this over randomized lane
+sets, windows and chunkings; any change here must keep them green.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from repro.emulator.tracepack import PackCursor, TracePack
+from repro.emulator.tracepack import PackCursor
+from repro.log import get_logger
 from repro.pipeline.config import PipelineConfig
-from repro.pipeline.core import DecisionStream, OutOfOrderCore, SimulationResult, _Rows
+from repro.pipeline.core import (
+    DecisionStream,
+    OutOfOrderCore,
+    SimulationResult,
+    _LoopState,
+    _Rows,
+)
 from repro.pipeline.scheme_api import BranchHandlingScheme, overridden_hooks
+
+if TYPE_CHECKING:
+    from repro.pipeline.windowed import SamplingSpec
+
+_log = get_logger(__name__)
+
+#: Bump when the pickled checkpoint layout changes; a mismatched checkpoint
+#: is ignored (the run restarts from row zero) rather than mis-restored.
+CHECKPOINT_VERSION = 5
+
+
+@dataclass
+class SimulationCheckpoint:
+    """A resumable mid-trace snapshot of one windowed run, every lane of it.
+
+    ``states`` holds each lane's timing-loop state (its scheme included)
+    and ``sources`` the scheme whose decision stream each lane replays
+    (``None`` for a lane that runs its branch hooks itself); the two are
+    pickled as one object graph, so a source shared by several lanes, or
+    that is a lane's own scheme, is still shared after a restore.
+    ``sampling`` is the run's
+    :class:`~repro.pipeline.windowed.SamplingSpec` (``None`` for a full
+    run).  ``rows_done`` / ``total_rows`` locate the snapshot within the
+    trace; checkpoints are only taken at window boundaries.
+    """
+
+    version: int
+    rows_done: int
+    total_rows: int
+    sampling: Optional["SamplingSpec"]
+    states: List[_LoopState]
+    sources: List[Optional[BranchHandlingScheme]]
+
+    def matches(
+        self, total_rows: int, sampling: Optional["SamplingSpec"] = None, lanes: int = 1
+    ) -> bool:
+        """True when this checkpoint can resume a run of ``lanes`` lanes over
+        ``total_rows`` rows in the same sampling mode."""
+        return (
+            self.version == CHECKPOINT_VERSION
+            and self.total_rows == total_rows
+            and 0 < self.rows_done <= total_rows
+            and self.sampling == sampling
+            and len(self.states) == len(self.sources) == lanes
+            and all(isinstance(state, _LoopState) for state in self.states)
+        )
+
+
+def resumable(
+    checkpoint: Optional[SimulationCheckpoint],
+    total_rows: int,
+    sampling: Optional["SamplingSpec"] = None,
+    lanes: int = 1,
+) -> Optional[SimulationCheckpoint]:
+    """``checkpoint`` when it matches the run, else ``None`` (with a warning
+    when one was given: the run restarts from row zero)."""
+    if checkpoint is None or checkpoint.matches(total_rows, sampling, lanes):
+        return checkpoint
+    # Read with getattr: a checkpoint of an older layout lacks new fields.
+    _log.warning(
+        "ignoring incompatible checkpoint (version %s, %s/%s rows, sampling %s)",
+        checkpoint.version,
+        checkpoint.rows_done,
+        checkpoint.total_rows,
+        getattr(checkpoint, "sampling", None),
+    )
+    return None
 
 
 class LaneSpec:
@@ -89,13 +181,41 @@ def stream_source(scheme: BranchHandlingScheme) -> Optional[BranchHandlingScheme
     return source if stream_eligible(source) else None
 
 
+def _shared_sources(
+    schemes: Sequence[BranchHandlingScheme],
+) -> List[Optional[BranchHandlingScheme]]:
+    """The stream source of each lane: one per stream key.
+
+    A key's source is its first lane that is its own branch scheme, else
+    its first lane's branch half; every other lane of the key gives up its
+    own branch half for that source.  A branch scheme without a key
+    replays a private stream.
+    """
+    own = [stream_source(scheme) for scheme in schemes]
+    keys = [None if source is None else source.stream_key() for source in own]
+    shared: Dict[object, BranchHandlingScheme] = {}
+    for scheme, source, key in zip(schemes, own, keys):
+        if key is not None and source is scheme:
+            shared.setdefault(key, source)
+    sources: List[Optional[BranchHandlingScheme]] = []
+    for scheme, source, key in zip(schemes, own, keys):
+        if key is not None:
+            chosen = shared.setdefault(key, source)
+            if chosen is not source:
+                scheme.share_branch_scheme(chosen)
+            source = chosen
+        sources.append(source)
+    return sources
+
+
 def _drive_scheme_stream(scheme: BranchHandlingScheme, rows: _Rows) -> DecisionStream:
     """Replay the branch rows through a scheme's own hooks (one stream).
 
     Cycle arguments are zero: a ``timing_independent`` scheme ignores them
     by contract.  The hook call sequence per branch (rename immediately
     followed by resolved) is exactly the timing loop's, so the scheme's
-    accuracy and counters come out bit-identical.
+    accuracy and counters come out bit-identical: the scheme keeps the
+    record of the stream's branches.
     """
     cur = PackCursor()
     on_rename = scheme.on_branch_rename
@@ -110,52 +230,107 @@ def _drive_scheme_stream(scheme: BranchHandlingScheme, rows: _Rows) -> DecisionS
         on_resolved(cur, 0, mispredicted)
         overrides.append(handling.override_flush)
         mispreds.append(mispredicted)
-    return DecisionStream(overrides, mispreds, scheme.accuracy)
+    return DecisionStream(overrides, mispreds)
 
 
 def simulate_lanes(
-    pack: TracePack,
+    trace,
     lanes: Sequence[LaneSpec],
     program_name: str = "program",
+    *,
+    window_rows: Optional[int] = None,
+    checkpoint: Optional[SimulationCheckpoint] = None,
+    on_checkpoint: Optional[Callable[[SimulationCheckpoint], None]] = None,
 ) -> List[SimulationResult]:
-    """Simulate every lane over one trace pack; results in lane order.
+    """Simulate every lane over one trace; results in lane order.
 
-    Each result is bit-identical to running that lane's (scheme, machine)
-    cell through the scalar engine.  Lanes whose branches are a
-    stream-eligible scheme's share one decision-stream prepass per
-    :meth:`~repro.pipeline.scheme_api.BranchHandlingScheme.stream_key`
-    and carry it into the timing loop; their other hooks, if any, still
-    run.  An empty pack raises ``ValueError``, as in the scalar engine.
+    ``trace`` is a :class:`~repro.emulator.tracepack.TracePack` or a
+    :class:`~repro.emulator.tracepack.ChunkedTracePack`.  Each result is
+    bit-identical to running that lane's (scheme, machine) cell through the
+    scalar engine.  Lanes whose branches are a stream-eligible scheme's
+    share one decision-stream prepass per
+    :meth:`~repro.pipeline.scheme_api.BranchHandlingScheme.stream_key` and
+    carry it into the timing loop; their other hooks, if any, still run.
+
+    ``window_rows`` sets the checkpoint cadence: ``on_checkpoint`` receives
+    one :class:`SimulationCheckpoint` of all lanes after each completed
+    window but the last.  ``checkpoint`` resumes mid-trace; one of another
+    run shape (row count, lane count, sampling) is ignored with a warning.
+    An empty trace raises ``ValueError``, as in the scalar engine.
     """
-    if len(pack) == 0:
-        raise ValueError("empty trace: nothing to simulate")
-    rows = _Rows(pack, 0, len(pack), {})
-    schemes = [lane.scheme_factory() for lane in lanes]
+    cores = [OutOfOrderCore(config=lane.config) for lane in lanes]
+    return run_lanes(
+        trace,
+        cores,
+        lambda: [lane.scheme_factory() for lane in lanes],
+        program_name,
+        window_rows=window_rows,
+        checkpoint=checkpoint,
+        on_checkpoint=on_checkpoint,
+    )
 
-    # One prepass per stream key, driven on its first lane's branch scheme;
-    # a source without a key gets a private stream.
-    streams: Dict[object, DecisionStream] = {}
-    lane_streams: List[Optional[DecisionStream]] = [None] * len(lanes)
-    for i, scheme in enumerate(schemes):
-        source = stream_source(scheme)
-        if source is None:
-            continue
-        key = source.stream_key()
-        if key is None:
-            key = ("__lane__", i)
-        stream = streams.get(key)
-        if stream is None:
-            # The first lane takes the prepass's own accuracy record.
-            stream = streams[key] = _drive_scheme_stream(source, rows)
-            scheme.accuracy = stream.accuracy
-        else:
-            scheme.accuracy = stream.accuracy.copy()
-        lane_streams[i] = stream
+
+def run_lanes(
+    trace,
+    cores: Sequence[OutOfOrderCore],
+    build_schemes: Callable[[], List[BranchHandlingScheme]],
+    program_name: str = "program",
+    *,
+    window_rows: Optional[int] = None,
+    checkpoint: Optional[SimulationCheckpoint] = None,
+    on_checkpoint: Optional[Callable[[SimulationCheckpoint], None]] = None,
+) -> List[SimulationResult]:
+    """:func:`simulate_lanes` over prepared cores, one per lane.
+
+    ``build_schemes`` returns the lane schemes in lane order; it is not
+    called when the run resumes from ``checkpoint``, whose states carry
+    their schemes.
+    """
+    total = len(trace)
+    if total == 0:
+        raise ValueError("empty trace: nothing to simulate")
+    window = total if window_rows is None else window_rows
+    if window < 1:
+        raise ValueError(f"window_rows must be positive, got {window}")
+
+    checkpoint = resumable(checkpoint, total, None, len(cores))
+    if checkpoint is not None:
+        states, sources = checkpoint.states, checkpoint.sources
+        rows_done = checkpoint.rows_done
+    else:
+        schemes = build_schemes()
+        sources = _shared_sources(schemes)
+        states = [core._loop_state(scheme) for core, scheme in zip(cores, schemes)]
+        rows_done = 0
+    distinct = list({id(source): source for source in sources if source is not None}.values())
+
+    decodes: dict = {}
+    while rows_done < total:
+        stop = min(rows_done + window, total)
+        for pack, low, high in trace.spans(rows_done, stop):
+            rows = _Rows(pack, low, high, decodes)
+            streams = {id(source): _drive_scheme_stream(source, rows) for source in distinct}
+            for core, state, source in zip(cores, states, sources):
+                core._run_rows(state, rows, None if source is None else streams[id(source)])
+            # Free this span's rows and streams before decoding the next.
+            del rows, streams
+        rows_done = stop
+        if on_checkpoint is not None and rows_done < total:
+            on_checkpoint(
+                SimulationCheckpoint(
+                    version=CHECKPOINT_VERSION,
+                    rows_done=rows_done,
+                    total_rows=total,
+                    sampling=None,
+                    states=states,
+                    sources=sources,
+                )
+            )
 
     results: List[SimulationResult] = []
-    for lane, scheme, stream in zip(lanes, schemes, lane_streams):
-        core = OutOfOrderCore(config=lane.config)
-        state = core._loop_state(scheme)
-        core._run_rows(state, rows, stream)
+    for core, state, source in zip(cores, states, sources):
+        # A lane replaying another lane's stream reports a copy of its record.
+        if source is not None and state.scheme.accuracy is not source.accuracy:
+            state.scheme.accuracy = source.accuracy.copy()
         results.append(core._finalize(state, program_name))
     return results

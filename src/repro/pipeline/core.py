@@ -336,21 +336,14 @@ class DecisionStream:
     prediction and whether it mispredicted.  Any lane may then carry the
     stream into :meth:`OutOfOrderCore._run_rows`: the loop reads the two
     flags instead of calling the lane scheme's branch hooks, and still
-    calls its other hooks.  ``accuracy`` is the prepass scheme's record of
-    the same branches.
+    calls its other hooks.
     """
 
-    __slots__ = ("overrides", "mispreds", "accuracy")
+    __slots__ = ("overrides", "mispreds")
 
-    def __init__(
-        self,
-        overrides: List[bool],
-        mispreds: List[bool],
-        accuracy: BranchAccuracy,
-    ) -> None:
+    def __init__(self, overrides: List[bool], mispreds: List[bool]) -> None:
         self.overrides = overrides
         self.mispreds = mispreds
-        self.accuracy = accuracy
 
 
 class _LoopState:
@@ -364,10 +357,10 @@ class _LoopState:
     in a single blob, so the shared-identity invariant the loop relies on
     (each ``slot_table`` entry *is* the functional-unit pool's next-free
     list of that unit) survives a checkpoint/restore round trip via the
-    pickle memo.  ``rows_done`` is the resume point; ``sampled_cycles``
-    accumulates measured-window cycle deltas when sampling is active
-    (``None`` for full runs).  ``-1`` marks "no fetch block" and "no pending
-    redirect".
+    pickle memo.  ``sampled_cycles`` accumulates measured-window cycle
+    deltas when sampling is active (``None`` for full runs); the resume
+    point is the checkpoint's, not the state's.  ``-1`` marks "no fetch
+    block" and "no pending redirect".
     """
 
     #: The integer metric accumulators (snapshotted around sampling warmup).
@@ -404,7 +397,6 @@ class _LoopState:
         "cm_cycle",
         "cm_used",
         "last_commit",
-        "rows_done",
         "sampled_cycles",
     ) + COUNTER_SLOTS
 
@@ -604,7 +596,6 @@ class OutOfOrderCore:
         state.last_commit = 0
         for name in _LoopState.COUNTER_SLOTS:
             setattr(state, name, 0)
-        state.rows_done = 0
         state.sampled_cycles = None
         return state
 

@@ -148,6 +148,16 @@ class BranchHandlingScheme(abc.ABC):
         """
         return self
 
+    def share_branch_scheme(self, scheme: "BranchHandlingScheme") -> None:
+        """Drop this scheme's composed branch half for ``scheme``.
+
+        The lane-batched kernel calls this on a lane whose decision stream
+        it takes from ``scheme``, another lane's branch scheme of an equal
+        :meth:`stream_key`, so the lane keeps no private branch predictor.
+        The lane's branch hooks are then never called.  The base scheme is
+        its own branch half and keeps it.
+        """
+
     def stream_key(self):
         """Hashable token of this scheme's branch decision stream, or ``None``.
 

@@ -2,15 +2,18 @@
 
 The timing loop (:meth:`~repro.pipeline.core.OutOfOrderCore._run_rows`)
 is a pure fold over trace rows: all of its mutable state lives in one
-:class:`~repro.pipeline.core._LoopState`.  This module drives that fold in
-fixed-size **windows** of a pack's rows, which buys two things the
-streaming-scale methodology needs:
+:class:`~repro.pipeline.core._LoopState`.  Driving that fold in fixed-size
+**windows** of a pack's rows buys two things the streaming-scale
+methodology needs:
 
 * **Checkpoint/resume** — after each window the state (predictor weight
   tables included) can be pickled into a :class:`SimulationCheckpoint`;
   restoring it and draining the remaining rows is bit-identical to a
   straight-through run, because the windowed fold *is* the straight-through
-  fold with pauses.  The execution engine writes checkpoints through the
+  fold with pauses.  Full runs are windowed by the lane driver
+  (:func:`repro.pipeline.batched.simulate_lanes`), whose checkpoint holds
+  every lane of a batch; :func:`simulate_windowed` without sampling is its
+  one-lane case.  The execution engine writes checkpoints through the
   artifact store so a killed worker's retry resumes mid-trace.
 * **Sampled simulation** — for huge traces, simulate every ``k``-th window
   (plus a warmup prefix whose events are excluded from the counters) and
@@ -18,7 +21,8 @@ streaming-scale methodology needs:
   deltas; whole-run observables that cannot be windowed (memory hierarchy
   statistics, functional-unit utilisation) reflect only the simulated rows
   — a documented approximation.  Sampled results carry their
-  :class:`SamplingSpec` so tables can flag them.
+  :class:`SamplingSpec` so tables can flag them, and so do their
+  checkpoints: a checkpoint never resumes a run of the other mode.
 
 Both modes require a columnar trace and the optimized core; anything else
 is rejected.
@@ -30,15 +34,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.emulator.tracepack import ChunkedTracePack, TracePack
-from repro.log import get_logger
-from repro.pipeline.core import OutOfOrderCore, SimulationResult, _LoopState
+from repro.pipeline.batched import (
+    CHECKPOINT_VERSION,
+    SimulationCheckpoint,
+    resumable,
+    run_lanes,
+)
+from repro.pipeline.core import OutOfOrderCore, SimulationResult
 from repro.pipeline.scheme_api import BranchHandlingScheme
-
-_log = get_logger(__name__)
-
-#: Bump when the pickled checkpoint layout changes; a mismatched checkpoint
-#: is ignored (the run restarts from row zero) rather than mis-restored.
-CHECKPOINT_VERSION = 4
 
 #: Default rows per simulation window when only sampling asks for windows.
 DEFAULT_WINDOW_ROWS = 4096
@@ -104,30 +107,6 @@ class SamplingSpec:
         )
 
 
-@dataclass
-class SimulationCheckpoint:
-    """A resumable mid-trace snapshot of one windowed simulation.
-
-    ``state`` is the pickled-together timing-loop state graph; ``rows_done``
-    / ``total_rows`` locate it within the trace.  Checkpoints are only
-    taken at window boundaries, so ``rows_done`` is always a boundary.
-    """
-
-    version: int
-    rows_done: int
-    total_rows: int
-    state: _LoopState
-
-    def matches(self, total_rows: int) -> bool:
-        """True when this checkpoint can resume a run over ``total_rows``."""
-        return (
-            self.version == CHECKPOINT_VERSION
-            and self.total_rows == total_rows
-            and 0 < self.rows_done <= total_rows
-            and isinstance(self.state, _LoopState)
-        )
-
-
 def _snapshot_scheme(scheme: BranchHandlingScheme):
     """Measurement state of a scheme before a warmup region."""
     return scheme.accuracy.branches, scheme.counters.snapshot()
@@ -155,10 +134,11 @@ def simulate_windowed(
 
     ``window_rows`` sets the checkpoint cadence (``on_checkpoint`` receives
     one :class:`SimulationCheckpoint` after each completed window);
-    ``sampling`` selects sampled mode (its ``window`` is used when
-    ``window_rows`` is not given).  ``checkpoint`` — typically loaded from
-    the artifact store — resumes mid-trace; an incompatible checkpoint is
-    ignored.
+    ``sampling`` selects sampled mode, whose windows are ``sampling.window``
+    rows.  Without sampling this is the one-lane case of
+    :func:`repro.pipeline.batched.simulate_lanes`.  ``checkpoint`` —
+    typically loaded from the artifact store — resumes mid-trace; one of
+    another row count or sampling mode is ignored with a warning.
 
     Raises :class:`TypeError` when ``trace`` is not a
     :class:`~repro.emulator.tracepack.TracePack` or
@@ -174,82 +154,73 @@ def simulate_windowed(
         )
     if not core.optimized:
         raise ValueError("windowed simulation needs a core built with optimized=True")
+    if sampling is None:
+        return run_lanes(
+            trace,
+            [core],
+            lambda: [scheme],
+            program_name,
+            window_rows=window_rows,
+            checkpoint=checkpoint,
+            on_checkpoint=on_checkpoint,
+        )[0]
 
     total = len(trace)
     if total == 0:
         raise ValueError("empty trace: nothing to simulate")
-    window = window_rows if window_rows is not None else (
-        sampling.window if sampling is not None else total
-    )
-    if window < 1:
-        raise ValueError(f"window_rows must be positive, got {window}")
+    if window_rows is not None and window_rows < 1:
+        raise ValueError(f"window_rows must be positive, got {window_rows}")
 
-    if checkpoint is not None and checkpoint.matches(total):
-        state = checkpoint.state
-        scheme = state.scheme
+    checkpoint = resumable(checkpoint, total, sampling)
+    if checkpoint is not None:
+        state = checkpoint.states[0]
+        rows_done = checkpoint.rows_done
     else:
-        if checkpoint is not None:
-            _log.warning(
-                "ignoring incompatible checkpoint (version %s, %s/%s rows)",
-                checkpoint.version,
-                checkpoint.rows_done,
-                checkpoint.total_rows,
-            )
         state = core._loop_state(scheme)
-        if sampling is not None:
-            state.sampled_cycles = 0
+        state.sampled_cycles = 0
+        rows_done = 0
 
     decodes: dict = {}
 
     def run_rows(start: int, stop: int) -> None:
         core._run_span(state, trace, start, stop, decodes)
 
-    def emit_checkpoint() -> None:
-        if on_checkpoint is not None and state.rows_done < total:
+    interval = sampling.interval
+    # Warmup cannot reach into (or past) the previous measured window:
+    # those rows were already simulated.
+    max_warmup = (
+        min(sampling.warmup, (interval - 1) * sampling.window) if interval > 1 else 0
+    )
+    while rows_done < total:
+        index = rows_done // sampling.window
+        start = index * sampling.window
+        stop = min(start + sampling.window, total)
+        if index % interval == 0:
+            warmup_start = start if index == 0 else start - max_warmup
+            if warmup_start < start:
+                # Simulate the warmup rows for predictor/cache warmth,
+                # then roll the *measurement* state back so their events
+                # never reach the counters or the accuracy records.
+                counters = state.counter_snapshot()
+                scheme_snapshot = _snapshot_scheme(state.scheme)
+                run_rows(warmup_start, start)
+                state.restore_counters(counters)
+                _restore_scheme(state.scheme, scheme_snapshot)
+            commit_before = state.last_commit
+            run_rows(start, stop)
+            state.sampled_cycles += state.last_commit - commit_before
+        rows_done = stop
+        if on_checkpoint is not None and rows_done < total:
             on_checkpoint(
                 SimulationCheckpoint(
                     version=CHECKPOINT_VERSION,
-                    rows_done=state.rows_done,
+                    rows_done=rows_done,
                     total_rows=total,
-                    state=state,
+                    sampling=sampling,
+                    states=[state],
+                    sources=[None],
                 )
             )
-
-    if sampling is None:
-        while state.rows_done < total:
-            stop = min(state.rows_done + window, total)
-            run_rows(state.rows_done, stop)
-            state.rows_done = stop
-            emit_checkpoint()
-    else:
-        interval = sampling.interval
-        # Warmup cannot reach into (or past) the previous measured window:
-        # those rows were already simulated.
-        max_warmup = (
-            min(sampling.warmup, (interval - 1) * sampling.window)
-            if interval > 1
-            else 0
-        )
-        while state.rows_done < total:
-            index = state.rows_done // sampling.window
-            start = index * sampling.window
-            stop = min(start + sampling.window, total)
-            if index % interval == 0:
-                warmup_start = start if index == 0 else start - max_warmup
-                if warmup_start < start:
-                    # Simulate the warmup rows for predictor/cache warmth,
-                    # then roll the *measurement* state back so their events
-                    # never reach the counters or the accuracy records.
-                    counters = state.counter_snapshot()
-                    scheme_snapshot = _snapshot_scheme(state.scheme)
-                    run_rows(warmup_start, start)
-                    state.restore_counters(counters)
-                    _restore_scheme(state.scheme, scheme_snapshot)
-                commit_before = state.last_commit
-                run_rows(start, stop)
-                state.sampled_cycles += state.last_commit - commit_before
-            state.rows_done = stop
-            emit_checkpoint()
 
     result = core._finalize(state, program_name)
     result.sampling = sampling

@@ -11,12 +11,14 @@ equal-share wall-clock attribution.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConventionalScheme
-from repro.emulator.tracepack import TracePack
+from repro.emulator.tracepack import ChunkedTracePack, TracePack
 from repro.engine import ArtifactStore, ExecutionEngine, IF_CONVERTED, SchemeSpec
 from repro.engine.planner import (
     CellRequest,
@@ -207,6 +209,120 @@ class TestBatchedScalarParity:
         assert len(calls) == prepasses
 
 
+def _chunk(pack, rows):
+    """``pack`` re-encoded as RTP3 segments of ``rows`` rows each."""
+    dyninsts = pack.to_dyninsts()
+    segments = [
+        TracePack.from_dyninsts(dyninsts[start : start + rows])
+        for start in range(0, len(dyninsts), rows)
+    ]
+    return ChunkedTracePack.from_bytes(ChunkedTracePack.from_segments(segments).to_bytes())
+
+
+def _recording_factories(picks):
+    """Lane specs whose factories remember the schemes they build."""
+    built = []
+
+    def factory(spec):
+        def build():
+            built.append(spec.build())
+            return built[-1]
+
+        return build
+
+    lanes = [LaneSpec(factory(SCHEME_SPECS[s]), MACHINES[m].build_config()) for s, m in picks]
+    return lanes, built
+
+
+class TestWindowedLanes:
+    """Windowed batches: checkpoints hold every lane and resume exactly."""
+
+    @given(
+        lane_picks=st.lists(
+            st.tuples(
+                st.integers(0, len(SCHEME_SPECS) - 1),
+                st.integers(0, len(MACHINES) - 1),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+        window=st.integers(128, 900),
+        chunk_rows=st.integers(100, 1_100),
+        resume_at=st.floats(0.0, 0.999),
+    )
+    # The long-trace shape: wish replays the conventional lane's stream.
+    @example(lane_picks=[(0, 0), (1, 0), (4, 0)], window=500, chunk_rows=700, resume_at=0.5)
+    @example(lane_picks=[(4, 0), (0, 1), (8, 2)], window=300, chunk_rows=400, resume_at=0.0)
+    @settings(max_examples=8, deadline=None)
+    def test_resume_from_any_checkpoint_is_bit_identical(
+        self, pack, scalar_reference, lane_picks, window, chunk_rows, resume_at
+    ):
+        trace = _chunk(pack, chunk_rows)
+        lanes = [
+            LaneSpec(SCHEME_SPECS[s].build, MACHINES[m].build_config()) for s, m in lane_picks
+        ]
+        blobs = []
+        first = simulate_lanes(
+            trace,
+            lanes,
+            "gzip",
+            window_rows=window,
+            # Pickle at once, as a store write would.
+            on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
+        )
+        assert len(blobs) == (len(pack) - 1) // window
+        checkpoint = pickle.loads(blobs[int(resume_at * len(blobs))])
+        assert checkpoint.matches(len(pack), None, len(lanes))
+        resumed = simulate_lanes(
+            trace, lanes, "gzip", window_rows=window, checkpoint=checkpoint
+        )
+        for (s, m), straight, after in zip(lane_picks, first, resumed):
+            context = (SCHEME_SPECS[s].describe(), MACHINES[m].describe(), checkpoint.rows_done)
+            _assert_result_parity(scalar_reference(s, m), straight, context)
+            _assert_result_parity(scalar_reference(s, m), after, context)
+
+    def test_a_lane_replaying_another_keeps_no_branch_half(self, pack, monkeypatch):
+        """Wish next to conventional drops its own branch predictor, in the
+        live batch, in every checkpoint of it and after a resume."""
+        lanes, built = _recording_factories([(4, 0), (0, 1), (4, 2)])
+        blobs = []
+        simulate_lanes(
+            pack, lanes, window_rows=700, on_checkpoint=lambda c: blobs.append(pickle.dumps(c))
+        )
+        wish, conventional, other_wish = built
+        # The source is the lane that is its own branch scheme.
+        assert wish.branches is conventional
+        assert other_wish.branches is conventional
+        assert wish.accuracy is not conventional.accuracy
+        checkpoint = pickle.loads(blobs[0])
+        states, sources = checkpoint.states, checkpoint.sources
+        assert sources == [states[1].scheme] * 3
+        assert states[0].scheme.branches is states[1].scheme is states[2].scheme.branches
+
+        # The restored batch still computes one stream per span.
+        calls = []
+        drive = batched._drive_scheme_stream
+
+        def counting(scheme, rows):
+            calls.append(scheme)
+            return drive(scheme, rows)
+
+        monkeypatch.setattr(batched, "_drive_scheme_stream", counting)
+        simulate_lanes(pack, lanes, window_rows=700, checkpoint=checkpoint)
+        assert calls == [states[1].scheme] * len(range(700, len(pack), 700))
+
+    def test_one_checkpoint_per_window_boundary(self, pack):
+        lanes, _ = _recording_factories([(0, 0), (1, 0), (4, 0)])
+        rows_done = []
+        simulate_lanes(
+            _chunk(pack, 600),
+            lanes,
+            window_rows=450,
+            on_checkpoint=lambda ckpt: rows_done.append((ckpt.rows_done, len(ckpt.states))),
+        )
+        assert rows_done == [(450 * k, 3) for k in range(1, (len(pack) - 1) // 450 + 1)]
+
+
 class _Subclass(ConventionalScheme):
     """A conventional subclass that changes nothing."""
 
@@ -267,10 +383,11 @@ class TestHookDispatch:
         # Outside simulate_lanes: the loop reads the stream on branch rows
         # and still calls every other hook of the lane's own scheme.
         rows = _Rows(pack, 0, len(pack), {})
-        stream = _drive_scheme_stream(SCHEME_SPECS[0].build(), rows)
+        source = SCHEME_SPECS[0].build()
+        stream = _drive_scheme_stream(source, rows)
         core = OutOfOrderCore(config=MACHINES[0].build_config())
         wish = SCHEME_SPECS[4].build()
-        wish.accuracy = stream.accuracy.copy()
+        wish.accuracy = source.accuracy.copy()
         state = core._loop_state(wish)
         core._run_rows(state, rows, stream)
         result = core._finalize(state, "gzip")

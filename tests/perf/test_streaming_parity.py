@@ -24,6 +24,7 @@ sampled-key cache discipline.
 
 from __future__ import annotations
 
+import logging
 import pickle
 
 import pytest
@@ -36,15 +37,22 @@ from repro.engine import ArtifactStore, ExecutionEngine, IF_CONVERTED, SchemeSpe
 from repro.engine.planner import (
     CellRequest,
     ExperimentDefinition,
+    make_batched_simulate_job,
     make_build_job,
     make_simulate_job,
     make_trace_job,
 )
 from repro.engine.store import CHECKPOINTS, RESULTS
 from repro.experiments.setup import ExperimentProfile
+from repro.pipeline.batched import LaneSpec, simulate_lanes
 from repro.pipeline.core import OutOfOrderCore
 from repro.pipeline.machine import MachineSpec
-from repro.pipeline.windowed import CHECKPOINT_VERSION, SamplingSpec, simulate_windowed
+from repro.pipeline.windowed import (
+    CHECKPOINT_VERSION,
+    SamplingSpec,
+    SimulationCheckpoint,
+    simulate_windowed,
+)
 
 INSTRUCTIONS = 2_000
 
@@ -251,7 +259,7 @@ class TestCheckpointVersion:
             on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
         )
         checkpoint = pickle.loads(blobs[len(blobs) // 2])
-        assert checkpoint.version == CHECKPOINT_VERSION == 4
+        assert checkpoint.version == CHECKPOINT_VERSION == 5
         checkpoint.version = version
         return checkpoint
 
@@ -307,6 +315,32 @@ class TestCheckpointVersion:
         assert resumed_at[0] == 300  # the first window was simulated again
         _assert_result_parity(scalar_reference(3, 0), result, "version-3 checkpoint")
 
+    def test_version_four_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
+        # Version 4 held one lane's state under ``state``, with no stream
+        # sources and no sampling spec.
+        current = self._stale_checkpoint(pack, 3, 300, version=CHECKPOINT_VERSION)
+        stale = SimulationCheckpoint.__new__(SimulationCheckpoint)
+        stale.__dict__.update(
+            version=4,
+            rows_done=current.rows_done,
+            total_rows=current.total_rows,
+            state=current.states[0],
+        )
+        stale = pickle.loads(pickle.dumps(stale))
+        assert stale.rows_done > 0 and not stale.matches(len(pack))
+        resumed_at = []
+        result = simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[3].build(),
+            "gzip",
+            window_rows=300,
+            checkpoint=stale,
+            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+        )
+        assert resumed_at[0] == 300  # the first window was simulated again
+        _assert_result_parity(scalar_reference(3, 0), result, "version-4 checkpoint")
+
     def test_engine_does_not_resume_a_version_one_checkpoint(self, pack, tmp_path):
         profile = _profile()
         expected = ExecutionEngine(profile, store=None).simulate(
@@ -316,13 +350,92 @@ class TestCheckpointVersion:
         engine = ExecutionEngine(profile, store=store, checkpoint_every=400)
         build = make_build_job("gzip", IF_CONVERTED, engine.factory)
         job = make_simulate_job(make_trace_job(build, INSTRUCTIONS), SCHEME_SPECS[1])
-        store.put(CHECKPOINTS, job.key, self._stale_checkpoint(pack, 1, 400))
+        # A lone checkpointed job runs as a one-lane batch, keyed as one.
+        batch = make_batched_simulate_job([job])
+        store.put(CHECKPOINTS, batch.key, self._stale_checkpoint(pack, 1, 400))
 
         actual = engine.simulate("gzip", IF_CONVERTED, SCHEME_SPECS[1])
         assert engine.stats.checkpoints_resumed == 0
         _assert_result_parity(expected, actual, "engine with a stale checkpoint")
         # The run replaced and then discarded the stale checkpoint.
         assert store.entries(CHECKPOINTS) == []
+
+
+class TestSamplingModeCheckpoints:
+    """A checkpoint records its sampling spec and resumes only a run of the
+    same mode; one of the other mode restarts from row zero."""
+
+    SAMPLING = SamplingSpec(interval=2, window=256, warmup=64)
+
+    def _checkpoint(self, pack, sampling):
+        blobs = []
+        simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[1].build(),
+            "gzip",
+            window_rows=256,
+            sampling=sampling,
+            on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
+        )
+        checkpoint = pickle.loads(blobs[len(blobs) // 2])
+        assert checkpoint.sampling == sampling and checkpoint.rows_done > 0
+        return checkpoint
+
+    @pytest.fixture(autouse=True)
+    def _propagate(self, monkeypatch):
+        # configure_logging() stops the repro hierarchy at its own handler.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+
+    def _resume(self, pack, checkpoint, sampling, caplog):
+        resumed_at = []
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            result = simulate_windowed(
+                OutOfOrderCore(),
+                pack,
+                SCHEME_SPECS[1].build(),
+                "gzip",
+                window_rows=256,
+                sampling=sampling,
+                checkpoint=checkpoint,
+                on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+            )
+        assert resumed_at[0] == 256  # the first window was simulated again
+        assert "ignoring incompatible checkpoint" in caplog.text
+        return result
+
+    def test_full_run_ignores_a_sampled_checkpoint(self, pack, scalar_reference, caplog):
+        checkpoint = self._checkpoint(pack, self.SAMPLING)
+        assert not checkpoint.matches(len(pack))
+        result = self._resume(pack, checkpoint, None, caplog)
+        assert result.sampling is None
+        _assert_result_parity(scalar_reference(1, 0), result, "sampled checkpoint")
+
+    def test_sampled_run_ignores_a_full_checkpoint(self, pack, caplog):
+        checkpoint = self._checkpoint(pack, None)
+        assert not checkpoint.matches(len(pack), self.SAMPLING)
+        expected = simulate_windowed(
+            OutOfOrderCore(), pack, SCHEME_SPECS[1].build(), "gzip", sampling=self.SAMPLING
+        )
+        result = self._resume(pack, checkpoint, self.SAMPLING, caplog)
+        assert result.sampling == self.SAMPLING
+        _assert_result_parity(expected, result, "full checkpoint")
+
+    def test_sampled_run_resumes_its_own_checkpoint(self, pack):
+        checkpoint = self._checkpoint(pack, self.SAMPLING)
+        assert checkpoint.matches(len(pack), self.SAMPLING)
+        expected = simulate_windowed(
+            OutOfOrderCore(), pack, SCHEME_SPECS[1].build(), "gzip", sampling=self.SAMPLING
+        )
+        result = simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[1].build(),
+            "gzip",
+            sampling=self.SAMPLING,
+            checkpoint=checkpoint,
+        )
+        _assert_result_parity(expected, result, "sampled resume")
 
 
 class TestSampledApproximation:
@@ -433,6 +546,25 @@ def _cells_definition():
 
 KILL_PROFILE_INSTRUCTIONS = 1_200
 
+#: The long-trace comparison: conventional branching, predicate prediction
+#: and wish branches, whose branch half replays the conventional stream.
+COMPARISON_SPECS = (SCHEME_SPECS[0], SCHEME_SPECS[1], SCHEME_SPECS[3])
+
+
+def _comparison_definition(benchmarks=("gzip",), specs=COMPARISON_SPECS):
+    requests = [
+        CellRequest(benchmark, IF_CONVERTED, spec.describe(), spec)
+        for benchmark in benchmarks
+        for spec in specs
+    ]
+    return ExperimentDefinition(name="comparison", requests=requests)
+
+
+def _assert_outputs_parity(expected, actual):
+    assert actual.keys() == expected.keys()
+    for slot, result in expected.items():
+        _assert_result_parity(result, actual[slot], slot)
+
 
 class TestEngineCheckpointing:
     def test_kill_at_checkpoint_resumes_bit_identical(
@@ -461,6 +593,90 @@ class TestEngineCheckpointing:
             ), slot
         # Success consumes every checkpoint: nothing left to resume from.
         assert store.entries(CHECKPOINTS) == []
+
+    def test_checkpointed_chunked_cell_runs_as_one_batch(self, tmp_path):
+        profile = _profile()
+        definition = _comparison_definition()
+        plain = ExecutionEngine(profile, store=None)
+        expected = plain.run([definition])[definition.name]
+
+        store = ArtifactStore(str(tmp_path / "cache"))
+        engine = ExecutionEngine(
+            profile, store=store, checkpoint_every=300, trace_segment_rows=700
+        )
+        actual = engine.run([definition])[definition.name]
+        assert isinstance(engine.collect_trace("gzip", IF_CONVERTED), ChunkedTracePack)
+        assert engine.stats.batches_run == 1
+        assert engine.stats.batched_lanes == 3
+        # One checkpoint per window boundary, holding all three lanes.
+        assert engine.stats.checkpoints_written == (INSTRUCTIONS - 1) // 300
+        _assert_outputs_parity(expected, actual)
+        assert store.entries(CHECKPOINTS) == []
+
+    def test_kill_in_a_batch_sharing_a_stream_resumes_bit_identical(
+        self, activate_faults, tmp_path
+    ):
+        """Wish replays the conventional lane's stream; a worker killed at a
+        checkpoint write resumes the whole batch, shared source included."""
+        profile = _profile(KILL_PROFILE_INSTRUCTIONS, ("gzip", "twolf"))
+        definition = _comparison_definition(
+            ("gzip", "twolf"), (SCHEME_SPECS[0], SCHEME_SPECS[3])
+        )
+        clean = ExecutionEngine(profile, store=None).run([definition])
+
+        activate_faults(f"{faults.KILL_CHECKPOINT}:2")
+        store = ArtifactStore(str(tmp_path / "cache"))
+        engine = ExecutionEngine(
+            profile, store=store, jobs=2, checkpoint_every=300, trace_segment_rows=500
+        )
+        outputs = engine.run([definition])
+
+        assert engine.stats.workers_lost >= 1
+        assert engine.stats.checkpoints_resumed >= 2  # both lanes of a batch
+        assert engine.stats.batches_run >= 1
+        _assert_outputs_parity(clean[definition.name], outputs[definition.name])
+        assert store.entries(CHECKPOINTS) == []
+
+    def test_a_batch_checkpoint_never_resumes_another_lane_set(self, pack, tmp_path):
+        """A {conventional, wish} checkpoint is not used when only wish is
+        pending: the one-lane batch has its own key, and its lane count."""
+        profile = _profile()
+        definition = _comparison_definition(specs=(SCHEME_SPECS[0], SCHEME_SPECS[3]))
+        expected = ExecutionEngine(profile, store=None).run([definition])[definition.name]
+
+        store = ArtifactStore(str(tmp_path / "cache"))
+        engine = ExecutionEngine(profile, store=store, checkpoint_every=400)
+        build = make_build_job("gzip", IF_CONVERTED, engine.factory)
+        trace = make_trace_job(build, INSTRUCTIONS)
+        jobs = [make_simulate_job(trace, spec) for spec in (SCHEME_SPECS[0], SCHEME_SPECS[3])]
+        pair = make_batched_simulate_job(jobs)
+        wish_only = make_batched_simulate_job(jobs[1:])
+        assert pair.key != wish_only.key
+
+        blobs = []
+        config = MachineSpec().build_config()
+        simulate_lanes(
+            pack,
+            [LaneSpec(SCHEME_SPECS[0].build, config), LaneSpec(SCHEME_SPECS[3].build, config)],
+            "gzip",
+            window_rows=400,
+            on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
+        )
+        checkpoint = pickle.loads(blobs[0])
+        assert checkpoint.matches(len(pack), None, 2)
+        assert not checkpoint.matches(len(pack), None, 1)
+        store.put(CHECKPOINTS, pair.key, checkpoint)
+        # Even under the wish-only key, a two-lane checkpoint is refused.
+        store.put(CHECKPOINTS, wish_only.key, checkpoint)
+
+        engine.simulate("gzip", IF_CONVERTED, SCHEME_SPECS[0])  # cache conventional
+        actual = engine.run([definition])[definition.name]
+        assert engine.stats.checkpoints_resumed == 0
+        assert engine.stats.batched_lanes == 2  # two one-lane batches
+        _assert_outputs_parity(expected, actual)
+        # The wish-only run replaced and discarded its key's checkpoint; the
+        # pair's stays for a run of that lane set.
+        assert [entry["key"] for entry in store.entries(CHECKPOINTS)] == [pair.key]
 
     def test_serial_checkpointing_is_transparent_and_discarded(self, tmp_path):
         profile = _profile()
