@@ -522,14 +522,17 @@ def _command_sweep(args: argparse.Namespace) -> str:
     )
     run = run_sweep(scenario, engine=engine)
     report = render_sweep(run)
+    # The engine line goes to stdout only, as with ``repro all``: the
+    # written report stays free of host time and cache state.
+    output = f"{report}\n\nengine: {run.stats.render()}"
     if args.no_write:
-        return report
+        return output
     os.makedirs(args.output_dir, exist_ok=True)
     filename = f"sweep_{scenario.name.replace('-', '_')}.txt"
     path = os.path.join(args.output_dir, filename)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(report + "\n")
-    return f"{report}\n\nwrote {path}"
+    return f"{output}\n\nwrote {path}"
 
 
 def _describe_workload(definition) -> str:

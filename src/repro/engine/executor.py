@@ -265,12 +265,6 @@ class ExecutionEngine:
         self._binaries: Dict[Cell, Program] = {}
         #: In-memory trace cache of columnar packs.
         self._traces: "OrderedDict[Cell, Any]" = OrderedDict()
-        #: Per-cell static-oracle accuracy, filled opportunistically while a
-        #: columnar trace is in hand (one cheap vectorized pass), so the
-        #: idealized study never re-materialises an evicted trace just to
-        #: recompute one scalar.  Read by
-        #: :func:`repro.experiments.idealized.oracle_accuracies`.
-        self._oracle_accuracy_cache: Dict[Cell, float] = {}
 
     # ------------------------------------------------------------------
     def benchmarks(self) -> List[str]:
@@ -370,13 +364,6 @@ class ExecutionEngine:
                         "instructions": len(trace),
                     },
                 )
-        if cell not in self._oracle_accuracy_cache:
-            # Vectorized pass, ~ms: record the scalar while the trace is in hand.
-            from repro.emulator.trace import trace_statistics
-
-            self._oracle_accuracy_cache[cell] = trace_statistics(
-                trace
-            ).static_oracle_accuracy()
         self._traces[cell] = trace
         self._traces.move_to_end(cell)
         while len(self._traces) > self.max_cached_traces:
@@ -822,7 +809,7 @@ class ExecutionEngine:
                 for future in done:
                     payload = futures[future]
                     try:
-                        cell_results, stats, timings, oracle = future.result()
+                        cell_results, stats, timings = future.result()
                     except BrokenProcessPool:
                         if not pool_broken:
                             pool_broken = True
@@ -836,10 +823,6 @@ class ExecutionEngine:
                     results.update(cell_results)
                     self.stats.merge(stats)
                     self.job_timings.extend(timings)
-                    # Worker-side derived trace scalars come home with the
-                    # results, so the parent never re-materialises a trace
-                    # just to recompute them.
-                    self._oracle_accuracy_cache.update(oracle)
                 if pool_broken:
                     # Every future still outstanding on a broken pool is
                     # doomed; collect them now instead of draining errors.
@@ -892,9 +875,7 @@ def _mp_context():
 
 def _execute_cell(
     payload: _CellPayload,
-) -> Tuple[
-    Dict[str, SimulationResult], Dict[str, Any], List[JobTiming], Dict[Cell, float]
-]:
+) -> Tuple[Dict[str, SimulationResult], Dict[str, Any], List[JobTiming]]:
     """Worker entry point: run one cell's simulations in a fresh engine."""
     profile, store_root, spill_root, cell_jobs, options = payload
     engine = ExecutionEngine(
@@ -906,12 +887,7 @@ def _execute_cell(
         trace_segment_rows=options.get("trace_segment_rows"),
     )
     results = engine.run_cell_jobs(cell_jobs)
-    return (
-        results,
-        engine.stats.as_dict(),
-        engine.job_timings,
-        engine._oracle_accuracy_cache,
-    )
+    return results, engine.stats.as_dict(), engine.job_timings
 
 
 def resolve_engine(engine=None, profile=None) -> ExecutionEngine:

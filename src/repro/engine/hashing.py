@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 from functools import lru_cache
-from typing import Any
+from typing import Any, Callable, Dict, Optional, Tuple
 
 
 def canonicalize(obj: Any) -> Any:
@@ -25,12 +25,10 @@ def canonicalize(obj: Any) -> Any:
         return obj
     if isinstance(obj, enum.Enum):
         return f"{type(obj).__name__}.{obj.name}"
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = {
-            f.name: canonicalize(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-        return {"__dataclass__": type(obj).__name__, **fields}
+    cls = type(obj)
+    if hasattr(cls, "__dataclass_fields__") and not isinstance(obj, type):
+        fields = {name: canonicalize(getattr(obj, name)) for name in _field_names(cls)}
+        return {"__dataclass__": cls.__name__, **fields}
     if isinstance(obj, dict):
         items = {_key_string(key): canonicalize(value) for key, value in obj.items()}
         return dict(sorted(items.items()))
@@ -41,6 +39,17 @@ def canonicalize(obj: Any) -> Any:
     return repr(obj)
 
 
+@lru_cache(maxsize=None)
+def _field_names(cls: type) -> Tuple[str, ...]:
+    """A dataclass type's field names, in declaration order.
+
+    Cached per type: they depend only on the class definition, never on
+    an instance, and looking them up is most of the cost of hashing a
+    dataclass tree such as a workload's traits.
+    """
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
 def _key_string(key: Any) -> str:
     """A deterministic string form of a mapping key or set member."""
     canonical = canonicalize(key)
@@ -49,12 +58,52 @@ def _key_string(key: Any) -> str:
     return json.dumps(canonical, sort_keys=True, separators=(",", ":"))
 
 
+def canonical_json(part: Any) -> str:
+    """The canonical JSON text of one key part."""
+    return json.dumps(canonicalize(part), sort_keys=True, separators=(",", ":"))
+
+
+def _digest(payload: str) -> str:
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+
+
 def stable_hash(*parts: Any) -> str:
     """Return a short hex digest uniquely identifying ``parts``."""
-    payload = json.dumps(
-        canonicalize(list(parts)), sort_keys=True, separators=(",", ":")
+    return _digest(
+        json.dumps(canonicalize(list(parts)), sort_keys=True, separators=(",", ":"))
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
+
+
+class KeySplicer:
+    """:func:`stable_hash` for many keys that share parts.
+
+    The payload :func:`stable_hash` digests is the canonical JSON of the
+    list of parts, which is exactly ``"[" + ",".join(texts) + "]"`` where
+    each text is :func:`canonical_json` of one part.  A splicer renders
+    each part once per source object and joins the texts, so keys that
+    repeat a part (the store-format/code prefix, a scheme, a machine, a
+    trace key) stop re-canonicalising it.  Texts are memoised by object
+    identity, holding the source so its id stays unique; make one
+    splicer per batch of keys and drop it afterwards, so an object edited
+    later can never be served its old text.
+    """
+
+    def __init__(self, *prefix: Any) -> None:
+        self._texts: Dict[Tuple[int, Any], Tuple[Any, str]] = {}
+        self._prefix = tuple(canonical_json(part) for part in prefix)
+
+    def part(self, source: Any, derive: Optional[Callable[[Any], Any]] = None) -> str:
+        """The canonical JSON text of ``derive(source)`` (default: ``source``)."""
+        memo = (id(source), derive)
+        entry = self._texts.get(memo)
+        if entry is None:
+            text = canonical_json(source if derive is None else derive(source))
+            entry = self._texts[memo] = (source, text)
+        return entry[1]
+
+    def hash(self, *texts: str) -> str:
+        """``stable_hash(*prefix, *parts)``, given the parts' texts."""
+        return _digest("[" + ",".join(self._prefix + texts) + "]")
 
 
 @lru_cache(maxsize=1)

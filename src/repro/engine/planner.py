@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.compiler.binaries import BinaryFactory
 from repro.emulator.trace import TRACE_FORMAT_VERSION
-from repro.engine.hashing import code_fingerprint, stable_hash
+from repro.engine.hashing import KeySplicer, code_fingerprint, stable_hash
 from repro.engine.jobs import (
     FLAVOURS,
     BatchedSimulateJob,
@@ -139,21 +139,32 @@ class JobGraph:
 # ----------------------------------------------------------------------
 # Planning
 # ----------------------------------------------------------------------
-def _artifact_key(*parts) -> str:
-    """A cache key: the job's inputs salted with store format and code.
+def artifact_keys() -> KeySplicer:
+    """A splicer for artifact cache keys: each job's inputs salted with
+    store format and code.
 
     :func:`~repro.engine.hashing.code_fingerprint` covers every source file
     of the package, so editing any layer of the simulator invalidates all
     previously stored artifacts — the store can never serve numbers that the
-    current code would not reproduce.
+    current code would not reproduce.  Every key equals
+    ``stable_hash(STORE_FORMAT_VERSION, code_fingerprint(), *parts)``.
     """
-    return stable_hash(STORE_FORMAT_VERSION, code_fingerprint(), *parts)
+    return KeySplicer(STORE_FORMAT_VERSION, code_fingerprint())
 
 
-def make_build_job(benchmark: str, flavour: str, factory: BinaryFactory) -> BuildJob:
+def make_build_job(
+    benchmark: str,
+    flavour: str,
+    factory: BinaryFactory,
+    keys: Optional[KeySplicer] = None,
+) -> BuildJob:
     """The compile job of one (benchmark, flavour) cell, content-keyed by
-    the factory's fingerprint (generator source, budgets, options)."""
-    key = _artifact_key("binary", factory.fingerprint(benchmark, flavour))
+    the factory's fingerprint (generator source, budgets, options).
+
+    ``keys`` (from :func:`artifact_keys`) shares rendered key parts with
+    other jobs made under it; every ``make_*_job`` takes one."""
+    keys = keys or artifact_keys()
+    key = keys.hash(keys.part("binary"), keys.part(factory.fingerprint(benchmark, flavour)))
     return BuildJob(
         key=key,
         benchmark=benchmark,
@@ -162,7 +173,9 @@ def make_build_job(benchmark: str, flavour: str, factory: BinaryFactory) -> Buil
     )
 
 
-def make_trace_job(build: BuildJob, instructions: int) -> TraceJob:
+def make_trace_job(
+    build: BuildJob, instructions: int, keys: Optional[KeySplicer] = None
+) -> TraceJob:
     """The trace-collection job downstream of ``build`` at one instruction
     budget.  Machine configuration deliberately does **not** contribute to
     the key: the functional emulation is timing-independent, so every
@@ -171,7 +184,13 @@ def make_trace_job(build: BuildJob, instructions: int) -> TraceJob:
     # invalidates stale cached traces at planning time instead of failing
     # (or silently re-decoding) at load time.  Simulate keys inherit it
     # through ``trace.key``.
-    key = _artifact_key("trace", build.key, instructions, TRACE_FORMAT_VERSION)
+    keys = keys or artifact_keys()
+    key = keys.hash(
+        keys.part("trace"),
+        keys.part(build.key),
+        keys.part(instructions),
+        keys.part(TRACE_FORMAT_VERSION),
+    )
     return TraceJob(
         key=key,
         benchmark=build.benchmark,
@@ -186,6 +205,7 @@ def make_simulate_job(
     scheme: SchemeSpec,
     machine: Optional[MachineSpec] = None,
     sampling: Optional[SamplingSpec] = None,
+    keys: Optional[KeySplicer] = None,
 ) -> SimulateJob:
     """The timing-simulation job replaying ``trace`` under ``scheme`` on
     ``machine`` (default: the Table 1 machine).  The key folds in the trace
@@ -194,17 +214,17 @@ def make_simulate_job(
     an approximate (sampled) result can never be served where an exact one
     was requested, or vice versa."""
     machine = machine if machine is not None else MachineSpec()
-    parts = [
-        "result",
-        trace.key,
-        scheme.token(),
-        machine_fingerprint(machine),
+    keys = keys or artifact_keys()
+    texts = [
+        keys.part("result"),
+        keys.part(trace.key),
+        keys.part(scheme, SchemeSpec.token),
+        keys.part(machine_fingerprint(machine)),
     ]
     if sampling is not None:
-        parts.append(sampling.token())
-    key = _artifact_key(*parts)
+        texts.append(keys.part(sampling, SamplingSpec.token))
     return SimulateJob(
-        key=key,
+        key=keys.hash(*texts),
         benchmark=trace.benchmark,
         flavour=trace.flavour,
         scheme=scheme,
@@ -278,10 +298,13 @@ def plan(
     The build and trace jobs of a (benchmark, flavour) cell are made once
     per call and shared by all of its requests: hashing the workload's
     content fingerprint and the two artifact keys is the planner's main
-    cost.  The memo never outlives the call, so a file-backed workload
-    edited between two plans gets a new key.
+    cost.  All keys of the call share one :class:`KeySplicer`, so each
+    scheme, machine token and trace key is rendered once, not once per
+    simulate key.  Neither memo outlives the call, so a file-backed
+    workload edited between two plans gets a new key.
     """
     graph = JobGraph()
+    keys = artifact_keys()
     traces: Dict[Tuple[str, str], TraceJob] = {}
     for definition in definitions:
         table: Dict[Tuple[str, str], str] = graph.outputs.setdefault(
@@ -291,12 +314,12 @@ def plan(
             cell = (request.benchmark, request.flavour)
             trace = traces.get(cell)
             if trace is None:
-                build = make_build_job(request.benchmark, request.flavour, factory)
+                build = make_build_job(request.benchmark, request.flavour, factory, keys)
                 graph.builds.setdefault(build.key, build)
-                trace = traces[cell] = make_trace_job(build, instructions)
+                trace = traces[cell] = make_trace_job(build, instructions, keys)
                 graph.traces.setdefault(trace.key, trace)
             simulate = make_simulate_job(
-                trace, request.scheme, request.machine, request.sampling
+                trace, request.scheme, request.machine, request.sampling, keys
             )
             graph.simulations.setdefault(simulate.key, simulate)
             table[(request.benchmark, request.label)] = simulate.key

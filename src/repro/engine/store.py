@@ -74,6 +74,13 @@ def default_cache_dir(explicit: Optional[str] = None) -> str:
     return explicit or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
 
 
+def _read_bytes(path: str) -> bytes:
+    """A whole file's bytes, read unbuffered (one sized read, no copy
+    through a buffer layer)."""
+    with open(path, "rb", buffering=0) as handle:
+        return handle.read()
+
+
 def _pickle_dumps(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -171,15 +178,20 @@ class ArtifactStore:
         decode failures.  Damaged artifacts are quarantined (moved under
         ``<root>/v1/quarantine/``, never silently deleted) and reported as
         misses, so the caller transparently regenerates them while the
-        evidence stays inspectable.
+        evidence stays inspectable.  A sidecar that exists but does not
+        parse is damage too (sidecars are written atomically): the
+        artifact is quarantined rather than decoded unverified.
         """
         path = self.path(kind, key)
         try:
-            with open(path, "rb") as handle:
-                data = handle.read()
+            data = _read_bytes(path)
         except OSError:
             return None
-        recorded = self._recorded_digest(kind, key)
+        try:
+            recorded = self._recorded_digest(kind, key)
+        except ValueError:
+            self._quarantine(kind, key, "metadata sidecar unreadable")
+            return None
         if recorded is not None and hashlib.sha256(data).hexdigest() != recorded:
             self._quarantine(kind, key, "payload digest mismatch")
             return None
@@ -229,12 +241,20 @@ class ArtifactStore:
         return path
 
     def _recorded_digest(self, kind: str, key: str) -> Optional[str]:
-        """The sidecar's payload digest, or ``None`` when not recorded."""
+        """The sidecar's payload digest, or ``None`` when not recorded.
+
+        A missing sidecar is not damage: a concurrent ``put`` writes the
+        payload before its sidecar.  Neither is a legacy sidecar without a
+        ``sha256`` field.  A sidecar that does not parse as a JSON object
+        raises :class:`ValueError`.
+        """
         try:
-            with open(self._meta_path(kind, key), "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
-        except (OSError, ValueError):
+            raw = _read_bytes(self._meta_path(kind, key))
+        except OSError:
             return None
+        meta = json.loads(raw)
+        if not isinstance(meta, dict):
+            raise ValueError("metadata sidecar is not a JSON object")
         digest = meta.get("sha256")
         return digest if isinstance(digest, str) else None
 

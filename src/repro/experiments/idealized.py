@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
-from repro.emulator.trace import trace_statistics
 from repro.engine import (
     BASELINE,
     IF_CONVERTED,
@@ -25,6 +24,7 @@ from repro.engine import (
     resolve_engine,
     sweep,
 )
+from repro.pipeline.core import SimulationResult
 from repro.stats.tables import ResultTable
 
 CONVENTIONAL = "ideal-conventional"
@@ -50,8 +50,8 @@ class IdealizedResult:
     average_accuracy_increase: float
     predicate_wins: int
     #: Per-benchmark accuracy of the per-site static oracle — the alias-free,
-    #: perfect-history limit of a static predictor, computed as one
-    #: vectorized pass over each benchmark's columnar trace.
+    #: perfect-history limit of a static predictor, computed from the
+    #: branch outcomes the study's own results recorded.
     oracle_accuracy: Dict[str, float] = field(default_factory=dict)
 
     def render(self) -> str:
@@ -86,7 +86,6 @@ def collect_idealized(
     outputs: ExperimentOutputs,
     benchmarks: Sequence[str],
     flavour: str,
-    oracle_accuracy: Optional[Dict[str, float]] = None,
 ) -> IdealizedResult:
     """Assemble the idealized-study result from engine outputs."""
     table = ResultTable.from_results(
@@ -100,39 +99,27 @@ def collect_idealized(
         table=table,
         average_accuracy_increase=table.delta(PREDICATE, CONVENTIONAL),
         predicate_wins=table.wins(PREDICATE, CONVENTIONAL),
-        oracle_accuracy=dict(oracle_accuracy or {}),
+        oracle_accuracy={
+            benchmark: static_oracle_accuracy(outputs[(benchmark, CONVENTIONAL)])
+            for benchmark in benchmarks
+        },
     )
 
 
-def oracle_accuracies(
-    engine, benchmarks: Sequence[str], flavour: str
-) -> Dict[str, float]:
-    """Per-benchmark static-oracle accuracy from the dynamic traces.
+def static_oracle_accuracy(result: SimulationResult) -> float:
+    """The per-site static-oracle accuracy of one simulated trace.
 
-    Each benchmark's trace is a columnar
-    :class:`~repro.emulator.tracepack.TracePack`, so the per-site outcome
-    aggregation runs as a vectorized numpy pass
-    (:func:`repro.emulator.trace.trace_statistics`).
-
-    The scalar results are memoised per engine (keyed by cell), so repeated
-    studies over a shared engine — and the two flavours of ``repro all`` —
-    never re-materialise a trace the bounded LRU has already evicted.
+    A full result records the actual outcome of every conditional branch
+    of its trace, so the oracle needs no trace (see
+    :meth:`~repro.stats.accuracy.BranchAccuracy.static_oracle_accuracy`).
+    A sampled result saw only its measured windows and is rejected.
     """
-    cache: Dict[tuple, float] = getattr(engine, "_oracle_accuracy_cache", None)
-    if cache is None:
-        cache = {}
-        engine._oracle_accuracy_cache = cache
-    accuracies: Dict[str, float] = {}
-    for benchmark in benchmarks:
-        cell = (benchmark, flavour)
-        accuracy = cache.get(cell)
-        if accuracy is None:
-            accuracy = trace_statistics(
-                engine.collect_trace(benchmark, flavour)
-            ).static_oracle_accuracy()
-            cache[cell] = accuracy
-        accuracies[benchmark] = accuracy
-    return accuracies
+    if result.sampled:
+        raise ValueError(
+            f"{result.program_name}: the static oracle needs a full simulation, "
+            "not a sampled one"
+        )
+    return result.accuracy.static_oracle_accuracy()
 
 
 def run_idealized_study(
@@ -146,5 +133,4 @@ def run_idealized_study(
     benchmarks = engine.benchmarks()
     definition = idealized_definition(flavour, benchmarks)
     outputs = engine.run([definition], jobs=jobs)[definition.name]
-    oracle = oracle_accuracies(engine, benchmarks, flavour)
-    return collect_idealized(outputs, benchmarks, flavour, oracle_accuracy=oracle)
+    return collect_idealized(outputs, benchmarks, flavour)

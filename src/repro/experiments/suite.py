@@ -23,11 +23,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.figure5 import collect_figure5, figure5_definition
 from repro.experiments.figure6 import collect_figure6, figure6_definition
-from repro.experiments.idealized import (
-    collect_idealized,
-    idealized_definition,
-    oracle_accuracies,
-)
+from repro.experiments.idealized import collect_idealized, idealized_definition
 from repro.experiments.selective_ipc import (
     collect_selective_ipc,
     selective_ipc_definition,
@@ -95,16 +91,10 @@ def run_all(
     reports["figure5"] = collect_figure5(outputs[figure5.name], benchmarks).render()
     reports["figure6"] = collect_figure6(outputs[figure6.name], benchmarks).render()
     reports["idealized_baseline"] = collect_idealized(
-        outputs[ideal_base.name],
-        benchmarks,
-        BASELINE,
-        oracle_accuracy=oracle_accuracies(engine, benchmarks, BASELINE),
+        outputs[ideal_base.name], benchmarks, BASELINE
     ).render()
     reports["idealized_if_converted"] = collect_idealized(
-        outputs[ideal_conv.name],
-        benchmarks,
-        IF_CONVERTED,
-        oracle_accuracy=oracle_accuracies(engine, benchmarks, IF_CONVERTED),
+        outputs[ideal_conv.name], benchmarks, IF_CONVERTED
     ).render()
     reports["ablation_pvt"] = collect_pvt_ablation(
         outputs[pvt.name], benchmarks

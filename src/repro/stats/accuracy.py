@@ -16,7 +16,9 @@ per-branch *read view* built from the columns on demand.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from typing import List, Optional
 
 #: Flag bits of one branch's byte in :attr:`BranchAccuracy.flags`.
@@ -32,6 +34,7 @@ def _table(predicate) -> bytes:
     return bytes(1 if predicate(flags) else 0 for flags in range(256))
 
 
+_TAKEN = _table(lambda f: bool(f & ACTUAL))
 _MISPREDICTED = _table(lambda f: bool(f & ACTUAL) != bool(f & PREDICTED))
 _EARLY_RESOLVED = _table(lambda f: bool(f & EARLY))
 _OVERRIDDEN = _table(
@@ -158,6 +161,24 @@ class BranchAccuracy:
     @property
     def early_resolved_fraction(self) -> float:
         return self.early_resolved_count / self.branches if self.branches else 0.0
+
+    def static_oracle_accuracy(self) -> float:
+        """Accuracy of a per-site oracle static predictor on these branches.
+
+        Every site (PC) is predicted in its dominant actual direction: the
+        alias-free, perfect-history limit of any per-site static predictor.
+        A full simulation records every conditional branch of its trace,
+        so on a full result this equals
+        ``trace_statistics(trace).static_oracle_accuracy()``.
+        """
+        if not self.flags:
+            return 1.0
+        executions = Counter(self.pcs)
+        taken = Counter(compress(self.pcs, self.flags.translate(_TAKEN)))
+        correct = sum(
+            max(taken[pc], count - taken[pc]) for pc, count in executions.items()
+        )
+        return correct / len(self.flags)
 
     # ------------------------------------------------------------------
     @property

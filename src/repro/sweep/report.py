@@ -112,7 +112,12 @@ def _axis_section(run: SweepRun, axis: Axis) -> List[str]:
 
 
 def render_sweep(run: SweepRun) -> str:
-    """Render a finished sweep as the full sensitivity report."""
+    """Render a finished sweep as the full sensitivity report.
+
+    The report holds simulated numbers only; what the engine did and how
+    long it took (``run.stats``) varies from run to run and is left out,
+    so a report can be compared byte for byte with a committed one.
+    """
     scenario = run.scenario
     lines = [
         f"sweep: {scenario.name}"
@@ -139,5 +144,4 @@ def render_sweep(run: SweepRun) -> str:
     for axis in scenario.axes:
         lines.append("")
         lines.extend(_axis_section(run, axis))
-    lines += ["", f"engine: {run.stats.render()}"]
     return "\n".join(lines)

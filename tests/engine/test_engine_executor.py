@@ -1,5 +1,6 @@
 """Execution-engine tests: caching tiers, trace lifetime, parallel equality."""
 
+import os
 import pickle
 
 import pytest
@@ -165,17 +166,37 @@ class TestTraceRepresentation:
         assert serialize_trace(loaded) == serialize_trace(collected)
 
 
-class TestOracleCachePlumbing:
-    def test_parallel_workers_return_oracle_scalars(self):
-        from repro.experiments.idealized import oracle_accuracies
+class TestIdealizedOracleFromResults:
+    def test_parallel_study_takes_its_oracle_without_a_parent_trace(
+        self, monkeypatch
+    ):
+        from repro.emulator.trace import trace_statistics
+        from repro.experiments.idealized import run_idealized_study
 
+        parent = os.getpid()
+        calls = []
+        original = ExecutionEngine.collect_trace
+
+        def recording(self, benchmark, flavour):
+            if os.getpid() == parent:
+                calls.append((benchmark, flavour))
+            return original(self, benchmark, flavour)
+
+        monkeypatch.setattr(ExecutionEngine, "collect_trace", recording)
         engine = ExecutionEngine(PROFILE, jobs=2)
-        fig5_outputs(engine)
-        collected = engine.stats.traces_collected
-        oracle = oracle_accuracies(engine, PROFILE.benchmarks, BASELINE)
-        assert set(oracle) == set(PROFILE.benchmarks)
-        # Served from the merged worker caches: no re-emulation in the parent.
-        assert engine.stats.traces_collected == collected
+        study = run_idealized_study(BASELINE, engine=engine)
+        assert calls == []  # the parent never collected or loaded a trace
+        assert not engine._traces
+        # Each worker collected its cell's trace once; nothing else did.
+        assert engine.stats.traces_collected == len(PROFILE.benchmarks)
+        assert engine.stats.traces_loaded == 0
+        monkeypatch.undo()
+        reference = ExecutionEngine(PROFILE)
+        for benchmark in PROFILE.benchmarks:
+            trace = reference.collect_trace(benchmark, BASELINE)
+            assert study.oracle_accuracy[benchmark] == (
+                trace_statistics(trace).static_oracle_accuracy()
+            )
 
 
 class TestTraceSpill:

@@ -193,6 +193,58 @@ class TestPlanMemo:
             simulations,
         )
 
+    def test_plan_keys_equal_a_stable_hash_reference_plan(self, factory):
+        # The planner splices keys from per-part JSON texts; a reference
+        # plan hashes every key's parts with stable_hash directly.
+        from repro.emulator.trace import TRACE_FORMAT_VERSION
+        from repro.engine import CellRequest, ExperimentDefinition
+        from repro.engine.hashing import code_fingerprint, stable_hash
+        from repro.engine.planner import machine_fingerprint
+        from repro.engine.store import STORE_FORMAT_VERSION
+        from repro.pipeline.machine import MachineSpec
+        from repro.pipeline.windowed import SamplingSpec
+
+        sampled = ExperimentDefinition(
+            name="sampled",
+            requests=[
+                CellRequest(
+                    benchmark="gzip",
+                    flavour=BASELINE,
+                    label="s",
+                    scheme=SchemeSpec.make("predicate", split_pvt=True),
+                    machine=MachineSpec.make(rob_entries=64),
+                    sampling=SamplingSpec(interval=4, window=200, warmup=50),
+                )
+            ],
+        )
+        definitions = [
+            self._shootout(),
+            figure5_definition(BENCHMARKS),
+            figure6_definition(BENCHMARKS),
+            idealized_definition(IF_CONVERTED, BENCHMARKS),
+            sampled,
+        ]
+        graph = plan_graph(definitions, factory)
+        prefix = (STORE_FORMAT_VERSION, code_fingerprint())
+        for build in graph.builds.values():
+            fingerprint = factory.fingerprint(build.benchmark, build.flavour)
+            assert build.key == stable_hash(*prefix, "binary", fingerprint)
+        for trace in graph.traces.values():
+            assert trace.key == stable_hash(
+                *prefix, "trace", trace.build_key, 1_000, TRACE_FORMAT_VERSION
+            )
+        for job in graph.simulations.values():
+            parts = [
+                "result",
+                job.trace_key,
+                job.scheme.token(),
+                machine_fingerprint(job.machine),
+            ]
+            if job.sampling is not None:
+                parts.append(job.sampling.token())
+            assert job.key == stable_hash(*prefix, *parts)
+        assert sum(job.sampling is not None for job in graph.simulations.values()) == 1
+
     def test_a_spec_file_edited_between_plans_gets_a_new_build_key(
         self, tmp_path, factory
     ):

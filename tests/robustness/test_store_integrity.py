@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -93,6 +94,57 @@ class TestDigest:
         with open(meta_path, "w", encoding="utf-8") as handle:
             json.dump(meta, handle)
         assert store.get(RESULTS, "k") is not None
+
+
+class TestDamagedSidecar:
+    """An unparseable sidecar must not switch the digest check off."""
+
+    @staticmethod
+    def _swap_payload(store, key):
+        # A valid pickle of a different object: it decodes cleanly, so only
+        # the digest can tell it from the stored artifact.
+        with open(store.path(RESULTS, key), "wb") as handle:
+            handle.write(pickle.dumps({"ipc": 9.75}))
+
+    def test_swapped_payload_with_intact_sidecar_is_quarantined(self, store):
+        store.put(RESULTS, "k", {"ipc": 1.25})
+        self._swap_payload(store, "k")
+        assert store.get(RESULTS, "k") is None
+        assert store.quarantine_entries()[0]["quarantine_reason"] == (
+            "payload digest mismatch"
+        )
+
+    def test_swapped_payload_with_cut_sidecar_is_quarantined(self, store):
+        store.put(RESULTS, "k", {"ipc": 1.25})
+        self._swap_payload(store, "k")
+        meta_path = store._meta_path(RESULTS, "k")
+        with open(meta_path, "rb") as handle:
+            meta = handle.read()
+        with open(meta_path, "wb") as handle:
+            handle.write(meta[:-3])
+        assert store.get(RESULTS, "k") is None
+        assert not store.contains(RESULTS, "k")
+        assert not os.path.exists(meta_path)
+        entries = store.quarantine_entries()
+        assert [entry["quarantine_reason"] for entry in entries] == [
+            "metadata sidecar unreadable"
+        ]
+        assert entries[0]["kind"] == RESULTS and entries[0]["key"] == "k"
+
+    @pytest.mark.parametrize("damaged", [b"", b"\xff\xfe{", b"[1, 2]", b"null"])
+    def test_sidecar_that_is_no_json_object_is_quarantined(self, store, damaged):
+        store.put(RESULTS, "k", {"ipc": 1.25})
+        with open(store._meta_path(RESULTS, "k"), "wb") as handle:
+            handle.write(damaged)
+        assert store.get(RESULTS, "k") is None
+        assert store.quarantine_usage()["count"] == 1
+
+    def test_missing_sidecar_still_reads(self, store):
+        # A concurrent put sits between its payload and sidecar writes.
+        store.put(RESULTS, "k", {"ipc": 1.25})
+        os.remove(store._meta_path(RESULTS, "k"))
+        assert store.get(RESULTS, "k") == {"ipc": 1.25}
+        assert store.quarantine_usage()["count"] == 0
 
 
 class TestQuarantine:

@@ -136,12 +136,10 @@ class TestCoalescing:
         coalesced = a["coalesced_keys"] + b["coalesced_keys"]
         assert coalesced == planned
 
-        # Both clients get the same rendered sweep (the trailing "engine:"
-        # accounting line legitimately differs: one ran, one loaded).
-        def body(report):
-            return [line for line in report.splitlines() if not line.startswith("engine:")]
-
+        # Both clients get the same rendered sweep, byte for byte: the
+        # report leaves out the engine accounting (one job ran, one loaded).
         table_a = client.result(first["id"])
         table_b = client.result(second["id"])
         assert "rob-scaling" in table_a
-        assert body(table_a) == body(table_b)
+        assert "engine:" not in table_a
+        assert table_a == table_b

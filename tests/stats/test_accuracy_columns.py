@@ -92,3 +92,29 @@ def test_a_mutated_copy_leaves_the_original_unchanged(stream, more):
         _reference(stream + more)[: len(stream) // 2]
         + [BranchRecord(0x4000, False, True, False, False)],
     )
+
+
+def _oracle_reference(records):
+    """Per-site majority of the actual outcomes, from the records."""
+    sites = {}
+    for record in records:
+        taken, total = sites.get(record.pc, (0, 0))
+        sites[record.pc] = (taken + record.actual, total + 1)
+    correct = sum(max(taken, total - taken) for taken, total in sites.values())
+    return correct / len(records) if records else 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream=outcomes)
+def test_static_oracle_accuracy_matches_the_reference(stream):
+    accuracy = _build(stream)
+    assert accuracy.static_oracle_accuracy() == _oracle_reference(_reference(stream))
+
+
+def test_static_oracle_accuracy_reads_actual_outcomes_only():
+    accuracy = BranchAccuracy()
+    for pc, actual in ((4, True), (4, True), (4, False), (8, False)):
+        # The prediction bits must not matter: predict everything wrong.
+        accuracy.add(pc, actual, not actual, fetch_prediction=actual)
+    assert accuracy.static_oracle_accuracy() == 0.75
+    assert BranchAccuracy().static_oracle_accuracy() == 1.0

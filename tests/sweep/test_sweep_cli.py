@@ -55,6 +55,12 @@ class TestSweepCommand:
         assert os.path.exists(path)
         assert f"wrote {path}" in out
         assert "ran 8 simulations (0 cached)" in out
+        with open(path, encoding="utf-8") as handle:
+            cold = handle.read()
+        # The engine line is printed, not written: the report file holds no
+        # host time or cache state.
+        assert "engine:" not in cold
+        assert cold.rstrip("\n") in out
 
         # The rerun rebuilds nothing: every simulate job is served from the
         # persistent artifact store (the conftest points REPRO_CACHE_DIR at
@@ -62,6 +68,8 @@ class TestSweepCommand:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "ran 0 simulations (8 cached)" in out
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == cold
 
     @needs_tomllib
     def test_jobs_accepted_after_subcommand(self, tmp_path, capsys):

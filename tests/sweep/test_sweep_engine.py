@@ -245,7 +245,9 @@ class TestRunSweep:
         assert "sweep: tiny" in report
         assert "rob_entries" in report
         assert " 64 |" in report  # the ASCII plot rows
-        assert "engine:" in report
+        # Host time and cache state stay out of the report (the CLI prints
+        # the engine line after it).
+        assert "engine:" not in report
 
     def test_scheme_axis_changes_results_and_keys(self, tmp_path):
         scenario = parse_scenario(
