@@ -69,9 +69,7 @@ def _digest(payload: str) -> str:
 
 def stable_hash(*parts: Any) -> str:
     """Return a short hex digest uniquely identifying ``parts``."""
-    return _digest(
-        json.dumps(canonicalize(list(parts)), sort_keys=True, separators=(",", ":"))
-    )
+    return _digest(canonical_json(list(parts)))
 
 
 class KeySplicer:
