@@ -7,7 +7,8 @@ Usage::
 
 ``BASE`` is extracted with ``git archive BASE | tar -x`` into a temporary
 directory; the other side is the checkout this script lives in.  For
-``shootout-cold`` and then ``sweep-warm`` the gate runs ``PAIRS`` pairs of
+``long-trace``, ``shootout-cold`` and then ``sweep-warm`` the gate runs
+``PAIRS`` pairs of
 ``perfbench/run.py --workload W --seed k --seconds SECONDS --trace 0``:
 pair *k* uses seed *k* on both sides, and the side that runs first
 alternates.  Every end-to-end metric of ``BENCHMARK.json`` gets the median
@@ -44,8 +45,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
 SECONDS = 8
 THRESHOLD = 0.95
-#: The workloads the gate runs, in order, and the throughput each is gated on.
-GATED = {"shootout-cold": "sim_inst_per_s", "sweep-warm": "cells_per_s"}
+#: The workloads the gate runs, in order (the order of the JSON verdict's
+#: sorted keys), and the throughput each is gated on.
+GATED = {
+    "long-trace": "sim_inst_per_s",
+    "shootout-cold": "sim_inst_per_s",
+    "sweep-warm": "cells_per_s",
+}
 
 Result = Dict[str, Any]
 Pair = Tuple[Result, Result]

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.emulator.executor import Emulator
 from repro.isa.branches import BranchInstruction
 from repro.program.program import Program
@@ -62,17 +64,25 @@ class BranchProfile:
 
 
 def profile_program(program: Program, budget: int = 20_000) -> BranchProfile:
-    """Run ``program`` for ``budget`` fetched instructions and profile it."""
+    """Run ``program`` for ``budget`` fetched instructions and profile it.
+
+    The trace is built as a columnar pack and counted per static branch
+    with ``bincount``; sites are created in order of first execution.
+    """
     if not program.laid_out:
         program.layout()
-    emulator = Emulator(program)
-    profile = BranchProfile()
-    for dyn in emulator.run(budget):
-        profile.profiled_instructions += 1
-        inst = dyn.inst
-        if isinstance(inst, BranchInstruction) and inst.is_conditional:
+    pack = Emulator(program).run_pack(budget)
+    profile = BranchProfile(profiled_instructions=len(pack))
+    conditional = pack.static_flags()["is_conditional_branch"][pack.inst_index]
+    sites = pack.inst_index[conditional]
+    executions = np.bincount(sites, minlength=len(pack.insts)).tolist()
+    taken = np.bincount(
+        sites[pack.taken[conditional] == 1], minlength=len(pack.insts)
+    ).tolist()
+    # The pack's instruction table is in order of first appearance.
+    for index, inst in enumerate(pack.insts):
+        if executions[index]:
             site = profile.site(inst)
-            site.executions += 1
-            if dyn.taken:
-                site.taken += 1
+            site.executions = executions[index]
+            site.taken = taken[index]
     return profile

@@ -17,7 +17,7 @@ same pipeline positions as in an execution-driven model.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.emulator.memory_image import to_signed64
 from repro.emulator.state import ArchState
@@ -33,6 +33,11 @@ from repro.isa.operands import Immediate, Label
 from repro.isa.registers import Register, RegisterKind
 from repro.program.program import Program
 from repro.program.routine import Routine
+
+
+#: Row kinds of the static table: how a fetched row runs and which of its
+#: fields :meth:`Emulator.run_pack` records beyond the per-row minimum.
+ROW_PLAIN, ROW_MEMORY, ROW_COMPARE, ROW_BRANCH = range(4)
 
 
 class EmulationLimit(Exception):
@@ -168,22 +173,33 @@ class Emulator:
         self.executed_instructions = 0
         self.halted = False
         #: Decode/dispatch cache of the optimized path: per-static-instruction
-        #: compiled handlers, keyed by instruction uid.  The reference
+        #: facts ``(static id, qp index, row kind, compiled handler)``, keyed
+        #: by instruction uid (see :meth:`_static_facts`).  The reference
         #: interpreter (:meth:`_execute_straightline`) stays reachable with
         #: ``optimized=False`` as the parity oracle; the parity tests assert
         #: both produce identical traces.
         self.optimized = optimized
-        self._handlers: Dict[int, Callable[[DynInst], None]] = {}
+        self._static: Dict[int, Tuple[int, int, int, Any]] = {}
+        #: The static table, indexed by static id: instructions, row kinds
+        #: and straight-line next pcs (-1 = none), in order of first fetch.
+        self._static_table: Tuple[List[Instruction], List[int], List[int]] = ([], [], [])
 
     # ------------------------------------------------------------------
     def run(self, max_instructions: int) -> Iterator[DynInst]:
         """Yield dynamic instructions until the program halts or the budget
-        of fetched instructions is exhausted."""
+        of fetched instructions is exhausted.
+
+        The optimized emulator builds the trace with :meth:`run_pack` and
+        yields its rows as objects; ``optimized=False`` runs the reference
+        interpreter, one instruction per step, which is the parity oracle
+        of both.
+        """
+        if self.optimized:
+            yield from self.run_pack(max_instructions).to_dyninsts()
+            return
         routine = self.program.entry_routine
         frame = _Frame(routine, 0, 0)
         call_stack: List[_Frame] = []
-        handlers = self._handlers if self.optimized else None
-        handlers_get = handlers.get if handlers is not None else None
 
         while self.fetched_instructions < max_instructions:
             if self._seq >= self.HARD_LIMIT:
@@ -209,22 +225,15 @@ class Emulator:
             self.fetched_instructions += 1
 
             if isinstance(inst, BranchInstruction):
-                frame, call_stack, stop = self._execute_branch(
-                    dyn, inst, frame, call_stack
+                frame, stop, dyn.taken, dyn.target_pc, dyn.next_pc = self._execute_branch(
+                    inst, dyn.qp_value, frame, call_stack
                 )
                 yield dyn
                 if stop:
                     self.halted = True
                     return
             else:
-                if handlers is None:
-                    self._execute_straightline(dyn, inst)
-                else:
-                    handler = handlers_get(inst.uid)
-                    if handler is None:
-                        handler = self._compile_straightline(inst)
-                        handlers[inst.uid] = handler
-                    handler(dyn)
+                self._execute_straightline(dyn, inst)
                 frame.inst_index += 1
                 dyn.next_pc = self._pc_after(frame)
                 yield dyn
@@ -235,15 +244,23 @@ class Emulator:
         segment_rows: Optional[int] = None,
         on_segment=None,
     ):
-        """Run like :meth:`run` but collect directly into a columnar pack.
+        """Run the program along its correct path, straight into a columnar
+        pack.
 
-        This is the optimized trace-build path: instead of allocating one
-        :class:`DynInst` per fetched instruction, the loop reuses a single
-        scratch record (the compiled handlers mutate it exactly as they
-        mutate a real ``DynInst``) and appends its fields as one row into a
-        :class:`~repro.emulator.tracepack.TracePackBuilder`.  The emulator
-        parity tests assert ``run_pack(n).to_dyninsts()`` is bit-identical
-        to ``list(run(n))``.
+        This is the trace-build path.  It allocates no per-instruction
+        record: each fetched row appends only what can change between two
+        executions of the same static instruction to an
+        :class:`~repro.emulator.tracepack.EmulatorRows` — the static
+        instruction's id, the qualifying-predicate value and the guard
+        producer, plus taken/target/next pc on branch rows, the address on
+        memory rows with a true predicate and the predicate writes on
+        compare rows.  Everything else (``seq``, ``pc``, ``opclass``,
+        ``executed``, the straight-line ``next_pc``) is derived per segment
+        from the emulator's static table by numpy gathers
+        (:meth:`~repro.emulator.tracepack.EmulatorRows.flush`).  The compiled
+        handlers always run here; the parity tests assert the pack equals
+        ``TracePack.from_dyninsts(list(run(n)))`` of the reference
+        interpreter, serialized byte for byte.
 
         Returns a :class:`~repro.emulator.tracepack.TracePack`.
 
@@ -254,11 +271,11 @@ class Emulator:
         :class:`~repro.emulator.tracepack.ChunkedPackWriter`, and the
         return value is the total row count — or collected into a
         :class:`~repro.emulator.tracepack.ChunkedTracePack`.  A run that
-        fits in a single segment returns a plain monolithic pack, so small
-        budgets behave exactly as before.
+        fits in a single segment returns a plain monolithic pack, the same
+        as an unsegmented run.
         """
         # Imported here: tracepack imports DynInst from this module.
-        from repro.emulator.tracepack import ChunkedTracePack, TracePackBuilder
+        from repro.emulator.tracepack import ChunkedTracePack, EmulatorRows
 
         if on_segment is not None and segment_rows is None:
             raise ValueError("on_segment requires segment_rows")
@@ -267,97 +284,105 @@ class Emulator:
 
         segments: List[Any] = []
         rows_flushed = 0
+        static_table = self._static_table
+        rows = EmulatorRows(self._seq)
 
-        def flush(pack) -> None:
+        def flush() -> None:
             nonlocal rows_flushed
+            pack = rows.flush(*static_table)
             rows_flushed += len(pack)
             if on_segment is not None:
                 on_segment(pack)
             else:
                 segments.append(pack)
 
-        builder = TracePackBuilder()
-        append = builder.append_row
-        scratch = DynInst(0, None, 0, False, -1)  # type: ignore[arg-type]
         routine = self.program.entry_routine
         frame = _Frame(routine, 0, 0)
         call_stack: List[_Frame] = []
-        handlers = self._handlers if self.optimized else None
-        handlers_get = handlers.get if handlers is not None else None
+        static_get = self._static.get
         predicate = self.state.predicate
         pred_writer = self._pred_writer
+        hard_limit = self.HARD_LIMIT
+        seq = self._seq
+        fetched = self.fetched_instructions
+        executed = self.executed_instructions
+        # Rows left before the segment is cut (never reaches 0 unsegmented).
+        segment_left = segment_rows if segment_rows is not None else -1
+        (
+            static_append,
+            qp_append,
+            producer_append,
+            taken_append,
+            target_append,
+            next_append,
+            mem_append,
+            writes_append,
+        ) = rows.appenders()
+        try:
+            while fetched < max_instructions:
+                if seq >= hard_limit:
+                    raise EmulationLimit(
+                        f"exceeded hard emulation limit of {hard_limit} instructions"
+                    )
+                blocks = frame.routine.blocks
+                if frame.block_index >= len(blocks):
+                    if not call_stack:
+                        self.halted = True
+                        break
+                    frame = call_stack.pop()
+                    continue
+                block = blocks[frame.block_index]
+                if frame.inst_index >= len(block.instructions):
+                    frame.block_index += 1
+                    frame.inst_index = 0
+                    continue
 
-        while self.fetched_instructions < max_instructions:
-            if self._seq >= self.HARD_LIMIT:
-                raise EmulationLimit(
-                    f"exceeded hard emulation limit of {self.HARD_LIMIT} instructions"
-                )
-            blocks = frame.routine.blocks
-            if frame.block_index >= len(blocks):
-                if not call_stack:
-                    self.halted = True
-                    break
-                frame = call_stack.pop()
-                continue
-            block = blocks[frame.block_index]
-            if frame.inst_index >= len(block.instructions):
-                frame.block_index += 1
-                frame.inst_index = 0
-                continue
+                inst = block.instructions[frame.inst_index]
+                facts = static_get(inst.uid) or self._static_facts(inst, frame)
+                static_id, qp_index, kind, handler = facts
+                qp_value = predicate[qp_index]
+                static_append(static_id)
+                qp_append(qp_value)
+                # p0 is hard-wired, so its writer stays -1 (pre-trace).
+                producer_append(pred_writer[qp_index])
+                fetched += 1
+                if qp_value:
+                    executed += 1
 
-            inst = block.instructions[frame.inst_index]
-            # Inlined _make_dyn, written into the reused scratch record.
-            qp_index = inst.qp.index
-            qp_value = True if predicate[qp_index] else False
-            scratch.seq = self._seq
-            scratch.inst = inst
-            scratch.pc = inst.address
-            scratch.qp_value = qp_value
-            scratch.executed = qp_value
-            scratch.taken = None
-            scratch.target_pc = None
-            scratch.next_pc = None
-            scratch.mem_address = None
-            scratch.pred_writes = ()
-            scratch.guard_producer_seq = pred_writer[qp_index] if qp_index else -1
-            self._seq += 1
-            if qp_value:
-                self.executed_instructions += 1
-            self.fetched_instructions += 1
-
-            if isinstance(inst, BranchInstruction):
-                frame, call_stack, stop = self._execute_branch(
-                    scratch, inst, frame, call_stack
-                )
-                append(scratch)
-                if segment_rows is not None and len(builder) >= segment_rows:
-                    flush(builder.finalize())
-                    builder = TracePackBuilder()
-                    append = builder.append_row
+                stop = False
+                if kind == ROW_BRANCH:
+                    frame, stop, taken, target_pc, next_pc = self._execute_branch(
+                        inst, qp_value, frame, call_stack
+                    )
+                    taken_append(taken)
+                    target_append(-1 if target_pc is None else target_pc)
+                    next_append(-1 if next_pc is None else next_pc)
+                else:
+                    if kind == ROW_COMPARE:
+                        writes_append(handler(qp_value, seq))
+                    elif qp_value:
+                        if kind == ROW_MEMORY:
+                            mem_append(handler())
+                        else:
+                            handler()
+                    frame.inst_index += 1
+                seq += 1
                 if stop:
                     self.halted = True
                     break
-            else:
-                if handlers_get is None:
-                    self._execute_straightline(scratch, inst)
-                else:
-                    handler = handlers_get(inst.uid)
-                    if handler is None:
-                        handler = self._compile_straightline(inst)
-                        handlers[inst.uid] = handler
-                    handler(scratch)
-                frame.inst_index += 1
-                scratch.next_pc = self._pc_after(frame)
-                append(scratch)
-                if segment_rows is not None and len(builder) >= segment_rows:
-                    flush(builder.finalize())
-                    builder = TracePackBuilder()
-                    append = builder.append_row
+                segment_left -= 1
+                if not segment_left:
+                    flush()
+                    segment_left = segment_rows
+        finally:
+            self._seq = seq
+            self.fetched_instructions = fetched
+            self.executed_instructions = executed
 
         if segment_rows is None:
-            return builder.finalize()
-        if len(builder) or not rows_flushed:
-            flush(builder.finalize())
+            return rows.flush(*static_table)
+        if len(rows) or not rows_flushed:
+            flush()
         if on_segment is not None:
             return rows_flushed
         if len(segments) == 1:
@@ -375,6 +400,30 @@ class Emulator:
         if qp_value:
             self.executed_instructions += 1
         return dyn
+
+    def _static_facts(self, inst: Instruction, frame: _Frame) -> Tuple[int, int, int, Any]:
+        """Decode ``inst`` (fetched at ``frame``'s position) on first sight.
+
+        Adds it to the static table and returns its facts: the static id,
+        the qualifying-predicate index, the row kind (``ROW_*``) and the
+        compiled handler (``None`` for branches, which
+        :meth:`_execute_branch` runs).
+        """
+        insts, kinds, next_pcs = self._static_table
+        if isinstance(inst, BranchInstruction):
+            kind, handler, next_pc = ROW_BRANCH, None, -1
+        else:
+            kind, handler = self._compile_straightline(inst)
+            after = self._pc_after(
+                _Frame(frame.routine, frame.block_index, frame.inst_index + 1)
+            )
+            next_pc = -1 if after is None else after
+        facts = (len(insts), inst.qp.index, kind, handler)
+        insts.append(inst)
+        kinds.append(kind)
+        next_pcs.append(next_pc)
+        self._static[inst.uid] = facts
+        return facts
 
     def _pc_after(self, frame: _Frame) -> Optional[int]:
         blocks = frame.routine.blocks
@@ -522,12 +571,20 @@ class Emulator:
 
         return write_branch
 
-    def _compile_straightline(self, inst: Instruction) -> Callable[[DynInst], None]:
-        """Compile one static non-branch instruction into a handler.
+    def _compile_straightline(self, inst: Instruction) -> Tuple[int, Callable]:
+        """Compile one static non-branch instruction into ``(kind, handler)``.
 
         Each handler reproduces :meth:`_execute_straightline` for exactly
         this instruction, with operand dispatch, opcode dispatch and
-        register-file selection resolved at compile time.
+        register-file selection resolved at compile time.  The call shape
+        depends on the row kind:
+
+        * ``ROW_COMPARE``: ``handler(qp_value, seq)`` returns the
+          architectural predicate writes (compares run whatever their
+          guard);
+        * ``ROW_MEMORY``: ``handler()`` performs the access and returns its
+          effective address — called only when the guard is true;
+        * ``ROW_PLAIN``: ``handler()``, likewise only under a true guard.
         """
         if isinstance(inst, CompareInstruction):
             evaluate = inst.relation.evaluate
@@ -540,25 +597,25 @@ class Emulator:
             pt_writable = not inst.pt.is_hardwired
             pf_writable = not inst.pf.is_hardwired
 
-            def compare_handler(dyn: DynInst) -> None:
+            def compare_handler(qp_value: bool, seq: int) -> Tuple[Tuple[int, bool], ...]:
                 result = evaluate(int(lhs()), int(rhs()))
                 old_pt = bool(predicate[pt_index])
                 old_pf = bool(predicate[pf_index])
-                new_pt, new_pf = compute_targets(dyn.qp_value, result, old_pt, old_pf)
+                new_pt, new_pf = compute_targets(qp_value, result, old_pt, old_pf)
                 writes = ()
                 if new_pt is not None and pt_writable:
                     value = bool(new_pt)
                     predicate[pt_index] = value
-                    pred_writer[pt_index] = dyn.seq
+                    pred_writer[pt_index] = seq
                     writes = ((pt_index, value),)
                 if new_pf is not None and pf_writable:
                     value = bool(new_pf)
                     predicate[pf_index] = value
-                    pred_writer[pf_index] = dyn.seq
+                    pred_writer[pf_index] = seq
                     writes = writes + ((pf_index, value),)
-                dyn.pred_writes = writes
+                return writes
 
-            return compare_handler
+            return ROW_COMPARE, compare_handler
 
         opcode = inst.opcode
         if isinstance(inst, LoadInstruction):
@@ -568,61 +625,42 @@ class Emulator:
             write_dest = self._compile_write(inst.dests[0])
             is_float_load = opcode is Opcode.LDF
 
-            def load_handler(dyn: DynInst) -> None:
-                if not dyn.qp_value:
-                    return
+            def load_handler() -> int:
                 address = to_signed64(base() + offset)
-                dyn.mem_address = address
                 value = read_word(address)
                 write_dest(float(value) if is_float_load else value)
+                return address
 
-            return load_handler
+            return ROW_MEMORY, load_handler
         if isinstance(inst, StoreInstruction):
             base = self._compile_read(inst.base)
             value_read = self._compile_read(inst.value)
             offset = inst.offset
             write_word = self.state.memory.write_word
 
-            def store_handler(dyn: DynInst) -> None:
-                if not dyn.qp_value:
-                    return
+            def store_handler() -> int:
                 address = to_signed64(base() + offset)
-                dyn.mem_address = address
                 write_word(address, int(value_read()))
+                return address
 
-            return store_handler
+            return ROW_MEMORY, store_handler
         if opcode in (Opcode.MOV, Opcode.MOVI, Opcode.MOV_TO_BR):
             src = self._compile_read(inst.srcs[0])
             write_dest = self._compile_write(inst.dests[0])
-
-            def move_handler(dyn: DynInst) -> None:
-                if dyn.qp_value:
-                    write_dest(src())
-
-            return move_handler
+            return ROW_PLAIN, lambda: write_dest(src())
         if opcode is Opcode.NOP:
-            return lambda dyn: None
+            return ROW_PLAIN, lambda: None
         if opcode in _INT_ALU_OPS:
             operation = _INT_ALU_OPS[opcode]
             lhs = self._compile_read(inst.srcs[0])
             rhs = self._compile_read(inst.srcs[1])
             write_dest = self._compile_write(inst.dests[0])
-
-            def alu_handler(dyn: DynInst) -> None:
-                if dyn.qp_value:
-                    write_dest(operation(int(lhs()), int(rhs())))
-
-            return alu_handler
+            return ROW_PLAIN, lambda: write_dest(operation(int(lhs()), int(rhs())))
         if opcode in _FP_OPS:
             operation = _FP_OPS[opcode]
             readers = tuple(self._compile_read(s) for s in inst.srcs)
             write_dest = self._compile_write(inst.dests[0])
-
-            def fp_handler(dyn: DynInst) -> None:
-                if dyn.qp_value:
-                    write_dest(operation([float(read()) for read in readers]))
-
-            return fp_handler
+            return ROW_PLAIN, lambda: write_dest(operation([float(read()) for read in readers]))
         raise NotImplementedError(f"no semantics for opcode {opcode}")
 
     # ------------------------------------------------------------------
@@ -630,46 +668,44 @@ class Emulator:
     # ------------------------------------------------------------------
     def _execute_branch(
         self,
-        dyn: DynInst,
         inst: BranchInstruction,
+        qp_value: bool,
         frame: _Frame,
         call_stack: List[_Frame],
-    ) -> Tuple[_Frame, List[_Frame], bool]:
-        taken = inst.outcome(dyn.qp_value)
-        dyn.taken = taken
+    ) -> Tuple[_Frame, bool, bool, Optional[int], Optional[int]]:
+        """Resolve one branch along the correct path.
+
+        Returns ``(frame, stop, taken, target_pc, next_pc)``: the frame to
+        continue in (``call_stack`` is updated in place), whether the
+        program halts, and the branch's dynamic fields.
+        """
+        taken = inst.outcome(qp_value)
 
         if not taken:
             frame.inst_index += 1
-            dyn.next_pc = self._pc_after(frame)
-            return frame, call_stack, False
+            return frame, False, taken, None, self._pc_after(frame)
 
         if inst.kind in (BranchKind.COND, BranchKind.UNCOND):
             target_block = frame.routine.block(inst.target.name)
-            target_index = frame.routine.block_index(inst.target.name)
-            frame.block_index = target_index
+            frame.block_index = frame.routine.block_index(inst.target.name)
             frame.inst_index = 0
-            dyn.target_pc = target_block.address
-            dyn.next_pc = target_block.address
-            return frame, call_stack, False
+            return frame, False, taken, target_block.address, target_block.address
 
         if inst.kind is BranchKind.CALL:
             callee = self.program.routine(inst.callee)
             # The return point is the instruction after the call.
-            return_frame = _Frame(frame.routine, frame.block_index, frame.inst_index + 1)
-            call_stack.append(return_frame)
-            new_frame = _Frame(callee, 0, 0)
-            dyn.target_pc = callee.entry.address
-            dyn.next_pc = callee.entry.address
-            return new_frame, call_stack, False
+            call_stack.append(
+                _Frame(frame.routine, frame.block_index, frame.inst_index + 1)
+            )
+            entry = callee.entry.address
+            return _Frame(callee, 0, 0), False, taken, entry, entry
 
         if inst.kind is BranchKind.RET:
             if not call_stack:
-                dyn.next_pc = None
-                return frame, call_stack, True
+                return frame, True, taken, None, None
             frame = call_stack.pop()
-            dyn.next_pc = self._pc_after(frame)
-            dyn.target_pc = dyn.next_pc
-            return frame, call_stack, False
+            next_pc = self._pc_after(frame)
+            return frame, False, taken, next_pc, next_pc
 
         raise AssertionError(f"unhandled branch kind {inst.kind}")  # pragma: no cover
 

@@ -142,7 +142,11 @@ class EngineStats:
         return {field_.name: getattr(self, field_.name) for field_ in fields(self)}
 
     def render(self) -> str:
-        """One human-readable summary line of what the engine did."""
+        """One human-readable summary line of what the engine did.
+
+        Its trace and simulation times add up every worker's seconds, so
+        with ``jobs > 1`` they exceed the wall-clock time of the run.
+        """
         batched = ""
         if self.batches_run:
             batched = f", {self.batched_lanes} lanes in {self.batches_run} batches"
@@ -163,7 +167,7 @@ class EngineStats:
             f"collected {self.traces_collected} traces ({self.traces_loaded} cached) "
             f"in {self.trace_seconds:.2f}s, "
             f"ran {self.simulations_run} simulations ({self.results_loaded} cached) "
-            f"in {self.simulate_seconds:.2f}s{batched}{recovered}"
+            f"in {self.simulate_seconds:.2f}s, times summed over workers{batched}{recovered}"
         )
 
 

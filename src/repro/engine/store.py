@@ -182,13 +182,14 @@ class ArtifactStore:
         parse is damage too (sidecars are written atomically): the
         artifact is quarantined rather than decoded unverified.
         """
-        path = self.path(kind, key)
+        stem = os.path.join(self._kind_dir(kind), key)
+        path = f"{stem}.pkl"
         try:
             data = _read_bytes(path)
         except OSError:
             return None
         try:
-            recorded = self._recorded_digest(kind, key)
+            recorded = self._recorded_digest(f"{stem}.json")
         except ValueError:
             self._quarantine(kind, key, "metadata sidecar unreadable")
             return None
@@ -240,8 +241,10 @@ class ArtifactStore:
         faults.corrupt_payload(path)
         return path
 
-    def _recorded_digest(self, kind: str, key: str) -> Optional[str]:
-        """The sidecar's payload digest, or ``None`` when not recorded.
+    @staticmethod
+    def _recorded_digest(meta_path: str) -> Optional[str]:
+        """The digest recorded in the sidecar at ``meta_path``, or ``None``
+        when not recorded.
 
         A missing sidecar is not damage: a concurrent ``put`` writes the
         payload before its sidecar.  Neither is a legacy sidecar without a
@@ -249,7 +252,7 @@ class ArtifactStore:
         raises :class:`ValueError`.
         """
         try:
-            raw = _read_bytes(self._meta_path(kind, key))
+            raw = _read_bytes(meta_path)
         except OSError:
             return None
         meta = json.loads(raw)

@@ -14,7 +14,7 @@ The hierarchy returns *latencies*; the out-of-order pipeline charges them to
 loads, stores and instruction fetches.
 """
 
-from repro.memory.cache import Cache, CacheConfig, CacheStats, AccessResult
+from repro.memory.cache import Cache, CacheConfig, CacheStats
 from repro.memory.tlb import TLB, TLBConfig
 from repro.memory.write_buffer import WriteBuffer
 from repro.memory.main_memory import MainMemory
@@ -24,7 +24,6 @@ __all__ = [
     "Cache",
     "CacheConfig",
     "CacheStats",
-    "AccessResult",
     "TLB",
     "TLBConfig",
     "WriteBuffer",

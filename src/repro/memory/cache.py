@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -49,16 +49,6 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-@dataclass
-class AccessResult:
-    """Outcome of a cache access."""
-
-    hit: bool
-    latency: int
-    #: Block-aligned address forwarded to the next level on a miss.
-    fill_address: Optional[int] = None
-
-
 class Cache:
     """A set-associative, write-allocate, LRU cache.
 
@@ -68,77 +58,93 @@ class Cache:
     tracked per *cycle window*; additional misses in the same window are
     charged a small extra stall.  This is sufficient for the accuracy and
     relative-IPC experiments, which are not memory-bound.
+
+    :meth:`access` runs once per fetch, load and store of the timing loop,
+    and builds no result object: the geometry is read into plain ints at
+    construction, the ``(hit, latency)`` answers are three tuples built
+    once, a repeat of the last block accessed returns before the set is
+    even looked at, and each set keeps its blocks most recently used
+    first, so a hit on that way skips the LRU reorder.  A hit allocates
+    nothing.
     """
+
+    #: Extra latency of a primary miss that finds every MSHR busy.
+    MSHR_STALL = 2
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.stats = CacheStats()
-        # sets -> list of tags in LRU order (index 0 = least recently used).
-        self._sets: List[List[int]] = [[] for _ in range(config.num_sets)]
+        self._block_bytes = config.block_bytes
+        self._num_sets = config.num_sets
+        self._associativity = config.associativity
+        self._primary_misses = config.primary_misses
+        self._hit = (True, config.hit_latency)
+        self._miss = (False, config.hit_latency)
+        self._stalled_miss = (False, config.hit_latency + self.MSHR_STALL)
+        # sets -> blocks, most recently used first.
+        self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
+        # The block of the last access: resident, and first in its set.
+        self._last_block: Optional[int] = None
         # Outstanding miss bookkeeping: block address -> completion cycle.
         self._outstanding: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    def _index_and_tag(self, address: int) -> tuple:
-        block = address // self.config.block_bytes
-        return block % self.config.num_sets, block
-
     def lookup(self, address: int) -> bool:
         """Check whether ``address`` currently hits, without side effects."""
-        set_index, tag = self._index_and_tag(address)
-        return tag in self._sets[set_index]
+        block = address // self._block_bytes
+        return block in self._sets[block % self._num_sets]
 
-    def access(self, address: int, now: int = 0, is_write: bool = False) -> AccessResult:
-        """Access ``address`` at cycle ``now``; update tags and statistics."""
-        cfg = self.config
-        set_index, tag = self._index_and_tag(address)
-        ways = self._sets[set_index]
-        self.stats.accesses += 1
+    def access(self, address: int, now: int = 0) -> Tuple[bool, int]:
+        """Access ``address`` at cycle ``now``; update tags and statistics.
 
-        if tag in ways:
-            ways.remove(tag)
-            ways.append(tag)
-            self.stats.hits += 1
-            return AccessResult(hit=True, latency=cfg.hit_latency)
+        Returns ``(hit, latency)``.  Reads and writes behave alike: a miss
+        allocates the block (write allocate) and charges
+        :attr:`MSHR_STALL` extra cycles when every MSHR is busy with
+        another block.
+        """
+        block = address // self._block_bytes
+        stats = self.stats
+        stats.accesses += 1
+        if block == self._last_block:
+            stats.hits += 1
+            return self._hit
+        self._last_block = block
+        ways = self._sets[block % self._num_sets]
+        if block in ways:
+            stats.hits += 1
+            if ways[0] != block:
+                ways.remove(block)
+                ways.insert(0, block)
+            return self._hit
 
-        self.stats.misses += 1
-        # Secondary miss to an already outstanding block: merge with it.
-        completion = self._outstanding.get(tag)
-        extra = 0
-        if completion is None:
+        stats.misses += 1
+        result = self._miss
+        # A secondary miss to an already outstanding block merges with it.
+        if block not in self._outstanding:
             self._expire_outstanding(now)
-            if len(self._outstanding) >= cfg.primary_misses:
-                # MSHR full: charge a small structural stall.
-                self.stats.mshr_stalls += 1
-                extra = 2
-        self._fill(set_index, tag)
-        return AccessResult(
-            hit=False,
-            latency=cfg.hit_latency + extra,
-            fill_address=tag * cfg.block_bytes,
-        )
+            if len(self._outstanding) >= self._primary_misses:
+                stats.mshr_stalls += 1
+                result = self._stalled_miss
+        if len(ways) >= self._associativity:
+            ways.pop()
+            stats.evictions += 1
+        ways.insert(0, block)
+        return result
 
     def note_outstanding(self, address: int, completion_cycle: int) -> None:
         """Record that the block containing ``address`` is being filled."""
-        _, tag = self._index_and_tag(address)
-        self._outstanding[tag] = completion_cycle
+        self._outstanding[address // self._block_bytes] = completion_cycle
 
     def _expire_outstanding(self, now: int) -> None:
-        finished = [tag for tag, cycle in self._outstanding.items() if cycle <= now]
-        for tag in finished:
-            del self._outstanding[tag]
-
-    def _fill(self, set_index: int, tag: int) -> None:
-        ways = self._sets[set_index]
-        if len(ways) >= self.config.associativity:
-            ways.pop(0)
-            self.stats.evictions += 1
-        ways.append(tag)
+        finished = [block for block, cycle in self._outstanding.items() if cycle <= now]
+        for block in finished:
+            del self._outstanding[block]
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
         """Invalidate all contents (used between benchmark runs)."""
-        self._sets = [[] for _ in range(self.config.num_sets)]
+        self._sets = [[] for _ in range(self._num_sets)]
+        self._last_block = None
         self._outstanding.clear()
 
     def __repr__(self) -> str:

@@ -71,13 +71,13 @@ class MemoryHierarchy:
     def load_latency(self, address: int, now: int = 0) -> int:
         """Latency of a data load at ``address`` issued at cycle ``now``."""
         latency = self.dtlb.access(address)
-        l1 = self.l1d.access(address, now)
-        latency += l1.latency
-        if l1.hit:
+        hit, l1 = self.l1d.access(address, now)
+        latency += l1
+        if hit:
             return latency
-        l2 = self.l2.access(address, now)
-        latency += l2.latency
-        if l2.hit:
+        hit, l2 = self.l2.access(address, now)
+        latency += l2
+        if hit:
             self.l1d.note_outstanding(address, now + latency)
             return latency
         latency += self.memory.access(address)
@@ -88,9 +88,10 @@ class MemoryHierarchy:
     def store_latency(self, address: int, now: int = 0) -> int:
         """Latency/stall charged to a store retiring at cycle ``now``."""
         latency = self.dtlb.access(address)
-        # Stores allocate in L1D and sit in the write buffer; a full buffer
-        # stalls retirement for one drain interval.
-        self.l1d.access(address, now, is_write=True)
+        # Stores allocate in L1D (a write access is a read access to the
+        # tag model) and sit in the write buffer; a full buffer stalls
+        # retirement for one drain interval.
+        self.l1d.access(address, now)
         if not self.l1d_write_buffer.try_insert(now):
             latency += self.l1d_write_buffer.drain_interval
         return latency
@@ -98,13 +99,13 @@ class MemoryHierarchy:
     def fetch_latency(self, address: int, now: int = 0) -> int:
         """Latency of an instruction fetch from ``address``."""
         latency = self.itlb.access(address)
-        l1 = self.l1i.access(address, now)
-        latency += l1.latency
-        if l1.hit:
+        hit, l1 = self.l1i.access(address, now)
+        latency += l1
+        if hit:
             return latency
-        l2 = self.l2.access(address, now)
-        latency += l2.latency
-        if l2.hit:
+        hit, l2 = self.l2.access(address, now)
+        latency += l2
+        if hit:
             return latency
         latency += self.memory.access(address)
         return latency

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from collections import OrderedDict
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -15,31 +16,46 @@ class TLBConfig:
 
 
 class TLB:
-    """A fully-associative TLB with LRU replacement."""
+    """A fully-associative TLB with LRU replacement.
+
+    Like :meth:`Cache.access <repro.memory.cache.Cache.access>`, a hit in
+    :meth:`access` allocates nothing: the pages live in an ordered dict
+    (least recently used first, so a hit is one ``move_to_end``, not a
+    search of a 512-entry list), and a repeat of the last page translated
+    skips even that.
+    """
 
     def __init__(self, config: TLBConfig) -> None:
         self.config = config
-        self._pages: List[int] = []
+        self._page_bytes = config.page_bytes
+        self._entries = config.entries
+        self._miss_penalty = config.miss_penalty
+        self._pages: "OrderedDict[int, None]" = OrderedDict()
+        self._last_page: Optional[int] = None
         self.accesses = 0
         self.misses = 0
 
     def access(self, address: int) -> int:
         """Translate ``address``; return the latency penalty (0 on a hit)."""
-        page = address // self.config.page_bytes
+        page = address // self._page_bytes
         self.accesses += 1
-        if page in self._pages:
-            self._pages.remove(page)
-            self._pages.append(page)
+        if page == self._last_page:
+            return 0
+        self._last_page = page
+        pages = self._pages
+        if page in pages:
+            pages.move_to_end(page)
             return 0
         self.misses += 1
-        if len(self._pages) >= self.config.entries:
-            self._pages.pop(0)
-        self._pages.append(page)
-        return self.config.miss_penalty
+        if len(pages) >= self._entries:
+            pages.popitem(last=False)
+        pages[page] = None
+        return self._miss_penalty
 
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
     def flush(self) -> None:
-        self._pages = []
+        self._pages = OrderedDict()
+        self._last_page = None

@@ -90,7 +90,7 @@ _log = get_logger(__name__)
 
 #: Bump when the pickled checkpoint layout changes; a mismatched checkpoint
 #: is ignored (the run restarts from row zero) rather than mis-restored.
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 @dataclass

@@ -31,6 +31,7 @@ suggesting close matches.
 from __future__ import annotations
 
 import difflib
+import functools
 import hashlib
 import os
 from dataclasses import dataclass
@@ -97,8 +98,16 @@ class WorkloadDefinition:
 # ----------------------------------------------------------------------
 # Fingerprints
 # ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=len(SPEC_SUITE))
 def _traits_fingerprint(traits: WorkloadTraits) -> str:
-    """Content fingerprint of in-package traits (canonical, process-stable)."""
+    """Content fingerprint of in-package traits (canonical, process-stable).
+
+    Memoised on the frozen traits value, one entry per built-in: every
+    ``plan()`` resolves the same built-ins, and the fingerprint is a pure
+    function of the traits.  Only built-in traits come here, whose field
+    types are fixed, so the cache never conflates values that compare
+    equal across types (``1`` and ``True``) but canonicalise differently.
+    """
     from repro.engine.hashing import stable_hash  # lazy: engine imports workloads
 
     return stable_hash("workload-traits", traits)

@@ -1,7 +1,11 @@
 """Tests for the branch profiler."""
 
+import pytest
+
 from repro.compiler.profiler import profile_program
+from repro.emulator.executor import Emulator
 from repro.isa.branches import BranchInstruction
+from repro.workloads.spec_suite import build_workload, workload_names
 
 from tests.conftest import build_counting_loop, build_diamond_program
 
@@ -54,3 +58,30 @@ class TestProfiler:
         site = BranchSiteProfile()
         assert site.taken_rate == 0.0
         assert site.bias == 1.0
+
+
+def _profile_by_rows(program, budget):
+    """The per-row count over the reference interpreter's object trace."""
+    sites = {}
+    rows = list(Emulator(program, optimized=False).run(budget))
+    for dyn in rows:
+        inst = dyn.inst
+        if isinstance(inst, BranchInstruction) and inst.is_conditional:
+            executions, taken = sites.get(inst.uid, (0, 0))
+            sites[inst.uid] = (executions + 1, taken + bool(dyn.taken))
+    return len(rows), sites
+
+
+class TestColumnarCount:
+    """The pack-driven profile equals a per-row count, site order included."""
+
+    @pytest.mark.parametrize("workload", workload_names())
+    @pytest.mark.parametrize("budget", [0, 1_500, 8_000])
+    def test_equals_the_per_row_count(self, workload, budget):
+        program = build_workload(workload)
+        profile = profile_program(program, budget)
+        rows, sites = _profile_by_rows(program, budget)
+        assert profile.profiled_instructions == rows
+        assert [
+            (uid, site.executions, site.taken) for uid, site in profile.sites.items()
+        ] == [(uid, executions, taken) for uid, (executions, taken) in sites.items()]

@@ -21,25 +21,29 @@ def _small_cache(**overrides):
 class TestCacheBasics:
     def test_first_access_misses(self):
         cache = _small_cache()
-        result = cache.access(0x1000)
-        assert not result.hit
-        assert result.fill_address == 0x1000
+        hit, latency = cache.access(0x1000)
+        assert not hit
+        assert latency == 2
+        # The miss allocated the whole block, and only that block.
+        assert cache.lookup(0x1000) and cache.lookup(0x103F)
+        assert not cache.lookup(0x1040)
 
     def test_second_access_hits(self):
         cache = _small_cache()
         cache.access(0x1000)
-        assert cache.access(0x1000).hit
-        assert cache.access(0x1010).hit  # same block
+        assert cache.access(0x1000) == (True, 2)
+        assert cache.access(0x1010) == (True, 2)  # same block
 
     def test_different_block_misses(self):
         cache = _small_cache()
         cache.access(0x1000)
-        assert not cache.access(0x1040).hit
+        hit, _ = cache.access(0x1040)
+        assert not hit
 
     def test_hit_latency(self):
         cache = _small_cache(hit_latency=3)
         cache.access(0x1000)
-        assert cache.access(0x1000).latency == 3
+        assert cache.access(0x1000) == (True, 3)
 
     def test_lookup_has_no_side_effects(self):
         cache = _small_cache()
@@ -104,5 +108,6 @@ class TestStatsAndConfig:
     def test_mshr_pressure_counted(self):
         cache = _small_cache(primary_misses=1)
         cache.note_outstanding(0x0, completion_cycle=1000)
-        cache.access(0x10000, now=0)
+        hit, latency = cache.access(0x10000, now=0)
+        assert not hit and latency == 2 + Cache.MSHR_STALL
         assert cache.stats.mshr_stalls >= 1

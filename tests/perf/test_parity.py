@@ -10,17 +10,25 @@ bit-identical traces, IPC and misprediction counters.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.emulator.executor import Emulator
 from repro.emulator.trace import as_trace_pack, deserialize_trace, serialize_trace
+from repro.emulator.tracepack import ChunkedTracePack, TracePack
 from repro.engine import BASELINE, IF_CONVERTED, ExecutionEngine, SchemeSpec
 from repro.experiments.setup import FAST_PROFILE, scheme_kinds
+from repro.isa import GR, PR, CompareRelation
 from repro.pipeline.core import OutOfOrderCore
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.predicate_aware import PredicateAwarePredictor
 from repro.predictors.predicate_perceptron import PredicatePerceptronPredictor
 from repro.predictors.tage import TAGEPredictor, TagePredicatePredictor
+from repro.program import ProgramBuilder
+from repro.workloads.spec_suite import workload_names
+
+from tests.conftest import build_counting_loop
 
 BENCHMARKS = list(FAST_PROFILE.benchmarks)
 SCHEMES = list(scheme_kinds())
@@ -144,12 +152,42 @@ class TestCoreParity:
         assert len(result.uops) == result.metrics.committed_instructions
 
 
+def _assert_run_pack_matches_reference(program, budget, segment_rows):
+    """``run_pack`` serializes byte for byte like the reference interpreter's
+    object trace cut into the same segments, and leaves the emulator in the
+    same state; returns the ``run_pack`` emulator."""
+    reference = Emulator(program, optimized=False)
+    rows = list(reference.run(budget))
+    emulator = Emulator(program)
+    pack = emulator.run_pack(budget, segment_rows=segment_rows)
+    if segment_rows is None or len(rows) <= segment_rows:
+        expected = TracePack.from_dyninsts(rows)
+    else:
+        expected = ChunkedTracePack.from_segments(
+            [
+                TracePack.from_dyninsts(rows[start : start + segment_rows])
+                for start in range(0, len(rows), segment_rows)
+            ]
+        )
+    assert serialize_trace(pack) == serialize_trace(expected)
+    assert (
+        emulator.fetched_instructions,
+        emulator.executed_instructions,
+        emulator.halted,
+    ) == (reference.fetched_instructions, reference.executed_instructions, reference.halted)
+    return emulator
+
+
 class TestTracePackParity:
     """The columnar trace path is bit-identical to the object path."""
 
     @pytest.fixture(scope="class")
     def engine(self):
         return ExecutionEngine(FAST_PROFILE, store=None)
+
+    @pytest.fixture(scope="class")
+    def if_converted_gzip(self, engine):
+        return engine.build_binary("gzip", IF_CONVERTED)
 
     @pytest.mark.parametrize("workload", BENCHMARKS)
     @pytest.mark.parametrize("flavour", [BASELINE, IF_CONVERTED])
@@ -161,6 +199,58 @@ class TestTracePackParity:
         assert len(pack) == len(reference)
         for ref, got in zip(reference, pack.to_dyninsts()):
             assert _dyn_state(ref) == _dyn_state(got)
+
+    @pytest.mark.parametrize("workload", workload_names())
+    @pytest.mark.parametrize("flavour", [BASELINE, IF_CONVERTED])
+    def test_segmented_run_pack_serializes_like_the_reference(
+        self, engine, workload, flavour
+    ):
+        # 1,700-row segments cut the 6,000-row budget into four, the last
+        # one short.
+        program = engine.build_binary(workload, flavour)
+        _assert_run_pack_matches_reference(
+            program, FAST_PROFILE.instructions_per_benchmark, segment_rows=1_700
+        )
+
+    @given(budget=st.integers(0, 3_000), segment_rows=st.integers(1, 1_500))
+    @settings(max_examples=25, deadline=None)
+    def test_any_budget_and_segment_size(self, if_converted_gzip, budget, segment_rows):
+        _assert_run_pack_matches_reference(if_converted_gzip, budget, segment_rows)
+
+    @pytest.mark.parametrize("segment_rows", [None, 1, 7, 64])
+    def test_a_program_that_returns_from_main(self, segment_rows):
+        program, _ = build_counting_loop()
+        emulator = _assert_run_pack_matches_reference(program, 10_000, segment_rows)
+        assert emulator.halted and emulator.fetched_instructions < 10_000
+
+    @pytest.mark.parametrize("segment_rows", [None, 2, 5])
+    def test_a_program_that_falls_off_its_routines(self, segment_rows):
+        # A leaf routine and then ``main`` end without a return: the first
+        # fall-through returns to the caller, the second halts.
+        builder = ProgramBuilder("fall-through")
+        main = builder.routine("main")
+        main.block("entry")
+        main.movi(GR(10), 3)
+        main.br_call("leaf")
+        main.addi(GR(10), GR(10), 1)
+        leaf = builder.routine("leaf")
+        leaf.block("body")
+        leaf.cmp(CompareRelation.GT, PR(6), PR(7), GR(10), 2)
+        leaf.addi(GR(10), GR(10), 5, qp=PR(6))
+        program = builder.finish()
+        emulator = _assert_run_pack_matches_reference(program, 100, segment_rows)
+        assert emulator.halted and emulator.fetched_instructions == 5
+
+    def test_streamed_segments_equal_the_collected_ones(self, if_converted_gzip):
+        collected = Emulator(if_converted_gzip).run_pack(2_500, segment_rows=600)
+        streamed = []
+        rows = Emulator(if_converted_gzip).run_pack(
+            2_500, segment_rows=600, on_segment=streamed.append
+        )
+        assert rows == len(collected) == 2_500
+        assert [pack.to_bytes() for pack in streamed] == [
+            collected.segment(index).to_bytes() for index in range(collected.segment_count)
+        ]
 
     @pytest.mark.parametrize("workload", BENCHMARKS)
     @pytest.mark.parametrize("scheme_kind", SCHEMES)

@@ -259,7 +259,7 @@ class TestCheckpointVersion:
             on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
         )
         checkpoint = pickle.loads(blobs[len(blobs) // 2])
-        assert checkpoint.version == CHECKPOINT_VERSION == 5
+        assert checkpoint.version == CHECKPOINT_VERSION == 6
         checkpoint.version = version
         return checkpoint
 
@@ -340,6 +340,24 @@ class TestCheckpointVersion:
         )
         assert resumed_at[0] == 300  # the first window was simulated again
         _assert_result_parity(scalar_reference(3, 0), result, "version-4 checkpoint")
+
+    def test_version_five_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
+        # Version 5 pickled caches whose sets kept the most recently used
+        # block last and TLBs holding their pages in a list.
+        stale = self._stale_checkpoint(pack, 2, 300, version=5)
+        assert stale.rows_done > 0 and not stale.matches(len(pack))
+        resumed_at = []
+        result = simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[2].build(),
+            "gzip",
+            window_rows=300,
+            checkpoint=stale,
+            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+        )
+        assert resumed_at[0] == 300  # the first window was simulated again
+        _assert_result_parity(scalar_reference(2, 0), result, "version-5 checkpoint")
 
     def test_engine_does_not_resume_a_version_one_checkpoint(self, pack, tmp_path):
         profile = _profile()

@@ -76,7 +76,8 @@ class TestCacheProperties:
         for address in addresses:
             cache.access(address)
             # Immediately re-accessing the same address must hit.
-            assert cache.access(address).hit
+            hit, _ = cache.access(address)
+            assert hit
             for ways in cache._sets:
                 assert len(ways) <= 2
 

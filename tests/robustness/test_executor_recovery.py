@@ -113,3 +113,9 @@ class TestStats:
 
     def test_clean_render_omits_recovery(self):
         assert "recovered" not in EngineStats().render()
+
+    def test_render_says_its_times_are_summed_over_workers(self):
+        stats = EngineStats(simulations_run=4, simulate_seconds=2.5)
+        assert "ran 4 simulations (0 cached) in 2.50s, times summed over workers" in (
+            stats.render()
+        )

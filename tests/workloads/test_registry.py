@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from repro.workloads.registry import (
     SPEC_FILE,
     TRACE,
     UnknownWorkloadError,
+    _traits_fingerprint,
     build_workload,
     is_workload_path,
     library_paths,
@@ -110,6 +112,19 @@ class TestFingerprints:
         prints = {name: workload_fingerprint(name) for name in workload_names()}
         assert len(set(prints.values())) == len(prints)
         assert workload_fingerprint("gzip") == prints["gzip"]
+
+    def test_memoised_traits_fingerprint_follows_every_field(self):
+        traits = SPEC_SUITE["gzip"]
+        fingerprint = _traits_fingerprint(traits)
+        # An equal value built afresh is served the same key.
+        assert _traits_fingerprint(dataclasses.replace(traits)) == fingerprint
+        # Changing one field, top-level or nested, changes the key.
+        assert _traits_fingerprint(dataclasses.replace(traits, seed=traits.seed + 1)) != fingerprint
+        region = dataclasses.replace(traits.hard_regions[0], bias=0.5)
+        edited = dataclasses.replace(traits, hard_regions=(region,) + traits.hard_regions[1:])
+        assert edited != traits
+        assert _traits_fingerprint(edited) != fingerprint
+        assert _traits_fingerprint(traits) == fingerprint
 
     def test_spec_fingerprint_round_trip(self, tmp_path):
         path = tmp_path / "w.json"
