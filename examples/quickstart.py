@@ -30,7 +30,7 @@ from repro.workloads import build_workload, workload_names
 def simulate(program, scheme, budget):
     """Run ``program`` for ``budget`` fetched instructions under ``scheme``."""
     core = OutOfOrderCore()
-    trace = Emulator(program).run(budget)
+    trace = Emulator(program).run_pack(budget)
     return core.run(trace, scheme, program_name=program.name)
 
 
