@@ -17,7 +17,8 @@ same pipeline positions as in an execution-driven model.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from array import array
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.emulator.memory_image import to_signed64
 from repro.emulator.state import ArchState
@@ -153,6 +154,120 @@ class _Frame:
         self.inst_index = inst_index
 
 
+class EmulatorRows:
+    """The rows of a trace segment as :meth:`Emulator.run_pack` appends
+    them, one bound ``append`` per column.
+
+    Only what can differ between two executions of one static instruction
+    is stored per row: the static id (an index into the emulator's static
+    table), the qualifying-predicate value and the guard producer.  Sparse
+    columns hold one entry per row of a kind, in row order: taken, target
+    and next pc per branch row (-1 = none), the effective address per
+    memory row with a true predicate, and the predicate-write tuple per
+    compare row.  :meth:`flush` derives the rest.
+
+    The derivations rely on the emulator's invariants: rows are fetched
+    with consecutive sequence numbers, ``executed`` equals ``qp_value``,
+    a memory row has an address exactly when its predicate is true, and a
+    non-branch row continues at its static straight-line successor.
+    Object traces need not obey them, so
+    :meth:`TracePack.from_dyninsts
+    <repro.emulator.tracepack.TracePack.from_dyninsts>` goes through
+    :class:`~repro.emulator.tracepack.TracePackBuilder` instead.
+    """
+
+    __slots__ = (
+        "first_seq",
+        "static_id",
+        "qp_value",
+        "producer",
+        "taken",
+        "target_pc",
+        "next_pc",
+        "mem_address",
+        "pred_writes",
+    )
+
+    def __init__(self, first_seq: int) -> None:
+        self.first_seq = first_seq
+        self.static_id = array("i")
+        self.qp_value = array("B")
+        self.producer = array("q")
+        self.taken = array("B")
+        self.target_pc = array("q")
+        self.next_pc = array("q")
+        self.mem_address = array("q")
+        self.pred_writes: List[Tuple[Tuple[int, bool], ...]] = []
+
+    def __len__(self) -> int:
+        return len(self.static_id)
+
+    def flush(
+        self, insts: Sequence[Any], kinds: Sequence[int], next_pcs: Sequence[int]
+    ) -> Any:
+        """Assemble the rows appended since the last flush into a
+        :class:`~repro.emulator.tracepack.TracePack` and start the next
+        segment; the bound ``append`` of every column stays valid.
+
+        ``insts``, ``kinds`` (``ROW_*``) and ``next_pcs`` (the straight-line
+        successor, -1 = none) are the emulator's static table, indexed by
+        static id.
+        """
+        # Imported here: tracepack imports DynInst from this module.
+        import numpy as np
+
+        from repro.emulator.tracepack import TracePack
+
+        static_id = np.array(self.static_id, dtype=np.int32)
+        n = static_id.shape[0]
+        # The segment's own instruction table, in order of first appearance
+        # (the order TracePackBuilder deduplicates in).
+        seen, first_row = np.unique(static_id, return_index=True)
+        table = seen[np.argsort(first_row, kind="stable")]
+        local = np.zeros(len(insts), dtype=np.int32)
+        local[table] = np.arange(table.shape[0], dtype=np.int32)
+
+        kind = np.array(kinds, dtype=np.uint8)[static_id]
+        branch = kind == ROW_BRANCH
+        qp_value = np.array(self.qp_value, dtype=np.uint8)
+        taken = np.full(n, -1, dtype=np.int8)
+        taken[branch] = np.array(self.taken, dtype=np.uint8)
+        target_pc = np.full(n, -1, dtype=np.int64)
+        target_pc[branch] = np.array(self.target_pc, dtype=np.int64)
+        next_pc = np.array(next_pcs, dtype=np.int64)[static_id]
+        next_pc[branch] = np.array(self.next_pc, dtype=np.int64)
+        mem_valid = (kind == ROW_MEMORY) & (qp_value != 0)
+        mem_address = np.zeros(n, dtype=np.int64)
+        mem_address[mem_valid] = np.array(self.mem_address, dtype=np.int64)
+        writes = self.pred_writes
+        counts = np.zeros(n, dtype=np.int64)
+        counts[kind == ROW_COMPARE] = [len(row) for row in writes]
+        pred_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=pred_offsets[1:])
+        flat = [write for row in writes for write in row]
+        pack = TracePack.assemble(
+            [insts[index] for index in table.tolist()],
+            local[static_id],
+            seq=np.arange(self.first_seq, self.first_seq + n, dtype=np.int64),
+            pc=np.array([inst.address for inst in insts], dtype=np.int64)[static_id],
+            qp_value=qp_value,
+            executed=qp_value.copy(),
+            taken=taken,
+            target_pc=target_pc,
+            next_pc=next_pc,
+            mem_valid=mem_valid.view(np.uint8),
+            mem_address=mem_address,
+            guard_producer_seq=np.array(self.producer, dtype=np.int64),
+            pred_offsets=pred_offsets,
+            pred_index=np.array([index for index, _ in flat], dtype=np.int16),
+            pred_value=np.array([value for _, value in flat], dtype=np.uint8),
+        )
+        for name in self.__slots__[1:]:
+            del getattr(self, name)[:]
+        self.first_seq += n
+        return pack
+
+
 class Emulator:
     """Functional emulator over a laid-out program."""
 
@@ -176,8 +291,9 @@ class Emulator:
         #: facts ``(static id, qp index, row kind, compiled handler)``, keyed
         #: by instruction uid (see :meth:`_static_facts`).  The reference
         #: interpreter (:meth:`_execute_straightline`) stays reachable with
-        #: ``optimized=False`` as the parity oracle; the parity tests assert
-        #: both produce identical traces.
+        #: ``optimized=False`` as the parity oracle, through :meth:`run`
+        #: only (:meth:`run_pack` refuses it); the parity tests assert both
+        #: produce identical traces.
         self.optimized = optimized
         self._static: Dict[int, Tuple[int, int, int, Any]] = {}
         #: The static table, indexed by static id: instructions, row kinds
@@ -190,9 +306,12 @@ class Emulator:
         of fetched instructions is exhausted.
 
         The optimized emulator builds the trace with :meth:`run_pack` and
-        yields its rows as objects; ``optimized=False`` runs the reference
-        interpreter, one instruction per step, which is the parity oracle
-        of both.
+        yields its rows as objects.  It is not lazy: the whole budget is
+        emulated before the first row is yielded, so a consumer that stops
+        early still pays for the whole run, and :class:`EmulationLimit` is
+        raised before any row.  ``optimized=False`` runs the reference
+        interpreter, one instruction per step and lazily, which is the
+        parity oracle of both.
         """
         if self.optimized:
             yield from self.run_pack(max_instructions).to_dyninsts()
@@ -250,15 +369,16 @@ class Emulator:
         This is the trace-build path.  It allocates no per-instruction
         record: each fetched row appends only what can change between two
         executions of the same static instruction to an
-        :class:`~repro.emulator.tracepack.EmulatorRows` — the static
+        :class:`EmulatorRows` — the static
         instruction's id, the qualifying-predicate value and the guard
         producer, plus taken/target/next pc on branch rows, the address on
         memory rows with a true predicate and the predicate writes on
         compare rows.  Everything else (``seq``, ``pc``, ``opclass``,
         ``executed``, the straight-line ``next_pc``) is derived per segment
         from the emulator's static table by numpy gathers
-        (:meth:`~repro.emulator.tracepack.EmulatorRows.flush`).  The compiled
-        handlers always run here; the parity tests assert the pack equals
+        (:meth:`EmulatorRows.flush`).  The compiled handlers always run
+        here, so an emulator built with ``optimized=False`` raises
+        :class:`ValueError`; the parity tests assert the pack equals
         ``TracePack.from_dyninsts(list(run(n)))`` of the reference
         interpreter, serialized byte for byte.
 
@@ -275,8 +395,13 @@ class Emulator:
         as an unsegmented run.
         """
         # Imported here: tracepack imports DynInst from this module.
-        from repro.emulator.tracepack import ChunkedTracePack, EmulatorRows
+        from repro.emulator.tracepack import ChunkedTracePack
 
+        if not self.optimized:
+            raise ValueError(
+                "run_pack runs the compiled handlers only; the reference "
+                "interpreter (optimized=False) is reachable through run()"
+            )
         if on_segment is not None and segment_rows is None:
             raise ValueError("on_segment requires segment_rows")
         if segment_rows is not None and segment_rows < 1:
@@ -308,16 +433,14 @@ class Emulator:
         executed = self.executed_instructions
         # Rows left before the segment is cut (never reaches 0 unsegmented).
         segment_left = segment_rows if segment_rows is not None else -1
-        (
-            static_append,
-            qp_append,
-            producer_append,
-            taken_append,
-            target_append,
-            next_append,
-            mem_append,
-            writes_append,
-        ) = rows.appenders()
+        static_append = rows.static_id.append
+        qp_append = rows.qp_value.append
+        producer_append = rows.producer.append
+        taken_append = rows.taken.append
+        target_append = rows.target_pc.append
+        next_append = rows.next_pc.append
+        mem_append = rows.mem_address.append
+        writes_append = rows.pred_writes.append
         try:
             while fetched < max_instructions:
                 if seq >= hard_limit:

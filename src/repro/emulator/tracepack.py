@@ -53,7 +53,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.emulator.executor import ROW_BRANCH, ROW_COMPARE, ROW_MEMORY, DynInst
+from repro.emulator.executor import DynInst
 from repro.isa.branches import BranchInstruction
 from repro.isa.opcodes import OpClass
 
@@ -145,7 +145,7 @@ class TracePackBuilder:
     This is :meth:`TracePack.from_dyninsts`: every field of every row is
     copied as given, so it packs object traces that need not obey the
     emulator's invariants (the emulator itself fills an
-    :class:`EmulatorRows`).  Rows go straight into compact typed columns
+    :class:`~repro.emulator.executor.EmulatorRows`).  Rows go straight into compact typed columns
     (:class:`array.array`), and static instructions are deduplicated on the
     fly by ``uid``.
     """
@@ -250,120 +250,6 @@ class TracePackBuilder:
         )
 
 
-class EmulatorRows:
-    """The rows of a trace segment as :meth:`Emulator.run_pack
-    <repro.emulator.executor.Emulator.run_pack>` appends them.
-
-    Only what can differ between two executions of one static instruction
-    is stored per row: the static id (an index into the emulator's static
-    table), the qualifying-predicate value and the guard producer.  Sparse
-    columns hold one entry per row of a kind, in row order: taken, target
-    and next pc per branch row (-1 = none), the effective address per
-    memory row with a true predicate, and the predicate-write tuple per
-    compare row.  :meth:`flush` derives the rest.
-
-    The derivations rely on the emulator's invariants: rows are fetched
-    with consecutive sequence numbers, ``executed`` equals ``qp_value``,
-    a memory row has an address exactly when its predicate is true, and a
-    non-branch row continues at its static straight-line successor.
-    Object traces need not obey them, so
-    :meth:`TracePack.from_dyninsts` goes through
-    :class:`TracePackBuilder` instead.
-    """
-
-    __slots__ = (
-        "first_seq",
-        "static_id",
-        "qp_value",
-        "producer",
-        "taken",
-        "target_pc",
-        "next_pc",
-        "mem_address",
-        "pred_writes",
-    )
-
-    def __init__(self, first_seq: int) -> None:
-        self.first_seq = first_seq
-        self.static_id = array("i")
-        self.qp_value = array("B")
-        self.producer = array("q")
-        self.taken = array("B")
-        self.target_pc = array("q")
-        self.next_pc = array("q")
-        self.mem_address = array("q")
-        self.pred_writes: List[Tuple[Tuple[int, bool], ...]] = []
-
-    def __len__(self) -> int:
-        return len(self.static_id)
-
-    def appenders(self) -> Tuple[Any, ...]:
-        """The bound ``append`` of every column, in ``__slots__`` order.
-
-        They stay valid across :meth:`flush`, which empties the columns in
-        place."""
-        return tuple(getattr(self, name).append for name in self.__slots__[1:])
-
-    def flush(
-        self, insts: Sequence[Any], kinds: Sequence[int], next_pcs: Sequence[int]
-    ) -> "TracePack":
-        """Assemble the rows appended since the last flush into a pack and
-        start the next segment.
-
-        ``insts``, ``kinds`` (``ROW_*``) and ``next_pcs`` (the straight-line
-        successor, -1 = none) are the emulator's static table, indexed by
-        static id.
-        """
-        static_id = np.array(self.static_id, dtype=np.int32)
-        n = static_id.shape[0]
-        # The segment's own instruction table, in order of first appearance
-        # (the order TracePackBuilder deduplicates in).
-        seen, first_row = np.unique(static_id, return_index=True)
-        table = seen[np.argsort(first_row, kind="stable")]
-        local = np.zeros(len(insts), dtype=np.int32)
-        local[table] = np.arange(table.shape[0], dtype=np.int32)
-
-        kind = np.array(kinds, dtype=np.uint8)[static_id]
-        branch = kind == ROW_BRANCH
-        qp_value = np.array(self.qp_value, dtype=np.uint8)
-        taken = np.full(n, -1, dtype=np.int8)
-        taken[branch] = np.array(self.taken, dtype=np.uint8)
-        target_pc = np.full(n, -1, dtype=np.int64)
-        target_pc[branch] = np.array(self.target_pc, dtype=np.int64)
-        next_pc = np.array(next_pcs, dtype=np.int64)[static_id]
-        next_pc[branch] = np.array(self.next_pc, dtype=np.int64)
-        mem_valid = (kind == ROW_MEMORY) & (qp_value != 0)
-        mem_address = np.zeros(n, dtype=np.int64)
-        mem_address[mem_valid] = np.array(self.mem_address, dtype=np.int64)
-        writes = self.pred_writes
-        counts = np.zeros(n, dtype=np.int64)
-        counts[kind == ROW_COMPARE] = [len(row) for row in writes]
-        pred_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=pred_offsets[1:])
-        flat = [write for row in writes for write in row]
-        pack = TracePack.assemble(
-            [insts[index] for index in table.tolist()],
-            local[static_id],
-            seq=np.arange(self.first_seq, self.first_seq + n, dtype=np.int64),
-            pc=np.array([inst.address for inst in insts], dtype=np.int64)[static_id],
-            qp_value=qp_value,
-            executed=qp_value.copy(),
-            taken=taken,
-            target_pc=target_pc,
-            next_pc=next_pc,
-            mem_valid=mem_valid.view(np.uint8),
-            mem_address=mem_address,
-            guard_producer_seq=np.array(self.producer, dtype=np.int64),
-            pred_offsets=pred_offsets,
-            pred_index=np.array([index for index, _ in flat], dtype=np.int16),
-            pred_value=np.array([value for _, value in flat], dtype=np.uint8),
-        )
-        for name in self.__slots__[1:]:
-            del getattr(self, name)[:]
-        self.first_seq += n
-        return pack
-
-
 class TracePack:
     """A struct-of-arrays dynamic trace (see the module docstring)."""
 
@@ -391,7 +277,7 @@ class TracePack:
     def assemble(cls, insts: List[Any], inst_index, **columns) -> "TracePack":
         """Build a pack from its static table and columns — the one place
         both feeders (:class:`TracePackBuilder` and
-        :class:`EmulatorRows`) finalize through.
+        :class:`~repro.emulator.executor.EmulatorRows`) finalize through.
 
         ``insts`` is the table in order of first appearance and
         ``inst_index`` the rows' indices into it; ``columns`` holds every

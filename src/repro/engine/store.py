@@ -157,12 +157,18 @@ class ArtifactStore:
             raise ValueError(f"unknown artifact kind {kind!r}; expected {KINDS}")
         return os.path.join(self.root, f"v{STORE_FORMAT_VERSION}", kind)
 
+    def _paths(self, kind: str, key: str) -> Tuple[str, str]:
+        """The payload and metadata-sidecar paths of ``key``: the one place
+        the on-disk naming rule is written."""
+        stem = os.path.join(self._kind_dir(kind), key)
+        return f"{stem}.pkl", f"{stem}.json"
+
     def path(self, kind: str, key: str) -> str:
         """Path of the artifact payload for ``key`` (may not exist)."""
-        return os.path.join(self._kind_dir(kind), f"{key}.pkl")
+        return self._paths(kind, key)[0]
 
     def _meta_path(self, kind: str, key: str) -> str:
-        return os.path.join(self._kind_dir(kind), f"{key}.json")
+        return self._paths(kind, key)[1]
 
     # ------------------------------------------------------------------
     def contains(self, kind: str, key: str) -> bool:
@@ -182,14 +188,13 @@ class ArtifactStore:
         parse is damage too (sidecars are written atomically): the
         artifact is quarantined rather than decoded unverified.
         """
-        stem = os.path.join(self._kind_dir(kind), key)
-        path = f"{stem}.pkl"
+        path, meta_path = self._paths(kind, key)
         try:
             data = _read_bytes(path)
         except OSError:
             return None
         try:
-            recorded = self._recorded_digest(f"{stem}.json")
+            recorded = self._recorded_digest(meta_path)
         except ValueError:
             self._quarantine(kind, key, "metadata sidecar unreadable")
             return None

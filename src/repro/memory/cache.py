@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,8 @@ class Cache:
     :meth:`access` runs once per fetch, load and store of the timing loop,
     and builds no result object: the geometry is read into plain ints at
     construction, the ``(hit, latency)`` answers are three tuples built
-    once, a repeat of the last block accessed returns before the set is
-    even looked at, and each set keeps its blocks most recently used
-    first, so a hit on that way skips the LRU reorder.  A hit allocates
-    nothing.
+    once, and each set keeps its blocks most recently used first, so a hit
+    on that way skips the LRU reorder.  A hit allocates nothing.
     """
 
     #: Extra latency of a primary miss that finds every MSHR busy.
@@ -83,8 +81,6 @@ class Cache:
         self._stalled_miss = (False, config.hit_latency + self.MSHR_STALL)
         # sets -> blocks, most recently used first.
         self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
-        # The block of the last access: resident, and first in its set.
-        self._last_block: Optional[int] = None
         # Outstanding miss bookkeeping: block address -> completion cycle.
         self._outstanding: Dict[int, int] = {}
 
@@ -105,10 +101,6 @@ class Cache:
         block = address // self._block_bytes
         stats = self.stats
         stats.accesses += 1
-        if block == self._last_block:
-            stats.hits += 1
-            return self._hit
-        self._last_block = block
         ways = self._sets[block % self._num_sets]
         if block in ways:
             stats.hits += 1
@@ -144,7 +136,6 @@ class Cache:
     def flush(self) -> None:
         """Invalidate all contents (used between benchmark runs)."""
         self._sets = [[] for _ in range(self._num_sets)]
-        self._last_block = None
         self._outstanding.clear()
 
     def __repr__(self) -> str:

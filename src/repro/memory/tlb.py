@@ -22,7 +22,10 @@ class TLB:
     :meth:`access` allocates nothing: the pages live in an ordered dict
     (least recently used first, so a hit is one ``move_to_end``, not a
     search of a 512-entry list), and a repeat of the last page translated
-    skips even that.
+    skips even that.  On the instruction side nearly every access is such
+    a repeat; a cache has no such shortcut, because its last block repeats
+    far less often and a hit on the most recently used way is already
+    cheap.
     """
 
     def __init__(self, config: TLBConfig) -> None:

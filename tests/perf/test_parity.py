@@ -75,6 +75,11 @@ class TestReferenceIsOptIn:
         assert Emulator(program).optimized
         assert not Emulator(program, optimized=False).optimized
 
+    def test_run_pack_refuses_the_reference_interpreter(self, engine):
+        program = engine.build_binary("gzip", BASELINE)
+        with pytest.raises(ValueError, match="optimized=False"):
+            Emulator(program, optimized=False).run_pack(100)
+
 
 class TestEmulatorParity:
     @pytest.mark.parametrize("workload", BENCHMARKS)
