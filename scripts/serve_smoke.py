@@ -5,8 +5,10 @@ Starts the daemon as a subprocess on an ephemeral port, submits a
 rob-scaling sweep at a small instruction budget through the ``repro
 submit`` CLI, follows with a cell-document submission of a wish-branch
 cell (the non-paper scheme kinds go through the same submit path), polls
-both to completion, then sends SIGTERM and asserts the daemon exits
-cleanly (status 0).  A *second* daemon is then started over
+both to completion, reads the daemon's worker processes from
+``/v1/health``, then sends SIGTERM and asserts the daemon exits cleanly
+(status 0) and leaves none of those workers alive.  A *second* daemon is
+then started over
 the same cache directory: its job journal must list the first daemon's
 job as done (``recovered``) and still serve its result — the restart
 recovery path, over the wire.  Exercises exactly what a deployment
@@ -27,6 +29,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import urllib.request
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -70,6 +73,22 @@ def stop_daemon(daemon):
 def get_json(url):
     with urllib.request.urlopen(url, timeout=30) as response:
         return json.loads(response.read())
+
+
+def alive(pids, grace=5.0):
+    """The pids still running after up to ``grace`` seconds."""
+    deadline = time.monotonic() + grace
+    while True:
+        running = []
+        for pid in pids:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                continue
+            running.append(pid)
+        if not running or time.monotonic() > deadline:
+            return running
+        time.sleep(0.1)
 
 
 def main() -> int:
@@ -168,9 +187,20 @@ def main() -> int:
             )
             return 1
 
+        workers = get_json(f"{url}/v1/health")["worker_pids"]
+        if not workers:
+            print("FAIL: /v1/health lists no worker processes", file=sys.stderr)
+            return 1
         code = stop_daemon(daemon)
         if code != 0:
             print(f"FAIL: daemon exited {code!r} on SIGTERM", file=sys.stderr)
+            return 1
+        survivors = alive(workers)
+        if survivors:
+            print(
+                f"FAIL: worker processes {survivors} outlived the daemon",
+                file=sys.stderr,
+            )
             return 1
 
         # Restart over the same cache directory: the journal must bring the
@@ -208,7 +238,8 @@ def main() -> int:
             print(f"FAIL: restarted daemon exited {code!r} on SIGTERM", file=sys.stderr)
             return 1
         print(
-            "serve smoke: OK (submit completed, daemon restarted, "
+            f"serve smoke: OK (submit completed, {len(workers)} worker "
+            "processes stopped with the daemon, daemon restarted, "
             f"job {job_id} recovered from the journal)"
         )
         return 0

@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=2,
-        help="concurrent jobs the scheduler runs (default: 2)",
+        help="concurrent jobs, each run in its own worker process (default: 2)",
     )
     serve.add_argument(
         "--max-store-bytes",

@@ -10,8 +10,9 @@ simulation, with the second served entirely from the store.
 Two layers:
 
 * :mod:`repro.serve.service` — :class:`ExperimentService`, the in-process
-  scheduler: worker threads, job records, request coalescing and
-  size-gated LRU eviction (``--max-store-bytes``);
+  scheduler: scheduler threads that run each job in a worker process,
+  job records, request coalescing and size-gated LRU eviction
+  (``--max-store-bytes``);
 * :mod:`repro.serve.http` — the stdlib HTTP daemon exposing it under
   ``/v1/...`` (:func:`make_server`, :func:`serve_until_shutdown`).
 

@@ -19,7 +19,8 @@ A deliberately small, versioned HTTP+JSON API over
 ``GET /v1/health``              liveness probe with degradation detail
                                 (workers lost, jobs timed out,
                                 quarantined artifacts, journal-recovered
-                                jobs)
+                                jobs) and the worker processes' pids and
+                                peak resident set
 ==============================  =======================================
 
 Errors are JSON too: ``400`` for invalid documents (the
@@ -185,8 +186,9 @@ def serve_until_shutdown(
 
     The signal handler triggers :meth:`~socketserver.BaseServer.shutdown`
     from a helper thread (calling it from the handler's own frame would
-    deadlock the accept loop) and then drains the service's workers, so a
-    SIGTERM'd daemon exits cleanly — the contract the CI smoke test checks.
+    deadlock the accept loop) and then stops the service's workers, so a
+    SIGTERM'd daemon exits cleanly and leaves no worker process behind —
+    the contract the CI smoke test checks.
     """
     stop = threading.Event()
 

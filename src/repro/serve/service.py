@@ -3,9 +3,14 @@
 :class:`ExperimentService` is the in-process heart of the ``repro serve``
 daemon (the HTTP layer in :mod:`repro.serve.http` is a thin skin over it).
 Clients submit *job documents* — the same scenario/cell descriptions the
-sweep and engine layers already validate — and a pool of worker threads
-runs them through the unified :func:`repro.engine.run.run_cells` entrypoint
-onto one shared :class:`~repro.engine.store.ArtifactStore`.
+sweep and engine layers already validate.  One scheduler thread per
+``workers`` plans each job, coalesces it against in-flight work, and hands
+it to that scheduler's own worker process, which runs it through the
+unified :func:`repro.engine.run.run_cells` entrypoint onto one shared
+:class:`~repro.engine.store.ArtifactStore`.  The worker processes are
+forked at their scheduler's first job and live until shutdown, so
+concurrent jobs use separate cores instead of taking turns under one
+interpreter lock.
 
 Two multi-tenant properties live here:
 
@@ -25,11 +30,16 @@ Two multi-tenant properties live here:
   cache hit refreshes an artifact's last-hit time) until the store fits the
   budget.  Artifacts of still-running jobs are protected.
 
-Fault tolerance adds two more:
+Fault tolerance adds three more:
 
 * **Job deadlines** — with ``job_timeout`` set, a job that has not
   finished within the window is failed and its coalescing claims released,
   so waiters re-plan against the store instead of hanging on a wedged job.
+  The orphaned run finishes into the store in its old worker process; the
+  scheduler forks a fresh worker for its next job.
+* **Lost workers** — a worker process that dies mid-job fails that job
+  with :class:`WorkerLostError`, counts in ``workers_lost``, and is
+  replaced at its scheduler's next job.
 * **The job journal** — with ``journal`` set, every submission and state
   transition appends one JSONL event; a restarted daemon replays it, so
   previously completed jobs stay listable (and their results servable),
@@ -43,16 +53,21 @@ import dataclasses
 import json
 import os
 import queue
+import resource
+import signal
 import threading
 import time
 import uuid
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.engine.executor import ExecutionEngine
+from repro.engine.executor import EngineStats, ExecutionEngine, _mp_context
 from repro.engine.jobs import FLAVOURS, IF_CONVERTED, SchemeSpec
 from repro.engine.planner import CellRequest, ExperimentDefinition
-from repro.engine.run import run_cells
+from repro.engine.run import CellRunOutcome, run_cells
 from repro.engine.store import ArtifactStore
 from repro.log import get_logger
 from repro.pipeline.machine import MachineSpec
@@ -314,6 +329,10 @@ class JobTimeoutError(RuntimeError):
     """A job exceeded the service's per-job deadline."""
 
 
+class WorkerLostError(RuntimeError):
+    """The worker process running a job died before returning its result."""
+
+
 class JobJournal:
     """An append-only JSONL record of job lifecycle events.
 
@@ -425,6 +444,18 @@ class ExperimentService:
         self._recovered = 0
         self._started = False
         self._threads: List[threading.Thread] = []
+        #: Scheduler index → its one-process pool, forked at the
+        #: scheduler's first job (None before that and after a loss).
+        self._pools: List[Optional[ProcessPoolExecutor]] = [None] * self.workers
+        #: Worker processes of pools given up at a deadline: each finishes
+        #: its orphaned run into the store and exits; shutdown kills any
+        #: still running.
+        self._orphans: List[Any] = []
+        self._closed = False
+        #: Worker processes that died mid-job.
+        self._workers_lost = 0
+        #: The largest ``ru_maxrss`` (KiB) any job's worker reported.
+        self._worker_peak_rss_kb = 0
         if journal is not None:
             self._recover(journal.replay())
 
@@ -517,14 +548,20 @@ class ExperimentService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start the worker threads (idempotent)."""
+        """Start the scheduler threads (idempotent).
+
+        Their worker processes are forked later, at each scheduler's first
+        job, so starting the service costs no fork.
+        """
         with self._lock:
             if self._started:
                 return
             self._started = True
+            self._closed = False
             for index in range(self.workers):
                 thread = threading.Thread(
                     target=self._worker_loop,
+                    args=(index,),
                     name=f"repro-serve-worker-{index}",
                     daemon=True,
                 )
@@ -532,7 +569,14 @@ class ExperimentService:
                 self._threads.append(thread)
 
     def shutdown(self, wait: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop the workers; with ``wait`` block until they drain."""
+        """Stop the schedulers and their worker processes.
+
+        With ``wait``, block until the queued jobs drain and the workers
+        exit (up to ``timeout`` seconds per thread and per process).
+        Workers still alive after that, or at once without ``wait``, are
+        killed with everything their engines forked, so no worker process
+        outlives the service.
+        """
         with self._lock:
             threads, self._threads = self._threads, []
             self._started = False
@@ -541,6 +585,21 @@ class ExperimentService:
         if wait:
             for thread in threads:
                 thread.join(timeout)
+        with self._lock:
+            self._closed = True
+            pools = [pool for pool in self._pools if pool is not None]
+            self._pools = [None] * self.workers
+            processes = [p for pool in pools for p in _pool_processes(pool)]
+            processes += self._orphans
+            self._orphans = []
+        for pool in pools:
+            pool.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            if wait:
+                process.join(timeout)
+            if process.is_alive():
+                _kill_worker(process)
+                process.join(5)
 
     # ------------------------------------------------------------------
     # Submission and inspection
@@ -603,16 +662,21 @@ class ExperimentService:
         """Service health with degradation detail (``GET /v1/health``).
 
         ``status`` is ``"degraded"`` when any fault-recovery machinery has
-        fired — workers lost or jobs timed out/retried, artifacts sitting
-        in quarantine, or jobs recovered from a prior daemon's journal —
-        and ``"ok"`` otherwise.  Degraded is informational, not fatal: it
-        means the service *survived* something worth investigating.
+        fired — workers lost (the service's own or a job engine's) or jobs
+        timed out/retried, artifacts sitting in quarantine, or jobs
+        recovered from a prior daemon's journal — and ``"ok"`` otherwise.
+        Degraded is informational, not fatal: it means the service
+        *survived* something worth investigating.  ``worker_pids`` lists
+        the live worker processes and ``worker_peak_rss_mb`` is the largest
+        peak resident set any job's worker reported.
         """
         with self._lock:
             records = list(self._records.values())
             timed_out = self._timed_out
             recovered = self._recovered
-        workers_lost = 0
+            workers_lost = self._workers_lost
+            peak_kb = self._worker_peak_rss_kb
+            processes = self._live_workers()
         jobs_retried = 0
         for record in records:
             stats = record.stats or {}
@@ -630,18 +694,29 @@ class ExperimentService:
             "jobs_timed_out": timed_out,
             "quarantined": quarantined,
             "recovered_jobs": recovered,
+            "worker_pids": sorted(process.pid for process in processes),
+            "worker_peak_rss_mb": peak_kb / 1024.0,
         }
+
+    def _live_workers(self) -> List[Any]:
+        """The live worker processes, orphans included (hold ``_lock``)."""
+        self._orphans = [p for p in self._orphans if p.is_alive()]
+        processes = list(self._orphans)
+        for pool in self._pools:
+            if pool is not None:
+                processes += [p for p in _pool_processes(pool) if p.is_alive()]
+        return processes
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, slot: int) -> None:
         while True:
             record = self._queue.get()
             if record is None:
                 return
             try:
-                self._execute(record)
+                self._execute(record, slot)
             except Exception as error:  # noqa: BLE001 - job isolation boundary
                 record.state = FAILED
                 record.error = f"{type(error).__name__}: {error}"
@@ -661,32 +736,27 @@ class ExperimentService:
                     )
                 record.done_event.set()
 
-    def _engine(self, parsed: _ParsedJob) -> ExecutionEngine:
+    @staticmethod
+    def _profile(parsed: _ParsedJob):
+        """The engine profile a job runs under (budget + benchmark subset)."""
         from repro.experiments.setup import ExperimentProfile
 
         if parsed.kind == "scenario":
             from repro.sweep.runner import sweep_profile
 
-            profile = sweep_profile(parsed.scenario)
-        else:
-            benchmarks: List[str] = []
-            for request in parsed.requests:
-                if request.benchmark not in benchmarks:
-                    benchmarks.append(request.benchmark)
-            profile = ExperimentProfile(
-                name="serve",
-                instructions_per_benchmark=parsed.instructions,
-                benchmarks=benchmarks,
-                profile_budget=min(parsed.instructions, 20_000),
-            )
-        return ExecutionEngine(
-            profile=profile,
-            store=self.store,
-            jobs=self.jobs,
-            checkpoint_every=self.checkpoint_every,
+            return sweep_profile(parsed.scenario)
+        benchmarks: List[str] = []
+        for request in parsed.requests:
+            if request.benchmark not in benchmarks:
+                benchmarks.append(request.benchmark)
+        return ExperimentProfile(
+            name="serve",
+            instructions_per_benchmark=parsed.instructions,
+            benchmarks=benchmarks,
+            profile_budget=min(parsed.instructions, 20_000),
         )
 
-    def _execute(self, record: JobRecord) -> None:
+    def _execute(self, record: JobRecord, slot: int) -> None:
         with self._lock:
             parsed = self._parsed[record.id]
         record.state = RUNNING
@@ -695,11 +765,12 @@ class ExperimentService:
             self.journal.append(
                 {"event": "started", "id": record.id, "time": record.started}
             )
-        engine = self._engine(parsed)
-        definition = ExperimentDefinition(
-            name=record.id, requests=list(parsed.requests)
+        profile = self._profile(parsed)
+        # Planning only needs the profile's budget and binary factory; the
+        # worker process builds the engine that runs the job.
+        graph = ExecutionEngine(profile=profile).plan(
+            [ExperimentDefinition(name=record.id, requests=list(parsed.requests))]
         )
-        graph = engine.plan([definition])
         record.planned = graph.job_counts()
         simulate_keys = list(graph.simulations)
         protect = (
@@ -713,7 +784,17 @@ class ExperimentService:
         try:
             self._claim_or_wait(simulate_keys, own, claimed, waited)
             record.coalesced_keys = len(waited)
-            outcome = self._run_with_deadline(record, parsed, definition, engine)
+            outcome = self._run_in_worker(
+                slot,
+                (
+                    profile,
+                    self.store.root,
+                    self.jobs,
+                    self.checkpoint_every,
+                    record.id,
+                    list(parsed.requests),
+                ),
+            )
         finally:
             # Releases this job's claims whether it finished, failed or
             # timed out — waiters wake, re-check the store, and re-plan
@@ -746,39 +827,84 @@ class ExperimentService:
         self._evict()
         record.done_event.set()
 
-    def _run_with_deadline(self, record, parsed, definition, engine):
-        """Run one job's cells, enforcing the service's per-job deadline.
+    def _pool(self, slot: int) -> ProcessPoolExecutor:
+        """Scheduler ``slot``'s worker pool, forked on first use.
 
-        Without a deadline the run happens inline.  With one, it happens in
-        a helper thread joined for ``job_timeout`` seconds; on expiry this
-        raises :class:`JobTimeoutError` (failing the job and releasing its
-        claims) while the orphaned run finishes into the store, where its
-        artifacts benefit whoever re-plans the work.
+        A worker found dead between jobs counts as lost and is replaced
+        before the job is handed over.
         """
-        if self.job_timeout is None:
-            return run_cells(parsed.requests, name=definition.name, engine=engine)
-        box: Dict[str, Any] = {}
-
-        def _target() -> None:
-            try:
-                box["outcome"] = run_cells(
-                    parsed.requests, name=definition.name, engine=engine
+        pool = self._pools[slot]
+        if pool is not None and not all(
+            process.is_alive() for process in _pool_processes(pool)
+        ):
+            self._retire(slot, pool, orphan=False)
+            with self._lock:
+                self._workers_lost += 1
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("the service is shut down")
+            pool = self._pools[slot]
+            if pool is None:
+                pool = ProcessPoolExecutor(
+                    max_workers=1,
+                    mp_context=_mp_context(),
+                    initializer=_worker_init,
                 )
-            except BaseException as error:  # noqa: BLE001 - crosses threads
-                box["error"] = error
+                self._pools[slot] = pool
+            return pool
 
-        thread = threading.Thread(
-            target=_target, name=f"repro-serve-job-{record.id}", daemon=True
-        )
-        thread.start()
-        thread.join(self.job_timeout)
-        if thread.is_alive():
+    def _run_in_worker(self, slot: int, payload: "_JobPayload") -> CellRunOutcome:
+        """Run one job in scheduler ``slot``'s worker process.
+
+        Each scheduler owns a one-process pool, so a worker that dies takes
+        only its own job with it.  ``job_timeout`` bounds the wait: on
+        expiry this raises :class:`JobTimeoutError` (failing the job and
+        releasing its claims) and retires the pool, leaving the orphaned
+        run to finish into the store, where its artifacts benefit whoever
+        re-plans the work.  A dead worker raises :class:`WorkerLostError`.
+        Either way the scheduler's next job forks a fresh worker.
+        """
+        pool = self._pool(slot)
+        try:
+            future = pool.submit(_run_job, payload)
+            results, stats, timings, peak_kb = future.result(timeout=self.job_timeout)
+        except FutureTimeoutError:
+            self._retire(slot, pool, orphan=True)
             raise JobTimeoutError(
                 f"job exceeded the {self.job_timeout:.1f}s deadline"
-            )
-        if "error" in box:
-            raise box["error"]
-        return box["outcome"]
+            ) from None
+        except BrokenProcessPool:
+            pids = ", ".join(str(process.pid) for process in _pool_processes(pool))
+            self._retire(slot, pool, orphan=False)
+            with self._lock:
+                if self._closed:
+                    raise RuntimeError("interrupted by service shutdown") from None
+                self._workers_lost += 1
+            raise WorkerLostError(
+                f"worker process {pids or '?'} died while running the job"
+            ) from None
+        with self._lock:
+            self._worker_peak_rss_kb = max(self._worker_peak_rss_kb, peak_kb)
+        merged = EngineStats()
+        merged.merge(stats)
+        return CellRunOutcome(results=results, stats=merged, timings=timings)
+
+    def _retire(self, slot: int, pool: ProcessPoolExecutor, orphan: bool) -> None:
+        """Stop using ``pool``; the scheduler's next job forks a new one.
+
+        An ``orphan`` pool's worker keeps running its job; otherwise the
+        worker is dead and whatever its engine forked is killed with it.
+        """
+        processes = _pool_processes(pool)
+        with self._lock:
+            if self._pools[slot] is pool:
+                self._pools[slot] = None
+            if orphan:
+                self._orphans += processes
+        pool.shutdown(wait=False, cancel_futures=True)
+        if not orphan:
+            for process in processes:
+                _kill_worker(process)
 
     def _claim_or_wait(
         self,
@@ -879,3 +1005,78 @@ def _result_row(result, benchmark: str, scheme: str, label: str) -> Dict[str, An
         "branches": accuracy.branches,
         "misprediction_rate": accuracy.misprediction_rate,
     }
+
+
+# ----------------------------------------------------------------------
+# Worker processes
+# ----------------------------------------------------------------------
+#: Seconds between a worker's checks that the service process is alive.
+_ORPHAN_POLL_S = 0.5
+
+#: What a job's worker receives: (profile, store root, engine jobs,
+#: checkpoint_every, job id, requests).
+_JobPayload = Tuple[Any, str, int, Optional[int], str, List[CellRequest]]
+
+
+def _worker_init() -> None:
+    """Worker start-up: its own process group, default signal actions, and
+    an exit when the service process dies.
+
+    The group lets the service kill a worker together with the processes
+    its engine forked (``jobs > 1``); a terminal's Ctrl-C reaches only the
+    daemon, which then stops its workers.  The daemon's SIGTERM/SIGINT
+    handlers, inherited through the fork, would shut down a server the
+    worker does not run, so the defaults are restored.  A daemon killed
+    outright cannot stop its workers, and an idle worker would wait for
+    its next job forever (holding the daemon's inherited listening
+    socket), so a watchdog thread exits the worker once it is orphaned.
+    """
+    os.setpgid(0, 0)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    parent = os.getppid()
+
+    def _exit_when_orphaned() -> None:
+        while os.getppid() == parent:
+            time.sleep(_ORPHAN_POLL_S)
+        os.killpg(0, signal.SIGKILL)  # this worker and its engine's pool
+
+    threading.Thread(
+        target=_exit_when_orphaned, name="repro-serve-orphan-watch", daemon=True
+    ).start()
+
+
+def _run_job(payload: _JobPayload):
+    """Worker entry point: run one job's cells in a fresh engine.
+
+    Returns the results, the engine's stats dict, its job timings and this
+    process's peak resident set (``ru_maxrss``, KiB on Linux).
+    """
+    profile, store_root, jobs, checkpoint_every, name, requests = payload
+    engine = ExecutionEngine(
+        profile=profile,
+        store=ArtifactStore(store_root),
+        jobs=jobs,
+        checkpoint_every=checkpoint_every,
+    )
+    outcome = run_cells(requests, name=name, engine=engine)
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return outcome.results, outcome.stats.as_dict(), outcome.timings, peak_kb
+
+
+def _pool_processes(pool: ProcessPoolExecutor) -> List[Any]:
+    """A pool's worker processes.
+
+    ``ProcessPoolExecutor`` does not expose them; its ``_processes`` map
+    is the same escape hatch the engine's stalled-pool recovery uses, and
+    ``shutdown`` clears it, so callers read it first.
+    """
+    return list((getattr(pool, "_processes", None) or {}).values())
+
+
+def _kill_worker(process) -> None:
+    """SIGKILL a worker and every process in its group."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except OSError:  # gone, or killed before it made its group
+        process.kill()

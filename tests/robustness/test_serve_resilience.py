@@ -1,10 +1,13 @@
-"""Serve resilience: job deadlines, journal recovery, and client retries.
+"""Serve resilience: deadlines, lost workers, journal recovery, retries.
 
-Three failure domains of the ``repro serve`` stack:
+Four failure domains of the ``repro serve`` stack:
 
 * **Deadlines** — a wedged job is failed at ``job_timeout`` and its
   coalescing claims released, so a duplicate submission re-plans and
   completes instead of hanging on the corpse.
+* **Worker processes** — a job's worker killed mid-run fails that job
+  with the lost-worker error, and the next job runs on a replacement;
+  what a worker returns equals an in-process run of the same requests.
 * **The job journal** — a restarted daemon replays its JSONL journal:
   finished jobs stay listable with their results servable, interrupted
   jobs are reported failed, never-started jobs are re-queued and run.
@@ -16,19 +19,30 @@ Three failure domains of the ``repro serve`` stack:
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 import threading
+import time
 
 import pytest
 
 from repro.client import ServeClient, ServeError
+from repro.engine.run import run_cells
 from repro.engine.store import ArtifactStore
 from repro.serve import make_server, serve_until_shutdown
 from repro.serve.service import (
     DONE,
     FAILED,
+    RUNNING,
     ExperimentService,
     JobJournal,
     JobTimeoutError,
+    WorkerLostError,
+    _result_row,
+    parse_submission,
 )
 
 ONE_CELL = {
@@ -37,11 +51,30 @@ ONE_CELL = {
 }
 
 
-def _drain_job_threads() -> None:
-    """Join any orphaned deadline helper threads before leaving a test."""
-    for thread in threading.enumerate():
-        if thread.name.startswith("repro-serve-job-"):
-            thread.join(timeout=30)
+def _stat(pid) -> list:
+    """The fields of ``/proc/<pid>/stat`` after the command name ([] if gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError):
+        return []
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` names a live process (not gone, not a zombie)."""
+    fields = _stat(pid)
+    return bool(fields) and fields[0] != "Z"
+
+
+def _group(pgid: int) -> list:
+    """The live processes of process group ``pgid``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _stat(entry)
+            if len(fields) > 2 and fields[0] != "Z" and int(fields[2]) == pgid:
+                members.append(int(entry))
+    return members
 
 
 # ----------------------------------------------------------------------
@@ -62,25 +95,18 @@ class TestJobDeadline:
             assert record.result_text
         finally:
             service.shutdown(wait=True, timeout=10)
-            _drain_job_threads()
 
     def test_deadline_fails_wedged_job_and_releases_claims(
-        self, monkeypatch, tmp_path
+        self, activate_faults, tmp_path
     ):
-        """The first job wedges; its duplicate must re-plan, not hang."""
-        import repro.serve.service as service_module
+        """The first job wedges; its duplicate must re-plan, not hang.
 
-        release = threading.Event()
-        wedged_once = []
-        real_run_cells = service_module.run_cells
-
-        def run_cells_wedging_first(*args, **kwargs):
-            if not wedged_once:
-                wedged_once.append(True)
-                release.wait(60)  # the stand-in for a wedged engine run
-            return real_run_cells(*args, **kwargs)
-
-        monkeypatch.setattr(service_module, "run_cells", run_cells_wedging_first)
+        The wedge is the first simulate launch sleeping in whichever worker
+        process reaches it (a one-shot fault shared by every process);
+        the orphaned run wakes after the deadline and finishes into the
+        store.
+        """
+        activate_faults("stall-simulate:4")
         store = ArtifactStore(str(tmp_path / "cache"))
         service = ExperimentService(store, jobs=1, workers=2, job_timeout=2.0)
         try:
@@ -102,9 +128,175 @@ class TestJobDeadline:
             assert health["jobs_timed_out"] == 1
             assert health["status"] == "degraded"
         finally:
-            release.set()
             service.shutdown(wait=True, timeout=10)
-            _drain_job_threads()
+
+
+# ----------------------------------------------------------------------
+# Worker processes
+# ----------------------------------------------------------------------
+class TestWorkerProcesses:
+    def test_killed_worker_fails_its_job_and_is_replaced(
+        self, activate_faults, tmp_path
+    ):
+        # The first simulate launch sleeps, holding the job mid-run.
+        activate_faults("stall-simulate:60")
+        store = ArtifactStore(str(tmp_path / "cache"))
+        service = ExperimentService(store, workers=1)
+        try:
+            record = service.submit(ONE_CELL)
+            deadline = time.monotonic() + 60
+            pids = []
+            while not (record.state == RUNNING and pids):
+                assert time.monotonic() < deadline, "the job never started"
+                time.sleep(0.05)
+                pids = service.health()["worker_pids"]
+            (victim,) = pids
+            os.kill(victim, signal.SIGKILL)
+            service.wait(record.id, timeout=60)
+            assert record.state == FAILED
+            assert record.error.startswith(WorkerLostError.__name__)
+            assert f"worker process {victim} died" in record.error
+            health = service.health()
+            assert health["workers_lost"] == 1
+            assert health["status"] == "degraded"
+            assert victim not in health["worker_pids"]
+
+            retry = service.wait(service.submit(ONE_CELL).id, timeout=120)
+            assert retry.state == DONE, retry.error
+            (replacement,) = service.health()["worker_pids"]
+            assert replacement != victim
+        finally:
+            service.shutdown(wait=True, timeout=10)
+
+    def test_idle_worker_death_is_counted_and_replaced(self, tmp_path):
+        store = ArtifactStore(str(tmp_path / "cache"))
+        service = ExperimentService(store, workers=1)
+        try:
+            first = service.wait(service.submit(ONE_CELL).id, timeout=120)
+            assert first.state == DONE, first.error
+            (victim,) = service.health()["worker_pids"]
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while victim in service.health()["worker_pids"]:
+                assert time.monotonic() < deadline, "the killed worker lingers"
+                time.sleep(0.05)
+            # The next job gets a fresh worker instead of the dead one.
+            second = service.wait(service.submit(ONE_CELL).id, timeout=120)
+            assert second.state == DONE, second.error
+            health = service.health()
+            assert health["workers_lost"] == 1
+            assert health["status"] == "degraded"
+            assert health["worker_pids"] and victim not in health["worker_pids"]
+        finally:
+            service.shutdown(wait=True, timeout=10)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+    def test_workers_exit_when_the_service_process_is_killed(self, tmp_path):
+        """A daemon killed outright cannot stop its workers; they notice."""
+        import repro
+
+        script = textwrap.dedent(
+            f"""
+            import sys, time
+            from repro.engine.store import ArtifactStore
+            from repro.serve.service import ExperimentService
+
+            service = ExperimentService(ArtifactStore(sys.argv[1]), workers=2)
+            first = service.submit({ONE_CELL!r})
+            second = service.submit({ONE_CELL!r})
+            service.wait(first.id, timeout=120)
+            service.wait(second.id, timeout=120)
+            print(first.state, second.state, *service.health()["worker_pids"], flush=True)
+            time.sleep(120)
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+        daemon = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path / "cache")],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            first, second, *workers = daemon.stdout.readline().split()
+            assert (first, second) == (DONE, DONE)
+            assert workers
+        finally:
+            daemon.kill()
+            daemon.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while any(_running(int(pid)) for pid in workers):
+            assert time.monotonic() < deadline, f"workers {workers} outlived the daemon"
+            time.sleep(0.1)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+    def test_shutdown_kills_a_running_jobs_engine_pool(
+        self, activate_faults, tmp_path
+    ):
+        """With ``jobs=2`` the worker forks an engine pool; none survives."""
+        activate_faults("stall-simulate:60")  # holds one engine cell
+        store = ArtifactStore(str(tmp_path / "cache"))
+        service = ExperimentService(store, workers=1, jobs=2)
+        record = service.submit(
+            {
+                "cells": [
+                    {"benchmark": "gzip", "scheme": "predicate"},
+                    {"benchmark": "twolf", "scheme": "predicate"},
+                ],
+                "instructions": 1500,
+            }
+        )
+        deadline = time.monotonic() + 60
+        group = []
+        while len(group) < 2:  # the worker plus its engine pool
+            assert time.monotonic() < deadline, "the engine pool never started"
+            time.sleep(0.05)
+            pids = service.health()["worker_pids"]
+            group = _group(pids[0]) if pids else []
+        service.shutdown(wait=False)
+        deadline = time.monotonic() + 10
+        while any(_running(pid) for pid in group):
+            assert time.monotonic() < deadline, f"{group} outlived the shutdown"
+            time.sleep(0.05)
+        service.wait(record.id, timeout=30)
+        assert record.state == FAILED
+        assert record.error == "RuntimeError: interrupted by service shutdown"
+        assert service.health()["workers_lost"] == 0
+
+    def test_worker_rows_equal_an_in_process_run(self, tmp_path):
+        document = {
+            "cells": [
+                {"benchmark": "gzip", "scheme": "conventional"},
+                {"benchmark": "gzip", "scheme": "wish"},
+                {"benchmark": "twolf", "scheme": "predicate-aware"},
+            ],
+            "instructions": 1500,
+        }
+        service = ExperimentService(ArtifactStore(str(tmp_path / "served")))
+        try:
+            record = service.wait(service.submit(document).id, timeout=120)
+            health = service.health()
+        finally:
+            service.shutdown(wait=True, timeout=10)
+        assert record.state == DONE, record.error
+        assert health["worker_peak_rss_mb"] > 0
+        requests = parse_submission(document).requests
+        outcome = run_cells(
+            requests,
+            store=ArtifactStore(str(tmp_path / "in-process")),
+            instructions=document["instructions"],
+        )
+        expected = [
+            _result_row(
+                outcome.results[(request.benchmark, request.label)],
+                request.benchmark,
+                request.scheme.describe(),
+                request.label,
+            )
+            for request in requests
+        ]
+        assert record.result_json == expected
 
 
 # ----------------------------------------------------------------------

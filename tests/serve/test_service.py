@@ -193,20 +193,70 @@ class TestService:
         finally:
             service.shutdown(wait=True, timeout=10)
 
-    def test_execution_error_marks_job_failed(self, service, monkeypatch):
+    def test_execution_error_marks_job_failed(self, service, monkeypatch, tmp_path):
+        """An engine error raised in the worker process fails the job.
+
+        Worker processes are forked at the first job, so the patch is made
+        before any exists and inherited by the fork; it is switched off by
+        removing a file, which a forked worker sees and an undo in this
+        process would not reach.
+        """
         import repro.serve.service as service_mod
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("engine exploded")
+        armed = tmp_path / "explode"
+        armed.touch()
+        real_run_cells = service_mod.run_cells
 
+        def boom(*args, **kwargs):
+            if armed.exists():
+                raise RuntimeError("engine exploded")
+            return real_run_cells(*args, **kwargs)
+
+        assert service.health()["worker_pids"] == []  # nothing forked yet
         monkeypatch.setattr(service_mod, "run_cells", boom)
         record = service.wait(service.submit(TWO_CELLS).id, timeout=120)
         assert record.state == FAILED
         assert "engine exploded" in record.error
         # The failed job released its claims: a fresh submission still runs.
-        monkeypatch.undo()
+        armed.unlink()
         retry = service.wait(service.submit(TWO_CELLS).id, timeout=120)
         assert retry.state == DONE, retry.error
+
+    def test_nested_engine_pool_matches_serial_counters(self, tmp_path):
+        """``jobs=2`` forks an engine pool inside the job's worker process.
+
+        Two benchmarks make two engine cells, so the worker's engine runs
+        them in its own pool; a daemonic worker could not have children.
+        """
+        document = {
+            "cells": [
+                {"benchmark": "gzip", "scheme": "predicate"},
+                {"benchmark": "twolf", "scheme": "predicate"},
+            ],
+            "instructions": 1500,
+        }
+        finished = {}
+        for jobs in (1, 2):
+            service = ExperimentService(
+                ArtifactStore(str(tmp_path / f"cache-{jobs}")), jobs=jobs, workers=1
+            )
+            try:
+                record = service.wait(service.submit(document).id, timeout=120)
+            finally:
+                service.shutdown(wait=True, timeout=10)
+            assert record.state == DONE, record.error
+            finished[jobs] = record
+        counters = [
+            {
+                name: value
+                for name, value in finished[jobs].stats.items()
+                if not name.endswith("_seconds")
+            }
+            for jobs in (1, 2)
+        ]
+        assert counters[0] == counters[1]
+        assert counters[1]["simulations_run"] == 2
+        assert finished[1].result_json == finished[2].result_json
 
     def test_store_stats_shape(self, service):
         stats = service.store_stats()
