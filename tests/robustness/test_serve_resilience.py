@@ -130,6 +130,29 @@ class TestJobDeadline:
         finally:
             service.shutdown(wait=True, timeout=10)
 
+    def test_orphaned_run_finishes_into_the_store(self, activate_faults, tmp_path):
+        activate_faults("stall-simulate:3")
+        store = ArtifactStore(str(tmp_path / "cache"))
+        service = ExperimentService(store, workers=1, job_timeout=1.0)
+        try:
+            record = service.wait(service.submit(ONE_CELL).id, timeout=60)
+            assert record.state == FAILED
+            assert record.error.startswith(JobTimeoutError.__name__)
+            assert store.usage()["results"]["count"] == 0
+            (orphan,) = service.health()["worker_pids"]
+            deadline = time.monotonic() + 60
+            while orphan in service.health()["worker_pids"]:
+                assert time.monotonic() < deadline, "the orphaned run never ended"
+                time.sleep(0.05)
+            # Nothing else ran the cell: the orphan stored its result.
+            assert store.usage()["results"]["count"] == 1
+            retry = service.wait(service.submit(ONE_CELL).id, timeout=120)
+            assert retry.state == DONE, retry.error
+            assert retry.stats["results_loaded"] == 1
+            assert retry.stats["simulations_run"] == 0
+        finally:
+            service.shutdown(wait=True, timeout=10)
+
 
 # ----------------------------------------------------------------------
 # Worker processes
