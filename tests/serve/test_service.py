@@ -8,6 +8,8 @@ job completion drives size-gated store eviction.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.engine.store import ArtifactStore
@@ -171,6 +173,35 @@ class TestService:
         assert coalesced == 2  # the loser waited on both keys
         # Both jobs return the same physical results.
         assert a.result_json == b.result_json
+
+    def test_more_workers_than_cores_simulate_each_key_once(self, store):
+        """Stress: 4 worker processes, 12 overlapping jobs, 3 distinct keys.
+
+        A lost claim update would let two jobs simulate the same key.
+        """
+        schemes = ("conventional", "predicate", "wish")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        service = ExperimentService(store, workers=4)
+        try:
+            records = [
+                service.submit(
+                    {
+                        "cells": [{"benchmark": "gzip", "scheme": schemes[i % 3]}],
+                        "instructions": 1500,
+                    }
+                )
+                for i in range(12)
+            ]
+            for record in records:
+                service.wait(record.id, timeout=120)
+        finally:
+            service.shutdown(wait=True, timeout=10)
+            sys.setswitchinterval(interval)
+        assert [record.state for record in records] == [DONE] * 12
+        assert sum(record.stats["simulations_run"] for record in records) == 3
+        for index, record in enumerate(records):
+            assert record.result_json == records[index % 3].result_json
 
     def test_sequential_duplicate_is_a_pure_cache_hit(self, service):
         first = service.wait(service.submit(TWO_CELLS).id, timeout=120)
