@@ -248,6 +248,7 @@ class TestWorkerProcesses:
         finally:
             daemon.kill()
             daemon.wait(timeout=30)
+            daemon.stdout.close()
         deadline = time.monotonic() + 10
         while any(_running(int(pid)) for pid in workers):
             assert time.monotonic() < deadline, f"workers {workers} outlived the daemon"
