@@ -10,7 +10,8 @@ unified :func:`repro.engine.run.run_cells` entrypoint onto one shared
 :class:`~repro.engine.store.ArtifactStore`.  The worker processes are
 forked at their scheduler's first job and live until shutdown, so
 concurrent jobs use separate cores instead of taking turns under one
-interpreter lock.
+interpreter lock.  They run at the lowest CPU priority, so the daemon's
+own threads take a core ahead of a simulation.
 
 Two multi-tenant properties live here:
 
@@ -1013,14 +1014,18 @@ def _result_row(result, benchmark: str, scheme: str, label: str) -> Dict[str, An
 #: Seconds between a worker's checks that the service process is alive.
 _ORPHAN_POLL_S = 0.5
 
+#: The niceness a worker process adds to its own (the kernel caps the sum
+#: at 19, the lowest priority).
+_WORKER_NICENESS = 19
+
 #: What a job's worker receives: (profile, store root, engine jobs,
 #: checkpoint_every, job id, requests).
 _JobPayload = Tuple[Any, str, int, Optional[int], str, List[CellRequest]]
 
 
 def _worker_init() -> None:
-    """Worker start-up: its own process group, default signal actions, and
-    an exit when the service process dies.
+    """Worker start-up: its own process group, the lowest CPU priority,
+    default signal actions, and an exit when the service process dies.
 
     The group lets the service kill a worker together with the processes
     its engine forked (``jobs > 1``); a terminal's Ctrl-C reaches only the
@@ -1030,8 +1035,14 @@ def _worker_init() -> None:
     outright cannot stop its workers, and an idle worker would wait for
     its next job forever (holding the daemon's inherited listening
     socket), so a watchdog thread exits the worker once it is orphaned.
+
+    Simulations are batch work: at the lowest priority (inherited by the
+    engine's pool) they take whatever CPU the daemon process leaves idle,
+    while its own threads — HTTP handlers, schedulers, or the program that
+    embeds the service — take a core ahead of them whenever they need one.
     """
     os.setpgid(0, 0)
+    os.nice(_WORKER_NICENESS)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
     parent = os.getppid()

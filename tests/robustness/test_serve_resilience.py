@@ -213,6 +213,20 @@ class TestWorkerProcesses:
         finally:
             service.shutdown(wait=True, timeout=10)
 
+    def test_workers_run_at_the_lowest_cpu_priority(self, tmp_path):
+        """The service's own threads take a core ahead of a simulation."""
+        own = os.getpriority(os.PRIO_PROCESS, 0)
+        store = ArtifactStore(str(tmp_path / "cache"))
+        service = ExperimentService(store, workers=1)
+        try:
+            record = service.wait(service.submit(ONE_CELL).id, timeout=120)
+            assert record.state == DONE, record.error
+            (worker,) = service.health()["worker_pids"]
+            assert os.getpriority(os.PRIO_PROCESS, worker) == 19
+            assert os.getpriority(os.PRIO_PROCESS, 0) == own
+        finally:
+            service.shutdown(wait=True, timeout=10)
+
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
     def test_workers_exit_when_the_service_process_is_killed(self, tmp_path):
         """A daemon killed outright cannot stop its workers; they notice."""
