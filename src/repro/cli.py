@@ -631,9 +631,13 @@ def _command_cache(args: argparse.Namespace) -> str:
         store.ensure_root()
         return store.root
     if args.action == "clear":
+        stale = store.stale_usage() if args.kind is None else None
         removed = store.clear(args.kind)
         scope = args.kind or "all kinds"
-        return f"removed {removed} artifacts ({scope}) from {store.root}"
+        message = f"removed {removed} artifacts ({scope}) from {store.root}"
+        if stale and stale["bytes"]:
+            message += f", and {stale['bytes'] / 1024:.1f} KiB of earlier store formats"
+        return message
     if args.action == "quarantine":
         if args.subaction == "clear":
             removed = store.clear_quarantine()
@@ -684,6 +688,13 @@ def _command_cache(args: argparse.Namespace) -> str:
             f"  {'quarantine':10s} {quarantine['count']:5d} artifacts  "
             f"{quarantine['bytes'] / 1024:8.1f} KiB"
             "  (damaged; 'repro cache quarantine' to inspect)"
+        )
+    stale = report["stale"]
+    if stale["bytes"]:
+        lines.append(
+            f"  {'stale':10s} {stale['count']:5d} artifacts  "
+            f"{stale['bytes'] / 1024:8.1f} KiB"
+            "  (earlier store formats, never read; 'repro cache clear' removes them)"
         )
     return "\n".join(lines)
 

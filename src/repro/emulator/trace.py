@@ -157,8 +157,9 @@ def serialize_trace(trace: Trace) -> bytes:
     return trace.to_bytes()
 
 
-def deserialize_trace(data: bytes) -> Trace:
-    """Decode a trace produced by :func:`serialize_trace`.
+def deserialize_trace(data) -> Trace:
+    """Decode a trace produced by :func:`serialize_trace` from any
+    bytes-like object.
 
     Columnar payloads decode to a :class:`TracePack`; pickle payloads
     (format 1 archives included) decode to the object list they carry.

@@ -538,13 +538,14 @@ class TracePack:
         return PACK_MAGIC + struct.pack("<I", len(header)) + header + body
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "TracePack":
-        """Decode a pack written by :meth:`to_bytes`."""
-        if data[:4] != PACK_MAGIC:
+    def from_bytes(cls, data) -> "TracePack":
+        """Decode a pack written by :meth:`to_bytes` from any bytes-like
+        object (a ``memoryview`` of a store payload decodes without a copy)."""
+        if bytes(data[:4]) != PACK_MAGIC:
             raise ValueError("not a columnar trace pack (bad magic)")
         (header_len,) = struct.unpack_from("<I", data, 4)
         header_end = 8 + header_len
-        header = json.loads(data[8:header_end].decode("utf-8"))
+        header = json.loads(bytes(data[8:header_end]))
         body = zlib.decompress(data[header_end:])
         columns: Dict[str, Any] = {}
         offset = 0
@@ -661,8 +662,9 @@ class ChunkedTracePack:
         )
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "ChunkedTracePack":
-        """Open an RTP3 payload; only segment headers are parsed eagerly."""
+    def from_bytes(cls, data) -> "ChunkedTracePack":
+        """Open an RTP3 payload from any bytes-like object; only segment
+        headers are parsed eagerly, and segments stay views of ``data``."""
         if bytes(data[:4]) != CHUNK_MAGIC:
             raise ValueError("not a chunked trace pack (bad magic)")
         view = memoryview(data)
@@ -724,7 +726,7 @@ class ChunkedTracePack:
                 self._decoded.remove(index)
                 self._decoded.append(index)
             return pack
-        pack = TracePack.from_bytes(bytes(self._blobs[index]))
+        pack = TracePack.from_bytes(self._blobs[index])
         self._packs[index] = pack
         self._decoded.append(index)
         while len(self._decoded) > self._DECODE_CACHE:

@@ -11,23 +11,29 @@ or re-traces a (benchmark, flavour) cell the first run already produced.
 Layout (all artifacts live under a format-version directory so format bumps
 invalidate everything at once)::
 
-    <root>/v1/binaries/<key>.pkl   + <key>.json   (metadata sidecar)
-    <root>/v1/traces/<key>.pkl    + <key>.json
-    <root>/v1/results/<key>.pkl   + <key>.json
+    <root>/v2/binaries/<key>.pkl   + <key>.json   (metadata sidecar)
+    <root>/v2/traces/<key>.pkl    + <key>.json
+    <root>/v2/results/<key>.pkl   + <key>.json
 
 Writes are atomic (unique temp file + ``os.replace``) so concurrent worker
-processes can share one store.
+processes can share one store.  Directories of earlier format versions
+(``v1/``, ...) are never read; ``repro cache stats`` reports their bytes
+and ``repro cache clear`` removes them.
 
-**Integrity.** Every ``put`` records a SHA-256 digest of the encoded
-payload in the metadata sidecar, and every ``get`` verifies it before
-decoding — so at-rest corruption (bit flips, torn writes) is *detected*,
-not just decode failures.  Damaged artifacts are **quarantined** (moved to
-``<root>/v1/quarantine/``, surfaced by :meth:`ArtifactStore.usage` and the
-``repro cache stats`` CLI) rather than silently deleted, and the ``get``
-reports a miss so the caller transparently regenerates the artifact.
-Orphaned ``.json`` sidecars — left when a crash interrupts a remove
-between the payload unlink and the sidecar unlink — are swept by
-:meth:`ArtifactStore.ensure_root`.
+**Integrity.** Every payload file is the encoded artifact followed by the
+raw 32-byte SHA-256 of those bytes (a trailer, because a streamed payload's
+digest is known only after its last byte).  Every ``get`` opens that one
+file, reads it whole and checks the trailer before decoding — so at-rest
+corruption (bit flips, torn writes, a swapped file) is *detected*, not
+just decode failures, and no read depends on the metadata sidecar.
+Damaged artifacts are **quarantined** (moved to ``<root>/v2/quarantine/``,
+surfaced by :meth:`ArtifactStore.usage` and the ``repro cache stats`` CLI)
+rather than silently deleted, and the ``get`` reports a miss so the caller
+transparently regenerates the artifact.  The ``.json`` sidecar holds only
+descriptive metadata (for :meth:`ArtifactStore.entries`, quarantine
+reasons and ``repro cache``).  Orphaned sidecars — left when a crash
+interrupts a remove between the payload unlink and the sidecar unlink —
+are swept by :meth:`ArtifactStore.ensure_root`.
 
 For long-running multi-tenant use (the ``repro serve`` daemon) the store
 also supports **size-gated LRU eviction**: every cache hit touches the
@@ -42,6 +48,7 @@ import hashlib
 import json
 import os
 import pickle
+import shutil
 import time
 import uuid
 from typing import Any, Callable, Collection, Dict, List, Optional, Tuple
@@ -52,8 +59,12 @@ from repro.log import get_logger
 
 _log = get_logger(__name__)
 
-#: Bump to invalidate every previously stored artifact.
-STORE_FORMAT_VERSION = 1
+#: Bump to invalidate every previously stored artifact.  Version 2 moved
+#: the SHA-256 digest from the metadata sidecar into a payload trailer.
+STORE_FORMAT_VERSION = 2
+
+#: Length of the SHA-256 trailer that ends every payload file.
+DIGEST_BYTES = hashlib.sha256().digest_size
 
 #: Artifact kinds, in build order.  Checkpoints are mid-simulation resume
 #: snapshots (windowed runs; see :mod:`repro.pipeline.windowed`) — transient
@@ -74,11 +85,39 @@ def default_cache_dir(explicit: Optional[str] = None) -> str:
     return explicit or os.environ.get(CACHE_DIR_ENV) or DEFAULT_CACHE_DIR
 
 
-def _read_bytes(path: str) -> bytes:
-    """A whole file's bytes, read unbuffered (one sized read, no copy
-    through a buffer layer)."""
-    with open(path, "rb", buffering=0) as handle:
-        return handle.read()
+def _read_verified(path: str) -> Optional[memoryview]:
+    """The body of the payload file at ``path`` when its trailer is the
+    SHA-256 of the rest, else ``None``; raises :class:`OSError` when the
+    file cannot be opened or read.
+
+    The file is read whole into one buffer, looping on short reads (chunked
+    traces can be gigabytes), and the body is returned as a view of that
+    buffer, so decoders never see a second copy.  A verified payload's
+    mtime is touched through the same descriptor (its last hit, which
+    eviction orders by).
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        buffer = memoryview(bytearray(size))
+        filled = 0
+        while filled < size:
+            count = os.readv(fd, [buffer[filled:]])
+            if not count:
+                break
+            filled += count
+        if filled < DIGEST_BYTES:
+            return None
+        body = buffer[: filled - DIGEST_BYTES]
+        if hashlib.sha256(body).digest() != buffer[filled - DIGEST_BYTES : filled]:
+            return None
+        try:
+            os.utime(fd)
+        except OSError:
+            pass
+        return body
+    finally:
+        os.close(fd)
 
 
 def _pickle_dumps(obj: Any) -> bytes:
@@ -88,7 +127,7 @@ def _pickle_dumps(obj: Any) -> bytes:
 #: Per-kind (encode, decode) codecs.  Traces use the versioned columnar
 #: encoding from the emulator layer (see :mod:`repro.emulator.trace`);
 #: binaries and results are plain pickles.
-_CODECS: Dict[str, Tuple[Callable[[Any], bytes], Callable[[bytes], Any]]] = {
+_CODECS: Dict[str, Tuple[Callable[[Any], bytes], Callable[[memoryview], Any]]] = {
     BINARIES: (_pickle_dumps, pickle.loads),
     TRACES: (serialize_trace, deserialize_trace),
     RESULTS: (_pickle_dumps, pickle.loads),
@@ -101,6 +140,8 @@ class ArtifactStore:
 
     def __init__(self, root: Optional[str] = None) -> None:
         self.root = default_cache_dir(root)
+        self._base = os.path.join(self.root, f"v{STORE_FORMAT_VERSION}")
+        self._dirs = {kind: os.path.join(self._base, kind) for kind in KINDS}
 
     # ------------------------------------------------------------------
     def ensure_root(self) -> Optional[str]:
@@ -120,13 +161,12 @@ class ArtifactStore:
         sidecar without a payload is always stale — never a write in
         flight.
         """
-        base = os.path.join(self.root, f"v{STORE_FORMAT_VERSION}")
         try:
-            os.makedirs(base, exist_ok=True)
+            os.makedirs(self._base, exist_ok=True)
         except OSError:
             return None
         self._sweep_orphan_sidecars()
-        return base
+        return self._base
 
     def _sweep_orphan_sidecars(self) -> int:
         """Remove ``.json`` sidecars whose payload is gone; return count."""
@@ -153,22 +193,20 @@ class ArtifactStore:
         return removed
 
     def _kind_dir(self, kind: str) -> str:
-        if kind not in KINDS:
-            raise ValueError(f"unknown artifact kind {kind!r}; expected {KINDS}")
-        return os.path.join(self.root, f"v{STORE_FORMAT_VERSION}", kind)
-
-    def _paths(self, kind: str, key: str) -> Tuple[str, str]:
-        """The payload and metadata-sidecar paths of ``key``: the one place
-        the on-disk naming rule is written."""
-        stem = os.path.join(self._kind_dir(kind), key)
-        return f"{stem}.pkl", f"{stem}.json"
+        try:
+            return self._dirs[kind]
+        except KeyError:
+            raise ValueError(
+                f"unknown artifact kind {kind!r}; expected {KINDS}"
+            ) from None
 
     def path(self, kind: str, key: str) -> str:
         """Path of the artifact payload for ``key`` (may not exist)."""
-        return self._paths(kind, key)[0]
+        return f"{self._kind_dir(kind)}{os.sep}{key}.pkl"
 
     def _meta_path(self, kind: str, key: str) -> str:
-        return self._paths(kind, key)[1]
+        """Path of the metadata sidecar for ``key`` (may not exist)."""
+        return f"{self._kind_dir(kind)}{os.sep}{key}.json"
 
     # ------------------------------------------------------------------
     def contains(self, kind: str, key: str) -> bool:
@@ -178,99 +216,71 @@ class ArtifactStore:
     def get(self, kind: str, key: str) -> Optional[Any]:
         """Load one artifact, or ``None`` on a miss.
 
-        The payload's SHA-256 digest is verified against the metadata
-        sidecar (when one recorded it) *before* decoding, so silent at-rest
-        corruption — a bit flip that still unpickles — is caught, not just
-        decode failures.  Damaged artifacts are quarantined (moved under
-        ``<root>/v1/quarantine/``, never silently deleted) and reported as
-        misses, so the caller transparently regenerates them while the
-        evidence stays inspectable.  A sidecar that exists but does not
-        parse is damage too (sidecars are written atomically): the
-        artifact is quarantined rather than decoded unverified.
+        A hit opens exactly one file: the payload is read whole and its
+        SHA-256 trailer verified *before* decoding, so silent at-rest
+        corruption — a bit flip that still unpickles, a payload overwritten
+        by another valid pickle — is caught, not just decode failures.  The
+        sidecar plays no part.  Damaged artifacts are quarantined (moved
+        under ``<root>/v2/quarantine/``, never silently deleted) and
+        reported as misses, so the caller transparently regenerates them
+        while the evidence stays inspectable.
         """
-        path, meta_path = self._paths(kind, key)
         try:
-            data = _read_bytes(path)
+            body = _read_verified(self.path(kind, key))
         except OSError:
             return None
-        try:
-            recorded = self._recorded_digest(meta_path)
-        except ValueError:
-            self._quarantine(kind, key, "metadata sidecar unreadable")
-            return None
-        if recorded is not None and hashlib.sha256(data).hexdigest() != recorded:
+        if body is None:
             self._quarantine(kind, key, "payload digest mismatch")
             return None
         try:
-            obj = _CODECS[kind][1](data)
+            return _CODECS[kind][1](body)
         except Exception as error:
             self._quarantine(kind, key, f"decode failed: {type(error).__name__}")
             return None
-        # Record the hit: payload mtime is the artifact's last-hit time,
-        # which is what size-gated eviction orders by (LRU).
-        try:
-            os.utime(path, None)
-        except OSError:
-            pass
-        return obj
 
     def put(
         self, kind: str, key: str, obj: Any, metadata: Optional[Dict[str, Any]] = None
     ) -> str:
         """Store one artifact atomically and return its payload path.
 
-        The metadata sidecar records a SHA-256 digest of the encoded
-        payload; :meth:`get` verifies it on every load.
+        The payload file is the encoded artifact followed by its SHA-256
+        trailer, which :meth:`get` verifies on every load.
         """
         directory = self._kind_dir(kind)
         os.makedirs(directory, exist_ok=True)
         data = _CODECS[kind][0](obj)
         path = self.path(kind, key)
-        self._atomic_write(directory, path, data)
+        self._atomic_write(directory, path, data, hashlib.sha256(data).digest())
+        self._write_meta(directory, kind, key, len(data) + DIGEST_BYTES, metadata)
+        # Chaos-testing hook: corrupt-artifact-bytes / truncate-payload
+        # damage the payload *after* its trailer was written, exactly like
+        # post-write bit rot (no-op unless REPRO_FAULTS enables them).
+        faults.corrupt_payload(path)
+        return path
+
+    def _write_meta(
+        self,
+        directory: str,
+        kind: str,
+        key: str,
+        size: int,
+        metadata: Optional[Dict[str, Any]],
+    ) -> None:
+        """Write the descriptive metadata sidecar of one stored payload."""
         meta = dict(metadata or {})
-        meta.update(
-            kind=kind,
-            key=key,
-            size_bytes=len(data),
-            created=time.time(),
-            sha256=hashlib.sha256(data).hexdigest(),
-        )
+        meta.update(kind=kind, key=key, size_bytes=size, created=time.time())
         self._atomic_write(
             directory,
             self._meta_path(kind, key),
             json.dumps(meta, sort_keys=True).encode("utf-8"),
         )
-        # Chaos-testing hook: corrupt-artifact-bytes / truncate-payload
-        # damage the payload *after* the true digest was recorded, exactly
-        # like post-write bit rot (no-op unless REPRO_FAULTS enables them).
-        faults.corrupt_payload(path)
-        return path
 
     @staticmethod
-    def _recorded_digest(meta_path: str) -> Optional[str]:
-        """The digest recorded in the sidecar at ``meta_path``, or ``None``
-        when not recorded.
-
-        A missing sidecar is not damage: a concurrent ``put`` writes the
-        payload before its sidecar.  Neither is a legacy sidecar without a
-        ``sha256`` field.  A sidecar that does not parse as a JSON object
-        raises :class:`ValueError`.
-        """
-        try:
-            raw = _read_bytes(meta_path)
-        except OSError:
-            return None
-        meta = json.loads(raw)
-        if not isinstance(meta, dict):
-            raise ValueError("metadata sidecar is not a JSON object")
-        digest = meta.get("sha256")
-        return digest if isinstance(digest, str) else None
-
-    @staticmethod
-    def _atomic_write(directory: str, path: str, data: bytes) -> None:
+    def _atomic_write(directory: str, path: str, *chunks: bytes) -> None:
         tmp = os.path.join(directory, f".tmp-{uuid.uuid4().hex}")
         with open(tmp, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
 
     def _remove(self, kind: str, key: str) -> None:
@@ -313,33 +323,23 @@ class ArtifactStore:
         ``path`` must hold bytes the kind's codec decodes (for traces: the
         versioned trace encoding, e.g. an RTP3 chunk stream written by
         :class:`~repro.emulator.tracepack.ChunkedPackWriter`).  The file is
-        renamed into place — the streaming counterpart of :meth:`put`, with
-        the same digest-recording sidecar and integrity guarantees, without
-        ever holding the payload in memory.
+        hashed, its SHA-256 trailer appended and the file renamed into place
+        — the streaming counterpart of :meth:`put`, with the same integrity
+        guarantees and one atomic ``os.replace``, without ever holding the
+        payload in memory.
         """
         directory = self._kind_dir(kind)
         os.makedirs(directory, exist_ok=True)
         digest = hashlib.sha256()
         size = 0
-        with open(path, "rb") as handle:
+        with open(path, "r+b") as handle:
             for block in iter(lambda: handle.read(1 << 20), b""):
                 digest.update(block)
                 size += len(block)
+            handle.write(digest.digest())
         target = self.path(kind, key)
         os.replace(path, target)
-        meta = dict(metadata or {})
-        meta.update(
-            kind=kind,
-            key=key,
-            size_bytes=size,
-            created=time.time(),
-            sha256=digest.hexdigest(),
-        )
-        self._atomic_write(
-            directory,
-            self._meta_path(kind, key),
-            json.dumps(meta, sort_keys=True).encode("utf-8"),
-        )
+        self._write_meta(directory, kind, key, size + DIGEST_BYTES, metadata)
         faults.corrupt_payload(target)
         return target
 
@@ -348,7 +348,7 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     def quarantine_dir(self) -> str:
         """Directory holding quarantined (damaged) artifacts."""
-        return os.path.join(self.root, f"v{STORE_FORMAT_VERSION}", "quarantine")
+        return os.path.join(self._base, "quarantine")
 
     def _quarantine(self, kind: str, key: str, reason: str) -> None:
         """Move a damaged artifact (payload + sidecar) into quarantine.
@@ -506,7 +506,9 @@ class ArtifactStore:
         bytes across kinds — the number eviction gates on.  A ``quarantine``
         pseudo-kind reports damaged artifacts set aside by :meth:`get`;
         those bytes are *not* part of ``total`` (they are never evicted or
-        served, only inspected and cleared).
+        served, only inspected and cleared).  Neither are the bytes of a
+        ``stale`` pseudo-kind (:meth:`stale_usage`): directories of earlier
+        store formats, which nothing reads.
         """
         self.ensure_root()
         report: Dict[str, Dict[str, Any]] = {}
@@ -532,7 +534,44 @@ class ArtifactStore:
             }
         report["total"] = {"count": total_count, "bytes": total_bytes}
         report["quarantine"] = dict(self.quarantine_usage())
+        report["stale"] = self.stale_usage()
         return report
+
+    def _stale_dirs(self) -> List[str]:
+        """Directories of earlier store formats: ``<root>/v<N>/`` for every
+        ``N`` below :data:`STORE_FORMAT_VERSION`."""
+        try:
+            names = sorted(os.listdir(self.root))
+        except OSError:
+            return []
+        return [
+            os.path.join(self.root, name)
+            for name in names
+            if name[:1] == "v"
+            and name[1:].isdigit()
+            and int(name[1:]) < STORE_FORMAT_VERSION
+            and os.path.isdir(os.path.join(self.root, name))
+        ]
+
+    def stale_usage(self) -> Dict[str, int]:
+        """Artifact payloads and total file bytes under stale format
+        directories.
+
+        A format bump leaves the old ``v<N>/`` tree behind, invisible to
+        :meth:`stats`, :meth:`evict` and a per-kind :meth:`clear`; this is
+        how ``repro cache stats`` shows the disk space it still holds.
+        """
+        count = 0
+        size = 0
+        for directory in self._stale_dirs():
+            for parent, _, names in os.walk(directory):
+                for name in names:
+                    count += name.endswith(".pkl")
+                    try:
+                        size += os.path.getsize(os.path.join(parent, name))
+                    except OSError:
+                        pass
+        return {"count": count, "bytes": size}
 
     def _payloads(self, kind: str):
         """Yield ``(key, os.stat result)`` of every payload of one kind."""
@@ -589,7 +628,15 @@ class ArtifactStore:
         return removed
 
     def clear(self, kind: Optional[str] = None) -> int:
-        """Delete stored artifacts (one kind, or everything); return count."""
+        """Delete stored artifacts (one kind, or everything); return count.
+
+        Clearing everything also removes the directories of stale store
+        formats (:meth:`stale_usage`); the returned count covers the
+        current format only.  Quarantine is left alone.
+        """
+        if not kind:
+            for directory in self._stale_dirs():
+                shutil.rmtree(directory, ignore_errors=True)
         kinds = (kind,) if kind else KINDS
         removed = 0
         for one in kinds:

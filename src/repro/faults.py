@@ -23,7 +23,7 @@ Each entry is ``point[:arg]`` where ``arg`` is a positive integer (default
     finish bit-identically.  Fires once.
 ``corrupt-artifact-bytes:N``
     The ``N``-th artifact written to a store has one payload byte flipped
-    after the digest was recorded — the stand-in for at-rest bit rot.
+    after its digest trailer was written — the stand-in for at-rest bit rot.
     Fires once.
 ``truncate-payload:N``
     The ``N``-th artifact written to a store loses the second half of its
@@ -244,8 +244,8 @@ def corrupt_payload(path: str) -> None:
 
     Applies ``corrupt-artifact-bytes`` (flip one byte mid-payload) or
     ``truncate-payload`` (drop the second half) when they fire.  The store
-    already recorded the true digest, so the next ``get`` must detect the
-    damage and quarantine the artifact.
+    already wrote the payload's true digest as its trailer, so the next
+    ``get`` must detect the damage and quarantine the artifact.
     """
     if should_fire(CORRUPT_ARTIFACT) is not None:
         try:

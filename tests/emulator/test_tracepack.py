@@ -275,6 +275,27 @@ class TestChunkedRoundTrip:
             ChunkedTracePack.from_bytes(damaged)
 
 
+class TestMemoryviewDecode:
+    """The store decodes from a view of its read buffer, never a copy."""
+
+    @pytest.mark.parametrize("cuts", [[], [1_500, 3_000]], ids=["monolithic", "chunked"])
+    def test_view_decodes_like_bytes(self, loop_trace, cuts):
+        if cuts:
+            trace = ChunkedTracePack.from_segments(_split_at(loop_trace, cuts))
+        else:
+            trace = TracePack.from_dyninsts(loop_trace)
+        data = serialize_trace(trace)
+        # A view into a larger writable buffer, as the store hands over.
+        view = memoryview(bytearray(data + b"trailer"))[: len(data)]
+        from_bytes = deserialize_trace(data)
+        from_view = deserialize_trace(view)
+        assert type(from_view) is type(from_bytes)
+        assert len(from_view) == len(loop_trace)
+        for ref, got in zip(from_bytes.to_dyninsts(), from_view.to_dyninsts()):
+            assert dyn_state(ref) == dyn_state(got)
+        assert serialize_trace(from_view) == data
+
+
 class TestBackwardCompatibility:
     def test_v1_pickle_still_loads(self, loop_trace):
         archived = pickle.dumps((1, loop_trace), protocol=pickle.HIGHEST_PROTOCOL)

@@ -214,3 +214,58 @@ class TestCacheStatsLazyRoot:
         assert main(["cache", "path"]) == 0
         assert str(root) in capsys.readouterr().out
         assert root.exists()
+
+
+class TestStaleFormats:
+    """A format bump leaves ``v<N>/`` behind; stats count it, clear removes it."""
+
+    @staticmethod
+    def _old_tree(root):
+        old = root / "v1" / "results"
+        old.mkdir(parents=True)
+        (old / "a.pkl").write_bytes(b"x" * 3000)
+        (old / "a.json").write_bytes(b"{}")
+        (old / "b.pkl").write_bytes(b"y" * 1000)
+        (root / "v1" / "quarantine").mkdir()
+        (root / "v1" / "quarantine" / "results__c.pkl").write_bytes(b"z" * 96)
+        return root / "v1"
+
+    def test_usage_reports_stale_bytes_outside_total(self, tmp_path, artifacts):
+        _, _, result = artifacts
+        store = ArtifactStore(str(tmp_path))
+        self._old_tree(tmp_path)
+        (tmp_path / "vnext").mkdir()  # not a format directory
+        store.put(RESULTS, "k", result)
+        report = store.usage()
+        assert report["stale"] == {"count": 3, "bytes": 3000 + 2 + 1000 + 96}
+        assert report["total"]["count"] == 1
+        assert report["total"]["bytes"] == os.path.getsize(store.path(RESULTS, "k"))
+        assert store.evict(0)["count"] == 1
+        assert store.stale_usage() == report["stale"]
+
+    def test_clear_of_one_kind_keeps_stale_formats(self, tmp_path):
+        store = ArtifactStore(str(tmp_path))
+        old = self._old_tree(tmp_path)
+        store.clear(RESULTS)
+        assert old.exists()
+
+    def test_cli_stats_and_clear(self, tmp_path, capsys, monkeypatch, artifacts):
+        _, _, result = artifacts
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        old = self._old_tree(tmp_path)
+        (tmp_path / "serve-journal.jsonl").write_text("{}\n")
+        (tmp_path / "v99").mkdir()  # a later format, of a newer checkout
+        ArtifactStore(str(tmp_path)).put(RESULTS, "k", result)
+        assert main(["cache", "stats"]) == 0
+        stats = capsys.readouterr().out
+        assert "stale" in stats and "3 artifacts" in stats and "4.0 KiB" in stats
+        assert main(["cache", "clear"]) == 0
+        out = capsys.readouterr().out
+        assert "removed 1 artifacts (all kinds)" in out
+        assert "4.0 KiB of earlier store formats" in out
+        assert not old.exists()
+        assert (tmp_path / "serve-journal.jsonl").exists()
+        assert (tmp_path / "v99").exists()
+        assert ArtifactStore(str(tmp_path)).usage()["stale"] == {"count": 0, "bytes": 0}
+        assert main(["cache", "stats"]) == 0
+        assert "stale" not in capsys.readouterr().out

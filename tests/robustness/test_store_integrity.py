@@ -1,7 +1,9 @@
-"""Store integrity: digest verification, quarantine, orphan-sidecar sweep."""
+"""Store integrity: trailer digests, quarantine, orphan-sidecar sweep."""
 
 from __future__ import annotations
 
+import builtins
+import hashlib
 import json
 import os
 import pickle
@@ -17,7 +19,14 @@ from repro.emulator.tracepack import (
     ChunkedTracePack,
     TracePack,
 )
-from repro.engine.store import BINARIES, CHECKPOINTS, RESULTS, TRACES, ArtifactStore
+from repro.engine.store import (
+    BINARIES,
+    CHECKPOINTS,
+    DIGEST_BYTES,
+    RESULTS,
+    TRACES,
+    ArtifactStore,
+)
 from repro.experiments.setup import make_predicate_scheme
 from repro.pipeline.core import OutOfOrderCore
 from repro.workloads.spec_suite import build_workload
@@ -70,13 +79,34 @@ def _payload_objects(artifacts):
     return pairs
 
 
+#: Test ids of the six :func:`_payload_objects` pairs, in order.
+_PAYLOAD_IDS = [
+    "binary", "trace-objects", "result", "checkpoint", "trace-pack", "trace-chunked",
+]
+
+
 class TestDigest:
     def test_put_records_sha256(self, store, artifacts):
         program, _, _ = artifacts
-        store.put(BINARIES, "k", program)
+        path = store.put(BINARIES, "k", program)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        body, trailer = data[:-DIGEST_BYTES], data[-DIGEST_BYTES:]
+        assert DIGEST_BYTES == 32
+        assert trailer == hashlib.sha256(body).digest()
+        assert body == pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
         with open(store._meta_path(BINARIES, "k"), encoding="utf-8") as handle:
-            meta = json.load(handle)
-        assert isinstance(meta["sha256"], str) and len(meta["sha256"]) == 64
+            assert "sha256" not in json.load(handle)
+
+    def test_put_file_appends_the_trailer(self, store, artifacts):
+        _, trace, _ = artifacts
+        encoded = ChunkedTracePack.from_segments([TracePack.from_dyninsts(trace)]).to_bytes()
+        scratch = store.scratch_path(TRACES)
+        with open(scratch, "wb") as handle:
+            handle.write(encoded)
+        target = store.put_file(TRACES, "k", scratch)
+        with open(target, "rb") as handle:
+            assert handle.read() == encoded + hashlib.sha256(encoded).digest()
 
     def test_clean_round_trip_still_hits(self, store, artifacts):
         _, _, result = artifacts
@@ -84,20 +114,27 @@ class TestDigest:
         reloaded = store.get(RESULTS, "k")
         assert reloaded.metrics.summary() == result.metrics.summary()
 
-    def test_legacy_sidecar_without_digest_still_reads(self, store, artifacts):
+    def test_read_never_opens_the_sidecar(self, store, artifacts, monkeypatch):
         _, _, result = artifacts
-        store.put(RESULTS, "k", result)
-        meta_path = store._meta_path(RESULTS, "k")
-        with open(meta_path, encoding="utf-8") as handle:
-            meta = json.load(handle)
-        del meta["sha256"]
-        with open(meta_path, "w", encoding="utf-8") as handle:
-            json.dump(meta, handle)
-        assert store.get(RESULTS, "k") is not None
+        path = store.put(RESULTS, "k", result)
+        opened = []
+
+        def recording(real):
+            def record(file, *args, **kwargs):
+                opened.append(file)
+                return real(file, *args, **kwargs)
+
+            return record
+
+        monkeypatch.setattr(builtins, "open", recording(builtins.open))
+        monkeypatch.setattr(os, "open", recording(os.open))
+        assert store.get(RESULTS, "k").metrics.summary() == result.metrics.summary()
+        monkeypatch.undo()
+        assert opened == [path]
 
 
 class TestDamagedSidecar:
-    """An unparseable sidecar must not switch the digest check off."""
+    """A damaged or missing sidecar never lets a damaged payload through."""
 
     @staticmethod
     def _swap_payload(store, key):
@@ -127,17 +164,40 @@ class TestDamagedSidecar:
         assert not os.path.exists(meta_path)
         entries = store.quarantine_entries()
         assert [entry["quarantine_reason"] for entry in entries] == [
-            "metadata sidecar unreadable"
+            "payload digest mismatch"
         ]
         assert entries[0]["kind"] == RESULTS and entries[0]["key"] == "k"
 
+    def test_swapped_payload_with_deleted_sidecar_is_quarantined(self, store):
+        # The integrity gap of the sidecar digest: with no sidecar there
+        # was nothing to check against, and the swapped object was served.
+        store.put(RESULTS, "k", {"ipc": 1.25})
+        self._swap_payload(store, "k")
+        os.remove(store._meta_path(RESULTS, "k"))
+        assert store.get(RESULTS, "k") is None
+        assert not store.contains(RESULTS, "k")
+        entries = store.quarantine_entries()
+        assert [entry["quarantine_reason"] for entry in entries] == [
+            "payload digest mismatch"
+        ]
+        assert entries[0]["kind"] == RESULTS and entries[0]["key"] == "k"
+        assert store.get(RESULTS, "k") is None
+
     @pytest.mark.parametrize("damaged", [b"", b"\xff\xfe{", b"[1, 2]", b"null"])
-    def test_sidecar_that_is_no_json_object_is_quarantined(self, store, damaged):
+    def test_sidecar_that_is_no_json_object_does_not_decide(self, store, damaged):
+        # Intact payload under a garbled sidecar: a verified hit.
         store.put(RESULTS, "k", {"ipc": 1.25})
         with open(store._meta_path(RESULTS, "k"), "wb") as handle:
             handle.write(damaged)
+        assert store.get(RESULTS, "k") == {"ipc": 1.25}
+        assert store.quarantine_usage()["count"] == 0
+        # Swapped payload under the same garbled sidecar: still quarantined.
+        self._swap_payload(store, "k")
         assert store.get(RESULTS, "k") is None
         assert store.quarantine_usage()["count"] == 1
+        assert store.quarantine_entries()[0]["quarantine_reason"] == (
+            "payload digest mismatch"
+        )
 
     def test_missing_sidecar_still_reads(self, store):
         # A concurrent put sits between its payload and sidecar writes.
@@ -214,30 +274,40 @@ class TestOrphanSidecars:
 class TestCorruptionProperty:
     """Any corruption of any stored payload → quarantine + clean regeneration."""
 
+    @pytest.mark.parametrize("which", range(6), ids=_PAYLOAD_IDS)
     @given(
-        which=st.integers(min_value=0, max_value=5),
-        mode=st.sampled_from(["flip", "truncate"]),
+        mode=st.sampled_from(
+            ["flip", "flip-trailer", "truncate", "truncate-trailer", "short"]
+        ),
         position=st.floats(min_value=0.0, max_value=0.999),
     )
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=15, deadline=None)
     def test_corruption_never_escapes_the_store(
         self, tmp_path_factory, artifacts, which, mode, position
     ):
-        pairs = _payload_objects(artifacts)
-        kind, obj = pairs[which % len(pairs)]
+        kind, obj = _payload_objects(artifacts)[which]
         store = ArtifactStore(str(tmp_path_factory.mktemp("chaos-store")))
         path = store.put(kind, "k", obj)
         size = os.path.getsize(path)
-        offset = min(int(size * position), size - 1)
-        if mode == "flip":
+        if mode == "flip-trailer":
+            offset = size - DIGEST_BYTES + int(DIGEST_BYTES * position)
+        else:
+            offset = min(int(size * position), size - 1)
+        if mode.startswith("flip"):
             with open(path, "r+b") as handle:
                 handle.seek(offset)
                 byte = handle.read(1)
                 handle.seek(offset)
                 handle.write(bytes([byte[0] ^ 0xFF]))
         else:
+            if mode == "truncate":
+                length = max(1, offset)
+            elif mode == "truncate-trailer":
+                length = size - 1 - int((DIGEST_BYTES - 1) * position)
+            else:
+                length = int(DIGEST_BYTES * position)
             with open(path, "r+b") as handle:
-                handle.truncate(max(1, offset))
+                handle.truncate(length)
         # Never an exception: damaged artifacts read as a miss.
         assert store.get(kind, "k") is None
         assert store.quarantine_usage()["count"] == 1
