@@ -7,8 +7,8 @@ Usage::
 
 ``BASE`` is extracted with ``git archive BASE | tar -x`` into a temporary
 directory; the other side is the checkout this script lives in.  For
-``long-trace``, ``shootout-cold`` and then ``sweep-warm`` the gate runs
-``PAIRS`` pairs of
+``long-trace``, ``serve-mixed``, ``shootout-cold`` and then ``sweep-warm``
+the gate runs ``PAIRS`` pairs of
 ``perfbench/run.py --workload W --seed k --seconds SECONDS --trace 0``:
 pair *k* uses seed *k* on both sides, and the side that runs first
 alternates.  Every end-to-end metric of ``BENCHMARK.json`` gets the median
@@ -23,11 +23,14 @@ interval lies wholly below 0.90" cannot catch that loss: its true median
 sits *at* 0.90, so such an interval lies below 0.90 only about half the
 time.  On the 2-vCPU host the gate was sized on, one pair of identical
 trees read 0.945-1.121 on ``sim_inst_per_s`` and 0.934-1.007 on
-``cells_per_s``; the full gate takes about ten minutes there.  How often
-it fails identical trees is not known, on that host or on CI runners
-(see ``docs/internals/performance.md``).
+``cells_per_s``, and ten pairs read 0.870-1.084 on ``serve-mixed``'s
+``jobs_per_s``.  How often the gate fails identical trees is not known,
+on that host or on CI runners (see ``docs/internals/performance.md``).
 
-The last line of standard output is one JSON object with the verdict.
+The last line of standard output is one JSON object with the verdict.  Its
+``head`` is the checkout's commit, with ``+dirty`` appended (and a warning
+printed) when the checkout has uncommitted changes, since the measured
+tree is then not that commit.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ THRESHOLD = 0.95
 #: sorted keys), and the throughput each is gated on.
 GATED = {
     "long-trace": "sim_inst_per_s",
+    "serve-mixed": "jobs_per_s",
     "shootout-cold": "sim_inst_per_s",
     "sweep-warm": "cells_per_s",
 }
@@ -171,6 +175,17 @@ def _revision(name: str) -> str:
     return done.stdout.strip()
 
 
+def _head() -> str:
+    """The checkout's commit, as ``<sha>+dirty`` if its tree has uncommitted changes."""
+    head = _revision("HEAD")
+    command = ["git", "status", "--porcelain"]
+    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, check=True)
+    if not done.stdout.strip():
+        return head
+    print(f"paired_bench: warning: uncommitted changes, head recorded as {head}+dirty")
+    return f"{head}+dirty"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -178,7 +193,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     started = time.perf_counter()
     metrics = end_to_end_metrics()
-    summary: Dict[str, Any] = {"base": _revision(argv[0]), "head": _revision("HEAD")}
+    summary: Dict[str, Any] = {"base": _revision(argv[0]), "head": _head()}
     summary.update(pairs=PAIRS, seconds=SECONDS, threshold=THRESHOLD, workloads={})
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as base_dir:
         extract = f"git archive {summary['base']} | tar -x -C '{base_dir}'"

@@ -5,10 +5,13 @@ Starts the daemon as a subprocess on an ephemeral port, submits a
 rob-scaling sweep at a small instruction budget through the ``repro
 submit`` CLI, follows with a cell-document submission of a wish-branch
 cell (the non-paper scheme kinds go through the same submit path), polls
-both to completion, reads the daemon's worker processes from
-``/v1/health``, then sends SIGTERM and asserts the daemon exits cleanly
-(status 0) and leaves none of those workers alive.  A *second* daemon is
-then started over
+both to completion, and checks that one long-poll
+(``GET /v1/jobs/<id>?wait=30``) sees a further job done in a single
+request.  It then submits a slow job, holds a long-poll on it, reads the
+daemon's worker processes from ``/v1/health``, sends SIGTERM, and
+asserts the daemon exits cleanly (status 0) despite the pending
+long-poll, releases that long-poll, and leaves none of those workers
+alive.  A *second* daemon is then started over
 the same cache directory: its job journal must list the first daemon's
 job as done (``recovered``) and still serve its result — the restart
 recovery path, over the wire.  Exercises exactly what a deployment
@@ -29,6 +32,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import urllib.request
 
@@ -71,8 +75,30 @@ def stop_daemon(daemon):
 
 
 def get_json(url):
-    with urllib.request.urlopen(url, timeout=30) as response:
+    with urllib.request.urlopen(url, timeout=40) as response:
         return json.loads(response.read())
+
+
+def post_json(url, document):
+    body = json.dumps(document).encode("utf-8")
+    request = urllib.request.Request(url, data=body, headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=30) as response:
+        return json.loads(response.read())
+
+
+def long_poll_in_background(url, job_id):
+    """Start ``GET /v1/jobs/<id>?wait=30`` on a thread; return it and its outcome list."""
+    outcome = []
+
+    def poll():
+        try:
+            outcome.append(get_json(f"{url}/v1/jobs/{job_id}?wait=30")["state"])
+        except OSError as error:
+            outcome.append(f"connection closed ({error})")
+
+    thread = threading.Thread(target=poll, daemon=True)
+    thread.start()
+    return thread, outcome
 
 
 def alive(pids, grace=5.0):
@@ -187,14 +213,41 @@ def main() -> int:
             )
             return 1
 
+        # One long-poll sees a job through to the end: no stream of polls.
+        cell = {"benchmark": "twolf", "scheme": "predicate"}
+        quick = post_json(f"{url}/v1/jobs", {"cells": [cell], "instructions": int(budget)})
+        state = get_json(f"{url}/v1/jobs/{quick['id']}?wait=30")["state"]
+        if state != "done":
+            print(f"FAIL: one ?wait=30 long-poll answered {state!r}", file=sys.stderr)
+            return 1
+
+        # A job still running at SIGTERM, with a long-poll pending on it.
+        slow = post_json(f"{url}/v1/jobs", {"cells": [cell], "instructions": 1_000_000})
+        deadline = time.monotonic() + 30
+        while get_json(f"{url}/v1/jobs/{slow['id']}")["state"] == "queued":
+            if time.monotonic() > deadline:
+                print("FAIL: the slow job never started", file=sys.stderr)
+                return 1
+            time.sleep(0.05)
+        poll, outcome = long_poll_in_background(url, slow["id"])
         workers = get_json(f"{url}/v1/health")["worker_pids"]
         if not workers:
             print("FAIL: /v1/health lists no worker processes", file=sys.stderr)
             return 1
+        time.sleep(0.5)  # let the long-poll reach its wait
+        stopped = time.monotonic()
         code = stop_daemon(daemon)
         if code != 0:
             print(f"FAIL: daemon exited {code!r} on SIGTERM", file=sys.stderr)
             return 1
+        poll.join(timeout=5)
+        if poll.is_alive() or outcome == ["done"]:
+            print(f"FAIL: the pending long-poll was not released ({outcome})", file=sys.stderr)
+            return 1
+        print(
+            f"daemon exited {time.monotonic() - stopped:.1f}s after SIGTERM; "
+            f"the pending long-poll ended with {outcome[0]}"
+        )
         survivors = alive(workers)
         if survivors:
             print(
@@ -238,9 +291,10 @@ def main() -> int:
             print(f"FAIL: restarted daemon exited {code!r} on SIGTERM", file=sys.stderr)
             return 1
         print(
-            f"serve smoke: OK (submit completed, {len(workers)} worker "
-            "processes stopped with the daemon, daemon restarted, "
-            f"job {job_id} recovered from the journal)"
+            "serve smoke: OK (submit completed, one long-poll saw a job done, "
+            f"{len(workers)} worker processes stopped with the daemon despite "
+            f"a pending long-poll, daemon restarted, job {job_id} recovered "
+            "from the journal)"
         )
         return 0
     finally:

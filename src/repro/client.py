@@ -1,8 +1,9 @@
 """A thin HTTP client for the ``repro serve`` experiment daemon.
 
 :class:`ServeClient` wraps the versioned JSON API in plain method calls —
-:meth:`~ServeClient.submit` a scenario/cells document, poll
-:meth:`~ServeClient.job`, block with :meth:`~ServeClient.wait`, fetch the
+:meth:`~ServeClient.submit` a scenario/cells document, read
+:meth:`~ServeClient.job`, block with :meth:`~ServeClient.wait` (a
+long-poll: one request per job that finishes within a hold), fetch the
 rendered :meth:`~ServeClient.result` — using only :mod:`urllib.request`,
 so a client needs nothing beyond the standard library::
 
@@ -20,12 +21,12 @@ for a result requested before the job finished).
 
 **Resilience.** With ``retries`` set, *idempotent* GETs that fail with a
 connection error are retried with exponential backoff before giving up —
-a flaky network or a daemon mid-restart no longer kills a long poll.
+a flaky network or a daemon mid-restart no longer kills a long-poll.
 Submissions (POSTs) are never retried by this layer: the daemon's request
 coalescing makes an *intentional* duplicate submission cheap, but a blind
 retry could still double-submit, so exactly-once stays the caller's call.
 :meth:`~ServeClient.wait` additionally tolerates transient connection
-errors between polls regardless of ``retries``, honouring only its own
+errors between requests regardless of ``retries``, honouring only its own
 deadline.
 """
 
@@ -39,6 +40,7 @@ from typing import Any, Dict, List, Optional
 
 from repro import faults
 from repro.log import get_logger
+from repro.serve.http import MAX_WAIT_S
 from repro.serve.service import DONE, FAILED
 
 _log = get_logger(__name__)
@@ -161,34 +163,52 @@ class ServeClient:
     def wait(
         self, job_id: str, timeout: Optional[float] = None, poll_interval: float = 0.2
     ) -> Dict[str, Any]:
-        """Poll until the job reaches a terminal state; return its snapshot.
+        """Block until the job reaches a terminal state; return its snapshot.
 
-        A transient connection error on one poll does not abort the wait —
-        the daemon may be mid-restart or the network mid-hiccup; polling
-        simply continues.  Raises :class:`ServeError` (status 0) if
-        ``timeout`` seconds elapse first (with no timeout, a daemon that
-        never comes back means polling forever — pass a timeout when the
-        daemon's liveness is in question).
+        Each request is a long-poll, ``GET /v1/jobs/<id>?wait=S``, which the
+        daemon answers when the job finishes, so a job shorter than one hold
+        costs one request.  The hold ``S`` is the smallest of the time left
+        before ``timeout``, half the per-request socket ``timeout`` (so the
+        socket never times out first) and the daemon's
+        :data:`~repro.serve.http.MAX_WAIT_S`.
+
+        ``poll_interval`` is only the pause before asking again after a
+        connection error, or after a non-terminal answer that came back
+        before its hold was up (a shutting-down daemon, or an older one that
+        ignores ``wait``), so the client never spins.  A transient
+        connection error does not abort the wait — the daemon may be
+        mid-restart or the network mid-hiccup.  Raises :class:`ServeError`
+        (status 0) if ``timeout`` seconds elapse first (with no timeout, a
+        daemon that never comes back means waiting forever — pass a timeout
+        when the daemon's liveness is in question).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         state = "unknown"
         while True:
+            hold = min(self.timeout / 2, MAX_WAIT_S)
+            if deadline is not None:
+                hold = max(0.0, min(hold, deadline - time.monotonic()))
+            hold = round(hold, 3)
+            asked = time.monotonic()
             try:
-                snapshot = self.job(job_id)
+                snapshot = self._request(f"/v1/jobs/{job_id}?wait={hold}")
             except ServeError as error:
                 if error.status != 0:
                     raise  # The daemon answered: a real API error.
                 _log.info(
-                    "poll for job %s failed (%s); continuing to poll",
+                    "wait for job %s failed (%s); asking again",
                     job_id,
                     error.message,
                 )
+                early = True
             else:
                 state = snapshot["state"]
                 if state in _TERMINAL_STATES:
                     return snapshot
-            if deadline is not None and time.monotonic() > deadline:
+                early = time.monotonic() - asked < hold
+            if deadline is not None and time.monotonic() >= deadline:
                 raise ServeError(
                     0, f"timed out waiting for job {job_id} (state: {state})"
                 )
-            time.sleep(poll_interval)
+            if early:
+                time.sleep(poll_interval)

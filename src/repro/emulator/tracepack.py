@@ -250,6 +250,13 @@ class TracePackBuilder:
         )
 
 
+def _none_where(values: np.ndarray, absent: np.ndarray) -> List[Any]:
+    """``values`` as a list of Python scalars, with ``None`` where ``absent``."""
+    column = values.astype(object)
+    column[absent] = None
+    return column.tolist()
+
+
 class TracePack:
     """A struct-of-arrays dynamic trace (see the module docstring)."""
 
@@ -343,18 +350,18 @@ class TracePack:
         writes: List[Tuple[Tuple[int, bool], ...]] = [()] * count
         if not count:
             return writes
-        offsets = self.pred_offsets[start : stop + 1].tolist()
-        low, high = offsets[0], offsets[-1]
+        offsets = self.pred_offsets[start : stop + 1]
+        low, high = int(offsets[0]), int(offsets[-1])
         if high != low:
             # Slice the ragged payload once; local positions are offset-low.
+            # Only the rows that write a predicate are visited.
             indices = self.pred_index[low:high].tolist()
-            values = self.pred_value[low:high].tolist()
-            for row in range(count):
-                first, last = offsets[row] - low, offsets[row + 1] - low
-                if first != last:
-                    writes[row] = tuple(
-                        (indices[i], bool(values[i])) for i in range(first, last)
-                    )
+            values = (self.pred_value[low:high] != 0).tolist()
+            rows = np.flatnonzero(offsets[1:] != offsets[:-1])
+            firsts = (offsets[rows] - low).tolist()
+            lasts = (offsets[rows + 1] - low).tolist()
+            for row, first, last in zip(rows.tolist(), firsts, lasts):
+                writes[row] = tuple(zip(indices[first:last], values[first:last]))
         return writes
 
     def to_dyninsts(self) -> List[DynInst]:
@@ -408,22 +415,19 @@ class TracePack:
         cached on the pack, so a pack parked in the engine's trace LRU keeps
         only its compact typed columns.
         """
+        taken = self.taken[start:stop]
+        target_pc = self.target_pc[start:stop]
+        next_pc = self.next_pc[start:stop]
         return (
             self.inst_index[start:stop].tolist(),
             self.seq[start:stop].tolist(),
             self.pc[start:stop].tolist(),
             (self.qp_value[start:stop] != 0).tolist(),
             (self.executed[start:stop] != 0).tolist(),
-            [None if t < 0 else bool(t) for t in self.taken[start:stop].tolist()],
-            [None if t < 0 else t for t in self.target_pc[start:stop].tolist()],
-            [None if t < 0 else t for t in self.next_pc[start:stop].tolist()],
-            [
-                m if v else None
-                for m, v in zip(
-                    self.mem_address[start:stop].tolist(),
-                    self.mem_valid[start:stop].tolist(),
-                )
-            ],
+            _none_where(taken != 0, taken < 0),
+            _none_where(target_pc, target_pc < 0),
+            _none_where(next_pc, next_pc < 0),
+            _none_where(self.mem_address[start:stop], self.mem_valid[start:stop] == 0),
             self._materialise_pred_writes(start, stop),
             self.guard_producer_seq[start:stop].tolist(),
         )

@@ -9,7 +9,12 @@ A deliberately small, versioned HTTP+JSON API over
                                 returns ``202 {"id", "state", ...}``
 ``GET /v1/jobs``                list every job's status snapshot
 ``GET /v1/jobs/<id>``           one job's status, with per-job
-                                ``EngineStats`` and ``JobTiming`` records
+                                ``EngineStats`` and ``JobTiming`` records;
+                                ``?wait=S`` long-polls: the answer comes
+                                once the job is done or failed, after
+                                ``S`` seconds (at most ``MAX_WAIT_S``), or
+                                when the daemon shuts down, whichever is
+                                first
 ``GET /v1/jobs/<id>/result``    the finished job's result — rendered
                                 table (``?format=table``, the default,
                                 as ``text/plain``) or raw counters
@@ -24,7 +29,8 @@ A deliberately small, versioned HTTP+JSON API over
 ==============================  =======================================
 
 Errors are JSON too: ``400`` for invalid documents (the
-:class:`~repro.serve.service.SubmitError` message verbatim), ``404`` for
+:class:`~repro.serve.service.SubmitError` message verbatim) and for a
+``wait`` that is not a finite number of seconds at or above 0, ``404`` for
 unknown paths/ids, ``409`` for a result requested before the job finished.
 
 :func:`make_server` binds (port ``0`` picks a free port — the chosen one is
@@ -36,6 +42,7 @@ loop and arranges a clean SIGTERM/SIGINT shutdown, which is what the CLI's
 from __future__ import annotations
 
 import json
+import math
 import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -46,6 +53,10 @@ from repro.serve.service import DONE, ExperimentService, SubmitError
 
 #: The API version prefix every route lives under.
 API_VERSION = "v1"
+
+#: The longest hold (seconds) a ``GET /v1/jobs/<id>?wait=S`` long-poll
+#: gets; a larger ``S`` is clamped to it.
+MAX_WAIT_S = 30.0
 
 
 class ServeHTTPServer(ThreadingHTTPServer):
@@ -140,12 +151,25 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(404, f"unknown job id {route[1]!r}")
                 return
             if len(route) == 2:
-                self._send(200, record.snapshot())
+                self._serve_status(record, parsed.query)
                 return
             if len(route) == 3 and route[2] == "result":
                 self._serve_result(record, parsed.query)
                 return
         self._error(404, f"unknown endpoint {parsed.path}")
+
+    def _serve_status(self, record, query: str) -> None:
+        waits = parse_qs(query, keep_blank_values=True).get("wait")
+        if waits is not None:
+            try:
+                hold = float(waits[-1])
+            except ValueError:
+                hold = math.nan
+            if not math.isfinite(hold) or hold < 0:
+                self._error(400, f"invalid wait {waits[-1]!r} (expected seconds >= 0)")
+                return
+            record = self.service.wait(record.id, min(hold, MAX_WAIT_S))
+        self._send(200, record.snapshot())
 
     def _serve_result(self, record, query: str) -> None:
         formats = parse_qs(query).get("format", ["table"])

@@ -433,6 +433,11 @@ class ExperimentService:
         self.job_timeout = job_timeout
         self.journal = journal
         self._lock = threading.Lock()
+        #: Notified when a job settles or the service starts shutting down;
+        #: what :meth:`wait` blocks on.  It has its own lock, so a waiter
+        #: never holds ``_lock``.
+        self._settled = threading.Condition(threading.Lock())
+        self._stopping = False
         self._queue: "queue.Queue[Optional[JobRecord]]" = queue.Queue()
         self._records: Dict[str, JobRecord] = {}
         self._parsed: Dict[str, _ParsedJob] = {}
@@ -559,6 +564,8 @@ class ExperimentService:
                 return
             self._started = True
             self._closed = False
+            with self._settled:
+                self._stopping = False
             for index in range(self.workers):
                 thread = threading.Thread(
                     target=self._worker_loop,
@@ -576,8 +583,11 @@ class ExperimentService:
         exit (up to ``timeout`` seconds per thread and per process).
         Workers still alive after that, or at once without ``wait``, are
         killed with everything their engines forked, so no worker process
-        outlives the service.
+        outlives the service.  Every pending :meth:`wait` returns at once.
         """
+        with self._settled:
+            self._stopping = True
+            self._settled.notify_all()
         with self._lock:
             threads, self._threads = self._threads, []
             self._started = False
@@ -640,9 +650,17 @@ class ExperimentService:
             return sorted(self._records.values(), key=lambda record: record.created)
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> JobRecord:
-        """Block until one job reaches a terminal state (or ``timeout``)."""
+        """Block until one job reaches a terminal state, ``timeout`` seconds
+        pass or the service shuts down; return its record either way.
+
+        Raises :class:`KeyError` for unknown ids.  The wait does not hold
+        ``_lock``, so any number of waiters leave the service responsive.
+        """
         record = self.job(job_id)
-        record.done_event.wait(timeout)
+        with self._settled:
+            self._settled.wait_for(
+                lambda: record.done_event.is_set() or self._stopping, timeout
+            )
         return record
 
     def store_stats(self) -> Dict[str, Any]:
@@ -735,7 +753,7 @@ class ExperimentService:
                             "error": record.error,
                         }
                     )
-                record.done_event.set()
+                self._settle(record)
 
     @staticmethod
     def _profile(parsed: _ParsedJob):
@@ -826,7 +844,13 @@ class ExperimentService:
         # Evict before signalling completion so a client that saw the job
         # finish also sees the store back under budget.
         self._evict()
+        self._settle(record)
+
+    def _settle(self, record: JobRecord) -> None:
+        """Signal that ``record`` reached a terminal state, waking waiters."""
         record.done_event.set()
+        with self._settled:
+            self._settled.notify_all()
 
     def _pool(self, slot: int) -> ProcessPoolExecutor:
         """Scheduler ``slot``'s worker pool, forked on first use.

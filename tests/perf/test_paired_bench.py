@@ -73,6 +73,9 @@ def test_noise_around_no_change_and_ungated_throughput_loss_pass():
     # cells_per_s is not shootout-cold's gated throughput: a 10% loss there
     # is within its 25% BENCHMARK.json bound.
     assert _verdict(cells_per_s=0.9)["failures"] == []
+    # serve-mixed is gated on its jobs, not on its simulated instructions.
+    assert paired_bench.GATED["serve-mixed"] == "jobs_per_s"
+    assert _verdict("serve-mixed", sim_inst_per_s=0.9)["failures"] == []
 
 
 @pytest.mark.parametrize(
@@ -306,7 +309,20 @@ def test_gate_fails_a_slower_working_tree_against_the_archived_base(gate_repo, c
     assert summary["passed"] is False
     assert summary["workloads"]["shootout-cold"]["ratios"]["sim_inst_per_s"] == 0.8
     assert summary["workloads"]["sweep-warm"]["ratios"]["cells_per_s"] == 0.8
+    assert summary["workloads"]["serve-mixed"]["ratios"]["jobs_per_s"] == 0.8
     assert [line for line in lines if line.startswith("FAIL shootout-cold sim_inst_per_s")]
+    assert [line for line in lines if line.startswith("FAIL serve-mixed jobs_per_s")]
+
+
+def test_gate_marks_an_uncommitted_head_dirty(gate_repo, capsys):
+    repo, base = gate_repo
+    _head_speed(repo, "1.00")
+    head = _git(repo, "rev-parse", "HEAD").stdout.strip()
+    (repo / "speed").write_text("1.0")  # same speed, but not the committed tree
+    assert paired_bench.main([base]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert json.loads(lines[-1])["head"] == f"{head}+dirty"
+    assert lines[0] == f"paired_bench: warning: uncommitted changes, head recorded as {head}+dirty"
 
 
 def test_gate_refuses_an_unknown_revision(gate_repo):
