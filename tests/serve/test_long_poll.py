@@ -11,6 +11,8 @@ holds, how many requests a client wait costs, and that the client pauses
 from __future__ import annotations
 
 import json
+import random
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -156,6 +158,33 @@ class TestLongPollRoute:
         snapshot, elapsed = timed(lambda: client._request(f"/v1/jobs/{record.id}?wait=0.3"))
         assert snapshot["state"] == QUEUED
         assert elapsed >= 0.25
+
+
+def test_many_waiters_each_wake_on_their_own_job(tmp_path):
+    """No lost wake-up: 16 waiters (more than cores) on 16 jobs settled in
+    random order, with the interpreter switching threads every few µs."""
+    service = ExperimentService(ArtifactStore(str(tmp_path / "cache")))
+    records = [pending_job(service) for _ in range(16)]
+    woke = {}
+
+    def waiter(record):
+        woke[record.id] = service.wait(record.id, timeout=30).state
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=waiter, args=(record,)) for record in records]
+        for thread in threads:
+            thread.start()
+        for record in random.Random(7).sample(records, len(records)):
+            settle(service, record)
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+        service.shutdown(wait=False)
+    assert not any(thread.is_alive() for thread in threads)
+    assert woke == {record.id: DONE for record in records}
 
 
 class TestClientWait:
