@@ -24,8 +24,9 @@ sits *at* 0.90, so such an interval lies below 0.90 only about half the
 time.  On the 2-vCPU host the gate was sized on, one pair of identical
 trees read 0.945-1.121 on ``sim_inst_per_s`` and 0.934-1.007 on
 ``cells_per_s``, and ten pairs read 0.870-1.084 on ``serve-mixed``'s
-``jobs_per_s``.  How often the gate fails identical trees is not known,
-on that host or on CI runners (see ``docs/internals/performance.md``).
+``jobs_per_s``; the full gate takes about 18 minutes there.  How often it
+fails identical trees is not known, on that host or on CI runners (see
+``docs/internals/performance.md``).
 
 The last line of standard output is one JSON object with the verdict.  Its
 ``head`` is the checkout's commit, with ``+dirty`` appended (and a warning

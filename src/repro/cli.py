@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retries",
         type=int,
         default=0,
-        help="retry idempotent polls this many times on connection errors "
+        help="retry idempotent GETs this many times on connection errors "
         "(default: 0)",
     )
     submit.add_argument(
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.2,
         metavar="SECONDS",
-        help="base backoff between poll retries, doubled per attempt "
+        help="base backoff between GET retries, doubled per attempt "
         "(default: 0.2)",
     )
 

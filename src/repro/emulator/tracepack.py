@@ -367,39 +367,14 @@ class TracePack:
     def to_dyninsts(self) -> List[DynInst]:
         """Materialise the reference object representation (bit-identical)."""
         insts = self.insts
-        seqs = self.seq.tolist()
-        inst_idx = self.inst_index.tolist()
-        pcs = self.pc.tolist()
-        qps = (self.qp_value != 0).tolist()
-        execs = (self.executed != 0).tolist()
-        takens = self.taken.tolist()
-        targets = self.target_pc.tolist()
-        nexts = self.next_pc.tolist()
-        mem_valid = self.mem_valid.tolist()
-        mems = self.mem_address.tolist()
-        producers = self.guard_producer_seq.tolist()
-        writes = self._materialise_pred_writes()
-
         out: List[DynInst] = []
         append = out.append
         new = DynInst.__new__
-        for i in range(len(seqs)):
+        rows = zip(*self.row_columns(0, len(self)))
+        for static, seq, pc, qp, executed, taken, target, next_pc, mem, writes, guard in rows:
             dyn = new(DynInst)
-            taken = takens[i]
             dyn.__setstate__(
-                (
-                    seqs[i],
-                    insts[inst_idx[i]],
-                    pcs[i],
-                    qps[i],
-                    execs[i],
-                    None if taken < 0 else bool(taken),
-                    None if targets[i] < 0 else targets[i],
-                    None if nexts[i] < 0 else nexts[i],
-                    mems[i] if mem_valid[i] else None,
-                    writes[i],
-                    producers[i],
-                )
+                (seq, insts[static], pc, qp, executed, taken, target, next_pc, mem, writes, guard)
             )
             append(dyn)
         return out

@@ -212,7 +212,8 @@ def serve_until_shutdown(
     from a helper thread (calling it from the handler's own frame would
     deadlock the accept loop) and then stops the service's workers, so a
     SIGTERM'd daemon exits cleanly and leaves no worker process behind —
-    the contract the CI smoke test checks.
+    the contract the CI smoke test checks.  Stopping the service also
+    answers every pending long-poll at once.
     """
     stop = threading.Event()
 

@@ -196,8 +196,8 @@ class TestHypothesisFieldRoundTrip:
         stop = data.draw(st.integers(start, len(pack)), label="stop")
         columns = pack.row_columns(start, stop)
         assert all(len(column) == stop - start for column in columns)
-        # Against the materialised objects and the source rows: the two
-        # decoders share the predicate-write decode, the source does not.
+        # Against the materialised objects and the source rows, the
+        # independent reference: ``to_dyninsts`` is built on ``row_columns``.
         for row, dyns in enumerate(zip(pack.to_dyninsts()[start:stop], trace[start:stop])):
             got = [column[row] for column in columns]
             for dyn in dyns:
