@@ -214,14 +214,17 @@ def main() -> int:
             return 1
 
         # One long-poll sees a job through to the end: no stream of polls.
-        cell = {"benchmark": "twolf", "scheme": "predicate"}
-        quick = post_json(f"{url}/v1/jobs", {"cells": [cell], "instructions": int(budget)})
+        # No submission above ran this cell, so the job is still running
+        # when the long-poll arrives.
+        fresh = {"benchmark": "twolf", "scheme": "wish"}
+        quick = post_json(f"{url}/v1/jobs", {"cells": [fresh], "instructions": int(budget)})
         state = get_json(f"{url}/v1/jobs/{quick['id']}?wait=30")["state"]
         if state != "done":
             print(f"FAIL: one ?wait=30 long-poll answered {state!r}", file=sys.stderr)
             return 1
 
         # A job still running at SIGTERM, with a long-poll pending on it.
+        cell = {"benchmark": "twolf", "scheme": "predicate"}
         slow = post_json(f"{url}/v1/jobs", {"cells": [cell], "instructions": 1_000_000})
         deadline = time.monotonic() + 30
         while get_json(f"{url}/v1/jobs/{slow['id']}")["state"] == "queued":
