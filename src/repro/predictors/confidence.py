@@ -8,9 +8,8 @@ considered confident if its associated counter is saturated."
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.predictors.base import PredictorSizeReport
+from repro.predictors.counters import unsigned_array
 
 
 class ConfidenceEstimator:
@@ -30,7 +29,7 @@ class ConfidenceEstimator:
         self.saturated = (1 << bits) - 1
         #: One counter per entry; :meth:`slot` maps a predictor index to
         #: its counter, so a caller that planned the slot reads it directly.
-        self.counters: List[int] = [0] * entries
+        self.counters = unsigned_array(bits, entries)
 
     def slot(self, index: int) -> int:
         """The counter paired with predictor index ``index``."""

@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
-from typing import List
+from array import array
+from typing import MutableSequence
 
 from repro.predictors.base import PredictorSizeReport
+
+
+def unsigned_array(bits: int, entries: int, initial: int = 0) -> MutableSequence[int]:
+    """``entries`` unsigned ``bits``-wide values, all ``initial``.
+
+    A ``bytearray`` when the values fit in a byte, else an ``array`` of the
+    narrowest unsigned type that holds them (a list past 64 bits).
+    """
+    if bits <= 8:
+        return bytearray([initial]) * entries
+    for typecode in "HILQ":
+        if bits <= 8 * array(typecode).itemsize:
+            return array(typecode, [initial]) * entries
+    return [initial] * entries
 
 
 class SaturatingCounter:
@@ -62,7 +77,7 @@ class SaturatingCounter:
 
 
 class CounterTable:
-    """A table of n-bit saturating counters stored compactly as integers."""
+    """A table of n-bit saturating counters, one byte each where they fit."""
 
     __slots__ = ("bits", "entries", "_values", "_max", "_threshold")
 
@@ -74,14 +89,14 @@ class CounterTable:
         self._max = (1 << bits) - 1
         self._threshold = 1 << (bits - 1)
         initial = max(0, min(int(initial), self._max))
-        self._values: List[int] = [initial] * entries
+        self._values = unsigned_array(bits, entries, initial)
 
     def _index(self, index: int) -> int:
         return index % self.entries
 
     @property
-    def values(self) -> List[int]:
-        """The backing counter list.
+    def values(self) -> MutableSequence[int]:
+        """The backing counter array.
 
         Shared with array-backed fast paths (see
         :class:`repro.predictors.gshare.GsharePredictor`) so both access

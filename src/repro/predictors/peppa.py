@@ -25,10 +25,8 @@ predictor the paper simulates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
-
 from repro.predictors.base import PredictorSizeReport, fold_pc
-from repro.predictors.counters import CounterTable
+from repro.predictors.counters import CounterTable, unsigned_array
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ class PEPPAPredictor:
         # Two local histories per branch entry, selected by the previous
         # value of the guarding predicate (False -> 0, True -> 1): entry
         # ``e``'s pair is ``_histories[2 * e : 2 * e + 2]``.
-        self._histories: List[int] = [0] * (2 * config.branch_entries)
+        self._histories = unsigned_array(config.local_bits, 2 * config.branch_entries)
         self.pht = CounterTable(config.pht_entries, bits=config.pht_counter_bits, initial=1)
         # Pure memos of the per-PC hashes (bounded by static branch count).
         self._entry_cache: dict = {}

@@ -26,7 +26,6 @@ LHR).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import List, Optional, Tuple
 
 from repro.predictors.base import DirectionPredictor, PredictorSizeReport, fold_pc
@@ -124,137 +123,185 @@ def perceptron_train(
         history >>= 1
 
 
-#: ``_BITS8[b]`` is the eight low bits of ``b`` as booleans, least
-#: significant first: the selector :func:`flat_perceptron_output` feeds to
-#: :func:`itertools.compress` one history byte at a time.
-_BITS8 = tuple(tuple(bool((byte >> k) & 1) for k in range(8)) for byte in range(256))
+#: Byte tables of :func:`_spread_tables`, one pair per lane width, built on
+#: first use.
+_SPREAD_TABLES: dict = {}
 
 
-def flat_perceptron_output(
-    weights: List[int], base: int, num_weights: int, combined_history: int
-) -> int:
-    """:func:`perceptron_output` over one row of a flat weight table.
+def _spread_tables(lane: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """``(forward, reversed)`` byte tables of one lane width.
 
-    ``weights[base]`` is the bias weight of the row; history bit ``i`` maps
-    to ``weights[base + 1 + i]``.  The dot product with bipolar bits is
-    ``bias + 2 * (sum of weights whose bit is set) - (sum of all weights)``,
-    which runs as three C-level passes instead of one Python step per bit;
-    the integer arithmetic is exact, so the result equals the reference.
+    ``forward[b]`` puts bit ``t`` of the byte ``b`` at lane ``t`` (a 1 at
+    bit ``t * lane``); ``reversed[b]`` puts it at lane ``7 - t``.
     """
-    row = weights[base + 1 : base + num_weights]
-    bits = _BITS8[combined_history & 255]
-    history = combined_history >> 8
-    while history:
-        bits += _BITS8[history & 255]
-        history >>= 8
-    return weights[base] + 2 * sum(compress(row, bits)) - sum(row)
-
-
-def flat_perceptron_train(
-    weights: List[int],
-    base: int,
-    num_weights: int,
-    combined_history: int,
-    outcome: bool,
-    weight_min: int,
-    weight_max: int,
-) -> None:
-    """:func:`perceptron_train` over one row of a flat weight table.
-
-    Weights never leave ``[weight_min, weight_max]``, so the reference's
-    clamp of ``w + 1`` is ``w < weight_max`` and that of ``w - 1`` is
-    ``w > weight_min``: one comparison per weight, no ``min``/``max`` call.
-    """
-    history = combined_history
-    if outcome:
-        value = weights[base]
-        if value < weight_max:
-            weights[base] = value + 1
-        for i in range(base + 1, base + num_weights):
-            value = weights[i]
-            if history & 1:
-                if value < weight_max:
-                    weights[i] = value + 1
-            elif value > weight_min:
-                weights[i] = value - 1
-            history >>= 1
-    else:
-        value = weights[base]
-        if value > weight_min:
-            weights[base] = value - 1
-        for i in range(base + 1, base + num_weights):
-            value = weights[i]
-            if history & 1:
-                if value > weight_min:
-                    weights[i] = value - 1
-            elif value < weight_max:
-                weights[i] = value + 1
-            history >>= 1
+    tables = _SPREAD_TABLES.get(lane)
+    if tables is None:
+        forward = [0] * 256
+        backward = [0] * 256
+        for byte in range(1, 256):
+            low = (byte & -byte).bit_length() - 1
+            rest = byte & (byte - 1)
+            forward[byte] = forward[rest] | (1 << (low * lane))
+            backward[byte] = backward[rest] | (1 << ((7 - low) * lane))
+        tables = _SPREAD_TABLES[lane] = (tuple(forward), tuple(backward))
+    return tables
 
 
 class FlatWeightTable:
-    """A flat perceptron weight table with a per-row output memo.
+    """A packed perceptron weight table with a per-row output memo.
 
-    Row ``r`` occupies ``weights[r * num_weights : (r + 1) * num_weights]``.
-    A scheme predicts a row and later trains it with the same combined
+    Row ``r`` is one Python int, ``rows[r]``, of ``num_weights + 1`` lanes
+    of ``lane`` bits each.  Lane ``k < num_weights`` holds weight ``k``
+    (``k = 0`` the bias, ``k = i + 1`` history bit ``i``) plus ``offset =
+    -weight_min``, so every lane is a non-negative value below
+    ``2**weight_bits``; the top lane holds the sum of those lanes.  The
+    lane width is the least one in which ``num_weights`` such values sum
+    without a carry, so no lane ever spills into the next.
+
+    Weights are read against a history extended with a set bit 0 for the
+    bias: ``bits = (combined_history << 1) | 1``.
+
+    * **Output.** Multiplying a row by the bit-reversed spread of ``bits``
+      (a 1 at lane ``top - j`` for every set bit ``j``) sums the lanes of
+      the set bits in lane ``top``, carry-free; the output is twice that
+      sum minus the row total, corrected for the offsets.
+    * **Training.** One add and one subtract of lane-wise 1s move every
+      weight towards the outcome; lanes already at a bound are masked out
+      first (``saturated`` and ``nonzero`` below), which is the reference
+      clamp.
+
+    The arithmetic is exact, so outputs and weights equal the per-bit
+    reference (:func:`perceptron_output`, :func:`perceptron_train`).  A
+    scheme predicts a row and later trains it with the same combined
     history; the memo keeps the last ``(combined history, output)`` per row
-    so the training reuses the prediction's dot product.  Training a row
-    drops its entry, so the memo is a pure cache of the weights: at most one
-    entry per row, and never pickled (checkpoints carry only the weights).
+    so the training reuses the prediction's output.  Training a row drops
+    its entry, so the memo is a pure cache of the rows: at most one entry
+    per row, and never pickled.
     """
 
-    __slots__ = ("weights", "num_weights", "theta", "weight_min", "weight_max", "_memo")
+    __slots__ = (
+        "rows",
+        "num_weights",
+        "theta",
+        "weight_min",
+        "weight_max",
+        "_memo",
+        "_forward",
+        "_reversed",
+        "_lane",
+        "_step",
+        "_nbytes",
+        "_top",
+        "_total",
+        "_mask",
+        "_ones",
+        "_full",
+        "_weight_bits",
+        "_offset",
+    )
 
     def __init__(
         self, entries: int, num_weights: int, theta: int, weight_min: int, weight_max: int
     ) -> None:
-        self.weights = [0] * (entries * num_weights)
         self.num_weights = num_weights
         self.theta = theta
         self.weight_min = weight_min
         self.weight_max = weight_max
+        self._geometry()
+        zero = self._offset * self._ones + ((num_weights * self._offset) << self._total)
+        self.rows = [zero] * entries
         self._memo: dict = {}
 
+    def _geometry(self) -> None:
+        """Derive the lane layout from the weight range and count."""
+        n = self.num_weights
+        span = self.weight_max - self.weight_min
+        # A lane also holds a weight plus ``span`` while training, so it is
+        # never narrower than ``2 * span`` needs (one weight and no history).
+        lane = (max(n, 2) * span).bit_length()
+        self._lane = lane
+        self._weight_bits = span.bit_length()
+        self._offset = -self.weight_min
+        self._step = 8 * lane
+        self._nbytes = (n + 7) // 8
+        self._top = (8 * self._nbytes - 1) * lane
+        self._total = n * lane
+        self._mask = (1 << lane) - 1
+        self._ones = sum(1 << (k * lane) for k in range(n))
+        self._full = span * self._ones
+        self._forward, self._reversed = _spread_tables(lane)
+
     def __getstate__(self):
-        return (self.weights, self.num_weights, self.theta, self.weight_min, self.weight_max)
+        return (self.rows, self.num_weights, self.theta, self.weight_min, self.weight_max)
 
     def __setstate__(self, state) -> None:
         (
-            self.weights,
+            self.rows,
             self.num_weights,
             self.theta,
             self.weight_min,
             self.weight_max,
         ) = state
+        self._geometry()
         self._memo = {}
 
     def row(self, index: int) -> List[int]:
-        base = index * self.num_weights
-        return self.weights[base : base + self.num_weights]
+        """The weights of row ``index``, bias first."""
+        packed = self.rows[index]
+        lane, mask, offset = self._lane, self._mask, self._offset
+        return [((packed >> (k * lane)) & mask) - offset for k in range(self.num_weights)]
 
     def output(self, index: int, combined_history: int) -> int:
         """The perceptron output of row ``index`` (memoised)."""
         cached = self._memo.get(index)
         if cached is not None and cached[0] == combined_history:
             return cached[1]
-        value = flat_perceptron_output(
-            self.weights, index * self.num_weights, self.num_weights, combined_history
-        )
+        value = self.compute(index, combined_history)
         self._memo[index] = (combined_history, value)
         return value
+
+    def compute(self, index: int, combined_history: int) -> int:
+        """The perceptron output of row ``index``, computed afresh.
+
+        ``combined_history`` has at most ``num_weights - 1`` bits.
+        """
+        bits = (combined_history << 1) | 1
+        spread = 0
+        step = self._step
+        table = self._reversed
+        for byte in bits.to_bytes(self._nbytes, "little"):
+            spread = (spread << step) | table[byte]
+        packed = self.rows[index]
+        return (
+            2 * (((packed * spread) >> self._top) & self._mask)
+            - (packed >> self._total)
+            - self._offset * (2 * bits.bit_count() - self.num_weights)
+        )
 
     def train(self, index: int, combined_history: int, outcome: bool) -> None:
         """Apply the threshold training rule to row ``index``."""
         output = self.output(index, combined_history)
         if (output >= 0) != outcome or abs(output) <= self.theta:
-            flat_perceptron_train(
-                self.weights,
-                index * self.num_weights,
-                self.num_weights,
-                combined_history,
-                outcome,
-                self.weight_min,
-                self.weight_max,
+            bits = ((combined_history << 1) | 1).to_bytes(self._nbytes, "big")
+            spread = 0
+            step = self._step
+            table = self._forward
+            for byte in bits:
+                spread = (spread << step) | table[byte]
+            ones = self._ones
+            if outcome:
+                up, down = spread, ones ^ spread
+            else:
+                up, down = ones ^ spread, spread
+            packed = self.rows[index]
+            weight_bits = self._weight_bits
+            up &= ~((packed + ones) >> weight_bits)
+            down &= (packed + self._full) >> weight_bits
+            self.rows[index] = (
+                packed
+                + up
+                - down
+                + ((up.bit_count() - down.bit_count()) << self._total)
             )
             del self._memo[index]
 
@@ -262,12 +309,12 @@ class FlatWeightTable:
 class PerceptronPredictor(DirectionPredictor):
     """A global+local perceptron predictor.
 
-    Weight storage has two backends sharing identical arithmetic: the
-    reference list-of-rows layout (``optimized=False``), and by default a
-    :class:`FlatWeightTable` (one flat list indexed by
-    ``entry * num_weights``, plus the per-row output memo).  The hypothesis
-    parity tests drive both backends with common random streams and assert
-    identical predictions and weight state.
+    Weight storage has two backends with equal results: the reference
+    list-of-rows layout with per-bit arithmetic (``optimized=False``), and
+    by default a :class:`FlatWeightTable` (one packed int per row, plus the
+    per-row output memo).  The hypothesis parity tests drive both backends
+    with common random streams and assert identical predictions and weight
+    state.
     """
 
     def __init__(

@@ -19,8 +19,8 @@ so the learning rule can weight each resolved predicate independently of
 the branch outcomes around it.  Like
 :class:`~repro.predictors.perceptron.PerceptronPredictor`, weight storage
 has a reference list-of-rows backend (``optimized=False``) and an optimized
-flat backend with identical arithmetic, and both are driven by the
-hypothesis parity tests.
+packed backend with equal results, and both are driven by the hypothesis
+parity tests.
 """
 
 from __future__ import annotations

@@ -95,8 +95,8 @@ class PredicatePerceptronPredictor:
         self._global_bits = cfg.global_bits
         self._global_mask = (1 << cfg.global_bits) - 1
         if self.optimized:
-            # Flat PVT with the per-row output memo (see PerceptronPredictor
-            # — identical arithmetic, parity-tested).
+            # Packed PVT with the per-row output memo (see PerceptronPredictor
+            # — equal results, parity-tested).
             self._flat: Optional[FlatWeightTable] = FlatWeightTable(
                 cfg.entries, cfg.num_weights, cfg.theta, cfg.weight_min, cfg.weight_max
             )

@@ -32,10 +32,12 @@ branch streams — allocation and usefulness-decay edge cases included.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.predictors.base import DirectionPredictor, PredictorSizeReport, fold_pc
+from repro.predictors.counters import unsigned_array
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,57 @@ def _fold_history(history: int, length: int, bits: int) -> int:
     return folded
 
 
+#: Fold tables of :func:`_fold_tables`, one per geometry, built on first use.
+_FOLD_TABLES: dict = {}
+
+
+def _fold_tables(geometry: Tuple[Tuple[int, ...], int, int]) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+    """``(constant, byte tables)`` that fold a history for every table at once.
+
+    ``geometry`` is ``(history_lengths, table_bits, tag_bits)``.  The folds
+    of one history value are packed into one int: table ``t`` owns the
+    ``table_bits + tag_bits`` bits from ``t * (table_bits + tag_bits)``,
+    its index fold low and its tag fold (folded and twisted halves) above.
+    Every fold is linear over GF(2) in the history, so the packed folds of
+    ``history`` are ``constant`` (the table numbers :meth:`TAGEPredictor._index`
+    and :meth:`TAGEPredictor._tag` mix in) xor ``tables[k][byte k of
+    history]`` over its bytes, each table entry the xor of the folds of the
+    single bits of its byte.
+    """
+    tables = _FOLD_TABLES.get(geometry)
+    if tables is None:
+        history_lengths, table_bits, tag_bits = geometry
+        stride = table_bits + tag_bits
+        index_mask = (1 << table_bits) - 1
+        tag_mask = (1 << tag_bits) - 1
+        constant = 0
+        for table in range(len(history_lengths)):
+            constant |= (((table + 1) & tag_mask) << table_bits | ((table + 1) & index_mask)) << (
+                table * stride
+            )
+        single = []
+        for bit in range(max(history_lengths)):
+            folds = 0
+            index_fold = 1 << (bit % table_bits)
+            tag_fold = (1 << (bit % tag_bits)) ^ (1 << (bit % (tag_bits - 1) + 1))
+            for table, length in enumerate(history_lengths):
+                if bit < length:
+                    folds |= (tag_fold << table_bits | index_fold) << (table * stride)
+            single.append(folds)
+        byte_tables = []
+        for first in range(0, len(single), 8):
+            bits = single[first : first + 8]
+            entries = [0] * 256
+            for byte in range(1, 256):
+                low = (byte & -byte).bit_length() - 1
+                entries[byte] = (
+                    entries[byte & (byte - 1)] ^ bits[low] if low < len(bits) else 0
+                )
+            byte_tables.append(tuple(entries))
+        tables = _FOLD_TABLES[geometry] = (constant, tuple(byte_tables))
+    return tables
+
+
 class TAGEPredictor(DirectionPredictor):
     """Tagged geometric-history predictor with provider/altpred selection."""
 
@@ -120,29 +173,39 @@ class TAGEPredictor(DirectionPredictor):
         self._ctr_min = -(1 << (cfg.counter_bits - 1))
         self._u_max = (1 << cfg.useful_bits) - 1
         #: Base bimodal table, weakly not-taken (2-bit counters).
-        self._base: List[int] = [1] * self._base_entries
+        self._base = bytearray([1]) * self._base_entries
         #: Tagged tables: parallel tag/counter/usefulness columns per table.
-        self._tags: List[List[int]] = [[0] * self._entries for _ in range(self.num_tables)]
-        self._ctrs: List[List[int]] = [[0] * self._entries for _ in range(self.num_tables)]
-        self._useful: List[List[int]] = [[0] * self._entries for _ in range(self.num_tables)]
+        self._tags = [unsigned_array(cfg.tag_bits, self._entries) for _ in range(self.num_tables)]
+        self._ctrs = [array("b", bytes(self._entries)) for _ in range(self.num_tables)]
+        self._useful = [bytearray(self._entries) for _ in range(self.num_tables)]
         #: Tagged-table update count, drives the periodic usefulness decay.
         self._update_count = 0
         #: Rotating start offset of the deterministic allocation scan.
         self._alloc_rotation = 0
-        #: Optimized-path memos (pure, bounded, never pickled): the PC half
-        #: of the hashes per PC, and the history half per history value.
+        #: The geometry the fold tables are shared by (a plain tuple: hashing
+        #: it is cheaper than hashing the config).
+        self._fold_key = (tuple(cfg.history_lengths), cfg.table_bits, cfg.tag_bits)
+        stride = cfg.table_bits + cfg.tag_bits
+        self._index_shifts = tuple(table * stride for table in range(self.num_tables))
+        self._tag_shifts = tuple(shift + cfg.table_bits for shift in self._index_shifts)
+        self._pure_memos()
+
+    def _pure_memos(self) -> None:
+        #: Optimized-path state derived from the geometry (never pickled):
+        #: the fold tables, loaded at the first lookup; the PC half of the
+        #: hashes per PC; and the packed folds per history value.
+        self._folds: Optional[Tuple[int, Tuple[Tuple[int, ...], ...]]] = None
         self._pc_hashes: dict = {}
         self._fold_memo: dict = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_pc_hashes"], state["_fold_memo"]
+        del state["_folds"], state["_pc_hashes"], state["_fold_memo"]
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-        self._pc_hashes = {}
-        self._fold_memo = {}
+        self._pure_memos()
 
     # ------------------------------------------------------------------
     # Index and tag hashes (pure functions of (pc, history))
@@ -162,42 +225,23 @@ class TAGEPredictor(DirectionPredictor):
         twisted = _fold_history(history, length, cfg.tag_bits - 1) << 1
         return (fold_pc(pc, cfg.tag_bits) ^ folded ^ twisted ^ (table + 1)) & self._tag_mask
 
-    def _history_folds(self, history: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """The history half of every table's index and tag hash.
+    def _history_folds(self, history: int) -> int:
+        """The history half of every table's index and tag hash, packed.
 
-        ``(index folds, tag folds)``, each with the table number mixed in;
-        xor-ing a PC hash into them gives :meth:`_index` / :meth:`_tag`,
-        because masking distributes over xor.  A pure function of
-        ``history``, memoised by the optimized :meth:`_lookup`.
+        Table ``t``'s index fold (table number mixed in) is ``folds >>
+        _index_shifts[t]`` and its tag fold ``folds >> _tag_shifts[t]``;
+        xor-ing a PC hash into them and masking gives :meth:`_index` /
+        :meth:`_tag`, because masking distributes over xor.  A pure function
+        of ``history``, memoised by the optimized :meth:`_lookup`.
         """
-        cfg = self.config
-        table_bits = cfg.table_bits
-        tag_bits = cfg.tag_bits
-        half_bits = tag_bits - 1
-        index_mask = self._index_mask
-        tag_mask = self._tag_mask
-        half_mask = (1 << half_bits) - 1
-        index_folds = []
-        tag_folds = []
-        for table, length in enumerate(cfg.history_lengths):
-            # _fold_history at the three widths, inlined.
-            value = history & ((1 << length) - 1)
-            folded_i = folded_t = folded_h = 0
-            rest = value
-            while rest:
-                folded_i ^= rest & index_mask
-                rest >>= table_bits
-            rest = value
-            while rest:
-                folded_t ^= rest & tag_mask
-                rest >>= tag_bits
-            rest = value
-            while rest:
-                folded_h ^= rest & half_mask
-                rest >>= half_bits
-            index_folds.append(folded_i ^ (table + 1))
-            tag_folds.append(folded_t ^ (folded_h << 1) ^ (table + 1))
-        return tuple(index_folds), tuple(tag_folds)
+        tables = self._folds
+        if tables is None:
+            tables = self._folds = _fold_tables(self._fold_key)
+        folds, byte_tables = tables
+        for table in byte_tables:
+            folds ^= table[history & 255]
+            history >>= 8
+        return folds
 
     # ------------------------------------------------------------------
     # Lookup: provider / altpred selection
@@ -215,23 +259,24 @@ class TAGEPredictor(DirectionPredictor):
             hashes = self._pc_hashes.get(pc)
             if hashes is None:
                 cfg = self.config
-                hashes = (
-                    fold_pc(pc, cfg.table_bits),
-                    fold_pc(pc, cfg.tag_bits),
-                    fold_pc(pc, cfg.base_bits),
-                )
-                self._pc_hashes[pc] = hashes
+                pc_index = fold_pc(pc, cfg.table_bits)
+                pc_tag = fold_pc(pc, cfg.tag_bits) << cfg.table_bits
+                packed = 0
+                for shift in self._index_shifts:
+                    packed |= (pc_tag | pc_index) << shift
+                hashes = self._pc_hashes[pc] = (packed, fold_pc(pc, cfg.base_bits))
             folds = self._fold_memo.get(history)
             if folds is None:
                 folds = self._history_folds(history)
                 if len(self._fold_memo) >= _FOLD_MEMO_LIMIT:
                     self._fold_memo.clear()
                 self._fold_memo[history] = folds
-            pc_index, pc_tag, base_index = hashes
+            packed, base_index = hashes
+            folds ^= packed
             index_mask = self._index_mask
             tag_mask = self._tag_mask
-            indices = [(pc_index ^ fold) & index_mask for fold in folds[0]]
-            tags = [(pc_tag ^ fold) & tag_mask for fold in folds[1]]
+            indices = [(folds >> shift) & index_mask for shift in self._index_shifts]
+            tags = [(folds >> shift) & tag_mask for shift in self._tag_shifts]
         else:
             indices = [self._index(pc, history, t) for t in range(self.num_tables)]
             tags = [self._tag(pc, history, t) for t in range(self.num_tables)]
@@ -333,10 +378,8 @@ class TAGEPredictor(DirectionPredictor):
 
     def _decay_usefulness(self) -> None:
         """Halve every usefulness counter (the periodic graceful reset)."""
-        for useful in self._useful:
-            for i, value in enumerate(useful):
-                if value:
-                    useful[i] = value >> 1
+        halved = bytes(value >> 1 for value in range(256))
+        self._useful = [useful.translate(halved) for useful in self._useful]
 
     # ------------------------------------------------------------------
     def table_state(self):

@@ -244,6 +244,40 @@ class TestWindowedParity:
             (scheme_idx, window, chunk_rows, checkpoint.rows_done),
         )
 
+    @pytest.mark.parametrize("scheme_idx", [1, 3, 4])
+    def test_resume_with_trained_packed_rows_is_bit_identical(
+        self, pack, scalar_reference, scheme_idx
+    ):
+        """A mid-run checkpoint of a perceptron scheme restores its packed
+        weight rows exactly: the resumed run equals a straight one."""
+        blobs = []
+        simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[scheme_idx].build(),
+            "gzip",
+            window_rows=300,
+            on_checkpoint=lambda ckpt: blobs.append(
+                pickle.dumps(ckpt, protocol=pickle.HIGHEST_PROTOCOL)
+            ),
+        )
+        checkpoint = pickle.loads(blobs[len(blobs) // 2])
+        scheme = checkpoint.states[0].scheme
+        predictor = scheme.guard_predictor if scheme_idx == 3 else scheme.predictor
+        rows = range(predictor.config.entries)
+        assert any(any(predictor.weight_row(row)) for row in rows), "no row trained"
+        resumed = simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[scheme_idx].build(),
+            "gzip",
+            window_rows=300,
+            checkpoint=checkpoint,
+        )
+        _assert_result_parity(
+            scalar_reference(scheme_idx, 0), resumed, (scheme_idx, checkpoint.rows_done)
+        )
+
 
 class TestCheckpointVersion:
     """A checkpoint of another layout version is ignored, never mis-restored."""
@@ -259,7 +293,7 @@ class TestCheckpointVersion:
             on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
         )
         checkpoint = pickle.loads(blobs[len(blobs) // 2])
-        assert checkpoint.version == CHECKPOINT_VERSION == 6
+        assert checkpoint.version == CHECKPOINT_VERSION == 7
         checkpoint.version = version
         return checkpoint
 
@@ -358,6 +392,24 @@ class TestCheckpointVersion:
         )
         assert resumed_at[0] == 300  # the first window was simulated again
         _assert_result_parity(scalar_reference(2, 0), result, "version-5 checkpoint")
+
+    def test_version_six_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
+        # Version 6 pickled perceptron weights as flat lists of small ints,
+        # counters as int lists and no first-level prediction histories.
+        stale = self._stale_checkpoint(pack, 1, 300, version=6)
+        assert stale.rows_done > 0 and not stale.matches(len(pack))
+        resumed_at = []
+        result = simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[1].build(),
+            "gzip",
+            window_rows=300,
+            checkpoint=stale,
+            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+        )
+        assert resumed_at[0] == 300  # the first window was simulated again
+        _assert_result_parity(scalar_reference(1, 0), result, "version-6 checkpoint")
 
     def test_engine_does_not_resume_a_version_one_checkpoint(self, pack, tmp_path):
         profile = _profile()

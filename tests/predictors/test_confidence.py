@@ -55,7 +55,7 @@ class TestConfidenceEstimator:
         estimator = ConfidenceEstimator(entries=8, bits=2)
         _train(estimator, 0, True, times=3)
         assert not _confident(estimator, 1)
-        assert estimator.counters == [3, 0, 0, 0, 0, 0, 0, 0]
+        assert list(estimator.counters) == [3, 0, 0, 0, 0, 0, 0, 0]
 
     def test_size_report(self):
         assert ConfidenceEstimator(entries=1024, bits=3).size_report().total_bits == 3072

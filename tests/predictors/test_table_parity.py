@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.predictors import perceptron, tage
+from repro.predictors import tage
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import GlobalHistoryRegister, LocalHistoryTable
 from repro.predictors.perceptron import (
+    FlatWeightTable,
     PerceptronConfig,
     PerceptronPredictor,
-    flat_perceptron_output,
+    perceptron_output,
 )
 from repro.predictors.predicate_aware import (
     PredicateAwareConfig,
@@ -149,12 +150,11 @@ class TestTAGEParity:
 
 
 def _assert_output_memo_fresh(table):
-    """Every memoised perceptron output equals a fresh dot product."""
-    for index, (combined, output) in table._memo.items():
-        base = index * table.num_weights
-        assert output == flat_perceptron_output(
-            table.weights, base, table.num_weights, combined
-        )
+    """Every memoised perceptron output equals the per-bit reference over
+    the row's current weights, and is what :meth:`output` answers."""
+    for index, (combined, output) in list(table._memo.items()):
+        assert output == perceptron_output(table.row(index), combined)
+        assert table.output(index, combined) == output
 
 
 SMALL_PERCEPTRON = PerceptronConfig(
@@ -213,8 +213,13 @@ class TestPooledMemoParity:
             reference.update(pc, history, outcome)
             optimized.update(pc, history, outcome)
             assert optimized.table_state() == reference.table_state()
-            for memo_history, folds in optimized._fold_memo.items():
-                assert folds == optimized._history_folds(memo_history)
+            # Every pooled (pc, history) pair, memoised or not, predicts as
+            # the unmemoised reference does.
+            for probe_pc in PC_POOL:
+                for probe_history in HISTORY_POOL:
+                    assert optimized.predict(probe_pc, probe_history) == reference.predict(
+                        probe_pc, probe_history
+                    )
 
     @settings(max_examples=20, deadline=None)
     @given(stream=pooled_steps)
@@ -244,10 +249,16 @@ class _Counting:
         return self.function(*args)
 
 
+def _count_computes(monkeypatch) -> _Counting:
+    """Count the fresh (unmemoised) perceptron outputs of every table."""
+    dot = _Counting(FlatWeightTable.compute)
+    monkeypatch.setattr(FlatWeightTable, "compute", lambda table, *args: dot(table, *args))
+    return dot
+
+
 class TestMemoHitsAndInvalidation:
     def test_update_reuses_the_prediction_output_until_training(self, monkeypatch):
-        dot = _Counting(perceptron.flat_perceptron_output)
-        monkeypatch.setattr(perceptron, "flat_perceptron_output", dot)
+        dot = _count_computes(monkeypatch)
         predictor = PerceptronPredictor(SMALL_PERCEPTRON)
         pc, history = PC_POOL[0], 0b1011
         predictor.predict(pc, history)
@@ -264,8 +275,7 @@ class TestMemoHitsAndInvalidation:
         assert dot.calls == 2
 
     def test_predicate_perceptron_slots_share_the_row_memo(self, monkeypatch):
-        dot = _Counting(perceptron.flat_perceptron_output)
-        monkeypatch.setattr(perceptron, "flat_perceptron_output", dot)
+        dot = _count_computes(monkeypatch)
         predictor = PredicatePerceptronPredictor(SMALL_PREDICATE)
         pc = PC_POOL[1]
         predictor.predict_slot(pc, 0, 7)
