@@ -203,6 +203,10 @@ class PredicatePredictionScheme(BranchHandlingScheme):
             GsharePredictor(history_bits=14) if self.options.use_first_level else None
         )
         self._branch_ghr = GlobalHistoryRegister(14)
+        #: First-level history each in-flight branch predicted with, keyed
+        #: by its dynamic sequence number: the branch trains the entry it
+        #: read, not the one after its own outcome was pushed.
+        self._fetch_histories: Dict[int, int] = {}
         #: Architectural (committed) values of logical predicate registers.
         self._logical_values: List[bool] = [False] * NUM_PREDICATE_REGISTERS
         self._logical_values[0] = True
@@ -305,7 +309,9 @@ class PredicatePredictionScheme(BranchHandlingScheme):
         actual = bool(dyn.taken)
         fetch_prediction: Optional[bool] = None
         if self.first_level is not None:
-            fetch_prediction = self.first_level.predict(dyn.pc, self._branch_ghr.value)
+            history = self._branch_ghr.value
+            fetch_prediction = self.first_level.predict(dyn.pc, history)
+            self._fetch_histories[dyn.seq] = history
 
         entry = self.pprf.current(dyn.inst.qp.index)
         if entry is None:
@@ -350,8 +356,9 @@ class PredicatePredictionScheme(BranchHandlingScheme):
         )
 
     def on_branch_resolved(self, dyn: DynInst, resolve_cycle: int, mispredicted: bool) -> None:
-        if self.first_level is not None:
-            self.first_level.update(dyn.pc, self._branch_ghr.value, bool(dyn.taken))
+        history = self._fetch_histories.pop(dyn.seq, None)
+        if history is not None:
+            self.first_level.update(dyn.pc, history, bool(dyn.taken))
 
     # ------------------------------------------------------------------
     # If-converted instruction handling: selective predicate prediction

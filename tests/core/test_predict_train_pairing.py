@@ -1,0 +1,182 @@
+"""Predict/train pairing: every table update lands on an entry its own
+prediction read.
+
+gshare, the perceptron and TAGE train the entry they predicted from, so a
+scheme must hand each update the history its prediction used.  The test
+instruments every predictor table of a scheme at its kernel seam — the
+perceptron row (:class:`FlatWeightTable`), the gshare and TAGE indices and
+PEP-PA's pattern-table index — and attributes each access to the dynamic
+branch or compare whose hook made it: accesses in a rename hook are
+predictions, accesses in ``on_branch_resolved`` / ``on_compare_complete``
+are updates.  Every update of a dynamic instance must touch only entries
+one of its predictions read, for every registered scheme on both timing
+loops.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+
+import pytest
+
+from repro.engine import IF_CONVERTED, ExecutionEngine, SchemeSpec
+from repro.experiments.setup import ExperimentProfile, scheme_kinds
+from repro.pipeline.core import OutOfOrderCore
+from repro.predictors.counters import CounterTable
+from repro.predictors.gshare import GsharePredictor
+from repro.predictors.perceptron import FlatWeightTable
+from repro.predictors.tage import TAGEPredictor
+
+INSTRUCTIONS = 2_000
+BENCHMARKS = ("gap", "gzip")
+
+SPECS = [SchemeSpec.make(kind) for kind in scheme_kinds()] + [
+    SchemeSpec.make(kind, second_level="tage")
+    for kind in ("conventional", "predicate", "wish")
+]
+
+READ_HOOKS = ("on_branch_rename", "on_compare_rename")
+WRITE_HOOKS = ("on_branch_resolved", "on_compare_complete")
+
+
+class _Recorder:
+    """Table entries read and written, per dynamic sequence number."""
+
+    def __init__(self) -> None:
+        self.reads = defaultdict(set)
+        self.writes = defaultdict(set)
+        self.current = None
+
+    def touch(self, table, index) -> None:
+        if self.current is not None:
+            self.current.add((id(table), index))
+
+    def hook(self, function, accesses):
+        def recorded(dyn, *args):
+            self.current = accesses[dyn.seq]
+            try:
+                return function(dyn, *args)
+            finally:
+                self.current = None
+
+        return recorded
+
+
+#: The recorder of the run in progress (the recording table classes below
+#: have no room for one per instance).
+RECORDER = _Recorder()
+
+
+class _RecordingFlatWeightTable(FlatWeightTable):
+    __slots__ = ()
+
+    def output(self, index, combined_history):
+        RECORDER.touch(self, index)
+        return super().output(index, combined_history)
+
+    def train(self, index, combined_history, outcome):
+        RECORDER.touch(self, index)
+        super().train(index, combined_history, outcome)
+
+
+class _RecordingCounterTable(CounterTable):
+    __slots__ = ()
+
+    def taken(self, index):
+        RECORDER.touch(self, self._index(index))
+        return super().taken(index)
+
+    def train(self, index, outcome):
+        RECORDER.touch(self, self._index(index))
+        super().train(index, outcome)
+
+
+def _record_gshare(predictor: GsharePredictor) -> None:
+    predict, update = predictor.predict, predictor.update
+
+    def recorded_predict(pc, history):
+        RECORDER.touch(predictor, predictor._index(pc, history))
+        return predict(pc, history)
+
+    def recorded_update(pc, history, outcome):
+        RECORDER.touch(predictor, predictor._index(pc, history))
+        update(pc, history, outcome)
+
+    predictor.predict, predictor.update = recorded_predict, recorded_update
+
+
+def _record_tage(predictor: TAGEPredictor) -> None:
+    predict, update = predictor.predict, predictor.update
+
+    def touch(pc, history):
+        RECORDER.touch(predictor, ("base", predictor._base_index(pc)))
+        for table in range(predictor.num_tables):
+            RECORDER.touch(predictor, (table, predictor._index(pc, history, table)))
+
+    def recorded_predict(pc, history):
+        touch(pc, history)
+        return predict(pc, history)
+
+    def recorded_update(pc, history, outcome):
+        touch(pc, history)
+        update(pc, history, outcome)
+
+    predictor.predict, predictor.update = recorded_predict, recorded_update
+
+
+def _instrument(obj, seen) -> None:
+    """Swap every predictor table reachable from ``obj`` for a recording one."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if type(obj) is FlatWeightTable:
+        obj.__class__ = _RecordingFlatWeightTable
+    elif type(obj) is CounterTable:
+        obj.__class__ = _RecordingCounterTable
+    elif isinstance(obj, GsharePredictor):
+        _record_gshare(obj)
+    elif isinstance(obj, TAGEPredictor):
+        _record_tage(obj)
+    else:
+        for value in getattr(obj, "__dict__", {}).values():
+            if type(value).__module__.startswith("repro."):
+                _instrument(value, seen)
+
+
+def _run_recorded(spec: SchemeSpec, pack, optimized: bool) -> _Recorder:
+    global RECORDER
+    RECORDER = recorder = _Recorder()
+    scheme = spec.build()
+    _instrument(scheme, set())
+    for name in READ_HOOKS:
+        setattr(scheme, name, recorder.hook(getattr(scheme, name), recorder.reads))
+    for name in WRITE_HOOKS:
+        setattr(scheme, name, recorder.hook(getattr(scheme, name), recorder.writes))
+    OutOfOrderCore(optimized=optimized).run(pack, scheme, "pairing")
+    return recorder
+
+
+@pytest.fixture(scope="module")
+def packs():
+    profile = ExperimentProfile(
+        name="pairing",
+        instructions_per_benchmark=INSTRUCTIONS,
+        benchmarks=list(BENCHMARKS),
+        profile_budget=INSTRUCTIONS,
+    )
+    engine = ExecutionEngine(profile, store=None)
+    return {b: engine.collect_trace(b, IF_CONVERTED) for b in BENCHMARKS}
+
+
+@pytest.mark.parametrize("optimized", [True, False], ids=["fast-loop", "reference-loop"])
+@pytest.mark.parametrize("spec", SPECS, ids=SchemeSpec.describe)
+@pytest.mark.parametrize("workload", BENCHMARKS)
+def test_every_update_writes_an_entry_its_prediction_read(packs, workload, spec, optimized):
+    recorder = _run_recorded(spec, packs[workload], optimized)
+    assert any(recorder.writes.values()), "the run trained no table"
+    unpaired = {
+        seq: sorted(map(str, written - recorder.reads.get(seq, set())))
+        for seq, written in recorder.writes.items()
+        if not written <= recorder.reads.get(seq, set())
+    }
+    assert not unpaired, f"{len(unpaired)} updates wrote entries no prediction read"

@@ -57,24 +57,24 @@ CONFIGS = {
 #: (branches, mispredictions, early resolved, overrides, crc32 of flags),
 #: cycles).
 GOLDEN = {('gap', 'predicate'): ({'branches': 184,
-                                  'branches_early_resolved': 22,
-                                  'branches_used_prediction': 162,
-                                  'history_repairs': 13,
+                                  'branches_early_resolved': 16,
+                                  'branches_used_prediction': 168,
+                                  'history_repairs': 15,
                                   'history_repairs_at_writeback': 36,
-                                  'mispredictions': 13,
+                                  'mispredictions': 15,
                                   'predicate_predictions': 290,
                                   'predicate_predictions_correct': 254,
                                   'predicate_predictions_wrong': 36,
                                   'predicated_assumed_true': 12,
                                   'predicated_conservative': 201},
-                                 (184, 13, 22, 86, 1975676481),
-                                 2564),
+                                 (184, 15, 16, 46, 2445642893),
+                                 2515),
           ('gap', 'predicate-1bit'): ({'branches': 184,
-                                       'branches_early_resolved': 26,
-                                       'branches_used_prediction': 158,
-                                       'history_repairs': 12,
+                                       'branches_early_resolved': 23,
+                                       'branches_used_prediction': 161,
+                                       'history_repairs': 13,
                                        'history_repairs_at_writeback': 36,
-                                       'mispredictions': 12,
+                                       'mispredictions': 13,
                                        'predicate_flushes': 5,
                                        'predicate_predictions': 290,
                                        'predicate_predictions_correct': 254,
@@ -82,14 +82,14 @@ GOLDEN = {('gap', 'predicate'): ({'branches': 184,
                                        'predicated_assumed_true': 140,
                                        'predicated_cancelled': 20,
                                        'predicated_conservative': 53},
-                                      (184, 12, 26, 87, 363831301),
-                                      2621),
+                                      (184, 13, 23, 48, 2902361087),
+                                      2534),
           ('gap', 'predicate-no-alias-1bit'): ({'branches': 184,
-                                                'branches_early_resolved': 26,
-                                                'branches_used_prediction': 158,
-                                                'history_repairs': 12,
+                                                'branches_early_resolved': 23,
+                                                'branches_used_prediction': 161,
+                                                'history_repairs': 13,
                                                 'history_repairs_at_writeback': 36,
-                                                'mispredictions': 12,
+                                                'mispredictions': 13,
                                                 'predicate_flushes': 5,
                                                 'predicate_predictions': 290,
                                                 'predicate_predictions_correct': 254,
@@ -97,13 +97,13 @@ GOLDEN = {('gap', 'predicate'): ({'branches': 184,
                                                 'predicated_assumed_true': 140,
                                                 'predicated_cancelled': 20,
                                                 'predicated_conservative': 53},
-                                               (184, 12, 26, 87, 363831301),
-                                               2621),
+                                               (184, 13, 23, 48, 2902361087),
+                                               2534),
           ('gap', 'predicate-perfect-history-1bit'): ({'branches': 184,
-                                                       'branches_early_resolved': 26,
-                                                       'branches_used_prediction': 158,
-                                                       'history_repairs': 12,
-                                                       'mispredictions': 12,
+                                                       'branches_early_resolved': 23,
+                                                       'branches_used_prediction': 161,
+                                                       'history_repairs': 13,
+                                                       'mispredictions': 13,
                                                        'predicate_flushes': 5,
                                                        'predicate_predictions': 290,
                                                        'predicate_predictions_correct': 254,
@@ -111,27 +111,31 @@ GOLDEN = {('gap', 'predicate'): ({'branches': 184,
                                                        'predicated_assumed_true': 140,
                                                        'predicated_cancelled': 20,
                                                        'predicated_conservative': 53},
-                                                      (184, 12, 26, 87, 363831301),
-                                                      2621),
+                                                      (184,
+                                                       13,
+                                                       23,
+                                                       48,
+                                                       2902361087),
+                                                      2534),
           ('gap', 'predicate-tage'): ({'branches': 184,
-                                       'branches_early_resolved': 25,
-                                       'branches_used_prediction': 159,
-                                       'history_repairs': 25,
+                                       'branches_early_resolved': 21,
+                                       'branches_used_prediction': 163,
+                                       'history_repairs': 27,
                                        'history_repairs_at_writeback': 51,
-                                       'mispredictions': 25,
+                                       'mispredictions': 27,
                                        'predicate_predictions': 290,
                                        'predicate_predictions_correct': 239,
                                        'predicate_predictions_wrong': 51,
                                        'predicated_assumed_true': 12,
                                        'predicated_conservative': 201},
-                                      (184, 25, 25, 80, 2740718492),
-                                      2753),
+                                      (184, 27, 21, 52, 1804213859),
+                                      2695),
           ('gap', 'predicate-tage-1bit'): ({'branches': 184,
-                                            'branches_early_resolved': 25,
-                                            'branches_used_prediction': 159,
-                                            'history_repairs': 25,
+                                            'branches_early_resolved': 24,
+                                            'branches_used_prediction': 160,
+                                            'history_repairs': 26,
                                             'history_repairs_at_writeback': 51,
-                                            'mispredictions': 25,
+                                            'mispredictions': 26,
                                             'predicate_flushes': 9,
                                             'predicate_predictions': 290,
                                             'predicate_predictions_correct': 239,
@@ -139,8 +143,8 @@ GOLDEN = {('gap', 'predicate'): ({'branches': 184,
                                             'predicated_assumed_true': 129,
                                             'predicated_cancelled': 27,
                                             'predicated_conservative': 57},
-                                           (184, 25, 25, 80, 2740718492),
-                                           2862),
+                                           (184, 26, 24, 53, 381064524),
+                                           2780),
           ('gap', 'wish'): ({'branches': 184,
                              'mispredictions': 18,
                              'wish_branch_mode': 12,
@@ -182,8 +186,8 @@ GOLDEN = {('gap', 'predicate'): ({'branches': 184,
                                       (184, 29, 0, 50, 4222059170),
                                       2865),
           ('vortex', 'predicate'): ({'branches': 202,
-                                     'branches_early_resolved': 21,
-                                     'branches_used_prediction': 181,
+                                     'branches_early_resolved': 14,
+                                     'branches_used_prediction': 188,
                                      'history_repairs': 14,
                                      'history_repairs_at_writeback': 33,
                                      'mispredictions': 14,
@@ -192,11 +196,11 @@ GOLDEN = {('gap', 'predicate'): ({'branches': 184,
                                      'predicate_predictions_wrong': 33,
                                      'predicated_assumed_true': 6,
                                      'predicated_conservative': 132},
-                                    (202, 14, 21, 72, 389600930),
-                                    2592),
+                                    (202, 14, 14, 37, 429732424),
+                                    2525),
           ('vortex', 'predicate-1bit'): ({'branches': 202,
-                                          'branches_early_resolved': 23,
-                                          'branches_used_prediction': 179,
+                                          'branches_early_resolved': 18,
+                                          'branches_used_prediction': 184,
                                           'history_repairs': 14,
                                           'history_repairs_at_writeback': 33,
                                           'mispredictions': 14,
@@ -207,11 +211,11 @@ GOLDEN = {('gap', 'predicate'): ({'branches': 184,
                                           'predicated_assumed_true': 93,
                                           'predicated_cancelled': 11,
                                           'predicated_conservative': 34},
-                                         (202, 14, 23, 72, 3762696639),
-                                         2738),
+                                         (202, 14, 18, 37, 2100847988),
+                                         2662),
           ('vortex', 'predicate-no-alias-1bit'): ({'branches': 202,
-                                                   'branches_early_resolved': 23,
-                                                   'branches_used_prediction': 179,
+                                                   'branches_early_resolved': 18,
+                                                   'branches_used_prediction': 184,
                                                    'history_repairs': 14,
                                                    'history_repairs_at_writeback': 33,
                                                    'mispredictions': 14,
@@ -222,11 +226,11 @@ GOLDEN = {('gap', 'predicate'): ({'branches': 184,
                                                    'predicated_assumed_true': 93,
                                                    'predicated_cancelled': 11,
                                                    'predicated_conservative': 34},
-                                                  (202, 14, 23, 72, 3762696639),
-                                                  2738),
+                                                  (202, 14, 18, 37, 2100847988),
+                                                  2662),
           ('vortex', 'predicate-perfect-history-1bit'): ({'branches': 202,
-                                                          'branches_early_resolved': 23,
-                                                          'branches_used_prediction': 179,
+                                                          'branches_early_resolved': 18,
+                                                          'branches_used_prediction': 184,
                                                           'history_repairs': 14,
                                                           'mispredictions': 14,
                                                           'predicate_flushes': 5,
@@ -236,11 +240,15 @@ GOLDEN = {('gap', 'predicate'): ({'branches': 184,
                                                           'predicated_assumed_true': 93,
                                                           'predicated_cancelled': 11,
                                                           'predicated_conservative': 34},
-                                                         (202, 14, 23, 72, 3762696639),
-                                                         2738),
+                                                         (202,
+                                                          14,
+                                                          18,
+                                                          37,
+                                                          2100847988),
+                                                         2662),
           ('vortex', 'predicate-tage'): ({'branches': 202,
-                                          'branches_early_resolved': 23,
-                                          'branches_used_prediction': 179,
+                                          'branches_early_resolved': 17,
+                                          'branches_used_prediction': 185,
                                           'history_repairs': 28,
                                           'history_repairs_at_writeback': 48,
                                           'mispredictions': 28,
@@ -248,11 +256,11 @@ GOLDEN = {('gap', 'predicate'): ({'branches': 184,
                                           'predicate_predictions_correct': 246,
                                           'predicate_predictions_wrong': 48,
                                           'predicated_conservative': 138},
-                                         (202, 28, 23, 60, 1280274128),
-                                         2791),
+                                         (202, 28, 17, 43, 3800536333),
+                                         2740),
           ('vortex', 'predicate-tage-1bit'): ({'branches': 202,
-                                               'branches_early_resolved': 23,
-                                               'branches_used_prediction': 179,
+                                               'branches_early_resolved': 19,
+                                               'branches_used_prediction': 183,
                                                'history_repairs': 28,
                                                'history_repairs_at_writeback': 48,
                                                'mispredictions': 28,
@@ -263,8 +271,8 @@ GOLDEN = {('gap', 'predicate'): ({'branches': 184,
                                                'predicated_assumed_true': 84,
                                                'predicated_cancelled': 10,
                                                'predicated_conservative': 44},
-                                              (202, 28, 23, 60, 1280274128),
-                                              2840),
+                                              (202, 28, 19, 43, 216622179),
+                                              2783),
           ('vortex', 'wish'): ({'branches': 202,
                                 'mispredictions': 15,
                                 'wish_branch_mode': 6,

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro.core import PredicatePredictionScheme, PredicateSchemeOptions, WishBranchScheme
 from repro.emulator import Emulator
+from repro.engine import IF_CONVERTED, ExecutionEngine
+from repro.experiments.setup import ExperimentProfile
 from repro.pipeline import OutOfOrderCore
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import LocalHistoryTable
@@ -367,3 +369,37 @@ class TestMemosStayOutOfPickles:
         # The restored memo plans for the restored tables.
         assert restored.plans.confidence is restored.confidence
 
+
+
+class TestPendingFirstLevelHistory:
+    def test_a_branch_in_flight_trains_its_prediction_history_after_a_restore(self):
+        # The timing loops resolve a branch in the step that renames it, so
+        # a window-boundary checkpoint never holds one in flight; pickle the
+        # scheme between the two hooks instead.
+        profile = ExperimentProfile(
+            name="pending-history",
+            instructions_per_benchmark=1_500,
+            benchmarks=["gap"],
+            profile_budget=1_500,
+        )
+        engine = ExecutionEngine(profile, store=None)
+        trace = engine.collect_trace("gap", IF_CONVERTED).to_dyninsts()
+        scheme = PredicatePredictionScheme()
+        OutOfOrderCore().run(trace[:1_000], scheme, "gap")
+        rows = range(scheme.predictor_config.entries)
+        assert any(any(scheme.predictor.weight_row(row)) for row in rows)
+        branches = [dyn for dyn in trace[1_000:] if dyn.inst.is_branch][:2]
+        assert len(branches) == 2
+        for dyn in branches:
+            scheme.on_branch_rename(dyn, 0, 1, 0)
+        assert len(scheme._fetch_histories) == 2
+        restored = pickle.loads(pickle.dumps(scheme, protocol=pickle.HIGHEST_PROTOCOL))
+        assert restored._fetch_histories == scheme._fetch_histories
+        for copy in (scheme, restored):
+            for dyn in branches:
+                copy.on_branch_resolved(dyn, 2, False)
+        assert restored.first_level.table.values == scheme.first_level.table.values
+        results = [OutOfOrderCore().run(trace[1_000:], copy, "gap") for copy in (scheme, restored)]
+        assert results[0].metrics.summary() == results[1].metrics.summary()
+        assert restored.counters.as_dict() == scheme.counters.as_dict()
+        assert restored.first_level.table.values == scheme.first_level.table.values
