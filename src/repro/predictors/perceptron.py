@@ -71,21 +71,9 @@ class PerceptronConfig:
         return table + local + self.global_bits
 
 
-#: Pure memo of the pc -> table-entry hash, shared by every predictor
-#: instance and every lane of a batched run: the fold is a pure function of
-#: ``(pc, entries)`` and the key set is bounded by the static branch PCs of
-#: the simulated programs.
-_ENTRY_INDEX_MEMO: dict = {}
-
-
 def entry_index(pc: int, entries: int) -> int:
-    """The perceptron table entry of ``pc`` (memoised fold-and-mod hash)."""
-    key = (pc, entries)
-    index = _ENTRY_INDEX_MEMO.get(key)
-    if index is None:
-        index = fold_pc(pc, 24) % entries
-        _ENTRY_INDEX_MEMO[key] = index
-    return index
+    """The perceptron table entry of ``pc`` (fold-and-mod hash)."""
+    return fold_pc(pc, 24) % entries
 
 
 def perceptron_output(row: List[int], combined_history: int) -> int:
