@@ -164,29 +164,23 @@ class TestFootprint:
         rng = random.Random(7)
         pcs = [0x4000 + 4 * rng.randrange(1 << 16) for _ in range(600)]
         bias = {pc: rng.random() for pc in pcs}
-        held = []
-
-        def train():
-            predictor = PerceptronPredictor()
-            history = 0
-            for _ in range(30_000):
-                pc = rng.choice(pcs)
-                outcome = rng.random() < bias[pc]
-                predictor.predict(pc, history)
-                predictor.update(pc, history, outcome)
-                history = ((history << 1) | outcome) & ((1 << 30) - 1)
-            held.append(predictor)
-            gc.collect()
-
+        stream = [rng.choice(pcs) for _ in range(30_000)]
+        outcomes = [rng.random() < bias[pc] for pc in stream]
         gc.collect()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            train()
-            after = tracemalloc.get_traced_memory()[0]
+            predictor = PerceptronPredictor()
+            history = 0
+            for pc, outcome in zip(stream, outcomes):
+                predictor.predict(pc, history)
+                predictor.update(pc, history, outcome)
+                history = ((history << 1) | outcome) & ((1 << 30) - 1)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert after - before <= 0.6 * 1024 * 1024
+        assert held <= 0.6 * 1024 * 1024
 
     @pytest.mark.parametrize("kind", _SCHEME_KINDS)
     def test_submit_time_scheme_check_allocates_under_256_kib(self, kind):
