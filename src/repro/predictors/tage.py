@@ -163,6 +163,13 @@ class TAGEPredictor(DirectionPredictor):
                 "TAGE history lengths must be strictly increasing, got "
                 f"{cfg.history_lengths!r}"
             )
+        if cfg.tag_bits < 2 or not 1 <= cfg.counter_bits <= 8 or not 1 <= cfg.useful_bits <= 8:
+            # The twisted tag fold needs two tag bits; counters and
+            # usefulness live in byte-wide columns.
+            raise ValueError(
+                "TAGE needs tag_bits >= 2 and 1-8 bit counter and usefulness "
+                f"columns, got {cfg!r}"
+            )
         self.optimized = optimized
         self.num_tables = len(cfg.history_lengths)
         self._base_entries = 1 << cfg.base_bits

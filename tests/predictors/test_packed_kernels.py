@@ -186,3 +186,11 @@ class TestFootprint:
     def test_submit_time_scheme_check_allocates_under_256_kib(self, kind):
         _parse_scheme(kind, "cell")  # imports and first-use tables
         assert _allocated(lambda: _parse_scheme(kind, "cell")) <= 256 * 1024
+
+
+@pytest.mark.parametrize(
+    "field, value", [("tag_bits", 1), ("counter_bits", 9), ("useful_bits", 9)]
+)
+def test_tage_rejects_geometries_its_columns_cannot_hold(field, value):
+    with pytest.raises(ValueError, match="TAGE needs"):
+        TAGEPredictor(TAGEConfig(**{field: value}))
