@@ -142,7 +142,8 @@ class FlatWeightTable:
     of ``lane`` bits each.  Lane ``k < num_weights`` holds weight ``k``
     (``k = 0`` the bias, ``k = i + 1`` history bit ``i``) plus ``offset =
     -weight_min``, so every lane is a non-negative value below
-    ``2**weight_bits``; the top lane holds the sum of those lanes.  The
+    ``2**weight_bits`` (``weight_max - weight_min`` is ``2**weight_bits -
+    1``); the top lane holds the sum of those lanes.  The
     lane width is the least one in which ``num_weights`` such values sum
     without a carry, so no lane ever spills into the next.
 
@@ -155,7 +156,8 @@ class FlatWeightTable:
       sum minus the row total, corrected for the offsets.
     * **Training.** One add and one subtract of lane-wise 1s move every
       weight towards the outcome; lanes already at a bound are masked out
-      first (``saturated`` and ``nonzero`` below), which is the reference
+      first (a lane's bit ``weight_bits`` after adding 1, or ``2**weight_bits
+      - 1``, flags it ``saturated`` or ``nonzero``), which is the reference
       clamp.
 
     The arithmetic is exact, so outputs and weights equal the per-bit
@@ -283,8 +285,10 @@ class FlatWeightTable:
                 up, down = ones ^ spread, spread
             packed = self.rows[index]
             weight_bits = self._weight_bits
-            up &= ~((packed + ones) >> weight_bits)
-            down &= (packed + self._full) >> weight_bits
+            saturated = (packed + ones) >> weight_bits
+            nonzero = (packed + self._full) >> weight_bits
+            up &= ~saturated
+            down &= nonzero
             self.rows[index] = (
                 packed
                 + up
