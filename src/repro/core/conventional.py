@@ -1,9 +1,15 @@
 """Conventional two-level override branch prediction scheme.
 
-This is the baseline of both evaluation sections: a fast 4 KB gshare makes a
-single-cycle prediction at fetch, and a 148 KB global+local perceptron
-(3-cycle access) overrides it before rename.  Branches are predicted with
-their own PC; the global history register is fed with branch outcomes.
+This is the baseline of both evaluation sections, the Alpha 21264 / POWER4
+override organisation of Table 1: a fast 4 KB gshare makes a single-cycle
+prediction at fetch, and a 148 KB global+local perceptron (3-cycle access)
+overrides it before rename.  When the two levels disagree, the front end is
+flushed and refetched from the second prediction, costing a few cycles but
+keeping the final accuracy that of the second level.  Branches are
+predicted with their own PC; the global history register is fed with
+branch outcomes.  The scheme plans each branch PC once for both levels
+(:class:`~repro.predictors.base.BranchPlans`) and calls one kernel per
+level per prediction and per update.
 
 Predicated instructions are handled conservatively (no predicate prediction):
 they keep their guard as a data dependence and depend on the previous value
@@ -16,11 +22,11 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.emulator.executor import DynInst
-from repro.pipeline.scheme_api import BranchHandling, BranchHandlingScheme
+from repro.pipeline.scheme_api import OVERRIDE_HANDLING, BranchHandling, BranchHandlingScheme
+from repro.predictors.base import BranchPlans
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import GlobalHistoryRegister
 from repro.predictors.ideal import NoAliasPerceptron
-from repro.predictors.multilevel import TwoLevelOverridePredictor
 from repro.predictors.perceptron import PerceptronConfig, PerceptronPredictor
 from repro.predictors.tage import TAGEConfig, TAGEPredictor
 
@@ -34,9 +40,7 @@ class ConventionalScheme(BranchHandlingScheme):
     #: pure function of the branch rows of the trace.  The lane-batched
     #: kernel exploits this by replaying the scheme once per spec and
     #: sharing the stream across all machine lanes of a batch.  (The
-    #: speculative GHR push + same-branch repair in ``on_branch_rename`` is
-    #: net-equivalent to pushing the architectural outcome, so even the
-    #: history evolution is trace-determined.)
+    #: history evolution is trace-determined too: see ``on_branch_rename``.)
     timing_independent = True
 
     def __init__(
@@ -71,10 +75,10 @@ class ConventionalScheme(BranchHandlingScheme):
                 f"unknown second_level {second_level!r}; "
                 "expected 'perceptron' or 'tage'"
             )
-        self.predictor = TwoLevelOverridePredictor(
-            fast=GsharePredictor(history_bits=14),
-            slow=slow,  # type: ignore[arg-type]
-        )
+        #: The first level (fetch) and the second level (rename), which wins.
+        self.fast = GsharePredictor(history_bits=14)
+        self.predictor = slow
+        self.plans = BranchPlans(self.fast, slow)
         self.ghr = GlobalHistoryRegister(history_bits)
         self.ideal_no_alias = ideal_no_alias
         #: With perfect history the GHR is updated with the architectural
@@ -83,8 +87,9 @@ class ConventionalScheme(BranchHandlingScheme):
         #: repair by the same branch, so the flag only exists for symmetry
         #: with the predicate scheme's idealization.
         self.perfect_history = perfect_history
-        #: Pending training information keyed by dynamic sequence number.
-        self._pending: Dict[int, Tuple[int, int, bool]] = {}
+        #: Pending training information keyed by dynamic sequence number:
+        #: ``(plan, history at prediction, outcome)``.
+        self._pending: Dict[int, Tuple[tuple, int, bool]] = {}
 
     # ------------------------------------------------------------------
     def on_branch_rename(
@@ -94,37 +99,33 @@ class ConventionalScheme(BranchHandlingScheme):
         rename_cycle: int,
         guard_ready_cycle: int,
     ) -> BranchHandling:
+        plan = self.plans.memo.get(dyn.pc) or self.plans.of(dyn.pc)
+        fast_key, fast_local, key, local_slot = plan
         history = self.ghr.value
-        prediction = self.predictor.predict_both(dyn.pc, history)
+        fast = self.fast.output_planned(fast_key, fast_local, history) >= 0
+        final = self.predictor.output_planned(key, local_slot, history) >= 0
         actual = bool(dyn.taken)
 
-        self.accuracy.add(dyn.pc, actual, prediction.final, prediction.fast)
+        self.accuracy.add(dyn.pc, actual, final, fast)
         self.counters.bump("branches")
-        if prediction.final != actual:
+        if final != actual:
             self.counters.bump("mispredictions")
 
-        # Speculative history update with the final prediction; the same
-        # branch repairs the bit on a misprediction, and no correct-path
-        # instruction is fetched before that repair, so younger correct-path
-        # branches always observe the corrected bit.
-        token = self.ghr.push(prediction.final)
-        if prediction.final != actual:
-            self.ghr.repair(token, actual)
+        # Speculative history update with the final prediction, repaired by
+        # the same branch on a misprediction before any correct-path
+        # instruction is fetched: net, the outcome is pushed.
+        self.ghr.push_resolved(actual)
 
-        self._pending[dyn.seq] = (dyn.pc, history, actual)
-        return BranchHandling(
-            final_prediction=prediction.final,
-            fetch_prediction=prediction.fast,
-            early_resolved=False,
-            override_flush=prediction.overridden,
-        )
+        self._pending[dyn.seq] = (plan, history, actual)
+        return OVERRIDE_HANDLING[fast, final]
 
     def on_branch_resolved(self, dyn: DynInst, resolve_cycle: int, mispredicted: bool) -> None:
         pending = self._pending.pop(dyn.seq, None)
         if pending is None:
             return
-        pc, history, actual = pending
-        self.predictor.update(pc, history, actual)
+        (fast_key, fast_local, key, local_slot), history, actual = pending
+        self.fast.train_planned(fast_key, fast_local, history, actual)
+        self.predictor.train_planned(key, local_slot, history, actual)
 
     # ------------------------------------------------------------------
     def stream_key(self):
@@ -144,5 +145,5 @@ class ConventionalScheme(BranchHandlingScheme):
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
-        size = self.predictor.size_report().total_kib
+        size = sum(table.size_report().total_kib for table in self.plans.tables)
         return f"conventional two-level override predictor ({size:.0f} KiB)"

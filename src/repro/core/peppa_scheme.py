@@ -20,7 +20,8 @@ from typing import Dict, List, Tuple
 
 from repro.emulator.executor import DynInst
 from repro.isa.registers import NUM_PREDICATE_REGISTERS
-from repro.pipeline.scheme_api import BranchHandling, BranchHandlingScheme
+from repro.pipeline.scheme_api import OVERRIDE_HANDLING, BranchHandling, BranchHandlingScheme
+from repro.predictors.base import BranchPlans
 from repro.predictors.peppa import PEPPAConfig, PEPPAPredictor
 
 
@@ -69,9 +70,10 @@ class PEPPAScheme(BranchHandlingScheme):
     def __init__(self, config: PEPPAConfig = PEPPAConfig()) -> None:
         super().__init__()
         self.predictor = PEPPAPredictor(config)
+        self.plans = BranchPlans(self.predictor)
         self.logical_predicates = _LogicalPredicateFile()
-        #: Pending (pc, selector, actual) training info per dynamic branch.
-        self._pending: Dict[int, Tuple[int, bool, bool]] = {}
+        #: Pending (plan, selector, actual) training info per dynamic branch.
+        self._pending: Dict[int, Tuple[tuple, bool, bool]] = {}
 
     # ------------------------------------------------------------------
     def on_compare_complete(self, dyn: DynInst, complete_cycle: int) -> None:
@@ -86,7 +88,8 @@ class PEPPAScheme(BranchHandlingScheme):
         guard_ready_cycle: int,
     ) -> BranchHandling:
         selector = self.logical_predicates.value_at(dyn.inst.qp.index, fetch_cycle)
-        prediction = self.predictor.predict(dyn.pc, selector)
+        plan = self.plans.of(dyn.pc)
+        prediction = self.predictor.output_planned(plan[0], plan[1], selector) >= 0
         actual = bool(dyn.taken)
 
         self.accuracy.add(dyn.pc, actual, prediction, prediction)
@@ -96,20 +99,15 @@ class PEPPAScheme(BranchHandlingScheme):
         if selector == actual:
             self.counters.bump("selector_matched_outcome")
 
-        self._pending[dyn.seq] = (dyn.pc, selector, actual)
-        return BranchHandling(
-            final_prediction=prediction,
-            fetch_prediction=prediction,
-            early_resolved=False,
-            override_flush=False,
-        )
+        self._pending[dyn.seq] = (plan, selector, actual)
+        return OVERRIDE_HANDLING[prediction, prediction]
 
     def on_branch_resolved(self, dyn: DynInst, resolve_cycle: int, mispredicted: bool) -> None:
         pending = self._pending.pop(dyn.seq, None)
         if pending is None:
             return
-        pc, selector, actual = pending
-        self.predictor.update(pc, selector, actual)
+        (fold, pair), selector, actual = pending
+        self.predictor.train_planned(fold, pair, selector, actual)
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

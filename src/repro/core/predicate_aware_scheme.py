@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.emulator.executor import DynInst
-from repro.pipeline.scheme_api import BranchHandling, BranchHandlingScheme
+from repro.pipeline.scheme_api import OVERRIDE_HANDLING, BranchHandling, BranchHandlingScheme
+from repro.predictors.base import BranchPlans
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import GlobalHistoryRegister
 from repro.predictors.predicate_aware import (
@@ -47,13 +48,16 @@ class PredicateAwareScheme(BranchHandlingScheme):
         self.config = config or PredicateAwareConfig()
         self.fast = GsharePredictor(history_bits=14)
         self.predictor = PredicateAwarePredictor(self.config)
+        self.plans = BranchPlans(self.fast, self.predictor)
         #: Mixed global history: branch outcomes + resolved predicate bits.
         self.ghr = GlobalHistoryRegister(self.config.global_bits)
         #: Shift register of the most recently resolved predicate values.
         self._snapshot = 0
         self._snapshot_mask = (1 << self.config.predicate_bits) - 1
-        #: Training state keyed by the branch's dynamic sequence number.
-        self._pending: Dict[int, Tuple[int, int, int, bool]] = {}
+        #: Training state keyed by the branch's dynamic sequence number:
+        #: ``(plan, mixed global history, second-level history input,
+        #: outcome)``.
+        self._pending: Dict[int, Tuple[tuple, int, int, bool]] = {}
 
     # ------------------------------------------------------------------
     def on_compare_complete(self, dyn: DynInst, complete_cycle: int) -> None:
@@ -71,10 +75,12 @@ class PredicateAwareScheme(BranchHandlingScheme):
         rename_cycle: int,
         guard_ready_cycle: int,
     ) -> BranchHandling:
+        plan = self.plans.memo.get(dyn.pc) or self.plans.of(dyn.pc)
+        fast_key, fast_local, key, local_slot = plan
         history = self.ghr.value
-        snapshot = self._snapshot
-        fast = self.fast.predict(dyn.pc, history)
-        final, _output = self.predictor.predict_with_output(dyn.pc, history, snapshot)
+        slow_history = self.predictor.input_history(history, self._snapshot)
+        fast = self.fast.output_planned(fast_key, fast_local, history) >= 0
+        final = self.predictor.output_planned(key, local_slot, slow_history) >= 0
         actual = bool(dyn.taken)
 
         self.accuracy.add(dyn.pc, actual, final, fast)
@@ -82,27 +88,20 @@ class PredicateAwareScheme(BranchHandlingScheme):
         if final != actual:
             self.counters.bump("mispredictions")
 
-        # Speculative push + same-branch repair (net-equivalent to pushing
-        # the outcome), exactly as in the conventional scheme.
-        token = self.ghr.push(final)
-        if final != actual:
-            self.ghr.repair(token, actual)
+        # Speculative push + same-branch repair, net the outcome, exactly as
+        # in the conventional scheme.
+        self.ghr.push_resolved(actual)
 
-        self._pending[dyn.seq] = (dyn.pc, history, snapshot, actual)
-        return BranchHandling(
-            final_prediction=final,
-            fetch_prediction=fast,
-            early_resolved=False,
-            override_flush=fast != final,
-        )
+        self._pending[dyn.seq] = (plan, history, slow_history, actual)
+        return OVERRIDE_HANDLING[fast, final]
 
     def on_branch_resolved(self, dyn: DynInst, resolve_cycle: int, mispredicted: bool) -> None:
         pending = self._pending.pop(dyn.seq, None)
         if pending is None:
             return
-        pc, history, snapshot, actual = pending
-        self.fast.update(pc, history, actual)
-        self.predictor.update(pc, history, snapshot, actual)
+        (fast_key, fast_local, key, local_slot), history, slow_history, actual = pending
+        self.fast.train_planned(fast_key, fast_local, history, actual)
+        self.predictor.train_planned(key, local_slot, slow_history, actual)
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

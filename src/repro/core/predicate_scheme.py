@@ -49,6 +49,7 @@ from repro.pipeline.scheme_api import (
 )
 from repro.pipeline.uop import RenameDecision
 from repro.core.selective import SelectivePredicationPolicy
+from repro.predictors.base import BranchPlans
 from repro.predictors.confidence import ConfidenceEstimator
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import GlobalHistoryRegister
@@ -203,10 +204,14 @@ class PredicatePredictionScheme(BranchHandlingScheme):
             GsharePredictor(history_bits=14) if self.options.use_first_level else None
         )
         self._branch_ghr = GlobalHistoryRegister(14)
-        #: First-level history each in-flight branch predicted with, keyed
-        #: by its dynamic sequence number: the branch trains the entry it
-        #: read, not the one after its own outcome was pushed.
-        self._fetch_histories: Dict[int, int] = {}
+        #: Per-branch-PC first-level plans (``None`` without a first level).
+        self.branch_plans = (
+            BranchPlans(self.first_level) if self.first_level is not None else None
+        )
+        #: First-level plan and history each in-flight branch predicted
+        #: with, keyed by its dynamic sequence number: the branch trains the
+        #: entry it read, not the one after its own outcome was pushed.
+        self._fetch_histories: Dict[int, Tuple[tuple, int]] = {}
         #: Architectural (committed) values of logical predicate registers.
         self._logical_values: List[bool] = [False] * NUM_PREDICATE_REGISTERS
         self._logical_values[0] = True
@@ -309,9 +314,10 @@ class PredicatePredictionScheme(BranchHandlingScheme):
         actual = bool(dyn.taken)
         fetch_prediction: Optional[bool] = None
         if self.first_level is not None:
+            plan = self.branch_plans.of(dyn.pc)
             history = self._branch_ghr.value
-            fetch_prediction = self.first_level.predict(dyn.pc, history)
-            self._fetch_histories[dyn.seq] = history
+            fetch_prediction = self.first_level.output_planned(plan[0], plan[1], history) >= 0
+            self._fetch_histories[dyn.seq] = (plan, history)
 
         entry = self.pprf.current(dyn.inst.qp.index)
         if entry is None:
@@ -347,7 +353,7 @@ class PredicatePredictionScheme(BranchHandlingScheme):
 
         override_flush = fetch_prediction is not None and fetch_prediction != final
         # The first-level predictor trains on branch outcomes as usual.
-        self._branch_ghr.push(actual)
+        self._branch_ghr.push_resolved(actual)
         return BranchHandling(
             final_prediction=final,
             fetch_prediction=fetch_prediction,
@@ -356,9 +362,10 @@ class PredicatePredictionScheme(BranchHandlingScheme):
         )
 
     def on_branch_resolved(self, dyn: DynInst, resolve_cycle: int, mispredicted: bool) -> None:
-        history = self._fetch_histories.pop(dyn.seq, None)
-        if history is not None:
-            self.first_level.update(dyn.pc, history, bool(dyn.taken))
+        pending = self._fetch_histories.pop(dyn.seq, None)
+        if pending is not None:
+            (key, local_slot), history = pending
+            self.first_level.train_planned(key, local_slot, history, bool(dyn.taken))
 
     # ------------------------------------------------------------------
     # If-converted instruction handling: selective predicate prediction

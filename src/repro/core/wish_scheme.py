@@ -215,7 +215,7 @@ class WishBranchScheme(BranchHandlingScheme):
 
     # ------------------------------------------------------------------
     def describe(self) -> str:
-        branch_kib = self.branches.predictor.size_report().total_kib
+        branch_kib = sum(table.size_report().total_kib for table in self.branches.plans.tables)
         guard_kib = self.guard_predictor.size_report().total_kib
         return (
             f"wish branches (guard-confidence gate, {self.second_level} second "

@@ -90,10 +90,9 @@ _log = get_logger(__name__)
 
 #: Bump when the pickled checkpoint layout changes; a mismatched checkpoint
 #: is ignored (the run restarts from row zero) rather than mis-restored.
-#: Version 7 packs each perceptron row into one int, keeps counters,
-#: confidence counters, PEP-PA histories and TAGE columns in byte arrays,
-#: and carries the predicate scheme's first-level prediction histories.
-CHECKPOINT_VERSION = 7
+#: Version 8 drops the history registers' token lists and the predictors'
+#: PC memos, and keeps each branch predictor's two levels on its scheme.
+CHECKPOINT_VERSION = 8
 
 
 @dataclass

@@ -43,7 +43,11 @@ from repro.pipeline.uop import RenameDecision
 
 @dataclass
 class BranchHandling:
-    """What the scheme decided for one dynamic conditional branch."""
+    """What the scheme decided for one dynamic conditional branch.
+
+    Never mutated once returned: a two-level override decision is one of
+    the shared :data:`OVERRIDE_HANDLING` instances.
+    """
 
     #: The prediction that steers the front end after rename (and is checked
     #: against the architectural outcome at resolution).
@@ -56,6 +60,15 @@ class BranchHandling:
     #: True when the final prediction disagrees with the fetch prediction,
     #: which costs a front-end flush.
     override_flush: bool = False
+
+
+#: The shared handling of a fetch prediction overridden by a final one that
+#: is not early-resolved, keyed by ``(fetch_prediction, final_prediction)``.
+OVERRIDE_HANDLING = {
+    (fetch, final): BranchHandling(final, fetch, False, fetch != final)
+    for fetch in (False, True)
+    for final in (False, True)
+}
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 The package contains the raw prediction structures; *schemes* (how the
 pipeline drives them — when history is updated, how recovery works, how
-predictions flow through the PPRF) live in :mod:`repro.core`.
+predictions flow through the PPRF, how a fast first level is overridden by
+a slow second level) live in :mod:`repro.core`.  Every structure is a
+:class:`~repro.predictors.base.DirectionPredictor`: a scheme plans each PC
+once and calls one kernel per table per prediction and per update.
 
 Structures provided:
 
@@ -14,8 +17,6 @@ Structures provided:
   predictor of the two-level scheme (Table 1);
 * :class:`~repro.predictors.perceptron.PerceptronPredictor` — the slow,
   highly accurate second-level predictor (global + local history);
-* :class:`~repro.predictors.multilevel.TwoLevelOverridePredictor` — the
-  Alpha/Power-style override organisation;
 * :class:`~repro.predictors.peppa.PEPPAPredictor` — the Predicate Enhanced
   Prediction scheme of August et al. used as a comparison point;
 * :class:`~repro.predictors.predicate_perceptron.PredicatePerceptronPredictor`
@@ -39,7 +40,6 @@ from repro.predictors.counters import SaturatingCounter, CounterTable
 from repro.predictors.history import GlobalHistoryRegister, LocalHistoryTable
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.perceptron import PerceptronPredictor, PerceptronConfig
-from repro.predictors.multilevel import TwoLevelOverridePredictor
 from repro.predictors.peppa import PEPPAPredictor, PEPPAConfig
 from repro.predictors.predicate_perceptron import (
     PredicatePerceptronPredictor,
@@ -67,7 +67,6 @@ __all__ = [
     "GsharePredictor",
     "PerceptronPredictor",
     "PerceptronConfig",
-    "TwoLevelOverridePredictor",
     "PEPPAPredictor",
     "PEPPAConfig",
     "PredicatePerceptronPredictor",

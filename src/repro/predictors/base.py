@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Any, Dict, Tuple
 
 
 @dataclass
@@ -35,26 +35,86 @@ class PredictorSizeReport:
 
 
 class DirectionPredictor(abc.ABC):
-    """Interface of a branch-direction predictor.
+    """Interface of a direction predictor: three planned kernels.
 
-    The raw predictors are *stateless with respect to history*: global and
-    local history values are passed in by the scheme layer, which owns the
-    speculative-update and recovery policy.  This keeps the same structure
-    reusable for branch prediction (indexed by branch PC) and predicate
-    prediction (indexed by compare PC).
+    A scheme resolves each PC to a plan once (:meth:`plan_slot`) and then
+    calls one kernel per table per prediction (:meth:`output_planned`) and
+    per update (:meth:`train_planned`).  The same trio serves branch
+    predictors (indexed by branch PC, slot 0) and predicate predictors
+    (indexed by compare PC, one slot per predicate target).
+
+    The raw predictors are *stateless with respect to history*: the history
+    value is passed in by the scheme layer, which owns the speculative-update
+    and recovery policy.  Every kernel reads or writes only the entries that
+    ``(plan, history)`` select, so a training with the history a prediction
+    used lands on the entries that prediction read.
     """
 
     @abc.abstractmethod
-    def predict(self, pc: int, global_history: int) -> bool:
-        """Predict taken/true (``True``) or not-taken/false (``False``)."""
+    def plan_slot(self, pc: int, slot: int) -> Tuple[Any, int, int]:
+        """``(key, local_slot, confidence_index)`` of one target of ``pc``.
+
+        All three are pure functions of ``(pc, slot)`` and the geometry:
+        ``key`` selects the table entries, ``local_slot`` the local-history
+        entry (0 for a predictor without local history) and
+        ``confidence_index`` the entry a paired confidence counter is keyed
+        by.
+        """
 
     @abc.abstractmethod
-    def update(self, pc: int, global_history: int, outcome: bool) -> None:
-        """Train the predictor with the resolved outcome."""
+    def output_planned(self, key: Any, local_slot: int, history: int) -> int:
+        """The raw output of a planned target; ``>= 0`` predicts taken/true."""
+
+    @abc.abstractmethod
+    def train_planned(self, key: Any, local_slot: int, history: int, outcome: bool) -> None:
+        """Train a planned target with the resolved outcome."""
 
     @abc.abstractmethod
     def size_report(self) -> PredictorSizeReport:
         """Return the hardware budget of this predictor."""
+
+    # ------------------------------------------------------------------
+    # Unplanned access (tests and one-off callers): plan, then one kernel.
+    # ------------------------------------------------------------------
+    def predict(self, pc: int, history: int) -> bool:
+        """Predict taken/true (``True``) or not-taken/false (``False``)."""
+        key, local_slot, _ = self.plan_slot(pc, 0)
+        return self.output_planned(key, local_slot, history) >= 0
+
+    def update(self, pc: int, history: int, outcome: bool) -> None:
+        """Train the predictor with the resolved outcome."""
+        key, local_slot, _ = self.plan_slot(pc, 0)
+        self.train_planned(key, local_slot, history, outcome)
+
+
+class BranchPlans:
+    """The per-branch-PC plans of a scheme's tables, memoised.
+
+    ``of(pc)`` is the ``(key, local_slot)`` of slot 0 of every table, in
+    table order, flattened into one tuple.  A pure cache of the tables'
+    geometry: pickling keeps only the tables, never the memo.
+    """
+
+    __slots__ = ("tables", "memo")
+
+    def __init__(self, *tables: DirectionPredictor) -> None:
+        self.tables = tables
+        self.memo: Dict[int, tuple] = {}
+
+    def __getstate__(self):
+        return self.tables
+
+    def __setstate__(self, tables) -> None:
+        self.tables = tables
+        self.memo = {}
+
+    def of(self, pc: int) -> tuple:
+        plan = self.memo.get(pc)
+        if plan is None:
+            plan = self.memo[pc] = tuple(
+                part for table in self.tables for part in table.plan_slot(pc, 0)[:2]
+            )
+        return plan
 
 
 def fold_pc(pc: int, bits: int) -> int:

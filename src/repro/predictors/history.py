@@ -19,56 +19,50 @@ register) when the computed value disagrees with the prediction.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List
+from typing import List
 
 from repro.predictors.base import fold_pc
 
 
 class GlobalHistoryRegister:
-    """A fixed-width shift register of branch/predicate outcome bits."""
+    """A fixed-width shift register of branch/predicate outcome bits.
 
-    __slots__ = ("bits", "_value", "_next_token", "_tokens")
+    Tokens are consecutive integers from 0, one per shifted-in bit, so the
+    bit of token ``t`` sits ``_next_token - 1 - t`` places from the newest
+    bit, and it is still in the register exactly while that distance is
+    below ``bits``.
+    """
+
+    __slots__ = ("bits", "value", "_next_token", "_mask")
 
     def __init__(self, bits: int) -> None:
         if bits < 1:
             raise ValueError("history register needs at least one bit")
         self.bits = bits
-        self._value = 0
+        #: Current contents as an integer (bit 0 = most recent outcome).
+        self.value = 0
         self._next_token = 0
-        #: tokens of the bits currently in the register, oldest first.  A
-        #: bounded deque makes every push O(1) (a plain list pays an O(bits)
-        #: ``pop(0)`` once the register is full).
-        self._tokens: Deque[int] = deque(maxlen=bits)
-
-    # ------------------------------------------------------------------
-    @property
-    def value(self) -> int:
-        """Current contents as an integer (bit 0 = most recent outcome)."""
-        return self._value
+        self._mask = (1 << bits) - 1
 
     # ------------------------------------------------------------------
     def push(self, outcome: bool) -> int:
         """Shift ``outcome`` in and return the token identifying this bit."""
         token = self._next_token
-        self._next_token += 1
-        self._value = ((self._value << 1) | (1 if outcome else 0)) & ((1 << self.bits) - 1)
-        self._tokens.append(token)  # maxlen evicts the oldest token
+        self._next_token = token + 1
+        self.value = ((self.value << 1) | (1 if outcome else 0)) & self._mask
         return token
 
     def push_resolved(self, outcome: bool) -> None:
-        """Shift in an already-resolved outcome (no token bookkeeping).
+        """Shift in an already-resolved outcome (its token is not returned).
 
         Equivalent to a :meth:`push` that the same instruction repairs to
-        ``outcome``.  For bits no one repairs: the computed predicate values
-        that the wish scheme's guard history and the predicate-aware
-        scheme's mixed history fold in at compare completion.
+        ``outcome``: for branches whose outcome is known when they push, and
+        for the computed predicate values that the wish scheme's guard
+        history and the predicate-aware scheme's mixed history fold in at
+        compare completion.
         """
-        self._value = (
-            (self._value << 1) | (1 if outcome else 0)
-        ) & ((1 << self.bits) - 1)
-        self._tokens.append(self._next_token)  # keep repair() positions valid
         self._next_token += 1
+        self.value = ((self.value << 1) | (1 if outcome else 0)) & self._mask
 
     def repair(self, token: int, correct_outcome: bool) -> bool:
         """Correct the bit identified by ``token`` if it is still present.
@@ -77,21 +71,18 @@ class GlobalHistoryRegister:
         have already been shifted out cannot be repaired — by then they have
         stopped influencing predictions anyway.
         """
-        try:
-            position_from_old = self._tokens.index(token)
-        except ValueError:
+        shift = self._next_token - 1 - token
+        if token < 0 or not 0 <= shift < self.bits:
             return False
-        # tokens list is oldest-first; bit 0 of _value is the newest bit.
-        shift = len(self._tokens) - 1 - position_from_old
         mask = 1 << shift
         if correct_outcome:
-            self._value |= mask
+            self.value |= mask
         else:
-            self._value &= ~mask
+            self.value &= ~mask
         return True
 
     def __repr__(self) -> str:
-        return f"<GHR {self._value:0{self.bits}b}>"
+        return f"<GHR {self.value:0{self.bits}b}>"
 
 
 class LocalHistoryTable:
@@ -105,7 +96,7 @@ class LocalHistoryTable:
     the actual outcome at prediction time.
     """
 
-    __slots__ = ("entries", "bits", "histories", "_mask", "_pc_index")
+    __slots__ = ("entries", "bits", "histories", "_mask")
 
     def __init__(self, entries: int, bits: int) -> None:
         self.entries = entries
@@ -114,26 +105,10 @@ class LocalHistoryTable:
         #: entry, so a caller that planned the index reads it directly.
         self.histories: List[int] = [0] * entries
         self._mask = (1 << bits) - 1
-        # Pure memo of the pc -> index hash: the set of keys is bounded by
-        # the static instructions of a program, and the hash is hot (every
-        # perceptron access folds a PC through here).  Never pickled.
-        self._pc_index: Dict[int, int] = {}
-
-    def __getstate__(self):
-        return self.entries, self.bits, self.histories
-
-    def __setstate__(self, state) -> None:
-        self.entries, self.bits, self.histories = state
-        self._mask = (1 << self.bits) - 1
-        self._pc_index = {}
 
     def index(self, pc: int) -> int:
         """The entry holding the local history of ``pc``."""
-        index = self._pc_index.get(pc)
-        if index is None:
-            index = fold_pc(pc, 16) % self.entries
-            self._pc_index[pc] = index
-        return index
+        return fold_pc(pc, 16) % self.entries
 
     def read(self, pc: int) -> int:
         return self.histories[self.index(pc)]

@@ -17,16 +17,14 @@ prediction.  Two building blocks implement that idealization:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.predictors.base import PredictorSizeReport
-from repro.predictors.history import LocalHistoryTable
-from repro.predictors.perceptron import (
-    PerceptronConfig,
-    perceptron_output,
-    perceptron_train,
+from repro.predictors.perceptron import PerceptronConfig, PerceptronTable
+from repro.predictors.predicate_perceptron import (
+    PredicatePerceptronPredictor,
+    PredicatePredictorConfig,
 )
-from repro.predictors.predicate_perceptron import PredicatePredictorConfig
 
 
 @dataclass(frozen=True)
@@ -41,132 +39,54 @@ class IdealHistoryOracle:
     description: str = "perfect global-history update"
 
 
-class NoAliasPerceptron:
-    """Branch perceptron with a private weight row per static branch."""
+class NoAliasPerceptron(PerceptronTable):
+    """Branch perceptron with a private weight row per static branch.
+
+    The reference weight backend, with a row appended the first time a
+    ``(pc, slot)`` is planned; the row index is the plan's key, so the
+    kernels are the perceptron's own.
+    """
+
+    _size_label = "no-alias-perceptron (unbounded)"
 
     def __init__(self, config: Optional[PerceptronConfig] = None) -> None:
-        self.config = config or PerceptronConfig()
-        self._rows: Dict[int, List[int]] = {}
-        self.local_histories = LocalHistoryTable(
-            self.config.local_history_entries, self.config.local_bits
-        )
+        config = config or PerceptronConfig()
+        super().__init__(config, config.global_bits, optimized=False, rows=0)
+        #: The row of every planned ``(pc, slot)``.
+        self._row_of: Dict[Tuple[int, int], int] = {}
 
-    def _row(self, pc: int) -> List[int]:
-        row = self._rows.get(pc)
+    def plan_slot(self, pc: int, slot: int) -> Tuple[int, int, int]:
+        """``(private row, local_slot, confidence_index)`` of ``(pc, slot)``."""
+        row = self._row_of.get((pc, slot))
         if row is None:
-            row = [0] * self.config.num_weights
-            self._rows[pc] = row
-        return row
-
-    def _combined_history(self, pc: int, global_history: int) -> int:
-        cfg = self.config
-        global_part = global_history & ((1 << cfg.global_bits) - 1)
-        local_part = self.local_histories.read(pc) & ((1 << cfg.local_bits) - 1)
-        return (local_part << cfg.global_bits) | global_part
-
-    def predict_with_output(self, pc: int, global_history: int) -> Tuple[bool, int]:
-        output = perceptron_output(self._row(pc), self._combined_history(pc, global_history))
-        return output >= 0, output
-
-    def predict(self, pc: int, global_history: int) -> bool:
-        return self.predict_with_output(pc, global_history)[0]
-
-    def update(self, pc: int, global_history: int, outcome: bool) -> None:
-        cfg = self.config
-        row = self._row(pc)
-        combined = self._combined_history(pc, global_history)
-        output = perceptron_output(row, combined)
-        if (output >= 0) != outcome or abs(output) <= cfg.theta:
-            perceptron_train(row, combined, outcome, cfg.weight_min, cfg.weight_max)
-        self.local_histories.update(pc, outcome)
+            row = self._row_of[(pc, slot)] = len(self._rows)
+            self._rows.append([0] * self.config.num_weights)
+        local_slot = self.local_histories.index(pc + (slot << 1))
+        return row, local_slot, (pc << 1) | (slot & 1)
 
     def size_report(self) -> PredictorSizeReport:
         report = PredictorSizeReport()
         report.add(
-            "no-alias-perceptron (unbounded)",
+            self._size_label,
             len(self._rows) * self.config.num_weights * self.config.weight_bits,
         )
         return report
 
 
-class NoAliasPredicatePerceptron:
+class NoAliasPredicatePerceptron(NoAliasPerceptron):
     """Predicate perceptron with a private weight row per (compare, slot)."""
 
     SLOT_FIRST = 0
     SLOT_SECOND = 1
+    _size_label = "no-alias-pvt (unbounded)"
 
     def __init__(self, config: Optional[PredicatePredictorConfig] = None) -> None:
-        self.config = config or PredicatePredictorConfig()
-        self._rows: Dict[Tuple[int, int], List[int]] = {}
-        self.local_histories = LocalHistoryTable(
-            self.config.local_history_entries, self.config.local_bits
-        )
-
-    def _row(self, pc: int, slot: int) -> List[int]:
-        key = (pc, slot)
-        row = self._rows.get(key)
-        if row is None:
-            row = [0] * self.config.num_weights
-            self._rows[key] = row
-        return row
+        super().__init__(config or PredicatePredictorConfig())  # type: ignore[arg-type]
 
     def index_for_slot(self, pc: int, slot: int) -> int:
         """Stable per-(pc, slot) index used for confidence-counter pairing."""
         return (pc << 1) | (slot & 1)
 
-    def _local_key(self, pc: int, slot: int) -> int:
-        return pc + (slot << 1)
-
-    # ------------------------------------------------------------------
-    # Planned access (the predicate perceptron's contract): the private
-    # weight row itself stands in for the PVT index.
-    # ------------------------------------------------------------------
-    def plan_slot(self, pc: int, slot: int) -> Tuple[List[int], int, int]:
-        """``(weight_row, local_slot, confidence_index)`` of one compare target."""
-        return (
-            self._row(pc, slot),
-            self.local_histories.index(self._local_key(pc, slot)),
-            self.index_for_slot(pc, slot),
-        )
-
-    def _combined(self, local_slot: int, global_history: int) -> int:
-        cfg = self.config
-        global_part = global_history & ((1 << cfg.global_bits) - 1)
-        return (self.local_histories.histories[local_slot] << cfg.global_bits) | global_part
-
-    def output_planned(self, row: List[int], local_slot: int, global_history: int) -> int:
-        return perceptron_output(row, self._combined(local_slot, global_history))
-
-    def train_planned(
-        self, row: List[int], local_slot: int, global_history: int, outcome: bool
-    ) -> None:
-        cfg = self.config
-        combined = self._combined(local_slot, global_history)
-        output = perceptron_output(row, combined)
-        if (output >= 0) != outcome or abs(output) <= cfg.theta:
-            perceptron_train(row, combined, outcome, cfg.weight_min, cfg.weight_max)
-        self.local_histories.shift(local_slot, outcome)
-
-    # ------------------------------------------------------------------
-    def predict_slot(self, pc: int, slot: int, global_history: int) -> Tuple[bool, int]:
-        row, local_slot, _ = self.plan_slot(pc, slot)
-        output = self.output_planned(row, local_slot, global_history)
-        return output >= 0, output
-
-    def predict_compare(self, pc: int, global_history: int) -> Tuple[bool, bool]:
-        return (
-            self.predict_slot(pc, self.SLOT_FIRST, global_history)[0],
-            self.predict_slot(pc, self.SLOT_SECOND, global_history)[0],
-        )
-
-    def update_slot(self, pc: int, slot: int, global_history: int, outcome: bool) -> None:
-        row, local_slot, _ = self.plan_slot(pc, slot)
-        self.train_planned(row, local_slot, global_history, outcome)
-
-    def size_report(self) -> PredictorSizeReport:
-        report = PredictorSizeReport()
-        report.add(
-            "no-alias-pvt (unbounded)",
-            len(self._rows) * self.config.num_weights * self.config.weight_bits,
-        )
-        return report
+    predict_slot = PredicatePerceptronPredictor.predict_slot
+    predict_compare = PredicatePerceptronPredictor.predict_compare
+    update_slot = PredicatePerceptronPredictor.update_slot

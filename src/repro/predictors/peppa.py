@@ -25,7 +25,9 @@ predictor the paper simulates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from repro.predictors.base import PredictorSizeReport, fold_pc
+from typing import Tuple
+
+from repro.predictors.base import DirectionPredictor, PredictorSizeReport, fold_pc
 from repro.predictors.counters import CounterTable, unsigned_array
 
 
@@ -47,8 +49,14 @@ class PEPPAConfig:
         return histories + pht
 
 
-class PEPPAPredictor:
-    """Local-history predictor with predicate-selected dual histories."""
+class PEPPAPredictor(DirectionPredictor):
+    """Local-history predictor with predicate-selected dual histories.
+
+    The kernels' ``history`` is the selector: the previous value of the
+    branch's guarding predicate register, as currently visible in the
+    logical predicate register file.  The same selector must train as
+    predicted.
+    """
 
     def __init__(self, config: PEPPAConfig = PEPPAConfig()) -> None:
         self.config = config
@@ -57,39 +65,24 @@ class PEPPAPredictor:
         # ``e``'s pair is ``_histories[2 * e : 2 * e + 2]``.
         self._histories = unsigned_array(config.local_bits, 2 * config.branch_entries)
         self.pht = CounterTable(config.pht_entries, bits=config.pht_counter_bits, initial=1)
-        # Pure memos of the per-PC hashes (bounded by static branch count).
-        self._entry_cache: dict = {}
-        self._fold_cache: dict = {}
 
     # ------------------------------------------------------------------
-    def _entry_index(self, pc: int) -> int:
-        index = self._entry_cache.get(pc)
-        if index is None:
-            index = fold_pc(pc, 24) % self.config.branch_entries
-            self._entry_cache[pc] = index
-        return index
+    def plan_slot(self, pc: int, slot: int) -> Tuple[int, int, int]:
+        """``(pc fold, first history of the pair, branch entry)`` of ``pc``."""
+        cfg = self.config
+        entry = fold_pc(pc, 24) % cfg.branch_entries
+        return fold_pc(pc, cfg.local_bits), 2 * entry, entry
 
-    def _pht_index(self, pc: int, history: int) -> int:
-        fold = self._fold_cache.get(pc)
-        if fold is None:
-            fold = fold_pc(pc, self.config.local_bits)
-            self._fold_cache[pc] = fold
-        return (history ^ fold) & (self.config.pht_entries - 1)
+    def output_planned(self, fold: int, pair: int, selector: bool) -> int:
+        history = self._histories[pair + (1 if selector else 0)]
+        return 1 if self.pht.taken((history ^ fold) & (self.config.pht_entries - 1)) else -1
 
-    # ------------------------------------------------------------------
-    def predict(self, pc: int, predicate_value: bool) -> bool:
-        """Predict the branch at ``pc`` given the previous value of its
-        guarding predicate register (as currently visible in the logical
-        predicate register file)."""
-        history = self._histories[2 * self._entry_index(pc) + (1 if predicate_value else 0)]
-        return self.pht.taken(self._pht_index(pc, history))
-
-    def update(self, pc: int, predicate_value: bool, outcome: bool) -> None:
-        """Train with the resolved outcome, using the same selector that was
-        used for the prediction."""
-        slot = 2 * self._entry_index(pc) + (1 if predicate_value else 0)
+    def train_planned(self, fold: int, pair: int, selector: bool, outcome: bool) -> None:
+        """Train with the resolved outcome, under the selector the prediction
+        used, and shift the outcome into the selected history."""
+        slot = pair + (1 if selector else 0)
         history = self._histories[slot]
-        self.pht.train(self._pht_index(pc, history), outcome)
+        self.pht.train((history ^ fold) & (self.config.pht_entries - 1), outcome)
         mask = (1 << self.config.local_bits) - 1
         self._histories[slot] = ((history << 1) | (1 if outcome else 0)) & mask
 

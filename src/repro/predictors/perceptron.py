@@ -298,47 +298,48 @@ class FlatWeightTable:
             del self._memo[index]
 
 
-class PerceptronPredictor(DirectionPredictor):
-    """A global+local perceptron predictor.
+class PerceptronTable(DirectionPredictor):
+    """The planned kernels every perceptron-family predictor shares.
 
-    Weight storage has two backends with equal results: the reference
-    list-of-rows layout with per-bit arithmetic (``optimized=False``), and
-    by default a :class:`FlatWeightTable` (one packed int per row, plus the
-    per-row output memo).  The hypothesis parity tests drive both backends
-    with common random streams and assert identical predictions and weight
-    state.
+    A plan is ``(row, local_slot)``: a weight row and a local-history entry.
+    The kernels read the row against the local history of ``local_slot``
+    concatenated above ``history_bits`` bits of ``history`` (the global
+    input, plus whatever other input a subclass folds into it), and training
+    shifts the outcome into that local history.  Subclasses provide the
+    config, :meth:`plan_slot` and :meth:`size_report`.
+
+    Weight storage has two backends with equal results: by default a
+    :class:`FlatWeightTable` (one packed int per row, plus the per-row
+    output memo), and the reference list-of-rows layout with per-bit
+    arithmetic (``optimized=False``).  The hypothesis parity tests drive
+    both with common random streams and assert identical predictions and
+    weight state.  ``rows`` overrides the reference backend's row count
+    (``config.entries``).
     """
 
     def __init__(
-        self,
-        config: Optional[PerceptronConfig] = None,
-        optimized: bool = True,
+        self, config, history_bits: int, optimized: bool = True, rows: Optional[int] = None
     ) -> None:
-        self.config = config or PerceptronConfig()
-        cfg = self.config
+        self.config = config
         self.optimized = optimized
-        self._global_mask = (1 << cfg.global_bits) - 1
-        self._local_mask = (1 << cfg.local_bits) - 1
-        if self.optimized:
+        self._history_bits = history_bits
+        self._history_mask = (1 << history_bits) - 1
+        if optimized:
             self._flat: Optional[FlatWeightTable] = FlatWeightTable(
-                cfg.entries, cfg.num_weights, cfg.theta, cfg.weight_min, cfg.weight_max
+                config.entries,
+                config.num_weights,
+                config.theta,
+                config.weight_min,
+                config.weight_max,
             )
             self._rows: Optional[List[List[int]]] = None
         else:
             self._flat = None
-            self._rows = [[0] * cfg.num_weights for _ in range(cfg.entries)]
-        self.local_histories = LocalHistoryTable(cfg.local_history_entries, cfg.local_bits)
-        # Pure memo of the pc -> entry hash (never pickled).
-        self._pc_index: dict = {}
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_pc_index"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._pc_index = {}
+            rows = config.entries if rows is None else rows
+            self._rows = [[0] * config.num_weights for _ in range(rows)]
+        self.local_histories = LocalHistoryTable(
+            config.local_history_entries, config.local_bits
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -349,52 +350,58 @@ class PerceptronPredictor(DirectionPredictor):
         return [self._flat.row(index) for index in range(self.config.entries)]
 
     def weight_row(self, index: int) -> List[int]:
-        """A copy of the weights of entry ``index`` (parity tests)."""
+        """A copy of the weights of row ``index`` (parity tests)."""
         if self._rows is not None:
             return list(self._rows[index])
         return self._flat.row(index)
 
     # ------------------------------------------------------------------
-    def _index(self, pc: int) -> int:
-        index = self._pc_index.get(pc)
-        if index is None:
-            index = entry_index(pc, self.config.entries)
-            self._pc_index[pc] = index
-        return index
-
-    def _combined_history(self, pc: int, global_history: int) -> int:
-        global_part = global_history & self._global_mask
-        local_part = self.local_histories.read(pc) & self._local_mask
-        return (local_part << self.config.global_bits) | global_part
-
-    # ------------------------------------------------------------------
-    def predict_with_output(self, pc: int, global_history: int) -> Tuple[bool, int]:
-        """Return (direction, raw perceptron output)."""
-        combined = self._combined_history(pc, global_history)
+    def output_planned(self, row: int, local_slot: int, history: int) -> int:
+        """The raw perceptron output of a planned target."""
+        combined = (self.local_histories.histories[local_slot] << self._history_bits) | (
+            history & self._history_mask
+        )
         if self._flat is not None:
-            output = self._flat.output(self._index(pc), combined)
-        else:
-            output = perceptron_output(self._rows[self._index(pc)], combined)
-        return output >= 0, output
+            return self._flat.output(row, combined)
+        return perceptron_output(self._rows[row], combined)
 
-    def predict(self, pc: int, global_history: int) -> bool:
-        taken, _ = self.predict_with_output(pc, global_history)
-        return taken
+    def train_planned(self, row: int, local_slot: int, history: int, outcome: bool) -> None:
+        """Train a planned target with its resolved outcome.
 
-    def update(self, pc: int, global_history: int, outcome: bool) -> None:
-        """Train the entry for ``pc`` and update its local history."""
-        combined = self._combined_history(pc, global_history)
+        The local history is read again here: another target may have
+        shifted it since the prediction.
+        """
+        local_histories = self.local_histories
+        combined = (local_histories.histories[local_slot] << self._history_bits) | (
+            history & self._history_mask
+        )
         if self._flat is not None:
-            self._flat.train(self._index(pc), combined, outcome)
+            self._flat.train(row, combined, outcome)
         else:
             cfg = self.config
-            row = self._rows[self._index(pc)]
-            output = perceptron_output(row, combined)
+            weights = self._rows[row]
+            output = perceptron_output(weights, combined)
             if (output >= 0) != outcome or abs(output) <= cfg.theta:
-                perceptron_train(row, combined, outcome, cfg.weight_min, cfg.weight_max)
-        self.local_histories.update(pc, outcome)
+                perceptron_train(weights, combined, outcome, cfg.weight_min, cfg.weight_max)
+        local_histories.shift(local_slot, outcome)
 
-    # ------------------------------------------------------------------
+
+class PerceptronPredictor(PerceptronTable):
+    """A global+local perceptron predictor, one row per (hashed) branch PC."""
+
+    def __init__(
+        self,
+        config: Optional[PerceptronConfig] = None,
+        optimized: bool = True,
+    ) -> None:
+        config = config or PerceptronConfig()
+        super().__init__(config, config.global_bits, optimized)
+
+    def plan_slot(self, pc: int, slot: int) -> Tuple[int, int, int]:
+        """``(row, local_slot, row)`` of the branch at ``pc``."""
+        row = entry_index(pc, self.config.entries)
+        return row, self.local_histories.index(pc), row
+
     def size_report(self) -> PredictorSizeReport:
         cfg = self.config
         report = PredictorSizeReport()

@@ -20,16 +20,10 @@ Differences with the conventional perceptron of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.predictors.base import PredictorSizeReport, fold_pc
-from repro.predictors.history import LocalHistoryTable
-from repro.predictors.perceptron import (
-    FlatWeightTable,
-    PerceptronConfig,
-    perceptron_output,
-    perceptron_train,
-)
+from repro.predictors.perceptron import PerceptronConfig, PerceptronTable
 
 
 @dataclass(frozen=True)
@@ -76,7 +70,7 @@ class PredicatePredictorConfig:
         )
 
 
-class PredicatePerceptronPredictor:
+class PredicatePerceptronPredictor(PerceptronTable):
     """Perceptron predictor over compare instructions with a dual-hash PVT."""
 
     #: Index of the first (true-sense) predicate target of a compare.
@@ -89,34 +83,8 @@ class PredicatePerceptronPredictor:
         config: Optional[PredicatePredictorConfig] = None,
         optimized: bool = True,
     ) -> None:
-        self.config = config or PredicatePredictorConfig()
-        cfg = self.config
-        self.optimized = optimized
-        self._global_bits = cfg.global_bits
-        self._global_mask = (1 << cfg.global_bits) - 1
-        if self.optimized:
-            # Packed PVT with the per-row output memo (see PerceptronPredictor
-            # — equal results, parity-tested).
-            self._flat: Optional[FlatWeightTable] = FlatWeightTable(
-                cfg.entries, cfg.num_weights, cfg.theta, cfg.weight_min, cfg.weight_max
-            )
-            self._pvt: Optional[List[List[int]]] = None
-        else:
-            self._flat = None
-            self._pvt = [[0] * cfg.num_weights for _ in range(cfg.entries)]
-        self.local_histories = LocalHistoryTable(cfg.local_history_entries, cfg.local_bits)
-        # Pure memo of the two per-slot PVT indices of each compare PC
-        # (never pickled).
-        self._slot_index: dict = {}
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_slot_index"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._slot_index = {}
+        config = config or PredicatePredictorConfig()
+        super().__init__(config, config.global_bits, optimized)
 
     # ------------------------------------------------------------------
     # Hashing: f1 folds the PC; f2 inverts the MSB of f1's index.
@@ -138,75 +106,25 @@ class PredicatePerceptronPredictor:
         """PVT index used for a compare's predicate target ``slot`` (0 or 1)."""
         if slot not in (self.SLOT_FIRST, self.SLOT_SECOND):
             raise ValueError(f"invalid predicate slot {slot}")
-        cached = self._slot_index.get(pc)
-        if cached is None:
-            if self.config.split_pvt:
-                half = max(1, self.config.entries // 2)
-                base = fold_pc(pc, 24) % half
-                cached = (base, base + half)
-            else:
-                cached = (self._f1(pc), self._f2(pc))
-            self._slot_index[pc] = cached
-        return cached[slot]
+        if self.config.split_pvt:
+            half = max(1, self.config.entries // 2)
+            return fold_pc(pc, 24) % half + slot * half
+        return self._f2(pc) if slot else self._f1(pc)
 
     def _local_key(self, pc: int, slot: int) -> int:
         # Distinguish the two targets' local histories without a second table.
         return pc + (slot << 1)
 
     # ------------------------------------------------------------------
-    def weight_row(self, index: int) -> List[int]:
-        """A copy of the weights of PVT entry ``index`` (parity tests)."""
-        if self._pvt is not None:
-            return list(self._pvt[index])
-        return self._flat.row(index)
-
-    # ------------------------------------------------------------------
-    # Planned access: a target's table positions are resolved once, then
-    # the kernels run over them.
-    # ------------------------------------------------------------------
     def plan_slot(self, pc: int, slot: int) -> Tuple[int, int, int]:
         """``(row, local_slot, confidence_index)`` of one compare target.
 
         ``row`` is the PVT entry, ``local_slot`` the local-history entry and
         ``confidence_index`` the index the paired confidence counter is
-        keyed by (the PVT entry: one counter per perceptron row).  All three
-        are pure functions of ``(pc, slot)``, so a scheme computes them once
-        per static compare and hands them to :meth:`output_planned` and
-        :meth:`train_planned`.
+        keyed by (the PVT entry: one counter per perceptron row).
         """
         row = self.index_for_slot(pc, slot)
         return row, self.local_histories.index(self._local_key(pc, slot)), row
-
-    def output_planned(self, row: int, local_slot: int, global_history: int) -> int:
-        """The raw perceptron output of a planned target."""
-        combined = (self.local_histories.histories[local_slot] << self._global_bits) | (
-            global_history & self._global_mask
-        )
-        if self._flat is not None:
-            return self._flat.output(row, combined)
-        return perceptron_output(self._pvt[row], combined)
-
-    def train_planned(
-        self, row: int, local_slot: int, global_history: int, outcome: bool
-    ) -> None:
-        """Train a planned target with its computed value.
-
-        The local history is read again here: another target may have
-        shifted it since the prediction.
-        """
-        local_histories = self.local_histories
-        combined = (local_histories.histories[local_slot] << self._global_bits) | (
-            global_history & self._global_mask
-        )
-        if self._flat is not None:
-            self._flat.train(row, combined, outcome)
-        else:
-            cfg = self.config
-            weights = self._pvt[row]
-            output = perceptron_output(weights, combined)
-            if (output >= 0) != outcome or abs(output) <= cfg.theta:
-                perceptron_train(weights, combined, outcome, cfg.weight_min, cfg.weight_max)
-        local_histories.shift(local_slot, outcome)
 
     # ------------------------------------------------------------------
     def predict_slot(self, pc: int, slot: int, global_history: int) -> Tuple[bool, int]:

@@ -199,15 +199,14 @@ class TAGEPredictor(DirectionPredictor):
 
     def _pure_memos(self) -> None:
         #: Optimized-path state derived from the geometry (never pickled):
-        #: the fold tables, loaded at the first lookup; the PC half of the
-        #: hashes per PC; and the packed folds per history value.
+        #: the fold tables, loaded at the first lookup, and the packed folds
+        #: per history value.
         self._folds: Optional[Tuple[int, Tuple[Tuple[int, ...], ...]]] = None
-        self._pc_hashes: dict = {}
         self._fold_memo: dict = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_folds"], state["_pc_hashes"], state["_fold_memo"]
+        del state["_folds"], state["_fold_memo"]
         return state
 
     def __setstate__(self, state) -> None:
@@ -251,9 +250,25 @@ class TAGEPredictor(DirectionPredictor):
         return folds
 
     # ------------------------------------------------------------------
-    # Lookup: provider / altpred selection
+    # Planned access
     # ------------------------------------------------------------------
-    def _lookup(self, pc: int, history: int):
+    def plan_slot(self, pc: int, slot: int) -> Tuple[Tuple[int, int, int], int, int]:
+        """``((pc, pc hashes, base index), 0, base index)`` of ``pc``.
+
+        The PC half of every tagged table's index and tag hash, packed like
+        :meth:`_history_folds`, and the base-table index are pure functions
+        of ``pc``; the reference path rehashes from ``pc`` itself.  TAGE
+        keeps no local history.
+        """
+        cfg = self.config
+        pc_hash = fold_pc(pc, cfg.tag_bits) << cfg.table_bits | fold_pc(pc, cfg.table_bits)
+        packed = 0
+        for shift in self._index_shifts:
+            packed |= pc_hash << shift
+        base_index = fold_pc(pc, cfg.base_bits)
+        return (pc, packed, base_index), 0, base_index
+
+    def _lookup(self, key: Tuple[int, int, int], history: int):
         """(provider_table|None, provider_index, pred, alt_pred, indices, tags).
 
         ``pred`` is the provider's direction (or the base prediction when no
@@ -262,23 +277,14 @@ class TAGEPredictor(DirectionPredictor):
         reuse — they are pure functions of the arguments, so prediction and
         training with the same captured history address the same entries.
         """
+        pc, packed, base_index = key
         if self.optimized:
-            hashes = self._pc_hashes.get(pc)
-            if hashes is None:
-                cfg = self.config
-                pc_index = fold_pc(pc, cfg.table_bits)
-                pc_tag = fold_pc(pc, cfg.tag_bits) << cfg.table_bits
-                packed = 0
-                for shift in self._index_shifts:
-                    packed |= (pc_tag | pc_index) << shift
-                hashes = self._pc_hashes[pc] = (packed, fold_pc(pc, cfg.base_bits))
             folds = self._fold_memo.get(history)
             if folds is None:
                 folds = self._history_folds(history)
                 if len(self._fold_memo) >= _FOLD_MEMO_LIMIT:
                     self._fold_memo.clear()
                 self._fold_memo[history] = folds
-            packed, base_index = hashes
             folds ^= packed
             index_mask = self._index_mask
             tag_mask = self._tag_mask
@@ -309,12 +315,14 @@ class TAGEPredictor(DirectionPredictor):
         return provider, indices[provider], pred, alt_pred, indices, tags
 
     # ------------------------------------------------------------------
-    def predict(self, pc: int, global_history: int) -> bool:
-        _, _, pred, _, _, _ = self._lookup(pc, global_history)
-        return pred
+    def output_planned(self, key: Tuple[int, int, int], _local_slot: int, history: int) -> int:
+        """``1`` for a taken prediction, ``-1`` for not taken."""
+        return 1 if self._lookup(key, history)[2] else -1
 
-    def update(self, pc: int, global_history: int, outcome: bool) -> None:
-        provider, p_index, pred, alt_pred, indices, tags = self._lookup(pc, global_history)
+    def train_planned(
+        self, key: Tuple[int, int, int], _local_slot: int, history: int, outcome: bool
+    ) -> None:
+        provider, p_index, pred, alt_pred, indices, tags = self._lookup(key, history)
         mispredicted = pred != outcome
 
         # Usefulness: the provider proved (or disproved) its worth only when
@@ -342,7 +350,7 @@ class TAGEPredictor(DirectionPredictor):
                 self._decay_usefulness()
         else:
             base = self._base
-            index = self._base_index(pc)
+            index = key[2]
             value = base[index]
             if outcome:
                 if value < 3:
@@ -410,15 +418,14 @@ class TAGEPredictor(DirectionPredictor):
         return report
 
 
-class TagePredicatePredictor:
-    """A TAGE backend behind the predicate-predictor slot interface.
+class TagePredicatePredictor(DirectionPredictor):
+    """A TAGE backend for predicate targets.
 
-    The predicate scheme predicts up to two targets per compare
-    (:class:`~repro.predictors.predicate_perceptron.PredicatePerceptronPredictor`'s
-    ``predict_slot`` / ``update_slot`` / ``index_for_slot`` contract).  The
-    adapter salts the compare PC per slot — slot 1 lands on the next aligned
-    address, which every fold treats as a distinct static instruction — and
-    exposes a stable per-(pc, slot) index for the confidence estimator.
+    The predicate scheme predicts up to two targets per compare, one slot
+    each.  The adapter plans a target as the TAGE plan of the compare PC
+    salted per slot — slot 1 lands on the next aligned address, which every
+    fold treats as a distinct static instruction — with a stable
+    per-(pc, slot) index for the confidence estimator.
     """
 
     SLOT_FIRST = 0
@@ -440,29 +447,30 @@ class TagePredicatePredictor:
         return pc + (slot << 2)
 
     # ------------------------------------------------------------------
-    # Planned access (the predicate perceptron's contract): the salted PC
-    # stands in for the PVT row; TAGE keeps no local history.
+    # Planned access: the salted PC's TAGE plan.
     # ------------------------------------------------------------------
-    def plan_slot(self, pc: int, slot: int) -> Tuple[int, int, int]:
-        """``(salted_pc, 0, confidence_index)`` of one compare target."""
-        salted = self._salted(pc, slot)
-        return salted, 0, (fold_pc(salted, self.config.base_bits) << 1) | slot
+    def plan_slot(self, pc: int, slot: int) -> Tuple[Tuple[int, int, int], int, int]:
+        """``(TAGE key of the salted pc, 0, confidence_index)`` of one target."""
+        key, _, base_index = self.tage.plan_slot(self._salted(pc, slot), 0)
+        return key, 0, (base_index << 1) | slot
 
-    def output_planned(self, salted_pc: int, _local_slot: int, history: int) -> int:
-        return 1 if self.tage.predict(salted_pc, history) else -1
+    def output_planned(self, key: Tuple[int, int, int], local_slot: int, history: int) -> int:
+        return self.tage.output_planned(key, local_slot, history)
 
     def train_planned(
-        self, salted_pc: int, _local_slot: int, history: int, outcome: bool
+        self, key: Tuple[int, int, int], local_slot: int, history: int, outcome: bool
     ) -> None:
-        self.tage.update(salted_pc, history, outcome)
+        self.tage.train_planned(key, local_slot, history, outcome)
 
     # ------------------------------------------------------------------
     def predict_slot(self, pc: int, slot: int, history: int) -> Tuple[bool, int]:
-        prediction = self.tage.predict(self._salted(pc, slot), history)
-        return prediction, 1 if prediction else -1
+        key, local_slot, _ = self.plan_slot(pc, slot)
+        output = self.output_planned(key, local_slot, history)
+        return output >= 0, output
 
     def update_slot(self, pc: int, slot: int, history: int, outcome: bool) -> None:
-        self.tage.update(self._salted(pc, slot), history, outcome)
+        key, local_slot, _ = self.plan_slot(pc, slot)
+        self.train_planned(key, local_slot, history, outcome)
 
     def index_for_slot(self, pc: int, slot: int) -> int:
         return self.plan_slot(pc, slot)[2]

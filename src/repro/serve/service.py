@@ -51,6 +51,7 @@ Fault tolerance adds three more:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import queue
@@ -308,10 +309,27 @@ def _parse_scheme(raw: Any, what: str) -> SchemeSpec:
         )
     spec = SchemeSpec.make(kind, **dict(options))
     try:
-        spec.build()  # surface bad option names/values at submit time
+        hash(spec)
+    except TypeError:  # an unhashable option value: build it every time
+        check = SchemeSpec.build
+    else:
+        check = _check_scheme
+    try:
+        check(spec)  # surface bad option names/values at submit time
     except (TypeError, ValueError) as error:
         raise SubmitError(f"{what}.scheme: {error}") from None
     return spec
+
+
+@functools.lru_cache(maxsize=256)
+def _check_scheme(spec: SchemeSpec) -> None:
+    """Build ``spec``'s scheme once and drop it.
+
+    Building is deterministic, so a spec that built once builds again: a
+    repeat is answered from the cache.  A failed build raises and is not
+    cached, so every submit of a bad spec still raises.
+    """
+    spec.build()
 
 
 def _parse_machine(raw: Any, what: str) -> MachineSpec:

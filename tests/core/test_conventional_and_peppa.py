@@ -1,9 +1,12 @@
 """Tests for the conventional and PEP-PA branch-handling schemes."""
 
+from types import SimpleNamespace
+
 from repro.core import ConventionalScheme, PEPPAScheme
 from repro.core.peppa_scheme import _LogicalPredicateFile
 from repro.emulator import Emulator
 from repro.pipeline import OutOfOrderCore
+from repro.predictors.perceptron import PerceptronConfig
 
 from tests.conftest import build_counting_loop
 
@@ -48,6 +51,53 @@ class TestConventionalScheme:
         scheme = ConventionalScheme(ideal_no_alias=True, perfect_history=True)
         result = _run(program, scheme)
         assert result.accuracy.branches > 0
+
+
+def _branch(seq, taken, pc=0x4000):
+    return SimpleNamespace(pc=pc, seq=seq, taken=taken)
+
+
+class TestTwoLevelOverride:
+    """The override composition: gshare at fetch, the second level wins."""
+
+    def _disagreeing_levels(self):
+        scheme = ConventionalScheme(PerceptronConfig(entries=16))
+        # Train only the second level towards taken, the first towards not.
+        for _ in range(50):
+            scheme.predictor.update(0x4000, 0, True)
+            scheme.fast.update(0x4000, 0, False)
+        return scheme
+
+    def test_final_prediction_is_second_level(self):
+        scheme = self._disagreeing_levels()
+        handling = scheme.on_branch_rename(_branch(1, True), 0, 0, 0)
+        assert handling.final_prediction is True
+        assert handling.fetch_prediction is False
+
+    def test_override_flagged_and_counted_when_levels_disagree(self):
+        scheme = self._disagreeing_levels()
+        assert scheme.accuracy.override_count == 0
+        handling = scheme.on_branch_rename(_branch(1, True), 0, 0, 0)
+        assert handling.override_flush
+        assert scheme.accuracy.override_count == 1
+
+    def test_resolution_trains_both_levels(self):
+        scheme = ConventionalScheme(PerceptronConfig(entries=16))
+        for seq in range(60):
+            scheme.on_branch_rename(_branch(seq, True), 0, 0, 0)
+            scheme.on_branch_resolved(_branch(seq, True), 0, False)
+        history = scheme.ghr.value
+        assert scheme.fast.predict(0x4000, history) is True
+        assert scheme.predictor.predict(0x4000, history) is True
+
+    def test_size_combines_levels(self):
+        scheme = ConventionalScheme()
+        assert "gshare-pht" in scheme.fast.size_report().components
+        assert "perceptron-table" in scheme.predictor.size_report().components
+        # 4 KB gshare + ~148 KB perceptron.
+        total = scheme.fast.size_report().total_kib + scheme.predictor.size_report().total_kib
+        assert 148 <= total <= 160
+        assert f"({total:.0f} KiB)" in scheme.describe()
 
 
 class TestLogicalPredicateFile:

@@ -4,13 +4,16 @@ prediction read.
 gshare, the perceptron and TAGE train the entry they predicted from, so a
 scheme must hand each update the history its prediction used.  The test
 instruments every predictor table of a scheme at its kernel seam — the
-perceptron row (:class:`FlatWeightTable`), the gshare and TAGE indices and
-PEP-PA's pattern-table index — and attributes each access to the dynamic
-branch or compare whose hook made it: accesses in a rename hook are
-predictions, accesses in ``on_branch_resolved`` / ``on_compare_complete``
-are updates.  Every update of a dynamic instance must touch only entries
-one of its predictions read, for every registered scheme on both timing
-loops.
+perceptron row (:class:`FlatWeightTable`), the entries gshare's and TAGE's
+planned kernels (``output_planned`` / ``train_planned``) select from their
+plan and history, and PEP-PA's pattern-table index — and attributes each
+access to the dynamic branch or compare whose hook made it: accesses in a
+rename hook are predictions, accesses in ``on_branch_resolved`` /
+``on_compare_complete`` are updates.  Every update of a dynamic instance
+must touch only entries one of its predictions read, for every registered
+scheme on both timing loops.  A scheme that trains its first level with
+the history after the branch's own push (the bug the property was written
+for) must fail it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from collections import defaultdict
 
 import pytest
 
+from repro.core import PredicatePredictionScheme
 from repro.engine import IF_CONVERTED, ExecutionEngine, SchemeSpec
 from repro.experiments.setup import ExperimentProfile, scheme_kinds
 from repro.pipeline.core import OutOfOrderCore
@@ -91,37 +95,37 @@ class _RecordingCounterTable(CounterTable):
         super().train(index, outcome)
 
 
-def _record_gshare(predictor: GsharePredictor) -> None:
-    predict, update = predictor.predict, predictor.update
+def _record_kernels(predictor, entries) -> None:
+    """Record the entries ``entries(key, history)`` of every planned kernel
+    call of ``predictor``."""
+    output, train = predictor.output_planned, predictor.train_planned
 
-    def recorded_predict(pc, history):
-        RECORDER.touch(predictor, predictor._index(pc, history))
-        return predict(pc, history)
+    def recorded_output(key, local_slot, history):
+        for entry in entries(key, history):
+            RECORDER.touch(predictor, entry)
+        return output(key, local_slot, history)
 
-    def recorded_update(pc, history, outcome):
-        RECORDER.touch(predictor, predictor._index(pc, history))
-        update(pc, history, outcome)
+    def recorded_train(key, local_slot, history, outcome):
+        for entry in entries(key, history):
+            RECORDER.touch(predictor, entry)
+        train(key, local_slot, history, outcome)
 
-    predictor.predict, predictor.update = recorded_predict, recorded_update
+    predictor.output_planned, predictor.train_planned = recorded_output, recorded_train
 
 
-def _record_tage(predictor: TAGEPredictor) -> None:
-    predict, update = predictor.predict, predictor.update
+def _gshare_entries(predictor: GsharePredictor):
+    return lambda folded, history: [(folded ^ history) & (predictor.entries - 1)]
 
-    def touch(pc, history):
-        RECORDER.touch(predictor, ("base", predictor._base_index(pc)))
+
+def _tage_entries(predictor: TAGEPredictor):
+    # The reference hashes of the plan's pc, not the optimized kernel's.
+    def entries(key, history):
+        pc = key[0]
+        yield "base", predictor._base_index(pc)
         for table in range(predictor.num_tables):
-            RECORDER.touch(predictor, (table, predictor._index(pc, history, table)))
+            yield table, predictor._index(pc, history, table)
 
-    def recorded_predict(pc, history):
-        touch(pc, history)
-        return predict(pc, history)
-
-    def recorded_update(pc, history, outcome):
-        touch(pc, history)
-        update(pc, history, outcome)
-
-    predictor.predict, predictor.update = recorded_predict, recorded_update
+    return entries
 
 
 def _instrument(obj, seen) -> None:
@@ -134,26 +138,45 @@ def _instrument(obj, seen) -> None:
     elif type(obj) is CounterTable:
         obj.__class__ = _RecordingCounterTable
     elif isinstance(obj, GsharePredictor):
-        _record_gshare(obj)
+        _record_kernels(obj, _gshare_entries(obj))
     elif isinstance(obj, TAGEPredictor):
-        _record_tage(obj)
+        _record_kernels(obj, _tage_entries(obj))
     else:
         for value in getattr(obj, "__dict__", {}).values():
             if type(value).__module__.startswith("repro."):
                 _instrument(value, seen)
 
 
-def _run_recorded(spec: SchemeSpec, pack, optimized: bool) -> _Recorder:
+def _unpaired(scheme, pack, optimized: bool) -> dict:
+    """Run ``scheme`` recorded; the entries each update wrote that no
+    prediction of its dynamic instance read, by sequence number."""
     global RECORDER
     RECORDER = recorder = _Recorder()
-    scheme = spec.build()
     _instrument(scheme, set())
     for name in READ_HOOKS:
         setattr(scheme, name, recorder.hook(getattr(scheme, name), recorder.reads))
     for name in WRITE_HOOKS:
         setattr(scheme, name, recorder.hook(getattr(scheme, name), recorder.writes))
     OutOfOrderCore(optimized=optimized).run(pack, scheme, "pairing")
-    return recorder
+    assert any(recorder.writes.values()), "the run trained no table"
+    return {
+        seq: sorted(map(str, written - recorder.reads.get(seq, set())))
+        for seq, written in recorder.writes.items()
+        if not written <= recorder.reads.get(seq, set())
+    }
+
+
+class _PostPushFirstLevel(PredicatePredictionScheme):
+    """The predicate scheme with its first level trained at the history
+    after the branch pushed its own outcome (no prediction read it)."""
+
+    def on_branch_resolved(self, dyn, resolve_cycle, mispredicted):
+        pending = self._fetch_histories.pop(dyn.seq, None)
+        if pending is not None:
+            (key, local_slot), _history = pending
+            self.first_level.train_planned(
+                key, local_slot, self._branch_ghr.value, bool(dyn.taken)
+            )
 
 
 @pytest.fixture(scope="module")
@@ -168,15 +191,19 @@ def packs():
     return {b: engine.collect_trace(b, IF_CONVERTED) for b in BENCHMARKS}
 
 
-@pytest.mark.parametrize("optimized", [True, False], ids=["fast-loop", "reference-loop"])
+LOOPS = pytest.mark.parametrize("optimized", [True, False], ids=["fast-loop", "reference-loop"])
+
+
+@LOOPS
 @pytest.mark.parametrize("spec", SPECS, ids=SchemeSpec.describe)
 @pytest.mark.parametrize("workload", BENCHMARKS)
 def test_every_update_writes_an_entry_its_prediction_read(packs, workload, spec, optimized):
-    recorder = _run_recorded(spec, packs[workload], optimized)
-    assert any(recorder.writes.values()), "the run trained no table"
-    unpaired = {
-        seq: sorted(map(str, written - recorder.reads.get(seq, set())))
-        for seq, written in recorder.writes.items()
-        if not written <= recorder.reads.get(seq, set())
-    }
+    unpaired = _unpaired(spec.build(), packs[workload], optimized)
     assert not unpaired, f"{len(unpaired)} updates wrote entries no prediction read"
+
+
+@LOOPS
+@pytest.mark.parametrize("workload", BENCHMARKS)
+def test_training_the_first_level_after_the_push_is_caught(packs, workload, optimized):
+    unpaired = _unpaired(_PostPushFirstLevel(), packs[workload], optimized)
+    assert unpaired, "the property missed a first level trained at the post-push history"

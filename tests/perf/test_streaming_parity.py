@@ -293,7 +293,7 @@ class TestCheckpointVersion:
             on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
         )
         checkpoint = pickle.loads(blobs[len(blobs) // 2])
-        assert checkpoint.version == CHECKPOINT_VERSION == 7
+        assert checkpoint.version == CHECKPOINT_VERSION == 8
         checkpoint.version = version
         return checkpoint
 
@@ -410,6 +410,25 @@ class TestCheckpointVersion:
         )
         assert resumed_at[0] == 300  # the first window was simulated again
         _assert_result_parity(scalar_reference(1, 0), result, "version-6 checkpoint")
+
+    def test_version_seven_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
+        # Version 7 pickled the history registers' token deques, the
+        # predictors' PC memos and the conventional scheme's two levels
+        # inside one override predictor.
+        stale = self._stale_checkpoint(pack, 0, 300, version=7)
+        assert stale.rows_done > 0 and not stale.matches(len(pack))
+        resumed_at = []
+        result = simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[0].build(),
+            "gzip",
+            window_rows=300,
+            checkpoint=stale,
+            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+        )
+        assert resumed_at[0] == 300  # the first window was simulated again
+        _assert_result_parity(scalar_reference(0, 0), result, "version-7 checkpoint")
 
     def test_engine_does_not_resume_a_version_one_checkpoint(self, pack, tmp_path):
         profile = _profile()

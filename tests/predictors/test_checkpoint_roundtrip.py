@@ -19,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import PredicatePredictionScheme, PredicateSchemeOptions, WishBranchScheme
+from repro.core import (
+    ConventionalScheme,
+    PEPPAScheme,
+    PredicateAwareScheme,
+    PredicatePredictionScheme,
+    PredicateSchemeOptions,
+    WishBranchScheme,
+)
 from repro.emulator import Emulator
 from repro.engine import IF_CONVERTED, ExecutionEngine
 from repro.experiments.setup import ExperimentProfile
@@ -69,6 +76,13 @@ def _stream(seed):
         events.append((pc, history, outcome, extra))
         history = ((history << 1) | (1 if outcome else 0)) & 0xFFFF
     return events
+
+
+def _observe(predictor, pc, history):
+    """``(direction, raw output)`` of one planned prediction."""
+    key, local_slot, _ = predictor.plan_slot(pc, 0)
+    output = predictor.output_planned(key, local_slot, history)
+    return output >= 0, output
 
 
 def _roundtrip_parity(make, step):
@@ -124,7 +138,7 @@ class TestPerceptron:
 
         def step(predictor, event):
             pc, history, outcome, _ = event
-            observed = predictor.predict_with_output(pc, history)
+            observed = _observe(predictor, pc, history)
             predictor.update(pc, history, outcome)
             return observed
 
@@ -187,8 +201,9 @@ class TestPredicateAware:
             # Mixed-history input: derive a predicate-bit window from the
             # stream so both input partitions vary.
             predicate_bits = ((history >> 3) | (1 if extra else 0)) & 0x3F
-            observed = predictor.predict_with_output(pc, history, predicate_bits)
-            predictor.update(pc, history, predicate_bits, outcome)
+            mixed = predictor.input_history(history, predicate_bits)
+            observed = _observe(predictor, pc, mixed)
+            predictor.update(pc, mixed, outcome)
             return observed
 
         _roundtrip_parity(
@@ -228,13 +243,13 @@ pooled_events = st.lists(
 
 def _memos(predictor):
     if isinstance(predictor, TAGEPredictor):
-        return [predictor._fold_memo, predictor._pc_hashes]
+        return [predictor._fold_memo]
     return [predictor._flat._memo]
 
 
 def _perceptron_step(predictor, event):
     pc, history, outcome, _ = event
-    observed = predictor.predict_with_output(pc, history)
+    observed = _observe(predictor, pc, history)
     predictor.update(pc, history, outcome)
     return observed
 
@@ -298,7 +313,9 @@ NEW_PC_CASES = {
     "tage-predicate": (lambda: TagePredicatePredictor(SMALL_TAGE), _predict_slot),
     "predicate-aware": (
         lambda: PredicateAwarePredictor(PredicateAwareConfig()),
-        lambda predictor, pc, history: predictor.predict_with_output(pc, history, 0b11),
+        lambda predictor, pc, history: predictor.predict(
+            pc, predictor.input_history(history, 0b11)
+        ),
     ),
 }
 
@@ -308,6 +325,26 @@ SCHEMES = {
         PredicateSchemeOptions(second_level="tage")
     ),
     "wish": WishBranchScheme,
+}
+
+
+#: Scheme factory, its branch plans, and the table it plans last.  (The
+#: no-alias perceptron is left out: planning a new pc allocates its row.)
+BRANCH_SCHEMES = {
+    "conventional": (ConventionalScheme, lambda s: s.plans, lambda s: s.predictor),
+    "conventional-tage": (
+        lambda: ConventionalScheme(second_level="tage"),
+        lambda s: s.plans,
+        lambda s: s.predictor,
+    ),
+    "predicate-aware": (PredicateAwareScheme, lambda s: s.plans, lambda s: s.predictor),
+    "pep-pa": (PEPPAScheme, lambda s: s.plans, lambda s: s.predictor),
+    "predicate": (
+        PredicatePredictionScheme,
+        lambda s: s.branch_plans,
+        lambda s: s.first_level,
+    ),
+    "wish": (WishBranchScheme, lambda s: s.branches.plans, lambda s: s.branches.predictor),
 }
 
 
@@ -343,8 +380,7 @@ class TestMemosStayOutOfPickles:
 
     @pytest.mark.parametrize("case", sorted(NEW_PC_CASES))
     def test_a_new_pc_prediction_leaves_the_pickle_alone(self, case):
-        # A pc never seen before grows only the pc-index memos; the pickle
-        # must not carry them.
+        # Predicting at a pc never seen before changes no table.
         make, predict = NEW_PC_CASES[case]
         predictor = make()
         for pc, history, _, _ in _stream(seed=11)[:60]:
@@ -369,6 +405,22 @@ class TestMemosStayOutOfPickles:
         # The restored memo plans for the restored tables.
         assert restored.plans.confidence is restored.confidence
 
+    @pytest.mark.parametrize("case", sorted(BRANCH_SCHEMES))
+    def test_scheme_branch_plans_stay_out_of_pickles(self, case):
+        make, plans_of, last_table = BRANCH_SCHEMES[case]
+        scheme = make()
+        program, _ = build_counting_loop()
+        OutOfOrderCore().run(Emulator(program).run(600), scheme, program.name)
+        assert plans_of(scheme).memo  # the run planned its branches
+        blob = pickle.dumps(scheme, protocol=pickle.HIGHEST_PROTOCOL)
+        assert plans_of(scheme).of(NEW_PC)
+        assert NEW_PC in plans_of(scheme).memo
+        assert pickle.dumps(scheme, protocol=pickle.HIGHEST_PROTOCOL) == blob
+        restored = pickle.loads(blob)
+        assert plans_of(restored).memo == {}
+        # The restored memo plans for the restored tables.
+        assert plans_of(restored).of(NEW_PC) == plans_of(scheme).of(NEW_PC)
+        assert plans_of(restored).tables[-1] is last_table(restored)
 
 
 class TestPendingFirstLevelHistory:

@@ -20,10 +20,13 @@ class TestNoAliasPerceptron:
         assert predictor.predict(0x4000, 0) is True
         assert predictor.predict(0x8000, 0) is False
 
-    def test_predict_with_output(self):
+    def test_planned_output_sign_is_the_prediction(self):
         predictor = NoAliasPerceptron(PerceptronConfig(entries=4))
-        taken, output = predictor.predict_with_output(0x4000, 0)
-        assert taken == (output >= 0)
+        for _ in range(5):
+            predictor.update(0x4000, 0, False)
+        row, local_slot, _ = predictor.plan_slot(0x4000, 0)
+        output = predictor.output_planned(row, local_slot, 0)
+        assert predictor.predict(0x4000, 0) == (output >= 0) is False
 
     def test_size_report_grows_with_usage(self):
         predictor = NoAliasPerceptron(PerceptronConfig(entries=4))

@@ -28,7 +28,7 @@ from repro.predictors.perceptron import (
     perceptron_train,
 )
 from repro.predictors.tage import TAGEConfig, TAGEPredictor, _fold_history
-from repro.serve.service import _SCHEME_KINDS, _parse_scheme
+from repro.serve.service import _SCHEME_KINDS, SubmitError, _check_scheme, _parse_scheme
 
 ROWS = 3
 
@@ -144,7 +144,9 @@ class TestTableFolds:
     def test_lookups_hash_as_the_reference(self, config, pc, history):
         optimized = TAGEPredictor(config)
         reference = TAGEPredictor(config, optimized=False)
-        assert optimized._lookup(pc, history) == reference._lookup(pc, history)
+        assert optimized._lookup(
+            optimized.plan_slot(pc, 0)[0], history
+        ) == reference._lookup(reference.plan_slot(pc, 0)[0], history)
 
 
 def _allocated(action) -> int:
@@ -185,7 +187,21 @@ class TestFootprint:
     @pytest.mark.parametrize("kind", _SCHEME_KINDS)
     def test_submit_time_scheme_check_allocates_under_256_kib(self, kind):
         _parse_scheme(kind, "cell")  # imports and first-use tables
+        _check_scheme.cache_clear()
         assert _allocated(lambda: _parse_scheme(kind, "cell")) <= 256 * 1024
+        # A repeated spec is not built again.
+        assert _allocated(lambda: _parse_scheme(kind, "cell")) <= 4 * 1024
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"second_level": "nope"}, {"entries": [64]}],
+    ids=["bad-value", "unhashable-value"],
+)
+def test_a_bad_scheme_is_refused_on_every_submit(options):
+    for _ in range(2):
+        with pytest.raises(SubmitError, match="cell.scheme"):
+            _parse_scheme({"kind": "conventional", "options": options}, "cell")
 
 
 @pytest.mark.parametrize(

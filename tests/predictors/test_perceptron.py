@@ -77,10 +77,13 @@ class TestPerceptronMechanics:
         for row in predictor._weights:
             assert all(config.weight_min <= w <= config.weight_max for w in row)
 
-    def test_predict_with_output_sign_consistency(self):
+    def test_planned_output_sign_is_the_prediction(self):
         predictor = PerceptronPredictor(PerceptronConfig(entries=16))
-        taken, output = predictor.predict_with_output(0x4000, 0)
-        assert taken == (output >= 0)
+        for _ in range(5):
+            predictor.update(0x4000, 0, False)
+        row, local_slot, _ = predictor.plan_slot(0x4000, 0)
+        output = predictor.output_planned(row, local_slot, 0)
+        assert predictor.predict(0x4000, 0) == (output >= 0) is False
 
     def test_storage_close_to_148kb(self):
         report = PerceptronPredictor().size_report()

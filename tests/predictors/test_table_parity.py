@@ -58,6 +58,13 @@ pooled_steps = st.lists(
 )
 
 
+def _observe(predictor, pc, history):
+    """``(direction, raw output)`` of one planned prediction."""
+    key, local_slot, _ = predictor.plan_slot(pc, 0)
+    output = predictor.output_planned(key, local_slot, history)
+    return output >= 0, output
+
+
 class TestGshareParity:
     @settings(max_examples=60, deadline=None)
     @given(stream=steps, history_bits=st.integers(min_value=4, max_value=12))
@@ -82,12 +89,10 @@ class TestPerceptronParity:
         optimized = PerceptronPredictor(config, optimized=True)
         touched = set()
         for pc, history, outcome in stream:
-            ref_taken, ref_output = reference.predict_with_output(pc, history)
-            opt_taken, opt_output = optimized.predict_with_output(pc, history)
-            assert (opt_taken, opt_output) == (ref_taken, ref_output)
+            assert _observe(optimized, pc, history) == _observe(reference, pc, history)
             reference.update(pc, history, outcome)
             optimized.update(pc, history, outcome)
-            touched.add(reference._index(pc))
+            touched.add(reference.plan_slot(pc, 0)[0])
             for index in touched:
                 assert optimized.weight_row(index) == reference.weight_row(index)
         assert optimized._weights == reference._weights
@@ -178,9 +183,7 @@ class TestPooledMemoParity:
         reference = PerceptronPredictor(SMALL_PERCEPTRON, optimized=False)
         optimized = PerceptronPredictor(SMALL_PERCEPTRON, optimized=True)
         for pc, history, outcome in stream:
-            assert optimized.predict_with_output(
-                pc, history
-            ) == reference.predict_with_output(pc, history)
+            assert _observe(optimized, pc, history) == _observe(reference, pc, history)
             _assert_output_memo_fresh(optimized._flat)
             reference.update(pc, history, outcome)
             optimized.update(pc, history, outcome)
@@ -312,13 +315,11 @@ class TestPredicateAwareParity:
         optimized = PredicateAwarePredictor(config, optimized=True)
         touched = set()
         for pc, history, outcome in stream:
-            predicate_bits = (history >> 7) & 0xF
-            assert optimized.predict_with_output(
-                pc, history, predicate_bits
-            ) == reference.predict_with_output(pc, history, predicate_bits)
-            reference.update(pc, history, predicate_bits, outcome)
-            optimized.update(pc, history, predicate_bits, outcome)
-            touched.add(reference._index(pc))
+            mixed = reference.input_history(history, (history >> 7) & 0xF)
+            assert _observe(optimized, pc, mixed) == _observe(reference, pc, mixed)
+            reference.update(pc, mixed, outcome)
+            optimized.update(pc, mixed, outcome)
+            touched.add(reference.plan_slot(pc, 0)[0])
             for index in touched:
                 assert optimized.weight_row(index) == reference.weight_row(index)
         assert optimized._weights == reference._weights
@@ -330,7 +331,7 @@ class TestHistoryStructures:
         outcomes=st.lists(st.booleans(), min_size=1, max_size=80),
         bits=st.integers(min_value=1, max_value=16),
     )
-    def test_ghr_deque_tokens_behave_like_a_shift_register(self, outcomes, bits):
+    def test_ghr_tokens_behave_like_a_shift_register(self, outcomes, bits):
         ghr = GlobalHistoryRegister(bits)
         expected = 0
         tokens = []
@@ -346,12 +347,12 @@ class TestHistoryStructures:
 
     @settings(max_examples=60, deadline=None)
     @given(stream=steps)
-    def test_local_history_memoized_index_is_stable(self, stream):
+    def test_local_history_index_is_stable(self, stream):
         table = LocalHistoryTable(entries=32, bits=8)
         shadow = {}
         for pc, _, outcome in stream:
             index = table.index(pc)
-            assert table.index(pc) == index  # memo returns the same index
+            assert table.index(pc) == index
             expected = ((shadow.get(index, 0) << 1) | (1 if outcome else 0)) & 0xFF
             table.update(pc, outcome)
             shadow[index] = expected
