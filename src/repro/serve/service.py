@@ -308,21 +308,24 @@ def _parse_scheme(raw: Any, what: str) -> SchemeSpec:
             f"{what}: unknown scheme kind {kind!r}; expected one of {_SCHEME_KINDS}"
         )
     spec = SchemeSpec.make(kind, **dict(options))
+    # Equal specs can differ in their option types (64 and 64.0), and only
+    # one of them may build, so the types are part of the check's key.
+    types = tuple(type(value) for _, value in spec.options)
     try:
         hash(spec)
     except TypeError:  # an unhashable option value: build it every time
-        check = SchemeSpec.build
+        check = _check_scheme.__wrapped__
     else:
         check = _check_scheme
     try:
-        check(spec)  # surface bad option names/values at submit time
+        check(spec, types)  # surface bad option names/values at submit time
     except (TypeError, ValueError) as error:
         raise SubmitError(f"{what}.scheme: {error}") from None
     return spec
 
 
 @functools.lru_cache(maxsize=256)
-def _check_scheme(spec: SchemeSpec) -> None:
+def _check_scheme(spec: SchemeSpec, _types: tuple) -> None:
     """Build ``spec``'s scheme once and drop it.
 
     Building is deterministic, so a spec that built once builds again: a

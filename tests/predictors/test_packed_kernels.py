@@ -204,6 +204,12 @@ def test_a_bad_scheme_is_refused_on_every_submit(options):
             _parse_scheme({"kind": "conventional", "options": options}, "cell")
 
 
+def test_a_cached_spec_does_not_pass_an_equal_one_of_another_type():
+    _parse_scheme({"kind": "conventional", "options": {"entries": 64}}, "cell")
+    with pytest.raises(SubmitError, match="cell.scheme"):
+        _parse_scheme({"kind": "conventional", "options": {"entries": 64.0}}, "cell")
+
+
 @pytest.mark.parametrize(
     "field, value", [("tag_bits", 1), ("counter_bits", 9), ("useful_bits", 9)]
 )
