@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 
 from repro.emulator.executor import DynInst
 from repro.isa.registers import NUM_PREDICATE_REGISTERS
-from repro.pipeline.scheme_api import OVERRIDE_HANDLING, BranchHandling, BranchHandlingScheme
+from repro.pipeline.scheme_api import BRANCH_HANDLING, BranchHandling, BranchHandlingScheme
 from repro.predictors.base import BranchPlans
 from repro.predictors.peppa import PEPPAConfig, PEPPAPredictor
 
@@ -100,7 +100,7 @@ class PEPPAScheme(BranchHandlingScheme):
             self.counters.bump("selector_matched_outcome")
 
         self._pending[dyn.seq] = (plan, selector, actual)
-        return OVERRIDE_HANDLING[prediction, prediction]
+        return BRANCH_HANDLING[prediction, prediction, False]
 
     def on_branch_resolved(self, dyn: DynInst, resolve_cycle: int, mispredicted: bool) -> None:
         pending = self._pending.pop(dyn.seq, None)

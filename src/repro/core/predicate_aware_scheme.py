@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.emulator.executor import DynInst
-from repro.pipeline.scheme_api import OVERRIDE_HANDLING, BranchHandling, BranchHandlingScheme
+from repro.pipeline.scheme_api import BRANCH_HANDLING, BranchHandling, BranchHandlingScheme
 from repro.predictors.base import BranchPlans
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.history import GlobalHistoryRegister
@@ -75,7 +75,7 @@ class PredicateAwareScheme(BranchHandlingScheme):
         rename_cycle: int,
         guard_ready_cycle: int,
     ) -> BranchHandling:
-        plan = self.plans.memo.get(dyn.pc) or self.plans.of(dyn.pc)
+        plan = self.plans.of(dyn.pc)
         fast_key, fast_local, key, local_slot = plan
         history = self.ghr.value
         slow_history = self.predictor.input_history(history, self._snapshot)
@@ -93,7 +93,7 @@ class PredicateAwareScheme(BranchHandlingScheme):
         self.ghr.push_resolved(actual)
 
         self._pending[dyn.seq] = (plan, history, slow_history, actual)
-        return OVERRIDE_HANDLING[fast, final]
+        return BRANCH_HANDLING[fast, final, False]
 
     def on_branch_resolved(self, dyn: DynInst, resolve_cycle: int, mispredicted: bool) -> None:
         pending = self._pending.pop(dyn.seq, None)

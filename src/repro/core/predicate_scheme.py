@@ -42,6 +42,7 @@ from repro.isa.compare import CompareInstruction
 from repro.isa.registers import NUM_PREDICATE_REGISTERS
 from repro.pipeline.pprf import PPRFEntry, PredicatePhysicalRegisterFile
 from repro.pipeline.scheme_api import (
+    BRANCH_HANDLING,
     PREDICATED_HANDLING,
     BranchHandling,
     BranchHandlingScheme,
@@ -351,15 +352,9 @@ class PredicatePredictionScheme(BranchHandlingScheme):
         if final != actual:
             self.counters.bump("mispredictions")
 
-        override_flush = fetch_prediction is not None and fetch_prediction != final
         # The first-level predictor trains on branch outcomes as usual.
         self._branch_ghr.push_resolved(actual)
-        return BranchHandling(
-            final_prediction=final,
-            fetch_prediction=fetch_prediction,
-            early_resolved=early_resolved,
-            override_flush=override_flush,
-        )
+        return BRANCH_HANDLING[fetch_prediction, final, early_resolved]
 
     def on_branch_resolved(self, dyn: DynInst, resolve_cycle: int, mispredicted: bool) -> None:
         pending = self._fetch_histories.pop(dyn.seq, None)

@@ -45,8 +45,8 @@ from repro.pipeline.uop import RenameDecision
 class BranchHandling:
     """What the scheme decided for one dynamic conditional branch.
 
-    Never mutated once returned: a two-level override decision is one of
-    the shared :data:`OVERRIDE_HANDLING` instances.
+    Never mutated once returned: every possible handling is one of the
+    shared :data:`BRANCH_HANDLING` instances.
     """
 
     #: The prediction that steers the front end after rename (and is checked
@@ -62,12 +62,16 @@ class BranchHandling:
     override_flush: bool = False
 
 
-#: The shared handling of a fetch prediction overridden by a final one that
-#: is not early-resolved, keyed by ``(fetch_prediction, final_prediction)``.
-OVERRIDE_HANDLING = {
-    (fetch, final): BranchHandling(final, fetch, False, fetch != final)
-    for fetch in (False, True)
+#: The shared handling of every branch decision, keyed by
+#: ``(fetch_prediction, final_prediction, early_resolved)``; a final
+#: prediction that disagrees with a fetch prediction is an override flush.
+BRANCH_HANDLING = {
+    (fetch, final, early): BranchHandling(
+        final, fetch, early, fetch is not None and fetch != final
+    )
+    for fetch in (None, False, True)
     for final in (False, True)
+    for early in (False, True)
 }
 
 

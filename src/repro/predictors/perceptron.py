@@ -270,7 +270,11 @@ class FlatWeightTable:
 
     def train(self, index: int, combined_history: int, outcome: bool) -> None:
         """Apply the threshold training rule to row ``index``."""
-        output = self.output(index, combined_history)
+        cached = self._memo.get(index)
+        if cached is not None and cached[0] == combined_history:
+            output = cached[1]
+        else:
+            output = self.output(index, combined_history)
         if (output >= 0) != outcome or abs(output) <= self.theta:
             bits = ((combined_history << 1) | 1).to_bytes(self._nbytes, "big")
             spread = 0
