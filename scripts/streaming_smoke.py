@@ -198,10 +198,10 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
-    leftovers = store.entries(CHECKPOINTS)
+    leftovers = store.usage()[CHECKPOINTS]["count"]
     if leftovers:
         print(
-            f"FAIL: {len(leftovers)} checkpoint(s) left behind after results landed",
+            f"FAIL: {leftovers} checkpoint(s) left behind after results landed",
             file=sys.stderr,
         )
         return 1

@@ -571,13 +571,12 @@ class ChunkedPackWriter:
     is detectably truncated.
     """
 
-    __slots__ = ("_handle", "rows", "segments", "_finished")
+    __slots__ = ("_handle", "rows", "_finished")
 
     def __init__(self, handle) -> None:
         handle.write(CHUNK_MAGIC)
         self._handle = handle
         self.rows = 0
-        self.segments = 0
         self._finished = False
 
     def add_segment(self, pack: "TracePack") -> None:
@@ -587,7 +586,6 @@ class ChunkedPackWriter:
         self._handle.write(struct.pack("<Q", len(blob)))
         self._handle.write(blob)
         self.rows += len(pack)
-        self.segments += 1
 
     def finish(self) -> int:
         """Write the terminator record; return the total row count."""

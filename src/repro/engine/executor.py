@@ -294,12 +294,7 @@ class ExecutionEngine:
             program = self._compile(benchmark, flavour)
             self.stats.binaries_built += 1
             if self.store is not None:
-                self.store.put(
-                    BINARIES,
-                    job.key,
-                    program,
-                    metadata={"benchmark": benchmark, "flavour": flavour},
-                )
+                self.store.put(BINARIES, job.key, program)
         self._binaries[cell] = program
         return program
 
@@ -358,16 +353,7 @@ class ExecutionEngine:
             # one worker, so a worker-side spill write would never be read.
             # (The streaming path already wrote through the store.)
             if self.store is not None and not streamed:
-                self.store.put(
-                    TRACES,
-                    job.key,
-                    trace,
-                    metadata={
-                        "benchmark": benchmark,
-                        "flavour": flavour,
-                        "instructions": len(trace),
-                    },
-                )
+                self.store.put(TRACES, job.key, trace)
         self._traces[cell] = trace
         self._traces.move_to_end(cell)
         while len(self._traces) > self.max_cached_traces:
@@ -394,18 +380,8 @@ class ExecutionEngine:
                     segment_rows=self.trace_segment_rows,
                     on_segment=writer.add_segment,
                 )
-                rows = writer.finish()
-            self.store.put_file(
-                TRACES,
-                job.key,
-                scratch,
-                metadata={
-                    "benchmark": job.benchmark,
-                    "flavour": job.flavour,
-                    "instructions": rows,
-                    "segments": writer.segments,
-                },
-            )
+                writer.finish()
+            self.store.put_file(TRACES, job.key, scratch)
         finally:
             try:
                 os.remove(scratch)
@@ -518,8 +494,6 @@ class ExecutionEngine:
         """
         if not self._checkpointing():
             return {}
-        first = jobs[0]
-        schemes = ", ".join(job.scheme.describe() for job in jobs)
         checkpoint: Optional[SimulationCheckpoint] = None
         loaded = self.store.get(CHECKPOINTS, key)
         if isinstance(loaded, SimulationCheckpoint) and loaded.matches(
@@ -529,26 +503,15 @@ class ExecutionEngine:
             self.stats.checkpoints_resumed += len(jobs)
             _log.info(
                 "resuming %s/%s (%s) from checkpoint at %d/%d rows",
-                first.benchmark,
-                first.flavour,
-                schemes,
+                jobs[0].benchmark,
+                jobs[0].flavour,
+                ", ".join(job.scheme.describe() for job in jobs),
                 loaded.rows_done,
                 loaded.total_rows,
             )
 
         def on_checkpoint(ckpt: SimulationCheckpoint) -> None:
-            self.store.put(
-                CHECKPOINTS,
-                key,
-                ckpt,
-                metadata={
-                    "benchmark": first.benchmark,
-                    "flavour": first.flavour,
-                    "scheme": schemes,
-                    "rows_done": ckpt.rows_done,
-                    "total_rows": ckpt.total_rows,
-                },
-            )
+            self.store.put(CHECKPOINTS, key, ckpt)
             self.stats.checkpoints_written += 1
             faults.on_checkpoint_write()
 
@@ -566,16 +529,7 @@ class ExecutionEngine:
 
     def _store_result(self, job: SimulateJob, result: SimulationResult) -> None:
         if self.store is not None:
-            self.store.put(
-                RESULTS,
-                job.key,
-                result,
-                metadata={
-                    "benchmark": job.benchmark,
-                    "flavour": job.flavour,
-                    "scheme": job.scheme.describe(),
-                },
-            )
+            self.store.put(RESULTS, job.key, result)
 
     # ------------------------------------------------------------------
     # Lane-batched execution
@@ -857,16 +811,7 @@ class ExecutionEngine:
         for (benchmark, flavour), trace in self._traces.items():
             build = make_build_job(benchmark, flavour, self.factory)
             job = make_trace_job(build, self.profile.instructions_per_benchmark)
-            spill.put(
-                TRACES,
-                job.key,
-                trace,
-                metadata={
-                    "benchmark": benchmark,
-                    "flavour": flavour,
-                    "instructions": len(trace),
-                },
-            )
+            spill.put(TRACES, job.key, trace)
 
 
 def _mp_context():

@@ -9,11 +9,13 @@ Running ``repro figure6`` after ``repro figure5`` therefore never recompiles
 or re-traces a (benchmark, flavour) cell the first run already produced.
 
 Layout (all artifacts live under a format-version directory so format bumps
-invalidate everything at once)::
+invalidate everything at once; one file per artifact)::
 
-    <root>/v2/binaries/<key>.pkl   + <key>.json   (metadata sidecar)
-    <root>/v2/traces/<key>.pkl    + <key>.json
-    <root>/v2/results/<key>.pkl   + <key>.json
+    <root>/v2/binaries/<key>.pkl
+    <root>/v2/traces/<key>.pkl
+    <root>/v2/results/<key>.pkl
+    <root>/v2/checkpoints/<key>.pkl
+    <root>/v2/quarantine/<kind>__<key>.pkl   + <kind>__<key>.json   (reason)
 
 Writes are atomic (unique temp file + ``os.replace``) so concurrent worker
 processes can share one store.  Directories of earlier format versions
@@ -25,15 +27,11 @@ raw 32-byte SHA-256 of those bytes (a trailer, because a streamed payload's
 digest is known only after its last byte).  Every ``get`` opens that one
 file, reads it whole and checks the trailer before decoding — so at-rest
 corruption (bit flips, torn writes, a swapped file) is *detected*, not
-just decode failures, and no read depends on the metadata sidecar.
-Damaged artifacts are **quarantined** (moved to ``<root>/v2/quarantine/``,
+just decode failures.  Damaged artifacts are **quarantined** (moved to
+``<root>/v2/quarantine/`` beside a ``.json`` record of the reason,
 surfaced by :meth:`ArtifactStore.usage` and the ``repro cache stats`` CLI)
 rather than silently deleted, and the ``get`` reports a miss so the caller
-transparently regenerates the artifact.  The ``.json`` sidecar holds only
-descriptive metadata (for :meth:`ArtifactStore.entries`, quarantine
-reasons and ``repro cache``).  Orphaned sidecars — left when a crash
-interrupts a remove between the payload unlink and the sidecar unlink —
-are swept by :meth:`ArtifactStore.ensure_root`.
+transparently regenerates the artifact.
 
 For long-running multi-tenant use (the ``repro serve`` daemon) the store
 also supports **size-gated LRU eviction**: every cache hit touches the
@@ -153,44 +151,12 @@ class ArtifactStore:
         created directory, or ``None`` when creation failed (e.g. the
         configured root is not a writable directory) — in that case the
         store still behaves as empty.
-
-        Also sweeps **orphaned sidecars**: a remove that crashed between
-        the payload unlink and the sidecar unlink leaves a ``.json`` with
-        no ``.pkl``, which would skew :meth:`entries`-based reporting
-        forever.  ``put`` writes the payload before the sidecar, so a
-        sidecar without a payload is always stale — never a write in
-        flight.
         """
         try:
             os.makedirs(self._base, exist_ok=True)
         except OSError:
             return None
-        self._sweep_orphan_sidecars()
         return self._base
-
-    def _sweep_orphan_sidecars(self) -> int:
-        """Remove ``.json`` sidecars whose payload is gone; return count."""
-        removed = 0
-        for kind in KINDS:
-            directory = self._kind_dir(kind)
-            try:
-                names = os.listdir(directory)
-            except OSError:
-                continue
-            present = set(names)
-            for name in names:
-                if not name.endswith(".json"):
-                    continue
-                if f"{name[: -len('.json')]}.pkl" in present:
-                    continue
-                try:
-                    os.remove(os.path.join(directory, name))
-                    removed += 1
-                except OSError:
-                    pass
-        if removed:
-            _log.info("swept %d orphaned metadata sidecar(s) under %s", removed, self.root)
-        return removed
 
     def _kind_dir(self, kind: str) -> str:
         try:
@@ -204,10 +170,6 @@ class ArtifactStore:
         """Path of the artifact payload for ``key`` (may not exist)."""
         return f"{self._kind_dir(kind)}{os.sep}{key}.pkl"
 
-    def _meta_path(self, kind: str, key: str) -> str:
-        """Path of the metadata sidecar for ``key`` (may not exist)."""
-        return f"{self._kind_dir(kind)}{os.sep}{key}.json"
-
     # ------------------------------------------------------------------
     def contains(self, kind: str, key: str) -> bool:
         """True when an artifact of ``kind`` is stored under ``key``."""
@@ -219,11 +181,11 @@ class ArtifactStore:
         A hit opens exactly one file: the payload is read whole and its
         SHA-256 trailer verified *before* decoding, so silent at-rest
         corruption — a bit flip that still unpickles, a payload overwritten
-        by another valid pickle — is caught, not just decode failures.  The
-        sidecar plays no part.  Damaged artifacts are quarantined (moved
-        under ``<root>/v2/quarantine/``, never silently deleted) and
-        reported as misses, so the caller transparently regenerates them
-        while the evidence stays inspectable.
+        by another valid pickle — is caught, not just decode failures.
+        Damaged artifacts are quarantined (moved under
+        ``<root>/v2/quarantine/``, never silently deleted) and reported as
+        misses, so the caller transparently regenerates them while the
+        evidence stays inspectable.
         """
         try:
             body = _read_verified(self.path(kind, key))
@@ -238,9 +200,7 @@ class ArtifactStore:
             self._quarantine(kind, key, f"decode failed: {type(error).__name__}")
             return None
 
-    def put(
-        self, kind: str, key: str, obj: Any, metadata: Optional[Dict[str, Any]] = None
-    ) -> str:
+    def put(self, kind: str, key: str, obj: Any) -> str:
         """Store one artifact atomically and return its payload path.
 
         The payload file is the encoded artifact followed by its SHA-256
@@ -251,29 +211,11 @@ class ArtifactStore:
         data = _CODECS[kind][0](obj)
         path = self.path(kind, key)
         self._atomic_write(directory, path, data, hashlib.sha256(data).digest())
-        self._write_meta(directory, kind, key, len(data) + DIGEST_BYTES, metadata)
         # Chaos-testing hook: corrupt-artifact-bytes / truncate-payload
         # damage the payload *after* its trailer was written, exactly like
         # post-write bit rot (no-op unless REPRO_FAULTS enables them).
         faults.corrupt_payload(path)
         return path
-
-    def _write_meta(
-        self,
-        directory: str,
-        kind: str,
-        key: str,
-        size: int,
-        metadata: Optional[Dict[str, Any]],
-    ) -> None:
-        """Write the descriptive metadata sidecar of one stored payload."""
-        meta = dict(metadata or {})
-        meta.update(kind=kind, key=key, size_bytes=size, created=time.time())
-        self._atomic_write(
-            directory,
-            self._meta_path(kind, key),
-            json.dumps(meta, sort_keys=True).encode("utf-8"),
-        )
 
     @staticmethod
     def _atomic_write(directory: str, path: str, *chunks: bytes) -> None:
@@ -283,21 +225,17 @@ class ArtifactStore:
                 handle.write(chunk)
         os.replace(tmp, path)
 
-    def _remove(self, kind: str, key: str) -> None:
-        for path in (self.path(kind, key), self._meta_path(kind, key)):
-            try:
-                os.remove(path)
-            except OSError:
-                pass
-
     def discard(self, kind: str, key: str) -> None:
-        """Remove one artifact (payload + sidecar); a no-op when absent.
+        """Remove one artifact; a no-op when absent.
 
         The engine uses this to drop a job's resume checkpoint once the
         finished result is stored — a checkpoint that outlived its run
         would only waste eviction budget.
         """
-        self._remove(kind, key)
+        try:
+            os.remove(self.path(kind, key))
+        except OSError:
+            pass
 
     # ------------------------------------------------------------------
     # Streaming writes (scratch file → adopt)
@@ -315,9 +253,7 @@ class ArtifactStore:
         os.makedirs(directory, exist_ok=True)
         return os.path.join(directory, f".tmp-{uuid.uuid4().hex}")
 
-    def put_file(
-        self, kind: str, key: str, path: str, metadata: Optional[Dict[str, Any]] = None
-    ) -> str:
+    def put_file(self, kind: str, key: str, path: str) -> str:
         """Adopt an already-encoded payload file as the artifact for ``key``.
 
         ``path`` must hold bytes the kind's codec decodes (for traces: the
@@ -331,15 +267,12 @@ class ArtifactStore:
         directory = self._kind_dir(kind)
         os.makedirs(directory, exist_ok=True)
         digest = hashlib.sha256()
-        size = 0
         with open(path, "r+b") as handle:
             for block in iter(lambda: handle.read(1 << 20), b""):
                 digest.update(block)
-                size += len(block)
             handle.write(digest.digest())
         target = self.path(kind, key)
         os.replace(path, target)
-        self._write_meta(directory, kind, key, size + DIGEST_BYTES, metadata)
         faults.corrupt_payload(target)
         return target
 
@@ -351,49 +284,36 @@ class ArtifactStore:
         return os.path.join(self._base, "quarantine")
 
     def _quarantine(self, kind: str, key: str, reason: str) -> None:
-        """Move a damaged artifact (payload + sidecar) into quarantine.
+        """Move a damaged artifact's payload into quarantine.
 
-        The sidecar is rewritten with the quarantine ``reason`` and
-        timestamp so a post-mortem knows what failed and when.  Filenames
-        are ``<kind>__<key>.*`` — kinds share one directory, and a repeat
-        quarantine of the same key overwrites the previous evidence.
+        Beside it goes a ``.json`` record of the ``kind``, ``key``,
+        ``quarantine_reason`` and time, so a post-mortem knows what failed
+        and when.  Filenames are ``<kind>__<key>.*`` — kinds share one
+        directory, and a repeat quarantine of the same key overwrites the
+        previous evidence.
         """
         directory = self.quarantine_dir()
         try:
             os.makedirs(directory, exist_ok=True)
         except OSError:
-            self._remove(kind, key)
+            self.discard(kind, key)
             return
         _log.warning("quarantining %s/%s: %s", kind, key, reason)
-        payload = self.path(kind, key)
-        sidecar = self._meta_path(kind, key)
         try:
-            os.replace(payload, os.path.join(directory, f"{kind}__{key}.pkl"))
+            os.replace(self.path(kind, key), os.path.join(directory, f"{kind}__{key}.pkl"))
         except OSError:
             pass
-        meta: Dict[str, Any] = {}
-        try:
-            with open(sidecar, "r", encoding="utf-8") as handle:
-                loaded = json.load(handle)
-            if isinstance(loaded, dict):
-                meta = loaded
-        except (OSError, ValueError):
-            pass
-        meta.update(
-            kind=kind,
-            key=key,
-            quarantine_reason=reason,
-            quarantined=time.time(),
-        )
+        record = {
+            "kind": kind,
+            "key": key,
+            "quarantine_reason": reason,
+            "quarantined": time.time(),
+        }
         self._atomic_write(
             directory,
             os.path.join(directory, f"{kind}__{key}.json"),
-            json.dumps(meta, sort_keys=True).encode("utf-8"),
+            json.dumps(record, sort_keys=True).encode("utf-8"),
         )
-        try:
-            os.remove(sidecar)
-        except OSError:
-            pass
 
     def quarantine_usage(self) -> Dict[str, int]:
         """Quarantined artifact count and payload bytes."""
@@ -451,56 +371,13 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Inspection (the ``repro cache`` CLI)
     # ------------------------------------------------------------------
-    def entries(self, kind: str) -> List[Dict[str, Any]]:
-        """Metadata of every stored artifact of one kind."""
-        directory = self._kind_dir(kind)
-        found: List[Dict[str, Any]] = []
-        try:
-            names = sorted(os.listdir(directory))
-        except OSError:
-            return found
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(directory, name), "r", encoding="utf-8") as fh:
-                    found.append(json.load(fh))
-            except (OSError, ValueError):
-                continue
-        return found
-
-    def stats(self) -> Dict[str, Dict[str, int]]:
-        """Per-kind artifact counts and payload sizes.
-
-        A store root that does not exist yet is created lazily and reported
-        as zero entries of every kind.
-        """
-        self.ensure_root()
-        report: Dict[str, Dict[str, int]] = {}
-        for kind in KINDS:
-            directory = self._kind_dir(kind)
-            count = 0
-            size = 0
-            try:
-                names = os.listdir(directory)
-            except OSError:
-                names = []
-            for name in names:
-                if name.endswith(".pkl"):
-                    count += 1
-                    try:
-                        size += os.path.getsize(os.path.join(directory, name))
-                    except OSError:
-                        pass
-            report[kind] = {"count": count, "bytes": size}
-        return report
-
     def usage(self) -> Dict[str, Dict[str, Any]]:
         """Per-kind entry counts, payload bytes and last-hit timestamps.
 
-        A superset of :meth:`stats` for operational callers (the ``repro
-        cache stats`` CLI and the serve daemon's ``GET /v1/store/stats``):
-        each kind additionally reports ``oldest_hit``/``newest_hit`` (epoch
+        For the ``repro cache stats`` CLI and the serve daemon's ``GET
+        /v1/store/stats``.  A store root that does not exist yet is created
+        lazily and reported as empty.  Each kind reports ``count`` and
+        ``bytes`` of its payloads plus ``oldest_hit``/``newest_hit`` (epoch
         seconds of the least/most recently hit payload, ``None`` when the
         kind is empty), and a ``total`` pseudo-kind aggregates counts and
         bytes across kinds — the number eviction gates on.  A ``quarantine``
@@ -558,7 +435,7 @@ class ArtifactStore:
         directories.
 
         A format bump leaves the old ``v<N>/`` tree behind, invisible to
-        :meth:`stats`, :meth:`evict` and a per-kind :meth:`clear`; this is
+        :meth:`usage`'s kinds, :meth:`evict` and a per-kind :meth:`clear`; this is
         how ``repro cache stats`` shows the disk space it still holds.
         """
         count = 0
@@ -599,9 +476,8 @@ class ArtifactStore:
         and removed until total payload bytes drop to ``max_bytes`` or below.
         Keys in ``protect`` (e.g. artifacts of in-flight jobs) are never
         evicted.  Returns ``{"count": removed entries, "bytes": removed
-        payload bytes}``.  Metadata sidecars go with their payloads; the
-        scan is stat-based, so concurrent writers are safe (a racing
-        re-``put`` simply re-creates the entry).
+        payload bytes}``.  The scan is stat-based, so concurrent writers are
+        safe (a racing re-``put`` simply re-creates the entry).
         """
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
@@ -621,7 +497,7 @@ class ArtifactStore:
                 break
             if key in protected:
                 continue
-            self._remove(kind, key)
+            self.discard(kind, key)
             total -= size
             removed["count"] += 1
             removed["bytes"] += size

@@ -21,10 +21,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.predictors.base import PredictorSizeReport
 from repro.predictors.perceptron import PerceptronConfig, PerceptronTable
-from repro.predictors.predicate_perceptron import (
-    PredicatePerceptronPredictor,
-    PredicatePredictorConfig,
-)
+from repro.predictors.predicate_perceptron import PredicatePredictorConfig
 
 
 @dataclass(frozen=True)
@@ -76,17 +73,7 @@ class NoAliasPerceptron(PerceptronTable):
 class NoAliasPredicatePerceptron(NoAliasPerceptron):
     """Predicate perceptron with a private weight row per (compare, slot)."""
 
-    SLOT_FIRST = 0
-    SLOT_SECOND = 1
     _size_label = "no-alias-pvt (unbounded)"
 
     def __init__(self, config: Optional[PredicatePredictorConfig] = None) -> None:
         super().__init__(config or PredicatePredictorConfig())  # type: ignore[arg-type]
-
-    def index_for_slot(self, pc: int, slot: int) -> int:
-        """Stable per-(pc, slot) index used for confidence-counter pairing."""
-        return (pc << 1) | (slot & 1)
-
-    predict_slot = PredicatePerceptronPredictor.predict_slot
-    predict_compare = PredicatePerceptronPredictor.predict_compare
-    update_slot = PredicatePerceptronPredictor.update_slot

@@ -102,15 +102,6 @@ class PredicatePerceptronPredictor(PerceptronTable):
         msb = 1 << ((self.config.entries - 1).bit_length() - 1)
         return (index ^ msb) % self.config.entries
 
-    def index_for_slot(self, pc: int, slot: int) -> int:
-        """PVT index used for a compare's predicate target ``slot`` (0 or 1)."""
-        if slot not in (self.SLOT_FIRST, self.SLOT_SECOND):
-            raise ValueError(f"invalid predicate slot {slot}")
-        if self.config.split_pvt:
-            half = max(1, self.config.entries // 2)
-            return fold_pc(pc, 24) % half + slot * half
-        return self._f2(pc) if slot else self._f1(pc)
-
     def _local_key(self, pc: int, slot: int) -> int:
         # Distinguish the two targets' local histories without a second table.
         return pc + (slot << 1)
@@ -121,31 +112,17 @@ class PredicatePerceptronPredictor(PerceptronTable):
 
         ``row`` is the PVT entry, ``local_slot`` the local-history entry and
         ``confidence_index`` the index the paired confidence counter is
-        keyed by (the PVT entry: one counter per perceptron row).
+        keyed by (the PVT entry: one counter per perceptron row).  A
+        ``slot`` other than 0 or 1 raises :class:`ValueError`.
         """
-        row = self.index_for_slot(pc, slot)
+        if slot not in (self.SLOT_FIRST, self.SLOT_SECOND):
+            raise ValueError(f"invalid predicate slot {slot}")
+        if self.config.split_pvt:
+            half = max(1, self.config.entries // 2)
+            row = fold_pc(pc, 24) % half + slot * half
+        else:
+            row = self._f2(pc) if slot else self._f1(pc)
         return row, self.local_histories.index(self._local_key(pc, slot)), row
-
-    # ------------------------------------------------------------------
-    def predict_slot(self, pc: int, slot: int, global_history: int) -> Tuple[bool, int]:
-        """Predict one predicate target of the compare at ``pc``.
-
-        Returns ``(predicted_value, raw_output)``.
-        """
-        row, local_slot, _ = self.plan_slot(pc, slot)
-        output = self.output_planned(row, local_slot, global_history)
-        return output >= 0, output
-
-    def predict_compare(self, pc: int, global_history: int) -> Tuple[bool, bool]:
-        """Predict both predicate targets of the compare at ``pc``."""
-        first, _ = self.predict_slot(pc, self.SLOT_FIRST, global_history)
-        second, _ = self.predict_slot(pc, self.SLOT_SECOND, global_history)
-        return first, second
-
-    def update_slot(self, pc: int, slot: int, global_history: int, outcome: bool) -> None:
-        """Train the entry used for (``pc``, ``slot``) with the computed value."""
-        row, local_slot, _ = self.plan_slot(pc, slot)
-        self.train_planned(row, local_slot, global_history, outcome)
 
     # ------------------------------------------------------------------
     def size_report(self) -> PredictorSizeReport:

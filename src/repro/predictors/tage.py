@@ -428,9 +428,6 @@ class TagePredicatePredictor(DirectionPredictor):
     per-(pc, slot) index for the confidence estimator.
     """
 
-    SLOT_FIRST = 0
-    SLOT_SECOND = 1
-
     def __init__(
         self,
         config: Optional[TAGEConfig] = None,
@@ -461,19 +458,6 @@ class TagePredicatePredictor(DirectionPredictor):
         self, key: Tuple[int, int, int], local_slot: int, history: int, outcome: bool
     ) -> None:
         self.tage.train_planned(key, local_slot, history, outcome)
-
-    # ------------------------------------------------------------------
-    def predict_slot(self, pc: int, slot: int, history: int) -> Tuple[bool, int]:
-        key, local_slot, _ = self.plan_slot(pc, slot)
-        output = self.output_planned(key, local_slot, history)
-        return output >= 0, output
-
-    def update_slot(self, pc: int, slot: int, history: int, outcome: bool) -> None:
-        key, local_slot, _ = self.plan_slot(pc, slot)
-        self.train_planned(key, local_slot, history, outcome)
-
-    def index_for_slot(self, pc: int, slot: int) -> int:
-        return self.plan_slot(pc, slot)[2]
 
     # ------------------------------------------------------------------
     def size_report(self) -> PredictorSizeReport:

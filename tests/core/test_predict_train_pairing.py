@@ -6,14 +6,17 @@ scheme must hand each update the history its prediction used.  The test
 instruments every predictor table of a scheme at its kernel seam — the
 perceptron row (:class:`FlatWeightTable`), the entries gshare's and TAGE's
 planned kernels (``output_planned`` / ``train_planned``) select from their
-plan and history, and PEP-PA's pattern-table index — and attributes each
+plan and history, PEP-PA's pattern-table index, and the confidence counter
+the predicate and wish schemes read at rename and train through
+``record_slot`` at completion — and attributes each
 access to the dynamic branch or compare whose hook made it: accesses in a
 rename hook are predictions, accesses in ``on_branch_resolved`` /
 ``on_compare_complete`` are updates.  Every update of a dynamic instance
 must touch only entries one of its predictions read, for every registered
 scheme on both timing loops.  A scheme that trains its first level with
 the history after the branch's own push (the bug the property was written
-for) must fail it.
+for) must fail it, and so must one that trains a confidence counter no
+prediction read.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from collections import defaultdict
 
 import pytest
 
-from repro.core import PredicatePredictionScheme
+from repro.core import PredicatePredictionScheme, WishBranchScheme
 from repro.engine import IF_CONVERTED, ExecutionEngine, SchemeSpec
 from repro.experiments.setup import ExperimentProfile, scheme_kinds
 from repro.pipeline.core import OutOfOrderCore
+from repro.predictors.confidence import ConfidenceEstimator
 from repro.predictors.counters import CounterTable
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.perceptron import FlatWeightTable
@@ -95,6 +99,18 @@ class _RecordingCounterTable(CounterTable):
         super().train(index, outcome)
 
 
+class _RecordingCounters(bytearray):
+    """Confidence counters that record every read and write."""
+
+    def __getitem__(self, index):
+        RECORDER.touch(self, index)
+        return super().__getitem__(index)
+
+    def __setitem__(self, index, value):
+        RECORDER.touch(self, index)
+        super().__setitem__(index, value)
+
+
 def _record_kernels(predictor, entries) -> None:
     """Record the entries ``entries(key, history)`` of every planned kernel
     call of ``predictor``."""
@@ -141,6 +157,8 @@ def _instrument(obj, seen) -> None:
         _record_kernels(obj, _gshare_entries(obj))
     elif isinstance(obj, TAGEPredictor):
         _record_kernels(obj, _tage_entries(obj))
+    elif isinstance(obj, ConfidenceEstimator):
+        obj.counters = _RecordingCounters(obj.counters)
     else:
         for value in getattr(obj, "__dict__", {}).values():
             if type(value).__module__.startswith("repro."):
@@ -179,6 +197,28 @@ class _PostPushFirstLevel(PredicatePredictionScheme):
             )
 
 
+def _neighbour_confidence(scheme_class):
+    """``scheme_class`` with each confidence update landing on the counter
+    after the one its prediction read."""
+
+    class NeighbourConfidence(scheme_class):
+        def __init__(self):
+            super().__init__()
+            confidence = self.confidence
+            record = confidence.record_slot
+            confidence.record_slot = lambda slot, correct: record(
+                (slot + 1) % confidence.entries, correct
+            )
+
+    return NeighbourConfidence
+
+
+CONFIDENCE_SCHEMES = {
+    "predicate": PredicatePredictionScheme,
+    "wish": WishBranchScheme,
+}
+
+
 @pytest.fixture(scope="module")
 def packs():
     profile = ExperimentProfile(
@@ -198,8 +238,17 @@ LOOPS = pytest.mark.parametrize("optimized", [True, False], ids=["fast-loop", "r
 @pytest.mark.parametrize("spec", SPECS, ids=SchemeSpec.describe)
 @pytest.mark.parametrize("workload", BENCHMARKS)
 def test_every_update_writes_an_entry_its_prediction_read(packs, workload, spec, optimized):
-    unpaired = _unpaired(spec.build(), packs[workload], optimized)
+    scheme = spec.build()
+    unpaired = _unpaired(scheme, packs[workload], optimized)
     assert not unpaired, f"{len(unpaired)} updates wrote entries no prediction read"
+    confidence = getattr(scheme, "confidence", None)
+    if confidence is not None:
+        for accesses in (RECORDER.reads, RECORDER.writes):
+            assert any(
+                table == id(confidence.counters)
+                for entries in accesses.values()
+                for table, _ in entries
+            ), "the confidence counters were not recorded"
 
 
 @LOOPS
@@ -207,3 +256,17 @@ def test_every_update_writes_an_entry_its_prediction_read(packs, workload, spec,
 def test_training_the_first_level_after_the_push_is_caught(packs, workload, optimized):
     unpaired = _unpaired(_PostPushFirstLevel(), packs[workload], optimized)
     assert unpaired, "the property missed a first level trained at the post-push history"
+
+
+@LOOPS
+@pytest.mark.parametrize("kind", sorted(CONFIDENCE_SCHEMES))
+@pytest.mark.parametrize("workload", BENCHMARKS)
+def test_training_a_confidence_counter_no_prediction_read_is_caught(
+    packs, workload, kind, optimized
+):
+    scheme = _neighbour_confidence(CONFIDENCE_SCHEMES[kind])()
+    unpaired = _unpaired(scheme, packs[workload], optimized)
+    counters = str(id(scheme.confidence.counters))
+    assert any(
+        entry.startswith(f"({counters},") for entries in unpaired.values() for entry in entries
+    ), "the property missed a confidence counter trained at an entry no prediction read"

@@ -264,7 +264,6 @@ class TestChunkedRoundTrip:
             writer.add_segment(segment)
         rows = writer.finish()
         assert rows == len(loop_trace)
-        assert writer.segments == len(segments)
         assert buffer.getvalue() == ChunkedTracePack.from_segments(segments).to_bytes()
 
     def test_concat_merges_back_to_one_monolithic_pack(self, loop_trace):

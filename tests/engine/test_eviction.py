@@ -134,7 +134,7 @@ class TestEvict:
         assert removed["bytes"] == before - _total_bytes(store)
         assert removed["count"] == 5 - store.usage()[RESULTS]["count"]
 
-    def test_metadata_sidecars_removed_with_payloads(self, store, tmp_path):
+    def test_evict_leaves_no_file_of_the_key(self, store, tmp_path):
         _fill(store, RESULTS, ["gone"])
         store.evict(1)
         root = str(tmp_path / "cache")

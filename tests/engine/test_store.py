@@ -14,7 +14,15 @@ from repro.emulator.trace import (
     save_trace,
 )
 from repro.engine import IF_CONVERTED, ExecutionEngine, SchemeSpec, sweep
-from repro.engine.store import BINARIES, RESULTS, TRACES, ArtifactStore, default_cache_dir
+from repro.engine.store import (
+    BINARIES,
+    CHECKPOINTS,
+    KINDS,
+    RESULTS,
+    TRACES,
+    ArtifactStore,
+    default_cache_dir,
+)
 from repro.experiments.setup import ExperimentProfile, make_predicate_scheme
 from repro.pipeline.core import OutOfOrderCore
 from repro.workloads.spec_suite import build_workload
@@ -85,7 +93,7 @@ class TestTraceRoundTrip:
 class TestResultRoundTrip:
     def test_identical_metrics(self, store, artifacts):
         _, _, result = artifacts
-        store.put(RESULTS, "k1", result, metadata={"benchmark": "gzip"})
+        store.put(RESULTS, "k1", result)
         reloaded = store.get(RESULTS, "k1")
         assert reloaded.metrics.summary() == result.metrics.summary()
         assert reloaded.accuracy.branches == result.accuracy.branches
@@ -120,13 +128,14 @@ class TestResultRoundTrip:
         )
         definition = sweep("result-size", ["gzip"], IF_CONVERTED, configs)
         ExecutionEngine(profile, store=store).run([definition])
-        entries = store.entries(RESULTS)
-        assert len(entries) == len(configs)
-        for entry in entries:
-            result = store.get(RESULTS, entry["key"])
-            size = os.path.getsize(store.path(RESULTS, entry["key"]))
+        names = os.listdir(os.path.dirname(store.path(RESULTS, "any")))
+        assert len(names) == len(configs)
+        for name in names:
+            key = name[: -len(".pkl")]
+            result = store.get(RESULTS, key)
+            size = os.path.getsize(store.path(RESULTS, key))
             assert result.accuracy.branches > 500
-            assert size <= 12 * result.accuracy.branches, (entry["key"], size)
+            assert size <= 12 * result.accuracy.branches, (key, size)
 
 
 class TestStoreBehaviour:
@@ -142,24 +151,22 @@ class TestStoreBehaviour:
         assert store.get(RESULTS, "k1") is None
         assert not store.contains(RESULTS, "k1")
 
-    def test_stats_and_entries(self, store, artifacts):
+    def test_usage_counts_each_kind(self, store, artifacts):
         program, trace, result = artifacts
-        store.put(BINARIES, "b", program, metadata={"benchmark": "gzip"})
+        store.put(BINARIES, "b", program)
         store.put(TRACES, "t", trace)
         store.put(RESULTS, "r", result)
-        stats = store.stats()
-        assert stats[BINARIES]["count"] == 1
-        assert stats[TRACES]["count"] == 1
-        assert stats[RESULTS]["count"] == 1
+        usage = store.usage()
+        assert usage[BINARIES]["count"] == 1
+        assert usage[TRACES]["count"] == 1
+        assert usage[RESULTS]["count"] == 1
         # The checkpoints kind exists but holds nothing here: transient
         # resume state is only ever present mid-run (see CHECKPOINTS).
+        assert usage[CHECKPOINTS]["count"] == 0
         assert all(
-            entry["bytes"] > 0 for entry in stats.values() if entry["count"]
+            entry["bytes"] > 0 for entry in usage.values() if entry["count"]
         )
-        entries = store.entries(BINARIES)
-        assert len(entries) == 1
-        assert entries[0]["benchmark"] == "gzip"
-        assert entries[0]["key"] == "b"
+        assert usage[BINARIES]["bytes"] == os.path.getsize(store.path(BINARIES, "b"))
 
     def test_clear_kind_and_all(self, store, artifacts):
         program, trace, result = artifacts
@@ -170,7 +177,7 @@ class TestStoreBehaviour:
         assert store.get(RESULTS, "r") is None
         assert store.get(BINARIES, "b") is not None
         assert store.clear() == 2
-        assert store.stats()[BINARIES]["count"] == 0
+        assert store.usage()[BINARIES]["count"] == 0
 
     def test_unknown_kind_rejected(self, store):
         with pytest.raises(ValueError):
@@ -192,12 +199,15 @@ class TestStoreBehaviour:
 
 
 class TestCacheStatsLazyRoot:
-    def test_stats_on_missing_root_reports_zero_and_creates_it(self, tmp_path):
+    def test_usage_on_missing_root_reports_zero_and_creates_it(self, tmp_path):
         root = tmp_path / "not-there-yet"
         store = ArtifactStore(str(root))
         assert not root.exists()
-        report = store.stats()
-        assert all(entry == {"count": 0, "bytes": 0} for entry in report.values())
+        report = store.usage()
+        assert all(
+            (report[kind]["count"], report[kind]["bytes"]) == (0, 0)
+            for kind in (*KINDS, "total", "quarantine", "stale")
+        )
         assert root.exists()
 
     def test_cli_cache_stats_on_missing_root(self, tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.engine import ArtifactStore, ExecutionEngine
+from repro.engine.store import KINDS
 from repro.experiments.figure5 import run_figure5
 from repro.experiments.setup import ExperimentProfile
 from repro.experiments.suite import run_all, write_reports
@@ -91,15 +92,21 @@ class TestCacheCli:
         first = capsys.readouterr().out
         assert "Figure 5" in first
         store = ArtifactStore(cache_env)
-        stats = store.stats()
-        assert stats["binaries"]["count"] == 1
-        assert stats["traces"]["count"] == 1
-        assert stats["results"]["count"] == 2
+
+        def sizes():
+            # A hit moves usage()'s last-hit times, so compare only these.
+            usage = store.usage()
+            return {kind: (usage[kind]["count"], usage[kind]["bytes"]) for kind in KINDS}
+
+        stats = sizes()
+        assert stats["binaries"][0] == 1
+        assert stats["traces"][0] == 1
+        assert stats["results"][0] == 2
         # Second run: identical report, nothing new in the store.
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert second == first
-        assert store.stats() == stats
+        assert sizes() == stats
 
     def test_no_cache_flag_leaves_store_empty(self, cache_env, capsys):
         argv = [
@@ -118,7 +125,7 @@ class TestCacheCli:
         assert "removed 2 artifacts (results)" in capsys.readouterr().out
         assert main(["cache", "clear"]) == 0
         assert "removed 2 artifacts (all kinds)" in capsys.readouterr().out
-        assert ArtifactStore(cache_env).stats()["binaries"]["count"] == 0
+        assert ArtifactStore(cache_env).usage()["binaries"]["count"] == 0
 
     def test_all_command_writes_reports(self, cache_env, tmp_path, capsys):
         out_dir = str(tmp_path / "reports")

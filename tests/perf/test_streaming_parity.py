@@ -447,7 +447,7 @@ class TestCheckpointVersion:
         assert engine.stats.checkpoints_resumed == 0
         _assert_result_parity(expected, actual, "engine with a stale checkpoint")
         # The run replaced and then discarded the stale checkpoint.
-        assert store.entries(CHECKPOINTS) == []
+        assert store.usage()[CHECKPOINTS]["count"] == 0
 
 
 class TestSamplingModeCheckpoints:
@@ -681,7 +681,7 @@ class TestEngineCheckpointing:
                 == result.metrics.counters.as_dict()
             ), slot
         # Success consumes every checkpoint: nothing left to resume from.
-        assert store.entries(CHECKPOINTS) == []
+        assert store.usage()[CHECKPOINTS]["count"] == 0
 
     def test_checkpointed_chunked_cell_runs_as_one_batch(self, tmp_path):
         profile = _profile()
@@ -700,7 +700,7 @@ class TestEngineCheckpointing:
         # One checkpoint per window boundary, holding all three lanes.
         assert engine.stats.checkpoints_written == (INSTRUCTIONS - 1) // 300
         _assert_outputs_parity(expected, actual)
-        assert store.entries(CHECKPOINTS) == []
+        assert store.usage()[CHECKPOINTS]["count"] == 0
 
     def test_kill_in_a_batch_sharing_a_stream_resumes_bit_identical(
         self, activate_faults, tmp_path
@@ -724,7 +724,7 @@ class TestEngineCheckpointing:
         assert engine.stats.checkpoints_resumed >= 2  # both lanes of a batch
         assert engine.stats.batches_run >= 1
         _assert_outputs_parity(clean[definition.name], outputs[definition.name])
-        assert store.entries(CHECKPOINTS) == []
+        assert store.usage()[CHECKPOINTS]["count"] == 0
 
     def test_a_batch_checkpoint_never_resumes_another_lane_set(self, pack, tmp_path):
         """A {conventional, wish} checkpoint is not used when only wish is
@@ -765,7 +765,8 @@ class TestEngineCheckpointing:
         _assert_outputs_parity(expected, actual)
         # The wish-only run replaced and discarded its key's checkpoint; the
         # pair's stays for a run of that lane set.
-        assert [entry["key"] for entry in store.entries(CHECKPOINTS)] == [pair.key]
+        assert store.usage()[CHECKPOINTS]["count"] == 1
+        assert store.contains(CHECKPOINTS, pair.key)
 
     def test_serial_checkpointing_is_transparent_and_discarded(self, tmp_path):
         profile = _profile()
@@ -779,7 +780,7 @@ class TestEngineCheckpointing:
         assert engine.stats.checkpoints_written >= 2
         assert engine.stats.checkpoints_resumed == 0
         assert "checkpoints" in engine.stats.render()
-        assert store.entries(CHECKPOINTS) == []
+        assert store.usage()[CHECKPOINTS]["count"] == 0
 
     def test_sampled_results_live_under_their_own_key(self, tmp_path):
         profile = _profile()
@@ -793,7 +794,7 @@ class TestEngineCheckpointing:
         )
         assert sampled.sampling == sampling
         assert sampled.metrics.summary() != full.metrics.summary()
-        assert len(engine.store.entries(RESULTS)) == 2
+        assert engine.store.usage()[RESULTS]["count"] == 2
 
         # A fresh engine over the same store serves each request its own
         # artifact — the sampled approximation can never shadow the exact one.

@@ -78,11 +78,17 @@ def _stream(seed):
     return events
 
 
-def _observe(predictor, pc, history):
+def _observe(predictor, pc, history, slot=0):
     """``(direction, raw output)`` of one planned prediction."""
-    key, local_slot, _ = predictor.plan_slot(pc, 0)
+    key, local_slot, _ = predictor.plan_slot(pc, slot)
     output = predictor.output_planned(key, local_slot, history)
     return output >= 0, output
+
+
+def _train(predictor, pc, history, outcome, slot=0):
+    """Train the planned entry of ``(pc, slot)`` with ``outcome``."""
+    key, local_slot, _ = predictor.plan_slot(pc, slot)
+    predictor.train_planned(key, local_slot, history, outcome)
 
 
 def _roundtrip_parity(make, step):
@@ -151,16 +157,9 @@ class TestPredicatePerceptron:
     @pytest.mark.parametrize("optimized", [False, True])
     def test_save_restore_step_equals_straight_step(self, optimized):
         config = PredicatePredictorConfig()
-
-        def step(predictor, event):
-            pc, history, outcome, slot_bit = event
-            slot = predictor.SLOT_SECOND if slot_bit else predictor.SLOT_FIRST
-            observed = predictor.predict_slot(pc, slot, history)
-            predictor.update_slot(pc, slot, history, outcome)
-            return observed
-
         _roundtrip_parity(
-            lambda: PredicatePerceptronPredictor(config, optimized=optimized), step
+            lambda: PredicatePerceptronPredictor(config, optimized=optimized),
+            _predicate_step,
         )
 
 
@@ -179,15 +178,9 @@ class TestTAGE:
 class TestTagePredicate:
     @pytest.mark.parametrize("optimized", [False, True])
     def test_save_restore_step_equals_straight_step(self, optimized):
-        def step(predictor, event):
-            pc, history, outcome, slot_bit = event
-            slot = 1 if slot_bit else 0
-            observed = predictor.predict_slot(pc, slot, history)
-            predictor.update_slot(pc, slot, history, outcome)
-            return observed
-
         _roundtrip_parity(
-            lambda: TagePredicatePredictor(SMALL_TAGE, optimized=optimized), step
+            lambda: TagePredicatePredictor(SMALL_TAGE, optimized=optimized),
+            _predicate_step,
         )
 
 
@@ -257,8 +250,8 @@ def _perceptron_step(predictor, event):
 def _predicate_step(predictor, event):
     pc, history, outcome, slot_bit = event
     slot = 1 if slot_bit else 0
-    observed = predictor.predict_slot(pc, slot, history)
-    predictor.update_slot(pc, slot, history, outcome)
+    observed = _observe(predictor, pc, history, slot)
+    _train(predictor, pc, history, outcome, slot)
     return observed
 
 
@@ -292,8 +285,8 @@ POOLED_CASES = {
 NEW_PC = 0x9F00
 
 
-def _predict_slot(predictor, pc, history):
-    predictor.predict_slot(pc, 1, history)
+def _observe_second_slot(predictor, pc, history):
+    _observe(predictor, pc, history, 1)
 
 
 NEW_PC_CASES = {
@@ -305,12 +298,12 @@ NEW_PC_CASES = {
         POOLED_CASES["perceptron"][0],
         lambda predictor, pc, history: predictor.predict(pc, history),
     ),
-    "predicate-perceptron": (POOLED_CASES["predicate-perceptron"][0], _predict_slot),
+    "predicate-perceptron": (POOLED_CASES["predicate-perceptron"][0], _observe_second_slot),
     "tage": (
         POOLED_CASES["tage"][0],
         lambda predictor, pc, history: predictor.predict(pc, history),
     ),
-    "tage-predicate": (lambda: TagePredicatePredictor(SMALL_TAGE), _predict_slot),
+    "tage-predicate": (lambda: TagePredicatePredictor(SMALL_TAGE), _observe_second_slot),
     "predicate-aware": (
         lambda: PredicateAwarePredictor(PredicateAwareConfig()),
         lambda predictor, pc, history: predictor.predict(
@@ -367,7 +360,7 @@ class TestMemosStayOutOfPickles:
         pc, _, _, slot_bit = events[cut - 1]
         history = events[cut % len(events)][1]
         if case == "predicate-perceptron":
-            resumed.predict_slot(pc, 1 if slot_bit else 0, history)
+            _observe(resumed, pc, history, 1 if slot_bit else 0)
         else:
             resumed.predict(pc, history)
         assert any(_memos(resumed))

@@ -36,24 +36,26 @@ class TestNoAliasPerceptron:
 
 
 class TestNoAliasPredicatePerceptron:
+    @staticmethod
+    def _predicts(predictor, pc, slot):
+        row, local_slot, _ = predictor.plan_slot(pc, slot)
+        return predictor.output_planned(row, local_slot, 0) >= 0
+
     def test_slots_and_pcs_independent(self):
         predictor = NoAliasPredicatePerceptron(PredicatePredictorConfig(entries=1))
         for _ in range(200):
-            predictor.update_slot(0x4000, 0, 0, True)
-            predictor.update_slot(0x4000, 1, 0, False)
-            predictor.update_slot(0x8000, 0, 0, False)
-        assert predictor.predict_slot(0x4000, 0, 0)[0] is True
-        assert predictor.predict_slot(0x4000, 1, 0)[0] is False
-        assert predictor.predict_slot(0x8000, 0, 0)[0] is False
+            for pc, slot, outcome in ((0x4000, 0, True), (0x4000, 1, False), (0x8000, 0, False)):
+                row, local_slot, _ = predictor.plan_slot(pc, slot)
+                predictor.train_planned(row, local_slot, 0, outcome)
+        assert self._predicts(predictor, 0x4000, 0) is True
+        assert self._predicts(predictor, 0x4000, 1) is False
+        assert self._predicts(predictor, 0x8000, 0) is False
 
-    def test_predict_compare_pair(self):
+    def test_slots_plan_distinct_rows_and_confidence_indices(self):
         predictor = NoAliasPredicatePerceptron()
-        pair = predictor.predict_compare(0x4000, 0)
-        assert len(pair) == 2
-
-    def test_index_for_slot_distinct(self):
-        predictor = NoAliasPredicatePerceptron()
-        assert predictor.index_for_slot(0x4000, 0) != predictor.index_for_slot(0x4000, 1)
+        first, second = predictor.plan_slot(0x4000, 0), predictor.plan_slot(0x4000, 1)
+        assert first[0] != second[0]
+        assert first[2] != second[2]
 
 
 class TestIdealHistoryOracle:

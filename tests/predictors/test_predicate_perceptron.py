@@ -10,22 +10,34 @@ from repro.predictors.predicate_perceptron import (
 from repro.predictors.perceptron import PerceptronConfig
 
 
+def _predict(predictor, pc, slot, history):
+    row, local_slot, _ = predictor.plan_slot(pc, slot)
+    return predictor.output_planned(row, local_slot, history) >= 0
+
+
+def _train(predictor, pc, slot, history, outcome):
+    row, local_slot, _ = predictor.plan_slot(pc, slot)
+    predictor.train_planned(row, local_slot, history, outcome)
+
+
 class TestDualHash:
     def test_two_slots_use_distinct_indices(self):
         predictor = PredicatePerceptronPredictor(PredicatePredictorConfig(entries=128))
         pc = 0x4000_0040
-        assert predictor.index_for_slot(pc, 0) != predictor.index_for_slot(pc, 1)
+        assert predictor.plan_slot(pc, 0)[0] != predictor.plan_slot(pc, 1)[0]
 
     def test_indices_within_table(self):
         predictor = PredicatePerceptronPredictor(PredicatePredictorConfig(entries=100))
         for pc in range(0x4000, 0x4400, 4):
             for slot in (0, 1):
-                assert 0 <= predictor.index_for_slot(pc, slot) < 100
+                row, _, confidence_index = predictor.plan_slot(pc, slot)
+                assert 0 <= row < 100
+                assert confidence_index == row
 
     def test_invalid_slot_rejected(self):
         predictor = PredicatePerceptronPredictor()
         try:
-            predictor.index_for_slot(0x4000, 2)
+            predictor.plan_slot(0x4000, 2)
             assert False
         except ValueError:
             pass
@@ -34,8 +46,8 @@ class TestDualHash:
         config = PredicatePredictorConfig(entries=128, split_pvt=True)
         predictor = PredicatePerceptronPredictor(config)
         for pc in range(0x4000, 0x4200, 4):
-            assert predictor.index_for_slot(pc, 0) < 64
-            assert predictor.index_for_slot(pc, 1) >= 64
+            assert predictor.plan_slot(pc, 0)[0] < 64
+            assert predictor.plan_slot(pc, 1)[0] >= 64
 
 
 class TestLearning:
@@ -44,11 +56,11 @@ class TestLearning:
         correct = 0
         counted = 0
         for i, outcome in enumerate(outcomes):
-            prediction, _ = predictor.predict_slot(pc, slot, ghr.value)
+            prediction = _predict(predictor, pc, slot, ghr.value)
             if i >= warmup:
                 counted += 1
                 correct += prediction == outcome
-            predictor.update_slot(pc, slot, ghr.value, outcome)
+            _train(predictor, pc, slot, ghr.value, outcome)
             ghr.push(outcome)
         return correct / counted
 
@@ -67,16 +79,10 @@ class TestLearning:
         predictor = PredicatePerceptronPredictor(PredicatePredictorConfig(entries=256))
         pc = 0x4000
         for _ in range(300):
-            predictor.update_slot(pc, 0, 0, True)
-            predictor.update_slot(pc, 1, 0, False)
-        first, second = predictor.predict_compare(pc, 0)
-        assert first is True
-        assert second is False
-
-    def test_predict_compare_returns_pair(self):
-        predictor = PredicatePerceptronPredictor()
-        result = predictor.predict_compare(0x4000, 0)
-        assert isinstance(result, tuple) and len(result) == 2
+            _train(predictor, pc, 0, 0, True)
+            _train(predictor, pc, 1, 0, False)
+        assert _predict(predictor, pc, 0, 0) is True
+        assert _predict(predictor, pc, 1, 0) is False
 
 
 class TestConfiguration:

@@ -58,11 +58,17 @@ pooled_steps = st.lists(
 )
 
 
-def _observe(predictor, pc, history):
+def _observe(predictor, pc, history, slot=0):
     """``(direction, raw output)`` of one planned prediction."""
-    key, local_slot, _ = predictor.plan_slot(pc, 0)
+    key, local_slot, _ = predictor.plan_slot(pc, slot)
     output = predictor.output_planned(key, local_slot, history)
     return output >= 0, output
+
+
+def _train(predictor, pc, history, outcome, slot=0):
+    """Train the planned entry of ``(pc, slot)`` with ``outcome``."""
+    key, local_slot, _ = predictor.plan_slot(pc, slot)
+    predictor.train_planned(key, local_slot, history, outcome)
 
 
 class TestGshareParity:
@@ -113,16 +119,14 @@ class TestPredicatePerceptronParity:
         optimized = PredicatePerceptronPredictor(config, optimized=True)
         for step, (pc, history, outcome) in enumerate(stream):
             slot = step % 2
-            assert optimized.index_for_slot(pc, slot) == reference.index_for_slot(pc, slot)
-            assert optimized.predict_slot(pc, slot, history) == reference.predict_slot(
-                pc, slot, history
-            )
-            assert optimized.predict_compare(pc, history) == reference.predict_compare(
-                pc, history
-            )
-            reference.update_slot(pc, slot, history, outcome)
-            optimized.update_slot(pc, slot, history, outcome)
-            index = reference.index_for_slot(pc, slot)
+            assert optimized.plan_slot(pc, slot) == reference.plan_slot(pc, slot)
+            for either in (0, 1):
+                assert _observe(optimized, pc, history, either) == _observe(
+                    reference, pc, history, either
+                )
+            _train(reference, pc, history, outcome, slot)
+            _train(optimized, pc, history, outcome, slot)
+            index = reference.plan_slot(pc, slot)[0]
             assert optimized.weight_row(index) == reference.weight_row(index)
 
 
@@ -197,11 +201,11 @@ class TestPooledMemoParity:
         optimized = PredicatePerceptronPredictor(SMALL_PREDICATE, optimized=True)
         for step, (pc, history, outcome) in enumerate(stream):
             slot = step % 2
-            assert optimized.predict_slot(pc, slot, history) == reference.predict_slot(
-                pc, slot, history
+            assert _observe(optimized, pc, history, slot) == _observe(
+                reference, pc, history, slot
             )
-            reference.update_slot(pc, slot, history, outcome)
-            optimized.update_slot(pc, slot, history, outcome)
+            _train(reference, pc, history, outcome, slot)
+            _train(optimized, pc, history, outcome, slot)
             _assert_output_memo_fresh(optimized._flat)
         for index in range(SMALL_PREDICATE.entries):
             assert optimized.weight_row(index) == reference.weight_row(index)
@@ -281,11 +285,11 @@ class TestMemoHitsAndInvalidation:
         dot = _count_computes(monkeypatch)
         predictor = PredicatePerceptronPredictor(SMALL_PREDICATE)
         pc = PC_POOL[1]
-        predictor.predict_slot(pc, 0, 7)
-        predictor.update_slot(pc, 0, 7, False)
+        _observe(predictor, pc, 7)
+        _train(predictor, pc, 7, False)
         assert dot.calls == 1
         # Training changed the row: the next prediction recomputes it.
-        predictor.predict_slot(pc, 0, 7)
+        _observe(predictor, pc, 7)
         assert dot.calls == 2
 
     def test_tage_update_reuses_the_prediction_folds(self, monkeypatch):

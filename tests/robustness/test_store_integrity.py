@@ -1,4 +1,4 @@
-"""Store integrity: trailer digests, quarantine, orphan-sidecar sweep."""
+"""Store integrity: trailer digests, quarantine, one file per artifact."""
 
 from __future__ import annotations
 
@@ -85,6 +85,22 @@ _PAYLOAD_IDS = [
 ]
 
 
+def _record_opens(monkeypatch):
+    """Record every path ``open`` and ``os.open`` are given from now on."""
+    opened = []
+
+    def recording(real):
+        def record(file, *args, **kwargs):
+            opened.append(file)
+            return real(file, *args, **kwargs)
+
+        return record
+
+    monkeypatch.setattr(builtins, "open", recording(builtins.open))
+    monkeypatch.setattr(os, "open", recording(os.open))
+    return opened
+
+
 class TestDigest:
     def test_put_records_sha256(self, store, artifacts):
         program, _, _ = artifacts
@@ -95,8 +111,6 @@ class TestDigest:
         assert DIGEST_BYTES == 32
         assert trailer == hashlib.sha256(body).digest()
         assert body == pickle.dumps(program, protocol=pickle.HIGHEST_PROTOCOL)
-        with open(store._meta_path(BINARIES, "k"), encoding="utf-8") as handle:
-            assert "sha256" not in json.load(handle)
 
     def test_put_file_appends_the_trailer(self, store, artifacts):
         _, trace, _ = artifacts
@@ -114,66 +128,22 @@ class TestDigest:
         reloaded = store.get(RESULTS, "k")
         assert reloaded.metrics.summary() == result.metrics.summary()
 
-    def test_read_never_opens_the_sidecar(self, store, artifacts, monkeypatch):
+    def test_hit_opens_exactly_the_payload_path(self, store, artifacts, monkeypatch):
         _, _, result = artifacts
         path = store.put(RESULTS, "k", result)
-        opened = []
-
-        def recording(real):
-            def record(file, *args, **kwargs):
-                opened.append(file)
-                return real(file, *args, **kwargs)
-
-            return record
-
-        monkeypatch.setattr(builtins, "open", recording(builtins.open))
-        monkeypatch.setattr(os, "open", recording(os.open))
+        opened = _record_opens(monkeypatch)
         assert store.get(RESULTS, "k").metrics.summary() == result.metrics.summary()
         monkeypatch.undo()
         assert opened == [path]
 
 
-class TestDamagedSidecar:
-    """A damaged or missing sidecar never lets a damaged payload through."""
-
-    @staticmethod
-    def _swap_payload(store, key):
+class TestQuarantine:
+    def test_swapped_payload_is_quarantined(self, store):
+        store.put(RESULTS, "k", {"ipc": 1.25})
         # A valid pickle of a different object: it decodes cleanly, so only
         # the digest can tell it from the stored artifact.
-        with open(store.path(RESULTS, key), "wb") as handle:
+        with open(store.path(RESULTS, "k"), "wb") as handle:
             handle.write(pickle.dumps({"ipc": 9.75}))
-
-    def test_swapped_payload_with_intact_sidecar_is_quarantined(self, store):
-        store.put(RESULTS, "k", {"ipc": 1.25})
-        self._swap_payload(store, "k")
-        assert store.get(RESULTS, "k") is None
-        assert store.quarantine_entries()[0]["quarantine_reason"] == (
-            "payload digest mismatch"
-        )
-
-    def test_swapped_payload_with_cut_sidecar_is_quarantined(self, store):
-        store.put(RESULTS, "k", {"ipc": 1.25})
-        self._swap_payload(store, "k")
-        meta_path = store._meta_path(RESULTS, "k")
-        with open(meta_path, "rb") as handle:
-            meta = handle.read()
-        with open(meta_path, "wb") as handle:
-            handle.write(meta[:-3])
-        assert store.get(RESULTS, "k") is None
-        assert not store.contains(RESULTS, "k")
-        assert not os.path.exists(meta_path)
-        entries = store.quarantine_entries()
-        assert [entry["quarantine_reason"] for entry in entries] == [
-            "payload digest mismatch"
-        ]
-        assert entries[0]["kind"] == RESULTS and entries[0]["key"] == "k"
-
-    def test_swapped_payload_with_deleted_sidecar_is_quarantined(self, store):
-        # The integrity gap of the sidecar digest: with no sidecar there
-        # was nothing to check against, and the swapped object was served.
-        store.put(RESULTS, "k", {"ipc": 1.25})
-        self._swap_payload(store, "k")
-        os.remove(store._meta_path(RESULTS, "k"))
         assert store.get(RESULTS, "k") is None
         assert not store.contains(RESULTS, "k")
         entries = store.quarantine_entries()
@@ -183,31 +153,6 @@ class TestDamagedSidecar:
         assert entries[0]["kind"] == RESULTS and entries[0]["key"] == "k"
         assert store.get(RESULTS, "k") is None
 
-    @pytest.mark.parametrize("damaged", [b"", b"\xff\xfe{", b"[1, 2]", b"null"])
-    def test_sidecar_that_is_no_json_object_does_not_decide(self, store, damaged):
-        # Intact payload under a garbled sidecar: a verified hit.
-        store.put(RESULTS, "k", {"ipc": 1.25})
-        with open(store._meta_path(RESULTS, "k"), "wb") as handle:
-            handle.write(damaged)
-        assert store.get(RESULTS, "k") == {"ipc": 1.25}
-        assert store.quarantine_usage()["count"] == 0
-        # Swapped payload under the same garbled sidecar: still quarantined.
-        self._swap_payload(store, "k")
-        assert store.get(RESULTS, "k") is None
-        assert store.quarantine_usage()["count"] == 1
-        assert store.quarantine_entries()[0]["quarantine_reason"] == (
-            "payload digest mismatch"
-        )
-
-    def test_missing_sidecar_still_reads(self, store):
-        # A concurrent put sits between its payload and sidecar writes.
-        store.put(RESULTS, "k", {"ipc": 1.25})
-        os.remove(store._meta_path(RESULTS, "k"))
-        assert store.get(RESULTS, "k") == {"ipc": 1.25}
-        assert store.quarantine_usage()["count"] == 0
-
-
-class TestQuarantine:
     def test_bit_flip_quarantines_and_reports_miss(self, store, artifacts):
         _, _, result = artifacts
         path = store.put(RESULTS, "k", result)
@@ -252,23 +197,58 @@ class TestQuarantine:
         assert store.quarantine_usage()["count"] == 1
 
 
-class TestOrphanSidecars:
-    def test_ensure_root_sweeps_orphaned_sidecars(self, store, artifacts):
-        _, _, result = artifacts
-        store.put(RESULTS, "keep", result)
-        store.put(RESULTS, "orphan", result)
-        os.remove(store.path(RESULTS, "orphan"))  # the crashed-remove shape
-        store.ensure_root()
-        assert not os.path.exists(store._meta_path(RESULTS, "orphan"))
-        assert os.path.exists(store._meta_path(RESULTS, "keep"))
-        assert store.get(RESULTS, "keep") is not None
+class TestOneFileLayout:
+    """Each artifact is one ``<key>.pkl``; a ``.json`` an older store left
+    in a kind directory is never read, counted or kept by ``clear``."""
 
-    def test_swept_orphans_no_longer_skew_entries(self, store, artifacts):
+    @pytest.mark.parametrize("which", range(6), ids=_PAYLOAD_IDS)
+    def test_put_writes_exactly_the_payload(self, store, artifacts, which):
+        kind, obj = _payload_objects(artifacts)[which]
+        path = store.put(kind, "k", obj)
+        assert os.listdir(os.path.dirname(path)) == ["k.pkl"]
+
+    def test_put_file_writes_exactly_the_payload(self, store, artifacts):
+        _, trace, _ = artifacts
+        scratch = store.scratch_path(TRACES)
+        with open(scratch, "wb") as handle:
+            handle.write(
+                ChunkedTracePack.from_segments([TracePack.from_dyninsts(trace)]).to_bytes()
+            )
+        target = store.put_file(TRACES, "k", scratch)
+        assert os.listdir(os.path.dirname(target)) == ["k.pkl"]
+
+    @staticmethod
+    def _with_leftover_json(store, result):
+        path = store.put(RESULTS, "k", result)
+        leftover = path[: -len(".pkl")] + ".json"
+        # The sidecar an earlier store wrote beside each payload, padded so
+        # that counting its bytes would show.
+        with open(leftover, "w", encoding="utf-8") as handle:
+            json.dump({"kind": RESULTS, "key": "k", "note": "x" * 4000}, handle)
+        return path, leftover
+
+    def test_get_never_opens_a_leftover_json(self, store, artifacts, monkeypatch):
         _, _, result = artifacts
-        store.put(RESULTS, "orphan", result)
-        os.remove(store.path(RESULTS, "orphan"))
-        store.ensure_root()
-        assert store.entries(RESULTS) == []
+        path, _ = self._with_leftover_json(store, result)
+        opened = _record_opens(monkeypatch)
+        assert store.get(RESULTS, "k").metrics.summary() == result.metrics.summary()
+        monkeypatch.undo()
+        assert opened == [path]
+
+    def test_usage_and_evict_count_only_the_payload(self, store, artifacts):
+        _, _, result = artifacts
+        path, _ = self._with_leftover_json(store, result)
+        size = os.path.getsize(path)
+        usage = store.usage()
+        assert usage[RESULTS]["count"] == 1 and usage[RESULTS]["bytes"] == size
+        assert usage["total"] == {"count": 1, "bytes": size}
+        assert store.evict(0) == {"count": 1, "bytes": size}
+
+    def test_clear_removes_a_leftover_json(self, store, artifacts):
+        _, _, result = artifacts
+        path, _ = self._with_leftover_json(store, result)
+        assert store.clear() == 1
+        assert os.listdir(os.path.dirname(path)) == []
 
 
 class TestCorruptionProperty:
@@ -338,8 +318,8 @@ class TestStreamedAdoption:
 
     def test_adopted_stream_round_trips(self, store, artifacts):
         _, trace, _ = artifacts
-        path, rows = self._write_chunked(store, trace)
-        store.put_file(TRACES, "k", path, metadata={"instructions": rows})
+        path, _ = self._write_chunked(store, trace)
+        store.put_file(TRACES, "k", path)
         assert not os.path.exists(path)  # adopted, not copied
         loaded = store.get(TRACES, "k")
         assert isinstance(loaded, ChunkedTracePack)
@@ -369,11 +349,11 @@ class TestStreamedAdoption:
         entries = store.quarantine_entries()
         assert entries and "decode failed" in entries[0]["quarantine_reason"]
 
-    def test_discard_removes_payload_and_sidecar(self, store, artifacts):
+    def test_discard_removes_the_payload(self, store, artifacts):
         _, _, result = artifacts
-        store.put(CHECKPOINTS, "k", {"rows_done": 1, "state": result.metrics.cycles})
+        path = store.put(CHECKPOINTS, "k", {"rows_done": 1, "state": result.metrics.cycles})
         assert store.contains(CHECKPOINTS, "k")
         store.discard(CHECKPOINTS, "k")
         assert not store.contains(CHECKPOINTS, "k")
-        assert store.entries(CHECKPOINTS) == []
+        assert os.listdir(os.path.dirname(path)) == []
         store.discard(CHECKPOINTS, "k")  # idempotent

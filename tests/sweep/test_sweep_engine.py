@@ -91,7 +91,7 @@ class TestCacheSeparation:
         )
         large = engine.simulate("gzip", IF_CONVERTED, scheme)
         assert engine.stats.simulations_run == 2
-        assert store.stats()[RESULTS]["count"] == 2
+        assert store.usage()[RESULTS]["count"] == 2
         assert tiny.metrics.ipc != large.metrics.ipc
 
     def test_default_sweep_cell_reuses_cached_table1_artifact(self, tmp_path):
@@ -265,7 +265,7 @@ class TestRunSweep:
         engine = ExecutionEngine(sweep_profile(scenario), store=store)
         run = run_sweep(scenario, engine=engine)
         assert engine.stats.simulations_run == 2
-        assert store.stats()[RESULTS]["count"] == 2
+        assert store.usage()[RESULTS]["count"] == 2
         rates = {
             point.describe(): result.accuracy.misprediction_rate
             for (_, point, _), result in run.results.items()
