@@ -29,10 +29,15 @@ class MemoryImage:
     __slots__ = ("_words",)
 
     def __init__(self, initial: Optional[Dict[int, int]] = None) -> None:
+        # One pass over the data image, storing each word as write_word
+        # would: aligned, wrapped to signed 64 bits, a later address of the
+        # same word winning.
         self._words: Dict[int, int] = {}
         if initial:
-            for address, value in initial.items():
-                self.write_word(address, value)
+            self._words = {
+                address - address % WORD_BYTES: ((int(value) + _SIGN_BIT) & _WORD_MASK) - _SIGN_BIT
+                for address, value in initial.items()
+            }
 
     # ------------------------------------------------------------------
     @staticmethod

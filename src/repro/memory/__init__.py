@@ -14,20 +14,22 @@ The hierarchy returns *latencies*; the out-of-order pipeline charges them to
 loads, stores and instruction fetches.
 """
 
-from repro.memory.cache import Cache, CacheConfig, CacheStats
+from repro.memory.cache import Cache, CacheConfig, CacheStats, MSHRFile
 from repro.memory.tlb import TLB, TLBConfig
 from repro.memory.write_buffer import WriteBuffer
 from repro.memory.main_memory import MainMemory
-from repro.memory.hierarchy import MemoryHierarchy, MemoryHierarchyConfig
+from repro.memory.hierarchy import MemoryHierarchy, MemoryHierarchyConfig, MemoryLane
 
 __all__ = [
     "Cache",
     "CacheConfig",
     "CacheStats",
+    "MSHRFile",
     "TLB",
     "TLBConfig",
     "WriteBuffer",
     "MainMemory",
     "MemoryHierarchy",
     "MemoryHierarchyConfig",
+    "MemoryLane",
 ]

@@ -49,6 +49,36 @@ class CacheStats:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
+class MSHRFile:
+    """The miss-status holding registers of one cache: its outstanding fills.
+
+    ``outstanding`` maps each block being filled to the cycle its fill
+    completes.  :meth:`stalls` is the one MSHR rule, shared by
+    :meth:`Cache.access` and by the per-lane replay of a shared walk
+    (:class:`~repro.memory.hierarchy.MemoryLane`).
+    """
+
+    __slots__ = ("primary_misses", "outstanding")
+
+    def __init__(self, primary_misses: int) -> None:
+        self.primary_misses = primary_misses
+        self.outstanding: Dict[int, int] = {}
+
+    def stalls(self, block: int, now: int) -> bool:
+        """Whether a miss to ``block`` at cycle ``now`` finds every MSHR busy.
+
+        A secondary miss (``block`` already being filled) merges with its
+        fill and never stalls; a primary miss first frees the MSHRs whose
+        fills completed by ``now``.
+        """
+        outstanding = self.outstanding
+        if block in outstanding:
+            return False
+        for done in [b for b, cycle in outstanding.items() if cycle <= now]:
+            del outstanding[done]
+        return len(outstanding) >= self.primary_misses
+
+
 class Cache:
     """A set-associative, write-allocate, LRU cache.
 
@@ -64,6 +94,8 @@ class Cache:
     construction, the ``(hit, latency)`` answers are three tuples built
     once, and each set keeps its blocks most recently used first, so a hit
     on that way skips the LRU reorder.  A hit allocates nothing.
+    :meth:`probe` is its tag half alone, the part that does not depend on
+    the cycle.
     """
 
     #: Extra latency of a primary miss that finds every MSHR busy.
@@ -75,20 +107,41 @@ class Cache:
         self._block_bytes = config.block_bytes
         self._num_sets = config.num_sets
         self._associativity = config.associativity
-        self._primary_misses = config.primary_misses
         self._hit = (True, config.hit_latency)
         self._miss = (False, config.hit_latency)
         self._stalled_miss = (False, config.hit_latency + self.MSHR_STALL)
         # sets -> blocks, most recently used first.
         self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
-        # Outstanding miss bookkeeping: block address -> completion cycle.
-        self._outstanding: Dict[int, int] = {}
+        self.mshrs = MSHRFile(config.primary_misses)
 
     # ------------------------------------------------------------------
     def lookup(self, address: int) -> bool:
         """Check whether ``address`` currently hits, without side effects."""
         block = address // self._block_bytes
         return block in self._sets[block % self._num_sets]
+
+    def probe(self, block: int) -> bool:
+        """Look up block number ``block``: update the tags and the hit, miss
+        and eviction counts, allocating the block on a miss.
+
+        The tag half of :meth:`access`, with no MSHR check: what a fetch,
+        load or store does to this cache whatever its cycle.
+        """
+        stats = self.stats
+        stats.accesses += 1
+        ways = self._sets[block % self._num_sets]
+        if block in ways:
+            stats.hits += 1
+            if ways[0] != block:
+                ways.remove(block)
+                ways.insert(0, block)
+            return True
+        stats.misses += 1
+        if len(ways) >= self._associativity:
+            ways.pop()
+            stats.evictions += 1
+        ways.insert(0, block)
+        return False
 
     def access(self, address: int, now: int = 0) -> Tuple[bool, int]:
         """Access ``address`` at cycle ``now``; update tags and statistics.
@@ -99,44 +152,22 @@ class Cache:
         another block.
         """
         block = address // self._block_bytes
-        stats = self.stats
-        stats.accesses += 1
-        ways = self._sets[block % self._num_sets]
-        if block in ways:
-            stats.hits += 1
-            if ways[0] != block:
-                ways.remove(block)
-                ways.insert(0, block)
+        if self.probe(block):
             return self._hit
-
-        stats.misses += 1
-        result = self._miss
-        # A secondary miss to an already outstanding block merges with it.
-        if block not in self._outstanding:
-            self._expire_outstanding(now)
-            if len(self._outstanding) >= self._primary_misses:
-                stats.mshr_stalls += 1
-                result = self._stalled_miss
-        if len(ways) >= self._associativity:
-            ways.pop()
-            stats.evictions += 1
-        ways.insert(0, block)
-        return result
+        if self.mshrs.stalls(block, now):
+            self.stats.mshr_stalls += 1
+            return self._stalled_miss
+        return self._miss
 
     def note_outstanding(self, address: int, completion_cycle: int) -> None:
         """Record that the block containing ``address`` is being filled."""
-        self._outstanding[address // self._block_bytes] = completion_cycle
-
-    def _expire_outstanding(self, now: int) -> None:
-        finished = [block for block, cycle in self._outstanding.items() if cycle <= now]
-        for block in finished:
-            del self._outstanding[block]
+        self.mshrs.outstanding[address // self._block_bytes] = completion_cycle
 
     # ------------------------------------------------------------------
     def flush(self) -> None:
         """Invalidate all contents (used between benchmark runs)."""
         self._sets = [[] for _ in range(self._num_sets)]
-        self._outstanding.clear()
+        self.mshrs.outstanding.clear()
 
     def __repr__(self) -> str:
         cfg = self.config

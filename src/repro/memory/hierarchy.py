@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Union
 
-from repro.memory.cache import Cache, CacheConfig
+from repro.memory.cache import Cache, CacheConfig, MSHRFile
 from repro.memory.main_memory import MainMemory
 from repro.memory.tlb import TLB, TLBConfig
 from repro.memory.write_buffer import WriteBuffer
@@ -52,8 +52,26 @@ class MemoryHierarchyConfig:
     memory_latency: int = 120
 
 
+#: A walked access that missed its first-level cache: its latency without
+#: MSHR stalls, its block number at that cache, and its L2 block number
+#: (``None`` when the L2 hit).
+Miss = Tuple[int, int, Optional[int]]
+
+
 class MemoryHierarchy:
-    """L1I + L1D + unified L2 + main memory, with TLBs and write buffers."""
+    """L1I + L1D + unified L2 + main memory, with TLBs and write buffers.
+
+    Two ways in.  :meth:`fetch_latency`, :meth:`load_latency` and
+    :meth:`store_latency` answer one access at cycle ``now`` — tags, TLBs,
+    MSHRs and write buffer together.  The *walk* methods
+    (:meth:`walk_fetch`, :meth:`walk_load`, :meth:`walk_store`) do only the
+    part that does not depend on the cycle: they update tags, TLBs and
+    statistics and describe the outcome, and a :class:`MemoryLane` replays
+    the cycle-dependent rest (MSHR stalls, outstanding fills, the write
+    buffer) for one timing run.  A walk followed by a lane's replay answers
+    exactly what the ``*_latency`` method answers, so timing runs that make
+    the same accesses in the same order can share one walk.
+    """
 
     def __init__(self, config: Optional[MemoryHierarchyConfig] = None) -> None:
         self.config = config or MemoryHierarchyConfig()
@@ -111,16 +129,56 @@ class MemoryHierarchy:
         return latency
 
     # ------------------------------------------------------------------
-    def statistics(self) -> Dict[str, float]:
-        """Summary statistics used by the metrics reporting."""
+    def walk_fetch(self, address: int) -> Union[int, Miss]:
+        """The tag walk of :meth:`fetch_latency`: the latency when the L1I
+        hits, else a :data:`Miss` for :meth:`MemoryLane.fetch_latency`."""
+        latency = self.itlb.access(address) + self.l1i.config.hit_latency
+        block = address // self.l1i.config.block_bytes
+        if self.l1i.probe(block):
+            return latency
+        return self._walk_l2(address, latency, block)
+
+    def walk_load(self, address: int) -> Union[int, Miss]:
+        """The tag walk of :meth:`load_latency`: the latency when the L1D
+        hits, else a :data:`Miss` for :meth:`MemoryLane.load_latency`."""
+        latency = self.dtlb.access(address) + self.l1d.config.hit_latency
+        block = address // self.l1d.config.block_bytes
+        if self.l1d.probe(block):
+            return latency
+        return self._walk_l2(address, latency, block)
+
+    def walk_store(self, address: int) -> Tuple[int, Optional[int]]:
+        """The tag walk of :meth:`store_latency`: the DTLB penalty and the
+        L1D block number when the L1D missed (``None`` on a hit)."""
+        penalty = self.dtlb.access(address)
+        block = address // self.l1d.config.block_bytes
+        return penalty, None if self.l1d.probe(block) else block
+
+    def _walk_l2(self, address: int, latency: int, block: int) -> Miss:
+        latency += self.l2.config.hit_latency
+        l2_block = address // self.l2.config.block_bytes
+        if self.l2.probe(l2_block):
+            return latency, block, None
+        return latency + self.memory.access(address), block, l2_block
+
+    # ------------------------------------------------------------------
+    def statistics(self, fetch_hits: int = 0) -> Dict[str, float]:
+        """Summary statistics used by the metrics reporting.
+
+        ``fetch_hits`` adds that many L1I and ITLB hits that did not go
+        through the hierarchy (a lane's re-fetches of the block it has just
+        fetched, which a shared walk leaves out).
+        """
+        l1i_accesses = self.l1i.stats.accesses + fetch_hits
+        itlb_accesses = self.itlb.accesses + fetch_hits
         return {
             "l1d_miss_rate": self.l1d.stats.miss_rate,
-            "l1i_miss_rate": self.l1i.stats.miss_rate,
+            "l1i_miss_rate": self.l1i.stats.misses / l1i_accesses if l1i_accesses else 0.0,
             "l2_miss_rate": self.l2.stats.miss_rate,
             "dtlb_miss_rate": self.dtlb.miss_rate,
-            "itlb_miss_rate": self.itlb.miss_rate,
+            "itlb_miss_rate": self.itlb.misses / itlb_accesses if itlb_accesses else 0.0,
             "l1d_accesses": float(self.l1d.stats.accesses),
-            "l1i_accesses": float(self.l1i.stats.accesses),
+            "l1i_accesses": float(l1i_accesses),
             "l2_accesses": float(self.l2.stats.accesses),
         }
 
@@ -129,3 +187,59 @@ class MemoryHierarchy:
             cache.flush()
         self.dtlb.flush()
         self.itlb.flush()
+
+
+class MemoryLane:
+    """One timing run's cycle-dependent share of a walked hierarchy.
+
+    Its own MSHR files (one per cache) and L1D write buffer, and the MSHR
+    stalls it was charged.  Each method replays one walked access at cycle
+    ``now`` and returns what the matching :class:`MemoryHierarchy` method
+    would; it is called only for an access that missed a first-level cache
+    and for a store, so a hit costs a lane nothing.
+    """
+
+    __slots__ = ("l1i", "l1d", "l2", "write_buffer", "mshr_stalls")
+
+    def __init__(self, config: MemoryHierarchyConfig) -> None:
+        self.l1i = MSHRFile(config.l1i.primary_misses)
+        self.l1d = MSHRFile(config.l1d.primary_misses)
+        self.l2 = MSHRFile(config.l2.primary_misses)
+        self.write_buffer = WriteBuffer(config.l1d_write_buffer_entries)
+        #: MSHR stalls charged, per cache: ``{"l1i": n, "l1d": n, "l2": n}``.
+        self.mshr_stalls = {"l1i": 0, "l1d": 0, "l2": 0}
+
+    def _miss(self, mshrs: MSHRFile, name: str, block: int, now: int) -> int:
+        if mshrs.stalls(block, now):
+            self.mshr_stalls[name] += 1
+            return Cache.MSHR_STALL
+        return 0
+
+    def fetch_latency(self, miss: Miss, now: int) -> int:
+        """:meth:`MemoryHierarchy.fetch_latency` of a walked fetch miss."""
+        latency, block, l2_block = miss
+        latency += self._miss(self.l1i, "l1i", block, now)
+        if l2_block is not None:
+            latency += self._miss(self.l2, "l2", l2_block, now)
+        return latency
+
+    def load_latency(self, miss: Miss, now: int) -> int:
+        """:meth:`MemoryHierarchy.load_latency` of a walked load miss."""
+        latency, block, l2_block = miss
+        latency += self._miss(self.l1d, "l1d", block, now)
+        if l2_block is not None:
+            latency += self._miss(self.l2, "l2", l2_block, now)
+            self.l2.outstanding[l2_block] = now + latency
+        self.l1d.outstanding[block] = now + latency
+        return latency
+
+    def store_latency(self, walk: Tuple[int, Optional[int]], now: int) -> int:
+        """:meth:`MemoryHierarchy.store_latency` of a walked store."""
+        latency, block = walk
+        if block is not None:
+            # The store's miss takes the MSHR check, but its latency hides
+            # in the write buffer.
+            self._miss(self.l1d, "l1d", block, now)
+        if not self.write_buffer.try_insert(now):
+            latency += self.write_buffer.drain_interval
+        return latency

@@ -11,13 +11,17 @@ batched job, and it is the one driver of full-trace windowed runs
 
 * **Shared, once per segment span** — the span's column decode (one
   ``tolist`` per column), the per-static-instruction decode records,
-  fetch-block ids, fetch-group-ending flags and the timing-independent row
-  counts: one :class:`~repro.pipeline.core._Rows`, freed before the next
-  span is decoded.
-* **Per lane** — everything cycle-dependent: the memory hierarchy (the
-  shared L2 makes fetch stalls a function of the lane's own data-side
-  traffic), load/store unit, issue queues, ROB window, register timing and
-  functional-unit slots.
+  fetch-group-ending flags and the timing-independent row counts: one
+  :class:`~repro.pipeline.core._Rows`, freed before the next span is
+  decoded.  Beside it, the **memory stream**: a
+  :class:`~repro.pipeline.core.MemoryWalker` per distinct memory
+  configuration (today always one) walks the span's cache and TLB
+  accesses once, in row order, and every lane reads the latencies it
+  recorded.
+* **Per lane** — everything cycle-dependent: the MSHRs and write buffer
+  (:class:`~repro.memory.hierarchy.MemoryLane`, replayed only on a
+  first-level miss or a store), store forwarding, load/store and issue
+  queues, ROB window, register timing and functional-unit slots.
 
 Every lane runs the core's one timing loop
 (:meth:`~repro.pipeline.core.OutOfOrderCore._run_rows`) over the shared
@@ -54,9 +58,9 @@ per span.
 that many rows; ``on_checkpoint`` then receives one
 :class:`SimulationCheckpoint` of the whole batch — every lane's
 :class:`~repro.pipeline.core._LoopState` and the stream sources, pickled as
-one object graph so shared objects stay shared — and resuming from it is
-bit-identical to the straight-through run, because the prepass and the loop
-are folds over rows with pauses.
+one object graph so shared objects stay shared, with the memory walkers —
+and resuming from it is bit-identical to the straight-through run, because
+the walk, the prepass and the loop are folds over rows with pauses.
 
 Bit-exactness contract: every lane's :class:`SimulationResult` — metrics,
 counters, per-branch accuracy records — is identical to what the scalar
@@ -76,6 +80,7 @@ from repro.log import get_logger
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import (
     DecisionStream,
+    MemoryWalker,
     OutOfOrderCore,
     SimulationResult,
     _LoopState,
@@ -90,20 +95,23 @@ _log = get_logger(__name__)
 
 #: Bump when the pickled checkpoint layout changes; a mismatched checkpoint
 #: is ignored (the run restarts from row zero) rather than mis-restored.
-#: Version 8 drops the history registers' token lists and the predictors'
-#: PC memos, and keeps each branch predictor's two levels on its scheme.
-CHECKPOINT_VERSION = 8
+#: Version 9 moves the cache and TLB tags from each lane's state to the
+#: batch's memory walkers, and gives each lane its own MSHRs, write buffer
+#: and load/store queues.
+CHECKPOINT_VERSION = 9
 
 
 @dataclass
 class SimulationCheckpoint:
     """A resumable mid-trace snapshot of one windowed run, every lane of it.
 
-    ``states`` holds each lane's timing-loop state (its scheme included)
-    and ``sources`` the scheme whose decision stream each lane replays
-    (``None`` for a lane that runs its branch hooks itself); the two are
-    pickled as one object graph, so a source shared by several lanes, or
-    that is a lane's own scheme, is still shared after a restore.
+    ``states`` holds each lane's timing-loop state (its scheme included),
+    ``sources`` the scheme whose decision stream each lane replays
+    (``None`` for a lane that runs its branch hooks itself) and ``walkers``
+    the :class:`~repro.pipeline.core.MemoryWalker` whose walk each lane
+    reads; the three are pickled as one object graph, so a source or a
+    walker shared by several lanes, or a source that is a lane's own
+    scheme, is still shared after a restore.
     ``sampling`` is the run's
     :class:`~repro.pipeline.windowed.SamplingSpec` (``None`` for a full
     run).  ``rows_done`` / ``total_rows`` locate the snapshot within the
@@ -116,6 +124,7 @@ class SimulationCheckpoint:
     sampling: Optional["SamplingSpec"]
     states: List[_LoopState]
     sources: List[Optional[BranchHandlingScheme]]
+    walkers: List[MemoryWalker]
 
     def matches(
         self, total_rows: int, sampling: Optional["SamplingSpec"] = None, lanes: int = 1
@@ -127,7 +136,7 @@ class SimulationCheckpoint:
             and self.total_rows == total_rows
             and 0 < self.rows_done <= total_rows
             and self.sampling == sampling
-            and len(self.states) == len(self.sources) == lanes
+            and len(self.states) == len(self.sources) == len(self.walkers) == lanes
             and all(isinstance(state, _LoopState) for state in self.states)
         )
 
@@ -208,6 +217,50 @@ def _shared_sources(
             source = chosen
         sources.append(source)
     return sources
+
+
+def _shared_walkers(cores: Sequence[OutOfOrderCore]) -> List[MemoryWalker]:
+    """The memory walker of each lane: one per distinct hierarchy
+    configuration, walking the first such core's hierarchy (so cores of
+    one configuration must hold equal hierarchies, as fresh ones are)."""
+    walkers: List[MemoryWalker] = []
+    chosen: List[MemoryWalker] = []
+    for core in cores:
+        walker = next((w for w in walkers if w.memory.config == core.memory.config), None)
+        if walker is None:
+            walker = MemoryWalker(core.memory)
+            walkers.append(walker)
+        chosen.append(walker)
+    return chosen
+
+
+def _distinct(objects) -> list:
+    """``objects`` without ``None`` and repeats (by identity), in order."""
+    return list({id(o): o for o in objects if o is not None}.values())
+
+
+def run_span(
+    trace,
+    start: int,
+    stop: int,
+    decodes: dict,
+    cores: Sequence[OutOfOrderCore],
+    states: Sequence[_LoopState],
+    sources: Sequence[Optional[BranchHandlingScheme]],
+    walkers: Sequence[MemoryWalker],
+) -> None:
+    """Run rows ``[start, stop)`` of ``trace`` through every lane, one
+    decoded segment at a time: each distinct walker and stream source makes
+    one pass over a segment, and every lane reads theirs."""
+    for pack, low, high in trace.spans(start, stop):
+        rows = _Rows(pack, low, high, decodes)
+        walks = {id(w): w.walk(rows) for w in _distinct(walkers)}
+        streams = {id(s): _drive_scheme_stream(s, rows) for s in _distinct(sources)}
+        for core, state, source, walker in zip(cores, states, sources, walkers):
+            stream = None if source is None else streams[id(source)]
+            core._run_rows(state, rows, stream, walks[id(walker)])
+        # Free this segment's rows and streams before decoding the next.
+        del rows, walks, streams
 
 
 def _drive_scheme_stream(scheme: BranchHandlingScheme, rows: _Rows) -> DecisionStream:
@@ -298,24 +351,19 @@ def run_lanes(
     checkpoint = resumable(checkpoint, total, None, len(cores))
     if checkpoint is not None:
         states, sources = checkpoint.states, checkpoint.sources
+        walkers = checkpoint.walkers
         rows_done = checkpoint.rows_done
     else:
         schemes = build_schemes()
         sources = _shared_sources(schemes)
+        walkers = _shared_walkers(cores)
         states = [core._loop_state(scheme) for core, scheme in zip(cores, schemes)]
         rows_done = 0
-    distinct = list({id(source): source for source in sources if source is not None}.values())
 
     decodes: dict = {}
     while rows_done < total:
         stop = min(rows_done + window, total)
-        for pack, low, high in trace.spans(rows_done, stop):
-            rows = _Rows(pack, low, high, decodes)
-            streams = {id(source): _drive_scheme_stream(source, rows) for source in distinct}
-            for core, state, source in zip(cores, states, sources):
-                core._run_rows(state, rows, None if source is None else streams[id(source)])
-            # Free this span's rows and streams before decoding the next.
-            del rows, streams
+        run_span(trace, rows_done, stop, decodes, cores, states, sources, walkers)
         rows_done = stop
         if on_checkpoint is not None and rows_done < total:
             on_checkpoint(
@@ -326,13 +374,14 @@ def run_lanes(
                     sampling=None,
                     states=states,
                     sources=sources,
+                    walkers=walkers,
                 )
             )
 
     results: List[SimulationResult] = []
-    for core, state, source in zip(cores, states, sources):
+    for core, state, source, walker in zip(cores, states, sources, walkers):
         # A lane replaying another lane's stream reports a copy of its record.
         if source is not None and state.scheme.accuracy is not source.accuracy:
             state.scheme.accuracy = source.accuracy.copy()
-        results.append(core._finalize(state, program_name))
+        results.append(core._finalize(state, program_name, walker))
     return results

@@ -33,7 +33,7 @@ from repro.isa.branches import BranchInstruction
 from repro.isa.compare import CompareInstruction
 from repro.isa.opcodes import FunctionalUnitClass, OpClass
 from repro.isa.registers import Register, RegisterKind
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import MemoryHierarchy, MemoryLane
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.fetch import FetchEngine
 from repro.pipeline.lsq import LoadStoreUnit
@@ -147,7 +147,7 @@ class _StaticDecode:
         "latency",
         "unit",
         "unit_index",
-        "queue_sel",  # -1 = memory (LSQ), 0 = int, 1 = fp, 2 = branch
+        "queue_sel",  # 0 = int, 1 = fp, 2 = branch, 3 = load, 4 = store
         "is_memory",
         "is_load",
         "is_store",
@@ -185,9 +185,10 @@ def _build_static(inst) -> _StaticDecode:
     de.unit = unit
     de.unit_index = _UNIT_INDEX[unit]
 
-    # Issue-queue selection (reference: _queue_resource).
+    # Issue-queue selection (reference: _queue_resource); a memory
+    # operation occupies its load/store queue entry instead.
     if de.is_memory:
-        de.queue_sel = -1
+        de.queue_sel = 4 if de.is_store else 3
     elif opclass is OpClass.BRANCH:
         de.queue_sel = 2
     elif info.unit is FunctionalUnitClass.FP_UNIT:
@@ -234,7 +235,6 @@ class _Rows:
         # Timing-loop columns.
         "decodes",
         "pcs",
-        "blocks",
         "ends_group",
         "execs",
         "mems",
@@ -283,7 +283,6 @@ class _Rows:
         ) = pack.row_columns(start, stop)
         self.insts = pack.insts
         self.decodes = [statics[j] for j in self.inst_idx]
-        self.blocks = [pc >> 6 for pc in self.pcs]
         branch_f, compare_f, cond_f = pack._cursor_static_flags()
         self.branch_flags = branch_f
         self.compare_flags = compare_f
@@ -326,6 +325,19 @@ class _Rows:
         return cur
 
 
+def _cancelled_executed(scheme: BranchHandlingScheme, dyn) -> RuntimeError:
+    """The error for a scheme that cancels an instruction whose guard is true.
+
+    A cancelled instruction makes no memory access, while an executed one
+    does; a cancel is only right for a false guard (a wrong guess flushes
+    and re-renames instead), so both loops refuse anything else.
+    """
+    return RuntimeError(
+        f"{scheme.name} cancelled instruction {dyn.seq} at rename although "
+        "its guard is true"
+    )
+
+
 class DecisionStream:
     """A timing-independent branch scheme's decisions over a run of rows.
 
@@ -346,6 +358,112 @@ class DecisionStream:
         self.mispreds = mispreds
 
 
+#: Bytes per fetch block: fetch reads the instruction cache once per block,
+#: again after a taken transfer, and once more to re-fetch a flushed row.
+FETCH_BLOCK_BYTES = 64
+
+
+class MemoryStream:
+    """One span's walk of the memory hierarchy, one entry per row.
+
+    ``fetch[i]`` is row ``i``'s instruction-fetch stall: 0 when the row
+    reads no new block or reads it with no stall, the stall cycles of an
+    L1I hit, or ``~k`` (negative) for the miss ``misses[k]``, which each
+    lane replays (:meth:`MemoryLane.fetch_latency`).  ``data[i]`` is, for
+    an executed load, its latency on an L1D hit or ``~k`` for the miss
+    ``misses[k]``; for an executed store, its
+    :meth:`~repro.memory.hierarchy.MemoryHierarchy.walk_store` outcome; 0
+    for every other row.  ``refetch_stall`` is the stall of re-fetching
+    the block just fetched (an L1I and ITLB hit).
+    """
+
+    __slots__ = ("fetch", "data", "misses", "refetch_stall")
+
+    def __init__(
+        self, fetch: List[int], data: List[object], misses: List[tuple], refetch_stall: int
+    ) -> None:
+        self.fetch = fetch
+        self.data = data
+        self.misses = misses
+        self.refetch_stall = refetch_stall
+
+
+class MemoryWalker:
+    """The cycle-independent half of the memory hierarchy, walked once per
+    span for every lane that runs it.
+
+    Which rows touch memory does not depend on the lane: fetch reads the
+    instruction side at each row whose fetch block differs from the last
+    one read (the last one is forgotten after a taken transfer), every
+    executed load reads the data side at its row and every executed store
+    at its commit, and both loops handle rows in order.  Nor does what the
+    tags, TLBs and LRU state do with those accesses: only MSHR stalls
+    depend on the cycle.  So the walker makes each access once, in row
+    order, and each lane replays the rest through its own
+    :class:`~repro.memory.hierarchy.MemoryLane`.  Two things a lane does
+    apart from the walk change no tag: the re-fetch of a flushed row reads
+    the block it has just fetched (an L1I hit on the most recently used way
+    and an ITLB hit on the last page, which the lane counts), and a
+    cancelled row executes nothing.
+
+    ``last_block`` is the fetch block last read, ``-1`` when none is
+    (checkpoints carry the walker).  Raises ``ValueError`` for a hierarchy
+    whose L1I blocks or ITLB pages split a fetch block, since a re-fetch
+    could then miss.
+    """
+
+    __slots__ = ("memory", "last_block")
+
+    def __init__(self, memory: MemoryHierarchy) -> None:
+        config = memory.config
+        if config.l1i.block_bytes % FETCH_BLOCK_BYTES or config.itlb.page_bytes % FETCH_BLOCK_BYTES:
+            raise ValueError(
+                f"L1I blocks ({config.l1i.block_bytes} B) and ITLB pages "
+                f"({config.itlb.page_bytes} B) must hold whole "
+                f"{FETCH_BLOCK_BYTES}-byte fetch blocks"
+            )
+        self.memory = memory
+        self.last_block = -1
+
+    def walk(self, rows: "_Rows") -> MemoryStream:
+        """Make the memory accesses of ``rows``, in row order."""
+        memory = self.memory
+        walk_fetch = memory.walk_fetch
+        walk_load = memory.walk_load
+        walk_store = memory.walk_store
+        fetch: List[int] = [0] * rows.count
+        data: List[object] = [0] * rows.count
+        misses: List[tuple] = []
+        shift = FETCH_BLOCK_BYTES.bit_length() - 1
+        last_block = self.last_block
+        for i, de, pc, ends_group, execd, mem in zip(
+            range(rows.count), rows.decodes, rows.pcs, rows.ends_group, rows.execs, rows.mems
+        ):
+            block = pc >> shift
+            if block != last_block:
+                outcome = walk_fetch(pc)
+                if outcome.__class__ is int:
+                    if outcome > 1:
+                        fetch[i] = outcome - 1
+                else:
+                    fetch[i] = ~len(misses)
+                    misses.append(outcome)
+            last_block = -1 if ends_group else block
+            if execd and de.is_memory and mem is not None:
+                if de.is_store:
+                    data[i] = walk_store(mem)
+                else:
+                    outcome = walk_load(mem)
+                    if outcome.__class__ is int:
+                        data[i] = outcome
+                    else:
+                        data[i] = ~len(misses)
+                        misses.append(outcome)
+        self.last_block = last_block
+        hit_latency = memory.config.l1i.hit_latency
+        return MemoryStream(fetch, data, misses, hit_latency - 1 if hit_latency > 1 else 0)
+
+
 class _LoopState:
     """The complete mutable state of one timing-loop run between windows.
 
@@ -359,8 +477,10 @@ class _LoopState:
     list of that unit) survives a checkpoint/restore round trip via the
     pickle memo.  ``sampled_cycles`` accumulates measured-window cycle
     deltas when sampling is active (``None`` for full runs); the resume
-    point is the checkpoint's, not the state's.  ``-1`` marks "no fetch
-    block" and "no pending redirect".
+    point is the checkpoint's, not the state's.  ``-1`` marks "no pending
+    redirect".  The memory hierarchy's tags are not here: the lane's
+    :class:`MemoryWalker` holds them, shared with every lane of its batch,
+    and ``mem_lane`` holds this lane's MSHRs and write buffer.
     """
 
     #: The integer metric accumulators (snapshotted around sampling warmup).
@@ -378,8 +498,8 @@ class _LoopState:
 
     __slots__ = (
         "scheme",
-        "memory",
-        "lsu",
+        "mem_lane",
+        "stores",
         "fus",
         "slot_table",
         "unit_issues",
@@ -388,10 +508,11 @@ class _LoopState:
         "regs",
         "group_cycle",
         "group_slots",
-        "last_block",
         "pending_redirect",
         "icache_stalls",
         "redirects",
+        "refetches",
+        "n_forwarded",
         "rn_cycle",
         "rn_used",
         "cm_cycle",
@@ -448,13 +569,13 @@ class OutOfOrderCore:
         trace (for instance an exhausted generator) raises ``ValueError``.
         """
         if self.optimized and not keep_uops:
+            # The one fast path is the lane driver's: this run is a batch of
+            # one lane.
+            from repro.pipeline.batched import run_lanes
+
             if not isinstance(trace, (TracePack, ChunkedTracePack)):
                 trace = TracePack.from_dyninsts(trace)
-            if len(trace) == 0:
-                raise ValueError("empty trace: nothing to simulate")
-            state = self._loop_state(scheme)
-            self._run_span(state, trace, 0, len(trace), {})
-            return self._finalize(state, program_name)
+            return run_lanes(trace, [self], lambda: [scheme], program_name)[0]
         if isinstance(trace, (TracePack, ChunkedTracePack)):
             trace = trace.to_dyninsts()
         else:
@@ -571,24 +692,27 @@ class OutOfOrderCore:
         cfg = self.config
         state = _LoopState()
         state.scheme = scheme
-        state.memory = self.memory
-        state.lsu = LoadStoreUnit(cfg, self.memory)
+        state.mem_lane = MemoryLane(self.memory.config)
+        state.stores = {}
         state.fus = FunctionalUnitPool(cfg.fu_counts)
         state.slot_table = [state.fus._next_free.get(unit) for unit in _UNITS]
         state.unit_issues = [0] * len(_UNITS)
         state.rob_q = _window(cfg.rob_entries)
-        state.queues = (  # int, fp, branch
+        state.queues = (  # int, fp, branch, load, store: see queue_sel
             _window(cfg.int_queue_entries),
             _window(cfg.fp_queue_entries),
             _window(cfg.branch_queue_entries),
+            _window(cfg.load_queue_entries),
+            _window(cfg.store_queue_entries),
         )
         state.regs = {}
         state.group_cycle = 0
         state.group_slots = 0
-        state.last_block = -1
         state.pending_redirect = -1
         state.icache_stalls = 0
         state.redirects = 0
+        state.refetches = 0
+        state.n_forwarded = 0
         state.rn_cycle = -1
         state.rn_used = 0
         state.cm_cycle = -1
@@ -599,28 +723,23 @@ class OutOfOrderCore:
         state.sampled_cycles = None
         return state
 
-    def _run_span(
+    def _run_rows(
         self,
         state: _LoopState,
-        trace,
-        start: int,
-        stop: int,
-        decodes: Dict[int, _StaticDecode],
-    ) -> None:
-        """Run rows ``[start, stop)`` of a pack, one decoded segment at a time."""
-        for pack, low, high in trace.spans(start, stop):
-            self._run_rows(state, _Rows(pack, low, high, decodes))
-
-    def _run_rows(
-        self, state: _LoopState, rows: _Rows, stream: Optional[DecisionStream] = None
+        rows: _Rows,
+        stream: Optional[DecisionStream],
+        memory: MemoryStream,
     ) -> None:
         """Drain ``rows`` through the timing loop, mutating ``state``.
 
         The loop keeps every per-instruction timestamp in locals, consults
         the shared :class:`_StaticDecode` records, and inlines the fetch
-        engine, the rename/commit slotters and the sliding-window and
-        functional-unit resource models.  Scheme hooks are called in the
-        reference loop's order, but only those the scheme overrides
+        engine, the rename/commit slotters, the sliding-window and
+        functional-unit resource models and the load/store queues.  It
+        reads memory latencies from ``memory``, the :class:`MemoryWalker`'s
+        walk of ``rows``: a hit costs no call, and only a first-level miss
+        or a store calls the lane's :class:`MemoryLane`.  Scheme hooks are
+        called in the reference loop's order, but only those the scheme overrides
         (:func:`~repro.pipeline.scheme_api.overridden_hooks`): a row whose
         kind the scheme does not hook costs no call and no cursor fill.
         With a :class:`DecisionStream` of the conditional branches of
@@ -652,20 +771,25 @@ class OutOfOrderCore:
         fill = rows.fill
         takens = rows.takens
 
-        fetch_latency = state.memory.fetch_latency
-        lsu = state.lsu
-        queue_constraint = lsu.queue_constraint
-        load_complete_cycle = lsu.load_complete_cycle
-        store_execute = lsu.store_execute
-        store_commit_penalty = lsu.store_commit_penalty
-        record_allocation = lsu.record_allocation
+        data = memory.data
+        misses = memory.misses
+        refetch_stall = memory.refetch_stall
+        mem_lane = state.mem_lane
+        fetch_miss = mem_lane.fetch_latency
+        load_miss = mem_lane.load_latency
+        store_latency = mem_lane.store_latency
+        # Store-to-load forwarding: the data-ready cycle of the last store
+        # to each word.
+        stores = state.stores
+        stores_get = stores.get
+        forward_window = cfg.store_forward_window
+        forward_latency = cfg.store_forward_latency
         slot_table = state.slot_table
         unit_issues = state.unit_issues
         regs = state.regs
         regs_get = regs.get
         rob_q = state.rob_q
         queues = state.queues
-        br_q = queues[2]
         fetch_width = cfg.fetch_width
         rn_width = cfg.rename_width
         cm_width = cfg.commit_width
@@ -679,10 +803,11 @@ class OutOfOrderCore:
         # Inlined FetchEngine and slotter registers.
         group_cycle = state.group_cycle
         group_slots = state.group_slots
-        last_block = state.last_block
         pending_redirect = state.pending_redirect
         icache_stalls = state.icache_stalls
         redirects = state.redirects
+        refetches = state.refetches
+        n_forwarded = state.n_forwarded
         rn_cycle = state.rn_cycle
         rn_used = state.rn_used
         cm_cycle = state.cm_cycle
@@ -696,11 +821,10 @@ class OutOfOrderCore:
         n_cancelled = state.n_cancelled
         n_assume_true = state.n_assume_true
 
-        for i, de, pc, block, ends_group, execd, mem in zip(
+        for i, de, fetch_stall, ends_group, execd, mem in zip(
             range(rows.count),
             rows.decodes,
-            rows.pcs,
-            rows.blocks,
+            memory.fetch,
             rows.ends_group,
             rows.execs,
             rows.mems,
@@ -715,13 +839,12 @@ class OutOfOrderCore:
             if group_slots >= fetch_width:
                 cycle += 1
                 group_slots = 0
-            if block != last_block:
-                last_block = block
-                latency = fetch_latency(pc, cycle)
-                if latency > 1:
-                    stall = latency - 1
-                    cycle += stall
-                    icache_stalls += stall
+            if fetch_stall:
+                if fetch_stall < 0:
+                    fetch_stall = fetch_miss(misses[~fetch_stall], cycle) - 1
+                if fetch_stall > 0:
+                    cycle += fetch_stall
+                    icache_stalls += fetch_stall
                     group_slots = 0
             fetch_cycle = cycle
             group_slots += 1
@@ -729,7 +852,6 @@ class OutOfOrderCore:
             if ends_group:  # a taken control transfer ends the fetch group
                 group_cycle = cycle + 1
                 group_slots = 0
-                last_block = -1
             if on_fetch is not None:
                 on_fetch(fill(cur, i), fetch_cycle)
 
@@ -737,13 +859,9 @@ class OutOfOrderCore:
             cycle = fetch_cycle + fetch_to_rename
             if rob_q[0] > cycle:
                 cycle = rob_q[0]
-            qsel = de.queue_sel
-            if qsel < 0:
-                cycle = queue_constraint(de.is_store, cycle)
-            else:
-                queue = queues[qsel]
-                if queue[0] > cycle:
-                    cycle = queue[0]
+            queue = queues[de.queue_sel]
+            if queue[0] > cycle:
+                cycle = queue[0]
             if cycle < rn_cycle:
                 cycle = rn_cycle
             if cycle == rn_cycle and rn_used >= rn_width:
@@ -767,7 +885,7 @@ class OutOfOrderCore:
                 best = slots[0]
                 issue = ready if ready > best else best
                 heapreplace(slots, issue + 1)
-                br_q.append(issue)
+                queue.append(issue)
                 complete = issue + de.latency
 
                 if de.is_cond_branch:
@@ -811,7 +929,7 @@ class OutOfOrderCore:
                 best = slots[0]
                 issue = ready if ready > best else best
                 heapreplace(slots, issue + 1)
-                queues[qsel].append(issue)
+                queue.append(issue)
                 complete = issue + de.latency
                 for key in de.dest_keys:
                     regs[key] = complete
@@ -834,23 +952,18 @@ class OutOfOrderCore:
                         cycle = handling.flush_discovery_cycle + predicate_mispredict_penalty
                         if group_cycle > cycle:
                             cycle = group_cycle
-                        last_block = block
-                        latency = fetch_latency(pc, cycle)
-                        if latency > 1:
-                            stall = latency - 1
-                            cycle += stall
-                            icache_stalls += stall
+                        # The block just fetched: an L1I and ITLB hit that
+                        # changes no tag, so the walk leaves it to the lane.
+                        refetches += 1
+                        cycle += refetch_stall
+                        icache_stalls += refetch_stall
                         fetch_cycle = group_cycle = cycle
                         group_slots = 1
                         cycle += fetch_to_rename
                         if rob_q[0] > cycle:
                             cycle = rob_q[0]
-                        if qsel < 0:
-                            cycle = queue_constraint(de.is_store, cycle)
-                        else:
-                            queue = queues[qsel]
-                            if queue[0] > cycle:
-                                cycle = queue[0]
+                        if queue[0] > cycle:
+                            cycle = queue[0]
                         if cycle < rn_cycle:
                             cycle = rn_cycle
                         if cycle == rn_cycle and rn_used >= rn_width:
@@ -862,6 +975,8 @@ class OutOfOrderCore:
                             rn_used += 1
                         rename_cycle = cycle
                     elif decision is CANCEL:
+                        if execd:
+                            raise _cancelled_executed(scheme, fill(cur, i))
                         cancelled = True
                     elif decision is ASSUME_TRUE:
                         n_assume_true += 1
@@ -883,23 +998,34 @@ class OutOfOrderCore:
                     best = slots[0]
                     issue = ready if ready > best else best
                     heapreplace(slots, issue + 1)
-                    if qsel < 0:
-                        address = mem if execd else None
-                        if de.is_load:
-                            complete = load_complete_cycle(address, issue)
-                        else:
-                            complete = issue + de.latency
-                            store_execute(address, complete)
-                    else:
-                        queues[qsel].append(issue)
+                    if not de.is_memory:
+                        queue.append(issue)
                         complete = issue + de.latency
+                    elif de.is_store:
+                        complete = issue + de.latency
+                        if execd and mem is not None:
+                            stores[mem & -8] = complete
+                    elif execd and mem is not None:
+                        stored = stores_get(mem & -8) if stores else None
+                        if stored is not None and stored >= issue - forward_window:
+                            # Forwarded from the store queue; the walk has
+                            # still probed the cache tags.
+                            n_forwarded += 1
+                            complete = (stored if stored > issue else issue) + forward_latency
+                        else:
+                            latency = data[i]
+                            if latency < 0:
+                                latency = load_miss(misses[~latency], issue)
+                            complete = issue + latency
+                    else:  # a nullified load accesses no memory
+                        complete = issue + 1
                     for key in de.dest_keys:
                         regs[key] = complete
 
             # ---------------------------------------------------- commit
             commit = complete + 1
-            if execd and de.is_store:
-                commit += store_commit_penalty(mem, complete)
+            if execd and de.is_store and mem is not None:
+                commit += store_latency(data[i], complete)
             if commit < cm_cycle:
                 commit = cm_cycle
             if commit == cm_cycle and cm_used >= cm_width:
@@ -912,8 +1038,8 @@ class OutOfOrderCore:
                 last_commit = commit
 
             rob_q.append(commit)
-            if qsel < 0 and not cancelled:
-                record_allocation(de.is_store, commit)
+            if de.is_memory and not cancelled:
+                queue.append(commit)
 
         # Timing-independent counts come from the decoded rows: every row
         # issues once unless cancelled, and a predicated simple row is
@@ -931,10 +1057,11 @@ class OutOfOrderCore:
         # Write the scalar locals back; the containers were mutated in place.
         state.group_cycle = group_cycle
         state.group_slots = group_slots
-        state.last_block = last_block
         state.pending_redirect = pending_redirect
         state.icache_stalls = icache_stalls
         state.redirects = redirects
+        state.refetches = refetches
+        state.n_forwarded = n_forwarded
         state.rn_cycle = rn_cycle
         state.rn_used = rn_used
         state.cm_cycle = cm_cycle
@@ -946,12 +1073,14 @@ class OutOfOrderCore:
         state.n_cancelled = n_cancelled
         state.n_assume_true = n_assume_true
 
-    def _finalize(self, state: _LoopState, program_name: str) -> SimulationResult:
+    def _finalize(
+        self, state: _LoopState, program_name: str, walker: MemoryWalker
+    ) -> SimulationResult:
         """Fold a finished :class:`_LoopState` into a :class:`SimulationResult`.
 
-        Reads the memory hierarchy *from the state* — after a checkpoint
-        restore it is the unpickled hierarchy shared by the state's
-        load/store unit, not this core's own ``self.memory``.
+        Reads the memory hierarchy from ``walker``, the walker of the lane's
+        batch — after a checkpoint restore it is the unpickled walker, not
+        this core's own ``self.memory``.
         """
         metrics = PipelineMetrics()
         metrics.fetched_instructions = state.n_insts
@@ -968,13 +1097,14 @@ class OutOfOrderCore:
         metrics.cycles = (
             state.last_commit if state.sampled_cycles is None else state.sampled_cycles
         )
-        metrics.memory_stats = state.memory.statistics()
+        # The walk made every access but the lane's re-fetches.
+        metrics.memory_stats = walker.memory.statistics(fetch_hits=state.refetches)
         issue_counts = state.fus.issue_counts
         for unit, count in zip(_UNITS, state.unit_issues):
             if count:
                 issue_counts[unit] = issue_counts.get(unit, 0) + count
         metrics.fu_utilisation = state.fus.utilisation()
-        metrics.counters.set("lsq_forwarded_loads", state.lsu.forwarded_loads)
+        metrics.counters.set("lsq_forwarded_loads", state.n_forwarded)
         metrics.counters.set("fetch_redirects", state.redirects)
         metrics.counters.set("icache_stall_cycles", state.icache_stalls)
 
@@ -1158,6 +1288,8 @@ class OutOfOrderCore:
 
         uop.rename_decision = decision
         if decision is RenameDecision.CANCEL:
+            if dyn.executed:
+                raise _cancelled_executed(scheme, dyn)
             # Cancelled at rename: never dispatched, no issue queue entry,
             # no functional unit, destinations keep their previous mapping.
             uop.cancelled = True

@@ -17,6 +17,12 @@ class LoadStoreUnit:
     * store-to-load forwarding through the store queue;
     * data-cache / DTLB latency for loads that are not forwarded;
     * store write-buffer pressure at commit.
+
+    A forwarded load still probes the DTLB and cache tags, as the 21264
+    reads its data cache beside the store queue: it takes its latency from
+    the forward and no MSHR, but every executed load makes the same tag
+    accesses whatever its timing (see
+    :class:`~repro.pipeline.core.MemoryWalker`).
     """
 
     def __init__(self, config: PipelineConfig, memory: Optional[MemoryHierarchy]) -> None:
@@ -49,6 +55,8 @@ class LoadStoreUnit:
         forward_cycle = self.forwarding.forwarding_cycle(address, issue_cycle)
         if forward_cycle is not None:
             self.forwarded_loads += 1
+            if self.memory is not None:
+                self.memory.walk_load(address)
             data_ready = max(issue_cycle, forward_cycle)
             return data_ready + self.config.store_forward_latency
         if self.memory is None:

@@ -39,8 +39,9 @@ from repro.pipeline.batched import (
     SimulationCheckpoint,
     resumable,
     run_lanes,
+    run_span,
 )
-from repro.pipeline.core import OutOfOrderCore, SimulationResult
+from repro.pipeline.core import MemoryWalker, OutOfOrderCore, SimulationResult
 from repro.pipeline.scheme_api import BranchHandlingScheme
 
 #: Default rows per simulation window when only sampling asks for windows.
@@ -174,16 +175,18 @@ def simulate_windowed(
     checkpoint = resumable(checkpoint, total, sampling)
     if checkpoint is not None:
         state = checkpoint.states[0]
+        walker = checkpoint.walkers[0]
         rows_done = checkpoint.rows_done
     else:
         state = core._loop_state(scheme)
         state.sampled_cycles = 0
+        walker = MemoryWalker(core.memory)
         rows_done = 0
 
     decodes: dict = {}
 
     def run_rows(start: int, stop: int) -> None:
-        core._run_span(state, trace, start, stop, decodes)
+        run_span(trace, start, stop, decodes, [core], [state], [None], [walker])
 
     interval = sampling.interval
     # Warmup cannot reach into (or past) the previous measured window:
@@ -219,9 +222,10 @@ def simulate_windowed(
                     sampling=sampling,
                     states=[state],
                     sources=[None],
+                    walkers=[walker],
                 )
             )
 
-    result = core._finalize(state, program_name)
+    result = core._finalize(state, program_name, walker)
     result.sampling = sampling
     return result

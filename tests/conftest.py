@@ -17,6 +17,9 @@ if _SRC not in sys.path:
 import pytest
 
 from repro.isa import GR, PR, CompareRelation
+from repro.memory.cache import CacheConfig
+from repro.memory.hierarchy import MemoryHierarchyConfig
+from repro.memory.tlb import TLBConfig
 from repro.program import ProgramBuilder, validate_program
 
 
@@ -29,6 +32,21 @@ def _isolated_artifact_cache(tmp_path, monkeypatch):
     serve stale artifacts across test runs after source edits.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "artifact-cache"))
+
+
+def build_tiny_memory_config() -> MemoryHierarchyConfig:
+    """A hierarchy small enough that short streams evict, fill every MSHR
+    and thrash the TLBs; its L1I blocks and ITLB pages hold whole 64-byte
+    fetch blocks, as the timing loop's memory walk requires."""
+    return MemoryHierarchyConfig(
+        l1d=CacheConfig("L1D", 512, 2, 64, 2, primary_misses=2),
+        l1i=CacheConfig("L1I", 512, 2, 64, 1, primary_misses=2),
+        l2=CacheConfig("L2", 2048, 4, 128, 8, primary_misses=3),
+        dtlb=TLBConfig("DTLB", entries=4, page_bytes=1024, miss_penalty=10),
+        itlb=TLBConfig("ITLB", entries=3, page_bytes=512, miss_penalty=7),
+        l1d_write_buffer_entries=2,
+        memory_latency=40,
+    )
 
 
 def build_counting_loop(n_values=None, threshold=4):

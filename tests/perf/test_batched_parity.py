@@ -37,7 +37,7 @@ from repro.pipeline.batched import (
     stream_eligible,
     stream_source,
 )
-from repro.pipeline.core import OutOfOrderCore, _Rows
+from repro.pipeline.core import MemoryWalker, OutOfOrderCore, _Rows
 from repro.pipeline.machine import MachineSpec
 from repro.pipeline.windowed import simulate_windowed
 
@@ -389,8 +389,9 @@ class TestHookDispatch:
         wish = SCHEME_SPECS[4].build()
         wish.accuracy = source.accuracy.copy()
         state = core._loop_state(wish)
-        core._run_rows(state, rows, stream)
-        result = core._finalize(state, "gzip")
+        walker = MemoryWalker(core.memory)
+        core._run_rows(state, rows, stream, walker.walk(rows))
+        result = core._finalize(state, "gzip", walker)
         _assert_result_parity(scalar_reference(4, 0), result, "wish + stream")
         assert wish.counters.get("wish_guard_predictions") > 0
 

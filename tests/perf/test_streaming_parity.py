@@ -293,7 +293,7 @@ class TestCheckpointVersion:
             on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
         )
         checkpoint = pickle.loads(blobs[len(blobs) // 2])
-        assert checkpoint.version == CHECKPOINT_VERSION == 8
+        assert checkpoint.version == CHECKPOINT_VERSION == 9
         checkpoint.version = version
         return checkpoint
 
@@ -429,6 +429,34 @@ class TestCheckpointVersion:
         )
         assert resumed_at[0] == 300  # the first window was simulated again
         _assert_result_parity(scalar_reference(0, 0), result, "version-7 checkpoint")
+
+    def test_version_eight_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
+        # Version 8 held each lane's own memory hierarchy and load/store
+        # unit in its state, and no memory walkers.
+        current = self._stale_checkpoint(pack, 1, 300, version=CHECKPOINT_VERSION)
+        stale = SimulationCheckpoint.__new__(SimulationCheckpoint)
+        stale.__dict__.update(
+            version=8,
+            rows_done=current.rows_done,
+            total_rows=current.total_rows,
+            sampling=None,
+            states=current.states,
+            sources=current.sources,
+        )
+        stale = pickle.loads(pickle.dumps(stale))
+        assert stale.rows_done > 0 and not stale.matches(len(pack))
+        resumed_at = []
+        result = simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[1].build(),
+            "gzip",
+            window_rows=300,
+            checkpoint=stale,
+            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+        )
+        assert resumed_at[0] == 300  # the first window was simulated again
+        _assert_result_parity(scalar_reference(1, 0), result, "version-8 checkpoint")
 
     def test_engine_does_not_resume_a_version_one_checkpoint(self, pack, tmp_path):
         profile = _profile()
