@@ -77,6 +77,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.emulator.tracepack import PackCursor
 from repro.log import get_logger
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import (
     DecisionStream,
@@ -313,7 +314,9 @@ def simulate_lanes(
     run shape (row count, lane count, sampling) is ignored with a warning.
     An empty trace raises ``ValueError``, as in the scalar engine.
     """
-    cores = [OutOfOrderCore(config=lane.config) for lane in lanes]
+    # Every lane has the Table 1 hierarchy, so one walker walks it for all.
+    memory = MemoryHierarchy()
+    cores = [OutOfOrderCore(config=lane.config, memory=memory) for lane in lanes]
     return run_lanes(
         trace,
         cores,
