@@ -569,8 +569,7 @@ class OutOfOrderCore:
         trace (for instance an exhausted generator) raises ``ValueError``.
         """
         if self.optimized and not keep_uops:
-            # The one fast path is the lane driver's: this run is a batch of
-            # one lane.
+            # The one fast path: this run is a batch of one lane.
             from repro.pipeline.batched import run_lanes
 
             if not isinstance(trace, (TracePack, ChunkedTracePack)):
