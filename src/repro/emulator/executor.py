@@ -17,13 +17,15 @@ same pipeline positions as in an execution-driven model.
 
 from __future__ import annotations
 
+import operator
 from array import array
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.emulator.memory_image import to_signed64
 from repro.emulator.state import ArchState
 from repro.isa.branches import BranchInstruction, BranchKind
-from repro.isa.compare import CompareInstruction
+from repro.isa.compare import CompareInstruction, CompareRelation, CompareType
 from repro.isa.instructions import (
     Instruction,
     LoadInstruction,
@@ -296,6 +298,9 @@ class Emulator:
         #: produce identical traces.
         self.optimized = optimized
         self._static: Dict[int, Tuple[int, int, int, Any]] = {}
+        #: Straight-line runs of the optimized path, keyed by the uid of the
+        #: instruction they start at (see :meth:`_decode_run`).
+        self._runs: Dict[int, Tuple[Any, Any, bool]] = {}
         #: The static table, indexed by static id: instructions, row kinds
         #: and straight-line next pcs (-1 = none), in order of first fetch.
         self._static_table: Tuple[List[Instruction], List[int], List[int]] = ([], [], [])
@@ -376,7 +381,10 @@ class Emulator:
         compare rows.  Everything else (``seq``, ``pc``, ``opclass``,
         ``executed``, the straight-line ``next_pc``) is derived per segment
         from the emulator's static table by numpy gathers
-        (:meth:`EmulatorRows.flush`).  The compiled handlers always run
+        (:meth:`EmulatorRows.flush`).  The instructions between two branches
+        run as one straight-line run (:meth:`_decode_run`): their static ids
+        go in with one ``extend`` and the frame moves once per run.  The
+        compiled handlers always run
         here, so an emulator built with ``optimized=False`` raises
         :class:`ValueError`; the parity tests assert the pack equals
         ``TracePack.from_dyninsts(list(run(n)))`` of the reference
@@ -424,7 +432,7 @@ class Emulator:
         routine = self.program.entry_routine
         frame = _Frame(routine, 0, 0)
         call_stack: List[_Frame] = []
-        static_get = self._static.get
+        runs_get = self._runs.get
         predicate = self.state.predicate
         pred_writer = self._pred_writer
         hard_limit = self.HARD_LIMIT
@@ -434,8 +442,11 @@ class Emulator:
         # Rows left before the segment is cut (never reaches 0 unsegmented).
         segment_left = segment_rows if segment_rows is not None else -1
         static_append = rows.static_id.append
+        static_extend = rows.static_id.extend
         qp_append = rows.qp_value.append
+        qp_extend = rows.qp_value.frombytes
         producer_append = rows.producer.append
+        producer_extend = rows.producer.extend
         taken_append = rows.taken.append
         target_append = rows.target_pc.append
         next_append = rows.next_pc.append
@@ -454,46 +465,87 @@ class Emulator:
                         break
                     frame = call_stack.pop()
                     continue
-                block = blocks[frame.block_index]
-                if frame.inst_index >= len(block.instructions):
+                instructions = blocks[frame.block_index].instructions
+                if frame.inst_index >= len(instructions):
                     frame.block_index += 1
                     frame.inst_index = 0
                     continue
 
-                inst = block.instructions[frame.inst_index]
-                facts = static_get(inst.uid) or self._static_facts(inst, frame)
-                static_id, qp_index, kind, handler = facts
-                qp_value = predicate[qp_index]
-                static_append(static_id)
-                qp_append(qp_value)
-                # p0 is hard-wired, so its writer stays -1 (pre-trace).
-                producer_append(pred_writer[qp_index])
-                fetched += 1
-                if qp_value:
-                    executed += 1
-
-                stop = False
-                if kind == ROW_BRANCH:
+                inst = instructions[frame.inst_index]
+                run = runs_get(inst.uid) or self._decode_run(frame)
+                static_ids, steps, unguarded = run
+                if steps is None:
+                    # A branch row: ``static_ids`` is its (static id, qp index).
+                    static_id, qp_index = static_ids
+                    qp_value = predicate[qp_index]
+                    static_append(static_id)
+                    qp_append(qp_value)
+                    # p0 is hard-wired, so its writer stays -1 (pre-trace).
+                    producer_append(pred_writer[qp_index])
+                    fetched += 1
+                    if qp_value:
+                        executed += 1
                     frame, stop, taken, target_pc, next_pc = self._execute_branch(
                         inst, qp_value, frame, call_stack
                     )
                     taken_append(taken)
                     target_append(-1 if target_pc is None else target_pc)
                     next_append(-1 if next_pc is None else next_pc)
-                else:
-                    if kind == ROW_COMPARE:
-                        writes_append(handler(qp_value, seq))
-                    elif qp_value:
-                        if kind == ROW_MEMORY:
+                    seq += 1
+                    if stop:
+                        self.halted = True
+                        break
+                    segment_left -= 1
+                    if not segment_left:
+                        flush()
+                        segment_left = segment_rows
+                    continue
+
+                # A straight-line run: the rows up to the next branch or the
+                # end of the block, sliced where the budget, the hard limit
+                # or the segment ends first.
+                take = len(steps)
+                if take > max_instructions - fetched:
+                    take = max_instructions - fetched
+                if take > hard_limit - seq:
+                    take = hard_limit - seq
+                if 0 < segment_left < take:
+                    take = segment_left
+                if take < len(steps):
+                    static_ids = static_ids[:take]
+                    steps = steps[:take]
+                static_extend(static_ids)
+                fetched += take
+                if unguarded:
+                    # Every guard is p0: true, with the pre-trace writer.
+                    qp_extend(b"\x01" * take)
+                    producer_extend(_NO_WRITER * take)
+                    executed += take
+                    for _, kind, handler in steps:
+                        if kind == ROW_PLAIN:
+                            handler()
+                        elif kind == ROW_MEMORY:
                             mem_append(handler())
                         else:
-                            handler()
-                    frame.inst_index += 1
-                seq += 1
-                if stop:
-                    self.halted = True
-                    break
-                segment_left -= 1
+                            writes_append(handler(True, seq))
+                        seq += 1
+                else:
+                    for qp_index, kind, handler in steps:
+                        qp_value = predicate[qp_index]
+                        qp_append(qp_value)
+                        producer_append(pred_writer[qp_index])
+                        if kind == ROW_COMPARE:
+                            writes_append(handler(qp_value, seq))
+                        elif qp_value:
+                            if kind == ROW_MEMORY:
+                                mem_append(handler())
+                            else:
+                                handler()
+                        if qp_value:
+                            executed += 1
+                        seq += 1
+                frame.inst_index += take
+                segment_left -= take
                 if not segment_left:
                     flush()
                     segment_left = segment_rows
@@ -548,6 +600,44 @@ class Emulator:
         self._static[inst.uid] = facts
         return facts
 
+    def _decode_run(self, frame: _Frame) -> Tuple[Any, Any, bool]:
+        """Decode the straight-line run that starts at ``frame``'s position.
+
+        A run is ``(static ids, steps, unguarded)``: the ``array`` of the
+        static ids of the instructions from that position up to the next
+        branch or the end of the block, their ``(qp index, row kind,
+        handler)`` steps, and whether every one of them is guarded by
+        ``p0``.  A branch is a run of its own, ``((static id, qp index),
+        None, False)``.  The run is cached under the uid of its first
+        instruction; a run cut short resumes as the run that starts where
+        the cut fell.
+        """
+        static_get = self._static.get
+        routine, block_index, start = frame.routine, frame.block_index, frame.inst_index
+        instructions = routine.blocks[block_index].instructions
+        first = instructions[start]
+        if isinstance(first, BranchInstruction):
+            static_id, qp_index, _, _ = static_get(first.uid) or self._static_facts(
+                first, frame
+            )
+            run: Tuple[Any, Any, bool] = ((static_id, qp_index), None, False)
+        else:
+            static_ids = array("i")
+            steps = []
+            for index in range(start, len(instructions)):
+                inst = instructions[index]
+                if isinstance(inst, BranchInstruction):
+                    break
+                facts = static_get(inst.uid) or self._static_facts(
+                    inst, _Frame(routine, block_index, index)
+                )
+                static_id, qp_index, kind, handler = facts
+                static_ids.append(static_id)
+                steps.append((qp_index, kind, handler))
+            run = (static_ids, tuple(steps), all(step[0] == 0 for step in steps))
+        self._runs[first.uid] = run
+        return run
+
     def _pc_after(self, frame: _Frame) -> Optional[int]:
         blocks = frame.routine.blocks
         block_index, inst_index = frame.block_index, frame.inst_index
@@ -560,7 +650,7 @@ class Emulator:
         return None
 
     # ------------------------------------------------------------------
-    # Straight-line instruction semantics
+    # Straight-line instruction semantics (the reference)
     # ------------------------------------------------------------------
     def _operand_value(self, operand, floating: bool = False):
         if isinstance(operand, Immediate):
@@ -573,134 +663,71 @@ class Emulator:
 
     def _execute_straightline(self, dyn: DynInst, inst: Instruction) -> None:
         if isinstance(inst, CompareInstruction):
-            self._execute_compare(dyn, inst)
-            return
-        if not dyn.qp_value:
-            return
+            dyn.pred_writes = self._execute_compare(inst, dyn.qp_value, dyn.seq)
+        elif dyn.qp_value:
+            dyn.mem_address = self._execute_operation(inst)
+
+    def _execute_operation(self, inst: Instruction) -> Optional[int]:
+        """Perform a non-compare instruction whose guard is true; returns
+        the effective address of a memory access, ``None`` otherwise."""
         if isinstance(inst, LoadInstruction):
             base = self.state.read(inst.base)
             address = to_signed64(base + inst.offset)
-            dyn.mem_address = address
             value = self.state.memory.read_word(address)
             if inst.opcode is Opcode.LDF:
                 self.state.write(inst.dests[0], float(value))
             else:
                 self.state.write(inst.dests[0], value)
-            return
+            return address
         if isinstance(inst, StoreInstruction):
             base = self.state.read(inst.base)
             address = to_signed64(base + inst.offset)
-            dyn.mem_address = address
             value = self.state.read(inst.value)
             self.state.memory.write_word(address, int(value))
-            return
+            return address
         opcode = inst.opcode
-        if opcode in (Opcode.MOV, Opcode.MOVI):
+        if opcode in (Opcode.MOV, Opcode.MOVI, Opcode.MOV_TO_BR):
             self.state.write(inst.dests[0], self._operand_value(inst.srcs[0]))
-            return
-        if opcode is Opcode.MOV_TO_BR:
-            self.state.write(inst.dests[0], self._operand_value(inst.srcs[0]))
-            return
-        if opcode is Opcode.NOP:
-            return
-        if opcode in _INT_ALU_OPS:
+        elif opcode is Opcode.NOP:
+            pass
+        elif opcode in _INT_ALU_OPS:
             lhs = self._operand_value(inst.srcs[0])
             rhs = self._operand_value(inst.srcs[1])
             self.state.write(inst.dests[0], _INT_ALU_OPS[opcode](int(lhs), int(rhs)))
-            return
-        if opcode in _FP_OPS:
+        elif opcode in _FP_OPS:
             values = [float(self._operand_value(s)) for s in inst.srcs]
             self.state.write(inst.dests[0], _FP_OPS[opcode](values))
-            return
-        raise NotImplementedError(f"no semantics for opcode {opcode}")
+        else:
+            raise NotImplementedError(f"no semantics for opcode {opcode}")
+        return None
 
-    def _execute_compare(self, dyn: DynInst, inst: CompareInstruction) -> None:
+    def _execute_compare(
+        self, inst: CompareInstruction, qp_value: bool, seq: int
+    ) -> Tuple[Tuple[int, bool], ...]:
+        """Evaluate a compare (whatever its guard) fetched as row ``seq``;
+        returns its architectural predicate writes."""
         lhs = self._operand_value(inst.srcs[0])
         rhs = self._operand_value(inst.srcs[1])
         result = inst.relation.evaluate(int(lhs), int(rhs))
         old_pt = bool(self.state.predicate[inst.pt.index])
         old_pf = bool(self.state.predicate[inst.pf.index])
-        new_pt, new_pf = inst.compute_targets(dyn.qp_value, result, old_pt, old_pf)
+        new_pt, new_pf = inst.compute_targets(qp_value, result, old_pt, old_pf)
         writes: List[Tuple[int, bool]] = []
         for reg, value in ((inst.pt, new_pt), (inst.pf, new_pf)):
             if value is None:
                 continue
             if self.state.write(reg, value):
-                self._pred_writer[reg.index] = dyn.seq
+                self._pred_writer[reg.index] = seq
                 writes.append((reg.index, bool(value)))
-        dyn.pred_writes = tuple(writes)
+        return tuple(writes)
 
     # ------------------------------------------------------------------
     # Decode/dispatch cache (optimized path)
     # ------------------------------------------------------------------
-    def _compile_read(self, operand) -> Callable[[], object]:
-        """Compile an operand into a zero-argument value accessor."""
-        if isinstance(operand, Immediate):
-            value = operand.value
-            return lambda: value
-        if isinstance(operand, Register):
-            kind = operand.kind
-            index = operand.index
-            if kind is RegisterKind.GENERAL:
-                file_ = self.state.general
-            elif kind is RegisterKind.PREDICATE:
-                file_ = self.state.predicate
-            elif kind is RegisterKind.FLOAT:
-                file_ = self.state.floating
-            else:
-                file_ = self.state.branch
-            return lambda: file_[index]
-
-        def unreadable():  # pragma: no cover - labels only on branches
-            raise TypeError("label operands cannot be evaluated")
-
-        return unreadable
-
-    def _compile_write(self, reg: Register) -> Callable[[object], None]:
-        """Compile a register destination into a value setter.
-
-        Mirrors :meth:`ArchState.write`: per-file value coercion, writes to
-        hard-wired registers silently discarded.
-        """
-        if reg.is_hardwired:
-            return lambda value: None
-        kind = reg.kind
-        index = reg.index
-        if kind is RegisterKind.GENERAL:
-            general = self.state.general
-
-            def write_general(value) -> None:
-                general[index] = to_signed64(int(value))
-
-            return write_general
-        if kind is RegisterKind.PREDICATE:
-            predicate = self.state.predicate
-
-            def write_predicate(value) -> None:
-                predicate[index] = bool(value)
-
-            return write_predicate
-        if kind is RegisterKind.FLOAT:
-            floating = self.state.floating
-
-            def write_float(value) -> None:
-                floating[index] = float(value)
-
-            return write_float
-        branch = self.state.branch
-
-        def write_branch(value) -> None:
-            branch[index] = int(value)
-
-        return write_branch
-
     def _compile_straightline(self, inst: Instruction) -> Tuple[int, Callable]:
         """Compile one static non-branch instruction into ``(kind, handler)``.
 
-        Each handler reproduces :meth:`_execute_straightline` for exactly
-        this instruction, with operand dispatch, opcode dispatch and
-        register-file selection resolved at compile time.  The call shape
-        depends on the row kind:
+        The call shape depends on the row kind:
 
         * ``ROW_COMPARE``: ``handler(qp_value, seq)`` returns the
           architectural predicate writes (compares run whatever their
@@ -708,83 +735,177 @@ class Emulator:
         * ``ROW_MEMORY``: ``handler()`` performs the access and returns its
           effective address — called only when the guard is true;
         * ``ROW_PLAIN``: ``handler()``, likewise only under a true guard.
+
+        A shape the workloads emit compiles into one closure
+        (:meth:`_specialise`); any other shape runs the reference semantics
+        bound to the instruction.
         """
+        handler = self._specialise(inst)
         if isinstance(inst, CompareInstruction):
-            evaluate = inst.relation.evaluate
-            compute_targets = inst.compute_targets
-            lhs = self._compile_read(inst.srcs[0])
-            rhs = self._compile_read(inst.srcs[1])
-            predicate = self.state.predicate
-            pred_writer = self._pred_writer
-            pt_index, pf_index = inst.pt.index, inst.pf.index
-            pt_writable = not inst.pt.is_hardwired
-            pf_writable = not inst.pf.is_hardwired
+            return ROW_COMPARE, handler or partial(self._execute_compare, inst)
+        if isinstance(inst, (LoadInstruction, StoreInstruction)):
+            kind = ROW_MEMORY
+        else:
+            kind = ROW_PLAIN
+        return kind, handler or partial(self._execute_operation, inst)
 
-            def compare_handler(qp_value: bool, seq: int) -> Tuple[Tuple[int, bool], ...]:
-                result = evaluate(int(lhs()), int(rhs()))
-                old_pt = bool(predicate[pt_index])
-                old_pf = bool(predicate[pf_index])
-                new_pt, new_pf = compute_targets(qp_value, result, old_pt, old_pf)
-                writes = ()
-                if new_pt is not None and pt_writable:
-                    value = bool(new_pt)
-                    predicate[pt_index] = value
-                    pred_writer[pt_index] = seq
-                    writes = ((pt_index, value),)
-                if new_pf is not None and pf_writable:
-                    value = bool(new_pf)
-                    predicate[pf_index] = value
-                    pred_writer[pf_index] = seq
-                    writes = writes + ((pf_index, value),)
-                return writes
+    def _specialise(self, inst: Instruction) -> Optional[Callable]:
+        """One closure running ``inst`` with its register files, register
+        indices and immediates bound, or ``None`` for a shape without one.
 
-            return ROW_COMPARE, compare_handler
+        The shapes, each with integer sources (general registers or integer
+        immediates) unless said otherwise:
 
+        * an int ALU op, MOV or MOVI into a general register;
+        * LD into a general register from a general base;
+        * FADD/FSUB/FMUL of two float registers into a float register;
+        * a compare of type NONE or UNC (:meth:`_specialise_compare`).
+
+        Each body is the reference semantics with ``to_signed64`` inlined
+        as ``((v + 2**63) & MASK) - 2**63``.  General registers hold signed
+        64-bit ints and float registers floats, so the reference's ``int``
+        and ``float`` coercions of register values are no-ops; an immediate
+        is coerced once, here.  An immediate source reads as index 0 of a
+        one-element tuple, so one body serves register and immediate forms.
+        """
+        general = self.state.general
+        sources = [_int_source(general, operand) for operand in inst.srcs]
+        if isinstance(inst, CompareInstruction):
+            return self._specialise_compare(inst, sources)
         opcode = inst.opcode
-        if isinstance(inst, LoadInstruction):
-            base = self._compile_read(inst.base)
+        dest = inst.dests[0] if inst.dests else None
+        if dest is None or dest.is_hardwired:
+            return None
+        if dest.kind is RegisterKind.FLOAT:
+            floating = self.state.floating
+            if opcode not in _FP_OPERATORS or len(inst.srcs) != 2 or not all(
+                isinstance(src, Register) and src.kind is RegisterKind.FLOAT
+                for src in inst.srcs
+            ):
+                return None
+            operation = _FP_OPERATORS[opcode]
+            d, a, b = dest.index, inst.srcs[0].index, inst.srcs[1].index
+
+            def fp_op() -> None:
+                floating[d] = operation(floating[a], floating[b])
+
+            return fp_op
+        if dest.kind is not RegisterKind.GENERAL or None in sources:
+            return None
+        d = dest.index
+        if opcode is Opcode.LD and isinstance(inst.offset, int):
+            base = inst.base.index
             offset = inst.offset
             read_word = self.state.memory.read_word
-            write_dest = self._compile_write(inst.dests[0])
-            is_float_load = opcode is Opcode.LDF
 
-            def load_handler() -> int:
-                address = to_signed64(base() + offset)
-                value = read_word(address)
-                write_dest(float(value) if is_float_load else value)
+            def load() -> int:
+                address = ((general[base] + offset + _SIGN) & _U64) - _SIGN
+                general[d] = read_word(address)
                 return address
 
-            return ROW_MEMORY, load_handler
-        if isinstance(inst, StoreInstruction):
-            base = self._compile_read(inst.base)
-            value_read = self._compile_read(inst.value)
-            offset = inst.offset
-            write_word = self.state.memory.write_word
+            return load
+        if opcode in (Opcode.MOV, Opcode.MOVI) and len(sources) == 1:
+            ((src_file, src),) = sources
+            if src_file is not general:
+                src_file = (to_signed64(src_file[0]),)
 
-            def store_handler() -> int:
-                address = to_signed64(base() + offset)
-                write_word(address, int(value_read()))
-                return address
+            def move() -> None:
+                general[d] = src_file[src]
 
-            return ROW_MEMORY, store_handler
-        if opcode in (Opcode.MOV, Opcode.MOVI, Opcode.MOV_TO_BR):
-            src = self._compile_read(inst.srcs[0])
-            write_dest = self._compile_write(inst.dests[0])
-            return ROW_PLAIN, lambda: write_dest(src())
-        if opcode is Opcode.NOP:
-            return ROW_PLAIN, lambda: None
-        if opcode in _INT_ALU_OPS:
-            operation = _INT_ALU_OPS[opcode]
-            lhs = self._compile_read(inst.srcs[0])
-            rhs = self._compile_read(inst.srcs[1])
-            write_dest = self._compile_write(inst.dests[0])
-            return ROW_PLAIN, lambda: write_dest(operation(int(lhs()), int(rhs())))
-        if opcode in _FP_OPS:
-            operation = _FP_OPS[opcode]
-            readers = tuple(self._compile_read(s) for s in inst.srcs)
-            write_dest = self._compile_write(inst.dests[0])
-            return ROW_PLAIN, lambda: write_dest(operation([float(read()) for read in readers]))
-        raise NotImplementedError(f"no semantics for opcode {opcode}")
+            return move
+        if len(sources) != 2:
+            return None
+        (lhs_file, lhs), (rhs_file, rhs) = sources
+        if opcode in (Opcode.SHL, Opcode.SHLI):
+
+            def shift_left() -> None:
+                value = lhs_file[lhs] << (rhs_file[rhs] & 63)
+                general[d] = ((value + _SIGN) & _U64) - _SIGN
+
+            return shift_left
+        if opcode in (Opcode.SHR, Opcode.SHRI):
+
+            def shift_right() -> None:
+                value = (lhs_file[lhs] & _U64) >> (rhs_file[rhs] & 63)
+                general[d] = ((value + _SIGN) & _U64) - _SIGN
+
+            return shift_right
+        if opcode in _ALU_OPERATORS:
+            operation = _ALU_OPERATORS[opcode]
+
+            def alu() -> None:
+                value = operation(lhs_file[lhs], rhs_file[rhs])
+                general[d] = ((value + _SIGN) & _U64) - _SIGN
+
+            return alu
+        return None
+
+    def _specialise_compare(
+        self, inst: CompareInstruction, sources: List[Any]
+    ) -> Optional[Callable]:
+        """The closure of a NONE or UNC compare with integer ``sources``
+        (see :meth:`_specialise`) and a writable target, else ``None``.
+
+        A NONE compare under a false guard writes nothing; an UNC compare
+        clears both targets.  ``p0`` targets are never written.
+        """
+        pt_writable, pf_writable = not inst.pt.is_hardwired, not inst.pf.is_hardwired
+        if (
+            inst.ctype not in (CompareType.NONE, CompareType.UNC)
+            or None in sources
+            or not (pt_writable or pf_writable)
+        ):
+            return None
+        relation = _RELATIONS[inst.relation]
+        unc = inst.ctype is CompareType.UNC
+        pt, pf = inst.pt.index, inst.pf.index
+        (lhs_file, lhs), (rhs_file, rhs) = sources
+        predicate = self.state.predicate
+        pred_writer = self._pred_writer
+        if pt_writable and pf_writable:
+
+            def compare_both(qp_value: bool, seq: int) -> Tuple[Tuple[int, bool], ...]:
+                if qp_value:
+                    result = relation(lhs_file[lhs], rhs_file[rhs])
+                    inverse = not result
+                elif unc:
+                    result = inverse = False
+                else:
+                    return ()
+                predicate[pt] = result
+                predicate[pf] = inverse
+                pred_writer[pt] = seq
+                pred_writer[pf] = seq
+                return ((pt, result), (pf, inverse))
+
+            return compare_both
+        if pt_writable:
+
+            def compare_pt(qp_value: bool, seq: int) -> Tuple[Tuple[int, bool], ...]:
+                if qp_value:
+                    result = relation(lhs_file[lhs], rhs_file[rhs])
+                elif unc:
+                    result = False
+                else:
+                    return ()
+                predicate[pt] = result
+                pred_writer[pt] = seq
+                return ((pt, result),)
+
+            return compare_pt
+
+        def compare_pf(qp_value: bool, seq: int) -> Tuple[Tuple[int, bool], ...]:
+            if qp_value:
+                inverse = not relation(lhs_file[lhs], rhs_file[rhs])
+            elif unc:
+                inverse = False
+            else:
+                return ()
+            predicate[pf] = inverse
+            pred_writer[pf] = seq
+            return ((pf, inverse),)
+
+        return compare_pf
 
     # ------------------------------------------------------------------
     # Control flow
@@ -834,6 +955,20 @@ class Emulator:
 
 
 _U64 = (1 << 64) - 1
+_SIGN = 1 << 63
+
+
+def _int_source(general: List[int], operand) -> Optional[Tuple[Sequence[Any], int]]:
+    """``(file, index)`` reading ``operand`` as an int: the general register
+    file, or a one-element tuple for an integer immediate; ``None`` for
+    any other operand."""
+    if isinstance(operand, Immediate):
+        value = operand.value
+        return ((int(value),), 0) if isinstance(value, int) else None
+    if isinstance(operand, Register) and operand.kind is RegisterKind.GENERAL:
+        return general, operand.index
+    return None
+
 
 _INT_ALU_OPS = {
     Opcode.ADD: lambda a, b: a + b,
@@ -860,3 +995,38 @@ _FP_OPS = {
     Opcode.FDIV: lambda v: v[0] / v[1] if v[1] else 0.0,
     Opcode.FMOV: lambda v: v[0],
 }
+
+#: The specialised handlers' operators (see :meth:`Emulator._specialise`);
+#: ``_INT_ALU_OPS`` and ``_FP_OPS`` above stay the reference's.
+_ALU_OPERATORS = {
+    Opcode.ADD: operator.add,
+    Opcode.ADDI: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.AND: operator.and_,
+    Opcode.ANDI: operator.and_,
+    Opcode.OR: operator.or_,
+    Opcode.ORI: operator.or_,
+    Opcode.XOR: operator.xor,
+    Opcode.XORI: operator.xor,
+    Opcode.MUL: operator.mul,
+}
+
+_FP_OPERATORS = {
+    Opcode.FADD: operator.add,
+    Opcode.FSUB: operator.sub,
+    Opcode.FMUL: operator.mul,
+}
+
+_RELATIONS = {
+    CompareRelation.EQ: operator.eq,
+    CompareRelation.NE: operator.ne,
+    CompareRelation.LT: operator.lt,
+    CompareRelation.LE: operator.le,
+    CompareRelation.GT: operator.gt,
+    CompareRelation.GE: operator.ge,
+    CompareRelation.LTU: lambda a, b: (a & _U64) < (b & _U64),
+    CompareRelation.GEU: lambda a, b: (a & _U64) >= (b & _U64),
+}
+
+#: One pre-trace guard writer, repeated per row of an unguarded run.
+_NO_WRITER = array("q", [-1])

@@ -13,13 +13,15 @@ accepted everywhere here, with plain Python loops; it is the parity oracle
 for the vectorized passes (bit-identical results; the equality is under
 test).
 
-The on-disk encoding is versioned.  Format 3 (current) adds the *chunked*
-pack encoding — a sequence of independently decodable format-2 segments
-(see :class:`~repro.emulator.tracepack.ChunkedTracePack`) for streaming-
-scale traces.  Format 2 monolithic packs and format 1 pickles of the
-``DynInst`` list are both still read; format 2 is still written for
-single-segment packs.  Format 1 is no longer written: an object trace is
-packed before encoding.
+The on-disk encoding is versioned.  Format 4 (current) writes a
+single-segment trace as one columnar pack (``PACK_MAGIC``, with ``seq`` and
+``pred_offsets`` delta-coded) and a longer one as the *chunked* encoding, a
+sequence of independently decodable packs (see
+:class:`~repro.emulator.tracepack.ChunkedTracePack`).  Format 2 and 3 packs
+(``RTP2`` segments, every column raw) are refused with :class:`ValueError`;
+their store keys carry the old version, so they are never looked up.
+Format 1 pickles of the ``DynInst`` list are still read but no longer
+written: an object trace is packed before encoding.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from repro.program.program import Program
 #: Bump when the on-disk trace encoding changes.  Folded into the artifact
 #: store's TRACES cache keys (see :mod:`repro.engine.planner`), so a format
 #: bump invalidates stale cached traces instead of failing at load time.
-TRACE_FORMAT_VERSION = 3
+TRACE_FORMAT_VERSION = 4
 
 #: Pickle-container versions :func:`deserialize_trace` still accepts.
 _READABLE_PICKLE_VERSIONS = (1, 2, 3)
@@ -145,9 +147,9 @@ def collect_trace_pack(program: Program, max_instructions: int) -> TracePack:
 def serialize_trace(trace: Trace) -> bytes:
     """Encode a dynamic trace for the on-disk artifact store.
 
-    A :class:`TracePack` is written in the columnar format-2 encoding (raw
-    compressed column buffers; only the deduplicated static instruction
-    table is pickled), a :class:`ChunkedTracePack` in format 3.  An object
+    A :class:`TracePack` is written in the columnar encoding (compressed
+    column buffers; only the deduplicated static instruction table is
+    pickled), a :class:`ChunkedTracePack` in the chunked one.  An object
     trace is packed first with :meth:`TracePack.from_dyninsts`.  The
     encoding is self-contained: a trace can be re-simulated without
     re-materialising the program it came from.
@@ -166,10 +168,16 @@ def deserialize_trace(data) -> Trace:
     Raises :class:`ValueError` on an unknown encoding so callers (the
     artifact store) treat stale formats as cache misses.
     """
-    if data[:4] == CHUNK_MAGIC:
+    magic = bytes(data[:4])
+    if magic == CHUNK_MAGIC:
         return ChunkedTracePack.from_bytes(data)
-    if data[:4] == PACK_MAGIC:
+    if magic == PACK_MAGIC:
         return TracePack.from_bytes(data)
+    if magic[:3] == b"RTP":
+        raise ValueError(
+            f"trace pack encoding {magic!r} is no longer read "
+            f"(format {TRACE_FORMAT_VERSION} writes {PACK_MAGIC!r})"
+        )
     version, trace = pickle.loads(data)
     if version not in _READABLE_PICKLE_VERSIONS:
         raise ValueError(

@@ -57,17 +57,24 @@ from repro.emulator.executor import DynInst
 from repro.isa.branches import BranchInstruction
 from repro.isa.opcodes import OpClass
 
-#: Magic prefix of the columnar on-disk encoding (trace format version 2).
-PACK_MAGIC = b"RTP2"
+#: Magic prefix of the columnar on-disk encoding (trace format version 4;
+#: format 2 and 3 packs began ``RTP2`` and stored every column raw).
+PACK_MAGIC = b"RTP4"
 
-#: Magic prefix of the chunked on-disk encoding (trace format version 3):
-#: ``CHUNK_MAGIC`` followed by ``<u64 size><RTP2 segment>`` records and a
-#: ``<u64 0>`` terminator.  Each segment is a complete, self-contained v2
-#: pack, so the chunked format reuses the v2 codec byte for byte.
+#: Magic prefix of the chunked on-disk encoding: ``CHUNK_MAGIC`` followed
+#: by ``<u64 size><pack>`` records and a ``<u64 0>`` terminator.  Each
+#: segment is a complete, self-contained ``PACK_MAGIC`` pack, so the chunked
+#: format reuses the pack codec byte for byte.
 CHUNK_MAGIC = b"RTP3"
 
+#: Columns stored as first differences (restored by a cumulative sum):
+#: ``seq`` steps by one on emulator rows and ``pred_offsets`` by a row's
+#: write count, so their differences compress to almost nothing.  int64
+#: differences wrap and the sum wraps back, so this is exact for any values.
+_DELTA_COLUMNS = frozenset({"seq", "pred_offsets"})
+
 #: Opcode-class codes used by the ``opclass`` column.  Pinned explicitly —
-#: the codes are part of the on-disk format-2 encoding, so they must not
+#: the codes are part of the on-disk encoding, so they must not
 #: shift when ``OpClass`` gains or reorders members; a new member must be
 #: appended here with a fresh code (building a pack for an unpinned class
 #: raises ``KeyError`` loudly rather than encoding wrong codes).
@@ -492,19 +499,22 @@ class TracePack:
         return flags
 
     # ------------------------------------------------------------------
-    # On-disk encoding (trace format version 2)
+    # On-disk encoding (trace format version 4)
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
         """Encode as ``PACK_MAGIC + header + zlib(column buffers + insts)``.
 
         The dynamic rows are raw little-endian array buffers — no pickle is
         involved for them; only the (small, deduplicated) static instruction
-        table is pickled.
+        table is pickled.  The ``_DELTA_COLUMNS`` are stored as first
+        differences.
         """
         header_columns = []
         buffers = []
         for name, dtype in _COLUMNS:
             column = np.ascontiguousarray(getattr(self, name), dtype=np.dtype(dtype))
+            if name in _DELTA_COLUMNS:
+                column = np.diff(column, prepend=column.dtype.type(0))
             header_columns.append([name, dtype, int(column.shape[0])])
             buffers.append(column.tobytes())
         insts_blob = pickle.dumps(self.insts, protocol=pickle.HIGHEST_PROTOCOL)
@@ -531,7 +541,10 @@ class TracePack:
         for name, dtype, length in header["columns"]:
             dt = np.dtype(dtype)
             size = dt.itemsize * length
-            columns[name] = np.frombuffer(body, dtype=dt, count=length, offset=offset)
+            column = np.frombuffer(body, dtype=dt, count=length, offset=offset)
+            if name in _DELTA_COLUMNS:
+                column = np.cumsum(column, dtype=dt)
+            columns[name] = column
             offset += size
         insts_blob = body[offset : offset + header["insts_bytes"]]
         insts = pickle.loads(insts_blob)
@@ -543,10 +556,10 @@ class TracePack:
 
 
 # ----------------------------------------------------------------------
-# Chunked packs (trace format version 3)
+# Chunked packs
 # ----------------------------------------------------------------------
 def _segment_row_count(blob) -> int:
-    """Row count of one RTP2 segment, read from its uncompressed header.
+    """Row count of one segment, read from its uncompressed header.
 
     Cheap on purpose: indexing a chunked pack touches only the JSON headers,
     never the zlib bodies, so opening a multi-gigabyte trace costs a few
@@ -562,7 +575,7 @@ def _segment_row_count(blob) -> int:
 
 
 class ChunkedPackWriter:
-    """Streams RTP3 segment records into a binary file object.
+    """Streams chunked-pack segment records into a binary file object.
 
     The writer is what keeps ingestion's peak memory bounded: the emulator
     hands over one finalized segment at a time, the writer encodes and
@@ -640,7 +653,7 @@ class ChunkedTracePack:
 
     @classmethod
     def from_bytes(cls, data) -> "ChunkedTracePack":
-        """Open an RTP3 payload from any bytes-like object; only segment
+        """Open a chunked payload from any bytes-like object; only segment
         headers are parsed eagerly, and segments stay views of ``data``."""
         if bytes(data[:4]) != CHUNK_MAGIC:
             raise ValueError("not a chunked trace pack (bad magic)")
@@ -780,7 +793,8 @@ class ChunkedTracePack:
 
     # ------------------------------------------------------------------
     def to_bytes(self) -> bytes:
-        """Encode as RTP3: magic, ``<u64 size><segment>`` records, terminator."""
+        """Encode as ``CHUNK_MAGIC``, ``<u64 size><segment>`` records and a
+        terminator."""
         parts: List[bytes] = [CHUNK_MAGIC]
         for index in range(self.segment_count):
             blob = self._blobs[index]

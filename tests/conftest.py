@@ -16,6 +16,9 @@ if _SRC not in sys.path:
 
 import pytest
 
+from repro.emulator.executor import EmulationLimit, Emulator
+from repro.emulator.trace import serialize_trace
+from repro.emulator.tracepack import ChunkedTracePack, TracePack
 from repro.isa import GR, PR, CompareRelation
 from repro.memory.cache import CacheConfig
 from repro.memory.hierarchy import MemoryHierarchyConfig
@@ -32,6 +35,80 @@ def _isolated_artifact_cache(tmp_path, monkeypatch):
     serve stale artifacts across test runs after source edits.
     """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "artifact-cache"))
+
+
+def assert_run_pack_matches_reference(program, budget, segment_rows=None, hard_limit=None):
+    """``run_pack`` serializes byte for byte like the reference interpreter's
+    object trace cut into the same segments, and leaves the emulator in the
+    same state (``_seq``, fetched and executed counts, halted, and every
+    register and memory word); returns the ``run_pack`` emulator.
+
+    ``hard_limit`` lowers both emulators' ``HARD_LIMIT``.  When the
+    reference raises, ``run_pack`` must raise the same exception type; on
+    :class:`EmulationLimit` the segments streamed before it must equal the
+    reference's rows and the state must match too.
+    """
+    reference = Emulator(program, optimized=False)
+    emulator = Emulator(program)
+    if hard_limit is not None:
+        reference.HARD_LIMIT = emulator.HARD_LIMIT = hard_limit
+    rows = []
+    expected_error = None
+    try:
+        for dyn in reference.run(budget):
+            rows.append(dyn)
+    except Exception as error:  # the reference's own failure is the oracle
+        expected_error = type(error)
+    if expected_error is None:
+        pack = emulator.run_pack(budget, segment_rows=segment_rows)
+        if segment_rows is None or len(rows) <= segment_rows:
+            expected = TracePack.from_dyninsts(rows)
+        else:
+            expected = ChunkedTracePack.from_segments(
+                [
+                    TracePack.from_dyninsts(rows[start : start + segment_rows])
+                    for start in range(0, len(rows), segment_rows)
+                ]
+            )
+        assert serialize_trace(pack) == serialize_trace(expected)
+    else:
+        streamed = []
+        cut = segment_rows or budget + 1
+        with pytest.raises(expected_error):
+            emulator.run_pack(budget, segment_rows=cut, on_segment=streamed.append)
+        if expected_error is not EmulationLimit:
+            return emulator
+        # Only whole segments were flushed before the limit.
+        assert [segment.to_bytes() for segment in streamed] == [
+            TracePack.from_dyninsts(rows[start : start + cut]).to_bytes()
+            for start in range(0, len(rows) - len(rows) % cut, cut)
+        ]
+    assert (
+        emulator._seq,
+        emulator.fetched_instructions,
+        emulator.executed_instructions,
+        emulator.halted,
+    ) == (
+        reference._seq,
+        reference.fetched_instructions,
+        reference.executed_instructions,
+        reference.halted,
+    )
+    assert _architectural_state(emulator) == _architectural_state(reference)
+    return emulator
+
+
+def _architectural_state(emulator):
+    """Every register file and memory word; floats by ``repr``, so NaN
+    equals NaN and -0.0 differs from 0.0."""
+    state = emulator.state
+    return (
+        state.general,
+        [repr(value) for value in state.floating],
+        state.predicate,
+        state.branch,
+        state.memory._words,
+    )
 
 
 def build_tiny_memory_config() -> MemoryHierarchyConfig:

@@ -6,7 +6,9 @@ Three guarantees are under test here:
   bit-identical ``DynInst`` state (hypothesis drives randomized field
   combinations through the codec);
 * the trace deserializer still loads format-1 pickle archives and rejects
-  unknown versions;
+  unknown versions and the ``RTP2`` packs of formats 2 and 3;
+* the delta-coded ``seq`` and ``pred_offsets`` columns restore exactly,
+  whatever their values;
 * the vectorized statistics passes over a pack equal the reference
   per-instruction loops, field for field;
 * the serialized size of real benchmark traces stays within a quarter of
@@ -16,9 +18,12 @@ Three guarantees are under test here:
 from __future__ import annotations
 
 import io
+import json
 import pickle
 import struct
+import zlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,8 +43,10 @@ from repro.emulator.tracepack import (
     ChunkedTracePack,
     PACK_MAGIC,
     TracePack,
+    _COLUMNS,
 )
 from repro.engine import BASELINE, IF_CONVERTED, ExecutionEngine
+from repro.engine.store import TRACES, ArtifactStore
 from repro.experiments.setup import ExperimentProfile
 
 from tests.conftest import build_counting_loop, build_diamond_program
@@ -299,6 +306,100 @@ class TestChunkedRoundTrip:
             ChunkedTracePack.from_bytes(damaged)
 
 
+def _format3_pack_bytes(pack):
+    """``pack`` encoded as trace formats 2 and 3 wrote it: magic ``RTP2``
+    and every column raw."""
+    header_columns, buffers = [], []
+    for name, dtype in _COLUMNS:
+        column = np.ascontiguousarray(getattr(pack, name), dtype=np.dtype(dtype))
+        header_columns.append([name, dtype, int(column.shape[0])])
+        buffers.append(column.tobytes())
+    insts = pickle.dumps(pack.insts, protocol=pickle.HIGHEST_PROTOCOL)
+    header = json.dumps(
+        {"n": len(pack), "columns": header_columns, "insts_bytes": len(insts)},
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("utf-8")
+    body = zlib.compress(b"".join(buffers) + insts, 6)
+    return b"RTP2" + struct.pack("<I", len(header)) + header + body
+
+
+class TestDeltaCodedColumns:
+    """``seq`` and ``pred_offsets`` are stored as first differences; the
+    cumulative sum restores any int64 values, gaps and wraparound included."""
+
+    @staticmethod
+    def _with_seqs(rows, seqs):
+        trace = TestHypothesisFieldRoundTrip._trace(rows[: len(seqs)])
+        for dyn, seq in zip(trace, seqs):
+            dyn.seq = seq
+        return trace
+
+    @given(
+        rows=_FIELD_ROWS,
+        seqs=st.lists(st.integers(-(2**63), 2**63 - 1), max_size=64),
+        cuts=st.lists(st.integers(min_value=1, max_value=63), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_seq_round_trips(self, rows, seqs, cuts):
+        trace = self._with_seqs(rows, seqs)
+        monolithic = deserialize_trace(serialize_trace(TracePack.from_dyninsts(trace)))
+        chunked = deserialize_trace(serialize_trace(ChunkedTracePack.from_segments(_split_at(trace, cuts))))
+        for decoded in (monolithic, chunked):
+            assert len(decoded) == len(trace)
+            for ref, got in zip(trace, decoded.to_dyninsts()):
+                assert dyn_state(ref) == dyn_state(got)
+
+    def test_extreme_and_repeated_seqs(self, loop_trace):
+        seqs = [2**63 - 1, -(2**63), 0, -1, 5, 5, 3, -(2**63), 2**63 - 1]
+        trace = loop_trace[: len(seqs)]
+        rows = [(dyn.pc, dyn.qp_value, dyn.taken, dyn.target_pc, dyn.next_pc, dyn.mem_address,
+                 list(dyn.pred_writes), dyn.guard_producer_seq) for dyn in trace]
+        trace = self._with_seqs(rows, seqs)
+        pack = TracePack.from_bytes(TracePack.from_dyninsts(trace).to_bytes())
+        assert pack.seq.tolist() == seqs
+        assert pack.seq.dtype == np.int64
+
+    def test_pred_offsets_restore(self, diamond_trace):
+        pack = TracePack.from_dyninsts(diamond_trace)
+        again = TracePack.from_bytes(pack.to_bytes())
+        assert np.array_equal(again.pred_offsets, pack.pred_offsets)
+        assert np.array_equal(again.seq, pack.seq)
+
+
+class TestFormat3Refused:
+    """Packs written before the delta coding (magic ``RTP2``) are refused
+    with ``ValueError``, never misread, and a store hit on one is
+    quarantined."""
+
+    def test_format3_pack_blob(self, loop_trace):
+        blob = _format3_pack_bytes(TracePack.from_dyninsts(loop_trace))
+        with pytest.raises(ValueError, match="no longer read"):
+            deserialize_trace(blob)
+
+    def test_format3_chunk_stream(self, loop_trace):
+        segment = _format3_pack_bytes(TracePack.from_dyninsts(loop_trace[:100]))
+        blob = CHUNK_MAGIC + struct.pack("<Q", len(segment)) + segment + struct.pack("<Q", 0)
+        with pytest.raises(ValueError):
+            deserialize_trace(blob)
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["pack", "chunked"])
+    def test_a_store_hit_is_quarantined(self, tmp_path, loop_trace, chunked):
+        blob = _format3_pack_bytes(TracePack.from_dyninsts(loop_trace[:500]))
+        if chunked:
+            blob = CHUNK_MAGIC + struct.pack("<Q", len(blob)) + blob + struct.pack("<Q", 0)
+        store = ArtifactStore(str(tmp_path / "store"))
+        scratch = store.scratch_path(TRACES)
+        with open(scratch, "wb") as handle:
+            handle.write(blob)
+        store.put_file(TRACES, "old", scratch)
+        assert store.get(TRACES, "old") is None
+        assert not store.contains(TRACES, "old")
+        entries = store.quarantine_entries()
+        assert [(entry["kind"], entry["key"]) for entry in entries] == [(TRACES, "old")]
+        assert entries[0]["quarantine_reason"] == "decode failed: ValueError"
+
+
 class TestMemoryviewDecode:
     """The store decodes from a view of its read buffer, never a copy."""
 
@@ -328,12 +429,12 @@ class TestBackwardCompatibility:
         for ref, got in zip(loop_trace, loaded):
             assert dyn_state(ref)[:-1] == dyn_state(got)[:-1]
 
-    def test_current_version_is_three(self):
-        assert TRACE_FORMAT_VERSION == 3
+    def test_current_version_is_four(self):
+        assert TRACE_FORMAT_VERSION == 4
 
-    def test_v2_monolithic_packs_still_load(self, loop_trace):
-        # A format-2 archive is exactly a monolithic pack payload; the
-        # format-3 deserializer must keep accepting it unchanged.
+    def test_monolithic_packs_load(self, loop_trace):
+        # A single-segment trace is stored as exactly one monolithic pack
+        # payload, which the deserializer accepts unchanged.
         data = TracePack.from_dyninsts(loop_trace).to_bytes()
         assert data[:4] == PACK_MAGIC
         loaded = deserialize_trace(data)
@@ -395,9 +496,9 @@ class TestSerializedSize:
     @pytest.mark.parametrize(
         "program, flavour, measured",
         [
-            ("gzip", IF_CONVERTED, 40_031),
-            ("twolf", BASELINE, 43_786),
-            ("swim", IF_CONVERTED, 36_569),
+            ("gzip", IF_CONVERTED, 18_894),
+            ("twolf", BASELINE, 22_312),
+            ("swim", IF_CONVERTED, 14_379),
         ],
     )
     def test_serialized_trace_stays_within_a_quarter_of_measured(self, program, flavour, measured):

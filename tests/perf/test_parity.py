@@ -28,7 +28,7 @@ from repro.predictors.tage import TAGEPredictor, TagePredicatePredictor
 from repro.program import ProgramBuilder
 from repro.workloads.spec_suite import workload_names
 
-from tests.conftest import build_counting_loop
+from tests.conftest import assert_run_pack_matches_reference, build_counting_loop
 
 BENCHMARKS = list(FAST_PROFILE.benchmarks)
 SCHEMES = list(scheme_kinds())
@@ -157,32 +157,6 @@ class TestCoreParity:
         assert len(result.uops) == result.metrics.committed_instructions
 
 
-def _assert_run_pack_matches_reference(program, budget, segment_rows):
-    """``run_pack`` serializes byte for byte like the reference interpreter's
-    object trace cut into the same segments, and leaves the emulator in the
-    same state; returns the ``run_pack`` emulator."""
-    reference = Emulator(program, optimized=False)
-    rows = list(reference.run(budget))
-    emulator = Emulator(program)
-    pack = emulator.run_pack(budget, segment_rows=segment_rows)
-    if segment_rows is None or len(rows) <= segment_rows:
-        expected = TracePack.from_dyninsts(rows)
-    else:
-        expected = ChunkedTracePack.from_segments(
-            [
-                TracePack.from_dyninsts(rows[start : start + segment_rows])
-                for start in range(0, len(rows), segment_rows)
-            ]
-        )
-    assert serialize_trace(pack) == serialize_trace(expected)
-    assert (
-        emulator.fetched_instructions,
-        emulator.executed_instructions,
-        emulator.halted,
-    ) == (reference.fetched_instructions, reference.executed_instructions, reference.halted)
-    return emulator
-
-
 class TestTracePackParity:
     """The columnar trace path is bit-identical to the object path."""
 
@@ -213,19 +187,19 @@ class TestTracePackParity:
         # 1,700-row segments cut the 6,000-row budget into four, the last
         # one short.
         program = engine.build_binary(workload, flavour)
-        _assert_run_pack_matches_reference(
+        assert_run_pack_matches_reference(
             program, FAST_PROFILE.instructions_per_benchmark, segment_rows=1_700
         )
 
     @given(budget=st.integers(0, 3_000), segment_rows=st.integers(1, 1_500))
     @settings(max_examples=25, deadline=None)
     def test_any_budget_and_segment_size(self, if_converted_gzip, budget, segment_rows):
-        _assert_run_pack_matches_reference(if_converted_gzip, budget, segment_rows)
+        assert_run_pack_matches_reference(if_converted_gzip, budget, segment_rows)
 
     @pytest.mark.parametrize("segment_rows", [None, 1, 7, 64])
     def test_a_program_that_returns_from_main(self, segment_rows):
         program, _ = build_counting_loop()
-        emulator = _assert_run_pack_matches_reference(program, 10_000, segment_rows)
+        emulator = assert_run_pack_matches_reference(program, 10_000, segment_rows)
         assert emulator.halted and emulator.fetched_instructions < 10_000
 
     @pytest.mark.parametrize("segment_rows", [None, 2, 5])
@@ -243,7 +217,7 @@ class TestTracePackParity:
         leaf.cmp(CompareRelation.GT, PR(6), PR(7), GR(10), 2)
         leaf.addi(GR(10), GR(10), 5, qp=PR(6))
         program = builder.finish()
-        emulator = _assert_run_pack_matches_reference(program, 100, segment_rows)
+        emulator = assert_run_pack_matches_reference(program, 100, segment_rows)
         assert emulator.halted and emulator.fetched_instructions == 5
 
     def test_streamed_segments_equal_the_collected_ones(self, if_converted_gzip):
