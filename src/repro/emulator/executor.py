@@ -495,56 +495,52 @@ class Emulator:
                     if stop:
                         self.halted = True
                         break
-                    segment_left -= 1
-                    if not segment_left:
-                        flush()
-                        segment_left = segment_rows
-                    continue
-
-                # A straight-line run: the rows up to the next branch or the
-                # end of the block, sliced where the budget, the hard limit
-                # or the segment ends first.
-                take = len(steps)
-                if take > max_instructions - fetched:
-                    take = max_instructions - fetched
-                if take > hard_limit - seq:
-                    take = hard_limit - seq
-                if 0 < segment_left < take:
-                    take = segment_left
-                if take < len(steps):
-                    static_ids = static_ids[:take]
-                    steps = steps[:take]
-                static_extend(static_ids)
-                fetched += take
-                if unguarded:
-                    # Every guard is p0: true, with the pre-trace writer.
-                    qp_extend(b"\x01" * take)
-                    producer_extend(_NO_WRITER * take)
-                    executed += take
-                    for _, kind, handler in steps:
-                        if kind == ROW_PLAIN:
-                            handler()
-                        elif kind == ROW_MEMORY:
-                            mem_append(handler())
-                        else:
-                            writes_append(handler(True, seq))
-                        seq += 1
+                    take = 1
                 else:
-                    for qp_index, kind, handler in steps:
-                        qp_value = predicate[qp_index]
-                        qp_append(qp_value)
-                        producer_append(pred_writer[qp_index])
-                        if kind == ROW_COMPARE:
-                            writes_append(handler(qp_value, seq))
-                        elif qp_value:
-                            if kind == ROW_MEMORY:
+                    # A straight-line run: the rows up to the next branch or
+                    # the end of the block, sliced where the budget, the hard
+                    # limit or the segment ends first.
+                    take = len(steps)
+                    if take > max_instructions - fetched:
+                        take = max_instructions - fetched
+                    if take > hard_limit - seq:
+                        take = hard_limit - seq
+                    if 0 < segment_left < take:
+                        take = segment_left
+                    if take < len(steps):
+                        static_ids = static_ids[:take]
+                        steps = steps[:take]
+                    static_extend(static_ids)
+                    fetched += take
+                    if unguarded:
+                        # Every guard is p0: true, with the pre-trace writer.
+                        qp_extend(b"\x01" * take)
+                        producer_extend(_NO_WRITER * take)
+                        executed += take
+                        for _, kind, handler in steps:
+                            if kind == ROW_PLAIN:
+                                handler()
+                            elif kind == ROW_MEMORY:
                                 mem_append(handler())
                             else:
-                                handler()
-                        if qp_value:
-                            executed += 1
-                        seq += 1
-                frame.inst_index += take
+                                writes_append(handler(True, seq))
+                            seq += 1
+                    else:
+                        for qp_index, kind, handler in steps:
+                            qp_value = predicate[qp_index]
+                            qp_append(qp_value)
+                            producer_append(pred_writer[qp_index])
+                            if qp_value:
+                                executed += 1
+                            if kind == ROW_COMPARE:
+                                writes_append(handler(qp_value, seq))
+                            elif qp_value:
+                                if kind == ROW_MEMORY:
+                                    mem_append(handler())
+                                else:
+                                    handler()
+                            seq += 1
+                    frame.inst_index += take
                 segment_left -= take
                 if not segment_left:
                     flush()
