@@ -189,7 +189,7 @@ class TestOpcodeCoverage:
         "build, expected",
         [
             # SHL/SHR with a negative value and shift amounts of 64 or more.
-            (lambda rb: rb.shl(GR(3), GR(1), 65), 2**63 - 1 << 1),
+            (lambda rb: rb.shl(GR(3), GR(1), 65), (2**63 - 1) << 1),
             (lambda rb: rb.shr(GR(3), GR(2), 64), -5 & (2**64 - 1)),
             (lambda rb: rb.shr(GR(3), GR(2), GR(4)), (-5 & (2**64 - 1)) >> 7),
             # MUL overflow wraps to signed 64 bits.
@@ -226,7 +226,7 @@ class TestOpcodeCoverage:
 
 
 def _long_run_program():
-    """A loop whose body is one 20-instruction straight-line run, mixing
+    """A loop whose body is one 21-instruction straight-line run, mixing
     guarded and unguarded rows, a compare and a load."""
     builder = ProgramBuilder("long-run")
     data = builder.array("data", list(range(8)))
