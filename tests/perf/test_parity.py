@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.emulator.executor import Emulator
 from repro.emulator.trace import as_trace_pack, deserialize_trace, serialize_trace
-from repro.emulator.tracepack import ChunkedTracePack, TracePack
 from repro.engine import BASELINE, IF_CONVERTED, ExecutionEngine, SchemeSpec
 from repro.experiments.setup import FAST_PROFILE, scheme_kinds
 from repro.isa import GR, PR, CompareRelation
