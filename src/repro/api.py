@@ -57,8 +57,7 @@ _EXPORTS: Dict[str, Tuple[str, str]] = {
     "ExperimentDefinition": ("repro.engine.planner", "ExperimentDefinition"),
     "SchemeSpec": ("repro.engine.jobs", "SchemeSpec"),
     "MachineSpec": ("repro.pipeline.machine", "MachineSpec"),
-    "SamplingSpec": ("repro.pipeline.windowed", "SamplingSpec"),
-    "simulate_windowed": ("repro.pipeline.windowed", "simulate_windowed"),
+    "simulate_windowed": ("repro.pipeline.batched", "simulate_windowed"),
     "BASELINE": ("repro.engine.jobs", "BASELINE"),
     "IF_CONVERTED": ("repro.engine.jobs", "IF_CONVERTED"),
     "FLAVOURS": ("repro.engine.jobs", "FLAVOURS"),

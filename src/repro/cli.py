@@ -42,8 +42,8 @@ Common options: ``--instructions N`` (per-benchmark budget),
 ``--no-cache`` (persistent artifact store; defaults to
 ``$REPRO_CACHE_DIR`` or ``.repro-cache``), ``--checkpoint-every ROWS``
 (periodic resume checkpoints through the store; see
-``docs/internals/traces.md``), and for ``simulate``: ``--scheme``,
-``--flavour``, ``--sampling SPEC`` (sampled simulation).
+``docs/internals/traces.md``), and for ``simulate``: ``--scheme`` and
+``--flavour``.
 
 The full command reference, with expected outputs, lives in
 ``docs/experiments.md``.
@@ -348,16 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[BASELINE, IF_CONVERTED],
         default=IF_CONVERTED,
         help="binary flavour (default: if-converted)",
-    )
-    simulate.add_argument(
-        "--sampling",
-        type=str,
-        default=None,
-        metavar="SPEC",
-        help="sampled simulation: 'interval[:window[:warmup]]' simulates "
-        "every interval-th window of window branches after warmup "
-        "warm-up branches (e.g. '4:4096:512'); the result is an "
-        "approximation and is flagged as such",
     )
     return parser
 
@@ -809,19 +799,9 @@ def _command_submit(args: argparse.Namespace) -> str:
 
 
 def _command_simulate(args: argparse.Namespace) -> str:
-    sampling = None
-    if args.sampling is not None:
-        from repro.pipeline.windowed import SamplingSpec
-
-        try:
-            sampling = SamplingSpec.parse(args.sampling)
-        except ValueError as error:
-            raise SystemExit(f"--sampling: {error}") from None
     engine = _engine(args)
     _resolve_benchmark(args.benchmark)
-    result = engine.simulate(
-        args.benchmark, args.flavour, _SCHEME_SPECS[args.scheme], sampling=sampling
-    )
+    result = engine.simulate(args.benchmark, args.flavour, _SCHEME_SPECS[args.scheme])
     metrics = result.metrics
     accuracy = result.accuracy
     lines = [
@@ -836,12 +816,6 @@ def _command_simulate(args: argparse.Namespace) -> str:
         f"cancelled at rename  {metrics.cancelled_at_rename}",
         f"predicate flushes    {metrics.predicate_flushes}",
     ]
-    if getattr(result, "sampling", None) is not None:
-        lines.insert(
-            2,
-            f"sampling             SAMPLED — {result.sampling.describe()}; "
-            "numbers approximate a full simulation",
-        )
     return "\n".join(lines)
 
 

@@ -926,8 +926,8 @@ class Emulator:
             return frame, False, taken, None, self._pc_after(frame)
 
         if inst.kind in (BranchKind.COND, BranchKind.UNCOND):
-            target_block = frame.routine.block(inst.target.name)
             frame.block_index = frame.routine.block_index(inst.target.name)
+            target_block = frame.routine.blocks[frame.block_index]
             frame.inst_index = 0
             return frame, False, taken, target_block.address, target_block.address
 

@@ -68,10 +68,11 @@ from repro.engine.planner import (
     plan,
 )
 from repro.engine.store import BINARIES, CHECKPOINTS, RESULTS, TRACES, ArtifactStore
-from repro.pipeline.batched import LaneSpec, simulate_lanes
+from repro.pipeline.batched import LaneSpec, SimulationCheckpoint, simulate_lanes
+# Not called here: perfbench's span wrappers look it up in this module by name.
+from repro.pipeline.batched import simulate_windowed  # noqa: F401
 from repro.pipeline.core import OutOfOrderCore, SimulationResult
 from repro.pipeline.machine import MachineSpec
-from repro.pipeline.windowed import SimulationCheckpoint, simulate_windowed
 from repro.program.program import Program
 from repro.workloads.registry import build_workload
 from repro.workloads.spec_suite import workload_names
@@ -404,18 +405,15 @@ class ExecutionEngine:
         flavour: str,
         scheme: SchemeSpec,
         machine: Optional[MachineSpec] = None,
-        sampling=None,
     ) -> SimulationResult:
         """Return the simulation result of one cell under one scheme.
 
         ``machine`` selects the simulated machine configuration (default:
-        the Table 1 machine); ``sampling`` (a
-        :class:`~repro.pipeline.windowed.SamplingSpec`) requests sampled
-        simulation, cached under its own key.
+        the Table 1 machine).
         """
         build = make_build_job(benchmark, flavour, self.factory)
         trace_job = make_trace_job(build, self.profile.instructions_per_benchmark)
-        job = make_simulate_job(trace_job, scheme, machine, sampling)
+        job = make_simulate_job(trace_job, scheme, machine)
         return self._run_simulation(job)
 
     def _run_simulation(self, job: SimulateJob) -> SimulationResult:
@@ -443,22 +441,17 @@ class ExecutionEngine:
     def _simulate_uncached(self, job: SimulateJob) -> SimulationResult:
         """Run one simulate job (store miss path).
 
-        Sampled jobs run through the windowed driver
-        (:func:`~repro.pipeline.windowed.simulate_windowed`).  With
-        ``checkpoint_every`` configured, every other job runs as a one-lane
-        batch (:meth:`_run_batch`), so all full-run checkpoints have the
-        batch layout; without it, the scalar core runs straight through.
+        With ``checkpoint_every`` configured, the job runs as a one-lane
+        batch (:meth:`_run_batch`), so every checkpoint has the batch
+        layout; without it, the scalar core runs straight through.
         """
-        if job.sampling is None and self._checkpointing():
+        if self._checkpointing():
             return self._run_batch(make_batched_simulate_job([job]))[job.key]
         faults.on_simulate_launch()
         trace = self.collect_trace(job.benchmark, job.flavour)
         core = OutOfOrderCore(config=job.machine.build_config())
         started = perf_counter()
-        if job.sampling is not None:
-            result = self._simulate_windowed(job, core, trace)
-        else:
-            result = core.run(trace, job.scheme.build(), program_name=job.benchmark)
+        result = core.run(trace, job.scheme.build(), program_name=job.benchmark)
         elapsed = perf_counter() - started
         self.stats.simulations_run += 1
         self.stats.simulate_seconds += elapsed
@@ -466,38 +459,22 @@ class ExecutionEngine:
         self._store_result(job, result)
         return result
 
-    def _simulate_windowed(
-        self, job: SimulateJob, core: OutOfOrderCore, trace
-    ) -> SimulationResult:
-        """One sampled simulate job, checkpointed under its own key."""
-        options = self._checkpoint_options(job.key, [job], len(trace), job.sampling)
-        result = simulate_windowed(
-            core,
-            trace,
-            job.scheme.build(),
-            program_name=job.benchmark,
-            sampling=job.sampling,
-            **options,
-        )
-        self._discard_checkpoint(job.key)
-        return result
-
     def _checkpoint_options(
-        self, key: str, jobs: Sequence[SimulateJob], total_rows: int, sampling=None
+        self, key: str, jobs: Sequence[SimulateJob], total_rows: int
     ) -> Dict[str, Any]:
         """Windowing keywords for a checkpointed run stored under ``key``.
 
         Empty unless checkpointing is configured.  Otherwise the run pauses
         every ``checkpoint_every`` rows and persists a checkpoint under
         ``key``, and resumes from the one already there when it matches the
-        run's row count, lane count and sampling mode.
+        run's row count and lane count.
         """
         if not self._checkpointing():
             return {}
         checkpoint: Optional[SimulationCheckpoint] = None
         loaded = self.store.get(CHECKPOINTS, key)
         if isinstance(loaded, SimulationCheckpoint) and loaded.matches(
-            total_rows, sampling, len(jobs)
+            total_rows, len(jobs)
         ):
             checkpoint = loaded
             self.stats.checkpoints_resumed += len(jobs)
@@ -540,7 +517,7 @@ class ExecutionEngine:
         """Run one cell's simulate jobs, lane-batching where profitable.
 
         Cached jobs are served from the store first and never enter a
-        batch.  When at least two uncached full-run jobs remain, they run
+        batch.  When at least two uncached jobs remain, they run
         as lanes of one batched launch
         (:func:`repro.pipeline.batched.simulate_lanes`) over the cell's
         trace, monolithic or chunked, checkpointed or not; results are
@@ -555,13 +532,10 @@ class ExecutionEngine:
                 results[job.key] = cached
             else:
                 pending.append(job)
-        # Sampled jobs never batch: the lane driver has no warmup machinery.
-        batchable = [job for job in pending if job.sampling is None]
-        if len(batchable) >= 2:
-            results.update(self._run_batch(make_batched_simulate_job(batchable)))
-            pending = [job for job in pending if job.sampling is not None]
-        for job in pending:
-            results[job.key] = self._simulate_uncached(job)
+        if len(pending) >= 2:
+            results.update(self._run_batch(make_batched_simulate_job(pending)))
+        elif pending:
+            results[pending[0].key] = self._simulate_uncached(pending[0])
         return results
 
     def _run_batch(self, batch: BatchedSimulateJob) -> Dict[str, SimulationResult]:

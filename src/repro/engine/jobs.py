@@ -22,10 +22,9 @@ store work across processes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.pipeline.machine import MachineSpec
-from repro.pipeline.windowed import SamplingSpec
 
 #: Binary flavours used by the evaluation.
 BASELINE = "baseline"
@@ -126,13 +125,6 @@ class SimulateJob(JobSpec):
     scheme: SchemeSpec = SchemeSpec(kind="conventional")
     trace_key: str = ""
     machine: MachineSpec = field(default_factory=MachineSpec)
-    #: Sampled-simulation parameters (``None`` = full simulation).  A
-    #: sampled job's key folds the spec in, so approximate results can
-    #: never shadow exact ones in the artifact store.  Sampled jobs run
-    #: one at a time through :func:`~repro.pipeline.windowed.simulate_windowed`
-    #: (the lane driver has no warmup rollback); every full-run job may
-    #: ride in a lane batch, checkpointed or not.
-    sampling: Optional[SamplingSpec] = None
 
 
 @dataclass(frozen=True)

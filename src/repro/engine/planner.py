@@ -30,7 +30,6 @@ from repro.engine.jobs import (
 )
 from repro.engine.store import STORE_FORMAT_VERSION
 from repro.pipeline.machine import MachineSpec
-from repro.pipeline.windowed import SamplingSpec
 
 
 # ----------------------------------------------------------------------
@@ -50,9 +49,6 @@ class CellRequest:
     label: str
     scheme: SchemeSpec
     machine: MachineSpec = field(default_factory=MachineSpec)
-    #: Sampled-simulation spec (``None`` = full simulation; see
-    #: :class:`~repro.pipeline.windowed.SamplingSpec`).
-    sampling: Optional[SamplingSpec] = None
 
 
 @dataclass
@@ -204,33 +200,25 @@ def make_simulate_job(
     trace: TraceJob,
     scheme: SchemeSpec,
     machine: Optional[MachineSpec] = None,
-    sampling: Optional[SamplingSpec] = None,
     keys: Optional[KeySplicer] = None,
 ) -> SimulateJob:
     """The timing-simulation job replaying ``trace`` under ``scheme`` on
     ``machine`` (default: the Table 1 machine).  The key folds in the trace
-    key, the scheme token and the machine's config token — plus, for sampled
-    jobs only, the sampling spec: a full simulation's key is unchanged, and
-    an approximate (sampled) result can never be served where an exact one
-    was requested, or vice versa."""
+    key, the scheme token and the machine's config token."""
     machine = machine if machine is not None else MachineSpec()
     keys = keys or artifact_keys()
-    texts = [
-        keys.part("result"),
-        keys.part(trace.key),
-        keys.part(scheme, SchemeSpec.token),
-        keys.part(machine_fingerprint(machine)),
-    ]
-    if sampling is not None:
-        texts.append(keys.part(sampling, SamplingSpec.token))
     return SimulateJob(
-        key=keys.hash(*texts),
+        key=keys.hash(
+            keys.part("result"),
+            keys.part(trace.key),
+            keys.part(scheme, SchemeSpec.token),
+            keys.part(machine_fingerprint(machine)),
+        ),
         benchmark=trace.benchmark,
         flavour=trace.flavour,
         scheme=scheme,
         trace_key=trace.key,
         machine=machine,
-        sampling=sampling,
     )
 
 
@@ -318,9 +306,7 @@ def plan(
                 graph.builds.setdefault(build.key, build)
                 trace = traces[cell] = make_trace_job(build, instructions, keys)
                 graph.traces.setdefault(trace.key, trace)
-            simulate = make_simulate_job(
-                trace, request.scheme, request.machine, request.sampling, keys
-            )
+            simulate = make_simulate_job(trace, request.scheme, request.machine, keys)
             graph.simulations.setdefault(simulate.key, simulate)
             table[(request.benchmark, request.label)] = simulate.key
     return graph

@@ -65,7 +65,7 @@ STORE_FORMAT_VERSION = 2
 DIGEST_BYTES = hashlib.sha256().digest_size
 
 #: Artifact kinds, in build order.  Checkpoints are mid-simulation resume
-#: snapshots (windowed runs; see :mod:`repro.pipeline.windowed`) — transient
+#: snapshots (windowed runs; see :mod:`repro.pipeline.batched`) — transient
 #: by design: the engine discards a job's checkpoint once its result lands.
 BINARIES = "binaries"
 TRACES = "traces"

@@ -112,13 +112,7 @@ def static_oracle_accuracy(result: SimulationResult) -> float:
     A full result records the actual outcome of every conditional branch
     of its trace, so the oracle needs no trace (see
     :meth:`~repro.stats.accuracy.BranchAccuracy.static_oracle_accuracy`).
-    A sampled result saw only its measured windows and is rejected.
     """
-    if result.sampled:
-        raise ValueError(
-            f"{result.program_name}: the static oracle needs a full simulation, "
-            "not a sampled one"
-        )
     return result.accuracy.static_oracle_accuracy()
 
 

@@ -6,8 +6,8 @@ studies, Table 4 idealization ladders, the scheme shootout) simulate the
 module runs all cells of one trace — a
 :class:`~repro.emulator.tracepack.TracePack` or a segmented
 :class:`~repro.emulator.tracepack.ChunkedTracePack` — as *lanes* of a single
-batched job, and it is the one driver of full-trace windowed runs
-(checkpoint/resume); a lone cell is a one-lane batch.
+batched job, and it is the one driver of windowed runs (checkpoint/resume);
+a lone cell is a one-lane batch (:func:`simulate_windowed`).
 
 * **Shared, once per segment span** — the span's column decode (one
   ``tolist`` per column), the per-static-instruction decode records,
@@ -73,9 +73,9 @@ sets, windows and chunkings; any change here must keep them green.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.emulator.tracepack import PackCursor
+from repro.emulator.tracepack import ChunkedTracePack, PackCursor, TracePack
 from repro.log import get_logger
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import PipelineConfig
@@ -89,17 +89,14 @@ from repro.pipeline.core import (
 )
 from repro.pipeline.scheme_api import BranchHandlingScheme, overridden_hooks
 
-if TYPE_CHECKING:
-    from repro.pipeline.windowed import SamplingSpec
-
 _log = get_logger(__name__)
 
 #: Bump when the pickled checkpoint layout changes; a mismatched checkpoint
 #: is ignored (the run restarts from row zero) rather than mis-restored.
 #: Version 9 moves the cache and TLB tags from each lane's state to the
 #: batch's memory walkers, and gives each lane its own MSHRs, write buffer
-#: and load/store queues.
-CHECKPOINT_VERSION = 9
+#: and load/store queues; version 10 drops the interval-run spec field.
+CHECKPOINT_VERSION = 10
 
 
 @dataclass
@@ -113,30 +110,24 @@ class SimulationCheckpoint:
     reads; the three are pickled as one object graph, so a source or a
     walker shared by several lanes, or a source that is a lane's own
     scheme, is still shared after a restore.
-    ``sampling`` is the run's
-    :class:`~repro.pipeline.windowed.SamplingSpec` (``None`` for a full
-    run).  ``rows_done`` / ``total_rows`` locate the snapshot within the
+    ``rows_done`` / ``total_rows`` locate the snapshot within the
     trace; checkpoints are only taken at window boundaries.
     """
 
     version: int
     rows_done: int
     total_rows: int
-    sampling: Optional["SamplingSpec"]
     states: List[_LoopState]
     sources: List[Optional[BranchHandlingScheme]]
     walkers: List[MemoryWalker]
 
-    def matches(
-        self, total_rows: int, sampling: Optional["SamplingSpec"] = None, lanes: int = 1
-    ) -> bool:
+    def matches(self, total_rows: int, lanes: int = 1) -> bool:
         """True when this checkpoint can resume a run of ``lanes`` lanes over
-        ``total_rows`` rows in the same sampling mode."""
+        ``total_rows`` rows."""
         return (
             self.version == CHECKPOINT_VERSION
             and self.total_rows == total_rows
             and 0 < self.rows_done <= total_rows
-            and self.sampling == sampling
             and len(self.states) == len(self.sources) == len(self.walkers) == lanes
             and all(isinstance(state, _LoopState) for state in self.states)
         )
@@ -145,20 +136,17 @@ class SimulationCheckpoint:
 def resumable(
     checkpoint: Optional[SimulationCheckpoint],
     total_rows: int,
-    sampling: Optional["SamplingSpec"] = None,
     lanes: int = 1,
 ) -> Optional[SimulationCheckpoint]:
     """``checkpoint`` when it matches the run, else ``None`` (with a warning
     when one was given: the run restarts from row zero)."""
-    if checkpoint is None or checkpoint.matches(total_rows, sampling, lanes):
+    if checkpoint is None or checkpoint.matches(total_rows, lanes):
         return checkpoint
-    # Read with getattr: a checkpoint of an older layout lacks new fields.
     _log.warning(
-        "ignoring incompatible checkpoint (version %s, %s/%s rows, sampling %s)",
+        "ignoring incompatible checkpoint (version %s, %s/%s rows)",
         checkpoint.version,
         checkpoint.rows_done,
         checkpoint.total_rows,
-        getattr(checkpoint, "sampling", None),
     )
     return None
 
@@ -311,7 +299,7 @@ def simulate_lanes(
     ``window_rows`` sets the checkpoint cadence: ``on_checkpoint`` receives
     one :class:`SimulationCheckpoint` of all lanes after each completed
     window but the last.  ``checkpoint`` resumes mid-trace; one of another
-    run shape (row count, lane count, sampling) is ignored with a warning.
+    run shape (row count, lane count) is ignored with a warning.
     An empty trace raises ``ValueError``, as in the scalar engine.
     """
     # Every lane has the Table 1 hierarchy, so one walker walks it for all.
@@ -351,7 +339,7 @@ def run_lanes(
     if window < 1:
         raise ValueError(f"window_rows must be positive, got {window}")
 
-    checkpoint = resumable(checkpoint, total, None, len(cores))
+    checkpoint = resumable(checkpoint, total, len(cores))
     if checkpoint is not None:
         states, sources = checkpoint.states, checkpoint.sources
         walkers = checkpoint.walkers
@@ -374,7 +362,6 @@ def run_lanes(
                     version=CHECKPOINT_VERSION,
                     rows_done=rows_done,
                     total_rows=total,
-                    sampling=None,
                     states=states,
                     sources=sources,
                     walkers=walkers,
@@ -388,3 +375,47 @@ def run_lanes(
             state.scheme.accuracy = source.accuracy.copy()
         results.append(core._finalize(state, program_name, walker))
     return results
+
+
+def simulate_windowed(
+    core: OutOfOrderCore,
+    trace,
+    scheme: BranchHandlingScheme,
+    program_name: str = "program",
+    *,
+    window_rows: Optional[int] = None,
+    checkpoint: Optional[SimulationCheckpoint] = None,
+    on_checkpoint: Optional[Callable[[SimulationCheckpoint], None]] = None,
+) -> SimulationResult:
+    """Run ``trace`` under ``scheme`` on ``core`` in windows: the one-lane
+    case of :func:`run_lanes`.
+
+    ``window_rows`` sets the checkpoint cadence (``on_checkpoint`` receives
+    one :class:`SimulationCheckpoint` after each completed window but the
+    last); ``checkpoint`` — typically loaded from the artifact store —
+    resumes mid-trace, and one of another row count is ignored with a
+    warning.
+
+    Raises :class:`TypeError` when ``trace`` is not a
+    :class:`~repro.emulator.tracepack.TracePack` or
+    :class:`~repro.emulator.tracepack.ChunkedTracePack`, and
+    :class:`ValueError` when ``core`` is the reference core
+    (``optimized=False``), which has no windowed fold, or when the trace
+    is empty.
+    """
+    if not isinstance(trace, (TracePack, ChunkedTracePack)):
+        raise TypeError(
+            "windowed simulation needs a TracePack or ChunkedTracePack, "
+            f"got {type(trace).__name__}"
+        )
+    if not core.optimized:
+        raise ValueError("windowed simulation needs a core built with optimized=True")
+    return run_lanes(
+        trace,
+        [core],
+        lambda: [scheme],
+        program_name,
+        window_rows=window_rows,
+        checkpoint=checkpoint,
+        on_checkpoint=on_checkpoint,
+    )[0]

@@ -34,7 +34,6 @@ class PipelineConfig:
     fetch_width: int = 6
     bundles_per_fetch: int = 2
     bundle_slots: int = 3
-    decode_latency: int = 1
     rename_width: int = 6
     #: pipeline depth between fetch and rename (the paper's eight-stage core
     #: has two front-end stages between them: decode and the rename itself).

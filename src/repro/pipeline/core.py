@@ -57,14 +57,6 @@ class SimulationResult:
     metrics: PipelineMetrics
     accuracy: BranchAccuracy
     uops: Optional[List[Uop]] = field(default=None, repr=False)
-    #: Set by the windowed runner when the run was *sampled* (a
-    #: :class:`repro.pipeline.windowed.SamplingSpec`): the metrics cover
-    #: only the measured windows, so result tables must flag them.
-    sampling: Optional[object] = None
-
-    @property
-    def sampled(self) -> bool:
-        return self.sampling is not None
 
     @property
     def ipc(self) -> float:
@@ -475,15 +467,14 @@ class _LoopState:
     in a single blob, so the shared-identity invariant the loop relies on
     (each ``slot_table`` entry *is* the functional-unit pool's next-free
     list of that unit) survives a checkpoint/restore round trip via the
-    pickle memo.  ``sampled_cycles`` accumulates measured-window cycle
-    deltas when sampling is active (``None`` for full runs); the resume
-    point is the checkpoint's, not the state's.  ``-1`` marks "no pending
-    redirect".  The memory hierarchy's tags are not here: the lane's
-    :class:`MemoryWalker` holds them, shared with every lane of its batch,
-    and ``mem_lane`` holds this lane's MSHRs and write buffer.
+    pickle memo.  The resume point is the checkpoint's, not the state's.
+    ``-1`` marks "no pending redirect".  The memory hierarchy's tags are not
+    here: the lane's :class:`MemoryWalker` holds them, shared with every
+    lane of its batch, and ``mem_lane`` holds this lane's MSHRs and write
+    buffer.
     """
 
-    #: The integer metric accumulators (snapshotted around sampling warmup).
+    #: The integer metric accumulators.
     COUNTER_SLOTS = (
         "n_insts",
         "n_executed",
@@ -518,15 +509,7 @@ class _LoopState:
         "cm_cycle",
         "cm_used",
         "last_commit",
-        "sampled_cycles",
     ) + COUNTER_SLOTS
-
-    def counter_snapshot(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in self.COUNTER_SLOTS}
-
-    def restore_counters(self, snapshot: Dict[str, int]) -> None:
-        for name, value in snapshot.items():
-            setattr(self, name, value)
 
 
 class OutOfOrderCore:
@@ -615,7 +598,6 @@ class OutOfOrderCore:
             # ----------------------------------------------------- fetch
             uop.fetch_cycle = fetch.fetch(dyn)
             scheme.on_fetch(dyn, uop.fetch_cycle)
-            uop.decode_cycle = uop.fetch_cycle + cfg.decode_latency
 
             # ---------------------------------------------------- rename
             queue = self._queue_resource(inst, int_queue, fp_queue, branch_queue)
@@ -719,7 +701,6 @@ class OutOfOrderCore:
         state.last_commit = 0
         for name in _LoopState.COUNTER_SLOTS:
             setattr(state, name, 0)
-        state.sampled_cycles = None
         return state
 
     def _run_rows(
@@ -1093,9 +1074,7 @@ class OutOfOrderCore:
         metrics.cancelled_at_rename = state.n_cancelled
         metrics.conservative_predicated = state.n_conservative
         metrics.assume_true_predicated = state.n_assume_true
-        metrics.cycles = (
-            state.last_commit if state.sampled_cycles is None else state.sampled_cycles
-        )
+        metrics.cycles = state.last_commit
         # The walk made every access but the lane's re-fetches.
         metrics.memory_stats = walker.memory.statistics(fetch_hits=state.refetches)
         issue_counts = state.fus.issue_counts
@@ -1280,7 +1259,6 @@ class OutOfOrderCore:
                 uop.predicate_flush = True
                 resume = handling.flush_discovery_cycle + cfg.predicate_mispredict_penalty
                 uop.fetch_cycle = fetch.refetch_current(dyn, resume)
-                uop.decode_cycle = uop.fetch_cycle + cfg.decode_latency
                 queue = self._queue_resource(inst, int_queue, fp_queue, None)
                 uop.rename_cycle = self._rename_cycle(uop, rob, lsu, rename_slots, queue)
                 decision = RenameDecision.CONSERVATIVE

@@ -37,7 +37,6 @@ class Uop:
     __slots__ = (
         "dyn",
         "fetch_cycle",
-        "decode_cycle",
         "rename_cycle",
         "dispatch_cycle",
         "ready_cycle",
@@ -54,7 +53,6 @@ class Uop:
     def __init__(self, dyn: DynInst) -> None:
         self.dyn = dyn
         self.fetch_cycle: int = 0
-        self.decode_cycle: int = 0
         self.rename_cycle: int = 0
         self.dispatch_cycle: int = 0
         self.ready_cycle: int = 0

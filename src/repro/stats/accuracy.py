@@ -37,9 +37,6 @@ def _table(predicate) -> bytes:
 _TAKEN = _table(lambda f: bool(f & ACTUAL))
 _MISPREDICTED = _table(lambda f: bool(f & ACTUAL) != bool(f & PREDICTED))
 _EARLY_RESOLVED = _table(lambda f: bool(f & EARLY))
-_OVERRIDDEN = _table(
-    lambda f: bool(f & HAS_FETCH) and bool(f & FETCH) != bool(f & PREDICTED)
-)
 
 
 @dataclass
@@ -105,17 +102,6 @@ class BranchAccuracy:
         if predicted != actual:
             self.mispredictions += 1
         self.flags.append(flags)
-
-    def truncate(self, length: int) -> None:
-        """Drop every branch after the first ``length`` (a rollback)."""
-        tail = self.flags[length:]
-        if not tail:
-            return
-        self.mispredictions -= tail.translate(_MISPREDICTED).count(1)
-        self.early_resolved_count -= tail.translate(_EARLY_RESOLVED).count(1)
-        self.override_count -= tail.translate(_OVERRIDDEN).count(1)
-        del self.pcs[length:]
-        del self.flags[length:]
 
     def copy(self) -> "BranchAccuracy":
         """An independent copy (the columns are copied at C level)."""

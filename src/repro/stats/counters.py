@@ -29,15 +29,6 @@ class CounterSet:
         for name, value in other.items():
             self._counters[name] += value
 
-    def snapshot(self) -> Dict[str, int]:
-        """A copy of every counter, for a later :meth:`restore`."""
-        return dict(self._counters)
-
-    def restore(self, snapshot: Dict[str, int]) -> None:
-        """Reset every counter to the values of ``snapshot``."""
-        self._counters.clear()
-        self._counters.update(snapshot)
-
     def items(self) -> Iterator[Tuple[str, int]]:
         return iter(sorted(self._counters.items()))
 

@@ -136,11 +136,6 @@ def render_sweep(run: SweepRun) -> str:
         f"{len(scenario.schemes)} schemes x {len(run.spec.benchmarks())} benchmarks "
         f"= {run.spec.cell_count()} simulations",
     ]
-    if scenario.sampling is not None:
-        lines.append(
-            f"sampling        SAMPLED — {scenario.sampling.describe()}; "
-            "all numbers below are approximations of a full simulation"
-        )
     for axis in scenario.axes:
         lines.append("")
         lines.extend(_axis_section(run, axis))

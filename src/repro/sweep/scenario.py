@@ -11,9 +11,6 @@ A scenario file (TOML or JSON) has three sections::
     instructions = 12000            # optional fetched-instruction budget
     schemes = ["conventional", "predicate"]   # optional, default the
     #   paper's trio; "predicate-aware" and "wish" may also be requested
-    sampling = "4:4096:512"         # optional sampled simulation:
-    #   interval[:window[:warmup]] — simulate every 4th 4096-row window
-    #   after a 512-row warmup; results are approximate and flagged
 
     [base.pipeline]                 # optional fixed machine overrides,
     # fetch_width = 6               # applied to every point of the grid
@@ -57,7 +54,6 @@ except ImportError:  # pragma: no cover - exercised only on 3.10
 
 from repro.engine.jobs import FLAVOURS, IF_CONVERTED
 from repro.pipeline.machine import MachineSpec, overridable_fields
-from repro.pipeline.windowed import SamplingSpec
 
 
 class ScenarioError(ValueError):
@@ -82,7 +78,6 @@ _SCENARIO_KEYS = {
     "flavour",
     "instructions",
     "schemes",
-    "sampling",
 }
 
 #: Default fetched-instruction budget of a sweep point: large enough for
@@ -118,9 +113,6 @@ class Scenario:
     flavour: str = IF_CONVERTED
     instructions: int = DEFAULT_INSTRUCTIONS
     schemes: Tuple[str, ...] = PAPER_SCHEME_KINDS
-    #: Sampled-simulation spec (``None`` = full simulation).  Sampled sweep
-    #: results are approximate and flagged as such in reports.
-    sampling: "SamplingSpec | None" = None
     base: MachineSpec = field(default_factory=MachineSpec)
     axes: Tuple[Axis, ...] = ()
 
@@ -342,19 +334,6 @@ def parse_scenario(data: Mapping[str, Any], source: str = "<scenario>") -> Scena
             f"{source}: 'instructions' must be a positive integer, got {instructions!r}"
         )
 
-    sampling = None
-    raw_sampling = header.get("sampling")
-    if raw_sampling is not None:
-        if not isinstance(raw_sampling, str):
-            raise ScenarioError(
-                f"{source}: 'sampling' must be an 'interval[:window[:warmup]]' "
-                f"string, got {raw_sampling!r}"
-            )
-        try:
-            sampling = SamplingSpec.parse(raw_sampling)
-        except ValueError as error:
-            raise ScenarioError(f"{source}: {error}") from None
-
     base_section = _require_mapping(data.get("base", {}), f"{source}: [base]")
     unknown = set(base_section) - {"pipeline"}
     if unknown:
@@ -426,7 +405,6 @@ def parse_scenario(data: Mapping[str, Any], source: str = "<scenario>") -> Scena
         flavour=flavour,
         instructions=instructions,
         schemes=schemes,
-        sampling=sampling,
         base=base,
         axes=tuple(axes),
     )

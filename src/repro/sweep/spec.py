@@ -141,7 +141,6 @@ class SweepSpec:
                 label=label,
                 scheme=spec,
                 machine=machine,
-                sampling=self.scenario.sampling,
             )
             for benchmark in self._benchmarks
             for label, spec, machine in cells

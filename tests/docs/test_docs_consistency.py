@@ -8,8 +8,11 @@ subcommand without documenting it fails the suite.  The link check reuses
 
 from __future__ import annotations
 
+import argparse
+import glob
 import importlib.util
 import os
+import re
 
 import pytest
 
@@ -64,6 +67,80 @@ class TestExperimentsDoc:
             text = handle.read()
         for name in builtin_scenario_names():
             assert f"`{name}`" in text, f"built-in scenario {name} undocumented"
+
+
+#: A fenced code block's body, or an inline code span (which may wrap).
+_CODE = re.compile(r"```[^\n]*\n(.*?)```|`([^`\n]+(?:\n[^`\n]+)*)`", re.S)
+#: ``repro`` as a command word (also ``python -m repro``), not ``repro.cli``
+#: or a path component.
+_COMMAND = re.compile(r"(?<![\w./-])repro(?=[ \t])")
+#: Where a documented command line ends: a comment, a pipe, a chain or a
+#: redirection.
+_COMMAND_END = re.compile(r"\s#|\||;|&&|>")
+
+
+def _documented_command_lines():
+    """(file, text after ``repro``) for every command line in the docs."""
+    paths = sorted(glob.glob(os.path.join(DOCS, "**", "*.md"), recursive=True))
+    paths.append(os.path.join(REPO_ROOT, "README.md"))
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        for match in _CODE.finditer(text):
+            if match.group(1) is not None:
+                lines = match.group(1).replace("\\\n", " ").splitlines()
+            else:
+                lines = [match.group(2).replace("\n", " ")]
+            for line in lines:
+                for command in _COMMAND.finditer(line):
+                    rest = line[command.end() :]
+                    yield os.path.relpath(path, REPO_ROOT), _COMMAND_END.split(rest)[0]
+
+
+def _unknown_flags(rest, root, subcommands):
+    """The ``--flag`` tokens of one command line its parser does not accept.
+
+    Flags before the subcommand belong to the top-level parser, flags after
+    it to the subcommand's own parser."""
+    parser, name, unknown = root, "repro", []
+    for token in rest.split():
+        if parser is root and token in subcommands:
+            parser, name = subcommands[token], f"repro {token}"
+        elif token.startswith("--") and len(token) > 2:
+            flag = re.split(r"[=\[]", token.rstrip(".,:)'\""), maxsplit=1)[0]
+            if flag not in parser._option_string_actions:  # noqa: SLF001
+                unknown.append(f"{name} {flag}")
+    return unknown
+
+
+def _subcommands(root):
+    """Subcommand name → its parser."""
+    return next(
+        action.choices
+        for action in root._actions  # noqa: SLF001
+        if isinstance(action, argparse._SubParsersAction)  # noqa: SLF001
+    )
+
+
+class TestDocumentedFlags:
+    def test_every_documented_flag_is_an_option_of_its_command(self):
+        root = build_parser()
+        subcommands = _subcommands(root)
+        failures, checked = [], 0
+        for path, rest in _documented_command_lines():
+            checked += rest.count("--")
+            failures += [f"{path}: {flag}" for flag in _unknown_flags(rest, root, subcommands)]
+        assert checked, "no documented command line carries a flag"
+        assert not failures, f"documented flag(s) the CLI does not accept: {failures}"
+
+    def test_a_flag_of_another_parser_is_reported(self):
+        root = build_parser()
+        unknown = _unknown_flags(
+            "--jobs 2 simulate gzip --scheme wish --sampling 4 --jobs 2",
+            root,
+            _subcommands(root),
+        )
+        assert unknown == ["repro simulate --sampling", "repro simulate --jobs"]
 
 
 class TestWorkloadsDoc:

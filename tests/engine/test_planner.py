@@ -175,9 +175,7 @@ class TestPlanMemo:
         for request in definition.requests:
             build = make_build_job(request.benchmark, request.flavour, factory)
             trace = make_trace_job(build, 1_000)
-            simulate = make_simulate_job(
-                trace, request.scheme, request.machine, request.sampling
-            )
+            simulate = make_simulate_job(trace, request.scheme, request.machine)
             assert graph.builds[build.key] == build
             assert graph.traces[trace.key] == trace
             assert graph.simulations[simulate.key] == simulate
@@ -202,10 +200,9 @@ class TestPlanMemo:
         from repro.engine.planner import machine_fingerprint
         from repro.engine.store import STORE_FORMAT_VERSION
         from repro.pipeline.machine import MachineSpec
-        from repro.pipeline.windowed import SamplingSpec
 
-        sampled = ExperimentDefinition(
-            name="sampled",
+        resized = ExperimentDefinition(
+            name="resized",
             requests=[
                 CellRequest(
                     benchmark="gzip",
@@ -213,7 +210,6 @@ class TestPlanMemo:
                     label="s",
                     scheme=SchemeSpec.make("predicate", split_pvt=True),
                     machine=MachineSpec.make(rob_entries=64),
-                    sampling=SamplingSpec(interval=4, window=200, warmup=50),
                 )
             ],
         )
@@ -222,7 +218,7 @@ class TestPlanMemo:
             figure5_definition(BENCHMARKS),
             figure6_definition(BENCHMARKS),
             idealized_definition(IF_CONVERTED, BENCHMARKS),
-            sampled,
+            resized,
         ]
         graph = plan_graph(definitions, factory)
         prefix = (STORE_FORMAT_VERSION, code_fingerprint())
@@ -234,16 +230,14 @@ class TestPlanMemo:
                 *prefix, "trace", trace.build_key, 1_000, TRACE_FORMAT_VERSION
             )
         for job in graph.simulations.values():
-            parts = [
+            assert job.key == stable_hash(
+                *prefix,
                 "result",
                 job.trace_key,
                 job.scheme.token(),
                 machine_fingerprint(job.machine),
-            ]
-            if job.sampling is not None:
-                parts.append(job.sampling.token())
-            assert job.key == stable_hash(*prefix, *parts)
-        assert sum(job.sampling is not None for job in graph.simulations.values()) == 1
+            )
+        assert sum(not job.machine.is_default() for job in graph.simulations.values()) == 1
 
     def test_a_spec_file_edited_between_plans_gets_a_new_build_key(
         self, tmp_path, factory

@@ -30,6 +30,12 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
+    def test_sampling_option_is_retired(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["simulate", "gzip", "--sampling", "4:4096:512"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --sampling" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_prints_suite(self, capsys):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.emulator.trace import trace_statistics
@@ -16,7 +14,6 @@ from repro.experiments.idealized import (
     static_oracle_accuracy,
 )
 from repro.experiments.setup import ExperimentProfile
-from repro.pipeline.windowed import SamplingSpec
 from repro.workloads.spec_suite import workload_names
 
 PROFILE = ExperimentProfile(
@@ -49,11 +46,3 @@ def test_oracle_from_results_equals_the_trace_oracle(engine, flavour):
         assert outputs[(benchmark, CONVENTIONAL)].accuracy.branches == (
             trace_statistics(trace).conditional_branches
         )
-
-
-def test_sampled_result_is_rejected(engine):
-    definition = idealized_definition(BASELINE, ["gzip"])
-    result = engine.run([definition])[definition.name][("gzip", CONVENTIONAL)]
-    sampled = dataclasses.replace(result, sampling=SamplingSpec(interval=2))
-    with pytest.raises(ValueError, match="full simulation"):
-        static_oracle_accuracy(sampled)

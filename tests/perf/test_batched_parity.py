@@ -34,12 +34,12 @@ from repro.pipeline.batched import (
     LaneSpec,
     _drive_scheme_stream,
     simulate_lanes,
+    simulate_windowed,
     stream_eligible,
     stream_source,
 )
 from repro.pipeline.core import MemoryWalker, OutOfOrderCore, _Rows
 from repro.pipeline.machine import MachineSpec
-from repro.pipeline.windowed import simulate_windowed
 
 INSTRUCTIONS = 2_000
 
@@ -272,7 +272,7 @@ class TestWindowedLanes:
         )
         assert len(blobs) == (len(pack) - 1) // window
         checkpoint = pickle.loads(blobs[int(resume_at * len(blobs))])
-        assert checkpoint.matches(len(pack), None, len(lanes))
+        assert checkpoint.matches(len(pack), len(lanes))
         resumed = simulate_lanes(
             trace, lanes, "gzip", window_rows=window, checkpoint=checkpoint
         )

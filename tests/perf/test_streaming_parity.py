@@ -1,6 +1,6 @@
-"""Streaming-scale differential harness: chunked, windowed, resumed, sampled.
+"""Streaming-scale differential harness: chunked, windowed, resumed.
 
-Four contracts of the streaming trace layer, each tested differentially
+Three contracts of the streaming trace layer, each tested differentially
 against the plain scalar run:
 
 * **Chunked = monolithic** — a trace split into RTP3 segments at *any*
@@ -12,14 +12,9 @@ against the plain scalar run:
   as the artifact store does) and draining the rest reproduces the
   uninterrupted run exactly; at the engine level, a worker killed at a
   checkpoint write is retried and resumes to bit-identical results.
-* **Sampled ≈ full** — sampled simulation is a *documented approximation*:
-  cold predictor/cache state after skipped windows biases IPC downward.
-  The bounds asserted here (and documented in ``docs/internals/traces.md``)
-  are the empirical envelope at interval 2 with 1.5-2x margin.
 
 Hypothesis drives the equalities over random (scheme, machine, window,
-chunking) tuples; the engine tests pin checkpoint lifecycle and the
-sampled-key cache discipline.
+chunking) tuples; the engine tests pin the checkpoint lifecycle.
 """
 
 from __future__ import annotations
@@ -42,17 +37,17 @@ from repro.engine.planner import (
     make_simulate_job,
     make_trace_job,
 )
-from repro.engine.store import CHECKPOINTS, RESULTS
+from repro.engine.store import CHECKPOINTS
 from repro.experiments.setup import ExperimentProfile
-from repro.pipeline.batched import LaneSpec, simulate_lanes
-from repro.pipeline.core import OutOfOrderCore
-from repro.pipeline.machine import MachineSpec
-from repro.pipeline.windowed import (
+from repro.pipeline.batched import (
     CHECKPOINT_VERSION,
-    SamplingSpec,
+    LaneSpec,
     SimulationCheckpoint,
+    simulate_lanes,
     simulate_windowed,
 )
+from repro.pipeline.core import OutOfOrderCore
+from repro.pipeline.machine import MachineSpec
 
 INSTRUCTIONS = 2_000
 
@@ -69,13 +64,6 @@ MACHINES = (
     MachineSpec.make(rob_entries=32),
     MachineSpec.make(rob_entries=128),
 )
-
-#: Documented sampled-simulation error envelope (docs/internals/traces.md):
-#: at interval 2 the empirical worst case over the scheme/benchmark matrix
-#: is ~0.20 relative IPC error and ~5.3 points of misprediction rate; the
-#: asserted bounds carry 1.5x margin.
-SAMPLED_IPC_RELATIVE_BOUND = 0.30
-SAMPLED_MISPREDICT_POINTS_BOUND = 8.0
 
 
 def _profile(instructions=INSTRUCTIONS, benchmarks=("gzip",)):
@@ -279,8 +267,37 @@ class TestWindowedParity:
         )
 
 
+#: Hand-built layouts of older checkpoint versions: the fields each held
+#: besides ``version``, ``rows_done`` and ``total_rows``, taken from a
+#: current checkpoint.  Every other stale version kept today's field names.
+_OLD_LAYOUTS = {
+    # Version 4 held one lane's state under ``state``, with no stream
+    # sources and no run-mode spec.
+    4: lambda current: {"state": current.states[0]},
+    # Version 8 held each lane's own memory hierarchy and load/store unit
+    # in its state, and no memory walkers.
+    8: lambda current: {
+        "sampling": None,
+        "states": current.states,
+        "sources": current.sources,
+    },
+    # Version 9 also carried the interval-run spec (``None`` for a full run).
+    9: lambda current: {
+        "sampling": None,
+        "states": current.states,
+        "sources": current.sources,
+        "walkers": current.walkers,
+    },
+}
+
+
 class TestCheckpointVersion:
     """A checkpoint of another layout version is ignored, never mis-restored."""
+
+    @pytest.fixture(autouse=True)
+    def _propagate(self, monkeypatch):
+        # configure_logging() stops the repro hierarchy at its own handler.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
 
     def _stale_checkpoint(self, pack, scheme_idx, window, version=1):
         blobs = []
@@ -293,170 +310,68 @@ class TestCheckpointVersion:
             on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
         )
         checkpoint = pickle.loads(blobs[len(blobs) // 2])
-        assert checkpoint.version == CHECKPOINT_VERSION == 9
-        checkpoint.version = version
-        return checkpoint
-
-    def test_version_one_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
-        stale = self._stale_checkpoint(pack, 1, 400)
-        assert stale.rows_done > 0 and not stale.matches(len(pack))
-        resumed_at = []
-        result = simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[1].build(),
-            "gzip",
-            window_rows=400,
-            checkpoint=stale,
-            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
-        )
-        assert resumed_at[0] == 400  # the first window was simulated again
-        _assert_result_parity(scalar_reference(1, 0), result, "stale checkpoint")
-
-    def test_version_two_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
-        # Version 2 pickled the per-branch accuracy as one object per
-        # branch; version 3 pickles its columns.
-        stale = self._stale_checkpoint(pack, 0, 300, version=2)
-        assert stale.rows_done > 0 and not stale.matches(len(pack))
-        resumed_at = []
-        result = simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[0].build(),
-            "gzip",
-            window_rows=300,
-            checkpoint=stale,
-            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
-        )
-        assert resumed_at[0] == 300  # the first window was simulated again
-        _assert_result_parity(scalar_reference(0, 0), result, "version-2 checkpoint")
-
-    def test_version_three_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
-        # Version 3 pickled wish with its own copy of the branch predictor
-        # and predicate PPRF entries without their prediction plan.
-        stale = self._stale_checkpoint(pack, 3, 300, version=3)
-        assert stale.rows_done > 0 and not stale.matches(len(pack))
-        resumed_at = []
-        result = simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[3].build(),
-            "gzip",
-            window_rows=300,
-            checkpoint=stale,
-            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
-        )
-        assert resumed_at[0] == 300  # the first window was simulated again
-        _assert_result_parity(scalar_reference(3, 0), result, "version-3 checkpoint")
-
-    def test_version_four_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
-        # Version 4 held one lane's state under ``state``, with no stream
-        # sources and no sampling spec.
-        current = self._stale_checkpoint(pack, 3, 300, version=CHECKPOINT_VERSION)
+        assert checkpoint.version == CHECKPOINT_VERSION == 10
+        if version not in _OLD_LAYOUTS:
+            checkpoint.version = version
+            return checkpoint
         stale = SimulationCheckpoint.__new__(SimulationCheckpoint)
         stale.__dict__.update(
-            version=4,
-            rows_done=current.rows_done,
-            total_rows=current.total_rows,
-            state=current.states[0],
+            version=version,
+            rows_done=checkpoint.rows_done,
+            total_rows=checkpoint.total_rows,
+            **_OLD_LAYOUTS[version](checkpoint),
         )
-        stale = pickle.loads(pickle.dumps(stale))
-        assert stale.rows_done > 0 and not stale.matches(len(pack))
-        resumed_at = []
-        result = simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[3].build(),
-            "gzip",
-            window_rows=300,
-            checkpoint=stale,
-            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
-        )
-        assert resumed_at[0] == 300  # the first window was simulated again
-        _assert_result_parity(scalar_reference(3, 0), result, "version-4 checkpoint")
+        return pickle.loads(pickle.dumps(stale))
 
-    def test_version_five_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
-        # Version 5 pickled caches whose sets kept the most recently used
-        # block last and TLBs holding their pages in a list.
-        stale = self._stale_checkpoint(pack, 2, 300, version=5)
+    @pytest.mark.parametrize(
+        "version, scheme_idx, window",
+        [
+            pytest.param(1, 1, 400, id="v1"),
+            # Version 2 pickled the per-branch accuracy as one object per
+            # branch; version 3 pickles its columns.
+            pytest.param(2, 0, 300, id="v2"),
+            # Version 3 pickled wish with its own copy of the branch
+            # predictor and predicate PPRF entries without their prediction
+            # plan.
+            pytest.param(3, 3, 300, id="v3"),
+            pytest.param(4, 3, 300, id="v4-layout"),
+            # Version 5 pickled caches whose sets kept the most recently used
+            # block last and TLBs holding their pages in a list.
+            pytest.param(5, 2, 300, id="v5"),
+            # Version 6 pickled perceptron weights as flat lists of small
+            # ints, counters as int lists and no first-level prediction
+            # histories.
+            pytest.param(6, 1, 300, id="v6"),
+            # Version 7 pickled the history registers' token deques, the
+            # predictors' PC memos and the conventional scheme's two levels
+            # inside one override predictor.
+            pytest.param(7, 0, 300, id="v7"),
+            pytest.param(8, 1, 300, id="v8-layout"),
+            pytest.param(9, 4, 300, id="v9-layout"),
+        ],
+    )
+    def test_stale_checkpoint_restarts_from_row_zero(
+        self, pack, scalar_reference, caplog, version, scheme_idx, window
+    ):
+        stale = self._stale_checkpoint(pack, scheme_idx, window, version)
+        assert stale.version == version
         assert stale.rows_done > 0 and not stale.matches(len(pack))
         resumed_at = []
-        result = simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[2].build(),
-            "gzip",
-            window_rows=300,
-            checkpoint=stale,
-            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            result = simulate_windowed(
+                OutOfOrderCore(),
+                pack,
+                SCHEME_SPECS[scheme_idx].build(),
+                "gzip",
+                window_rows=window,
+                checkpoint=stale,
+                on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+            )
+        assert resumed_at[0] == window  # the first window was simulated again
+        assert "ignoring incompatible checkpoint" in caplog.text
+        _assert_result_parity(
+            scalar_reference(scheme_idx, 0), result, f"version-{version} checkpoint"
         )
-        assert resumed_at[0] == 300  # the first window was simulated again
-        _assert_result_parity(scalar_reference(2, 0), result, "version-5 checkpoint")
-
-    def test_version_six_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
-        # Version 6 pickled perceptron weights as flat lists of small ints,
-        # counters as int lists and no first-level prediction histories.
-        stale = self._stale_checkpoint(pack, 1, 300, version=6)
-        assert stale.rows_done > 0 and not stale.matches(len(pack))
-        resumed_at = []
-        result = simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[1].build(),
-            "gzip",
-            window_rows=300,
-            checkpoint=stale,
-            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
-        )
-        assert resumed_at[0] == 300  # the first window was simulated again
-        _assert_result_parity(scalar_reference(1, 0), result, "version-6 checkpoint")
-
-    def test_version_seven_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
-        # Version 7 pickled the history registers' token deques, the
-        # predictors' PC memos and the conventional scheme's two levels
-        # inside one override predictor.
-        stale = self._stale_checkpoint(pack, 0, 300, version=7)
-        assert stale.rows_done > 0 and not stale.matches(len(pack))
-        resumed_at = []
-        result = simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[0].build(),
-            "gzip",
-            window_rows=300,
-            checkpoint=stale,
-            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
-        )
-        assert resumed_at[0] == 300  # the first window was simulated again
-        _assert_result_parity(scalar_reference(0, 0), result, "version-7 checkpoint")
-
-    def test_version_eight_checkpoint_restarts_from_row_zero(self, pack, scalar_reference):
-        # Version 8 held each lane's own memory hierarchy and load/store
-        # unit in its state, and no memory walkers.
-        current = self._stale_checkpoint(pack, 1, 300, version=CHECKPOINT_VERSION)
-        stale = SimulationCheckpoint.__new__(SimulationCheckpoint)
-        stale.__dict__.update(
-            version=8,
-            rows_done=current.rows_done,
-            total_rows=current.total_rows,
-            sampling=None,
-            states=current.states,
-            sources=current.sources,
-        )
-        stale = pickle.loads(pickle.dumps(stale))
-        assert stale.rows_done > 0 and not stale.matches(len(pack))
-        resumed_at = []
-        result = simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[1].build(),
-            "gzip",
-            window_rows=300,
-            checkpoint=stale,
-            on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
-        )
-        assert resumed_at[0] == 300  # the first window was simulated again
-        _assert_result_parity(scalar_reference(1, 0), result, "version-8 checkpoint")
 
     def test_engine_does_not_resume_a_version_one_checkpoint(self, pack, tmp_path):
         profile = _profile()
@@ -478,134 +393,9 @@ class TestCheckpointVersion:
         assert store.usage()[CHECKPOINTS]["count"] == 0
 
 
-class TestSamplingModeCheckpoints:
-    """A checkpoint records its sampling spec and resumes only a run of the
-    same mode; one of the other mode restarts from row zero."""
-
-    SAMPLING = SamplingSpec(interval=2, window=256, warmup=64)
-
-    def _checkpoint(self, pack, sampling):
-        blobs = []
-        simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[1].build(),
-            "gzip",
-            window_rows=256,
-            sampling=sampling,
-            on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
-        )
-        checkpoint = pickle.loads(blobs[len(blobs) // 2])
-        assert checkpoint.sampling == sampling and checkpoint.rows_done > 0
-        return checkpoint
-
-    @pytest.fixture(autouse=True)
-    def _propagate(self, monkeypatch):
-        # configure_logging() stops the repro hierarchy at its own handler.
-        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-
-    def _resume(self, pack, checkpoint, sampling, caplog):
-        resumed_at = []
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            result = simulate_windowed(
-                OutOfOrderCore(),
-                pack,
-                SCHEME_SPECS[1].build(),
-                "gzip",
-                window_rows=256,
-                sampling=sampling,
-                checkpoint=checkpoint,
-                on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
-            )
-        assert resumed_at[0] == 256  # the first window was simulated again
-        assert "ignoring incompatible checkpoint" in caplog.text
-        return result
-
-    def test_full_run_ignores_a_sampled_checkpoint(self, pack, scalar_reference, caplog):
-        checkpoint = self._checkpoint(pack, self.SAMPLING)
-        assert not checkpoint.matches(len(pack))
-        result = self._resume(pack, checkpoint, None, caplog)
-        assert result.sampling is None
-        _assert_result_parity(scalar_reference(1, 0), result, "sampled checkpoint")
-
-    def test_sampled_run_ignores_a_full_checkpoint(self, pack, caplog):
-        checkpoint = self._checkpoint(pack, None)
-        assert not checkpoint.matches(len(pack), self.SAMPLING)
-        expected = simulate_windowed(
-            OutOfOrderCore(), pack, SCHEME_SPECS[1].build(), "gzip", sampling=self.SAMPLING
-        )
-        result = self._resume(pack, checkpoint, self.SAMPLING, caplog)
-        assert result.sampling == self.SAMPLING
-        _assert_result_parity(expected, result, "full checkpoint")
-
-    def test_sampled_run_resumes_its_own_checkpoint(self, pack):
-        checkpoint = self._checkpoint(pack, self.SAMPLING)
-        assert checkpoint.matches(len(pack), self.SAMPLING)
-        expected = simulate_windowed(
-            OutOfOrderCore(), pack, SCHEME_SPECS[1].build(), "gzip", sampling=self.SAMPLING
-        )
-        result = simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[1].build(),
-            "gzip",
-            sampling=self.SAMPLING,
-            checkpoint=checkpoint,
-        )
-        _assert_result_parity(expected, result, "sampled resume")
-
-
-class TestSampledApproximation:
-    @pytest.mark.parametrize("scheme_idx", range(len(SCHEME_SPECS)))
-    def test_sampled_within_documented_error_bound(
-        self, pack, scalar_reference, scheme_idx
-    ):
-        full = scalar_reference(scheme_idx, 0)
-        sampling = SamplingSpec(interval=2, window=512, warmup=128)
-        sampled = simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[scheme_idx].build(),
-            "gzip",
-            sampling=sampling,
-        )
-        # The result is flagged, and only measured rows reach the counters.
-        assert sampled.sampling == sampling
-        assert (
-            sampled.metrics.committed_instructions
-            < full.metrics.committed_instructions
-        )
-        relative = abs(sampled.metrics.ipc - full.metrics.ipc) / full.metrics.ipc
-        assert relative < SAMPLED_IPC_RELATIVE_BOUND, (
-            sampled.metrics.ipc,
-            full.metrics.ipc,
-        )
-        points = 100.0 * abs(
-            sampled.accuracy.misprediction_rate - full.accuracy.misprediction_rate
-        )
-        assert points < SAMPLED_MISPREDICT_POINTS_BOUND, (
-            sampled.accuracy.misprediction_rate,
-            full.accuracy.misprediction_rate,
-        )
-
-    def test_interval_one_is_bit_identical(self, pack, scalar_reference):
-        """interval=1 degenerates to a full windowed run — exact, not approximate."""
-        result = simulate_windowed(
-            OutOfOrderCore(),
-            pack,
-            SCHEME_SPECS[0].build(),
-            "gzip",
-            sampling=SamplingSpec(interval=1, window=256),
-        )
-        expected = scalar_reference(0, 0)
-        assert result.metrics.summary() == expected.metrics.summary()
-        assert result.metrics.cycles == expected.metrics.cycles
-        assert result.sampling is not None
-
-
 class TestWindowedInputs:
     """The windowed driver rejects what it cannot window, never silently
-    running straight through without the requested sampling/checkpoints."""
+    running straight through without the requested checkpoints."""
 
     def test_object_trace_rejected(self, pack):
         with pytest.raises(TypeError, match="TracePack"):
@@ -614,7 +404,7 @@ class TestWindowedInputs:
                 pack.to_dyninsts(),
                 SCHEME_SPECS[0].build(),
                 "gzip",
-                sampling=SamplingSpec(interval=2, window=256),
+                window_rows=256,
             )
 
     def test_reference_core_rejected(self, pack):
@@ -780,8 +570,8 @@ class TestEngineCheckpointing:
             on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
         )
         checkpoint = pickle.loads(blobs[0])
-        assert checkpoint.matches(len(pack), None, 2)
-        assert not checkpoint.matches(len(pack), None, 1)
+        assert checkpoint.matches(len(pack), 2)
+        assert not checkpoint.matches(len(pack), 1)
         store.put(CHECKPOINTS, pair.key, checkpoint)
         # Even under the wish-only key, a two-lane checkpoint is refused.
         store.put(CHECKPOINTS, wish_only.key, checkpoint)
@@ -809,40 +599,3 @@ class TestEngineCheckpointing:
         assert engine.stats.checkpoints_resumed == 0
         assert "checkpoints" in engine.stats.render()
         assert store.usage()[CHECKPOINTS]["count"] == 0
-
-    def test_sampled_results_live_under_their_own_key(self, tmp_path):
-        profile = _profile()
-        engine = ExecutionEngine(
-            profile, store=ArtifactStore(str(tmp_path / "cache"))
-        )
-        sampling = SamplingSpec(interval=2, window=256, warmup=64)
-        full = engine.simulate("gzip", IF_CONVERTED, SCHEME_SPECS[0])
-        sampled = engine.simulate(
-            "gzip", IF_CONVERTED, SCHEME_SPECS[0], sampling=sampling
-        )
-        assert sampled.sampling == sampling
-        assert sampled.metrics.summary() != full.metrics.summary()
-        assert engine.store.usage()[RESULTS]["count"] == 2
-
-        # A fresh engine over the same store serves each request its own
-        # artifact — the sampled approximation can never shadow the exact one.
-        reload_engine = ExecutionEngine(profile, store=engine.store)
-        assert (
-            reload_engine.simulate(
-                "gzip", IF_CONVERTED, SCHEME_SPECS[0]
-            ).metrics.summary()
-            == full.metrics.summary()
-        )
-        assert reload_engine.stats.simulations_run == 0
-
-    def test_sampling_folds_into_the_job_key_only_when_set(self):
-        engine = ExecutionEngine(_profile(), store=None)
-        build = make_build_job("gzip", IF_CONVERTED, engine.factory)
-        trace = make_trace_job(build, INSTRUCTIONS)
-        bare = make_simulate_job(trace, SCHEME_SPECS[0])
-        sampled = make_simulate_job(
-            trace, SCHEME_SPECS[0], None, SamplingSpec(interval=2)
-        )
-        assert bare.key != sampled.key
-        # Absent sampling leaves the historical key unchanged.
-        assert bare.key == make_simulate_job(trace, SCHEME_SPECS[0], None, None).key

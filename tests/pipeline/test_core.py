@@ -7,9 +7,8 @@ from repro.core.predicate_scheme import PredicateSchemeOptions
 from repro.emulator import Emulator
 from repro.emulator.tracepack import TracePack
 from repro.pipeline import OutOfOrderCore, PipelineConfig
-from repro.pipeline.batched import LaneSpec, simulate_lanes
+from repro.pipeline.batched import LaneSpec, simulate_lanes, simulate_windowed
 from repro.pipeline.uop import RenameDecision
-from repro.pipeline.windowed import SamplingSpec, simulate_windowed
 
 
 def _run(program, scheme=None, budget=2_000, config=None, keep_uops=True):
@@ -24,7 +23,7 @@ class TestTimestampInvariants:
         program, _ = counting_loop
         result = _run(program)
         for uop in result.uops:
-            assert uop.fetch_cycle <= uop.decode_cycle <= uop.rename_cycle
+            assert uop.fetch_cycle <= uop.rename_cycle
             assert uop.rename_cycle <= uop.commit_cycle
             if not uop.cancelled:
                 assert uop.issue_cycle <= uop.complete_cycle < uop.commit_cycle
@@ -159,8 +158,8 @@ class TestEmptyTrace:
 
     @pytest.mark.parametrize(
         "options",
-        [{}, {"window_rows": 1}, {"sampling": SamplingSpec(interval=2, window=100)}],
-        ids=["one-window", "windowed", "sampled"],
+        [{}, {"window_rows": 1}],
+        ids=["one-window", "windowed"],
     )
     def test_windowed_kernel_rejects_an_empty_pack(self, options):
         core = OutOfOrderCore()

@@ -1,6 +1,6 @@
 """Checkpointability of every predictor backend.
 
-The windowed-simulation checkpoint (see ``repro.pipeline.windowed``) pickles
+The windowed-simulation checkpoint (see ``repro.pipeline.batched``) pickles
 the whole fast-loop state graph, predictor tables included.  Its contract is
 that a restored predictor continues *bit-identically*: for every backend,
 pickling mid-stream, restoring, and stepping the remainder of a random

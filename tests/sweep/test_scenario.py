@@ -111,6 +111,12 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="unknown \\[scenario\\] key"):
             parse_scenario(minimal_document(benchmark="gzip"))
 
+    def test_a_sampling_key_is_an_unknown_key(self):
+        # Interval-sampled simulation is gone; its key must not be ignored.
+        message = r"unknown \[scenario\] key\(s\) \['sampling'\]"
+        with pytest.raises(ScenarioError, match=message):
+            parse_scenario(minimal_document(sampling="4:4096:512"))
+
     def test_missing_name(self):
         document = minimal_document()
         del document["scenario"]["name"]
