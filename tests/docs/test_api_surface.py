@@ -9,6 +9,7 @@ exports — so surface and reference cannot drift apart.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import os
 import re
@@ -16,6 +17,7 @@ import re
 import pytest
 
 import repro.api as api
+import repro.pipeline.batched as batched
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 API_DOC = os.path.join(REPO_ROOT, "docs", "api.md")
@@ -50,6 +52,27 @@ class TestFacade:
 
     def test_module_docstring_mentions_the_reference(self):
         assert "docs/api.md" in api.__doc__
+
+
+class TestRemovedSurface:
+    """Interval-sampled simulation is gone: an old import fails loudly
+    instead of reaching a second run mode."""
+
+    @pytest.mark.parametrize(
+        "name", ["SamplingSpec", "DEFAULT_WINDOW_ROWS", "DEFAULT_WARMUP_ROWS"]
+    )
+    def test_a_sampling_name_is_not_exported(self, name):
+        assert name not in api.__all__
+        with pytest.raises(AttributeError, match="no attribute"):
+            getattr(api, name)
+        assert not hasattr(batched, name)
+
+    def test_the_windowed_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.pipeline.windowed")
+
+    def test_simulate_windowed_is_the_lane_driver_entry(self):
+        assert api.simulate_windowed is batched.simulate_windowed
 
 
 class TestApiDoc:

@@ -232,6 +232,25 @@ class TestWindowedParity:
             (scheme_idx, window, chunk_rows, checkpoint.rows_done),
         )
 
+    @pytest.mark.parametrize(
+        "scheme_idx",
+        range(len(SCHEME_SPECS)),
+        ids=["conventional", "predicate", "pep-pa", "wish", "predicate-aware", "tage"],
+    )
+    def test_one_window_is_the_full_run(self, pack, scalar_reference, scheme_idx):
+        """Without ``window_rows`` the whole trace is one window: the full
+        run, bit-identical, and no checkpoint is taken."""
+        taken = []
+        result = simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[scheme_idx].build(),
+            "gzip",
+            on_checkpoint=taken.append,
+        )
+        assert taken == []
+        _assert_result_parity(scalar_reference(scheme_idx, 0), result, scheme_idx)
+
     @pytest.mark.parametrize("scheme_idx", [1, 3, 4])
     def test_resume_with_trained_packed_rows_is_bit_identical(
         self, pack, scalar_reference, scheme_idx
@@ -372,6 +391,40 @@ class TestCheckpointVersion:
         _assert_result_parity(
             scalar_reference(scheme_idx, 0), result, f"version-{version} checkpoint"
         )
+
+    def test_a_current_checkpoint_holds_no_run_mode_spec(self, pack):
+        # Version 10 dropped the interval-run spec: every run is a full run.
+        checkpoint = self._stale_checkpoint(pack, 0, 400, CHECKPOINT_VERSION)
+        assert set(vars(checkpoint)) == {
+            "version",
+            "rows_done",
+            "total_rows",
+            "states",
+            "sources",
+            "walkers",
+        }
+        assert checkpoint.matches(len(pack))
+
+    def test_a_checkpoint_of_another_trace_length_is_ignored(
+        self, pack, scalar_reference, caplog
+    ):
+        other = self._stale_checkpoint(pack, 1, 400, CHECKPOINT_VERSION)
+        other.total_rows += 1
+        assert not other.matches(len(pack))
+        resumed_at = []
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            result = simulate_windowed(
+                OutOfOrderCore(),
+                pack,
+                SCHEME_SPECS[1].build(),
+                "gzip",
+                window_rows=400,
+                checkpoint=other,
+                on_checkpoint=lambda ckpt: resumed_at.append(ckpt.rows_done),
+            )
+        assert resumed_at[0] == 400
+        assert "ignoring incompatible checkpoint" in caplog.text
+        _assert_result_parity(scalar_reference(1, 0), result, "another trace length")
 
     def test_engine_does_not_resume_a_version_one_checkpoint(self, pack, tmp_path):
         profile = _profile()

@@ -28,6 +28,14 @@ class TestTimestampInvariants:
             if not uop.cancelled:
                 assert uop.issue_cycle <= uop.complete_cycle < uop.commit_cycle
 
+    def test_no_decode_stamp(self, counting_loop):
+        # Decode added a fixed latency that fed no later stage: neither the
+        # knob nor the stamp exists.
+        program, _ = counting_loop
+        result = _run(program)
+        assert result.uops and not hasattr(result.uops[0], "decode_cycle")
+        assert not hasattr(PipelineConfig(), "decode_latency")
+
     def test_fetch_and_commit_in_order(self, counting_loop):
         program, _ = counting_loop
         result = _run(program)

@@ -135,6 +135,15 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="unknown machine parameter 'robs'"):
             parse_scenario(document)
 
+    def test_a_decode_latency_axis_is_an_unknown_machine_parameter(self):
+        # The decode-latency knob moved no simulated number and is gone.
+        document = minimal_document()
+        document["axes"]["pipeline"] = {"decode_latency": [1, 2]}
+        with pytest.raises(
+            ScenarioError, match="unknown machine parameter 'decode_latency'"
+        ):
+            parse_scenario(document)
+
     def test_non_list_axis(self):
         document = minimal_document()
         document["axes"]["pipeline"] = {"rob_entries": 64}
@@ -370,6 +379,11 @@ class TestMachineSpec:
     def test_unknown_field(self):
         with pytest.raises(ValueError, match="unknown machine parameter"):
             MachineSpec.make(robs=64)
+
+    def test_decode_latency_is_not_a_machine_parameter(self):
+        assert "decode_latency" not in overridable_fields()
+        with pytest.raises(ValueError, match="unknown machine parameter"):
+            MachineSpec.make(decode_latency=2)
 
     def test_non_integer_value(self):
         with pytest.raises(ValueError, match="must be an integer"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 
@@ -30,6 +31,26 @@ class TestSweepCommand:
     def test_unknown_scenario_exits_cleanly(self):
         with pytest.raises(SystemExit, match="unknown scenario"):
             main(["sweep", "no-such-scenario"])
+
+    def test_a_scenario_file_with_a_sampling_key_exits_naming_it(self, tmp_path):
+        # Interval-sampled simulation is gone; its key is not silently
+        # ignored, so a sampled scenario cannot run as a full one.
+        path = tmp_path / "sampled.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "scenario": {
+                        "name": "sampled",
+                        "benchmarks": ["gzip"],
+                        "sampling": "4:4096:512",
+                    },
+                    "axes": {"pipeline": {"rob_entries": [64, 128]}},
+                }
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(SystemExit, match=r"unknown \[scenario\] key.*'sampling'"):
+            main(["sweep", str(path), "--no-write"])
 
     @needs_tomllib
     def test_non_positive_instruction_override_rejected(self):
