@@ -247,12 +247,12 @@ class PredicatePredictionScheme(BranchHandlingScheme):
                 pc,
                 slot,
                 seq,
-                predicted_value=predicted,
-                predicted_cycle=rename_cycle,
-                confident=confidence[confidence_slot] == saturated,
+                predicted,
+                rename_cycle,
+                confidence[confidence_slot] == saturated,
+                target,
+                history,
             )
-            entry.target = target
-            entry.history = history
             # Speculative history update: one bit per predicted target.  With
             # the perfect-history idealization the architecturally-correct
             # value is pushed instead, eliminating the corruption window.

@@ -23,21 +23,30 @@ def to_signed64(value: int) -> int:
     return value
 
 
+def word_image(initial: Dict[int, int]) -> Dict[int, int]:
+    """``initial`` stored as :meth:`MemoryImage.write_word` would store each
+    word: aligned, wrapped to signed 64 bits, a later address of the same
+    word winning.  One pass over the data."""
+    return {
+        address - address % WORD_BYTES: ((int(value) + _SIGN_BIT) & _WORD_MASK) - _SIGN_BIT
+        for address, value in initial.items()
+    }
+
+
 class MemoryImage:
     """Word-granular sparse memory."""
 
     __slots__ = ("_words",)
 
     def __init__(self, initial: Optional[Dict[int, int]] = None) -> None:
-        # One pass over the data image, storing each word as write_word
-        # would: aligned, wrapped to signed 64 bits, a later address of the
-        # same word winning.
-        self._words: Dict[int, int] = {}
-        if initial:
-            self._words = {
-                address - address % WORD_BYTES: ((int(value) + _SIGN_BIT) & _WORD_MASK) - _SIGN_BIT
-                for address, value in initial.items()
-            }
+        self._words: Dict[int, int] = word_image(initial) if initial else {}
+
+    @classmethod
+    def from_image(cls, words: Dict[int, int]) -> "MemoryImage":
+        """A memory holding a copy of ``words``, a :func:`word_image`."""
+        memory = cls()
+        memory._words = dict(words)
+        return memory
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -55,9 +64,7 @@ class MemoryImage:
 
     # ------------------------------------------------------------------
     def copy(self) -> "MemoryImage":
-        clone = MemoryImage()
-        clone._words = dict(self._words)
-        return clone
+        return MemoryImage.from_image(self._words)
 
     def __len__(self) -> int:
         return len(self._words)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.emulator.memory_image import MemoryImage, to_signed64
+from repro.emulator.memory_image import MemoryImage, to_signed64, word_image
 from repro.isa.registers import (
     NUM_BRANCH_REGISTERS,
     NUM_GENERAL_REGISTERS,
@@ -36,8 +36,16 @@ class ArchState:
     # ------------------------------------------------------------------
     @classmethod
     def for_program(cls, program: Program) -> "ArchState":
-        """Create the initial state for ``program`` (data segment loaded)."""
-        return cls(memory=MemoryImage(program.data.words))
+        """Create the initial state for ``program`` (data segment loaded).
+
+        The data segment is normalised once per program
+        (:attr:`~repro.program.program.DataSegment.image`); each state
+        gets its own copy.
+        """
+        data = program.data
+        if data.image is None:
+            data.image = word_image(data.words)
+        return cls(memory=MemoryImage.from_image(data.image))
 
     # ------------------------------------------------------------------
     def read(self, reg: Register):

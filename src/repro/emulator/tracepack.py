@@ -113,13 +113,15 @@ _COLUMNS: Tuple[Tuple[str, str], ...] = (
 
 
 class PackCursor:
-    """A reusable flyweight with the ``DynInst`` attribute interface.
+    """A slotted row view with the ``DynInst`` attribute interface.
 
     :meth:`TracePack.cursor` yields one instance of this class per pack
-    iteration, mutating it in place for every row, and the pipeline's timing
-    loop hands one to scheme hooks, filled with the row being handled.  Its
-    readers use the fields synchronously and never retain the object, so a
-    single instance replaces one allocation per dynamic instruction.
+    iteration, mutating it in place for every row, so its readers must use
+    the fields before the next row.  The pipeline's timing loop instead
+    hands scheme hooks one cursor per row, built on first use and shared by
+    every lane and the decision-stream prepass over that row
+    (:meth:`repro.pipeline.core._Rows.cursor`); it lives as long as the
+    decoded span, so a hook may keep it until then but must not change it.
     ``is_branch`` / ``is_compare`` / ``is_conditional_branch`` are plain
     attributes (precomputed per static instruction) instead of the property
     chains of ``DynInst``.

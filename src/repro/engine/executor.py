@@ -68,7 +68,7 @@ from repro.engine.planner import (
     plan,
 )
 from repro.engine.store import BINARIES, CHECKPOINTS, RESULTS, TRACES, ArtifactStore
-from repro.pipeline.batched import LaneSpec, SimulationCheckpoint, simulate_lanes
+from repro.pipeline.batched import LaneSpec, SimulationCheckpoint, resumable, simulate_lanes
 # Not called here: perfbench's span wrappers look it up in this module by name.
 from repro.pipeline.batched import simulate_windowed  # noqa: F401
 from repro.pipeline.core import OutOfOrderCore, SimulationResult
@@ -473,10 +473,10 @@ class ExecutionEngine:
             return {}
         checkpoint: Optional[SimulationCheckpoint] = None
         loaded = self.store.get(CHECKPOINTS, key)
-        if isinstance(loaded, SimulationCheckpoint) and loaded.matches(
-            total_rows, len(jobs)
-        ):
-            checkpoint = loaded
+        if isinstance(loaded, SimulationCheckpoint):
+            # One of another version or run shape is ignored, with a warning.
+            checkpoint = resumable(loaded, total_rows, len(jobs))
+        if checkpoint is not None:
             self.stats.checkpoints_resumed += len(jobs)
             _log.info(
                 "resuming %s/%s (%s) from checkpoint at %d/%d rows",

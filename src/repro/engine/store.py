@@ -122,14 +122,22 @@ def _pickle_dumps(obj: Any) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def _load_checkpoint(body: memoryview) -> Any:
+    # Imported on first use: the store itself never needs the pipeline.
+    from repro.pipeline.batched import load_checkpoint
+
+    return load_checkpoint(body)
+
+
 #: Per-kind (encode, decode) codecs.  Traces use the versioned columnar
 #: encoding from the emulator layer (see :mod:`repro.emulator.trace`);
-#: binaries and results are plain pickles.
+#: binaries and results are plain pickles, and checkpoints pickles whose
+#: version is read before their lanes.
 _CODECS: Dict[str, Tuple[Callable[[Any], bytes], Callable[[memoryview], Any]]] = {
     BINARIES: (_pickle_dumps, pickle.loads),
     TRACES: (serialize_trace, deserialize_trace),
     RESULTS: (_pickle_dumps, pickle.loads),
-    CHECKPOINTS: (_pickle_dumps, pickle.loads),
+    CHECKPOINTS: (_pickle_dumps, _load_checkpoint),
 }
 
 

@@ -72,10 +72,12 @@ sets, windows and chunkings; any change here must keep them green.
 
 from __future__ import annotations
 
+import io
+import pickle
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.emulator.tracepack import ChunkedTracePack, PackCursor, TracePack
+from repro.emulator.tracepack import ChunkedTracePack, TracePack
 from repro.log import get_logger
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import PipelineConfig
@@ -95,8 +97,10 @@ _log = get_logger(__name__)
 #: is ignored (the run restarts from row zero) rather than mis-restored.
 #: Version 9 moves the cache and TLB tags from each lane's state to the
 #: batch's memory walkers, and gives each lane its own MSHRs, write buffer
-#: and load/store queues; version 10 drops the interval-run spec field.
-CHECKPOINT_VERSION = 10
+#: and load/store queues; version 10 drops the interval-run spec field;
+#: version 11 drops the lane state's ``last_commit``, keeps its register
+#: file in a list and pickles the version ahead of the lanes.
+CHECKPOINT_VERSION = 11
 
 
 @dataclass
@@ -112,6 +116,11 @@ class SimulationCheckpoint:
     scheme, is still shared after a restore.
     ``rows_done`` / ``total_rows`` locate the snapshot within the
     trace; checkpoints are only taken at window boundaries.
+
+    A checkpoint pickles as its version and row counts followed by its
+    lanes as one nested pickle, which is unpickled only when the version
+    is this code's: one of another version loads with no lanes, whatever
+    layout its lane states had, and :func:`resumable` ignores it.
     """
 
     version: int
@@ -120,6 +129,13 @@ class SimulationCheckpoint:
     states: List[_LoopState]
     sources: List[Optional[BranchHandlingScheme]]
     walkers: List[MemoryWalker]
+
+    def __reduce__(self):
+        fields = dict(vars(self))
+        header = (fields.pop("version"), fields.pop("rows_done"), fields.pop("total_rows"))
+        return _restore_checkpoint, header + (
+            pickle.dumps(fields, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     def matches(self, total_rows: int, lanes: int = 1) -> bool:
         """True when this checkpoint can resume a run of ``lanes`` lanes over
@@ -131,6 +147,44 @@ class SimulationCheckpoint:
             and len(self.states) == len(self.sources) == len(self.walkers) == lanes
             and all(isinstance(state, _LoopState) for state in self.states)
         )
+
+
+def _restore_checkpoint(
+    version: int, rows_done: int, total_rows: int, lanes: bytes
+) -> SimulationCheckpoint:
+    """Unpickle a :class:`SimulationCheckpoint`; its lanes only when
+    ``version`` is :data:`CHECKPOINT_VERSION`."""
+    checkpoint = SimulationCheckpoint(version, rows_done, total_rows, [], [], [])
+    if version == CHECKPOINT_VERSION:
+        vars(checkpoint).update(pickle.loads(lanes))
+    return checkpoint
+
+
+class _UnreadLaneState:
+    """Stands in for the lane states of a checkpoint pickled before the
+    version led the pickle (version 10 and older): their fields are dropped
+    unread, since they may name slots today's ``_LoopState`` lacks."""
+
+    def __setstate__(self, state) -> None:
+        pass
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    def find_class(self, module: str, name: str):
+        if module == _LoopState.__module__ and name == _LoopState.__qualname__:
+            return _UnreadLaneState
+        return super().find_class(module, name)
+
+
+def load_checkpoint(data) -> object:
+    """Unpickle a stored checkpoint (``data``: bytes or a buffer).
+
+    A current one restores whole.  One of another version restores without
+    lanes (see :class:`SimulationCheckpoint`), so it is stale, not damaged,
+    even when its lane states were laid out differently; that holds for the
+    older, unframed pickles too, whose lane states load as placeholders.
+    """
+    return _CheckpointUnpickler(io.BytesIO(data)).load()
 
 
 def resumable(
@@ -259,16 +313,18 @@ def _drive_scheme_stream(scheme: BranchHandlingScheme, rows: _Rows) -> DecisionS
     by contract.  The hook call sequence per branch (rename immediately
     followed by resolved) is exactly the timing loop's, so the scheme's
     accuracy and counters come out bit-identical: the scheme keeps the
-    record of the stream's branches.
+    record of the stream's branches.  Each branch's cursor is the row's
+    shared one (:meth:`~repro.pipeline.core._Rows.cursor`), which hook
+    lanes over the same rows read too.
     """
-    cur = PackCursor()
     on_rename = scheme.on_branch_rename
     on_resolved = scheme.on_branch_resolved
-    fill = rows.fill
+    cursors = rows.cursors
+    cursor = rows.cursor
     overrides: List[bool] = []
     mispreds: List[bool] = []
     for i in rows.cond_rows:
-        fill(cur, i)
+        cur = cursors[i] or cursor(i)
         handling = on_rename(cur, 0, 0, 0)
         mispredicted = handling.final_prediction != cur.taken
         on_resolved(cur, 0, mispredicted)

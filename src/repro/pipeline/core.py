@@ -88,9 +88,9 @@ class _InOrderSlotter:
         return cycle
 
 
-#: Compact integer keys for architectural registers, used by the timing
-#: loop's register-timing dict (hashing a small int is much cheaper than
-#: hashing a frozen ``Register`` dataclass).
+#: Compact integer keys for architectural registers: the timing loop's
+#: register file is a list of ready cycles indexed by them (reading a list
+#: slot is much cheaper than hashing a frozen ``Register`` dataclass).
 _KIND_CODE = {
     RegisterKind.GENERAL: 0,
     RegisterKind.PREDICATE: 1,
@@ -98,10 +98,12 @@ _KIND_CODE = {
     RegisterKind.FLOAT: 3,
 }
 
+#: Slots of the timing loop's register file: 256 per register kind.
+_REG_SLOTS = len(_KIND_CODE) << 8
+
 
 def _reg_key(reg: Register) -> int:
     return (_KIND_CODE[reg.kind] << 8) | reg.index
-
 
 
 #: Stable small-integer ids for functional-unit classes: the timing loop's
@@ -217,10 +219,10 @@ class _Rows:
     The pack's row columns (:meth:`TracePack.row_columns`) plus one
     :class:`_StaticDecode` per static instruction (shared through the
     ``decodes`` cache, keyed by ``uid``).  The loop itself reads only the
-    first block of columns; the rest exist to populate the
-    :class:`PackCursor` handed to scheme hooks (:meth:`fill`).  Per-row
-    counts that do not depend on timing are computed here once, so the loop
-    does not count them row by row.
+    first block of columns; the rest exist to build the :class:`PackCursor`
+    of a row that a scheme hook or the decision-stream prepass reads
+    (:meth:`cursor`).  Per-row counts that do not depend on timing are
+    computed here once, so the loop does not count them row by row.
     """
 
     __slots__ = (
@@ -230,12 +232,12 @@ class _Rows:
         "ends_group",
         "execs",
         "mems",
-        "takens",
         # Hook-facing columns.
         "insts",
         "inst_idx",
         "seqs",
         "qps",
+        "takens",
         "targets",
         "nexts",
         "writes",
@@ -243,6 +245,7 @@ class _Rows:
         "branch_flags",
         "compare_flags",
         "cond_flags",
+        "cursors",
         # Timing-independent counts.
         "count",
         "executed_count",
@@ -292,13 +295,23 @@ class _Rows:
         # A taken control transfer ends its fetch group.
         self.ends_group = ((static[:, 1] != 0) & (pack.taken[start:stop] == 1)).tolist()
         self.count = len(self.inst_idx)
+        self.cursors: List[Optional[PackCursor]] = [None] * self.count
         self.executed_count = int(np.count_nonzero(pack.executed[start:stop]))
         self.cond_rows = np.flatnonzero(static[:, 2]).tolist()
         self.predicated_simple_count = int(static[:, 3].sum())
         self.unit_counts = np.bincount(static[:, 0], minlength=len(_UNITS)).tolist()
 
-    def fill(self, cur: PackCursor, i: int) -> PackCursor:
-        """Point the hook cursor ``cur`` at row ``i``."""
+    def cursor(self, i: int) -> PackCursor:
+        """The :class:`PackCursor` of row ``i``, built on first use.
+
+        ``cursors[i]`` holds it from then on, so every lane's hooks and the
+        prepass over these rows read one object per row, freed with the
+        rows.  Readers treat it as read-only.
+        """
+        cur = self.cursors[i]
+        if cur is not None:
+            return cur
+        cur = PackCursor()
         static = self.inst_idx[i]
         cur.seq = self.seqs[i]
         cur.inst = self.insts[static]
@@ -314,6 +327,7 @@ class _Rows:
         cur.is_branch = self.branch_flags[static]
         cur.is_compare = self.compare_flags[static]
         cur.is_conditional_branch = self.cond_flags[static]
+        self.cursors[i] = cur
         return cur
 
 
@@ -460,7 +474,8 @@ class _LoopState:
     """The complete mutable state of one timing-loop run between windows.
 
     Everything :meth:`OutOfOrderCore._run_rows` reads or writes lives here:
-    resource models, the register-timing dict, the inlined fetch-engine and
+    resource models, the register file (``regs``: the ready cycle of each
+    register, a list indexed by :func:`_reg_key`), the inlined fetch-engine and
     slotter registers, the metric accumulators and the scheme (whose
     predictors carry the branch history that makes resume correctness
     non-trivial).  Pickling one ``_LoopState`` pickles the whole object graph
@@ -508,7 +523,6 @@ class _LoopState:
         "rn_used",
         "cm_cycle",
         "cm_used",
-        "last_commit",
     ) + COUNTER_SLOTS
 
 
@@ -686,7 +700,7 @@ class OutOfOrderCore:
             _window(cfg.load_queue_entries),
             _window(cfg.store_queue_entries),
         )
-        state.regs = {}
+        state.regs = [0] * _REG_SLOTS
         state.group_cycle = 0
         state.group_slots = 0
         state.pending_redirect = -1
@@ -698,7 +712,6 @@ class OutOfOrderCore:
         state.rn_used = 0
         state.cm_cycle = -1
         state.cm_used = 0
-        state.last_commit = 0
         for name in _LoopState.COUNTER_SLOTS:
             setattr(state, name, 0)
         return state
@@ -721,7 +734,9 @@ class OutOfOrderCore:
         or a store calls the lane's :class:`MemoryLane`.  Scheme hooks are
         called in the reference loop's order, but only those the scheme overrides
         (:func:`~repro.pipeline.scheme_api.overridden_hooks`): a row whose
-        kind the scheme does not hook costs no call and no cursor fill.
+        kind the scheme does not hook costs no call and no cursor.  A hooked
+        row's hooks read the row's shared cursor (:meth:`_Rows.cursor`),
+        built by the first lane or prepass that reads it.
         With a :class:`DecisionStream` of the conditional branches of
         ``rows``, branch rows cost no call at all: the loop reads the
         stream's flags and calls neither branch hook.  Any behavioural
@@ -747,9 +762,8 @@ class OutOfOrderCore:
             mispreds = stream.mispreds
             bi = 0
             on_branch_resolved = None
-        cur = PackCursor()
-        fill = rows.fill
-        takens = rows.takens
+        cursors = rows.cursors
+        cursor = rows.cursor
 
         data = memory.data
         misses = memory.misses
@@ -767,7 +781,6 @@ class OutOfOrderCore:
         slot_table = state.slot_table
         unit_issues = state.unit_issues
         regs = state.regs
-        regs_get = regs.get
         rob_q = state.rob_q
         queues = state.queues
         fetch_width = cfg.fetch_width
@@ -792,7 +805,6 @@ class OutOfOrderCore:
         rn_used = state.rn_used
         cm_cycle = state.cm_cycle
         cm_used = state.cm_used
-        last_commit = state.last_commit
         # Counters that depend on scheme decisions; the timing-independent
         # ones are added from the decoded rows after the loop.
         n_mispredictions = state.n_mispredictions
@@ -833,7 +845,7 @@ class OutOfOrderCore:
                 group_cycle = cycle + 1
                 group_slots = 0
             if on_fetch is not None:
-                on_fetch(fill(cur, i), fetch_cycle)
+                on_fetch(cursors[i] or cursor(i), fetch_cycle)
 
             # ---------------------------------------------------- rename
             cycle = fetch_cycle + fetch_to_rename
@@ -856,71 +868,12 @@ class OutOfOrderCore:
             cancelled = False
             kind = de.kind
             # ------------------------------------------- per-class handling
-            if kind == 1:  # branch
-                ready = rename_cycle + 2
-                guard_ready = regs_get(de.qp_key, 0) if de.is_predicated else 0
-                if guard_ready > ready:
-                    ready = guard_ready
-                slots = slot_table[de.unit_index]
-                best = slots[0]
-                issue = ready if ready > best else best
-                heapreplace(slots, issue + 1)
-                queue.append(issue)
-                complete = issue + de.latency
-
-                if de.is_cond_branch:
-                    if stream is not None:
-                        over = overrides[bi]
-                        mis = mispreds[bi]
-                        bi += 1
-                    else:
-                        handling = on_branch_rename(
-                            fill(cur, i), fetch_cycle, rename_cycle, guard_ready
-                        )
-                        mis = handling.final_prediction != takens[i]
-                        over = handling.override_flush
-                    if over:
-                        n_override_flushes += 1
-                    if mis:
-                        n_mispredictions += 1
-                        redirects += 1
-                        redirect = complete + branch_mispredict_penalty
-                        if redirect > pending_redirect:
-                            pending_redirect = redirect
-                    elif over:
-                        redirects += 1
-                        redirect = rename_cycle + override_flush_penalty
-                        if redirect > pending_redirect:
-                            pending_redirect = redirect
-                    if on_branch_resolved is not None:
-                        on_branch_resolved(cur, complete, mis)
-
-            elif kind == 2:  # compare
-                if compare_hooked:
-                    fill(cur, i)
-                    if on_compare_rename is not None:
-                        on_compare_rename(cur, fetch_cycle, rename_cycle)
-                ready = rename_cycle + 2
-                for key in de.cmp_src_keys:
-                    t = regs_get(key, 0)
-                    if t > ready:
-                        ready = t
-                slots = slot_table[de.unit_index]
-                best = slots[0]
-                issue = ready if ready > best else best
-                heapreplace(slots, issue + 1)
-                queue.append(issue)
-                complete = issue + de.latency
-                for key in de.dest_keys:
-                    regs[key] = complete
-                if on_compare_complete is not None:
-                    on_compare_complete(cur, complete)
-
-            else:  # simple (ALU / FP / move / memory / nop)
+            if kind == 0:  # simple (ALU / FP / move / memory / nop)
                 keys = de.default_keys
                 if on_predicated_rename is not None and de.is_predicated:
+                    cur = cursors[i] or cursor(i)
                     handling = on_predicated_rename(
-                        fill(cur, i), fetch_cycle, rename_cycle, regs_get(de.qp_key, 0)
+                        cur, fetch_cycle, rename_cycle, regs[de.qp_key]
                     )
                     decision = handling.decision
                     if handling.flush_discovery_cycle is not None:
@@ -956,7 +909,7 @@ class OutOfOrderCore:
                         rename_cycle = cycle
                     elif decision is CANCEL:
                         if execd:
-                            raise _cancelled_executed(scheme, fill(cur, i))
+                            raise _cancelled_executed(scheme, cur)
                         cancelled = True
                     elif decision is ASSUME_TRUE:
                         n_assume_true += 1
@@ -971,7 +924,7 @@ class OutOfOrderCore:
                 else:
                     ready = rename_cycle + 2
                     for key in keys:
-                        t = regs_get(key, 0)
+                        t = regs[key]
                         if t > ready:
                             ready = t
                     slots = slot_table[de.unit_index]
@@ -1002,6 +955,65 @@ class OutOfOrderCore:
                     for key in de.dest_keys:
                         regs[key] = complete
 
+            elif kind == 1:  # branch
+                ready = rename_cycle + 2
+                guard_ready = regs[de.qp_key] if de.is_predicated else 0
+                if guard_ready > ready:
+                    ready = guard_ready
+                slots = slot_table[de.unit_index]
+                best = slots[0]
+                issue = ready if ready > best else best
+                heapreplace(slots, issue + 1)
+                queue.append(issue)
+                complete = issue + de.latency
+
+                if de.is_cond_branch:
+                    if stream is not None:
+                        over = overrides[bi]
+                        mis = mispreds[bi]
+                        bi += 1
+                    else:
+                        cur = cursors[i] or cursor(i)
+                        handling = on_branch_rename(cur, fetch_cycle, rename_cycle, guard_ready)
+                        mis = handling.final_prediction != cur.taken
+                        over = handling.override_flush
+                    if over:
+                        n_override_flushes += 1
+                    if mis:
+                        n_mispredictions += 1
+                        redirects += 1
+                        redirect = complete + branch_mispredict_penalty
+                        if redirect > pending_redirect:
+                            pending_redirect = redirect
+                    elif over:
+                        redirects += 1
+                        redirect = rename_cycle + override_flush_penalty
+                        if redirect > pending_redirect:
+                            pending_redirect = redirect
+                    if on_branch_resolved is not None:
+                        on_branch_resolved(cur, complete, mis)
+
+            else:  # compare
+                if compare_hooked:
+                    cur = cursors[i] or cursor(i)
+                    if on_compare_rename is not None:
+                        on_compare_rename(cur, fetch_cycle, rename_cycle)
+                ready = rename_cycle + 2
+                for key in de.cmp_src_keys:
+                    t = regs[key]
+                    if t > ready:
+                        ready = t
+                slots = slot_table[de.unit_index]
+                best = slots[0]
+                issue = ready if ready > best else best
+                heapreplace(slots, issue + 1)
+                queue.append(issue)
+                complete = issue + de.latency
+                for key in de.dest_keys:
+                    regs[key] = complete
+                if on_compare_complete is not None:
+                    on_compare_complete(cur, complete)
+
             # ---------------------------------------------------- commit
             commit = complete + 1
             if execd and de.is_store and mem is not None:
@@ -1014,8 +1026,6 @@ class OutOfOrderCore:
                 cm_cycle = commit
                 cm_used = 0
             cm_used += 1
-            if commit > last_commit:
-                last_commit = commit
 
             rob_q.append(commit)
             if de.is_memory and not cancelled:
@@ -1046,7 +1056,6 @@ class OutOfOrderCore:
         state.rn_used = rn_used
         state.cm_cycle = cm_cycle
         state.cm_used = cm_used
-        state.last_commit = last_commit
         state.n_mispredictions = n_mispredictions
         state.n_override_flushes = n_override_flushes
         state.n_predicate_flushes = n_predicate_flushes
@@ -1074,7 +1083,8 @@ class OutOfOrderCore:
         metrics.cancelled_at_rename = state.n_cancelled
         metrics.conservative_predicated = state.n_conservative
         metrics.assume_true_predicated = state.n_assume_true
-        metrics.cycles = state.last_commit
+        # The commit slotter's cycle is the last row's commit cycle.
+        metrics.cycles = state.cm_cycle
         # The walk made every access but the lane's re-fetches.
         metrics.memory_stats = walker.memory.statistics(fetch_hits=state.refetches)
         issue_counts = state.fus.issue_counts

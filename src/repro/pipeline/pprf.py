@@ -94,18 +94,28 @@ class PredicatePhysicalRegisterFile:
         predicted_value: Optional[bool] = None,
         predicted_cycle: Optional[int] = None,
         confident: bool = False,
+        target: Optional[tuple] = None,
+        history: int = 0,
     ) -> PPRFEntry:
         """Allocate a fresh physical register for a compare target, holding
         its prediction (if any) with the speculative bit set."""
+        # Every field positionally: the predicate scheme allocates one entry
+        # per predicted target, and a keyword dataclass call costs more.
         entry = PPRFEntry(
             self._next_id,
             logical_index,
             producer_pc,
             producer_slot,
             producer_seq,
-            predicted_value=predicted_value,
-            predicted_cycle=predicted_cycle,
-            confident=confident,
+            predicted_value,
+            None,
+            predicted_cycle,
+            None,
+            True,
+            confident,
+            None,
+            target,
+            history,
         )
         self._next_id += 1
         self.allocations += 1

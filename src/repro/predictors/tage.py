@@ -25,9 +25,12 @@ code base's scheme contract:
 Like :mod:`repro.predictors.gshare`, the predictor has two access paths over
 one table state: a structured reference path (``optimized=False``) and an
 optimized path (the default) that inlines the table walk over the backing
-lists.  Both paths share the same lists, so they are bit-identical
-by construction; the hypothesis parity tests drive both with common random
-branch streams — allocation and usefulness-decay edge cases included.
+lists and lets a training reuse the lookup of the prediction just made
+(until any training changes the tables).  Both paths share the same lists,
+so they are bit-identical by construction; the hypothesis parity tests
+drive both with common random branch streams — allocation and
+usefulness-decay edge cases, and predictions and trainings interleaved,
+included.
 """
 
 from __future__ import annotations
@@ -203,10 +206,16 @@ class TAGEPredictor(DirectionPredictor):
         #: per history value.
         self._folds: Optional[Tuple[int, Tuple[Tuple[int, ...], ...]]] = None
         self._fold_memo: dict = {}
+        #: Optimized-path memo of the last prediction, ``(key, history,
+        #: lookup)``: its training reuses the lookup instead of walking the
+        #: tables again.  Any training drops it, since a training may change
+        #: the entries a lookup reads, so a training that follows another
+        #: one (a deferred training) reads the tables.
+        self._last_lookup: Optional[tuple] = None
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        del state["_folds"], state["_fold_memo"]
+        del state["_folds"], state["_fold_memo"], state["_last_lookup"]
         return state
 
     def __setstate__(self, state) -> None:
@@ -317,12 +326,21 @@ class TAGEPredictor(DirectionPredictor):
     # ------------------------------------------------------------------
     def output_planned(self, key: Tuple[int, int, int], _local_slot: int, history: int) -> int:
         """``1`` for a taken prediction, ``-1`` for not taken."""
-        return 1 if self._lookup(key, history)[2] else -1
+        lookup = self._lookup(key, history)
+        if self.optimized:
+            self._last_lookup = (key, history, lookup)
+        return 1 if lookup[2] else -1
 
     def train_planned(
         self, key: Tuple[int, int, int], _local_slot: int, history: int, outcome: bool
     ) -> None:
-        provider, p_index, pred, alt_pred, indices, tags = self._lookup(key, history)
+        last = self._last_lookup
+        if last is not None and last[1] == history and last[0] == key:
+            lookup = last[2]
+        else:
+            lookup = self._lookup(key, history)
+        self._last_lookup = None
+        provider, p_index, pred, alt_pred, indices, tags = lookup
         mispredicted = pred != outcome
 
         # Usefulness: the provider proved (or disproved) its worth only when

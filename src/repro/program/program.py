@@ -9,7 +9,7 @@ predictors and the predicate predictor index with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator, List, Optional
 
 from repro.isa.instructions import Instruction
 from repro.program.routine import Routine
@@ -36,11 +36,24 @@ class DataSegment:
     """
 
     words: Dict[int, int] = field(default_factory=dict)
+    #: ``words`` as the emulator's memory image holds them (aligned,
+    #: wrapped), made by the first emulator of the program and copied by
+    #: every later one; :meth:`store_array` drops it, and it is never
+    #: pickled.
+    image: Optional[Dict[int, int]] = field(default=None, init=False, repr=False, compare=False)
 
     def store_array(self, base: int, values: List[int], stride: int = 8) -> None:
         """Store ``values`` as consecutive words starting at ``base``."""
         for i, value in enumerate(values):
             self.words[base + i * stride] = int(value)
+        self.image = None
+
+    def __getstate__(self):
+        return {"words": self.words}
+
+    def __setstate__(self, state) -> None:
+        self.words = state["words"]
+        self.image = None
 
     def __len__(self) -> int:
         return len(self.words)

@@ -1,5 +1,10 @@
 """Tests for the architectural state."""
 
+import pickle
+
+from repro.emulator import state as state_module
+from repro.emulator.executor import Emulator
+from repro.emulator.memory_image import MemoryImage, word_image
 from repro.emulator.state import ArchState
 from repro.isa.registers import BR, FR, GR, PR
 from repro.program import ProgramBuilder
@@ -25,6 +30,82 @@ class TestInitialState:
         state = ArchState.for_program(program)
         assert state.memory.read_word(base) == 7
         assert state.memory.read_word(base + 8) == 8
+
+
+def _program_with_data():
+    pb = ProgramBuilder("p")
+    # Stride 4 puts two values in each 8-byte word: the later address wins.
+    base = pb.array("a", [2**64 + 3, 2**63, -(2**63) - 1, 5, 7], stride=4)
+    rb = pb.routine("main")
+    rb.block("entry")
+    rb.br_ret()
+    return pb.finish(), base
+
+
+def _words(memory):
+    return {address: memory.read_word(address) for address in list(memory._words)}
+
+
+class TestDataSegmentImage:
+    """The data segment is normalised once per program, not per emulator."""
+
+    def test_words_are_aligned_and_wrapped_as_written(self):
+        program, base = _program_with_data()
+        expected = MemoryImage()
+        for address, value in program.data.words.items():
+            expected.write_word(address, value)
+        memory = ArchState.for_program(program).memory
+        assert _words(memory) == _words(expected)
+        assert _words(memory) == _words(MemoryImage(program.data.words))
+        assert all(address % 8 == 0 for address in memory._words)
+
+    def test_a_later_address_of_the_same_word_wins(self):
+        program, base = _program_with_data()
+        memory = ArchState.for_program(program).memory
+        # 2**64 + 3 at base, 2**63 at base + 4: one word, the later value.
+        assert memory.read_word(base) == -(2**63)
+        assert memory.read_word(base + 8) == 5
+        assert memory.read_word(base + 16) == 7
+        assert len(memory) == 3
+
+    def test_normalised_once_per_program(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            state_module, "word_image", lambda words: calls.append(1) or word_image(words)
+        )
+        program, base = _program_with_data()
+        first = ArchState.for_program(program)
+        second = ArchState.for_program(program)
+        assert len(calls) == 1
+        assert _words(first.memory) == _words(second.memory)
+
+    def test_two_emulators_never_share_memory_writes(self):
+        program, base = _program_with_data()
+        first, second = Emulator(program), Emulator(program)
+        first.state.memory.write_word(base, 99)
+        second.state.memory.write_word(base + 8, -1)
+        assert first.state.memory.read_word(base + 8) == 5
+        assert second.state.memory.read_word(base) == -(2**63)
+        third = Emulator(program)
+        assert third.state.memory.read_word(base) == -(2**63)
+        assert third.state.memory.read_word(base + 8) == 5
+
+    def test_storing_more_data_drops_the_image(self):
+        program, base = _program_with_data()
+        ArchState.for_program(program)
+        program.data.store_array(base + 64, [11])
+        assert ArchState.for_program(program).memory.read_word(base + 64) == 11
+
+    def test_the_image_is_not_pickled(self):
+        program, base = _program_with_data()
+        ArchState.for_program(program)
+        assert program.data.image is not None
+        restored = pickle.loads(pickle.dumps(program.data))
+        assert restored.image is None
+        assert restored.words == program.data.words
+        assert _words(MemoryImage(restored.words)) == _words(
+            ArchState.for_program(program).memory
+        )
 
 
 class TestReadsAndWrites:

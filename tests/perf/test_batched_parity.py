@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConventionalScheme
-from repro.emulator.tracepack import ChunkedTracePack, TracePack
+from repro.emulator.tracepack import ChunkedTracePack, PackCursor, TracePack
 from repro.engine import ArtifactStore, ExecutionEngine, IF_CONVERTED, SchemeSpec
 from repro.engine.planner import (
     CellRequest,
@@ -336,6 +336,104 @@ class _FetchRecorder(ConventionalScheme):
 
     def on_fetch(self, dyn, fetch_cycle):
         self.fetches.append((dyn.seq, fetch_cycle))
+
+
+#: Every hook a scheme or the prepass hands a row cursor to.
+_CURSOR_HOOKS = (
+    "on_fetch",
+    "on_compare_rename",
+    "on_compare_complete",
+    "on_branch_rename",
+    "on_branch_resolved",
+    "on_predicated_rename",
+)
+
+
+def _fields(cursor):
+    """A cursor's fields, its instruction by ``uid`` (a re-decoded segment
+    holds equal instructions in new objects)."""
+    return tuple(
+        cursor.inst.uid if name == "inst" else getattr(cursor, name)
+        for name in PackCursor.__slots__
+    )
+
+
+class TestSharedCursors:
+    """One cursor per row, shared by every lane's hooks and the prepass."""
+
+    def _recorded_lanes(self, specs, machines, calls):
+        """Lane specs whose schemes (and branch halves) log each hook call
+        as ``(lane, hook, cursor, fields at the call)``."""
+
+        def record(scheme, lane):
+            for name in _CURSOR_HOOKS:
+                method = getattr(scheme, name)
+
+                def hook(dyn, *args, _method=method, _name=name):
+                    calls.append((lane, _name, dyn, _fields(dyn)))
+                    return _method(dyn, *args)
+
+                setattr(scheme, name, hook)
+
+        def factory(spec, lane):
+            def build():
+                scheme = spec.build()
+                record(scheme, lane)
+                if scheme.branch_scheme() is not scheme:
+                    record(scheme.branch_scheme(), lane)
+                return scheme
+
+            return build
+
+        return [
+            LaneSpec(factory(spec, lane), machine.build_config())
+            for lane, (spec, machine) in enumerate(zip(specs, machines))
+        ]
+
+    def _check(self, pack, calls, lanes):
+        expected = {cursor.seq: _fields(cursor) for cursor in pack.cursor()}
+        by_row = {}
+        for lane, name, cursor, fields in calls:
+            assert fields == expected[cursor.seq], (lane, name)
+            by_row.setdefault(cursor.seq, set()).add(id(cursor))
+        assert by_row, "no hook read a cursor"
+        # One object per row, whichever lane or prepass read it.
+        assert all(len(ids) == 1 for ids in by_row.values())
+        # No hook changed a cursor: each still equals a fresh fill.
+        for _, _, cursor, _ in calls:
+            assert _fields(cursor) == expected[cursor.seq]
+        assert len({lane for lane, *_ in calls}) == lanes
+
+    @pytest.mark.parametrize("spec_idx", range(len(SCHEME_SPECS)))
+    def test_one_lane(self, pack, scalar_reference, spec_idx):
+        calls = []
+        lanes = self._recorded_lanes([SCHEME_SPECS[spec_idx]], MACHINES[:1], calls)
+        result = simulate_lanes(pack, lanes)[0]
+        self._check(pack, calls, 1)
+        _assert_result_parity(scalar_reference(spec_idx, 0), result, "recorded lane")
+
+    def test_eight_lanes_of_every_scheme(self, pack, scalar_reference):
+        # The eight shootout configurations, one machine each.
+        picks = [0, 6, 1, 7, 4, 8, 2, 5]
+        calls = []
+        lanes = self._recorded_lanes(
+            [SCHEME_SPECS[s] for s in picks], MACHINES, calls
+        )
+        results = simulate_lanes(pack, lanes)
+        self._check(pack, calls, 8)
+        for lane, (s, result) in enumerate(zip(picks, results)):
+            _assert_result_parity(scalar_reference(s, lane), result, f"lane {lane}")
+
+    def test_every_spec_windowed_over_segments(self, pack, scalar_reference):
+        calls = []
+        machines = [MACHINES[i % len(MACHINES)] for i in range(len(SCHEME_SPECS))]
+        lanes = self._recorded_lanes(SCHEME_SPECS, machines, calls)
+        results = simulate_lanes(_chunk(pack, 700), lanes, window_rows=300)
+        self._check(pack, calls, len(SCHEME_SPECS))
+        for lane, result in enumerate(results):
+            _assert_result_parity(
+                scalar_reference(lane, lane % len(MACHINES)), result, f"lane {lane}"
+            )
 
 
 class TestHookDispatch:

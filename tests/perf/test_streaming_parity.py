@@ -20,6 +20,7 @@ chunking) tuples; the engine tests pin the checkpoint lifecycle.
 from __future__ import annotations
 
 import logging
+import os
 import pickle
 
 import pytest
@@ -39,14 +40,16 @@ from repro.engine.planner import (
 )
 from repro.engine.store import CHECKPOINTS
 from repro.experiments.setup import ExperimentProfile
+from repro.pipeline import batched, core
 from repro.pipeline.batched import (
     CHECKPOINT_VERSION,
     LaneSpec,
     SimulationCheckpoint,
+    load_checkpoint,
     simulate_lanes,
     simulate_windowed,
 )
-from repro.pipeline.core import OutOfOrderCore
+from repro.pipeline.core import OutOfOrderCore, _LoopState
 from repro.pipeline.machine import MachineSpec
 
 INSTRUCTIONS = 2_000
@@ -329,7 +332,7 @@ class TestCheckpointVersion:
             on_checkpoint=lambda ckpt: blobs.append(pickle.dumps(ckpt)),
         )
         checkpoint = pickle.loads(blobs[len(blobs) // 2])
-        assert checkpoint.version == CHECKPOINT_VERSION == 10
+        assert checkpoint.version == CHECKPOINT_VERSION == 11
         if version not in _OLD_LAYOUTS:
             checkpoint.version = version
             return checkpoint
@@ -444,6 +447,108 @@ class TestCheckpointVersion:
         _assert_result_parity(expected, actual, "engine with a stale checkpoint")
         # The run replaced and then discarded the stale checkpoint.
         assert store.usage()[CHECKPOINTS]["count"] == 0
+
+
+    def _version_10_checkpoint(self, pack, scheme_idx, window):
+        """A version-10 checkpoint as that layout pickled it: unframed, each
+        lane state with a ``last_commit`` slot and a dict register file."""
+        checkpoints = []
+        simulate_windowed(
+            OutOfOrderCore(),
+            pack,
+            SCHEME_SPECS[scheme_idx].build(),
+            "gzip",
+            window_rows=window,
+            on_checkpoint=lambda ckpt: checkpoints.append(pickle.loads(pickle.dumps(ckpt))),
+        )
+        current = checkpoints[len(checkpoints) // 2]
+
+        class LoopStateV10:
+            __slots__ = _LoopState.__slots__ + ("last_commit",)
+
+        class CheckpointV10:
+            pass
+
+        LoopStateV10.__module__, LoopStateV10.__qualname__ = "repro.pipeline.core", "_LoopState"
+        CheckpointV10.__module__ = "repro.pipeline.batched"
+        CheckpointV10.__qualname__ = "SimulationCheckpoint"
+        states = []
+        for state in current.states:
+            old = LoopStateV10()
+            for name in _LoopState.__slots__:
+                setattr(old, name, getattr(state, name))
+            old.regs = {key: cycle for key, cycle in enumerate(state.regs) if cycle}
+            old.last_commit = state.cm_cycle
+            states.append(old)
+        legacy = CheckpointV10()
+        vars(legacy).update(
+            version=10,
+            rows_done=current.rows_done,
+            total_rows=current.total_rows,
+            states=states,
+            sources=current.sources,
+            walkers=current.walkers,
+        )
+        return legacy, LoopStateV10, CheckpointV10
+
+    def test_engine_ignores_a_version_10_checkpoint_as_stale(
+        self, pack, tmp_path, caplog, monkeypatch
+    ):
+        profile = _profile()
+        expected = ExecutionEngine(profile, store=None).simulate(
+            "gzip", IF_CONVERTED, SCHEME_SPECS[1]
+        )
+        store = ArtifactStore(str(tmp_path / "cache"))
+        engine = ExecutionEngine(profile, store=store, checkpoint_every=400)
+        build = make_build_job("gzip", IF_CONVERTED, engine.factory)
+        job = make_simulate_job(make_trace_job(build, INSTRUCTIONS), SCHEME_SPECS[1])
+        batch = make_batched_simulate_job([job])
+        legacy, loop_state, checkpoint = self._version_10_checkpoint(pack, 1, 400)
+        with monkeypatch.context() as patch:
+            # Pickle it under the names the version-10 code used.
+            patch.setattr(core, "_LoopState", loop_state)
+            patch.setattr(batched, "SimulationCheckpoint", checkpoint)
+            blob = pickle.dumps(legacy)
+            store.put(CHECKPOINTS, batch.key, legacy)
+        # Unpickled outright, its lane states cannot be restored: this is
+        # what the store used to quarantine as damage.
+        with pytest.raises(AttributeError, match="last_commit"):
+            pickle.loads(blob)
+
+        written = []
+        put = store.put
+
+        def recording_put(kind, key, obj):
+            if kind == CHECKPOINTS:
+                written.append(obj.rows_done)
+            return put(kind, key, obj)
+
+        monkeypatch.setattr(store, "put", recording_put)
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            actual = engine.simulate("gzip", IF_CONVERTED, SCHEME_SPECS[1])
+        assert "ignoring incompatible checkpoint (version 10" in caplog.text
+        assert engine.stats.checkpoints_resumed == 0
+        assert written[0] == 400  # restarted at row 0
+        _assert_result_parity(expected, actual, "engine with a version-10 checkpoint")
+        assert store.quarantine_entries() == []
+        assert not os.path.exists(store.quarantine_dir()) or not os.listdir(
+            store.quarantine_dir()
+        )
+
+    def test_a_stale_checkpoint_loads_without_its_lanes(self, pack):
+        stale = self._stale_checkpoint(pack, 1, 400, CHECKPOINT_VERSION)
+        stale.version = CHECKPOINT_VERSION - 1
+        loaded = load_checkpoint(pickle.dumps(stale))
+        assert (loaded.version, loaded.rows_done, loaded.total_rows) == (
+            stale.version,
+            stale.rows_done,
+            stale.total_rows,
+        )
+        assert loaded.states == loaded.sources == loaded.walkers == []
+        current = self._stale_checkpoint(pack, 1, 400, CHECKPOINT_VERSION)
+        current = load_checkpoint(pickle.dumps(current))
+        assert current.matches(len(pack))
+        assert all(isinstance(state, _LoopState) for state in current.states)
 
 
 class TestWindowedInputs:

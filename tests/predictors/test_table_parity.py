@@ -9,7 +9,7 @@ state after every step.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.predictors import tage
@@ -244,6 +244,61 @@ class TestPooledMemoParity:
         assert optimized.table_state() == reference.table_state()
 
 
+#: Interleaved TAGE accesses: ``(train?, pc, slot, history, outcome)``.
+#: Predictions and trainings come in any order, so a training may follow
+#: another prediction, another training or no prediction at all.
+interleaved_steps = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.sampled_from(PC_POOL[:3]),
+        st.sampled_from([0, 1]),
+        st.sampled_from(HISTORY_POOL[:3]),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=150,
+)
+
+A, B = PC_POOL[0], PC_POOL[1]
+
+
+def _tage_state(predictor):
+    return getattr(predictor, "tage", predictor).table_state()
+
+
+class TestInterleavedTageParity:
+    """The optimized TAGE paths reuse a prediction's lookup for its training;
+    with predictions and trainings interleaved they still match the
+    reference update for update."""
+
+    @pytest.mark.parametrize("make", [TAGEPredictor, tage.TagePredicatePredictor])
+    @settings(max_examples=60, deadline=None)
+    @given(stream=interleaved_steps)
+    # Predict A, predict B, train B, train A.
+    @example(stream=[(0, A, 0, 1, 0), (0, B, 0, 1, 1), (1, B, 0, 1, 1), (1, A, 0, 1, 0)])
+    # A training with no prediction before it, then a second one.
+    @example(stream=[(1, A, 0, 0, 1), (1, A, 0, 0, 1), (0, A, 0, 0, 0)])
+    # The same key with another history, then the first one's training.
+    @example(stream=[(0, A, 0, 0, 0), (0, A, 0, 1, 0), (1, A, 0, 0, 1), (1, A, 0, 1, 1)])
+    # A prediction trained twice: the second training must not read the
+    # first one's lookup.
+    @example(stream=[(0, A, 0, 11, 0), (1, A, 0, 11, 1), (1, A, 0, 11, 1), (1, A, 0, 11, 1)])
+    def test_matches_reference_update_for_update(self, make, stream):
+        reference = make(SMALL_TAGE, optimized=False)
+        optimized = make(SMALL_TAGE, optimized=True)
+        for train, pc, slot, history, outcome in stream:
+            if make is TAGEPredictor:
+                slot = 0
+            if train:
+                _train(reference, pc, history, outcome, slot)
+                _train(optimized, pc, history, outcome, slot)
+            else:
+                assert _observe(optimized, pc, history, slot) == _observe(
+                    reference, pc, history, slot
+                )
+            assert _tage_state(optimized) == _tage_state(reference)
+
+
 class _Counting:
     """Wrap a function and count its calls."""
 
@@ -291,6 +346,32 @@ class TestMemoHitsAndInvalidation:
         # Training changed the row: the next prediction recomputes it.
         _observe(predictor, pc, 7)
         assert dot.calls == 2
+
+    def test_tage_training_reuses_the_prediction_lookup(self, monkeypatch):
+        predictor = TAGEPredictor(SMALL_TAGE)
+        lookups = _Counting(predictor._lookup)
+        monkeypatch.setattr(predictor, "_lookup", lookups)
+        predictor.predict(A, 0b1011)
+        predictor.update(A, 0b1011, True)
+        assert lookups.calls == 1
+        # Another history: the training walks the tables.
+        predictor.predict(A, 0b1011)
+        predictor.update(A, 0b111, True)
+        assert lookups.calls == 3
+
+    def test_a_deferred_tage_training_reads_the_tables(self, monkeypatch):
+        predictor = TAGEPredictor(SMALL_TAGE)
+        lookups = _Counting(predictor._lookup)
+        monkeypatch.setattr(predictor, "_lookup", lookups)
+        predictor.predict(A, 1)
+        predictor.predict(B, 1)
+        # A's training follows B's prediction: it reads the tables.
+        predictor.update(A, 1, False)
+        assert lookups.calls == 3
+        # B's follows a training, which may have changed what B read.
+        predictor.update(B, 1, True)
+        assert lookups.calls == 4
+        assert predictor._last_lookup is None
 
     def test_tage_update_reuses_the_prediction_folds(self, monkeypatch):
         predictor = TAGEPredictor(SMALL_TAGE)
