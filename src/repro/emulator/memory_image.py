@@ -9,28 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-WORD_BYTES = 8
-
-_WORD_MASK = (1 << 64) - 1
-_SIGN_BIT = 1 << 63
-
-
-def to_signed64(value: int) -> int:
-    """Wrap ``value`` to a signed 64-bit integer."""
-    value &= _WORD_MASK
-    if value & _SIGN_BIT:
-        return value - (1 << 64)
-    return value
-
-
-def word_image(initial: Dict[int, int]) -> Dict[int, int]:
-    """``initial`` stored as :meth:`MemoryImage.write_word` would store each
-    word: aligned, wrapped to signed 64 bits, a later address of the same
-    word winning.  One pass over the data."""
-    return {
-        address - address % WORD_BYTES: ((int(value) + _SIGN_BIT) & _WORD_MASK) - _SIGN_BIT
-        for address, value in initial.items()
-    }
+# The word format is the data segment's.
+from repro.program.program import WORD_BYTES, to_signed64, word_image
 
 
 class MemoryImage:
@@ -43,7 +23,8 @@ class MemoryImage:
 
     @classmethod
     def from_image(cls, words: Dict[int, int]) -> "MemoryImage":
-        """A memory holding a copy of ``words``, a :func:`word_image`."""
+        """A memory holding a copy of ``words``, already a :func:`word_image`
+        (as a program's data segment is)."""
         memory = cls()
         memory._words = dict(words)
         return memory

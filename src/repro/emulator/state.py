@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.emulator.memory_image import MemoryImage, to_signed64, word_image
+from repro.emulator.memory_image import MemoryImage, to_signed64
 from repro.isa.registers import (
     NUM_BRANCH_REGISTERS,
     NUM_GENERAL_REGISTERS,
@@ -38,14 +38,11 @@ class ArchState:
     def for_program(cls, program: Program) -> "ArchState":
         """Create the initial state for ``program`` (data segment loaded).
 
-        The data segment is normalised once per program
-        (:attr:`~repro.program.program.DataSegment.image`); each state
-        gets its own copy.
+        The data segment already holds memory words (see
+        :class:`~repro.program.program.DataSegment`), so each state gets a
+        plain copy of it.
         """
-        data = program.data
-        if data.image is None:
-            data.image = word_image(data.words)
-        return cls(memory=MemoryImage.from_image(data.image))
+        return cls(memory=MemoryImage.from_image(program.data.words))
 
     # ------------------------------------------------------------------
     def read(self, reg: Register):

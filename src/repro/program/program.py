@@ -9,7 +9,7 @@ predictors and the predicate predictor index with.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.isa.instructions import Instruction
 from repro.program.routine import Routine
@@ -26,34 +26,54 @@ TEXT_BASE = 0x4000_0000
 DATA_BASE = 0x6000_0000
 
 
+#: Bytes per data word: memory is word-granular.
+WORD_BYTES = 8
+
+_WORD_MASK = (1 << 64) - 1
+_SIGN_BIT = 1 << 63
+
+
+def to_signed64(value: int) -> int:
+    """Wrap ``value`` to a signed 64-bit integer."""
+    value &= _WORD_MASK
+    if value & _SIGN_BIT:
+        return value - (1 << 64)
+    return value
+
+
+def word_image(initial: Dict[int, int]) -> Dict[int, int]:
+    """``initial`` as word-granular memory holds it: each address aligned
+    down to its word, each value wrapped to signed 64 bits, a later address
+    of the same word winning.  One pass over the data."""
+    return {
+        address - address % WORD_BYTES: ((int(value) + _SIGN_BIT) & _WORD_MASK) - _SIGN_BIT
+        for address, value in initial.items()
+    }
+
+
 @dataclass
 class DataSegment:
     """Initial memory contents: a dictionary of word-addressed values.
 
-    Addresses are byte addresses; values are signed integers stored in
-    8-byte words.  The workload generators populate arrays here and the
-    emulator's memory image is initialised from it.
+    Keys are word-aligned byte addresses and values signed integers stored
+    in 8-byte words, exactly as the emulator's memory image holds them:
+    the constructor and :meth:`store_array` normalise what they are given
+    (:func:`word_image`), once per program, so every emulator of the program
+    copies ``words`` as it is.  The workload generators populate arrays here.
     """
 
     words: Dict[int, int] = field(default_factory=dict)
-    #: ``words`` as the emulator's memory image holds them (aligned,
-    #: wrapped), made by the first emulator of the program and copied by
-    #: every later one; :meth:`store_array` drops it, and it is never
-    #: pickled.
-    image: Optional[Dict[int, int]] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.words = word_image(self.words)
 
     def store_array(self, base: int, values: List[int], stride: int = 8) -> None:
-        """Store ``values`` as consecutive words starting at ``base``."""
+        """Store ``values`` as consecutive words starting at ``base``; a
+        value that shares a word with a later one is overwritten by it."""
+        words = self.words
         for i, value in enumerate(values):
-            self.words[base + i * stride] = int(value)
-        self.image = None
-
-    def __getstate__(self):
-        return {"words": self.words}
-
-    def __setstate__(self, state) -> None:
-        self.words = state["words"]
-        self.image = None
+            address = base + i * stride
+            words[address - address % WORD_BYTES] = to_signed64(int(value))
 
     def __len__(self) -> int:
         return len(self.words)

@@ -1,13 +1,11 @@
 """Tests for the architectural state."""
 
-import pickle
-
-from repro.emulator import state as state_module
+from repro.emulator import memory_image
 from repro.emulator.executor import Emulator
-from repro.emulator.memory_image import MemoryImage, word_image
+from repro.emulator.memory_image import MemoryImage
 from repro.emulator.state import ArchState
 from repro.isa.registers import BR, FR, GR, PR
-from repro.program import ProgramBuilder
+from repro.program import DataSegment, ProgramBuilder
 
 
 class TestInitialState:
@@ -32,10 +30,13 @@ class TestInitialState:
         assert state.memory.read_word(base + 8) == 8
 
 
+#: Two values per 8-byte word (stride 4), some beyond 64 bits.
+RAW_VALUES = [2**64 + 3, 2**63, -(2**63) - 1, 5, 7]
+
+
 def _program_with_data():
     pb = ProgramBuilder("p")
-    # Stride 4 puts two values in each 8-byte word: the later address wins.
-    base = pb.array("a", [2**64 + 3, 2**63, -(2**63) - 1, 5, 7], stride=4)
+    base = pb.array("a", RAW_VALUES, stride=4)
     rb = pb.routine("main")
     rb.block("entry")
     rb.br_ret()
@@ -46,18 +47,18 @@ def _words(memory):
     return {address: memory.read_word(address) for address in list(memory._words)}
 
 
-class TestDataSegmentImage:
-    """The data segment is normalised once per program, not per emulator."""
+class TestDataSegmentWords:
+    """The data segment is normalised once, when written, not per emulator."""
 
     def test_words_are_aligned_and_wrapped_as_written(self):
         program, base = _program_with_data()
         expected = MemoryImage()
-        for address, value in program.data.words.items():
-            expected.write_word(address, value)
+        for i, value in enumerate(RAW_VALUES):
+            expected.write_word(base + 4 * i, value)
         memory = ArchState.for_program(program).memory
         assert _words(memory) == _words(expected)
-        assert _words(memory) == _words(MemoryImage(program.data.words))
-        assert all(address % 8 == 0 for address in memory._words)
+        assert program.data.words == expected._words
+        assert all(address % 8 == 0 for address in program.data.words)
 
     def test_a_later_address_of_the_same_word_wins(self):
         program, base = _program_with_data()
@@ -66,46 +67,33 @@ class TestDataSegmentImage:
         assert memory.read_word(base) == -(2**63)
         assert memory.read_word(base + 8) == 5
         assert memory.read_word(base + 16) == 7
-        assert len(memory) == 3
+        assert len(memory) == len(program.data) == 3
 
-    def test_normalised_once_per_program(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            state_module, "word_image", lambda words: calls.append(1) or word_image(words)
-        )
+    def test_the_constructor_normalises_too(self):
+        segment = DataSegment({0x1003: 2**64 + 1, 0x1004: 9, 0x1010: -1})
+        assert segment.words == {0x1000: 9, 0x1010: -1}
+        assert segment.words == MemoryImage({0x1003: 2**64 + 1, 0x1004: 9, 0x1010: -1})._words
+
+    def test_an_emulator_copies_the_words_as_they_are(self, monkeypatch):
         program, base = _program_with_data()
-        first = ArchState.for_program(program)
-        second = ArchState.for_program(program)
-        assert len(calls) == 1
-        assert _words(first.memory) == _words(second.memory)
+
+        def refuse(words):
+            raise AssertionError("normalised again")
+
+        monkeypatch.setattr(memory_image, "word_image", refuse)
+        assert _words(Emulator(program).state.memory) == program.data.words
 
     def test_two_emulators_never_share_memory_writes(self):
         program, base = _program_with_data()
+        words = dict(program.data.words)
         first, second = Emulator(program), Emulator(program)
         first.state.memory.write_word(base, 99)
         second.state.memory.write_word(base + 8, -1)
         assert first.state.memory.read_word(base + 8) == 5
         assert second.state.memory.read_word(base) == -(2**63)
+        assert program.data.words == words
         third = Emulator(program)
-        assert third.state.memory.read_word(base) == -(2**63)
-        assert third.state.memory.read_word(base + 8) == 5
-
-    def test_storing_more_data_drops_the_image(self):
-        program, base = _program_with_data()
-        ArchState.for_program(program)
-        program.data.store_array(base + 64, [11])
-        assert ArchState.for_program(program).memory.read_word(base + 64) == 11
-
-    def test_the_image_is_not_pickled(self):
-        program, base = _program_with_data()
-        ArchState.for_program(program)
-        assert program.data.image is not None
-        restored = pickle.loads(pickle.dumps(program.data))
-        assert restored.image is None
-        assert restored.words == program.data.words
-        assert _words(MemoryImage(restored.words)) == _words(
-            ArchState.for_program(program).memory
-        )
+        assert _words(third.state.memory) == words
 
 
 class TestReadsAndWrites:
