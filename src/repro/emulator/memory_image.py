@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 # The word format is the data segment's.
-from repro.program.program import WORD_BYTES, to_signed64, word_image
+from repro.program.program import WORD_BYTES, to_signed64
 
 
 class MemoryImage:
@@ -19,15 +19,10 @@ class MemoryImage:
     __slots__ = ("_words",)
 
     def __init__(self, initial: Optional[Dict[int, int]] = None) -> None:
-        self._words: Dict[int, int] = word_image(initial) if initial else {}
-
-    @classmethod
-    def from_image(cls, words: Dict[int, int]) -> "MemoryImage":
-        """A memory holding a copy of ``words``, already a :func:`word_image`
-        (as a program's data segment is)."""
-        memory = cls()
-        memory._words = dict(words)
-        return memory
+        """A memory holding a copy of ``initial``, a word image: aligned
+        addresses, signed 64-bit values (as a program's data segment holds
+        them, see :func:`~repro.program.program.word_image`)."""
+        self._words: Dict[int, int] = dict(initial) if initial else {}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -45,7 +40,7 @@ class MemoryImage:
 
     # ------------------------------------------------------------------
     def copy(self) -> "MemoryImage":
-        return MemoryImage.from_image(self._words)
+        return MemoryImage(self._words)
 
     def __len__(self) -> int:
         return len(self._words)

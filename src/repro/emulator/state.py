@@ -42,7 +42,7 @@ class ArchState:
         :class:`~repro.program.program.DataSegment`), so each state gets a
         plain copy of it.
         """
-        return cls(memory=MemoryImage.from_image(program.data.words))
+        return cls(memory=MemoryImage(program.data.words))
 
     # ------------------------------------------------------------------
     def read(self, reg: Register):

@@ -117,11 +117,13 @@ class PackCursor:
 
     :meth:`TracePack.cursor` yields one instance of this class per pack
     iteration, mutating it in place for every row, so its readers must use
-    the fields before the next row.  The pipeline's timing loop instead
-    hands scheme hooks one cursor per row, built on first use and shared by
-    every lane and the decision-stream prepass over that row
-    (:meth:`repro.pipeline.core._Rows.cursor`); it lives as long as the
-    decoded span, so a hook may keep it until then but must not change it.
+    the fields before the next row.  The pipeline's timing loop hands
+    scheme hooks the cursor of :meth:`repro.pipeline.core._Rows.cursor`:
+    in a batch of two or more lanes one cursor per row, built on first use
+    and shared by every lane and the decision-stream prepass over that row;
+    in a lone lane one reused cursor, refilled when a reader asks for
+    another row.  So a hook reads the fields during its call and never
+    changes them.
     ``is_branch`` / ``is_compare`` / ``is_conditional_branch`` are plain
     attributes (precomputed per static instruction) instead of the property
     chains of ``DynInst``.

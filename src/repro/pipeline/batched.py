@@ -296,7 +296,7 @@ def run_span(
     decoded segment at a time: each distinct walker and stream source makes
     one pass over a segment, and every lane reads theirs."""
     for pack, low, high in trace.spans(start, stop):
-        rows = _Rows(pack, low, high, decodes)
+        rows = _Rows(pack, low, high, decodes, shared=len(cores) > 1)
         walks = {id(w): w.walk(rows) for w in _distinct(walkers)}
         streams = {id(s): _drive_scheme_stream(s, rows) for s in _distinct(sources)}
         for core, state, source, walker in zip(cores, states, sources, walkers):
@@ -313,9 +313,9 @@ def _drive_scheme_stream(scheme: BranchHandlingScheme, rows: _Rows) -> DecisionS
     by contract.  The hook call sequence per branch (rename immediately
     followed by resolved) is exactly the timing loop's, so the scheme's
     accuracy and counters come out bit-identical: the scheme keeps the
-    record of the stream's branches.  Each branch's cursor is the row's
-    shared one (:meth:`~repro.pipeline.core._Rows.cursor`), which hook
-    lanes over the same rows read too.
+    record of the stream's branches.  Each branch's cursor comes from
+    :meth:`~repro.pipeline.core._Rows.cursor`, so in a batch it is the
+    row's shared one, which hook lanes over the same rows read too.
     """
     on_rename = scheme.on_branch_rename
     on_resolved = scheme.on_branch_resolved

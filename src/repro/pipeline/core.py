@@ -223,6 +223,11 @@ class _Rows:
     of a row that a scheme hook or the decision-stream prepass reads
     (:meth:`cursor`).  Per-row counts that do not depend on timing are
     computed here once, so the loop does not count them row by row.
+
+    With ``shared`` (a batch of two or more lanes) each row's cursor is
+    built once and kept for every reader of the span; otherwise (a lone
+    lane, whose prepass and hooks mostly read different rows) one reused
+    cursor is refilled whenever a reader asks for another row.
     """
 
     __slots__ = (
@@ -246,6 +251,8 @@ class _Rows:
         "compare_flags",
         "cond_flags",
         "cursors",
+        "_reused",
+        "_reused_row",
         # Timing-independent counts.
         "count",
         "executed_count",
@@ -255,7 +262,12 @@ class _Rows:
     )
 
     def __init__(
-        self, pack: TracePack, start: int, stop: int, decodes: Dict[int, _StaticDecode]
+        self,
+        pack: TracePack,
+        start: int,
+        stop: int,
+        decodes: Dict[int, _StaticDecode],
+        shared: bool = False,
     ) -> None:
         statics = []
         for inst in pack.insts:
@@ -296,22 +308,33 @@ class _Rows:
         self.ends_group = ((static[:, 1] != 0) & (pack.taken[start:stop] == 1)).tolist()
         self.count = len(self.inst_idx)
         self.cursors: List[Optional[PackCursor]] = [None] * self.count
+        self._reused = None if shared else PackCursor()
+        self._reused_row = -1
         self.executed_count = int(np.count_nonzero(pack.executed[start:stop]))
         self.cond_rows = np.flatnonzero(static[:, 2]).tolist()
         self.predicated_simple_count = int(static[:, 3].sum())
         self.unit_counts = np.bincount(static[:, 0], minlength=len(_UNITS)).tolist()
 
     def cursor(self, i: int) -> PackCursor:
-        """The :class:`PackCursor` of row ``i``, built on first use.
+        """The :class:`PackCursor` of row ``i``.
 
-        ``cursors[i]`` holds it from then on, so every lane's hooks and the
-        prepass over these rows read one object per row, freed with the
-        rows.  Readers treat it as read-only.
+        Shared rows build it on first use and keep it in ``cursors[i]``, so
+        every lane's hooks and the prepass over these rows read one object
+        per row, freed with the rows.  Otherwise ``cursors`` stays empty and
+        the one reused cursor is refilled when ``i`` is not its last row, so
+        it holds row ``i`` only until a reader asks for another.  Readers
+        treat it as read-only.
         """
         cur = self.cursors[i]
         if cur is not None:
             return cur
-        cur = PackCursor()
+        cur = self._reused
+        if cur is None:
+            cur = self.cursors[i] = PackCursor()
+        elif self._reused_row == i:
+            return cur
+        else:
+            self._reused_row = i
         static = self.inst_idx[i]
         cur.seq = self.seqs[i]
         cur.inst = self.insts[static]
@@ -327,7 +350,6 @@ class _Rows:
         cur.is_branch = self.branch_flags[static]
         cur.is_compare = self.compare_flags[static]
         cur.is_conditional_branch = self.cond_flags[static]
-        self.cursors[i] = cur
         return cur
 
 
@@ -735,8 +757,8 @@ class OutOfOrderCore:
         called in the reference loop's order, but only those the scheme overrides
         (:func:`~repro.pipeline.scheme_api.overridden_hooks`): a row whose
         kind the scheme does not hook costs no call and no cursor.  A hooked
-        row's hooks read the row's shared cursor (:meth:`_Rows.cursor`),
-        built by the first lane or prepass that reads it.
+        row's hooks read the row's cursor (:meth:`_Rows.cursor`): in a
+        batch, the one that the first lane or prepass reading the row built.
         With a :class:`DecisionStream` of the conditional branches of
         ``rows``, branch rows cost no call at all: the loop reads the
         stream's flags and calls neither branch hook.  Any behavioural

@@ -297,7 +297,9 @@ class TestWorkerProcesses:
         while any(_running(pid) for pid in group):
             assert time.monotonic() < deadline, f"{group} outlived the shutdown"
             time.sleep(0.05)
-        service.wait(record.id, timeout=30)
+        # After shutdown ``service.wait`` returns at once, so wait for the
+        # worker thread to settle the job itself.
+        assert record.done_event.wait(timeout=30), "the job never settled"
         assert record.state == FAILED
         assert record.error == "RuntimeError: interrupted by service shutdown"
         assert service.health()["workers_lost"] == 0
